@@ -3,7 +3,7 @@
 # leaving BENCH_churn.json in the repo root: false-suspicion rate vs
 # detection latency across three lease settings on a mixed
 # churn + slow-broker plan, plus Q(T) inflation under sustained churn
-# with lease-based detection vs the crash-stop oracle.
+# with a balanced lease vs the default oracle lease (crash-stop).
 #
 # Usage: scripts/bench_churn.sh [build-dir]   (default: build-release)
 set -euo pipefail

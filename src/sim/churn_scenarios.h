@@ -1,4 +1,4 @@
-// Churn scenario generators for the staleness-mode fault replay
+// Churn scenario generators for the lease-driven fault replay
 // (DESIGN.md §13).
 //
 // Each generator builds a seeded, deterministic FaultPlan exercising one
@@ -18,8 +18,9 @@
 //                          between healthy and partitioned.
 //  * SustainedChurn      — real crash/recover cycles spread over the whole
 //                          stream (down/up only, so the same plan also
-//                          replays in crash-stop mode — the Q(T) inflation
-//                          baseline comparison in bench/bench_churn.cc).
+//                          replays crash-stop under the default oracle
+//                          lease — the Q(T) inflation baseline comparison
+//                          in bench/bench_churn.cc).
 //
 // All randomness comes from the caller's Rng; a given (topology, params,
 // rng state) triple always yields the identical plan.
@@ -58,7 +59,8 @@ FaultPlan SlowBrokers(const net::BrokerTree& tree, int num_events,
 // recover once per cycle window (the stream is split into `cycles` equal
 // windows): down for `outage_events`, recoveries past the stream end are
 // dropped (SeededRandom's stays-down contract). Down/up events only —
-// replayable in both crash-stop and staleness modes.
+// meaningful under the oracle lease (crash-stop) and realistic leases
+// alike.
 FaultPlan SustainedChurn(const net::BrokerTree& tree, int num_events,
                          double churn_fraction, int outage_events,
                          int cycles, Rng& rng);

@@ -17,25 +17,34 @@ namespace slp::sim {
 
 namespace {
 
-// Ground-truth view threaded through routing in staleness mode (null in
-// crash-stop mode): events die at actually-down brokers even when the
-// believed overlay still routes through them, and deliveries to offline
-// clients are diverted into stale_deliveries.
+// Ground-truth view threaded through routing: events die at actually-down
+// brokers even when the believed overlay still routes through them, and
+// deliveries to offline clients are diverted into stale_deliveries.
 struct GroundTruth {
-  const liveness::HeartbeatChannel* channel = nullptr;
-  const std::vector<int>* client_of_handle = nullptr;  // handle -> client
-  int64_t* stale_deliveries = nullptr;
+  const liveness::HeartbeatChannel& channel;
+  const std::vector<int>& client_of_handle;  // handle -> client
+  int64_t& stale_deliveries;
 };
+
+// A matching event arrived at handle h's leaf: a delivery if the client is
+// listening, a stale delivery if it is offline.
+void CountArrival(const GroundTruth& truth, int h, DisseminationStats* stats) {
+  if (truth.channel.client_offline(truth.client_of_handle[h])) {
+    ++truth.stale_deliveries;
+  } else {
+    ++stats->deliveries;
+  }
+}
 
 // Routes one event over the live overlay: a broker forwards iff it is
 // live and the event lies inside its current (DynamicAssigner) filter.
 // Failed brokers never appear in live_children, which the SLP_DCHECK below
-// asserts — they are excluded from total_messages by construction. With
-// ground truth, an actually-down broker still *receives* the message (its
-// believed parent sent it) but forwards nothing.
+// asserts — they are excluded from total_messages by construction. An
+// actually-down broker still *receives* the message (its believed parent
+// sent it) but forwards nothing.
 void RouteLiveEvent(const core::DynamicAssigner& dyn, const geo::Point& event,
                     const std::vector<std::vector<int>>& handles_of_leaf,
-                    const GroundTruth* truth, DisseminationStats* stats) {
+                    const GroundTruth& truth, DisseminationStats* stats) {
   const net::BrokerTree& tree = dyn.tree();
   std::vector<int> stack(
       tree.live_children(net::BrokerTree::kPublisher).begin(),
@@ -54,18 +63,13 @@ void RouteLiveEvent(const core::DynamicAssigner& dyn, const geo::Point& event,
     if (!inside) continue;
     ++stats->broker_hits[v];
     ++stats->total_messages;
-    if (truth != nullptr && truth->channel->broker_down(v)) continue;
+    if (truth.channel.broker_down(v)) continue;
     if (tree.is_leaf(v)) {
       bool matched_any = false;
       for (int h : handles_of_leaf[v]) {
         if (dyn.subscriber(h).subscription.ContainsPoint(event)) {
           matched_any = true;
-          if (truth != nullptr &&
-              truth->channel->client_offline((*truth->client_of_handle)[h])) {
-            ++*truth->stale_deliveries;
-          } else {
-            ++stats->deliveries;
-          }
+          CountArrival(truth, h, stats);
         }
       }
       if (!matched_any) ++stats->wasted_leaf_hits;
@@ -75,15 +79,15 @@ void RouteLiveEvent(const core::DynamicAssigner& dyn, const geo::Point& event,
   }
 }
 
-// True iff every filter on the live path from `leaf` to the publisher
-// contains the event and (with ground truth) every hop is actually up —
-// i.e., routing physically delivered it.
+// True iff every hop on the live path from `leaf` to the publisher is
+// actually up and its filter contains the event — i.e., routing physically
+// delivered it.
 bool ReachedOverLivePath(const core::DynamicAssigner& dyn, int leaf,
-                         const geo::Point& event, const GroundTruth* truth) {
+                         const geo::Point& event, const GroundTruth& truth) {
   const net::BrokerTree& tree = dyn.tree();
   for (int v = leaf; v != net::BrokerTree::kPublisher;
        v = tree.live_parent(v)) {
-    if (truth != nullptr && truth->channel->broker_down(v)) return false;
+    if (truth.channel.broker_down(v)) return false;
     bool inside = false;
     for (const geo::Rectangle& r : dyn.filter(v)) {
       if (r.ContainsPoint(event)) {
@@ -182,21 +186,20 @@ struct LiveRouter {
   match::BitSet reached;  // live leaves this event physically arrived at
   std::vector<int> reached_leaves;
   std::vector<int> stack;
-  std::vector<int32_t> matched_handles;
   std::vector<int32_t> matched_local;
 };
 
 // Indexed replacement for RouteLiveEvent: one probe per event, a bit test
 // per live hop, a hit count per reached leaf. Leaves router->reached set
-// for the ground-truth walk; the caller clears it via ClearReached. With
-// ground truth, the DFS prunes at actually-down brokers (after counting
-// the message the believed parent sent), so `reached` means "the event
-// physically arrived", not "the believed overlay would have routed it".
+// for the ground-truth walk; the caller clears it via ClearReached. The
+// DFS prunes at actually-down brokers (after counting the message the
+// believed parent sent), so `reached` means "the event physically
+// arrived", not "the believed overlay would have routed it".
 void RouteLiveEventIndexed(const core::DynamicAssigner& dyn,
                            const geo::Point& event, const LiveEngine& eng,
                            const std::vector<std::vector<int>>&
                                handles_of_leaf,
-                           const GroundTruth* truth, LiveRouter* router,
+                           const GroundTruth& truth, LiveRouter* router,
                            DisseminationStats* stats) {
   const net::BrokerTree& tree = dyn.tree();
   const double x = event[0], y = event[1];
@@ -213,30 +216,15 @@ void RouteLiveEventIndexed(const core::DynamicAssigner& dyn,
     if (!contains.Test(v)) continue;
     ++stats->broker_hits[v];
     ++stats->total_messages;
-    if (truth != nullptr && truth->channel->broker_down(v)) continue;
+    if (truth.channel.broker_down(v)) continue;
     if (tree.is_leaf(v)) {
-      if (truth == nullptr) {
-        const int cnt = eng.leaf[v].CountContaining(x, y);
-        if (cnt > 0) {
-          stats->deliveries += cnt;
-        } else {
-          ++stats->wasted_leaf_hits;
-        }
-      } else {
-        router->matched_local.clear();
-        eng.leaf[v].AppendContaining(x, y, &router->matched_local);
-        if (router->matched_local.empty()) {
-          ++stats->wasted_leaf_hits;
-        }
-        for (const int32_t local : router->matched_local) {
-          const int h = handles_of_leaf[v][local];
-          if (truth->channel->client_offline(
-                  (*truth->client_of_handle)[h])) {
-            ++*truth->stale_deliveries;
-          } else {
-            ++stats->deliveries;
-          }
-        }
+      router->matched_local.clear();
+      eng.leaf[v].AppendContaining(x, y, &router->matched_local);
+      if (router->matched_local.empty()) {
+        ++stats->wasted_leaf_hits;
+      }
+      for (const int32_t local : router->matched_local) {
+        CountArrival(truth, handles_of_leaf[v][local], stats);
       }
       router->reached.Set(v);
       router->reached_leaves.push_back(v);
@@ -251,26 +239,22 @@ void ClearReached(LiveRouter* router) {
   router->reached_leaves.clear();
 }
 
-// Fresh-baseline Q(T) over the surviving live topology (shared by both
-// replay modes; consumes rng iff it runs).
-void ComputeFreshBaseline(core::DynamicAssigner& dyn, Rng& rng,
-                          FaultReplayResult* result) {
-  Result<core::DynamicAssigner::LiveSnapshot> snap = dyn.SnapshotLive();
-  if (snap.ok()) {
-    const core::SaSolution fresh = core::RunGrStar(snap.value().problem, rng);
-    result->qt_fresh =
-        core::ComputeMetrics(snap.value().problem, fresh).total_bandwidth;
-    if (result->qt_fresh > 0) {
-      result->qt_inflation = result->qt_final / result->qt_fresh;
-    }
+Status ValidateOptions(const FaultReplayOptions& options) {
+  if (options.epoch_length <= 0) {
+    return Status::InvalidArgument("epoch_length must be positive");
   }
+  const liveness::LeaseConfig& lease = options.lease;
+  if (lease.heartbeat_interval <= 0 || lease.subscriber_interval <= 0) {
+    return Status::InvalidArgument("lease intervals must be positive");
+  }
+  if (lease.miss_suspect <= 0 || lease.subscriber_miss_dead <= 0) {
+    return Status::InvalidArgument("lease miss thresholds must be positive");
+  }
+  if (lease.miss_dead < lease.miss_suspect) {
+    return Status::InvalidArgument("lease miss_dead is below miss_suspect");
+  }
+  return Status::OK();
 }
-
-Result<FaultReplayResult> ReplayStaleness(core::DynamicAssigner& dyn,
-                                          const FaultPlan& plan,
-                                          const std::vector<geo::Point>& events,
-                                          const FaultReplayOptions& options,
-                                          Rng& rng);
 
 }  // namespace
 
@@ -316,202 +300,12 @@ FaultPlan FaultPlan::SeededRandom(const net::BrokerTree& tree, int num_events,
   return Scripted(std::move(events));
 }
 
-bool FaultPlan::RequiresStaleness() const {
-  if (!client_events_.empty()) return true;
-  for (const FaultEvent& f : events_) {
-    if (f.heartbeat_only) return true;
-  }
-  return false;
-}
-
 Result<FaultReplayResult> ReplayWithFaults(
     core::DynamicAssigner& dyn, const FaultPlan& plan,
     const std::vector<geo::Point>& events, const FaultReplayOptions& options,
     Rng& rng) {
-  SLP_DCHECK(options.epoch_length > 0);
-  if (options.lease.has_value()) {
-    return ReplayStaleness(dyn, plan, events, options, rng);
-  }
-  if (plan.RequiresStaleness()) {
-    return Status::InvalidArgument(
-        "plan has heartbeat_only/client events; crash-stop replay cannot "
-        "apply them (set FaultReplayOptions::lease)");
-  }
-  FaultReplayResult result;
-  result.stats.broker_hits.assign(dyn.tree().num_nodes(), 0);
-
-  core::RepairEngine engine(&dyn, options.repair);
-  std::vector<std::vector<int>> handles_of_leaf = HandlesByLeaf(dyn);
-  bool placement_dirty = false;
-
-  // Indexed matching is d=2-only; other dimensions (and the empty
-  // population) take the legacy linear scans.
-  bool indexed = false;
-  if (options.engine == MatchEngine::kIndexed) {
-    for (int h = 0; h < dyn.slot_count(); ++h) {
-      if (!dyn.is_occupied(h)) continue;
-      indexed = dyn.subscriber(h).subscription.dim() == 2;
-      break;
-    }
-  }
-  LiveEngine live_engine;
-  std::unique_ptr<LiveRouter> router;
-  if (indexed) {
-    live_engine = BuildLiveEngine(dyn, handles_of_leaf);
-    router = std::make_unique<LiveRouter>(live_engine,
-                                          dyn.tree().num_nodes());
-  }
-
-  EpochRecoveryStats epoch;
-  epoch.first_event = 0;
-  int64_t epoch_delivery_base = 0;
-
-  int outage_start = -1;  // event index at which the current backlog began
-  size_t next_fault = 0;
-  const std::vector<FaultEvent>& faults = plan.events();
-
-  const int num_events = static_cast<int>(events.size());
-  for (int i = 0; i < num_events; ++i) {
-    // 1. Apply the faults scheduled for this tick.
-    while (next_fault < faults.size() && faults[next_fault].at_event <= i) {
-      const FaultEvent& f = faults[next_fault++];
-      const size_t orphans_before = dyn.orphans().size();
-      SLP_RETURN_IF_ERROR(f.fail ? dyn.FailBroker(f.node)
-                                 : dyn.RecoverBroker(f.node));
-      result.total_orphaned +=
-          static_cast<int>(dyn.orphans().size() - orphans_before);
-      placement_dirty = true;
-    }
-    if (outage_start < 0 && !dyn.orphans().empty()) outage_start = i;
-
-    // 2. Repair tick (after the detection delay) under the per-tick budget.
-    const bool orphans_due =
-        outage_start >= 0 && i - outage_start >= options.detection_delay_events;
-    if (orphans_due || (dyn.orphans().empty() &&
-                        !dyn.degraded_handles().empty())) {
-      const Deadline budget =
-          options.repair_budget_seconds < 0
-              ? Deadline::Infinite()
-              : Deadline::After(options.repair_budget_seconds);
-      const core::RepairReport report = engine.Repair(budget, i);
-      result.total_repaired += report.repaired;
-      result.total_degraded_placed += report.degraded;
-      result.total_undegraded += report.undegraded;
-      epoch.repaired += report.repaired + report.undegraded;
-      epoch.degraded_placed += report.degraded;
-      if (report.repaired + report.degraded + report.undegraded > 0) {
-        placement_dirty = true;
-      }
-    }
-    if (outage_start >= 0 && dyn.orphans().empty()) {
-      result.time_to_repair.push_back(i - outage_start);
-      outage_start = -1;
-    }
-
-    // 3. Route the event over the live overlay.
-    if (placement_dirty) {
-      handles_of_leaf = HandlesByLeaf(dyn);
-      if (indexed) {
-        live_engine = BuildLiveEngine(dyn, handles_of_leaf);
-        router = std::make_unique<LiveRouter>(live_engine,
-                                              dyn.tree().num_nodes());
-      }
-      placement_dirty = false;
-    }
-    const geo::Point& event = events[i];
-    ++result.stats.events;
-    ++epoch.num_events;
-    if (indexed) {
-      RouteLiveEventIndexed(dyn, event, live_engine, handles_of_leaf,
-                            /*truth=*/nullptr, router.get(), &result.stats);
-    } else {
-      RouteLiveEvent(dyn, event, handles_of_leaf, /*truth=*/nullptr,
-                     &result.stats);
-    }
-
-    // 4. Ground truth: attribute every miss to its cause. The indexed
-    // engine probes the handle index (O(matching handles) per event) and
-    // tests the reached bit the routing DFS left behind; the linear engine
-    // scans every occupied handle and re-walks the live path.
-    if (indexed) {
-      router->matched_handles.clear();
-      live_engine.handles.AppendContaining(event[0], event[1],
-                                           &router->matched_handles);
-      for (const int32_t h : router->matched_handles) {
-        const int leaf = dyn.leaf_of(h);
-        if (leaf < 0) {
-          // Orphaned, or degraded and parked unplaced: the outage's price.
-          ++result.missed_outage;
-          ++epoch.missed_outage;
-          continue;
-        }
-        if (router->reached.Test(leaf)) continue;
-        if (dyn.state(h) == core::SubscriberState::kLive) {
-          ++result.missed_live;
-          ++epoch.missed_live;
-          ++result.stats.missed_deliveries;
-        } else {
-          ++result.missed_degraded;
-          ++epoch.missed_degraded;
-        }
-      }
-      ClearReached(router.get());
-    } else {
-      for (int h = 0; h < dyn.slot_count(); ++h) {
-        if (!dyn.is_occupied(h)) continue;
-        if (!dyn.subscriber(h).subscription.ContainsPoint(event)) continue;
-        const int leaf = dyn.leaf_of(h);
-        if (leaf < 0) {
-          // Orphaned, or degraded and parked unplaced: the outage's price.
-          ++result.missed_outage;
-          ++epoch.missed_outage;
-          continue;
-        }
-        if (ReachedOverLivePath(dyn, leaf, event, /*truth=*/nullptr)) {
-          continue;
-        }
-        if (dyn.state(h) == core::SubscriberState::kLive) {
-          ++result.missed_live;
-          ++epoch.missed_live;
-          ++result.stats.missed_deliveries;
-        } else {
-          ++result.missed_degraded;
-          ++epoch.missed_degraded;
-        }
-      }
-    }
-
-    // 5. Epoch boundary.
-    if ((i + 1) % options.epoch_length == 0 || i + 1 == num_events) {
-      epoch.deliveries = result.stats.deliveries - epoch_delivery_base;
-      epoch_delivery_base = result.stats.deliveries;
-      epoch.orphans_end = static_cast<int>(dyn.orphans().size());
-      epoch.degraded_end = static_cast<int>(dyn.degraded_handles().size());
-      epoch.qt_end = dyn.CurrentBandwidth();
-      result.epochs.push_back(epoch);
-      epoch = EpochRecoveryStats{};
-      epoch.first_event = i + 1;
-    }
-  }
-
-  result.unrepaired_at_end = static_cast<int>(dyn.orphans().size());
-  result.degraded_at_end = static_cast<int>(dyn.degraded_handles().size());
-  result.qt_final = dyn.CurrentBandwidth();
-  result.stats.CheckInvariants();
-
-  if (options.compute_fresh_baseline) {
-    ComputeFreshBaseline(dyn, rng, &result);
-  }
-  return result;
-}
-
-namespace {
-
-Result<FaultReplayResult> ReplayStaleness(
-    core::DynamicAssigner& dyn, const FaultPlan& plan,
-    const std::vector<geo::Point>& events, const FaultReplayOptions& options,
-    Rng& rng) {
-  const liveness::LeaseConfig& lease = *options.lease;
+  SLP_RETURN_IF_ERROR(ValidateOptions(options));
+  const liveness::LeaseConfig& lease = options.lease;
   const net::BrokerTree& tree = dyn.tree();
   const int num_nodes = tree.num_nodes();
   FaultReplayResult result;
@@ -531,11 +325,16 @@ Result<FaultReplayResult> ReplayStaleness(
   }
   const int num_clients = static_cast<int>(client_handle.size());
 
+  // Ground truth starts where belief does: a broker already failed in the
+  // overlay is down until the plan recovers it.
   liveness::HeartbeatChannel channel(&tree, num_clients);
+  for (int v = 1; v < num_nodes; ++v) {
+    if (tree.is_failed(v)) channel.SetBrokerDown(v, true);
+  }
   // now = -1: every lease dates from "one tick before the stream", so a
   // broker down from event 0 accrues its first missed window at tick
-  // interval-1 — and with hair-trigger thresholds, at tick 0 (the
-  // oracle-equivalence alignment).
+  // interval-1 — and under the oracle lease, at tick 0 (the crash-stop
+  // alignment).
   liveness::LivenessTracker tracker(&dyn, lease, /*now=*/-1);
   for (int c = 0; c < num_clients; ++c) {
     tracker.TrackSubscriber(c, client_handle[c], /*now=*/-1);
@@ -543,20 +342,23 @@ Result<FaultReplayResult> ReplayStaleness(
   core::RepairEngine engine(&dyn, options.repair);
 
   // Refresh phases: client c attempts a lease refresh at ticks i with
-  // i % subscriber_interval == c % subscriber_interval.
-  std::vector<std::vector<int>> phase_clients(lease.subscriber_interval);
+  // i % subscriber_interval == c % subscriber_interval. Only the first
+  // num_clients phases can hold a client, so the table is sized by the
+  // population, not by the interval.
+  const int64_t client_interval = lease.subscriber_interval;
+  std::vector<std::vector<int>> phase_clients(
+      std::min<int64_t>(client_interval, num_clients));
   for (int c = 0; c < num_clients; ++c) {
-    phase_clients[c % lease.subscriber_interval].push_back(c);
+    phase_clients[c % client_interval].push_back(c);
   }
 
-  GroundTruth truth;
-  truth.channel = &channel;
-  truth.client_of_handle = &client_of_handle;
-  truth.stale_deliveries = &result.stale_deliveries;
+  const GroundTruth truth{channel, client_of_handle, result.stale_deliveries};
 
   std::vector<std::vector<int>> handles_of_leaf = HandlesByLeaf(dyn);
   bool placement_dirty = false;
 
+  // Indexed matching is d=2-only; other dimensions (and the empty
+  // population) take the linear scans.
   bool indexed = false;
   if (options.engine == MatchEngine::kIndexed) {
     for (int h = 0; h < dyn.slot_count(); ++h) {
@@ -571,12 +373,13 @@ Result<FaultReplayResult> ReplayStaleness(
     live_engine = BuildLiveEngine(dyn, handles_of_leaf);
     router = std::make_unique<LiveRouter>(live_engine, num_nodes);
   }
+  std::vector<int32_t> matched_handles;
 
   EpochRecoveryStats epoch;
   epoch.first_event = 0;
   int64_t epoch_delivery_base = 0;
 
-  int outage_start = -1;
+  int outage_start = -1;  // event index at which the current backlog began
   size_t next_fault = 0;
   size_t next_client = 0;
   const std::vector<FaultEvent>& faults = plan.events();
@@ -633,14 +436,17 @@ Result<FaultReplayResult> ReplayStaleness(
         overlay_changed = true;
       }
     }
-    for (int c : phase_clients[i % lease.subscriber_interval]) {
-      if (!tracker.IsTracked(c)) continue;
-      if (channel.client_offline(c)) continue;  // offline: nothing sent
-      ++result.refreshes_sent;
-      const int leaf = dyn.leaf_of(tracker.handle_of(c));
-      if (!channel.ClientRefreshDelivered(c, leaf)) continue;
-      ++result.refreshes_delivered;
-      tracker.HeardSubscriber(c, i);
+    const int64_t phase = i % client_interval;
+    if (phase < static_cast<int64_t>(phase_clients.size())) {
+      for (int c : phase_clients[phase]) {
+        if (!tracker.IsTracked(c)) continue;
+        if (channel.client_offline(c)) continue;  // offline: nothing sent
+        ++result.refreshes_sent;
+        const int leaf = dyn.leaf_of(tracker.handle_of(c));
+        if (!channel.ClientRefreshDelivered(c, leaf)) continue;
+        ++result.refreshes_delivered;
+        tracker.HeardSubscriber(c, i);
+      }
     }
 
     // 3. Detector tick: the tracker applies the lease state machine and
@@ -681,8 +487,7 @@ Result<FaultReplayResult> ReplayStaleness(
     // Placement goes through the normal veto-aware Add.
     for (auto it = expired.begin(); it != expired.end();) {
       const int c = *it;
-      if (channel.client_offline(c) ||
-          i % lease.subscriber_interval != c % lease.subscriber_interval) {
+      if (channel.client_offline(c) || phase != c % client_interval) {
         ++it;
         continue;
       }
@@ -702,9 +507,9 @@ Result<FaultReplayResult> ReplayStaleness(
       it = expired.erase(it);
     }
 
-    // 5. Repair. No scripted detection delay here: orphans only exist
-    // once the tracker declared their leaf dead, so the lease thresholds
-    // *are* the detection delay.
+    // 5. Repair under the per-tick budget. Orphans only exist once the
+    // tracker declared their leaf dead, so the lease thresholds *are* the
+    // detection delay.
     if (outage_start < 0 && !dyn.orphans().empty()) outage_start = i;
     if (!dyn.orphans().empty() || !dyn.degraded_handles().empty()) {
       const Deadline budget =
@@ -740,75 +545,61 @@ Result<FaultReplayResult> ReplayStaleness(
     ++result.stats.events;
     ++epoch.num_events;
     if (indexed) {
-      RouteLiveEventIndexed(dyn, event, live_engine, handles_of_leaf, &truth,
+      RouteLiveEventIndexed(dyn, event, live_engine, handles_of_leaf, truth,
                             router.get(), &result.stats);
     } else {
-      RouteLiveEvent(dyn, event, handles_of_leaf, &truth, &result.stats);
+      RouteLiveEvent(dyn, event, handles_of_leaf, truth, &result.stats);
     }
 
-    // 7. Ground-truth miss attribution. Order matters: an actually-down
-    // broker on the believed path explains the miss (missed_undetected)
-    // before any filter reasoning — missed_live stays reserved for true
-    // coverage bugs.
+    // 7. Ground-truth miss attribution over the handles matching the
+    // event. The indexed engine probes the handle index (O(matches)) and
+    // tests the reached bit its routing DFS left behind; the linear engine
+    // scans every occupied handle and re-walks the live path. Order
+    // matters: an actually-down broker on the believed path explains the
+    // miss (missed_undetected) before any filter reasoning — missed_live
+    // stays reserved for true coverage bugs.
+    matched_handles.clear();
     if (indexed) {
-      router->matched_handles.clear();
       live_engine.handles.AppendContaining(event[0], event[1],
-                                           &router->matched_handles);
-      for (const int32_t h : router->matched_handles) {
-        const int c = client_of_handle[h];
-        SLP_DCHECK(c >= 0);
-        if (channel.client_offline(c)) continue;  // not listening: no miss
-        const int leaf = dyn.leaf_of(h);
-        if (leaf < 0) {
-          ++result.missed_outage;
-          ++epoch.missed_outage;
-          continue;
-        }
-        if (router->reached.Test(leaf)) continue;
-        if (BelievedPathActuallyDown(dyn, leaf, channel)) {
-          ++result.missed_undetected;
-          ++epoch.missed_undetected;
-          continue;
-        }
-        if (dyn.state(h) == core::SubscriberState::kLive) {
-          ++result.missed_live;
-          ++epoch.missed_live;
-          ++result.stats.missed_deliveries;
-        } else {
-          ++result.missed_degraded;
-          ++epoch.missed_degraded;
-        }
-      }
-      ClearReached(router.get());
+                                           &matched_handles);
     } else {
       for (int h = 0; h < dyn.slot_count(); ++h) {
-        if (!dyn.is_occupied(h)) continue;
-        if (!dyn.subscriber(h).subscription.ContainsPoint(event)) continue;
-        const int c = client_of_handle[h];
-        SLP_DCHECK(c >= 0);
-        if (channel.client_offline(c)) continue;  // not listening: no miss
-        const int leaf = dyn.leaf_of(h);
-        if (leaf < 0) {
-          ++result.missed_outage;
-          ++epoch.missed_outage;
-          continue;
-        }
-        if (ReachedOverLivePath(dyn, leaf, event, &truth)) continue;
-        if (BelievedPathActuallyDown(dyn, leaf, channel)) {
-          ++result.missed_undetected;
-          ++epoch.missed_undetected;
-          continue;
-        }
-        if (dyn.state(h) == core::SubscriberState::kLive) {
-          ++result.missed_live;
-          ++epoch.missed_live;
-          ++result.stats.missed_deliveries;
-        } else {
-          ++result.missed_degraded;
-          ++epoch.missed_degraded;
+        if (dyn.is_occupied(h) &&
+            dyn.subscriber(h).subscription.ContainsPoint(event)) {
+          matched_handles.push_back(h);
         }
       }
     }
+    for (const int32_t h : matched_handles) {
+      const int c = client_of_handle[h];
+      SLP_DCHECK(c >= 0);
+      if (channel.client_offline(c)) continue;  // not listening: no miss
+      const int leaf = dyn.leaf_of(h);
+      if (leaf < 0) {
+        // Orphaned, or degraded and parked unplaced: the outage's price.
+        ++result.missed_outage;
+        ++epoch.missed_outage;
+        continue;
+      }
+      const bool reached =
+          indexed ? router->reached.Test(leaf)
+                  : ReachedOverLivePath(dyn, leaf, event, truth);
+      if (reached) continue;
+      if (BelievedPathActuallyDown(dyn, leaf, channel)) {
+        ++result.missed_undetected;
+        ++epoch.missed_undetected;
+        continue;
+      }
+      if (dyn.state(h) == core::SubscriberState::kLive) {
+        ++result.missed_live;
+        ++epoch.missed_live;
+        ++result.stats.missed_deliveries;
+      } else {
+        ++result.missed_degraded;
+        ++epoch.missed_degraded;
+      }
+    }
+    if (indexed) ClearReached(router.get());
     // An online client whose subscription was prematurely expunged misses
     // every matching event until its reconnect.
     for (const int c : expired) {
@@ -837,12 +628,20 @@ Result<FaultReplayResult> ReplayStaleness(
   result.qt_final = dyn.CurrentBandwidth();
   result.stats.CheckInvariants();
 
+  // Fresh-baseline Q(T) over the surviving live topology (consumes rng iff
+  // it runs).
   if (options.compute_fresh_baseline) {
-    ComputeFreshBaseline(dyn, rng, &result);
+    Result<core::DynamicAssigner::LiveSnapshot> snap = dyn.SnapshotLive();
+    if (snap.ok()) {
+      const core::SaSolution fresh = core::RunGrStar(snap.value().problem, rng);
+      result.qt_fresh =
+          core::ComputeMetrics(snap.value().problem, fresh).total_bandwidth;
+      if (result.qt_fresh > 0) {
+        result.qt_inflation = result.qt_final / result.qt_fresh;
+      }
+    }
   }
   return result;
 }
-
-}  // namespace
 
 }  // namespace slp::sim

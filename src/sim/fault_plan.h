@@ -3,37 +3,31 @@
 //
 // A FaultPlan is a schedule of fail/recover events interleaved with the
 // event stream: the fault at `at_event` is applied (and a repair pass
-// runs) before event number `at_event` is routed. ReplayWithFaults drives
-// a DynamicAssigner through the plan in one of two modes:
+// runs) before event number `at_event` is routed.
 //
-// Crash-stop mode (options.lease unset — the original semantics): faults
-// mutate the believed overlay directly (FailBroker/RecoverBroker), repair
-// runs after a scripted `detection_delay_events`, and every missed
-// delivery is attributed to its cause:
+// ReplayWithFaults drives a DynamicAssigner through the plan in one loop.
+// The plan mutates only *ground truth* (a liveness::HeartbeatChannel):
+// fail/recover events crash and revive brokers for real, heartbeat_only
+// events cut just the heartbeat uplink (asymmetric partition / slow
+// broker), and client events take subscribers offline. The believed
+// overlay — what routing and repair actually use — is driven exclusively
+// by a liveness::LivenessTracker fed by simulated heartbeats routed over
+// that same believed overlay. Detection latency, false suspicions,
+// premature evacuations, lease expirations, and reconnect storms are
+// measured outputs of options.lease, and every missed delivery is
+// attributed to its cause:
 //
-//  * missed_live      — a kLive subscriber missed a matching event. This is
-//                       a correctness bug (coverage/nesting broken): the
-//                       repair pipeline must keep it at zero.
-//  * missed_outage    — the subscriber was orphaned or parked unplaced when
-//                       the event fired; the miss is the unavoidable price
-//                       of the outage, and exactly what time-to-repair and
-//                       the per-tick repair deadline trade against.
-//  * missed_degraded  — a *placed* degraded subscriber missed (expected 0:
-//                       placement grows path filters even when latency or
-//                       load constraints are violated).
-//
-// Staleness mode (options.lease set — DESIGN.md §13): the plan mutates
-// only *ground truth* (a liveness::HeartbeatChannel): fail/recover events
-// crash and revive brokers for real, heartbeat_only events cut just the
-// heartbeat uplink (asymmetric partition / slow broker), and client
-// events take subscribers offline. The believed overlay — what routing
-// and repair actually use — is driven exclusively by a
-// liveness::LivenessTracker fed by simulated heartbeats routed over that
-// same believed overlay. Detection latency, false suspicions, premature
-// evacuations, lease expirations, and reconnect storms stop being
-// scripted inputs and become measured outputs. Two extra miss categories
-// appear:
-//
+//  * missed_live       — a kLive subscriber missed a matching event. This
+//                        is a correctness bug (coverage/nesting broken):
+//                        the repair pipeline must keep it at zero.
+//  * missed_outage     — the subscriber was orphaned or parked unplaced
+//                        when the event fired; the miss is the unavoidable
+//                        price of the outage, and exactly what
+//                        time-to-repair and the per-tick repair deadline
+//                        trade against.
+//  * missed_degraded   — a *placed* degraded subscriber missed (expected
+//                        0: placement grows path filters even when latency
+//                        or load constraints are violated).
 //  * missed_undetected — the event died at an actually-down broker the
 //                        tracker had not yet declared dead (the detection
 //                        window's price; keeps missed_live == 0 honest);
@@ -41,11 +35,21 @@
 //                        subscription was expunged by a premature lease
 //                        expiry, before its reconnect.
 //
-// With zero-latency heartbeats and hair-trigger thresholds
-// (heartbeat_interval = 1, miss_suspect = miss_dead = 1,
-// suspect_blocks_placement = false) staleness mode reproduces the
-// crash-stop counters bit-identically on any down/up-only plan — the
-// oracle-equivalence contract enforced by tests/liveness_test.cc.
+// Crash-stop is the default: FaultReplayOptions::lease defaults to the
+// oracle lease (one-tick heartbeats, miss_suspect = miss_dead = 1, no
+// suspicion veto, a client interval longer than any stream). Under it the
+// tracker declares every crash dead on its tick and revives every
+// recovery on its tick, so belief equals ground truth at every routing
+// instant and no client lease ever expires. On down/up plans with
+// distinct fault ticks the replay is bit-identical to a brute-force
+// crash-stop reference (tests/liveness_test.cc). One known divergence
+// comes from the tracker's held rule: when an interior broker and one of
+// its descendants crash on the same tick, the descendant is held that
+// tick and declared dead one tick later, so an event of that tick that
+// reaches the descendant counts as missed_undetected (crash-stop would
+// have orphaned the descendant's subscribers at once). Other same-tick
+// faults follow the tracker's order rather than the plan's: recoveries as
+// their heartbeats arrive, then deaths, each in node-id order.
 //
 // Per-epoch recovery metrics (orphan backlog, repairs, per-cause misses,
 // Q(T) of the live deployment) expose the recovery trajectory, and the
@@ -57,7 +61,7 @@
 #define SLP_SIM_FAULT_PLAN_H_
 
 #include <cstdint>
-#include <optional>
+#include <limits>
 #include <vector>
 
 #include "src/common/deadline.h"
@@ -77,17 +81,16 @@ struct FaultEvent {
   int at_event = 0;
   int node = 0;       // broker node id (never the publisher)
   bool fail = true;   // false = recover
-  // Staleness mode only: the fault cuts the broker's heartbeat *uplink*
-  // instead of crashing it — heartbeats crossing the hop are lost but the
-  // broker keeps forwarding events (asymmetric partition; a slow-but-alive
-  // broker is a train of short heartbeat_only outages). Every suspicion
-  // such a fault causes is by construction false. Crash-stop replays
-  // reject plans containing heartbeat_only events.
+  // The fault cuts the broker's heartbeat *uplink* instead of crashing it
+  // — heartbeats crossing the hop are lost but the broker keeps forwarding
+  // events (asymmetric partition; a slow-but-alive broker is a train of
+  // short heartbeat_only outages). Every suspicion such a fault causes is
+  // by construction false.
   bool heartbeat_only = false;
 };
 
-// Staleness mode only: a subscriber stops (offline = true) or resumes
-// (offline = false) refreshing its lease and consuming deliveries.
+// A subscriber stops (offline = true) or resumes (offline = false)
+// refreshing its lease and consuming deliveries.
 // Client ids index the assigner's initial population in handle order.
 struct ClientEvent {
   int at_event = 0;
@@ -123,10 +126,6 @@ class FaultPlan {
     return client_events_;
   }
 
-  // True iff the plan only makes sense under staleness replay (contains
-  // heartbeat_only or client events).
-  bool RequiresStaleness() const;
-
  private:
   std::vector<FaultEvent> events_;        // sorted by at_event (stable)
   std::vector<ClientEvent> client_events_;  // sorted by at_event (stable)
@@ -145,21 +144,24 @@ struct FaultReplayOptions {
   // Orphans not reached before expiry stay orphaned into the next tick —
   // this is what makes time-to-repair exceed zero.
   double repair_budget_seconds = -1;
-  // Crash-stop mode: events between orphans appearing and the first
-  // repair pass (models failure-detection delay). The window is shared by
-  // the whole outage: it opens when the orphan backlog first becomes
-  // non-empty and does NOT restart when a later fault adds orphans while
-  // the backlog is still non-zero — back-to-back faults inside one
-  // detection window are repaired together when the first window elapses
-  // (asserted by tests/repair_test.cc). Ignored in staleness mode, where
-  // detection delay is endogenous (the tracker's miss thresholds).
-  int detection_delay_events = 0;
   // Solve a fresh offline Gr* over the final live topology and report the
   // Q(T) inflation of the online-repaired deployment against it.
   bool compute_fresh_baseline = true;
-  // Staleness mode switch: when set, failure detection runs through a
-  // LivenessTracker with these lease parameters (see file comment).
-  std::optional<liveness::LeaseConfig> lease;
+  // Lease parameters of the LivenessTracker that detects failures (see
+  // file comment); detection delay is their outcome, not an input. The
+  // default is the oracle lease, under which the replay is crash-stop:
+  // each broker heartbeats every tick and one missed heartbeat is death;
+  // suspicion never vetoes placement; and the client refresh interval
+  // outlasts any stream, so no client lease expires. (LeaseConfig's own
+  // member defaults are a realistic lease, not this one.)
+  liveness::LeaseConfig lease = {
+      .heartbeat_interval = 1,
+      .miss_suspect = 1,
+      .miss_dead = 1,
+      .subscriber_interval = std::numeric_limits<int64_t>::max(),
+      .subscriber_miss_dead = 1,
+      .suspect_blocks_placement = false,
+  };
 };
 
 // One epoch of the recovery time series.
@@ -168,7 +170,7 @@ struct EpochRecoveryStats {
   int num_events = 0;
   int64_t deliveries = 0;
   // Per-cause misses within the epoch (same attribution as the replay
-  // totals; missed_undetected is staleness-mode only).
+  // totals).
   int64_t missed_outage = 0;
   int64_t missed_live = 0;
   int64_t missed_degraded = 0;
@@ -177,7 +179,7 @@ struct EpochRecoveryStats {
   int degraded_placed = 0;  // orphan -> kDegraded transitions this epoch
   int orphans_end = 0;      // backlog at epoch end
   int degraded_end = 0;
-  int suspects_end = 0;     // staleness mode: suspect brokers at epoch end
+  int suspects_end = 0;     // suspect brokers at epoch end
   double qt_end = 0;        // live-deployment Q(T) at epoch end
 };
 
@@ -208,7 +210,7 @@ struct FaultReplayResult {
 
   std::vector<EpochRecoveryStats> epochs;
 
-  // ---- Staleness-mode outputs (all zero in crash-stop replays) ----
+  // ---- Failure-detector outputs ----
   int64_t missed_undetected = 0;
   int64_t missed_expired = 0;
   // Deliveries routed to a leaf for a client that was offline (traffic
@@ -240,10 +242,13 @@ struct FaultReplayResult {
 
 // Replays `events` through `dyn` under `plan`. `rng` is consumed only by
 // the fresh-baseline Gr* solve (a plan with compute_fresh_baseline=false
-// consumes no randomness). Fault events referencing invalid brokers (the
-// publisher, out of range, failing an already-failed/already-down node)
-// surface as the underlying Status error; a plan requiring staleness
-// replayed without options.lease is kInvalidArgument.
+// consumes no randomness). Ground truth starts equal to the overlay: a
+// broker already failed in `dyn` is down until the plan recovers it.
+// kInvalidArgument: epoch_length <= 0; a lease with a non-positive
+// interval, miss_suspect or subscriber_miss_dead, or miss_dead <
+// miss_suspect; a fault on an invalid broker (the publisher, out of
+// range), failing an already-down broker or recovering one that is up;
+// a client event on an invalid client id.
 Result<FaultReplayResult> ReplayWithFaults(core::DynamicAssigner& dyn,
                                            const FaultPlan& plan,
                                            const std::vector<geo::Point>& events,

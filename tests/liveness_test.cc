@@ -1,11 +1,12 @@
 // Soft-state liveness (DESIGN.md §13): the heartbeat transport model, the
 // lease state machine with path-aware suspicion, subscriber leases, the
-// suspect-leaf placement veto, the staleness-mode fault replay (oracle
-// equivalence against crash-stop, plus the three churn generators), and a
-// reconnect-storm soak that drives the whole stack through sustained
-// ground-truth churn.
+// suspect-leaf placement veto, the fault replay (the default oracle lease
+// against a brute-force crash-stop reference, plus the churn generators
+// under realistic leases), and a reconnect-storm soak that drives the
+// whole stack through sustained ground-truth churn.
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "src/common/invariant.h"
 #include "src/core/dynamic.h"
 #include "src/core/greedy.h"
+#include "src/core/metrics.h"
 #include "src/core/repair.h"
 #include "src/liveness/audit.h"
 #include "src/liveness/heartbeat.h"
@@ -483,32 +485,142 @@ TEST(LivenessAuditTest, TrackerDrivenChurnStaysCoherent) {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle equivalence: staleness replay vs crash-stop
+// Oracle equivalence: the default replay vs a crash-stop reference
 // ---------------------------------------------------------------------------
 
-// With zero-latency heartbeats and hair-trigger thresholds the tracker
-// detects every crash on the tick it happens and revives every recovery on
-// its tick: the believed overlay equals ground truth at every routing
-// instant, so the staleness replay must reproduce the crash-stop counters
-// bit-identically (the contract documented in src/sim/fault_plan.h).
-TEST(OracleEquivalenceTest, HairTriggerStalenessMatchesCrashStop) {
+// Brute-force crash-stop replay, the semantics the default options must
+// reproduce: the plan's faults call FailBroker/RecoverBroker directly (no
+// detector, no ground truth apart from belief), a repair pass runs every
+// tick there is work, and each event is routed by a DFS over
+// live_children testing every filter rectangle — no match index, no
+// tracker. Fills only the fields crash-stop defines.
+sim::FaultReplayResult CrashStopReference(core::DynamicAssigner& dyn,
+                                          const sim::FaultPlan& plan,
+                                          const std::vector<Point>& events,
+                                          int epoch_length, Rng& rng) {
+  const net::BrokerTree& tree = dyn.tree();
+  const int num_events = static_cast<int>(events.size());
+  sim::FaultReplayResult r;
+  r.stats.broker_hits.assign(tree.num_nodes(), 0);
+  core::RepairEngine engine(&dyn);
+  sim::EpochRecoveryStats epoch;
+  int64_t delivery_base = 0;
+  int outage_start = -1;
+  size_t next = 0;
+  for (int i = 0; i < num_events; ++i) {
+    for (; next < plan.events().size() && plan.events()[next].at_event <= i;
+         ++next) {
+      const sim::FaultEvent& f = plan.events()[next];
+      const size_t before = dyn.orphans().size();
+      EXPECT_TRUE(
+          (f.fail ? dyn.FailBroker(f.node) : dyn.RecoverBroker(f.node)).ok());
+      r.total_orphaned += static_cast<int>(dyn.orphans().size() - before);
+    }
+    if (outage_start < 0 && !dyn.orphans().empty()) outage_start = i;
+    if (!dyn.orphans().empty() || !dyn.degraded_handles().empty()) {
+      const core::RepairReport rep = engine.Repair(Deadline::Infinite(), i);
+      r.total_repaired += rep.repaired;
+      r.total_degraded_placed += rep.degraded;
+      r.total_undegraded += rep.undegraded;
+      epoch.repaired += rep.repaired + rep.undegraded;
+      epoch.degraded_placed += rep.degraded;
+    }
+    if (outage_start >= 0 && dyn.orphans().empty()) {
+      r.time_to_repair.push_back(i - outage_start);
+      outage_start = -1;
+    }
+
+    const Point& e = events[i];
+    ++r.stats.events;
+    ++epoch.num_events;
+    std::vector<char> reached(tree.num_nodes(), 0);
+    std::vector<char> useful(tree.num_nodes(), 0);
+    const auto& roots = tree.live_children(net::BrokerTree::kPublisher);
+    std::vector<int> stack(roots.begin(), roots.end());
+    while (!stack.empty()) {
+      const int v = stack.back();
+      stack.pop_back();
+      const auto& filter = dyn.filter(v);
+      const auto contains = [&](const Rectangle& f) {
+        return f.ContainsPoint(e);
+      };
+      if (std::none_of(filter.begin(), filter.end(), contains)) continue;
+      ++r.stats.broker_hits[v];
+      ++r.stats.total_messages;
+      if (tree.is_leaf(v)) {
+        reached[v] = 1;
+      } else {
+        const auto& kids = tree.live_children(v);
+        stack.insert(stack.end(), kids.begin(), kids.end());
+      }
+    }
+    for (int h = 0; h < dyn.slot_count(); ++h) {
+      if (!dyn.is_occupied(h)) continue;
+      if (!dyn.subscriber(h).subscription.ContainsPoint(e)) continue;
+      const int leaf = dyn.leaf_of(h);
+      if (leaf < 0) {
+        ++r.missed_outage;
+        ++epoch.missed_outage;
+      } else if (reached[leaf] != 0) {
+        ++r.stats.deliveries;
+        useful[leaf] = 1;
+      } else if (dyn.state(h) == core::SubscriberState::kLive) {
+        ++r.missed_live;
+        ++epoch.missed_live;
+        ++r.stats.missed_deliveries;
+      } else {
+        ++r.missed_degraded;
+        ++epoch.missed_degraded;
+      }
+    }
+    for (int v = 1; v < tree.num_nodes(); ++v) {
+      if (reached[v] != 0 && useful[v] == 0) ++r.stats.wasted_leaf_hits;
+    }
+
+    if ((i + 1) % epoch_length == 0 || i + 1 == num_events) {
+      epoch.deliveries = r.stats.deliveries - delivery_base;
+      delivery_base = r.stats.deliveries;
+      epoch.orphans_end = static_cast<int>(dyn.orphans().size());
+      epoch.degraded_end = static_cast<int>(dyn.degraded_handles().size());
+      epoch.qt_end = dyn.CurrentBandwidth();
+      r.epochs.push_back(epoch);
+      epoch = sim::EpochRecoveryStats{};
+      epoch.first_event = i + 1;
+    }
+  }
+  r.unrepaired_at_end = static_cast<int>(dyn.orphans().size());
+  r.degraded_at_end = static_cast<int>(dyn.degraded_handles().size());
+  r.qt_final = dyn.CurrentBandwidth();
+  const auto snap = dyn.SnapshotLive();
+  if (snap.ok()) {
+    const core::SaProblem& live = snap.value().problem;
+    r.qt_fresh =
+        core::ComputeMetrics(live, core::RunGrStar(live, rng)).total_bandwidth;
+    if (r.qt_fresh > 0) r.qt_inflation = r.qt_final / r.qt_fresh;
+  }
+  return r;
+}
+
+// Replays `plan` twice on identical 200-subscriber grid assigners: once
+// through the crash-stop reference, once through ReplayWithFaults with
+// default options, and compares them field by field.
+void ExpectDefaultReplayMatchesCrashStop(const sim::FaultPlan& plan) {
   GridFixture a = MakeGridFixture(200);
   GridFixture b = MakeGridFixture(200);
 
-  Rng plan_rng(11);
-  const sim::FaultPlan plan =
-      sim::SustainedChurn(a.dyn.tree(), 600, 0.25, 120, 2, plan_rng);
-  ASSERT_FALSE(plan.RequiresStaleness());
+  // A down/up-only plan (no mutes, no client churn) with distinct fault
+  // ticks: a recovery heartbeat can then never race a same-tick crash on
+  // its path, nor a crash a same-tick crash of its ancestor.
+  ASSERT_TRUE(plan.client_events().empty());
   int fails = 0, recovers = 0;
   std::set<int> ticks;
   for (const sim::FaultEvent& e : plan.events()) {
+    ASSERT_FALSE(e.heartbeat_only);
     ticks.insert(e.at_event);
     (e.fail ? fails : recovers) += 1;
   }
   ASSERT_GT(fails, 0);
   ASSERT_GT(recovers, 0);
-  // Distinct fault ticks keep the equivalence argument airtight: a
-  // recovery heartbeat can then never race a same-tick crash on its path.
   ASSERT_EQ(ticks.size(), plan.events().size());
 
   Rng event_rng(4);
@@ -517,24 +629,12 @@ TEST(OracleEquivalenceTest, HairTriggerStalenessMatchesCrashStop) {
   options.epoch_length = 150;
 
   Rng rng_crash(6);
-  const auto crash = sim::ReplayWithFaults(a.dyn, plan, events, options, rng_crash);
-  ASSERT_TRUE(crash.ok()) << crash.status().message();
-
-  sim::FaultReplayOptions stale_options = options;
-  LeaseConfig lease;
-  lease.heartbeat_interval = 1;
-  lease.miss_suspect = 1;
-  lease.miss_dead = 1;
-  lease.subscriber_interval = 1;
-  lease.subscriber_miss_dead = 1 << 20;
-  lease.suspect_blocks_placement = false;
-  stale_options.lease = lease;
+  const sim::FaultReplayResult c =
+      CrashStopReference(a.dyn, plan, events, options.epoch_length, rng_crash);
   Rng rng_stale(6);
   const auto stale =
-      sim::ReplayWithFaults(b.dyn, plan, events, stale_options, rng_stale);
+      sim::ReplayWithFaults(b.dyn, plan, events, options, rng_stale);
   ASSERT_TRUE(stale.ok()) << stale.status().message();
-
-  const sim::FaultReplayResult& c = crash.value();
   const sim::FaultReplayResult& s = stale.value();
 
   // Routing counters: bit-identical.
@@ -580,20 +680,54 @@ TEST(OracleEquivalenceTest, HairTriggerStalenessMatchesCrashStop) {
   ASSERT_EQ(static_cast<int>(s.detection_latency.size()), fails);
   for (int latency : s.detection_latency) EXPECT_EQ(latency, 0);
   EXPECT_EQ(s.broker_recoveries, recovers);
-  // ...and the crash-stop replay has no staleness machinery at all.
+  // ...and the crash-stop reference has no liveness machinery at all.
   EXPECT_EQ(c.heartbeats_sent, 0);
   EXPECT_GT(s.heartbeats_sent, 0);
 }
 
+// The default lease is the hair-trigger oracle: zero-latency heartbeats,
+// miss_suspect = miss_dead = 1, no suspicion veto, and clients that never
+// expire. It detects every crash on the tick it happens and revives every
+// recovery on its tick, so belief equals ground truth at every routing
+// instant and the default replay must reproduce crash-stop bit-identically
+// (the contract documented in src/sim/fault_plan.h).
+TEST(OracleEquivalenceTest, HairTriggerStalenessMatchesCrashStop) {
+  const LeaseConfig oracle = sim::FaultReplayOptions{}.lease;
+  EXPECT_EQ(oracle.heartbeat_interval, 1);
+  EXPECT_EQ(oracle.miss_suspect, 1);
+  EXPECT_EQ(oracle.miss_dead, 1);
+  EXPECT_FALSE(oracle.suspect_blocks_placement);
+  EXPECT_GT(oracle.subscriber_interval, std::numeric_limits<int>::max());
+
+  const GridFixture shape = MakeGridFixture(200);
+  {
+    SCOPED_TRACE("SustainedChurn");
+    Rng plan_rng(11);
+    ExpectDefaultReplayMatchesCrashStop(
+        sim::SustainedChurn(shape.dyn.tree(), 600, 0.25, 120, 2, plan_rng));
+  }
+  {
+    SCOPED_TRACE("SeededRandom");
+    Rng plan_rng(12);
+    ExpectDefaultReplayMatchesCrashStop(sim::FaultPlan::SeededRandom(
+        shape.dyn.tree(), 600, 0.25, 150, plan_rng));
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Churn scenario generators under staleness replay
+// Churn scenario generators under realistic leases
 // ---------------------------------------------------------------------------
 
-sim::FaultReplayOptions StalenessOptions(LeaseConfig lease) {
+sim::FaultReplayOptions LeaseOptions(LeaseConfig lease) {
   sim::FaultReplayOptions options;
   options.epoch_length = 100;
   options.lease = lease;
   return options;
+}
+
+bool HasHeartbeatOnlyFaults(const sim::FaultPlan& plan) {
+  return std::any_of(plan.events().begin(), plan.events().end(),
+                     [](const sim::FaultEvent& e) { return e.heartbeat_only; });
 }
 
 LeaseConfig RealisticLease() {
@@ -611,7 +745,6 @@ TEST(ChurnScenarioTest, FlakyClientsExpireAndReconnectWithoutLiveMisses) {
   Rng plan_rng(17);
   const sim::FaultPlan plan =
       sim::FlakyClients(f.dyn.population(), 400, 0.2, 40, 2, plan_rng);
-  ASSERT_TRUE(plan.RequiresStaleness());
   ASSERT_FALSE(plan.client_events().empty());
 
   LeaseConfig lease = RealisticLease();
@@ -620,7 +753,7 @@ TEST(ChurnScenarioTest, FlakyClientsExpireAndReconnectWithoutLiveMisses) {
   const std::vector<Point> events = UniformEvents(400, event_rng);
   Rng rng(6);
   const auto replay = sim::ReplayWithFaults(f.dyn, plan, events,
-                                            StalenessOptions(lease), rng);
+                                            LeaseOptions(lease), rng);
   ASSERT_TRUE(replay.ok()) << replay.status().message();
   const sim::FaultReplayResult& r = replay.value();
 
@@ -645,7 +778,7 @@ TEST(ChurnScenarioTest, AsymmetricPartitionCausesOnlyFalseAlarms) {
   Rng plan_rng(19);
   const sim::FaultPlan plan =
       sim::AsymmetricPartition(f.dyn.tree(), 400, 100, 120, 0.25, plan_rng);
-  ASSERT_TRUE(plan.RequiresStaleness());
+  ASSERT_TRUE(HasHeartbeatOnlyFaults(plan));
 
   LeaseConfig lease = RealisticLease();
   lease.miss_dead = 3;  // the 120-tick mute far exceeds the death window
@@ -654,7 +787,7 @@ TEST(ChurnScenarioTest, AsymmetricPartitionCausesOnlyFalseAlarms) {
   const std::vector<Point> events = UniformEvents(400, event_rng);
   Rng rng(6);
   const auto replay = sim::ReplayWithFaults(f.dyn, plan, events,
-                                            StalenessOptions(lease), rng);
+                                            LeaseOptions(lease), rng);
   ASSERT_TRUE(replay.ok()) << replay.status().message();
   const sim::FaultReplayResult& r = replay.value();
 
@@ -678,7 +811,7 @@ TEST(ChurnScenarioTest, SlowBrokersFlapIntoSuspicionButAreNeverEvacuated) {
   Rng plan_rng(23);
   const sim::FaultPlan plan =
       sim::SlowBrokers(f.dyn.tree(), 400, 0.2, 40, 6, plan_rng);
-  ASSERT_TRUE(plan.RequiresStaleness());
+  ASSERT_TRUE(HasHeartbeatOnlyFaults(plan));
 
   LeaseConfig lease = RealisticLease();
   lease.miss_dead = 6;  // 6-tick mutes breach suspicion (4) but not death (12)
@@ -687,7 +820,7 @@ TEST(ChurnScenarioTest, SlowBrokersFlapIntoSuspicionButAreNeverEvacuated) {
   const std::vector<Point> events = UniformEvents(400, event_rng);
   Rng rng(6);
   const auto replay = sim::ReplayWithFaults(f.dyn, plan, events,
-                                            StalenessOptions(lease), rng);
+                                            LeaseOptions(lease), rng);
   ASSERT_TRUE(replay.ok()) << replay.status().message();
   const sim::FaultReplayResult& r = replay.value();
 
@@ -715,7 +848,7 @@ TEST(ChurnScenarioTest, SustainedChurnDetectionLatencyIsTheLeasePrice) {
   const std::vector<Point> events = UniformEvents(600, event_rng);
   Rng rng(6);
   const auto replay = sim::ReplayWithFaults(f.dyn, plan, events,
-                                            StalenessOptions(lease), rng);
+                                            LeaseOptions(lease), rng);
   ASSERT_TRUE(replay.ok()) << replay.status().message();
   const sim::FaultReplayResult& r = replay.value();
 

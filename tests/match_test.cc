@@ -3,8 +3,9 @@
 // adversarial workloads (abutting tiles, duplicates, degenerate/point
 // rectangles, probes exactly on boundaries), the indexed and linear
 // dissemination engines must produce bit-identical DisseminationStats on
-// grid/GG/multi-level workloads and under fault replay, and the
-// parked-subscriber guard must hold on both engines.
+// grid/GG/multi-level workloads and under fault replay (oracle and
+// realistic leases), and the parked-subscriber guard must hold on both
+// engines.
 
 #include <algorithm>
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include "src/match/bitset.h"
 #include "src/match/match_index.h"
 #include "src/network/tree_builder.h"
+#include "src/sim/churn_scenarios.h"
 #include "src/sim/dissemination.h"
 #include "src/sim/fault_plan.h"
 #include "tests/test_util.h"
@@ -496,6 +498,110 @@ TEST(FaultReplayDifferentialTest, EnginesBitIdenticalUnderFaults) {
   // The replay is correctness-critical: no live subscriber may miss.
   EXPECT_EQ(idx.missed_live, 0);
   EXPECT_GT(idx.total_orphaned, 0);  // the plan actually failed brokers
+}
+
+// Every FaultReplayResult field, per-epoch series included.
+void ExpectReplayResultsEqual(const sim::FaultReplayResult& a,
+                              const sim::FaultReplayResult& b) {
+  ExpectStatsEqual(a.stats, b.stats);
+  EXPECT_EQ(a.missed_live, b.missed_live);
+  EXPECT_EQ(a.missed_outage, b.missed_outage);
+  EXPECT_EQ(a.missed_degraded, b.missed_degraded);
+  EXPECT_EQ(a.total_orphaned, b.total_orphaned);
+  EXPECT_EQ(a.total_repaired, b.total_repaired);
+  EXPECT_EQ(a.total_degraded_placed, b.total_degraded_placed);
+  EXPECT_EQ(a.total_undegraded, b.total_undegraded);
+  EXPECT_EQ(a.time_to_repair, b.time_to_repair);
+  EXPECT_EQ(a.unrepaired_at_end, b.unrepaired_at_end);
+  EXPECT_EQ(a.degraded_at_end, b.degraded_at_end);
+  EXPECT_EQ(a.qt_final, b.qt_final);
+  EXPECT_EQ(a.qt_fresh, b.qt_fresh);
+  EXPECT_EQ(a.qt_inflation, b.qt_inflation);
+  ASSERT_EQ(a.epochs.size(), b.epochs.size());
+  for (size_t i = 0; i < a.epochs.size(); ++i) {
+    const sim::EpochRecoveryStats& x = a.epochs[i];
+    const sim::EpochRecoveryStats& y = b.epochs[i];
+    EXPECT_EQ(x.first_event, y.first_event) << i;
+    EXPECT_EQ(x.num_events, y.num_events) << i;
+    EXPECT_EQ(x.deliveries, y.deliveries) << i;
+    EXPECT_EQ(x.missed_outage, y.missed_outage) << i;
+    EXPECT_EQ(x.missed_live, y.missed_live) << i;
+    EXPECT_EQ(x.missed_degraded, y.missed_degraded) << i;
+    EXPECT_EQ(x.missed_undetected, y.missed_undetected) << i;
+    EXPECT_EQ(x.repaired, y.repaired) << i;
+    EXPECT_EQ(x.degraded_placed, y.degraded_placed) << i;
+    EXPECT_EQ(x.orphans_end, y.orphans_end) << i;
+    EXPECT_EQ(x.degraded_end, y.degraded_end) << i;
+    EXPECT_EQ(x.suspects_end, y.suspects_end) << i;
+    EXPECT_EQ(x.qt_end, y.qt_end) << i;
+  }
+  EXPECT_EQ(a.missed_undetected, b.missed_undetected);
+  EXPECT_EQ(a.missed_expired, b.missed_expired);
+  EXPECT_EQ(a.stale_deliveries, b.stale_deliveries);
+  EXPECT_EQ(a.heartbeats_sent, b.heartbeats_sent);
+  EXPECT_EQ(a.heartbeats_delivered, b.heartbeats_delivered);
+  EXPECT_EQ(a.refreshes_sent, b.refreshes_sent);
+  EXPECT_EQ(a.refreshes_delivered, b.refreshes_delivered);
+  EXPECT_EQ(a.false_suspicions, b.false_suspicions);
+  EXPECT_EQ(a.premature_evacuations, b.premature_evacuations);
+  EXPECT_EQ(a.lease_expirations, b.lease_expirations);
+  EXPECT_EQ(a.false_lease_expirations, b.false_lease_expirations);
+  EXPECT_EQ(a.reconnects, b.reconnects);
+  EXPECT_EQ(a.broker_recoveries, b.broker_recoveries);
+  EXPECT_EQ(a.detection_latency, b.detection_latency);
+  EXPECT_EQ(a.deaths_deferred, b.deaths_deferred);
+}
+
+// The same differential under a realistic lease, over crashes, slow
+// brokers and flaky clients together: the linear walk's offline-client
+// skip, stale-delivery diversion and undetected-miss attribution must
+// agree with the indexed engine's on a plan that exercises all three.
+TEST(FaultReplayDifferentialTest, EnginesBitIdenticalUnderLeases) {
+  constexpr int kSubs = 400, kBrokers = 24, kEvents = 600;
+  constexpr uint64_t kSeed = 43;
+
+  std::vector<geo::Point> events;
+  Rng ev_rng(kSeed + 1);
+  for (int i = 0; i < kEvents; ++i) {
+    events.push_back({ev_rng.Uniform(0, 1), ev_rng.Uniform(0, 1)});
+  }
+
+  sim::FaultReplayResult results[2];
+  for (int e = 0; e < 2; ++e) {
+    core::DynamicAssigner dyn = PopulatedAssigner(kSubs, kBrokers, kSeed);
+    Rng churn_rng(kSeed + 2), slow_rng(kSeed + 3), flaky_rng(kSeed + 4);
+    const sim::FaultPlan churn = sim::SustainedChurn(
+        dyn.tree(), kEvents, 0.15, kEvents / 8, 2, churn_rng);
+    const sim::FaultPlan slow = sim::SlowBrokers(
+        dyn.tree(), kEvents, 0.1, kEvents / 10, 8, slow_rng);
+    const sim::FaultPlan flaky = sim::FlakyClients(
+        kSubs, kEvents, 0.05, kEvents / 16, 2, flaky_rng);
+    std::vector<sim::FaultEvent> merged = churn.events();
+    merged.insert(merged.end(), slow.events().begin(), slow.events().end());
+    const sim::FaultPlan plan =
+        sim::FaultPlan::Scripted(std::move(merged), flaky.client_events());
+
+    sim::FaultReplayOptions options;
+    options.engine = e == 0 ? MatchEngine::kLinear : MatchEngine::kIndexed;
+    options.epoch_length = 100;
+    options.lease = liveness::LeaseConfig{};
+    options.lease.heartbeat_interval = 2;
+    options.lease.subscriber_interval = 4;
+    Rng rng(kSeed + 5);
+    auto r = sim::ReplayWithFaults(dyn, plan, events, options, rng);
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    results[e] = std::move(r).value();
+  }
+
+  ExpectReplayResultsEqual(results[0], results[1]);
+  // The plan reached every ground-truth branch of the walk.
+  const sim::FaultReplayResult& idx = results[1];
+  EXPECT_GT(idx.missed_undetected, 0);
+  EXPECT_GT(idx.stale_deliveries, 0);
+  EXPECT_GT(idx.lease_expirations, 0);
+  EXPECT_GT(idx.reconnects, 0);
+  EXPECT_FALSE(idx.detection_latency.empty());
+  EXPECT_EQ(idx.missed_live, 0);
 }
 
 }  // namespace

@@ -561,6 +561,32 @@ TEST(FaultReplayTest, KillTheLoadedLeafMidReplay) {
   EXPECT_NEAR(r.qt_inflation, r.qt_final / r.qt_fresh, 1e-12);
 }
 
+// A slow detector: the oracle lease with a 26-window death threshold, so a
+// crash at tick t (last heartbeat at t-1) is declared dead at t+25.
+sim::FaultReplayOptions SlowDetectionOptions() {
+  sim::FaultReplayOptions options;
+  options.epoch_length = 40;
+  options.lease.miss_dead = 26;
+  return options;
+}
+
+// The per-epoch series tiles the replay totals exactly.
+void ExpectEpochsTileTotals(const sim::FaultReplayResult& r) {
+  int64_t outage = 0, live = 0, degraded = 0, undetected = 0, deliveries = 0;
+  for (const sim::EpochRecoveryStats& e : r.epochs) {
+    outage += e.missed_outage;
+    live += e.missed_live;
+    degraded += e.missed_degraded;
+    undetected += e.missed_undetected;
+    deliveries += e.deliveries;
+  }
+  EXPECT_EQ(outage, r.missed_outage);
+  EXPECT_EQ(live, r.missed_live);
+  EXPECT_EQ(degraded, r.missed_degraded);
+  EXPECT_EQ(undetected, r.missed_undetected);
+  EXPECT_EQ(deliveries, r.stats.deliveries);
+}
+
 TEST(FaultReplayTest, DetectionDelayCreatesMeasuredOutage) {
   DynamicAssigner dyn(TwoBrokerTree(), LooseConfig(), 8);
   for (int i = 0; i < 4; ++i) {
@@ -571,40 +597,29 @@ TEST(FaultReplayTest, DetectionDelayCreatesMeasuredOutage) {
       sim::FaultPlan::Scripted({sim::FaultEvent{10, victim, true}});
   Rng event_rng(8);
   const std::vector<Point> events = UniformEvents(120, event_rng);
-  sim::FaultReplayOptions options;
-  options.epoch_length = 40;
-  options.detection_delay_events = 25;
   Rng rng(2);
-  const Result<sim::FaultReplayResult> replay =
-      sim::ReplayWithFaults(dyn, plan, events, options, rng);
-  ASSERT_TRUE(replay.ok());
+  const Result<sim::FaultReplayResult> replay = sim::ReplayWithFaults(
+      dyn, plan, events, SlowDetectionOptions(), rng);
+  ASSERT_TRUE(replay.ok()) << replay.status().message();
   const sim::FaultReplayResult& r = replay.value();
-  ASSERT_EQ(r.time_to_repair.size(), 1u);
-  EXPECT_GE(r.time_to_repair[0], 25);
-  // Misses during the undetected window are attributed to the outage, and
-  // live subscribers still never miss.
-  EXPECT_GT(r.missed_outage, 0);
+  // The crash is declared after the full detection window...
+  ASSERT_EQ(r.detection_latency.size(), 1u);
+  EXPECT_GE(r.detection_latency[0], 25);
+  // ...misses inside it are attributed to the window, and live
+  // subscribers still never miss.
+  EXPECT_GT(r.missed_undetected, 0);
   EXPECT_EQ(r.missed_live, 0);
-  // The per-epoch miss breakdown tiles the totals exactly.
-  int64_t epoch_outage = 0, epoch_live = 0, epoch_degraded = 0;
-  int64_t epoch_deliveries = 0;
-  for (const sim::EpochRecoveryStats& e : r.epochs) {
-    epoch_outage += e.missed_outage;
-    epoch_live += e.missed_live;
-    epoch_degraded += e.missed_degraded;
-    epoch_deliveries += e.deliveries;
-  }
-  EXPECT_EQ(epoch_outage, r.missed_outage);
-  EXPECT_EQ(epoch_live, r.missed_live);
-  EXPECT_EQ(epoch_degraded, r.missed_degraded);
-  EXPECT_EQ(epoch_deliveries, r.stats.deliveries);
+  // Once declared, the backlog is repaired.
+  EXPECT_EQ(r.total_orphaned, 4);
+  EXPECT_EQ(r.total_repaired + r.total_degraded_placed, r.total_orphaned);
+  EXPECT_EQ(r.unrepaired_at_end, 0);
+  ExpectEpochsTileTotals(r);
 }
 
-// Two leaf crashes inside one detection window share it: the window opens
-// at the first orphan and does NOT restart when the second fault adds
-// orphans, so both backlogs are repaired together when the first window
-// elapses (the shared-window contract in src/sim/fault_plan.h).
-TEST(FaultReplayTest, BackToBackFaultsShareTheDetectionWindow) {
+// A second leaf crash inside the first one's detection window gets a full
+// window of its own: each death is declared 25 ticks after its own crash,
+// and each backlog is repaired when its leaf is declared dead.
+TEST(FaultReplayTest, BackToBackFaultsEachPayAFullDetectionWindow) {
   SaConfig tight;  // default max_delay pins each subscriber to its broker
   tight.alpha = 2;
   DynamicAssigner dyn(TwoLevelTree(), tight, 8);
@@ -618,25 +633,123 @@ TEST(FaultReplayTest, BackToBackFaultsShareTheDetectionWindow) {
       {sim::FaultEvent{10, leaf_a, true}, sim::FaultEvent{20, leaf_b, true}});
   Rng event_rng(8);
   const std::vector<Point> events = UniformEvents(120, event_rng);
-  sim::FaultReplayOptions options;
-  options.epoch_length = 40;
-  options.detection_delay_events = 25;
   Rng rng(2);
-  const Result<sim::FaultReplayResult> replay =
-      sim::ReplayWithFaults(dyn, plan, events, options, rng);
+  const Result<sim::FaultReplayResult> replay = sim::ReplayWithFaults(
+      dyn, plan, events, SlowDetectionOptions(), rng);
   ASSERT_TRUE(replay.ok()) << replay.status().message();
   const sim::FaultReplayResult& r = replay.value();
 
-  // One outage, one backlog-clearing instant. Had the second fault
-  // restarted the window, the backlog would have cleared at tick 45
-  // (entry 35); sharing clears everything at tick 35 (entry 25).
+  // Two windows, two outages: neither crash is detected early or late
+  // because the other one is pending.
+  EXPECT_EQ(r.detection_latency, (std::vector<int>{25, 25}));
+  EXPECT_EQ(r.time_to_repair, (std::vector<int>{0, 0}));
+  EXPECT_GT(r.missed_undetected, 0);
+  EXPECT_EQ(r.missed_live, 0);
   EXPECT_EQ(r.total_orphaned, 2);
-  ASSERT_EQ(r.time_to_repair.size(), 1u);
-  EXPECT_GE(r.time_to_repair[0], 25);
-  EXPECT_LT(r.time_to_repair[0], 35);
   EXPECT_EQ(r.total_repaired + r.total_degraded_placed, 2);
   EXPECT_EQ(r.unrepaired_at_end, 0);
-  EXPECT_EQ(r.missed_live, 0);
+  ExpectEpochsTileTotals(r);
+}
+
+// A broker already failed in the overlay is down in ground truth too: it
+// stays down until the plan recovers it, exactly as under crash-stop.
+TEST(FaultReplayTest, PreFailedBrokerStaysDownUntilThePlanRecoversIt) {
+  for (const bool recover : {false, true}) {
+    DynamicAssigner dyn(TwoBrokerTree(), LooseConfig(), 8);
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(dyn.Add(MakeSub(1, 0.1 * i, 0.3, 0.4)).ok());
+    }
+    const int victim = dyn.leaf_of(0);
+    ASSERT_TRUE(dyn.FailBroker(victim).ok());
+    std::vector<sim::FaultEvent> faults;
+    if (recover) faults.push_back(sim::FaultEvent{30, victim, false});
+    Rng event_rng(8);
+    const std::vector<Point> events = UniformEvents(60, event_rng);
+    Rng rng(2);
+    const Result<sim::FaultReplayResult> replay = sim::ReplayWithFaults(
+        dyn, sim::FaultPlan::Scripted(faults), events, {}, rng);
+    ASSERT_TRUE(replay.ok()) << replay.status().message();
+    EXPECT_EQ(replay.value().broker_recoveries, recover ? 1 : 0);
+    EXPECT_EQ(dyn.tree().is_failed(victim), !recover);
+    EXPECT_EQ(replay.value().unrepaired_at_end, 0);
+    EXPECT_EQ(replay.value().missed_live, 0);
+  }
+}
+
+// Client refresh phases are bucketed by population, not by interval: an
+// interval far longer than the stream neither allocates per tick nor
+// expires anyone, and each client refreshes once, at the tick equal to its
+// client id.
+TEST(FaultReplayTest, HugeSubscriberIntervalRefreshesEachClientOnce) {
+  DynamicAssigner dyn(TwoBrokerTree(), LooseConfig(), 8);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(dyn.Add(MakeSub(1, 0.1 * i, 0.3, 0.4)).ok());
+  }
+  sim::FaultReplayOptions options;
+  options.lease = liveness::LeaseConfig{};
+  options.lease.subscriber_interval = int64_t{1} << 40;
+  Rng event_rng(8);
+  const std::vector<Point> events = UniformEvents(50, event_rng);
+  Rng rng(2);
+  const Result<sim::FaultReplayResult> replay =
+      sim::ReplayWithFaults(dyn, sim::FaultPlan(), events, options, rng);
+  ASSERT_TRUE(replay.ok()) << replay.status().message();
+  EXPECT_EQ(replay.value().refreshes_sent, 4);
+  EXPECT_EQ(replay.value().refreshes_delivered, 4);
+  EXPECT_EQ(replay.value().lease_expirations, 0);
+}
+
+// Ill-formed options are rejected up front instead of dividing by zero in
+// the replay loop or the liveness tracker.
+StatusCode ReplayStatus(const sim::FaultReplayOptions& options) {
+  DynamicAssigner dyn(TwoBrokerTree(), LooseConfig(), 8);
+  EXPECT_TRUE(dyn.Add(MakeSub(1, 0, 0.3, 0.4)).ok());
+  const sim::FaultPlan plan =
+      sim::FaultPlan::Scripted({sim::FaultEvent{2, dyn.leaf_of(0), true}});
+  Rng event_rng(8);
+  const std::vector<Point> events = UniformEvents(10, event_rng);
+  Rng rng(2);
+  return sim::ReplayWithFaults(dyn, plan, events, options, rng)
+      .status()
+      .code();
+}
+
+TEST(FaultReplayOptionsTest, RejectsNonPositiveEpochLength) {
+  sim::FaultReplayOptions options;
+  EXPECT_EQ(ReplayStatus(options), StatusCode::kOk);
+  options.epoch_length = 0;
+  EXPECT_EQ(ReplayStatus(options), StatusCode::kInvalidArgument);
+}
+
+TEST(FaultReplayOptionsTest, RejectsNonPositiveHeartbeatInterval) {
+  sim::FaultReplayOptions options;
+  options.lease.heartbeat_interval = 0;
+  EXPECT_EQ(ReplayStatus(options), StatusCode::kInvalidArgument);
+}
+
+TEST(FaultReplayOptionsTest, RejectsNonPositiveSubscriberInterval) {
+  sim::FaultReplayOptions options;
+  options.lease.subscriber_interval = 0;
+  EXPECT_EQ(ReplayStatus(options), StatusCode::kInvalidArgument);
+}
+
+TEST(FaultReplayOptionsTest, RejectsNonPositiveMissSuspect) {
+  sim::FaultReplayOptions options;
+  options.lease.miss_suspect = 0;
+  EXPECT_EQ(ReplayStatus(options), StatusCode::kInvalidArgument);
+}
+
+TEST(FaultReplayOptionsTest, RejectsNonPositiveSubscriberMissDead) {
+  sim::FaultReplayOptions options;
+  options.lease.subscriber_miss_dead = 0;
+  EXPECT_EQ(ReplayStatus(options), StatusCode::kInvalidArgument);
+}
+
+TEST(FaultReplayOptionsTest, RejectsMissDeadBelowMissSuspect) {
+  sim::FaultReplayOptions options;
+  options.lease.miss_suspect = 3;
+  options.lease.miss_dead = 2;
+  EXPECT_EQ(ReplayStatus(options), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
