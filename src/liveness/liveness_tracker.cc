@@ -70,20 +70,26 @@ HeardKind LivenessTracker::HeardBroker(int node, int64_t now) {
 }
 
 void LivenessTracker::HeardSubscriber(int client, int64_t now) {
-  auto it = clients_.find(client);
-  SLP_DCHECK(it != clients_.end());
-  it->second.last_heard = now;
+  if (!IsTracked(client)) return;
+  clients_[client].last_heard = now;
   ++stats_.client_refreshes;
 }
 
 void LivenessTracker::TrackSubscriber(int client, int handle, int64_t now) {
-  SLP_DCHECK(clients_.count(client) == 0);
-  SLP_DCHECK(dyn_->is_occupied(handle));
+  SLP_DCHECK(client >= 0 && !IsTracked(client));
+  SLP_DCHECK(handle >= 0 && dyn_->is_occupied(handle));
+  if (client < 0 || handle < 0) return;
+  if (client >= static_cast<int>(clients_.size())) {
+    clients_.resize(client + 1);
+  }
+  if (clients_[client].handle < 0) ++num_tracked_;
   clients_[client] = ClientLease{handle, now};
 }
 
 void LivenessTracker::ForgetSubscriber(int client) {
-  clients_.erase(client);
+  if (!IsTracked(client)) return;
+  clients_[client].handle = -1;
+  --num_tracked_;
 }
 
 TickReport LivenessTracker::Tick(int64_t now) {
@@ -170,8 +176,9 @@ TickReport LivenessTracker::Tick(int64_t now) {
   // refresh through, and a suspect/held/silent leaf means the *path* is in
   // question — in both cases the lease freezes at now instead of ticking
   // toward expiry.
-  for (auto it = clients_.begin(); it != clients_.end();) {
-    ClientLease& c = it->second;
+  for (int client = 0; client < static_cast<int>(clients_.size()); ++client) {
+    ClientLease& c = clients_[client];
+    if (c.handle < 0) continue;
     SLP_DCHECK(dyn_->is_occupied(c.handle));
     const int leaf = dyn_->leaf_of(c.handle);
     const bool hold =
@@ -179,18 +186,16 @@ TickReport LivenessTracker::Tick(int64_t now) {
         silent[leaf] != 0 || held[leaf] != 0;
     if (hold) {
       c.last_heard = now;
-      ++it;
       continue;
     }
     const int64_t misses =
         (now - c.last_heard) / config_.subscriber_interval;
     if (misses >= config_.subscriber_miss_dead) {
-      report.expired.push_back(ExpiredLease{it->first, c.handle});
+      report.expired.push_back(ExpiredLease{client, c.handle});
       dyn_->Remove(c.handle);
       ++stats_.lease_expirations;
-      it = clients_.erase(it);
-    } else {
-      ++it;
+      c.handle = -1;
+      --num_tracked_;
     }
   }
 
@@ -216,16 +221,13 @@ int LivenessTracker::num_believed_dead() const {
   return count;
 }
 
-int LivenessTracker::handle_of(int client) const {
-  auto it = clients_.find(client);
-  return it == clients_.end() ? -1 : it->second.handle;
-}
-
 std::vector<ExpiredLease> LivenessTracker::TrackedClients() const {
   std::vector<ExpiredLease> out;
-  out.reserve(clients_.size());
-  for (const auto& [client, lease] : clients_) {
-    out.push_back(ExpiredLease{client, lease.handle});
+  out.reserve(num_tracked_);
+  for (int client = 0; client < static_cast<int>(clients_.size()); ++client) {
+    if (clients_[client].handle >= 0) {
+      out.push_back(ExpiredLease{client, clients_[client].handle});
+    }
   }
   return out;
 }

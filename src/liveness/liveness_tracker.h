@@ -69,7 +69,6 @@
 #define SLP_LIVENESS_LIVENESS_TRACKER_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/core/dynamic.h"
@@ -154,17 +153,22 @@ class LivenessTracker {
   // broker rejoins empty and placement resumes).
   HeardKind HeardBroker(int node, int64_t now);
 
-  // A lease refresh from a tracked client arrived.
+  // A lease refresh from a tracked client arrived. A refresh from an
+  // untracked id (expired, never tracked, negative) is ignored.
   void HeardSubscriber(int client, int64_t now);
 
   // Registers / deregisters a client lease. Track on arrival (after the
   // assigner admitted the subscriber under `handle`); Forget on voluntary
   // departure (the caller removes the subscriber itself). client ids are
-  // caller-assigned and stable — they are never recycled the way assigner
-  // handles are.
+  // caller-assigned, non-negative and stable — they are never recycled
+  // the way assigner handles are — and index a dense table, so keep them
+  // compact (0..n-1).
   void TrackSubscriber(int client, int handle, int64_t now);
   void ForgetSubscriber(int client);
-  bool IsTracked(int client) const { return clients_.count(client) > 0; }
+  bool IsTracked(int client) const {
+    return client >= 0 && client < static_cast<int>(clients_.size()) &&
+           clients_[client].handle >= 0;
+  }
 
   // Advances the failure detector to logical time `now` (monotone,
   // non-decreasing across calls): applies the lease state machine to
@@ -179,11 +183,11 @@ class LivenessTracker {
   int64_t last_heard(int node) const { return brokers_[node].last_heard; }
   int num_suspect() const;
   int num_believed_dead() const;
-  int num_tracked_clients() const {
-    return static_cast<int>(clients_.size());
-  }
+  int num_tracked_clients() const { return num_tracked_; }
   // Assigner handle of a tracked client (-1 if untracked).
-  int handle_of(int client) const;
+  int handle_of(int client) const {
+    return IsTracked(client) ? clients_[client].handle : -1;
+  }
   const LivenessStats& stats() const { return stats_; }
   const LeaseConfig& config() const { return config_; }
   const core::DynamicAssigner& assigner() const { return *dyn_; }
@@ -198,7 +202,7 @@ class LivenessTracker {
     int64_t last_heard = 0;
   };
   struct ClientLease {
-    int handle = -1;
+    int handle = -1;  // -1: untracked
     int64_t last_heard = 0;
   };
 
@@ -206,9 +210,10 @@ class LivenessTracker {
   LeaseConfig config_;
   bool veto_installed_ = false;
   std::vector<BrokerLease> brokers_;  // by node id; [0] (publisher) unused
-  // client id -> lease. Ordered: Tick iterates it and iteration order is
-  // part of the determinism contract (DESIGN.md §10).
-  std::map<int, ClientLease> clients_;
+  // Leases by client id. Tick scans it in increasing client id, and that
+  // order is part of the determinism contract (DESIGN.md §10).
+  std::vector<ClientLease> clients_;
+  int num_tracked_ = 0;
   LivenessStats stats_;
 };
 

@@ -26,18 +26,20 @@ struct GroundTruth {
   int64_t& stale_deliveries;
 };
 
-// A matching event arrived at handle h's leaf: a delivery if the client is
+// A matching event arrived at `client`'s leaf: a delivery if the client is
 // listening, a stale delivery if it is offline.
-void CountArrival(const GroundTruth& truth, int h, DisseminationStats* stats) {
-  if (truth.channel.client_offline(truth.client_of_handle[h])) {
+void CountArrival(const GroundTruth& truth, int client,
+                  DisseminationStats* stats) {
+  if (truth.channel.client_offline(client)) {
     ++truth.stale_deliveries;
   } else {
     ++stats->deliveries;
   }
 }
 
-// Routes one event over the live overlay: a broker forwards iff it is
-// live and the event lies inside its current (DynamicAssigner) filter.
+// Routes one event over the live overlay (the kLinear reference engine): a
+// broker forwards iff it is live and the event lies inside its current
+// (DynamicAssigner) filter.
 // Failed brokers never appear in live_children, which the SLP_DCHECK below
 // asserts — they are excluded from total_messages by construction. An
 // actually-down broker still *receives* the message (its believed parent
@@ -69,7 +71,7 @@ void RouteLiveEvent(const core::DynamicAssigner& dyn, const geo::Point& event,
       for (int h : handles_of_leaf[v]) {
         if (dyn.subscriber(h).subscription.ContainsPoint(event)) {
           matched_any = true;
-          CountArrival(truth, h, stats);
+          CountArrival(truth, truth.client_of_handle[h], stats);
         }
       }
       if (!matched_any) ++stats->wasted_leaf_hits;
@@ -124,25 +126,17 @@ std::vector<std::vector<int>> HandlesByLeaf(const core::DynamicAssigner& dyn) {
 
 // ---- Indexed live routing (DESIGN.md §11) ----
 //
-// The live analogue of the dissemination DeploymentIndex, rebuilt whenever
-// placement changes (the same trigger that refreshes HandlesByLeaf):
-//  * brokers — current filter rectangles of every *live* broker (failed
-//    brokers are excluded at build time, so they can never be probed in);
-//  * leaf[v] — live leaf v's placed subscriptions, for the delivery count;
-//  * handles — every occupied handle (placed, orphaned, or parked), for
-//    the ground-truth miss-attribution walk in O(matches) per event.
+// The live analogue of the dissemination DeploymentIndex: the current
+// filter rectangles of every *live* broker (failed brokers are excluded at
+// build time, so they can never be probed in), rebuilt whenever placement
+// changes. The clients' subscriptions are indexed once per replay instead
+// (see ReplayWithFaults).
 struct LiveEngine {
   match::MatchIndex brokers;
-  std::vector<match::MatchIndex> leaf;  // by node id
-  match::MatchIndex handles;
 };
 
-LiveEngine BuildLiveEngine(const core::DynamicAssigner& dyn,
-                           const std::vector<std::vector<int>>&
-                               handles_of_leaf) {
+LiveEngine BuildLiveEngine(const core::DynamicAssigner& dyn) {
   const net::BrokerTree& tree = dyn.tree();
-  LiveEngine eng;
-
   std::vector<match::OwnedRect> broker_rects;
   for (int v = 1; v < tree.num_nodes(); ++v) {
     if (tree.is_failed(v)) continue;
@@ -150,28 +144,9 @@ LiveEngine BuildLiveEngine(const core::DynamicAssigner& dyn,
       broker_rects.push_back({v, r});
     }
   }
-  eng.brokers = match::BuildIndex(broker_rects, tree.num_nodes());
-
-  eng.leaf.resize(tree.num_nodes());
-  for (int v : tree.live_leaf_brokers()) {
-    std::vector<match::OwnedRect> local;
-    local.reserve(handles_of_leaf[v].size());
-    for (int h : handles_of_leaf[v]) {
-      local.push_back({static_cast<int32_t>(local.size()),
-                       dyn.subscriber(h).subscription});
-    }
-    eng.leaf[v] = match::BuildIndex(local, static_cast<int>(local.size()));
-  }
-
-  std::vector<match::OwnedRect> handle_rects;
-  for (int h = 0; h < dyn.slot_count(); ++h) {
-    if (!dyn.is_occupied(h)) continue;
-    handle_rects.push_back({h, dyn.subscriber(h).subscription});
-  }
-  eng.handles = match::BuildIndex(handle_rects, dyn.slot_count());
+  LiveEngine eng{match::BuildIndex(broker_rects, tree.num_nodes())};
 #if SLP_AUDITS_ENABLED
   match::AuditIndex(eng.brokers, broker_rects, "fault-replay broker index");
-  match::AuditIndex(eng.handles, handle_rects, "fault-replay handle index");
 #endif
   return eng;
 }
@@ -180,30 +155,28 @@ LiveEngine BuildLiveEngine(const core::DynamicAssigner& dyn,
 // MatchBatch holds a pointer into it).
 struct LiveRouter {
   LiveRouter(const LiveEngine& eng, int num_nodes)
-      : broker_probe(&eng.brokers), reached(num_nodes) {}
+      : broker_probe(&eng.brokers), reached(num_nodes), served(num_nodes) {}
 
   match::MatchBatch broker_probe;
   match::BitSet reached;  // live leaves this event physically arrived at
+  match::BitSet served;   // reached leaves holding a matching client
   std::vector<int> reached_leaves;
   std::vector<int> stack;
-  std::vector<int32_t> matched_local;
 };
 
-// Indexed replacement for RouteLiveEvent: one probe per event, a bit test
-// per live hop, a hit count per reached leaf. Leaves router->reached set
-// for the ground-truth walk; the caller clears it via ClearReached. The
-// DFS prunes at actually-down brokers (after counting the message the
-// believed parent sent), so `reached` means "the event physically
-// arrived", not "the believed overlay would have routed it".
+// Indexed replacement for RouteLiveEvent's DFS: one probe per event and a
+// bit test per live hop. It only marks the live leaves the event reached;
+// the walk over the event's matching clients then counts the deliveries
+// and marks the leaves that served one, and ClearReached counts the rest
+// as wasted. The DFS prunes at actually-down brokers (after counting the
+// message the believed parent sent), so `reached` means "the event
+// physically arrived", not "the believed overlay would have routed it".
 void RouteLiveEventIndexed(const core::DynamicAssigner& dyn,
-                           const geo::Point& event, const LiveEngine& eng,
-                           const std::vector<std::vector<int>>&
-                               handles_of_leaf,
-                           const GroundTruth& truth, LiveRouter* router,
-                           DisseminationStats* stats) {
+                           const geo::Point& event,
+                           const liveness::HeartbeatChannel& channel,
+                           LiveRouter* router, DisseminationStats* stats) {
   const net::BrokerTree& tree = dyn.tree();
-  const double x = event[0], y = event[1];
-  router->broker_probe.Probe(x, y);
+  router->broker_probe.Probe(event);
   const match::BitSet& contains = router->broker_probe.owners();
 
   router->stack.assign(
@@ -216,16 +189,8 @@ void RouteLiveEventIndexed(const core::DynamicAssigner& dyn,
     if (!contains.Test(v)) continue;
     ++stats->broker_hits[v];
     ++stats->total_messages;
-    if (truth.channel.broker_down(v)) continue;
+    if (channel.broker_down(v)) continue;
     if (tree.is_leaf(v)) {
-      router->matched_local.clear();
-      eng.leaf[v].AppendContaining(x, y, &router->matched_local);
-      if (router->matched_local.empty()) {
-        ++stats->wasted_leaf_hits;
-      }
-      for (const int32_t local : router->matched_local) {
-        CountArrival(truth, handles_of_leaf[v][local], stats);
-      }
       router->reached.Set(v);
       router->reached_leaves.push_back(v);
     } else {
@@ -234,8 +199,14 @@ void RouteLiveEventIndexed(const core::DynamicAssigner& dyn,
   }
 }
 
-void ClearReached(LiveRouter* router) {
-  for (const int v : router->reached_leaves) router->reached.Reset(v);
+// Counts each reached leaf that served no matching client as a wasted hit
+// and clears the event's marks.
+void ClearReached(LiveRouter* router, DisseminationStats* stats) {
+  for (const int v : router->reached_leaves) {
+    if (!router->served.Test(v)) ++stats->wasted_leaf_hits;
+    router->reached.Reset(v);
+    router->served.Reset(v);
+  }
   router->reached_leaves.clear();
 }
 
@@ -354,26 +325,31 @@ Result<FaultReplayResult> ReplayWithFaults(
 
   const GroundTruth truth{channel, client_of_handle, result.stale_deliveries};
 
-  std::vector<std::vector<int>> handles_of_leaf = HandlesByLeaf(dyn);
-  bool placement_dirty = false;
-
   // Indexed matching is d=2-only; other dimensions (and the empty
   // population) take the linear scans.
-  bool indexed = false;
-  if (options.engine == MatchEngine::kIndexed) {
-    for (int h = 0; h < dyn.slot_count(); ++h) {
-      if (!dyn.is_occupied(h)) continue;
-      indexed = dyn.subscriber(h).subscription.dim() == 2;
-      break;
+  const bool indexed = options.engine == MatchEngine::kIndexed &&
+                       num_clients > 0 && client_sub[0].subscription.dim() == 2;
+  // A client's subscription never changes (a reconnect re-Adds
+  // client_sub[c]), so one index over them, keyed by client id, serves
+  // the whole replay; only the broker filters are re-indexed as placement
+  // changes.
+  match::MatchIndex client_index;
+  if (indexed) {
+    std::vector<match::OwnedRect> client_rects;
+    client_rects.reserve(num_clients);
+    for (int c = 0; c < num_clients; ++c) {
+      client_rects.push_back({c, client_sub[c].subscription});
     }
+    client_index = match::BuildIndex(client_rects, num_clients);
+#if SLP_AUDITS_ENABLED
+    match::AuditIndex(client_index, client_rects, "fault-replay client index");
+#endif
   }
   LiveEngine live_engine;
   std::unique_ptr<LiveRouter> router;
-  if (indexed) {
-    live_engine = BuildLiveEngine(dyn, handles_of_leaf);
-    router = std::make_unique<LiveRouter>(live_engine, num_nodes);
-  }
-  std::vector<int32_t> matched_handles;
+  std::vector<std::vector<int>> handles_of_leaf;  // kLinear only
+  bool placement_dirty = true;
+  std::vector<int32_t> matched_clients;
 
   EpochRecoveryStats epoch;
   epoch.first_event = 0;
@@ -534,10 +510,11 @@ Result<FaultReplayResult> ReplayWithFaults(
     // 6. Route over the believed overlay; events die at actually-down
     // brokers and deliveries to offline clients count as stale.
     if (placement_dirty) {
-      handles_of_leaf = HandlesByLeaf(dyn);
       if (indexed) {
-        live_engine = BuildLiveEngine(dyn, handles_of_leaf);
+        live_engine = BuildLiveEngine(dyn);
         router = std::make_unique<LiveRouter>(live_engine, num_nodes);
+      } else {
+        handles_of_leaf = HandlesByLeaf(dyn);
       }
       placement_dirty = false;
     }
@@ -545,46 +522,50 @@ Result<FaultReplayResult> ReplayWithFaults(
     ++result.stats.events;
     ++epoch.num_events;
     if (indexed) {
-      RouteLiveEventIndexed(dyn, event, live_engine, handles_of_leaf, truth,
-                            router.get(), &result.stats);
+      RouteLiveEventIndexed(dyn, event, channel, router.get(), &result.stats);
     } else {
       RouteLiveEvent(dyn, event, handles_of_leaf, truth, &result.stats);
     }
 
-    // 7. Ground-truth miss attribution over the handles matching the
-    // event. The indexed engine probes the handle index (O(matches)) and
-    // tests the reached bit its routing DFS left behind; the linear engine
-    // scans every occupied handle and re-walks the live path. Order
-    // matters: an actually-down broker on the believed path explains the
-    // miss (missed_undetected) before any filter reasoning — missed_live
-    // stays reserved for true coverage bugs.
-    matched_handles.clear();
+    // 7. Ground-truth attribution over the clients matching the event.
+    // The indexed engine probes the client index (O(matches)), counts an
+    // arrival for each client whose current leaf the routing DFS reached,
+    // and marks that leaf served; the linear engine scans every client,
+    // counted its arrivals while routing, and re-walks the live path.
+    // Order matters: an actually-down broker on the believed path explains
+    // the miss (missed_undetected) before any filter reasoning —
+    // missed_live stays reserved for true coverage bugs.
+    matched_clients.clear();
     if (indexed) {
-      live_engine.handles.AppendContaining(event[0], event[1],
-                                           &matched_handles);
+      client_index.AppendContaining(event[0], event[1], &matched_clients);
     } else {
-      for (int h = 0; h < dyn.slot_count(); ++h) {
-        if (dyn.is_occupied(h) &&
-            dyn.subscriber(h).subscription.ContainsPoint(event)) {
-          matched_handles.push_back(h);
+      for (int c = 0; c < num_clients; ++c) {
+        if (client_sub[c].subscription.ContainsPoint(event)) {
+          matched_clients.push_back(c);
         }
       }
     }
-    for (const int32_t h : matched_handles) {
-      const int c = client_of_handle[h];
-      SLP_DCHECK(c >= 0);
+    for (const int32_t c : matched_clients) {
+      const int h = client_handle[c];
+      const int leaf = h < 0 ? -1 : dyn.leaf_of(h);
+      if (indexed && leaf >= 0 && router->reached.Test(leaf)) {
+        CountArrival(truth, c, &result.stats);
+        router->served.Set(leaf);
+        continue;
+      }
       if (channel.client_offline(c)) continue;  // not listening: no miss
-      const int leaf = dyn.leaf_of(h);
+      if (h < 0) {
+        // Expunged by a premature lease expiry: missed until its reconnect.
+        ++result.missed_expired;
+        continue;
+      }
       if (leaf < 0) {
         // Orphaned, or degraded and parked unplaced: the outage's price.
         ++result.missed_outage;
         ++epoch.missed_outage;
         continue;
       }
-      const bool reached =
-          indexed ? router->reached.Test(leaf)
-                  : ReachedOverLivePath(dyn, leaf, event, truth);
-      if (reached) continue;
+      if (!indexed && ReachedOverLivePath(dyn, leaf, event, truth)) continue;
       if (BelievedPathActuallyDown(dyn, leaf, channel)) {
         ++result.missed_undetected;
         ++epoch.missed_undetected;
@@ -599,15 +580,7 @@ Result<FaultReplayResult> ReplayWithFaults(
         ++epoch.missed_degraded;
       }
     }
-    if (indexed) ClearReached(router.get());
-    // An online client whose subscription was prematurely expunged misses
-    // every matching event until its reconnect.
-    for (const int c : expired) {
-      if (channel.client_offline(c)) continue;
-      if (client_sub[c].subscription.ContainsPoint(event)) {
-        ++result.missed_expired;
-      }
-    }
+    if (indexed) ClearReached(router.get(), &result.stats);
 
     // 8. Epoch boundary.
     if ((i + 1) % options.epoch_length == 0 || i + 1 == num_events) {

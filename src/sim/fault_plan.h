@@ -133,9 +133,10 @@ class FaultPlan {
 
 struct FaultReplayOptions {
   // Which matching engine routes events over the live overlay. kIndexed
-  // rebuilds the live match indexes whenever placement changes (repairs,
-  // fail/recover) — the same trigger that refreshes the handle grouping —
-  // and is bit-identical to kLinear (enforced by tests/match_test).
+  // indexes the clients' subscriptions once per replay and re-indexes only
+  // the live broker filters when placement changes (repairs, fail/recover,
+  // expiries, reconnects); kLinear scans rectangles. The two are
+  // bit-identical (enforced by tests/match_test).
   MatchEngine engine = MatchEngine::kIndexed;
   // Epoch length (in events) for the recovery-metrics time series.
   int epoch_length = 100;

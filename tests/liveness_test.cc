@@ -424,6 +424,147 @@ TEST(SubscriberLeaseTest, LeaseFreezesWhileSilenceIsExplainedUpstream) {
   EXPECT_EQ(tracker.stats().lease_expirations, 0);
 }
 
+// Asserts the tracker's client table is exactly `expected`, listed in
+// increasing client id, through every inspection call.
+void ExpectTrackedExactly(const LivenessTracker& tracker,
+                          const std::vector<liveness::ExpiredLease>& expected) {
+  const std::vector<liveness::ExpiredLease> tracked = tracker.TrackedClients();
+  ASSERT_EQ(tracked.size(), expected.size());
+  for (size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(tracked[k].client, expected[k].client) << k;
+    EXPECT_EQ(tracked[k].handle, expected[k].handle) << k;
+  }
+  EXPECT_EQ(tracker.num_tracked_clients(), static_cast<int>(expected.size()));
+  for (int client = -1; client <= 9; ++client) {
+    int handle = -1;
+    for (const liveness::ExpiredLease& e : expected) {
+      if (e.client == client) handle = e.handle;
+    }
+    EXPECT_EQ(tracker.IsTracked(client), handle >= 0) << client;
+    EXPECT_EQ(tracker.handle_of(client), handle) << client;
+  }
+}
+
+// The dense lease table keeps the contract of the ordered map it
+// replaced: client ids tracked out of order are listed, scanned and
+// expired in increasing id, and an expired id can be tracked again (the
+// reconnect path).
+TEST(SubscriberLeaseTest, ClientTableListsAndExpiresInIncreasingId) {
+  core::DynamicAssigner dyn(TwoBrokerTree(), LooseConfig(), 8);
+  const wl::Subscriber sub4 = MakeSub(-1, 0, 0.5, 0.2);
+  const int h7 = dyn.Add(MakeSub(1, 0, 0.1, 0.2)).value();
+  const int h2 = dyn.Add(MakeSub(1, 0, 0.3, 0.2)).value();
+  const int h4 = dyn.Add(sub4).value();
+  LeaseConfig lease = TightLease(2, 1 << 20);  // brokers never die here
+  lease.subscriber_miss_dead = 2;
+  LivenessTracker tracker(&dyn, lease, 0);
+  ExpectTrackedExactly(tracker, {});
+  tracker.TrackSubscriber(7, h7, 0);
+  ExpectTrackedExactly(tracker, {{7, h7}});
+  tracker.TrackSubscriber(2, h2, 0);
+  ExpectTrackedExactly(tracker, {{2, h2}, {7, h7}});
+  tracker.TrackSubscriber(4, h4, 0);
+  ExpectTrackedExactly(tracker, {{2, h2}, {4, h4}, {7, h7}});
+
+  // Client 4 goes silent and expires at tick 2.
+  for (int64_t t = 1; t <= 2; ++t) {
+    tracker.HeardBroker(1, t);
+    tracker.HeardBroker(2, t);
+    tracker.HeardSubscriber(2, t);
+    tracker.HeardSubscriber(7, t);
+    const TickReport report = tracker.Tick(t);
+    if (t == 1) {
+      EXPECT_TRUE(report.expired.empty());
+    } else {
+      ASSERT_EQ(report.expired.size(), 1u);
+      EXPECT_EQ(report.expired[0].client, 4);
+      EXPECT_EQ(report.expired[0].handle, h4);
+    }
+  }
+  ExpectTrackedExactly(tracker, {{2, h2}, {7, h7}});
+
+  // It reconnects under a fresh handle.
+  const int h4b = dyn.Add(sub4).value();
+  tracker.TrackSubscriber(4, h4b, 2);
+  ExpectTrackedExactly(tracker, {{2, h2}, {4, h4b}, {7, h7}});
+
+  // Everyone falls silent; all three leases run out on the same tick and
+  // the report lists them in increasing client id.
+  for (int64_t t = 3; t <= 4; ++t) {
+    tracker.HeardBroker(1, t);
+    tracker.HeardBroker(2, t);
+    const TickReport report = tracker.Tick(t);
+    if (t == 3) {
+      EXPECT_TRUE(report.expired.empty());
+    } else {
+      ASSERT_EQ(report.expired.size(), 3u);
+      EXPECT_EQ(report.expired[0].client, 2);
+      EXPECT_EQ(report.expired[1].client, 4);
+      EXPECT_EQ(report.expired[2].client, 7);
+      EXPECT_EQ(report.expired[1].handle, h4b);
+    }
+  }
+  ExpectTrackedExactly(tracker, {});
+  EXPECT_EQ(tracker.stats().lease_expirations, 4);
+}
+
+// A refresh from an id with no lease — expired, past the end of the
+// table, or negative — is a defined no-op in every build type: it counts
+// no refresh and touches no lease.
+TEST(SubscriberLeaseTest, RefreshFromUntrackedClientIsIgnored) {
+  core::DynamicAssigner dyn(TwoBrokerTree(), LooseConfig(), 8);
+  const int h0 = dyn.Add(MakeSub(1, 0, 0.1, 0.2)).value();
+  const int h1 = dyn.Add(MakeSub(1, 0, 0.3, 0.2)).value();
+  const int h2 = dyn.Add(MakeSub(-1, 0, 0.5, 0.2)).value();
+  LeaseConfig lease = TightLease(2, 1 << 20);  // brokers never die here
+  lease.subscriber_miss_dead = 3;
+  LivenessTracker tracker(&dyn, lease, 0);
+  tracker.TrackSubscriber(0, h0, 0);
+  tracker.TrackSubscriber(1, h1, 0);
+  tracker.TrackSubscriber(2, h2, 0);
+
+  // Client 1 goes silent and expires at tick 3; 0 and 2 last refresh at 3.
+  for (int64_t t = 1; t <= 3; ++t) {
+    tracker.HeardBroker(1, t);
+    tracker.HeardBroker(2, t);
+    tracker.HeardSubscriber(0, t);
+    tracker.HeardSubscriber(2, t);
+    const TickReport report = tracker.Tick(t);
+    EXPECT_EQ(report.expired.size(), t == 3 ? 1u : 0u) << t;
+  }
+  ASSERT_FALSE(tracker.IsTracked(1));
+  const int64_t refreshes = tracker.stats().client_refreshes;
+  EXPECT_EQ(refreshes, 6);
+
+  for (const int client : {1, 1000, -1}) {
+    tracker.HeardSubscriber(client, 4);
+    EXPECT_FALSE(tracker.IsTracked(client)) << client;
+    EXPECT_EQ(tracker.handle_of(client), -1) << client;
+  }
+#if !SLP_AUDITS_ENABLED
+  // With the DCHECK compiled out, a negative id cannot be tracked either.
+  tracker.TrackSubscriber(-1, h0, 4);
+#endif
+  EXPECT_EQ(tracker.stats().client_refreshes, refreshes);
+  ExpectTrackedExactly(tracker, {{0, h0}, {2, h2}});
+
+  // The surviving leases still date from tick 3: they expire at tick 6,
+  // not a tick later, so no stray refresh landed on them.
+  for (int64_t t = 4; t <= 6; ++t) {
+    tracker.HeardBroker(1, t);
+    tracker.HeardBroker(2, t);
+    const TickReport report = tracker.Tick(t);
+    if (t < 6) {
+      EXPECT_TRUE(report.expired.empty()) << t;
+    } else {
+      ASSERT_EQ(report.expired.size(), 2u);
+      EXPECT_EQ(report.expired[0].client, 0);
+      EXPECT_EQ(report.expired[1].client, 2);
+    }
+  }
+  EXPECT_EQ(tracker.stats().client_refreshes, refreshes);
+}
+
 // ---------------------------------------------------------------------------
 // Suspect-leaf placement veto
 // ---------------------------------------------------------------------------

@@ -676,6 +676,76 @@ TEST(FaultReplayTest, PreFailedBrokerStaysDownUntilThePlanRecoversIt) {
   }
 }
 
+// Hand-counted delivery accounting on a scripted replay, under both
+// engines. Leaf A (node 1) holds clients 0 and 3, leaf B (node 2) clients
+// 1 and 2; the default max_delay pins each subscriber to the leaf on its
+// side. Event ec lies inside client c's rectangle and no other's, so only
+// that client's leaf is reached. With one-tick heartbeats and a 10-tick
+// client lease, client c refreshes at ticks ≡ c (mod 10):
+//   tick  0     client 1 offline; e2 → B delivers to client 2
+//   ticks 1–2   client 0 offline; e0 → A: stale delivery, A not wasted
+//   ticks 3–4   e1 → B: client 1 offline but placed: stale delivery
+//   tick  5     client 0 online again; e0 → A delivers
+//   ticks 6–8   e3, e3, e2: deliveries
+//   tick  9     client 1's lease (last heard at −1) expires; e1 → B over
+//               its stale filter, no matching client there: wasted
+//   tick 10     client 1 online but still expired (its phase is 1):
+//               missed_expired, and B is wasted again
+//   tick 11     client 1 reconnects onto B; e1 delivers
+//   tick 12     A crashes and is declared dead; with a zero repair budget
+//               its clients stay orphaned: e3 → client 3 missed_outage
+//   tick 13     e0 → client 0 (online since tick 5) missed_outage
+TEST(FaultReplayTest, ScriptedDeliveryAccountingIsExact) {
+  // at[c] is event ec.
+  const Point at[] = {{0.05, 0.05}, {0.45, 0.45}, {0.85, 0.85}, {0.25, 0.25}};
+  std::vector<Point> events;
+  for (const int c : {2, 0, 0, 1, 1, 0, 3, 3, 2, 1, 1, 1, 3, 0}) {
+    events.push_back(at[c]);
+  }
+  const sim::FaultPlan plan = sim::FaultPlan::Scripted(
+      {sim::FaultEvent{12, 1, true}},
+      {sim::ClientEvent{0, 1, true}, sim::ClientEvent{1, 0, true},
+       sim::ClientEvent{5, 0, false}, sim::ClientEvent{10, 1, false}});
+  sim::FaultReplayOptions options;
+  options.lease.subscriber_interval = 10;
+  options.repair_budget_seconds = 0;
+  options.compute_fresh_baseline = false;
+
+  for (const sim::MatchEngine engine :
+       {sim::MatchEngine::kLinear, sim::MatchEngine::kIndexed}) {
+    SCOPED_TRACE(engine == sim::MatchEngine::kLinear ? "linear" : "indexed");
+    DynamicAssigner dyn(TwoBrokerTree(), SaConfig{}, 8);
+    const int leaf_a = 1, leaf_b = 2;
+    ASSERT_EQ(dyn.leaf_of(dyn.Add(MakeSub(2, 0, 0.0, 0.1)).value()), leaf_a);
+    ASSERT_EQ(dyn.leaf_of(dyn.Add(MakeSub(-2, 0, 0.4, 0.1)).value()), leaf_b);
+    ASSERT_EQ(dyn.leaf_of(dyn.Add(MakeSub(-2, 0, 0.8, 0.1)).value()), leaf_b);
+    ASSERT_EQ(dyn.leaf_of(dyn.Add(MakeSub(2, 0, 0.2, 0.1)).value()), leaf_a);
+    options.engine = engine;
+    Rng rng(2);
+    const Result<sim::FaultReplayResult> replay =
+        sim::ReplayWithFaults(dyn, plan, events, options, rng);
+    ASSERT_TRUE(replay.ok()) << replay.status().message();
+    const sim::FaultReplayResult& r = replay.value();
+
+    EXPECT_EQ(r.stats.deliveries, 6);
+    EXPECT_EQ(r.stale_deliveries, 4);
+    EXPECT_EQ(r.stats.wasted_leaf_hits, 2);
+    EXPECT_EQ(r.missed_expired, 1);
+    EXPECT_EQ(r.missed_outage, 2);
+    EXPECT_EQ(r.missed_live, 0);
+    EXPECT_EQ(r.missed_degraded, 0);
+    EXPECT_EQ(r.missed_undetected, 0);
+    EXPECT_EQ(r.stats.total_messages, 12);
+    EXPECT_EQ(r.stats.broker_hits[leaf_a], 5);
+    EXPECT_EQ(r.stats.broker_hits[leaf_b], 7);
+    EXPECT_EQ(r.lease_expirations, 1);
+    EXPECT_EQ(r.reconnects, 1);
+    EXPECT_EQ(r.total_orphaned, 2);
+    EXPECT_EQ(r.unrepaired_at_end, 2);
+    EXPECT_EQ(r.detection_latency, (std::vector<int>{0}));
+  }
+}
+
 // Client refresh phases are bucketed by population, not by interval: an
 // interval far longer than the stream neither allocates per tick nor
 // expires anyone, and each client refreshes once, at the tick equal to its
