@@ -1,5 +1,4 @@
-// LP engine benchmark: sparse LU/eta revised simplex vs the legacy dense
-// basis-inverse engine, warm-started β-escalation re-solves vs cold
+// LP engine benchmark: warm-started β-escalation re-solves vs cold
 // re-solves, and the dual-simplex rung re-solve (ResolveDual) vs both, on
 // LPRelax-shaped instances; plus end-to-end FilterAssign throughput.
 // Prints tables and writes BENCH_lp.json (path from argv[1] or
@@ -126,12 +125,6 @@ Timed TimeResolveDual(const lp::LpProblem& p, const lp::SimplexOptions& opts,
   return out;
 }
 
-struct ColdRow {
-  int rows = 0;
-  double dense_s = 0, sparse_s = 0, speedup = 0;
-  int pivots = 0;
-};
-
 struct WarmRow {
   int rows = 0;
   double cold_s = 0, warm_s = 0, speedup = 0;
@@ -151,38 +144,6 @@ int Main(int argc, char** argv) {
   const char* env = std::getenv("SLP_BENCH_LP_JSON");
   const std::string json_path =
       argc > 1 ? argv[1] : (env != nullptr ? env : "BENCH_lp.json");
-
-  PrintHeader("LP engine: sparse LU/eta simplex vs dense basis inverse");
-  std::printf("%8s %12s %12s %9s %8s\n", "rows", "dense (s)", "sparse (s)",
-              "speedup", "pivots");
-
-  std::vector<ColdRow> cold;
-  for (int rows : {100, 500, 2000}) {
-    Rng rng(100 + rows);
-    LadderLp l = MakeLadderLp(rows, rng);
-    lp::SimplexOptions sparse_opts;
-    lp::SimplexOptions dense_opts;
-    dense_opts.use_dense_engine = true;
-    const int reps = rows >= 2000 ? 1 : 3;
-    const Timed dense = TimeSolve(l.p, dense_opts, nullptr, reps);
-    const Timed sparse = TimeSolve(l.p, sparse_opts, nullptr, reps);
-    if (dense.sol.status != lp::SolveStatus::kOptimal ||
-        sparse.sol.status != lp::SolveStatus::kOptimal ||
-        std::abs(dense.sol.objective - sparse.sol.objective) >
-            1e-6 * (1 + std::abs(dense.sol.objective))) {
-      std::fprintf(stderr, "engines disagree at rows=%d\n", rows);
-      return 1;
-    }
-    ColdRow row;
-    row.rows = rows;
-    row.dense_s = dense.seconds;
-    row.sparse_s = sparse.seconds;
-    row.speedup = dense.seconds / sparse.seconds;
-    row.pivots = sparse.sol.stats.pivots;
-    cold.push_back(row);
-    std::printf("%8d %12.4f %12.4f %8.1fx %8d\n", rows, row.dense_s,
-                row.sparse_s, row.speedup, row.pivots);
-  }
 
   PrintHeader("β-escalation re-solve: warm (basis hint) vs cold");
   std::printf("%8s %12s %12s %9s %12s %12s\n", "rows", "cold (s)", "warm (s)",
@@ -306,17 +267,7 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"cold_solve\": [\n");
-  for (size_t i = 0; i < cold.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"rows\": %d, \"dense_seconds\": %.6f, "
-                 "\"sparse_seconds\": %.6f, \"speedup\": %.2f, "
-                 "\"pivots\": %d}%s\n",
-                 cold[i].rows, cold[i].dense_s, cold[i].sparse_s,
-                 cold[i].speedup, cold[i].pivots,
-                 i + 1 < cold.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"escalation_resolve\": [\n");
+  std::fprintf(f, "{\n  \"escalation_resolve\": [\n");
   for (size_t i = 0; i < warm.size(); ++i) {
     std::fprintf(f,
                  "    {\"rows\": %d, \"cold_seconds\": %.6f, "

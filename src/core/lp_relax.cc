@@ -8,6 +8,7 @@
 #include "src/common/invariant.h"
 #include "src/common/status.h"
 #include "src/lp/lp_problem.h"
+#include "src/lp/simplex.h"
 
 namespace slp::core {
 
@@ -206,7 +207,7 @@ void LpRelaxModel::SetLoadRung(double beta, bool enforce_load) {
 
 Result<LpRelaxResult> LpRelaxModel::Solve(const LpRelaxOptions& options,
                                           Rng& rng) {
-  const lp::SimplexSolver solver(options.simplex);
+  const lp::SimplexSolver solver;
   // After a rung mutation the retained basis is the pre-mutation optimum:
   // rhs edits leave it dual-feasible, so the dual pivot loop is the natural
   // re-solve (ResolveDual falls back to the primal warm path on the

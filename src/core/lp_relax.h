@@ -34,8 +34,8 @@
 #include "src/core/candidates.h"
 #include "src/core/problem.h"
 #include "src/geometry/filter.h"
+#include "src/lp/basis.h"
 #include "src/lp/lp_problem.h"
-#include "src/lp/simplex.h"
 
 namespace slp::core {
 
@@ -55,7 +55,6 @@ struct LpRelaxOptions {
   // Drop (C3) entirely — last-resort fallback; load balance is then
   // enforced only by the max-flow assignment step.
   bool enforce_load = true;
-  lp::SimplexOptions simplex;
 };
 
 struct LpRelaxResult {

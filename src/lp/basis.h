@@ -1,4 +1,4 @@
-// Basis snapshot and solver statistics shared by the simplex engines.
+// Basis snapshot and solver statistics of the simplex solver.
 //
 // A Basis records, for one solved LpProblem, where every structural variable
 // and every row's logical variable (slack for <= / >= rows, artificial for =
@@ -23,7 +23,7 @@ enum class VarStatus : uint8_t {
 };
 
 // Snapshot of the final simplex basis. Empty vectors mean "no basis
-// available" (iteration limit, or the legacy dense engine).
+// available" (the solve did not end optimal).
 struct Basis {
   std::vector<VarStatus> structural;  // one per problem variable
   std::vector<VarStatus> logical;     // one per constraint row
@@ -42,13 +42,12 @@ struct Basis {
   }
 };
 
-// Per-solve counters exposed on LpSolution. All engines fill pivots /
-// phase1_pivots / solve_seconds; the LU-based sparse engine also reports
-// factorization, warm-start, dual-simplex, and FTRAN-sparsity behavior.
+// Per-solve counters exposed on LpSolution: pivots, factorization,
+// warm-start, dual-simplex, and FTRAN-sparsity behavior, and wall time.
 struct SolverStats {
   int pivots = 0;             // total pivots, both phases
   int phase1_pivots = 0;      // pivots spent reaching feasibility
-  int refactorizations = 0;   // basis refactorizations (sparse engine)
+  int refactorizations = 0;   // basis refactorizations
   int max_eta_length = 0;     // longest eta file between refactorizations
   double avg_ftran_density = 0;  // mean nnz(B^-1 a_q)/m over all FTRANs
   double solve_seconds = 0;   // wall time inside Solve()

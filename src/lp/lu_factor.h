@@ -17,8 +17,8 @@
 //
 // Cost model: a refactorization is O(m²) pivot-candidate checks plus
 // O(fill) arithmetic (the bases SLP produces are a few nonzeros per column,
-// so fill is tiny); each solve is O(m + nnz(L)+nnz(U)+nnz(etas)). The
-// legacy dense engine paid O(m²) *arithmetic* per pivot.
+// so fill is tiny); each solve is O(m + nnz(L)+nnz(U)+nnz(etas)). An
+// explicit dense basis inverse would pay O(m²) *arithmetic* per pivot.
 
 #ifndef SLP_LP_LU_FACTOR_H_
 #define SLP_LP_LU_FACTOR_H_

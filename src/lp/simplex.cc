@@ -30,527 +30,32 @@ namespace {
 constexpr double kInf = kInfinity;
 // Absolute floor for acceptable pivots inside the LU factorization.
 constexpr double kFactorPivotEps = 1e-12;
+// Recompute basic values / duals from scratch this often (pivots).
+constexpr int kRecomputeInterval = 500;
+// Hard refactorization cadence (pivots); max_eta / eta_fill_factor
+// usually trigger much earlier.
+constexpr int kRefactorInterval = 3000;
+// Primal feasibility tolerance, scaled by 1 + max|rhs|.
+constexpr double kFeasibilityTol = 1e-7;
+// Reduced-cost tolerance for pricing and dual feasibility.
+constexpr double kOptimalityTol = 1e-7;
+// Smallest |pivot| the primal and dual ratio tests accept.
+constexpr double kPivotTol = 1e-8;
+// FTRAN/BTRAN right-hand sides stop tracking their nonzero pattern and
+// fall back to dense scans beyond this fill fraction.
+constexpr double kDensityThreshold = 0.25;
 
 // ---------------------------------------------------------------------------
-// Legacy dense engine.
+// Revised-simplex engine.
 //
-// Keeps an explicit dense basis inverse (O(m^2) memory, O(m^2) work per
-// pivot). Retained as the reference implementation: the stress tests
-// cross-check the sparse engine against it, and bench_lp measures speedups
-// relative to it. Columns are laid out as [structural | slack | artificial];
-// every column is stored sparsely.
-class DenseTableau {
- public:
-  DenseTableau(const LpProblem& problem, const SimplexOptions& options)
-      : options_(options), m_(problem.num_constraints()) {
-    BuildColumns(problem);
-    InitBasis(problem);
-  }
-
-  LpSolution Run(const LpProblem& problem) {
-    LpSolution solution;
-    const int max_iters = options_.max_iterations > 0
-                              ? options_.max_iterations
-                              : std::max(20000, 50 * m_);
-
-    // Phase 1: minimize the sum of artificial variables.
-    if (num_art_ > 0) {
-      SetPhase1Costs();
-      RecomputeDuals();
-      const SolveStatus st = Iterate(max_iters, &solution.iterations);
-      if (st == SolveStatus::kIterationLimit) {
-        solution.status = st;
-        return solution;
-      }
-      SLP_DCHECK(st != SolveStatus::kUnbounded);  // phase-1 obj bounded below
-      if (CurrentObjective() > options_.feasibility_tol * (1 + rhs_norm_)) {
-        solution.status = SolveStatus::kInfeasible;
-        solution.stats.phase1_pivots = solution.iterations;
-        return solution;
-      }
-      // Pin artificials at zero for phase 2 (their values are within the
-      // feasibility tolerance of zero at this point).
-      for (int j = art_begin_; j < total_cols_; ++j) {
-        lo_[j] = 0;
-        hi_[j] = 0;
-        xval_[j] = 0;
-      }
-    }
-    solution.stats.phase1_pivots = solution.iterations;
-
-    // Phase 2: the true objective.
-    SetPhase2Costs(problem);
-    RecomputeDuals();
-    const SolveStatus st = Iterate(max_iters, &solution.iterations);
-    solution.status = st;
-    if (st != SolveStatus::kOptimal) return solution;
-
-    solution.x.assign(xval_.begin(), xval_.begin() + num_struct_);
-    solution.objective = 0;
-    for (int j = 0; j < num_struct_; ++j) {
-      solution.objective += problem.obj(j) * solution.x[j];
-    }
-    RecomputeDuals();
-    solution.duals = y_;
-    ExportBasis(&solution.basis);
-    return solution;
-  }
-
- private:
-  void BuildColumns(const LpProblem& problem) {
-    num_struct_ = problem.num_vars();
-    const LpProblem::Columns cols = problem.BuildColumns();
-
-    col_start_.assign(1, 0);
-    for (int j = 0; j < num_struct_; ++j) {
-      for (int p = cols.col_start[j]; p < cols.col_start[j + 1]; ++p) {
-        entry_row_.push_back(cols.row[p]);
-        entry_coef_.push_back(cols.coef[p]);
-      }
-      col_start_.push_back(static_cast<int>(entry_row_.size()));
-      lo_.push_back(problem.lo(j));
-      hi_.push_back(problem.hi(j));
-    }
-
-    // Slack columns: <= rows get +1 slack in [0, inf); >= rows get -1 slack
-    // in [0, inf); = rows get none.
-    slack_begin_ = num_struct_;
-    slack_col_of_row_.assign(m_, -1);
-    for (int i = 0; i < m_; ++i) {
-      const Sense s = problem.sense(i);
-      if (s == Sense::kEqual) continue;
-      const double coef = (s == Sense::kLessEqual) ? 1.0 : -1.0;
-      slack_col_of_row_[i] = static_cast<int>(col_start_.size()) - 1;
-      entry_row_.push_back(i);
-      entry_coef_.push_back(coef);
-      col_start_.push_back(static_cast<int>(entry_row_.size()));
-      lo_.push_back(0);
-      hi_.push_back(kInf);
-    }
-    art_begin_ = static_cast<int>(col_start_.size()) - 1;
-
-    rhs_.resize(m_);
-    rhs_norm_ = 0;
-    for (int i = 0; i < m_; ++i) {
-      rhs_[i] = problem.rhs(i);
-      rhs_norm_ = std::max(rhs_norm_, std::abs(rhs_[i]));
-    }
-  }
-
-  // Nonbasic structural variables start at their lower bound. Each row is
-  // made basic-feasible with its slack when the slack's sign allows it, or
-  // with a fresh artificial otherwise.
-  void InitBasis(const LpProblem& problem) {
-    const int pre_cols = art_begin_;
-    xval_.assign(pre_cols, 0.0);
-    at_upper_.assign(pre_cols, false);
-    for (int j = 0; j < num_struct_; ++j) xval_[j] = lo_[j];
-
-    // Row residuals with all current columns at their values.
-    std::vector<double> resid = rhs_;
-    for (int j = 0; j < num_struct_; ++j) {
-      if (xval_[j] == 0) continue;
-      for (int p = col_start_[j]; p < col_start_[j + 1]; ++p) {
-        resid[entry_row_[p]] -= entry_coef_[p] * xval_[j];
-      }
-    }
-
-    basis_.assign(m_, -1);
-    std::vector<double> basic_value(m_, 0.0);
-    num_art_ = 0;
-    for (int i = 0; i < m_; ++i) {
-      const Sense s = problem.sense(i);
-      const double r = resid[i];
-      const int sc = slack_col_of_row_[i];
-      bool use_slack = false;
-      if (s == Sense::kLessEqual && r >= 0) use_slack = true;
-      if (s == Sense::kGreaterEqual && r <= 0) use_slack = true;
-      if (use_slack) {
-        basis_[i] = sc;
-        basic_value[i] = std::abs(r);  // s = r for <=, s = -r for >=
-      } else {
-        // Artificial with coefficient sign matching the residual so its
-        // basic value is |r| >= 0.
-        const double coef = (r >= 0) ? 1.0 : -1.0;
-        entry_row_.push_back(i);
-        entry_coef_.push_back(coef);
-        col_start_.push_back(static_cast<int>(entry_row_.size()));
-        lo_.push_back(0);
-        hi_.push_back(kInf);
-        xval_.push_back(0);
-        at_upper_.push_back(false);
-        const int ac = static_cast<int>(col_start_.size()) - 2 + 1 - 1;
-        basis_[i] = ac;
-        basic_value[i] = std::abs(r);
-        ++num_art_;
-      }
-    }
-    total_cols_ = static_cast<int>(col_start_.size()) - 1;
-
-    basic_row_.assign(total_cols_, -1);
-    for (int i = 0; i < m_; ++i) {
-      basic_row_[basis_[i]] = i;
-      xval_[basis_[i]] = basic_value[i];
-    }
-
-    // The initial basis matrix is diagonal with entries +-1 (slacks and
-    // artificials are singleton columns).
-    binv_.assign(static_cast<size_t>(m_) * m_, 0.0);
-    for (int i = 0; i < m_; ++i) {
-      const int c = basis_[i];
-      const double coef = entry_coef_[col_start_[c]];
-      binv_[static_cast<size_t>(i) * m_ + i] = 1.0 / coef;
-    }
-    cost_.assign(total_cols_, 0.0);
-  }
-
-  void SetPhase1Costs() {
-    std::fill(cost_.begin(), cost_.end(), 0.0);
-    for (int j = art_begin_; j < total_cols_; ++j) cost_[j] = 1.0;
-  }
-
-  void SetPhase2Costs(const LpProblem& problem) {
-    std::fill(cost_.begin(), cost_.end(), 0.0);
-    for (int j = 0; j < num_struct_; ++j) cost_[j] = problem.obj(j);
-  }
-
-  double CurrentObjective() const {
-    double obj = 0;
-    for (int j = 0; j < total_cols_; ++j) obj += cost_[j] * xval_[j];
-    return obj;
-  }
-
-  // y = c_B^T * Binv.
-  void RecomputeDuals() {
-    y_.assign(m_, 0.0);
-    for (int i = 0; i < m_; ++i) {
-      const double cb = cost_[basis_[i]];
-      if (cb == 0) continue;
-      const double* row = &binv_[static_cast<size_t>(i) * m_];
-      for (int k = 0; k < m_; ++k) y_[k] += cb * row[k];
-    }
-  }
-
-  double ReducedCost(int j) const {
-    double d = cost_[j];
-    for (int p = col_start_[j]; p < col_start_[j + 1]; ++p) {
-      d -= y_[entry_row_[p]] * entry_coef_[p];
-    }
-    return d;
-  }
-
-  // Recomputes x_B = Binv * (b - N x_N) to kill accumulated drift.
-  void RecomputeBasicValues() {
-    std::vector<double> r = rhs_;
-    for (int j = 0; j < total_cols_; ++j) {
-      if (basic_row_[j] >= 0 || xval_[j] == 0) continue;
-      for (int p = col_start_[j]; p < col_start_[j + 1]; ++p) {
-        r[entry_row_[p]] -= entry_coef_[p] * xval_[j];
-      }
-    }
-    for (int i = 0; i < m_; ++i) {
-      const double* row = &binv_[static_cast<size_t>(i) * m_];
-      double v = 0;
-      for (int k = 0; k < m_; ++k) v += row[k] * r[k];
-      xval_[basis_[i]] = v;
-    }
-  }
-
-  // Rebuilds binv_ from the basis columns by Gauss-Jordan elimination with
-  // partial pivoting. CHECK-fails on a singular basis (cannot happen if the
-  // pivot steps kept |pivot| above tolerance).
-  void Refactorize() {
-    std::vector<double> mat(static_cast<size_t>(m_) * m_, 0.0);
-    for (int i = 0; i < m_; ++i) {
-      const int c = basis_[i];
-      for (int p = col_start_[c]; p < col_start_[c + 1]; ++p) {
-        mat[static_cast<size_t>(entry_row_[p]) * m_ + i] = entry_coef_[p];
-      }
-    }
-    std::vector<double>& inv = binv_;
-    std::fill(inv.begin(), inv.end(), 0.0);
-    for (int i = 0; i < m_; ++i) inv[static_cast<size_t>(i) * m_ + i] = 1.0;
-    // Note: binv_ rows correspond to basis positions; we invert `mat` whose
-    // column i is the basis column at position i, producing mat^{-1} laid
-    // out so that row i of inv maps rhs-space to basis position i.
-    for (int col = 0; col < m_; ++col) {
-      int piv = -1;
-      double best = 0;
-      for (int r = col; r < m_; ++r) {
-        const double v = std::abs(mat[static_cast<size_t>(r) * m_ + col]);
-        if (v > best) {
-          best = v;
-          piv = r;
-        }
-      }
-      SLP_DCHECK(piv >= 0 && best > 1e-12);
-      if (piv != col) {
-        for (int k = 0; k < m_; ++k) {
-          std::swap(mat[static_cast<size_t>(piv) * m_ + k],
-                    mat[static_cast<size_t>(col) * m_ + k]);
-          std::swap(inv[static_cast<size_t>(piv) * m_ + k],
-                    inv[static_cast<size_t>(col) * m_ + k]);
-        }
-      }
-      const double p = mat[static_cast<size_t>(col) * m_ + col];
-      for (int k = 0; k < m_; ++k) {
-        mat[static_cast<size_t>(col) * m_ + k] /= p;
-        inv[static_cast<size_t>(col) * m_ + k] /= p;
-      }
-      for (int r = 0; r < m_; ++r) {
-        if (r == col) continue;
-        const double f = mat[static_cast<size_t>(r) * m_ + col];
-        if (f == 0) continue;
-        for (int k = 0; k < m_; ++k) {
-          mat[static_cast<size_t>(r) * m_ + k] -=
-              f * mat[static_cast<size_t>(col) * m_ + k];
-          inv[static_cast<size_t>(r) * m_ + k] -=
-              f * inv[static_cast<size_t>(col) * m_ + k];
-        }
-      }
-    }
-  }
-
-  double EnteringDelta(int j, double d) const {
-    // Positive improvement magnitude for an eligible nonbasic column.
-    if (!at_upper_[j] && d < -options_.optimality_tol) return -d;
-    if (at_upper_[j] && d > options_.optimality_tol && hi_[j] < kInf) return d;
-    return 0;
-  }
-
-  bool Eligible(int j) const {
-    return basic_row_[j] < 0 && lo_[j] < hi_[j];
-  }
-
-  // Maps the final basis into per-variable / per-row statuses. A basic
-  // slack or artificial marks its row's logical variable basic.
-  void ExportBasis(Basis* out) const {
-    out->structural.resize(num_struct_);
-    for (int j = 0; j < num_struct_; ++j) {
-      out->structural[j] = basic_row_[j] >= 0 ? VarStatus::kBasic
-                           : at_upper_[j]     ? VarStatus::kAtUpper
-                                              : VarStatus::kAtLower;
-    }
-    out->logical.assign(m_, VarStatus::kAtLower);
-    for (int i = 0; i < m_; ++i) {
-      const int c = basis_[i];
-      if (c < num_struct_) continue;
-      out->logical[entry_row_[col_start_[c]]] = VarStatus::kBasic;
-    }
-  }
-
-  // One phase of primal simplex on the current costs. Returns kOptimal when
-  // no eligible entering column remains.
-  SolveStatus Iterate(int max_iters, int* iteration_counter) {
-    int since_recompute = 0;
-    int since_refactor = 0;
-    int stall = 0;
-    bool bland = false;
-    bool verified = false;  // optimality confirmed with fresh duals
-    double last_obj = CurrentObjective();
-    int price_cursor = 0;
-
-    while (true) {
-      if (*iteration_counter >= max_iters) return SolveStatus::kIterationLimit;
-
-      // ---- Pricing ----
-      int q = -1;
-      double best_delta = 0;
-      if (bland) {
-        for (int j = 0; j < total_cols_; ++j) {
-          if (!Eligible(j)) continue;
-          if (EnteringDelta(j, ReducedCost(j)) > 0) {
-            q = j;
-            break;
-          }
-        }
-      } else {
-        // Small partial-pricing sections: the rotating cursor already gives
-        // every column a regular turn, so a narrow window changes the pivot
-        // sequence only marginally while making each pricing pass cheap.
-        const int window = std::max(200, total_cols_ / 32);
-        int scanned = 0;
-        int j = price_cursor;
-        while (scanned < total_cols_) {
-          if (Eligible(j)) {
-            const double delta = EnteringDelta(j, ReducedCost(j));
-            if (delta > best_delta) {
-              best_delta = delta;
-              q = j;
-            }
-          }
-          ++scanned;
-          ++j;
-          if (j >= total_cols_) j = 0;
-          if (q >= 0 && scanned >= window) break;
-        }
-        price_cursor = j;
-      }
-      if (q < 0) {
-        // The incremental duals drift; confirm optimality with a fresh
-        // recompute before declaring victory.
-        if (verified) return SolveStatus::kOptimal;
-        RecomputeBasicValues();
-        RecomputeDuals();
-        verified = true;
-        continue;
-      }
-      verified = false;
-
-      ++(*iteration_counter);
-
-      // ---- FTRAN: w = Binv * A_q ----
-      w_.assign(m_, 0.0);
-      for (int p = col_start_[q]; p < col_start_[q + 1]; ++p) {
-        const int row = entry_row_[p];
-        const double coef = entry_coef_[p];
-        for (int i = 0; i < m_; ++i) {
-          w_[i] += binv_[static_cast<size_t>(i) * m_ + row] * coef;
-        }
-      }
-
-      const double d_q = ReducedCost(q);
-      const double sigma = at_upper_[q] ? -1.0 : 1.0;
-
-      // ---- Ratio test ----
-      // Entering moves by theta >= 0 in direction sigma; basic i changes by
-      // -sigma * w_i * theta.
-      double theta = (hi_[q] < kInf) ? hi_[q] - lo_[q] : kInf;  // bound flip
-      int leave = -1;          // row index of leaving variable
-      double leave_pivot = 0;  // w_[leave]
-      bool leave_at_upper = false;
-      for (int i = 0; i < m_; ++i) {
-        const double delta = sigma * w_[i];
-        if (std::abs(delta) <= options_.pivot_tol) continue;
-        const int bcol = basis_[i];
-        double limit;
-        bool hits_upper;
-        if (delta > 0) {
-          limit = (xval_[bcol] - lo_[bcol]) / delta;
-          hits_upper = false;
-        } else {
-          if (hi_[bcol] >= kInf) continue;
-          limit = (hi_[bcol] - xval_[bcol]) / (-delta);
-          hits_upper = true;
-        }
-        if (limit < 0) limit = 0;
-        // Prefer strictly smaller limits; among near-ties take the larger
-        // pivot magnitude for stability (or the smaller index under Bland).
-        const bool better =
-            limit < theta - 1e-10 ||
-            (limit < theta + 1e-10 && leave >= 0 &&
-             (bland ? basis_[i] < basis_[leave]
-                    : std::abs(w_[i]) > std::abs(leave_pivot)));
-        if (better || (leave < 0 && limit < theta - 1e-10)) {
-          theta = std::min(theta, limit);
-          leave = i;
-          leave_pivot = w_[i];
-          leave_at_upper = hits_upper;
-        }
-      }
-
-      if (theta >= kInf) return SolveStatus::kUnbounded;
-
-      // ---- Apply the step ----
-      if (theta > 0) {
-        for (int i = 0; i < m_; ++i) {
-          if (w_[i] != 0) xval_[basis_[i]] -= sigma * theta * w_[i];
-        }
-      }
-
-      if (leave < 0) {
-        // Bound flip: q moves to its opposite bound; basis unchanged.
-        at_upper_[q] = !at_upper_[q];
-        xval_[q] = at_upper_[q] ? hi_[q] : lo_[q];
-      } else {
-        const int lcol = basis_[leave];
-        xval_[q] = (at_upper_[q] ? hi_[q] : lo_[q]) + sigma * theta;
-        // Snap the leaving variable onto the bound it reached.
-        xval_[lcol] = leave_at_upper ? hi_[lcol] : lo_[lcol];
-        at_upper_[lcol] = leave_at_upper;
-        basis_[leave] = q;
-        basic_row_[q] = leave;
-        basic_row_[lcol] = -1;
-
-        // ---- Update Binv (product form) ----
-        double* prow = &binv_[static_cast<size_t>(leave) * m_];
-        const double inv_pivot = 1.0 / leave_pivot;
-        for (int k = 0; k < m_; ++k) prow[k] *= inv_pivot;
-        for (int i = 0; i < m_; ++i) {
-          if (i == leave) continue;
-          const double f = w_[i];
-          if (f == 0) continue;
-          double* irow = &binv_[static_cast<size_t>(i) * m_];
-          for (int k = 0; k < m_; ++k) irow[k] -= f * prow[k];
-        }
-        // Incremental dual update: y += d_q * (new row `leave` of Binv).
-        for (int k = 0; k < m_; ++k) y_[k] += d_q * prow[k];
-
-        ++since_recompute;
-        ++since_refactor;
-      }
-
-      // ---- Housekeeping ----
-      if (since_refactor >= options_.refactor_interval) {
-        Refactorize();
-        RecomputeBasicValues();
-        RecomputeDuals();
-        since_refactor = 0;
-        since_recompute = 0;
-      } else if (since_recompute >= options_.recompute_interval) {
-        RecomputeBasicValues();
-        RecomputeDuals();
-        since_recompute = 0;
-      }
-
-      const double obj = CurrentObjective();
-      if (obj < last_obj - 1e-12) {
-        stall = 0;
-        last_obj = obj;
-      } else if (++stall > options_.stall_threshold && !bland) {
-        bland = true;  // guarantee termination on degenerate instances
-        RecomputeDuals();
-      }
-    }
-  }
-
-  const SimplexOptions options_;
-  const int m_;  // rows
-
-  // Sparse columns, contiguous across [structural | slack | artificial].
-  std::vector<int> col_start_;
-  std::vector<int> entry_row_;
-  std::vector<double> entry_coef_;
-  std::vector<double> lo_, hi_, cost_, xval_;
-  std::vector<bool> at_upper_;
-  std::vector<double> rhs_;
-  double rhs_norm_ = 0;
-
-  int num_struct_ = 0;
-  int slack_begin_ = 0;
-  int art_begin_ = 0;
-  int total_cols_ = 0;
-  int num_art_ = 0;
-  std::vector<int> slack_col_of_row_;
-
-  std::vector<int> basis_;      // basis_[row] = column basic in that row
-  std::vector<int> basic_row_;  // inverse map, -1 when nonbasic
-  std::vector<double> binv_;    // dense m x m, row-major
-  std::vector<double> y_;       // duals
-  std::vector<double> w_;       // FTRAN scratch
-};
-
-// ---------------------------------------------------------------------------
-// Sparse revised-simplex engine.
-//
-// Same column layout, pricing, ratio test, and two-phase structure as the
-// dense engine, but the basis inverse is replaced by a BasisFactorization
-// (sparse LU + bounded eta file), so a pivot costs an FTRAN, a sparse
-// unit-vector BTRAN for the dual update, and one appended eta — O(m + fill)
-// instead of O(m^2). Basis "positions" are decoupled from constraint rows
-// here: basis_[p] is the column occupying position p, and FTRAN output /
-// ratio-test / eta indices all live in position space, while rhs, duals and
-// column entries live in row space.
+// Columns are laid out as [structural | slack | artificial], every column
+// stored sparsely. The basis is held as a BasisFactorization (sparse LU +
+// bounded eta file), so a pivot costs an FTRAN, a sparse unit-vector BTRAN
+// for the dual update, and one appended eta — O(m + fill). Basis
+// "positions" are decoupled from constraint rows: basis_[p] is the column
+// occupying position p, and FTRAN output / ratio-test / eta indices all
+// live in position space, while rhs, duals and column entries live in row
+// space.
 //
 // Warm start: a Basis hint seeds basis_/at_upper_, the crashed basis is
 // factorized (numerically dependent columns are repaired with pinned
@@ -628,7 +133,7 @@ class SparseTableau {
         return Finish(std::move(solution));
       }
       SLP_DCHECK(st != SolveStatus::kUnbounded);  // phase-1 obj bounded below
-      if (CurrentObjective() > options_.feasibility_tol * (1 + rhs_norm_)) {
+      if (CurrentObjective() > kFeasibilityTol * (1 + rhs_norm_)) {
         solution.status = SolveStatus::kInfeasible;
         stats_.phase1_pivots = solution.iterations;
         return Finish(std::move(solution));
@@ -664,7 +169,8 @@ class SparseTableau {
   // rejected, the crashed basis is not dual-feasible (and bound flips can't
   // make it so), the dual loop stalls or breaks down numerically, or it
   // detects infeasibility (the primal phase 1 stays the only authority that
-  // declares a problem infeasible).
+  // declares a problem infeasible). stats() then holds the dual pivots and
+  // bound flips the abandoned attempt took.
   std::optional<LpSolution> RunDual(const LpProblem& problem) {
     if (!warm_ok_) return std::nullopt;
     LpSolution solution;
@@ -694,6 +200,8 @@ class SparseTableau {
     ExportBasis(&solution.basis);
     return Finish(std::move(solution));
   }
+
+  const SolverStats& stats() const { return stats_; }
 
  private:
   struct SavedBound {
@@ -894,7 +402,7 @@ class SparseTableau {
   }
 
   double FeasTol() const {
-    return options_.feasibility_tol * (1 + rhs_norm_);
+    return kFeasibilityTol * (1 + rhs_norm_);
   }
 
   int CountViolations() const {
@@ -957,7 +465,7 @@ class SparseTableau {
       const double cb = cost_[basis_[p]];
       if (cb != 0) cb_.Set(p, cb);
     }
-    factor_.Btran(&cb_, options_.density_threshold);
+    factor_.Btran(&cb_, kDensityThreshold);
     y_.assign(m_, 0.0);
     if (cb_.dense) {
       for (int i = 0; i < m_; ++i) y_[i] = cb_.val[i];
@@ -988,7 +496,7 @@ class SparseTableau {
     rhs_work_.Clear();
     rhs_work_.dense = true;
     for (int i = 0; i < m_; ++i) rhs_work_.val[i] = r[i];
-    factor_.Ftran(&rhs_work_, options_.density_threshold);
+    factor_.Ftran(&rhs_work_, kDensityThreshold);
     for (int p = 0; p < m_; ++p) xval_[basis_[p]] = rhs_work_.val[p];
 
     double resid = 0;
@@ -1009,7 +517,7 @@ class SparseTableau {
 
   // Factorizes the current basis from scratch, resetting the eta file. A
   // repair here would mean the pivot tolerances let a numerically singular
-  // basis through — same invariant the dense engine CHECKs.
+  // basis through.
   void Refactorize() {
     stats_.max_eta_length =
         std::max(stats_.max_eta_length, factor_.eta_count());
@@ -1025,8 +533,8 @@ class SparseTableau {
   }
 
   double EnteringDelta(int j, double d) const {
-    if (!at_upper_[j] && d < -options_.optimality_tol) return -d;
-    if (at_upper_[j] && d > options_.optimality_tol && hi_[j] < kInf) return d;
+    if (!at_upper_[j] && d < -kOptimalityTol) return -d;
+    if (at_upper_[j] && d > kOptimalityTol && hi_[j] < kInf) return d;
     return 0;
   }
 
@@ -1098,7 +606,7 @@ class SparseTableau {
         probe.Add(entry_row_[e], entry_coef_[e]);
         colnorm = std::max(colnorm, std::abs(entry_coef_[e]));
       }
-      factor_.Ftran(&probe, options_.density_threshold);
+      factor_.Ftran(&probe, kDensityThreshold);
       const double tol = 1e-6 * (1 + colnorm);
       double err = 0;
       for (int i = 0; i < m_; ++i) {
@@ -1111,9 +619,9 @@ class SparseTableau {
     }
   }
 
-  // One phase of primal simplex on the current costs; the pivot loop matches
-  // the dense engine but runs every linear-algebra step through the LU+eta
-  // factorization with sparse right-hand sides.
+  // One phase of primal simplex on the current costs; every linear-algebra
+  // step runs through the LU+eta factorization with sparse right-hand
+  // sides.
   SolveStatus Iterate(int max_iters, int* iteration_counter) {
     int since_recompute = 0;
     int since_refactor = 0;
@@ -1175,7 +683,7 @@ class SparseTableau {
       for (int p = col_start_[q]; p < col_start_[q + 1]; ++p) {
         w_vec_.Add(entry_row_[p], entry_coef_[p]);
       }
-      factor_.Ftran(&w_vec_, options_.density_threshold);
+      factor_.Ftran(&w_vec_, kDensityThreshold);
       ftran_density_sum_ +=
           static_cast<double>(w_vec_.nnz()) / std::max(1, m_);
       ++ftran_count_;
@@ -1190,7 +698,7 @@ class SparseTableau {
       bool leave_at_upper = false;
       auto ratio_visit = [&](int i, double wi) {
         const double delta = sigma * wi;
-        if (std::abs(delta) <= options_.pivot_tol) return;
+        if (std::abs(delta) <= kPivotTol) return;
         const int bcol = basis_[i];
         double limit;
         bool hits_upper;
@@ -1265,7 +773,7 @@ class SparseTableau {
         // sparse-BTRAN analogue of adding the new Binv row.
         rho_.Clear();
         rho_.Set(leave, 1.0);
-        factor_.Btran(&rho_, options_.density_threshold);
+        factor_.Btran(&rho_, kDensityThreshold);
         if (rho_.dense) {
           for (int k = 0; k < m_; ++k) y_[k] += d_q * rho_.val[k];
         } else {
@@ -1286,14 +794,14 @@ class SparseTableau {
           (factor_.eta_count() >= options_.max_eta ||
            factor_.eta_nnz() >
                options_.eta_fill_factor * factor_.lu_nnz() ||
-           since_refactor >= options_.refactor_interval);
+           since_refactor >= kRefactorInterval);
       if (need_refactor) {
         Refactorize();
         ComputeBasicValues();
         RecomputeDuals();
         since_refactor = 0;
         since_recompute = 0;
-      } else if (since_recompute >= options_.recompute_interval) {
+      } else if (since_recompute >= kRecomputeInterval) {
         const double resid = ComputeBasicValues();
         if (resid > 1e-6 * (1 + rhs_norm_) && since_refactor > 0) {
           Refactorize();
@@ -1319,7 +827,7 @@ class SparseTableau {
   // accumulated Δ(N·x_N) sits in rhs_work_ (row space); one FTRAN maps it
   // to basis positions and x_B absorbs the negated result.
   void ApplyNonbasicDeltas() {
-    factor_.Ftran(&rhs_work_, options_.density_threshold);
+    factor_.Ftran(&rhs_work_, kDensityThreshold);
     if (rhs_work_.dense) {
       for (int i = 0; i < m_; ++i) {
         if (rhs_work_.val[i] != 0) xval_[basis_[i]] -= rhs_work_.val[i];
@@ -1338,7 +846,7 @@ class SparseTableau {
   // offender has an infinite opposite bound — no flip can fix it and the
   // caller must fall back to the primal path.
   bool RestoreDualFeasibility() {
-    const double dtol = options_.optimality_tol;
+    const double dtol = kOptimalityTol;
     rhs_work_.Clear();
     bool flipped = false;
     for (int j = 0; j < total_cols_; ++j) {
@@ -1426,7 +934,7 @@ class SparseTableau {
       // ---- BTRAN: rho = B^-T e_r (row space) ----
       rho_.Clear();
       rho_.Set(r, 1.0);
-      factor_.Btran(&rho_, options_.density_threshold);
+      factor_.Btran(&rho_, kDensityThreshold);
 
       // ---- Dual ratio test candidates: alpha_j = rho · a_j ----
       // A candidate blocks the dual step when its reduced cost would cross
@@ -1440,10 +948,10 @@ class SparseTableau {
           alpha += rho_.val[entry_row_[p]] * entry_coef_[p];
         }
         const double abar = sign_r * alpha;
-        if (!at_upper_[j] && abar > options_.pivot_tol) {
+        if (!at_upper_[j] && abar > kPivotTol) {
           const double d = std::max(0.0, ReducedCost(j));
           cands.push_back({j, d / abar, alpha});
-        } else if (at_upper_[j] && abar < -options_.pivot_tol) {
+        } else if (at_upper_[j] && abar < -kPivotTol) {
           const double d = std::min(0.0, ReducedCost(j));
           cands.push_back({j, d / abar, alpha});
         }
@@ -1491,14 +999,14 @@ class SparseTableau {
       for (int p = col_start_[q]; p < col_start_[q + 1]; ++p) {
         w_vec_.Add(entry_row_[p], entry_coef_[p]);
       }
-      factor_.Ftran(&w_vec_, options_.density_threshold);
+      factor_.Ftran(&w_vec_, kDensityThreshold);
       ftran_density_sum_ +=
           static_cast<double>(w_vec_.nnz()) / std::max(1, m_);
       ++ftran_count_;
       const double pivot = w_vec_.val[r];
       // The FTRAN pivot must agree with the BTRAN alpha; a decayed eta
       // chain shows up here. Refactorize and retry once on fresh numbers.
-      if (std::abs(pivot) <= options_.pivot_tol ||
+      if (std::abs(pivot) <= kPivotTol ||
           std::abs(pivot - alpha_q) >
               1e-5 * (1 + std::abs(pivot) + std::abs(alpha_q))) {
         if (++bad_pivots > 2 || since_refactor == 0) return std::nullopt;
@@ -1584,7 +1092,7 @@ class SparseTableau {
           (factor_.eta_count() >= options_.max_eta ||
            factor_.eta_nnz() >
                options_.eta_fill_factor * factor_.lu_nnz() ||
-           since_refactor >= options_.refactor_interval);
+           since_refactor >= kRefactorInterval);
       if (need_refactor) {
         Refactorize();
         ComputeBasicValues();
@@ -1592,7 +1100,7 @@ class SparseTableau {
         if (!RestoreDualFeasibility()) return std::nullopt;
         since_refactor = 0;
         since_recompute = 0;
-      } else if (since_recompute >= options_.recompute_interval) {
+      } else if (since_recompute >= kRecomputeInterval) {
         const double resid = ComputeBasicValues();
         if (resid > 1e-6 * (1 + rhs_norm_) && since_refactor > 0) {
           Refactorize();
@@ -1649,14 +1157,8 @@ LpSolution SimplexSolver::Solve(const LpProblem& problem,
   SLP_DCHECK(problem.num_constraints() > 0);
   SLP_DCHECK(problem.num_vars() > 0);
   WallTimer timer;
-  LpSolution solution;
-  if (options_.use_dense_engine) {
-    DenseTableau tableau(problem, options_);
-    solution = tableau.Run(problem);
-  } else {
-    SparseTableau tableau(problem, options_, hint);
-    solution = tableau.Run(problem);
-  }
+  SparseTableau tableau(problem, options_, hint);
+  LpSolution solution = tableau.Run(problem);
   solution.stats.pivots = solution.iterations;
   solution.stats.solve_seconds = timer.Seconds();
   return solution;
@@ -1667,7 +1169,8 @@ LpSolution SimplexSolver::ResolveDual(const LpProblem& problem,
   SLP_DCHECK(problem.num_constraints() > 0);
   SLP_DCHECK(problem.num_vars() > 0);
   WallTimer timer;
-  if (!options_.use_dense_engine && !hint.empty() &&
+  SolverStats abandoned;  // the dual attempt's counters, if it gives up
+  if (!hint.empty() &&
       hint.CompatibleWith(problem.num_vars(), problem.num_constraints())) {
     SparseTableau tableau(problem, options_, &hint);
     std::optional<LpSolution> solution = tableau.RunDual(problem);
@@ -1676,10 +1179,16 @@ LpSolution SimplexSolver::ResolveDual(const LpProblem& problem,
       solution->stats.solve_seconds = timer.Seconds();
       return *std::move(solution);
     }
+    abandoned = tableau.stats();
   }
-  // Primal fallback: warm-start from the hint (the dense engine ignores
-  // hints and cold-starts). Never a correctness risk, only a slower path.
+  // Primal fallback: warm-start from the hint. Never a correctness risk,
+  // only a slower path. The abandoned dual work still counts: every pivot
+  // it took was a dual pivot.
   LpSolution solution = Solve(problem, &hint);
+  solution.iterations += abandoned.dual_pivots;
+  solution.stats.pivots = solution.iterations;
+  solution.stats.dual_pivots = abandoned.dual_pivots;
+  solution.stats.bound_flips = abandoned.bound_flips;
   solution.stats.dual_fallback = true;
   solution.stats.solve_seconds = timer.Seconds();
   return solution;

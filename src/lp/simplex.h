@@ -5,23 +5,14 @@
 // <= / >= / = rows, infeasibility and unboundedness detection, Dantzig
 // pricing with a partial-pricing window, and a Bland anti-cycling fallback.
 //
-// Two engines share that pivot loop:
-//
-//  * The default sparse engine represents the basis as a sparse LU
-//    factorization plus a bounded product-form eta file
-//    (src/lp/lu_factor.h). FTRAN/BTRAN exploit right-hand-side sparsity,
-//    so a pivot costs O(m + fill) instead of the dense engine's O(m^2),
-//    and the factorization is rebuilt only on eta-length / fill /
-//    instability triggers. It also supports warm starts: Solve() returns
-//    the final Basis, and a later Solve(problem, &basis) on a
-//    structurally identical problem (same variable/row counts — e.g.
-//    after rhs or objective edits) crashes its starting basis from the
-//    hint, typically reaching the new optimum in a handful of pivots.
-//
-//  * The legacy dense engine (options.use_dense_engine) keeps an explicit
-//    dense basis inverse. It is retained as the cross-check reference for
-//    the stress tests and as the baseline the LP benchmarks compare
-//    against; it ignores warm-start hints.
+// The basis is a sparse LU factorization plus a bounded product-form eta
+// file (src/lp/lu_factor.h). FTRAN/BTRAN exploit right-hand-side sparsity,
+// so a pivot costs O(m + fill), and the factorization is rebuilt only on
+// eta-length / fill / instability triggers. Solve() returns the final
+// Basis, and a later Solve(problem, &basis) on a structurally identical
+// problem (same variable/row counts — e.g. after rhs or objective edits)
+// crashes its starting basis from the hint, typically reaching the new
+// optimum in a handful of pivots.
 //
 // On top of the primal loop, ResolveDual() runs a bounded-variable dual
 // simplex on the same LU/eta kernel. It is the re-solve engine for edits
@@ -57,28 +48,12 @@ struct SimplexOptions {
   // Hard cap on total pivots across both phases; <=0 means automatic
   // (max(20000, 50 * rows)).
   int max_iterations = 0;
-  // Recompute basic values / duals from scratch this often (pivots).
-  int recompute_interval = 500;
-  // Hard refactorization cadence (pivots). The sparse engine usually
-  // refactorizes much earlier via max_eta / eta_fill_factor; for the dense
-  // engine this is the only trigger.
-  int refactor_interval = 3000;
   // Consecutive non-improving pivots before switching to Bland's rule.
   int stall_threshold = 2000;
-  double feasibility_tol = 1e-7;
-  double optimality_tol = 1e-7;
-  double pivot_tol = 1e-8;
-
-  // --- sparse engine knobs ---
   // Refactorize once the eta file holds this many pivots...
   int max_eta = 64;
   // ...or once the eta entries outnumber eta_fill_factor * nnz(LU).
   double eta_fill_factor = 4.0;
-  // FTRAN/BTRAN right-hand sides stop tracking their nonzero pattern and
-  // fall back to dense scans beyond this fill fraction.
-  double density_threshold = 0.25;
-  // Use the legacy dense basis-inverse engine (reference / baseline).
-  bool use_dense_engine = false;
 };
 
 struct LpSolution {
@@ -104,8 +79,8 @@ class SimplexSolver {
   }
 
   // `hint`, when non-null, non-empty, and dimension-compatible with
-  // `problem`, seeds the starting basis (sparse engine only); otherwise
-  // the solver cold-starts with the usual two-phase method.
+  // `problem`, seeds the starting basis; otherwise the solver cold-starts
+  // with the usual two-phase method.
   LpSolution Solve(const LpProblem& problem, const Basis* hint) const;
 
   // Re-solves `problem` by dual simplex starting from `hint` (typically
@@ -113,8 +88,8 @@ class SimplexSolver {
   // additions). Falls back to Solve(problem, &hint) — the primal
   // warm-start path — when the hint is rejected, is not dual-feasible
   // after bound flips, or the dual loop hits numerical trouble; the
-  // returned stats report dual_used / dual_fallback. With the dense
-  // engine selected this is always the fallback path.
+  // returned stats report dual_used / dual_fallback, and a fallback's
+  // counters include the abandoned dual pivots and bound flips.
   LpSolution ResolveDual(const LpProblem& problem, const Basis& hint) const;
 
  private:
@@ -125,7 +100,7 @@ class SimplexSolver {
 // against the problem it solves — sizes match, exactly num_constraints
 // variables are basic, kAtUpper only on variables with a finite upper
 // bound, and logical variables never kAtUpper (ExportBasis's contract).
-// The solver engines additionally self-audit their internal tableau
+// The solver additionally self-audits its internal tableau
 // (basis/position bijection, eta-file length, B·B^-1 unit-vector
 // residuals) at factorization boundaries in debug builds. Violations are
 // reported through slp::audit::Fail with Category::kBasis.

@@ -2,15 +2,15 @@
 // the dual simplex engine (SimplexSolver::ResolveDual) and the LU repair
 // path it leans on.
 //
-// Every family cross-checks three independent solution paths on seeded
-// random instances: the legacy dense basis-inverse engine, the sparse
-// primal engine (cold and warm-started), and the dual re-solve. Agreement
-// is demanded on classification and objective, and every claimed optimum
-// must additionally pass an engine-independent KKT certificate (primal
-// feasibility, reduced-cost sign vs bound complementarity, row-dual signs
-// vs row tightness, and a near-zero duality gap) — so a bug that made two
-// engines wrong in the same way would still have to forge a valid
-// primal/dual certificate to slip through.
+// The random families solve seeded instances cold and certify each
+// verdict from the problem data alone (tests/lp_oracle.h): a KKT
+// certificate for an optimum, the elastic LP's positive least violation
+// for infeasibility, and a feasible point plus an improving recession
+// direction for unboundedness. Re-solves from a basis hint (the dual loop
+// and the primal warm start) must then classify and score exactly like
+// the cold solve, and every optimum they claim must pass the KKT
+// certificate too. The FilterAssign ladders KKT-certify each dual
+// re-solve and hold the cold and warm solves to its objective.
 //
 // Families: general boxed LPs, degenerate assignment polytopes, infeasible
 // and unbounded instances, rank-deficient rows/columns, rhs "rung"
@@ -37,6 +37,7 @@
 #include "src/network/tree_builder.h"
 #include "src/workload/rss.h"
 #include "src/workload/workload.h"
+#include "tests/lp_oracle.h"
 #include "tests/test_util.h"
 
 namespace slp {
@@ -53,174 +54,41 @@ using lp::kInfinity;
 
 constexpr double kTol = 1e-6;
 
-void ExpectFeasibleLp(const LpProblem& p, const std::vector<double>& x) {
-  ASSERT_EQ(static_cast<int>(x.size()), p.num_vars());
-  for (int j = 0; j < p.num_vars(); ++j) {
-    EXPECT_GE(x[j], p.lo(j) - kTol) << "var " << j;
-    EXPECT_LE(x[j], p.hi(j) + kTol) << "var " << j;
-  }
-  const std::vector<double> lhs = p.EvaluateRows(x);
-  for (int i = 0; i < p.num_constraints(); ++i) {
-    switch (p.sense(i)) {
-      case Sense::kLessEqual:
-        EXPECT_LE(lhs[i], p.rhs(i) + kTol) << "row " << i;
-        break;
-      case Sense::kGreaterEqual:
-        EXPECT_GE(lhs[i], p.rhs(i) - kTol) << "row " << i;
-        break;
-      case Sense::kEqual:
-        EXPECT_NEAR(lhs[i], p.rhs(i), kTol) << "row " << i;
-        break;
-    }
-  }
-}
+using test::CertifyOptimal;
+using test::CertifyVerdict;
+using test::RandomBoxedLp;
+using test::RandomCoveringLp;
 
-// Engine-independent optimality certificate. Only uses the problem data and
-// the reported (x, duals), never any engine internals, so it judges the
-// dense, primal-sparse, and dual paths by the same yardstick:
-//  * primal feasibility (bounds + rows);
-//  * reduced cost d_j = c_j - y·a_j: d_j > 0 forces x_j to its lower
-//    bound, d_j < 0 forces it to its (finite) upper bound;
-//  * row duals: <= rows need y_i <= 0, >= rows need y_i >= 0, and a
-//    nonzero y_i needs the row tight (complementary slackness);
-//  * duality gap: c·x = y·b + Σ_j d_j·x_j up to tolerance.
-void ExpectKkt(const LpProblem& p, const LpSolution& sol) {
-  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-  ASSERT_EQ(static_cast<int>(sol.duals.size()), p.num_constraints());
-  ExpectFeasibleLp(p, sol.x);
-
-  const LpProblem::Columns cols = p.BuildColumns();
-  const double dtol = 1e-5;
-  double dual_obj = 0;
-  for (int i = 0; i < p.num_constraints(); ++i) {
-    dual_obj += sol.duals[i] * p.rhs(i);
-  }
-  for (int j = 0; j < p.num_vars(); ++j) {
-    double d = p.obj(j);
-    for (int e = cols.col_start[j]; e < cols.col_start[j + 1]; ++e) {
-      d -= sol.duals[cols.row[e]] * cols.coef[e];
-    }
-    const double scale = 1 + std::abs(p.obj(j));
-    if (d > dtol * scale) {
-      EXPECT_NEAR(sol.x[j], p.lo(j), 1e-5) << "var " << j << " d=" << d;
-    } else if (d < -dtol * scale) {
-      ASSERT_LT(p.hi(j), kInfinity) << "var " << j << " d=" << d;
-      EXPECT_NEAR(sol.x[j], p.hi(j), 1e-5) << "var " << j << " d=" << d;
-    }
-    dual_obj += d * sol.x[j];
-  }
-  const std::vector<double> lhs = p.EvaluateRows(sol.x);
-  for (int i = 0; i < p.num_constraints(); ++i) {
-    const double y = sol.duals[i];
-    switch (p.sense(i)) {
-      case Sense::kLessEqual:
-        EXPECT_LE(y, dtol) << "row " << i;
-        if (y < -dtol) EXPECT_NEAR(lhs[i], p.rhs(i), 1e-5) << "row " << i;
-        break;
-      case Sense::kGreaterEqual:
-        EXPECT_GE(y, -dtol) << "row " << i;
-        if (y > dtol) EXPECT_NEAR(lhs[i], p.rhs(i), 1e-5) << "row " << i;
-        break;
-      case Sense::kEqual:
-        break;
-    }
-  }
-  EXPECT_NEAR(dual_obj, sol.objective, 1e-4 * (1 + std::abs(sol.objective)));
-}
-
-// Solves p by every independent path — dense cold, sparse cold, and (when
-// `hint` is given) dual re-solve plus primal warm re-solve — and demands
-// identical classification, matching objectives, and a KKT certificate
-// from each optimum. Returns the dual solution when a hint was given (so
-// callers can inspect stats.dual_used), the sparse one otherwise.
+// Solves p cold and certifies the verdict. When `hint` is given, also
+// re-solves dually and primal-warm from it and demands the cold
+// classification, matching objectives, and a KKT certificate from each
+// optimum. Returns the dual solution when a hint was given (so callers
+// can inspect stats.dual_used), the cold one otherwise.
 LpSolution Differential(const LpProblem& p, const Basis* hint,
-                        SimplexOptions base = {}) {
-  SimplexOptions sparse_opts = base;
-  sparse_opts.use_dense_engine = false;
-  SimplexOptions dense_opts = base;
-  dense_opts.use_dense_engine = true;
+                        SimplexOptions options = {}) {
+  const SimplexSolver solver(options);
+  const LpSolution cold = solver.Solve(p);
+  EXPECT_TRUE(CertifyVerdict(p, cold));
+  if (hint == nullptr) return cold;
 
-  const LpSolution sparse = SimplexSolver(sparse_opts).Solve(p);
-  const LpSolution dense = SimplexSolver(dense_opts).Solve(p);
-  EXPECT_EQ(sparse.status, dense.status)
-      << "sparse=" << ToString(sparse.status)
-      << " dense=" << ToString(dense.status);
-  if (sparse.status == SolveStatus::kOptimal &&
-      dense.status == SolveStatus::kOptimal) {
-    EXPECT_NEAR(sparse.objective, dense.objective,
-                kTol * (1 + std::abs(sparse.objective)));
-    ExpectKkt(p, sparse);
-    ExpectKkt(p, dense);
-  }
-  if (hint == nullptr) return sparse;
-
-  const LpSolution dual = SimplexSolver(sparse_opts).ResolveDual(p, *hint);
-  const LpSolution warm = SimplexSolver(sparse_opts).Solve(p, hint);
-  EXPECT_EQ(dual.status, sparse.status)
+  const LpSolution dual = solver.ResolveDual(p, *hint);
+  const LpSolution warm = solver.Solve(p, hint);
+  EXPECT_EQ(dual.status, cold.status)
       << "dual=" << ToString(dual.status)
-      << " cold=" << ToString(sparse.status);
-  EXPECT_EQ(warm.status, sparse.status);
-  if (sparse.status == SolveStatus::kOptimal) {
-    EXPECT_NEAR(dual.objective, sparse.objective,
-                kTol * (1 + std::abs(sparse.objective)));
-    EXPECT_NEAR(warm.objective, sparse.objective,
-                kTol * (1 + std::abs(sparse.objective)));
-    ExpectKkt(p, dual);
-    ExpectKkt(p, warm);
+      << " cold=" << ToString(cold.status);
+  EXPECT_EQ(warm.status, cold.status);
+  if (cold.status == SolveStatus::kOptimal) {
+    EXPECT_NEAR(dual.objective, cold.objective,
+                kTol * (1 + std::abs(cold.objective)));
+    EXPECT_NEAR(warm.objective, cold.objective,
+                kTol * (1 + std::abs(cold.objective)));
+    EXPECT_TRUE(CertifyOptimal(p, dual));
+    EXPECT_TRUE(CertifyOptimal(p, warm));
   }
   return dual;
 }
 
 // --- instance generators (seeded; every family deterministic) -------------
-
-LpProblem RandomBoxedLp(Rng& rng, int n, int m, double density) {
-  LpProblem p;
-  for (int j = 0; j < n; ++j) {
-    const double lo = rng.Bernoulli(0.25) ? rng.Uniform(-1, 1) : 0.0;
-    p.AddVariable(rng.Uniform(-5, 5), lo, lo + rng.Uniform(0.5, 4));
-  }
-  for (int i = 0; i < m; ++i) {
-    const int pick = static_cast<int>(rng.UniformInt(0, 2));
-    const Sense s = pick == 0   ? Sense::kLessEqual
-                    : pick == 1 ? Sense::kGreaterEqual
-                                : Sense::kEqual;
-    const int r = p.AddConstraint(s, rng.Uniform(-2, 6));
-    int placed = 0;
-    for (int j = 0; j < n; ++j) {
-      if (rng.Bernoulli(density)) {
-        p.AddEntry(r, j, std::round(rng.Uniform(-3, 3)));
-        ++placed;
-      }
-    }
-    if (placed == 0) {
-      p.AddEntry(r, static_cast<int>(rng.UniformInt(0, n - 1)), 1);
-    }
-  }
-  return p;
-}
-
-// Guaranteed-feasible covering LP (x = 1 satisfies every >= row).
-LpProblem RandomCoveringLp(Rng& rng, int n, int m, double density) {
-  LpProblem p;
-  for (int j = 0; j < n; ++j) p.AddVariable(rng.Uniform(0.1, 2), 0, 1);
-  for (int i = 0; i < m; ++i) {
-    const int r = p.AddConstraint(Sense::kGreaterEqual, 0);
-    double row_sum = 0;
-    for (int j = 0; j < n; ++j) {
-      if (rng.Bernoulli(density)) {
-        const double a = rng.Uniform(0.2, 2);
-        p.AddEntry(r, j, a);
-        row_sum += a;
-      }
-    }
-    if (row_sum == 0) {
-      p.AddEntry(r, static_cast<int>(rng.UniformInt(0, n - 1)), 1);
-      row_sum = 1;
-    }
-    p.SetRhs(r, rng.Uniform(0.2, 0.8) * row_sum);
-  }
-  return p;
-}
 
 // n x n assignment polytope with integer costs: every vertex has 2n tight
 // rows for n^2 variables, so pivots are massively degenerate.
@@ -295,7 +163,7 @@ LpProblem RandomRankDeficientLp(Rng& rng, int n, int m) {
 }
 
 // ---------------------------------------------------------------------------
-// Cold differential sweeps: dense vs sparse vs KKT per family.
+// Cold sweeps: every verdict certified, per family.
 // ---------------------------------------------------------------------------
 
 TEST(LpDifferentialTest, BoxedFamilyAgrees) {
@@ -417,7 +285,9 @@ TEST(LpDifferentialTest, ObjectiveEditFallsBackToPrimal) {
 // A rung that makes the LP infeasible: the dual path must classify it
 // exactly like the cold primal (phase 1 stays the only infeasibility
 // authority — the dual loop hands over instead of declaring it itself).
+// The hand-over keeps the abandoned dual work in the returned counters.
 TEST(LpDifferentialTest, RungIntoInfeasibilityClassifiesLikeCold) {
+  int fallback_dual_pivots = 0;
   for (int seed = 0; seed < 20; ++seed) {
     Rng rng(90'000 + seed);
     LpProblem p = RandomCoveringLp(rng, 30, 15, 0.2);
@@ -435,7 +305,12 @@ TEST(LpDifferentialTest, RungIntoInfeasibilityClassifiesLikeCold) {
     p.SetRhs(i, row_sum + 1);
     const LpSolution sol = Differential(p, &base.basis);
     EXPECT_EQ(sol.status, SolveStatus::kInfeasible) << "seed " << seed;
+    if (sol.stats.dual_fallback) {
+      EXPECT_GE(sol.stats.pivots, sol.stats.dual_pivots) << "seed " << seed;
+      fallback_dual_pivots += sol.stats.dual_pivots;
+    }
   }
+  EXPECT_GT(fallback_dual_pivots, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -580,6 +455,7 @@ TEST(LpDifferentialTest, LuRepairFuzzNeverProducesNan) {
     }
     const LpSolution warm = SimplexSolver().Solve(lp_prob, &hint);
     const LpSolution cold = SimplexSolver().Solve(lp_prob);
+    EXPECT_TRUE(CertifyVerdict(lp_prob, cold));
     ASSERT_EQ(warm.status, cold.status);
     if (cold.status == SolveStatus::kOptimal) {
       EXPECT_NEAR(warm.objective, cold.objective, kTol);
@@ -665,7 +541,7 @@ TEST(LpDifferentialTest, FilterAssignLaddersAgreeColdWarmDual) {
       const double tol = 1e-7 * (1 + std::abs(cold.objective));
       EXPECT_NEAR(dual.objective, cold.objective, tol) << "ladder " << ladder;
       EXPECT_NEAR(warm.objective, cold.objective, tol) << "ladder " << ladder;
-      ExpectKkt(model.lp(), dual);
+      EXPECT_TRUE(CertifyOptimal(model.lp(), dual));
       ++rungs_checked;
       if (dual.stats.dual_used && !dual.stats.dual_fallback) ++dual_engaged;
       // Advance the retained basis through the model's own path (which

@@ -10,6 +10,7 @@
 #include "src/common/random.h"
 #include "src/lp/lp_problem.h"
 #include "src/lp/simplex.h"
+#include "tests/lp_oracle.h"
 
 namespace slp::lp {
 namespace {
@@ -160,29 +161,6 @@ ReferenceResult BruteForceLp(const LpProblem& p) {
   return best;
 }
 
-// Checks that x satisfies all constraints and bounds of p.
-void ExpectFeasible(const LpProblem& p, const std::vector<double>& x) {
-  ASSERT_EQ(static_cast<int>(x.size()), p.num_vars());
-  for (int j = 0; j < p.num_vars(); ++j) {
-    EXPECT_GE(x[j], p.lo(j) - kTol) << "var " << j;
-    EXPECT_LE(x[j], p.hi(j) + kTol) << "var " << j;
-  }
-  std::vector<double> lhs = p.EvaluateRows(x);
-  for (int i = 0; i < p.num_constraints(); ++i) {
-    switch (p.sense(i)) {
-      case Sense::kLessEqual:
-        EXPECT_LE(lhs[i], p.rhs(i) + kTol) << "row " << i;
-        break;
-      case Sense::kGreaterEqual:
-        EXPECT_GE(lhs[i], p.rhs(i) - kTol) << "row " << i;
-        break;
-      case Sense::kEqual:
-        EXPECT_NEAR(lhs[i], p.rhs(i), kTol) << "row " << i;
-        break;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // LpProblem model tests
 // ---------------------------------------------------------------------------
@@ -238,7 +216,7 @@ TEST(SimplexTest, SimpleMaximizationViaNegation) {
   auto sol = SimplexSolver().Solve(p);
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, -1.0, kTol);
-  ExpectFeasible(p, sol.x);
+  EXPECT_TRUE(test::LpFeasible(p, sol.x));
 }
 
 TEST(SimplexTest, KnownTwoVarProblem) {
@@ -272,7 +250,7 @@ TEST(SimplexTest, EqualityConstraint) {
   auto sol = SimplexSolver().Solve(p);
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, 4.0, kTol);
-  ExpectFeasible(p, sol.x);
+  EXPECT_TRUE(test::LpFeasible(p, sol.x));
 }
 
 TEST(SimplexTest, GreaterEqualCovering) {
@@ -292,7 +270,7 @@ TEST(SimplexTest, GreaterEqualCovering) {
   auto sol = SimplexSolver().Solve(p);
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, 9.0, kTol);
-  ExpectFeasible(p, sol.x);
+  EXPECT_TRUE(test::LpFeasible(p, sol.x));
 }
 
 TEST(SimplexTest, InfeasibleDetected) {
@@ -343,7 +321,7 @@ TEST(SimplexTest, NonzeroLowerBounds) {
   auto sol = SimplexSolver().Solve(p);
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, 5.0, kTol);
-  ExpectFeasible(p, sol.x);
+  EXPECT_TRUE(test::LpFeasible(p, sol.x));
 }
 
 TEST(SimplexTest, FixedVariable) {
@@ -407,7 +385,7 @@ TEST(SimplexTest, TransportationProblem) {
   auto sol = SimplexSolver().Solve(p);
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, 94.0, 1e-6);
-  ExpectFeasible(p, sol.x);
+  EXPECT_TRUE(test::LpFeasible(p, sol.x));
 }
 
 TEST(SimplexTest, DegenerateProblemTerminates) {
@@ -460,7 +438,8 @@ TEST(SimplexTest, DualsAvailableAtOptimum) {
 }
 
 // ---------------------------------------------------------------------------
-// Property test: random tiny LPs vs brute-force vertex enumeration.
+// Property test: random tiny LPs vs brute-force vertex enumeration, every
+// verdict also certified from the problem data.
 // ---------------------------------------------------------------------------
 
 class SimplexRandomTest : public ::testing::TestWithParam<int> {};
@@ -489,21 +468,14 @@ TEST_P(SimplexRandomTest, MatchesBruteForce) {
     }
   }
   const ReferenceResult ref = BruteForceLp(p);
-  SimplexOptions dense_opts;
-  dense_opts.use_dense_engine = true;
-  // Both engines against the brute-force reference.
-  for (const SimplexOptions& opts : {SimplexOptions{}, dense_opts}) {
-    const LpSolution sol = SimplexSolver(opts).Solve(p);
-    if (ref.feasible) {
-      ASSERT_EQ(sol.status, SolveStatus::kOptimal)
-          << "reference found objective " << ref.objective
-          << " dense=" << opts.use_dense_engine;
-      EXPECT_NEAR(sol.objective, ref.objective, 1e-5);
-      ExpectFeasible(p, sol.x);
-    } else {
-      EXPECT_EQ(sol.status, SolveStatus::kInfeasible)
-          << "dense=" << opts.use_dense_engine;
-    }
+  const LpSolution sol = SimplexSolver().Solve(p);
+  EXPECT_TRUE(test::CertifyVerdict(p, sol));
+  if (ref.feasible) {
+    ASSERT_EQ(sol.status, SolveStatus::kOptimal)
+        << "reference found objective " << ref.objective;
+    EXPECT_NEAR(sol.objective, ref.objective, 1e-5);
+  } else {
+    EXPECT_EQ(sol.status, SolveStatus::kInfeasible);
   }
 }
 
@@ -524,11 +496,93 @@ TEST(SimplexTest, MediumRandomLpFeasibleOptimum) {
   }
   auto sol = SimplexSolver().Solve(p);
   if (sol.status == SolveStatus::kOptimal) {
-    ExpectFeasible(p, sol.x);
+    EXPECT_TRUE(test::LpFeasible(p, sol.x));
     EXPECT_GE(sol.objective, -kTol);
   } else {
     EXPECT_EQ(sol.status, SolveStatus::kInfeasible);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The certificates themselves (tests/lp_oracle.h) must reject forged
+// verdicts, or a check through them proves nothing.
+// ---------------------------------------------------------------------------
+
+LpSolution Relabelled(LpSolution sol, SolveStatus status) {
+  sol.status = status;
+  return sol;
+}
+
+TEST(LpOracleTest, RejectsForgedVerdicts) {
+  // min -3x - 5y s.t. x <= 4; 2y <= 12; 3x + 2y <= 18; x,y >= 0: optimum
+  // -36 at (2, 6).
+  LpProblem known;
+  const int x = known.AddVariable(-3, 0, kInfinity);
+  const int y = known.AddVariable(-5, 0, kInfinity);
+  const int r0 = known.AddConstraint(Sense::kLessEqual, 4);
+  const int r1 = known.AddConstraint(Sense::kLessEqual, 12);
+  const int r2 = known.AddConstraint(Sense::kLessEqual, 18);
+  known.AddEntry(r0, x, 1);
+  known.AddEntry(r1, y, 2);
+  known.AddEntry(r2, x, 3);
+  known.AddEntry(r2, y, 2);
+  const LpSolution best = SimplexSolver().Solve(known);
+  ASSERT_EQ(best.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(test::CertifyVerdict(known, best));
+  EXPECT_FALSE(
+      test::CertifyVerdict(known, Relabelled(best, SolveStatus::kInfeasible)));
+  EXPECT_FALSE(
+      test::CertifyVerdict(known, Relabelled(best, SolveStatus::kUnbounded)));
+  LpSolution suboptimal = best;  // the vertex (4, 3), objective -27
+  suboptimal.x = {4, 3};
+  suboptimal.objective = -27;
+  ASSERT_TRUE(test::LpFeasible(known, suboptimal.x));
+  EXPECT_FALSE(test::CertifyVerdict(known, suboptimal));
+  LpSolution outside = best;  // (5, 6) breaks x <= 4
+  outside.x = {5, 6};
+  outside.objective = -45;
+  EXPECT_FALSE(test::CertifyVerdict(known, outside));
+
+  // x + y = 1 and x + y = 2 over [0, 10]^2.
+  LpProblem infeasible;
+  const int u = infeasible.AddVariable(0, 0, 10);
+  const int v = infeasible.AddVariable(0, 0, 10);
+  for (const double rhs : {1.0, 2.0}) {
+    const int r = infeasible.AddConstraint(Sense::kEqual, rhs);
+    infeasible.AddEntry(r, u, 1);
+    infeasible.AddEntry(r, v, 1);
+  }
+  const LpSolution none = SimplexSolver().Solve(infeasible);
+  ASSERT_EQ(none.status, SolveStatus::kInfeasible);
+  EXPECT_TRUE(test::CertifyVerdict(infeasible, none));
+  LpSolution claimed;  // meets the first row only
+  claimed.status = SolveStatus::kOptimal;
+  claimed.x = {0.5, 0.5};
+  claimed.duals = {0, 0};
+  EXPECT_FALSE(test::CertifyVerdict(infeasible, claimed));
+  EXPECT_FALSE(test::CertifyVerdict(
+      infeasible, Relabelled(none, SolveStatus::kUnbounded)));
+
+  // min -s s.t. s - t <= 0, s,t >= 0: the ray (1, 1) drives it to -inf.
+  LpProblem unbounded;
+  const int s = unbounded.AddVariable(-1, 0, kInfinity);
+  const int t = unbounded.AddVariable(0, 0, kInfinity);
+  const int r = unbounded.AddConstraint(Sense::kLessEqual, 0);
+  unbounded.AddEntry(r, s, 1);
+  unbounded.AddEntry(r, t, -1);
+  const LpSolution ray = SimplexSolver().Solve(unbounded);
+  ASSERT_EQ(ray.status, SolveStatus::kUnbounded);
+  EXPECT_TRUE(test::CertifyVerdict(unbounded, ray));
+  // A feasible point whose dual prices s at zero but leaves t a negative
+  // reduced cost on an unbounded column.
+  LpSolution stopped;
+  stopped.status = SolveStatus::kOptimal;
+  stopped.x = {1, 1};
+  stopped.duals = {-1};
+  stopped.objective = -1;
+  EXPECT_FALSE(test::CertifyVerdict(unbounded, stopped));
+  EXPECT_FALSE(test::CertifyVerdict(
+      unbounded, Relabelled(ray, SolveStatus::kInfeasible)));
 }
 
 }  // namespace
