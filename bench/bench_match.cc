@@ -1,20 +1,17 @@
-// Matching-engine benchmark (DESIGN.md §11): events/sec of the legacy
-// linear-scan dissemination engine vs the grid-indexed engine, single
-// thread and sharded over the shared thread pool, on a large grid
-// workload (defaults: 1000 brokers, 100k subscribers, multi-level tree
-// with the paper's out-degree 15).
+// Matching benchmark (DESIGN.md §11): events/sec of Simulate's routing
+// kernel, single thread and sharded over the shared thread pool, on a
+// large grid workload (defaults: 1000 brokers, 100k subscribers,
+// multi-level tree with the paper's out-degree 15). Index build cost is
+// included in both timings.
 //
 // The solution is a fast hand-rolled nearest-leaf assignment with exact
 // MEB path filters — coverage and nesting hold by construction, so the
-// stream routes with zero missed deliveries and the two engines must
-// produce bit-identical stats (checked here on a common event prefix
-// before timing; the full differential lives in tests/match_test).
-//
-// The legacy engine is timed on a short event prefix (its ground-truth
-// walk is O(m) per event — 100k subscriptions per event makes long
-// streams pointless); the indexed engine routes the full stream. Events
-// come from deterministic per-shard Rng::Fork substreams, so the stream
-// is identical regardless of how it is later sharded.
+// stream must route with zero missed deliveries, and the sharded run must
+// produce stats bit-identical to the serial one (both checked here; the
+// full differential against a brute-force router lives in
+// tests/match_test). Events come from deterministic per-shard Rng::Fork
+// substreams, so the stream is identical regardless of how it is later
+// sharded.
 //
 // Prints a table and writes BENCH_match.json (path from argv[1] or
 // SLP_BENCH_MATCH_JSON; default ./BENCH_match.json).
@@ -120,8 +117,6 @@ int Main(int argc, char** argv) {
   const int subs = EnvInt("SLP_SUBS", 100000);
   const int brokers = EnvInt("SLP_BROKERS", 1000);
   const int num_events = EnvInt("SLP_EVENTS", 20000);
-  const int linear_events = std::min(EnvInt("SLP_LINEAR_EVENTS", 2000),
-                                     num_events);
   // Default shard count: the machine's cores, capped at 8 (on a 1-core
   // box the sharded row then honestly shows pool overhead, not parallel
   // gain).
@@ -162,64 +157,41 @@ int Main(int argc, char** argv) {
       }
     }
   }
-  const std::vector<geo::Point> prefix(events.begin(),
-                                       events.begin() + linear_events);
 
-  PrintHeader("Matching engines (grid workload, " + std::to_string(subs) +
+  PrintHeader("Matching (grid workload, " + std::to_string(subs) +
               " subscribers, " + std::to_string(brokers) + " brokers)");
-  std::printf("nearest-leaf solve: %.2fs; stream: %d events "
-              "(linear prefix %d)\n\n",
-              solve_seconds, num_events, linear_events);
-
-  // Differential on the common prefix before timing anything.
-  const sim::DisseminationStats lin_stats =
-      sim::Simulate(problem, solution, prefix, {sim::MatchEngine::kLinear, 1});
-  const sim::DisseminationStats idx_stats =
-      sim::Simulate(problem, solution, prefix, {sim::MatchEngine::kIndexed, 1});
-  const bool differential_ok = StatsEqual(lin_stats, idx_stats);
-  if (!differential_ok) {
-    std::fprintf(stderr, "ENGINE MISMATCH on %d-event prefix\n",
-                 linear_events);
-  }
-  if (lin_stats.missed_deliveries != 0) {
-    std::fprintf(stderr, "nearest-leaf solution missed deliveries\n");
-    return 1;
-  }
-
-  // Timed runs (index build cost included in the indexed timings).
-  WallTimer lin_timer;
-  sim::Simulate(problem, solution, prefix, {sim::MatchEngine::kLinear, 1});
-  const double lin_seconds = lin_timer.Seconds();
-  const double lin_eps = linear_events / lin_seconds;
+  std::printf("nearest-leaf solve: %.2fs; stream: %d events\n\n",
+              solve_seconds, num_events);
 
   WallTimer idx_timer;
-  const sim::DisseminationStats full_idx =
-      sim::Simulate(problem, solution, events, {sim::MatchEngine::kIndexed, 1});
+  const sim::DisseminationStats serial =
+      sim::Simulate(problem, solution, events, {1});
   const double idx_seconds = idx_timer.Seconds();
   const double idx_eps = num_events / idx_seconds;
 
   WallTimer shard_timer;
-  const sim::DisseminationStats full_sharded = sim::Simulate(
-      problem, solution, events, {sim::MatchEngine::kIndexed, num_shards});
+  const sim::DisseminationStats sharded =
+      sim::Simulate(problem, solution, events, {num_shards});
   const double shard_seconds = shard_timer.Seconds();
   const double shard_eps = num_events / shard_seconds;
 
-  const bool sharded_ok = StatsEqual(full_idx, full_sharded);
+  const bool no_misses = serial.missed_deliveries == 0;
+  if (!no_misses) {
+    std::fprintf(stderr, "nearest-leaf solution missed %lld deliveries\n",
+                 static_cast<long long>(serial.missed_deliveries));
+  }
+  const bool sharded_ok = StatsEqual(serial, sharded);
   if (!sharded_ok) {
     std::fprintf(stderr, "SHARDED MISMATCH (%d shards)\n", num_shards);
   }
 
-  std::printf("%-22s %10s %14s %9s\n", "engine", "events", "events/sec",
-              "speedup");
-  std::printf("%-22s %10d %14.0f %9s\n", "linear (legacy)", linear_events,
-              lin_eps, "1.0x");
-  std::printf("%-22s %10d %14.0f %8.1fx\n", "indexed", num_events, idx_eps,
-              idx_eps / lin_eps);
-  std::printf("%-22s %10d %14.0f %8.1fx\n",
-              ("indexed x" + std::to_string(num_shards)).c_str(), num_events,
-              shard_eps, shard_eps / lin_eps);
-  std::printf("\ndifferential (prefix): %s; sharded == serial: %s\n",
-              differential_ok ? "identical" : "MISMATCH",
+  std::printf("%-22s %10s %14s\n", "routing", "events", "events/sec");
+  std::printf("%-22s %10d %14.0f\n", "serial", num_events, idx_eps);
+  std::printf("%-22s %10d %14.0f\n",
+              ("sharded x" + std::to_string(num_shards)).c_str(), num_events,
+              shard_eps);
+  std::printf("\nmissed deliveries: %lld; sharded == serial: %s\n",
+              static_cast<long long>(serial.missed_deliveries),
               sharded_ok ? "identical" : "MISMATCH");
 
   FILE* f = std::fopen(json_path.c_str(), "w");
@@ -230,22 +202,18 @@ int Main(int argc, char** argv) {
   std::fprintf(f, "{\n  \"workload\": \"grid\",\n");
   std::fprintf(f, "  \"subscribers\": %d,\n  \"brokers\": %d,\n", subs,
                brokers);
-  std::fprintf(f, "  \"events\": %d,\n  \"linear_events\": %d,\n",
-               num_events, linear_events);
+  std::fprintf(f, "  \"events\": %d,\n", num_events);
   std::fprintf(f, "  \"num_shards\": %d,\n", num_shards);
-  std::fprintf(f, "  \"linear_events_per_sec\": %.1f,\n", lin_eps);
   std::fprintf(f, "  \"indexed_events_per_sec\": %.1f,\n", idx_eps);
   std::fprintf(f, "  \"sharded_events_per_sec\": %.1f,\n", shard_eps);
-  std::fprintf(f, "  \"speedup_indexed\": %.2f,\n", idx_eps / lin_eps);
-  std::fprintf(f, "  \"speedup_sharded\": %.2f,\n", shard_eps / lin_eps);
-  std::fprintf(f, "  \"differential_identical\": %s,\n",
-               differential_ok ? "true" : "false");
+  std::fprintf(f, "  \"missed_deliveries\": %lld,\n",
+               static_cast<long long>(serial.missed_deliveries));
   std::fprintf(f, "  \"sharded_identical\": %s\n",
                sharded_ok ? "true" : "false");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());
-  return differential_ok && sharded_ok ? 0 : 1;
+  return no_misses && sharded_ok ? 0 : 1;
 }
 
 }  // namespace

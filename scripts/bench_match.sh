@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Builds (Release) and runs the matching-engine benchmark, leaving
-# BENCH_match.json in the repo root: events/sec of the legacy linear-scan
-# dissemination engine vs the grid-indexed engine (single thread and
-# sharded over the shared thread pool) on a 1000-broker / 100k-subscriber
-# grid workload, with an in-run differential check that both engines
-# produce bit-identical stats on a common event prefix.
+# Builds (Release) and runs the matching benchmark, leaving
+# BENCH_match.json in the repo root: events/sec of Simulate's routing
+# (single thread and sharded over the shared thread pool) on a
+# 1000-broker / 100k-subscriber grid workload. The binary exits nonzero
+# unless the stream routes with zero missed deliveries and the sharded
+# stats equal the serial ones.
 #
 # Usage: scripts/bench_match.sh [build-dir]   (default: build-release)
 set -euo pipefail

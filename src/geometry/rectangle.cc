@@ -48,8 +48,10 @@ double Rectangle::Volume() const {
 
 bool Rectangle::ContainsPoint(const Point& p) const {
   SLP_DCHECK(static_cast<int>(p.size()) == dim());
+  // The positive test: a NaN coordinate fails it, so a non-finite event
+  // lies outside every rectangle.
   for (size_t i = 0; i < lo_.size(); ++i) {
-    if (p[i] < lo_[i] || p[i] > hi_[i]) return false;
+    if (!(p[i] >= lo_[i] && p[i] <= hi_[i])) return false;
   }
   return true;
 }

@@ -25,10 +25,12 @@ namespace slp::geo {
 //
 //  * An event landing exactly on the shared edge of two abutting
 //    rectangles is contained in BOTH. Every point-containment path — this
-//    class, Filter::ContainsPoint, the linear scans in sim::dissemination,
-//    and the grid index in src/match — must agree on such events
-//    bit-for-bit; the match differential tests probe shared edges and
-//    corners explicitly.
+//    class, Filter::ContainsPoint, the brute-force router in tests/, and
+//    the grid index in src/match — must agree on such events bit-for-bit;
+//    the match differential tests probe shared edges and corners
+//    explicitly.
+//  * A non-finite coordinate lies outside every rectangle: every path
+//    tests lo_i <= p_i && p_i <= hi_i positively, which a NaN fails.
 //  * Union volume is measure-theoretic: a shared face has measure zero,
 //    so the closed convention never double-counts volume. Realized traffic
 //    of abutting filters can exceed the volume sum only on a

@@ -15,39 +15,40 @@ using audit::Category;
 // across the list so early and late ingestions are both sampled).
 constexpr int kMaxSampledRects = 64;
 
-// Owners containing p by linear scan over the reference list, sorted.
-std::vector<int32_t> LinearScan(const std::vector<OwnedRect>& reference,
-                                const geo::Point& p) {
-  std::vector<int32_t> owners;
-  for (const OwnedRect& r : reference) {
-    if (r.rect.ContainsPoint(p)) owners.push_back(r.owner);
+std::string Describe(const geo::Point& p) {
+  std::string s = "(";
+  for (size_t i = 0; i < p.size(); ++i) {
+    if (i > 0) s += ", ";
+    s += std::to_string(p[i]);
   }
-  std::sort(owners.begin(), owners.end());
-  owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
-  return owners;
+  return s + ")";
 }
 
 void CheckProbe(const MatchIndex& index, MatchBatch& batch,
                 const std::vector<OwnedRect>& reference, const geo::Point& p,
                 const std::string& context) {
+  // Linear scan at rectangle granularity (duplicate owners count twice),
+  // the reference for the dedup-free answer; its distinct owners are the
+  // reference for the deduplicating probe.
+  std::vector<int32_t> want_rects;
+  for (const OwnedRect& r : reference) {
+    if (r.rect.ContainsPoint(p)) want_rects.push_back(r.owner);
+  }
+  std::sort(want_rects.begin(), want_rects.end());
+  std::vector<int32_t> want = want_rects;
+  want.erase(std::unique(want.begin(), want.end()), want.end());
+
   std::vector<int32_t> got = batch.Probe(p);
   std::sort(got.begin(), got.end());
-  const std::vector<int32_t> want = LinearScan(reference, p);
   SLP_AUDIT_CHECK(Category::kMatchIndex, got == want,
-                  context + ": probe (" + std::to_string(p[0]) + ", " +
-                      std::to_string(p[1]) + ") index answered " +
+                  context + ": probe " + Describe(p) + " index answered " +
                       std::to_string(got.size()) + " owners, linear scan " +
                       std::to_string(want.size()));
-  // Count/any answers must agree with the same linear scan (rectangle
-  // granularity, so duplicates in the reference count twice).
-  int rect_hits = 0;
-  for (const OwnedRect& r : reference) rect_hits += r.rect.ContainsPoint(p);
-  SLP_AUDIT_CHECK(Category::kMatchIndex,
-                  index.CountContaining(p[0], p[1]) == rect_hits,
-                  context + ": CountContaining disagrees with linear scan");
-  SLP_AUDIT_CHECK(Category::kMatchIndex,
-                  index.AnyContains(p[0], p[1]) == (rect_hits > 0),
-                  context + ": AnyContains disagrees with linear scan");
+  std::vector<int32_t> got_rects;
+  index.AppendContaining(p, &got_rects);
+  std::sort(got_rects.begin(), got_rects.end());
+  SLP_AUDIT_CHECK(Category::kMatchIndex, got_rects == want_rects,
+                  context + ": AppendContaining disagrees with linear scan");
 }
 
 }  // namespace
@@ -75,17 +76,20 @@ void AuditIndex(const MatchIndex& index,
   const int stride = std::max(1, n / kMaxSampledRects);
   for (int k = 0; k < n; k += stride) {
     const geo::Rectangle& r = reference[k].rect;
-    for (unsigned mask = 0; mask < 4; ++mask) {
+    for (unsigned mask = 0; mask < (1u << r.dim()); ++mask) {
       CheckProbe(index, batch, reference, r.Corner(mask), context);
     }
     const geo::Point c = r.Center();
     CheckProbe(index, batch, reference, c, context);
-    // Edge midpoints: center coordinate on one axis, face on the other —
-    // interior-of-edge probes distinct from the corners.
-    CheckProbe(index, batch, reference, {r.lo(0), c[1]}, context);
-    CheckProbe(index, batch, reference, {r.hi(0), c[1]}, context);
-    CheckProbe(index, batch, reference, {c[0], r.lo(1)}, context);
-    CheckProbe(index, batch, reference, {c[0], r.hi(1)}, context);
+    // Face centers: the center moved onto one face — interior-of-face
+    // probes distinct from the corners (the edge midpoints when d = 2).
+    for (int a = 0; a < r.dim(); ++a) {
+      geo::Point f = c;
+      f[a] = r.lo(a);
+      CheckProbe(index, batch, reference, f, context);
+      f[a] = r.hi(a);
+      CheckProbe(index, batch, reference, f, context);
+    }
   }
   for (const geo::Point& p : extra_probes) {
     CheckProbe(index, batch, reference, p, context);

@@ -3,11 +3,11 @@
 // a linear scan over the reference rectangles the index was built from.
 //
 // The probe sample is adversarial by construction: for a strided subset of
-// reference rectangles it takes all four corners, the edge midpoints, and
-// the center — the corner/edge probes are exactly the points where a
-// closed-vs-half-open containment mismatch (or a grid cell-range
-// off-by-one) shows up. Violations are reported through slp::audit::Fail
-// with Category::kMatchIndex.
+// reference rectangles it takes all 2^d corners, the face centers (the
+// edge midpoints when d = 2), and the center — the corner/face probes are
+// exactly the points where a closed-vs-half-open containment mismatch (or
+// a grid cell-range off-by-one) shows up. Violations are reported through
+// slp::audit::Fail with Category::kMatchIndex.
 //
 // As with every auditor, the function is compiled in all build types
 // (tests drive it directly with a recording handler); library call sites

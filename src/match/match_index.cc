@@ -10,13 +10,29 @@ namespace slp::match {
 
 namespace {
 
-// Grid resolution: ~sqrt(n) cells per axis keeps expected candidates per
-// cell O(1) for small rectangles while bounding build cost for large ones
-// (a rectangle spanning the whole extent touches every cell of its rows).
-int GridResolution(int num_rects) {
-  const int g = static_cast<int>(std::ceil(std::sqrt(
-      static_cast<double>(std::max(num_rects, 1)))));
-  return std::clamp(g, 1, 512);
+// At most this many grid cells per mean rectangle side on an axis.
+constexpr double kCellsPerMeanSide = 6;
+
+// Grid resolution of one axis. ~sqrt(n) cells keeps the expected
+// candidates per cell O(1) for small rectangles. A broad rectangle would
+// cover ~sqrt(n) * side / extent cells of the axis, so the resolution is
+// also capped at kCellsPerMeanSide cells per mean side: a typical
+// rectangle then fills ~(k + 1)^2 cells (build time and memory), while a
+// probe tests ~(1 + 1/k)^2 times as many candidates as it matches.
+int GridResolution(int num_rects, double extent, double mean_side) {
+  double g = std::ceil(std::sqrt(static_cast<double>(std::max(num_rects, 1))));
+  if (mean_side > 0) {
+    g = std::min(g, std::ceil(kCellsPerMeanSide * extent / mean_side));
+  }
+  return static_cast<int>(std::clamp(g, 1.0, 512.0));
+}
+
+// Cell of coordinate offset `c` (already in cell units) on an axis of `g`
+// cells: floor(c) clamped to [0, g - 1], with the clamp done in floating
+// point so the int conversion never sees a NaN or out-of-range value.
+int ClampedCell(double c, int g) {
+  if (!(c > 0)) return 0;
+  return c < g ? static_cast<int>(c) : g - 1;
 }
 
 }  // namespace
@@ -24,7 +40,7 @@ int GridResolution(int num_rects) {
 MatchIndex::Builder& MatchIndex::Builder::Add(int owner,
                                               const geo::Rectangle& rect) {
   SLP_DCHECK(owner >= 0 && owner < num_owners_);
-  SLP_DCHECK(rect.dim() == 2);
+  SLP_DCHECK(rect.dim() >= 1);
   rects_.push_back(OwnedRect{owner, rect});
   return *this;
 }
@@ -35,100 +51,112 @@ MatchIndex MatchIndex::Builder::Build() && {
 
 int MatchIndex::CellX(double x) const {
   // inv_wx_ == 0 (flat axis or empty index) maps everything to cell 0.
-  const int c = static_cast<int>(std::floor((x - min_x_) * inv_wx_));
-  return std::clamp(c, 0, gx_ - 1);
+  return ClampedCell((x - min_x_) * inv_wx_, gx_);
 }
 
 int MatchIndex::CellY(double y) const {
-  const int c = static_cast<int>(std::floor((y - min_y_) * inv_wy_));
-  return std::clamp(c, 0, gy_ - 1);
+  return ClampedCell((y - min_y_) * inv_wy_, gy_);
 }
 
 geo::Rectangle MatchIndex::rect(int k) const {
   SLP_DCHECK(k >= 0 && k < num_rects());
-  return geo::Rectangle({lo_x_[k], lo_y_[k]}, {hi_x_[k], hi_y_[k]});
+  std::vector<double> lo(dim_), hi(dim_);
+  lo[0] = lo_x_[k];
+  hi[0] = hi_x_[k];
+  if (dim_ > 1) {
+    lo[1] = lo_y_[k];
+    hi[1] = hi_y_[k];
+  }
+  const size_t rest = static_cast<size_t>(dim_ > 2 ? dim_ - 2 : 0);
+  for (size_t a = 0; a < rest; ++a) {
+    lo[a + 2] = lo_rest_[k * rest + a];
+    hi[a + 2] = hi_rest_[k * rest + a];
+  }
+  return geo::Rectangle(std::move(lo), std::move(hi));
 }
 
-void MatchIndex::Probe(double x, double y, BitSet* owners,
-                       std::vector<int32_t>* matched) const {
-  SLP_DCHECK(owners->size() >= num_owners_);
-  if (owner_.empty() || x < min_x_ || x > max_x_ || y < min_y_ || y > max_y_) {
-    return;
+bool MatchIndex::ContainsRest(int k, const double* rest) const {
+  const size_t n = static_cast<size_t>(dim_ - 2);
+  const double* lo = lo_rest_.data() + k * n;
+  const double* hi = hi_rest_.data() + k * n;
+  for (size_t a = 0; a < n; ++a) {
+    if (!(rest[a] >= lo[a] && rest[a] <= hi[a])) return false;
   }
+  return true;
+}
+
+template <typename Fn>
+void MatchIndex::ForEachContaining(double x, double y, const double* rest,
+                                   Fn&& fn) const {
+  if (owner_.empty()) return;
+  // The positive test rejects a NaN before it reaches the cell functions.
+  if (!(x >= min_x_ && x <= max_x_ && y >= min_y_ && y <= max_y_)) return;
   int count = 0;
   const int32_t* ids = CellBegin(CellX(x), CellY(y), &count);
   for (int i = 0; i < count; ++i) {
     const int32_t k = ids[i];
-    if (x < lo_x_[k] || x > hi_x_[k] || y < lo_y_[k] || y > hi_y_[k]) continue;
+    if (!(x >= lo_x_[k] && x <= hi_x_[k] && y >= lo_y_[k] && y <= hi_y_[k])) {
+      continue;
+    }
+    if (rest != nullptr && !ContainsRest(k, rest)) continue;
+    fn(k);
+  }
+}
+
+template <typename Fn>
+void MatchIndex::ForEachContaining(const geo::Point& p, Fn&& fn) const {
+  if (owner_.empty()) return;
+  SLP_DCHECK(static_cast<int>(p.size()) == dim_);
+  ForEachContaining(p[0], dim_ > 1 ? p[1] : 0.0,
+                    dim_ > 2 ? p.data() + 2 : nullptr, std::forward<Fn>(fn));
+}
+
+void MatchIndex::Probe(const geo::Point& p, BitSet* owners,
+                       std::vector<int32_t>* matched) const {
+  SLP_DCHECK(owners->size() >= num_owners_);
+  ForEachContaining(p, [&](int32_t k) {
     const int32_t o = owner_[k];
     if (!owners->Test(o)) {
       owners->Set(o);
       matched->push_back(o);
     }
-  }
+  });
 }
 
-int MatchIndex::CountContaining(double x, double y) const {
-  if (owner_.empty() || x < min_x_ || x > max_x_ || y < min_y_ || y > max_y_) {
-    return 0;
-  }
-  int count = 0;
-  const int32_t* ids = CellBegin(CellX(x), CellY(y), &count);
-  int hits = 0;
-  for (int i = 0; i < count; ++i) {
-    const int32_t k = ids[i];
-    hits += x >= lo_x_[k] && x <= hi_x_[k] && y >= lo_y_[k] && y <= hi_y_[k];
-  }
-  return hits;
+void MatchIndex::AppendContaining(const geo::Point& p,
+                                  std::vector<int32_t>* out) const {
+  ForEachContaining(p, [&](int32_t k) { out->push_back(owner_[k]); });
 }
 
 void MatchIndex::AppendContaining(double x, double y,
                                   std::vector<int32_t>* out) const {
-  if (owner_.empty() || x < min_x_ || x > max_x_ || y < min_y_ || y > max_y_) {
-    return;
-  }
-  int count = 0;
-  const int32_t* ids = CellBegin(CellX(x), CellY(y), &count);
-  for (int i = 0; i < count; ++i) {
-    const int32_t k = ids[i];
-    if (x >= lo_x_[k] && x <= hi_x_[k] && y >= lo_y_[k] && y <= hi_y_[k]) {
-      out->push_back(owner_[k]);
-    }
-  }
+  SLP_DCHECK(dim_ <= 2);
+  ForEachContaining(x, dim_ > 1 ? y : 0.0, nullptr,
+                    [&](int32_t k) { out->push_back(owner_[k]); });
 }
 
 void MatchIndex::AppendContainingRect(const geo::Rectangle& q,
                                       std::vector<int32_t>* out) const {
-  SLP_DCHECK(q.dim() == 2);
-  const double qlx = q.lo(0), qhx = q.hi(0), qly = q.lo(1), qhy = q.hi(1);
-  if (owner_.empty() || qlx < min_x_ || qhx > max_x_ || qly < min_y_ ||
-      qhy > max_y_) {
+  if (owner_.empty()) return;
+  SLP_DCHECK(q.dim() == dim_);
+  const double qlx = q.lo(0), qhx = q.hi(0);
+  const double qly = dim_ > 1 ? q.lo(1) : 0.0, qhy = dim_ > 1 ? q.hi(1) : 0.0;
+  if (!(qlx >= min_x_ && qhx <= max_x_ && qly >= min_y_ && qhy <= max_y_)) {
     return;
   }
+  const size_t rest = static_cast<size_t>(dim_ > 2 ? dim_ - 2 : 0);
   int count = 0;
   const int32_t* ids = CellBegin(CellX(qlx), CellY(qly), &count);
   for (int i = 0; i < count; ++i) {
     const int32_t k = ids[i];
-    if (lo_x_[k] <= qlx && qhx <= hi_x_[k] && lo_y_[k] <= qly &&
-        qhy <= hi_y_[k]) {
-      out->push_back(owner_[k]);
+    bool inside = lo_x_[k] <= qlx && qhx <= hi_x_[k] && lo_y_[k] <= qly &&
+                  qhy <= hi_y_[k];
+    for (size_t a = 0; a < rest && inside; ++a) {
+      inside = lo_rest_[k * rest + a] <= q.lo(static_cast<int>(a) + 2) &&
+               q.hi(static_cast<int>(a) + 2) <= hi_rest_[k * rest + a];
     }
+    if (inside) out->push_back(owner_[k]);
   }
-}
-
-bool MatchIndex::AnyContains(double x, double y) const {
-  if (owner_.empty() || x < min_x_ || x > max_x_ || y < min_y_ || y > max_y_) {
-    return false;
-  }
-  int count = 0;
-  const int32_t* ids = CellBegin(CellX(x), CellY(y), &count);
-  for (int i = 0; i < count; ++i) {
-    const int32_t k = ids[i];
-    if (x >= lo_x_[k] && x <= hi_x_[k] && y >= lo_y_[k] && y <= hi_y_[k]) {
-      return true;
-    }
-  }
-  return false;
 }
 
 MatchIndex BuildIndex(const std::vector<OwnedRect>& rects, int num_owners) {
@@ -141,32 +169,45 @@ MatchIndex BuildIndex(const std::vector<OwnedRect>& rects, int num_owners) {
     return idx;
   }
 
+  const int d = rects[0].rect.dim();
+  SLP_DCHECK(d >= 1);
+  idx.dim_ = d;
+  const size_t rest = static_cast<size_t>(d > 2 ? d - 2 : 0);
   idx.lo_x_.resize(n);
   idx.hi_x_.resize(n);
-  idx.lo_y_.resize(n);
-  idx.hi_y_.resize(n);
+  idx.lo_y_.assign(n, 0.0);
+  idx.hi_y_.assign(n, 0.0);
+  idx.lo_rest_.resize(n * rest);
+  idx.hi_rest_.resize(n * rest);
   idx.owner_.resize(n);
-  idx.min_x_ = rects[0].rect.lo(0);
-  idx.max_x_ = rects[0].rect.hi(0);
-  idx.min_y_ = rects[0].rect.lo(1);
-  idx.max_y_ = rects[0].rect.hi(1);
   for (int k = 0; k < n; ++k) {
     const geo::Rectangle& r = rects[k].rect;
-    SLP_DCHECK(r.dim() == 2);
+    SLP_DCHECK(r.dim() == d);
     SLP_DCHECK(rects[k].owner >= 0 && rects[k].owner < num_owners);
     idx.lo_x_[k] = r.lo(0);
     idx.hi_x_[k] = r.hi(0);
-    idx.lo_y_[k] = r.lo(1);
-    idx.hi_y_[k] = r.hi(1);
+    if (d > 1) {
+      idx.lo_y_[k] = r.lo(1);
+      idx.hi_y_[k] = r.hi(1);
+    }
+    for (size_t a = 0; a < rest; ++a) {
+      idx.lo_rest_[k * rest + a] = r.lo(static_cast<int>(a) + 2);
+      idx.hi_rest_[k * rest + a] = r.hi(static_cast<int>(a) + 2);
+    }
     idx.owner_[k] = rects[k].owner;
-    idx.min_x_ = std::min(idx.min_x_, r.lo(0));
-    idx.max_x_ = std::max(idx.max_x_, r.hi(0));
-    idx.min_y_ = std::min(idx.min_y_, r.lo(1));
-    idx.max_y_ = std::max(idx.max_y_, r.hi(1));
+  }
+  idx.min_x_ = *std::min_element(idx.lo_x_.begin(), idx.lo_x_.end());
+  idx.max_x_ = *std::max_element(idx.hi_x_.begin(), idx.hi_x_.end());
+  idx.min_y_ = *std::min_element(idx.lo_y_.begin(), idx.lo_y_.end());
+  idx.max_y_ = *std::max_element(idx.hi_y_.begin(), idx.hi_y_.end());
+  double side_x = 0, side_y = 0;
+  for (int k = 0; k < n; ++k) {
+    side_x += idx.hi_x_[k] - idx.lo_x_[k];
+    side_y += idx.hi_y_[k] - idx.lo_y_[k];
   }
 
-  idx.gx_ = GridResolution(n);
-  idx.gy_ = idx.gx_;
+  idx.gx_ = GridResolution(n, idx.max_x_ - idx.min_x_, side_x / n);
+  idx.gy_ = GridResolution(n, idx.max_y_ - idx.min_y_, side_y / n);
   idx.inv_wx_ = idx.max_x_ > idx.min_x_
                     ? static_cast<double>(idx.gx_) / (idx.max_x_ - idx.min_x_)
                     : 0;

@@ -1,20 +1,23 @@
-// Indexed event matching over the d=2 event space (ROADMAP item 1;
-// DESIGN.md §11).
+// Indexed event matching over the event space R^d (DESIGN.md §11).
 //
 // The production hot path of a content-based pub/sub system is "which
-// broker filters / which subscriptions contain event e". The simulator
-// used to answer it rectangle-by-rectangle — linear in filter size per
-// broker per event. MatchIndex ingests every rectangle once into a
-// cache-friendly SoA layout (flat lo_x/hi_x/lo_y/hi_y arrays, int32 owner
-// tags, indices not pointers) under a uniform stabbing grid: each grid
-// cell lists the rectangles overlapping it (CSR storage), so a probe
-// locates the event's cell and tests only that cell's candidates.
+// broker filters / which subscriptions contain event e". MatchIndex
+// ingests every rectangle once into a cache-friendly SoA layout (flat
+// lo_x/hi_x/lo_y/hi_y arrays, int32 owner tags, indices not pointers)
+// under a uniform stabbing grid over axes 0 and 1: each grid cell lists
+// the rectangles overlapping it (CSR storage), so a probe locates the
+// event's cell and tests only that cell's candidates. Any d >= 1 is
+// accepted: when d = 1, axis 1 is flat (every rectangle and probe sits at
+// y = 0); when d > 2, axes 2 and up are stored per rectangle and checked
+// exactly on the candidates, in a loop that runs only then.
 //
 // Containment is CLOSED on every edge, matching geo::Rectangle exactly
 // (see the boundary-convention block in rectangle.h): an event on the
 // shared edge of two abutting rectangles matches both, and the index must
 // agree bit-for-bit with a linear scan — AuditIndex (src/match/audit.h)
-// and the differential tests enforce this on corner/edge probes.
+// and the differential tests enforce this on corner/edge probes. A
+// non-finite coordinate lies outside every rectangle: every test is the
+// positive one (lo <= x && x <= hi), which a NaN fails.
 //
 // Owners: every rectangle carries an owner id in [0, num_owners). A probe
 // answers the set of owners with at least one containing rectangle (an
@@ -49,7 +52,8 @@ class MatchIndex {
     // bitsets of this width.
     explicit Builder(int num_owners) : num_owners_(num_owners) {}
 
-    // Adds one rectangle (must be d=2) for `owner`.
+    // Adds one rectangle for `owner`. Every rectangle of one index has
+    // the same dimension.
     Builder& Add(int owner, const geo::Rectangle& rect);
 
     MatchIndex Build() &&;
@@ -63,25 +67,24 @@ class MatchIndex {
 
   int num_owners() const { return num_owners_; }
   int num_rects() const { return static_cast<int>(owner_.size()); }
+  // Dimension of the indexed rectangles (0 for an empty index).
+  int dim() const { return dim_; }
 
   // Rectangle k as ingested (reconstructed from the SoA arrays).
   geo::Rectangle rect(int k) const;
   int32_t owner(int k) const { return owner_[k]; }
 
-  // Sets the bit of every owner with a rectangle containing (x, y) in
-  // `owners` (size() must be >= num_owners()) and appends each such owner
-  // once to `matched` (callers use it to iterate matches and to clear
-  // `owners` in O(matches)). `matched` is appended to, not cleared.
-  void Probe(double x, double y, BitSet* owners,
+  // Sets the bit of every owner with a rectangle containing p in `owners`
+  // (size() must be >= num_owners()) and appends each such owner once to
+  // `matched` (callers use it to iterate matches and to clear `owners` in
+  // O(matches)). `matched` is appended to, not cleared.
+  void Probe(const geo::Point& p, BitSet* owners,
              std::vector<int32_t>* matched) const;
 
-  // Number of rectangles (not owners) containing (x, y). The delivery
-  // counter for single-rectangle owners (subscriptions): no bitset, no
-  // allocation.
-  int CountContaining(double x, double y) const;
-
-  // Appends the owner of every rectangle containing (x, y) to `out`,
-  // without deduplication — exact for single-rectangle owners.
+  // Appends the owner of every rectangle containing p to `out`, without
+  // deduplication — exact for single-rectangle owners.
+  void AppendContaining(const geo::Point& p, std::vector<int32_t>* out) const;
+  // The same probe at (x, y), for an index of dimension at most 2.
   void AppendContaining(double x, double y, std::vector<int32_t>* out) const;
 
   // Owner-tagged containment probe: appends the owner of every rectangle
@@ -92,16 +95,27 @@ class MatchIndex {
   void AppendContainingRect(const geo::Rectangle& q,
                             std::vector<int32_t>* out) const;
 
-  // True iff some rectangle contains (x, y) — any-match short circuit.
-  bool AnyContains(double x, double y) const;
-
  private:
   friend MatchIndex BuildIndex(const std::vector<OwnedRect>& rects,
                                int num_owners);
 
-  // Grid cell of a coordinate, clamped to the axis range. Monotone in x,
-  // which is what makes [CellX(lo), CellX(hi)] cover every cell a
-  // contained point can land in regardless of floating-point rounding.
+  // Calls fn(k) for every rectangle k containing the point (x, y, rest),
+  // in increasing k. `rest` points at the point's axes 2 and up, or is
+  // null when dim() <= 2.
+  template <typename Fn>
+  void ForEachContaining(double x, double y, const double* rest,
+                         Fn&& fn) const;
+  template <typename Fn>
+  void ForEachContaining(const geo::Point& p, Fn&& fn) const;
+
+  // Axes 2 and up of rectangle k contain `rest` (dim() > 2 only).
+  bool ContainsRest(int k, const double* rest) const;
+
+  // Grid cell of a coordinate, clamped to the axis range before the cast
+  // (a non-finite value maps to an end cell, never through an undefined
+  // conversion). Monotone in x, which is what makes [CellX(lo),
+  // CellX(hi)] cover every cell a contained point can land in regardless
+  // of floating-point rounding.
   int CellX(double x) const;
   int CellY(double y) const;
 
@@ -113,9 +127,13 @@ class MatchIndex {
   }
 
   int num_owners_ = 0;
+  int dim_ = 0;
 
-  // SoA rectangle storage, index-aligned.
+  // SoA rectangle storage, index-aligned. Axis 1 is all zeros when
+  // dim_ = 1; lo_rest_/hi_rest_ hold axes 2..dim_-1 of rectangle k at
+  // [k * (dim_ - 2), (k + 1) * (dim_ - 2)) and are empty when dim_ <= 2.
   std::vector<double> lo_x_, hi_x_, lo_y_, hi_y_;
+  std::vector<double> lo_rest_, hi_rest_;
   std::vector<int32_t> owner_;
 
   // Uniform stabbing grid over the bounding box of all rectangles.
@@ -127,7 +145,8 @@ class MatchIndex {
 };
 
 // Convenience: builds an index over `rects` (callers keep `rects` as the
-// auditors' linear-scan reference).
+// auditors' linear-scan reference). Every rectangle has the same
+// dimension.
 MatchIndex BuildIndex(const std::vector<OwnedRect>& rects, int num_owners);
 
 // A reusable probe context: owns the answer bitset and matched-owner list
@@ -140,15 +159,11 @@ class MatchBatch {
 
   // Probes one event. The returned list (owners of matching rectangles,
   // deduplicated) and owners() stay valid until the next Probe call.
-  const std::vector<int32_t>& Probe(double x, double y) {
+  const std::vector<int32_t>& Probe(const geo::Point& p) {
     for (int32_t id : matched_) owners_.Reset(id);
     matched_.clear();
-    index_->Probe(x, y, &owners_, &matched_);
+    index_->Probe(p, &owners_, &matched_);
     return matched_;
-  }
-
-  const std::vector<int32_t>& Probe(const geo::Point& p) {
-    return Probe(p[0], p[1]);
   }
 
   // Bitset view of the last probe's matches.

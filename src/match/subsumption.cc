@@ -45,10 +45,7 @@ void SubsumptionIndex::MaybeRebuild() {
   if (!TailTooLong(tail, built_) && !dead_heavy) return;
 
   // Compact retirements away, then rebuild the grid over every remaining
-  // d=2 entry; other dimensions stay linear (the tail below built_ is
-  // empty for them, so they are scanned in the tail loop every probe —
-  // acceptable: non-2d problems are small by the d=2 gate on the fast
-  // paths). Order is preserved, so probe answers stay deterministic.
+  // entry. Order is preserved, so probe answers stay deterministic.
   std::vector<Entry> kept;
   kept.reserve(alive_count_);
   for (const Entry& e : entries_) {
@@ -57,25 +54,16 @@ void SubsumptionIndex::MaybeRebuild() {
   entries_ = std::move(kept);
   retired_indexed_ = 0;
 
-  // Partition: grid-indexable (d=2) entries first, preserving relative
-  // order, so [0, built_) is exactly the grid's domain.
-  std::stable_partition(entries_.begin(), entries_.end(),
-                        [](const Entry& e) { return e.rect.dim() == 2; });
-  int d2 = 0;
-  while (d2 < static_cast<int>(entries_.size()) &&
-         entries_[d2].rect.dim() == 2) {
-    ++d2;
-  }
-  MatchIndex::Builder builder(d2);
-  for (int k = 0; k < d2; ++k) builder.Add(k, entries_[k].rect);
+  built_ = static_cast<int>(entries_.size());
+  MatchIndex::Builder builder(built_);
+  for (int k = 0; k < built_; ++k) builder.Add(k, entries_[k].rect);
   grid_ = std::move(builder).Build();
-  built_ = d2;
 }
 
 void SubsumptionIndex::AppendCoverers(const geo::Rectangle& q,
                                       std::vector<int32_t>* out) const {
   const size_t base = out->size();
-  if (built_ > 0 && q.dim() == 2) {
+  if (built_ > 0) {
     scratch_.clear();
     grid_.AppendContainingRect(q, &scratch_);
     for (int32_t k : scratch_) {
@@ -85,7 +73,7 @@ void SubsumptionIndex::AppendCoverers(const geo::Rectangle& q,
   }
   for (size_t k = built_; k < entries_.size(); ++k) {
     const Entry& e = entries_[k];
-    if (e.owner >= 0 && e.rect.dim() == q.dim() && e.rect.Contains(q)) {
+    if (e.owner >= 0 && e.rect.Contains(q)) {
       out->push_back(e.owner);
     }
   }

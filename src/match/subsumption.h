@@ -14,8 +14,8 @@
 // into a rebuilt grid once it outgrows a fraction of the indexed part, and
 // retired entries are skipped at probe time and compacted away on the next
 // rebuild. Rebuild points depend only on the call sequence, so probe
-// answers are deterministic. Entries of dimension != 2 are kept in the
-// linear tail permanently (the grid is d=2-gated, like MatchIndex).
+// answers are deterministic. Every entry and query has the same dimension;
+// the grid indexes any d (MatchIndex checks axes 2 and up exactly).
 
 #ifndef SLP_MATCH_SUBSUMPTION_H_
 #define SLP_MATCH_SUBSUMPTION_H_

@@ -5,206 +5,10 @@
 
 #include "src/common/invariant.h"
 #include "src/common/parallel.h"
-#include "src/common/status.h"
-#include "src/match/audit.h"
 #include "src/match/match_index.h"
+#include "src/sim/route.h"
 
 namespace slp::sim {
-
-namespace {
-
-// Assigned subscribers grouped by leaf node id. Subscribers with
-// assignment[j] < 0 (parked/orphaned in a dynamic snapshot) are skipped
-// and counted in *unplaced — indexing subs_of_leaf by a negative id was
-// undefined behavior before this guard existed.
-std::vector<std::vector<int>> GroupSubsByLeaf(const core::SaProblem& problem,
-                                              const core::SaSolution& solution,
-                                              int* unplaced) {
-  std::vector<std::vector<int>> subs_of_leaf(problem.tree().num_nodes());
-  *unplaced = 0;
-  for (int j = 0; j < problem.num_subscribers(); ++j) {
-    const int leaf = solution.assignment[j];
-    if (leaf < 0) {
-      ++*unplaced;
-      continue;
-    }
-    SLP_DCHECK(leaf < problem.tree().num_nodes());
-    subs_of_leaf[leaf].push_back(j);
-  }
-  return subs_of_leaf;
-}
-
-// ---- Legacy linear engine (differential baseline) ----
-
-// Routes one event from the publisher down the tree. Returns via `stats`.
-void RouteEventLinear(const core::SaProblem& problem,
-                      const core::SaSolution& solution,
-                      const geo::Point& event,
-                      const std::vector<std::vector<int>>& subs_of_leaf,
-                      DisseminationStats* stats) {
-  const auto& tree = problem.tree();
-  // DFS from the publisher; enter a broker iff its filter contains the
-  // event (the paper's forwarding condition e ∈ f_i).
-  std::vector<int> stack(tree.children(net::BrokerTree::kPublisher).begin(),
-                         tree.children(net::BrokerTree::kPublisher).end());
-  while (!stack.empty()) {
-    const int v = stack.back();
-    stack.pop_back();
-    if (!solution.filters[v].ContainsPoint(event)) continue;
-    ++stats->broker_hits[v];
-    ++stats->total_messages;
-    if (tree.is_leaf(v)) {
-      bool delivered_any = false;
-      for (int j : subs_of_leaf[v]) {
-        if (problem.subscriber(j).subscription.ContainsPoint(event)) {
-          ++stats->deliveries;
-          delivered_any = true;
-        }
-      }
-      if (!delivered_any) ++stats->wasted_leaf_hits;
-    } else {
-      for (int c : tree.children(v)) stack.push_back(c);
-    }
-  }
-  // Ground truth: every *placed* subscriber whose subscription matches must
-  // have been reachable (its leaf's filter chain must contain the event).
-  for (int j = 0; j < problem.num_subscribers(); ++j) {
-    if (solution.assignment[j] < 0) continue;  // unplaced: no leaf to reach
-    if (!problem.subscriber(j).subscription.ContainsPoint(event)) continue;
-    // Walk up from the assigned leaf: all filters on the path must contain
-    // the event for delivery to have happened.
-    bool reached = true;
-    for (int v = solution.assignment[j]; v != net::BrokerTree::kPublisher;
-         v = problem.tree().parent(v)) {
-      if (!solution.filters[v].ContainsPoint(event)) {
-        reached = false;
-        break;
-      }
-    }
-    if (!reached) ++stats->missed_deliveries;
-  }
-}
-
-// ---- Indexed engine (DESIGN.md §11) ----
-
-// The per-deployment indexes, built once per Simulate call:
-//  * brokers     — every filter rectangle, owner = tree node id; one probe
-//                  yields the set of brokers whose filters contain e;
-//  * leaf[v]     — leaf v's subscriptions, owner = position in
-//                  subs_of_leaf[v]; a count per reached leaf replaces the
-//                  per-subscriber scan (subscriptions are single
-//                  rectangles, so a plain hit count is exact);
-//  * subscribers — all placed subscriptions, owner = subscriber index;
-//                  drives the ground-truth miss walk in O(matches).
-struct DeploymentIndex {
-  match::MatchIndex brokers;
-  std::vector<match::MatchIndex> leaf;  // by node id; empty for non-leaves
-  match::MatchIndex subscribers;
-};
-
-DeploymentIndex BuildDeploymentIndex(
-    const core::SaProblem& problem, const core::SaSolution& solution,
-    const std::vector<std::vector<int>>& subs_of_leaf) {
-  const auto& tree = problem.tree();
-  DeploymentIndex dx;
-
-  std::vector<match::OwnedRect> broker_rects;
-  for (int v = 1; v < tree.num_nodes(); ++v) {
-    for (const geo::Rectangle& r : solution.filters[v].rects()) {
-      broker_rects.push_back({v, r});
-    }
-  }
-  dx.brokers = match::BuildIndex(broker_rects, tree.num_nodes());
-
-  std::vector<match::OwnedRect> sub_rects;
-  dx.leaf.resize(tree.num_nodes());
-  for (int v : tree.leaf_brokers()) {
-    std::vector<match::OwnedRect> local;
-    local.reserve(subs_of_leaf[v].size());
-    for (int j : subs_of_leaf[v]) {
-      local.push_back({static_cast<int32_t>(local.size()),
-                       problem.subscriber(j).subscription});
-      sub_rects.push_back({j, problem.subscriber(j).subscription});
-    }
-    dx.leaf[v] = match::BuildIndex(local, static_cast<int>(local.size()));
-#if SLP_AUDITS_ENABLED
-    match::AuditIndex(dx.leaf[v], local,
-                      "dissemination leaf index " + std::to_string(v));
-#endif
-  }
-  dx.subscribers =
-      match::BuildIndex(sub_rects, problem.num_subscribers());
-#if SLP_AUDITS_ENABLED
-  match::AuditIndex(dx.brokers, broker_rects, "dissemination broker index");
-  match::AuditIndex(dx.subscribers, sub_rects,
-                    "dissemination subscriber index");
-#endif
-  return dx;
-}
-
-// Per-shard probe workspace: the probe contexts and scratch bitsets one
-// routing thread reuses across events (no allocation per event).
-struct IndexedRouter {
-  explicit IndexedRouter(const DeploymentIndex& dx, int num_nodes)
-      : broker_probe(&dx.brokers), reached(num_nodes) {}
-
-  match::MatchBatch broker_probe;
-  match::BitSet reached;  // leaves this event's DFS entered
-  std::vector<int> reached_leaves;
-  std::vector<int> stack;
-  std::vector<int32_t> sub_matched;
-};
-
-void RouteEventIndexed(const core::SaProblem& problem,
-                       const core::SaSolution& solution,
-                       const geo::Point& event, const DeploymentIndex& dx,
-                       IndexedRouter* router, DisseminationStats* stats) {
-  const auto& tree = problem.tree();
-  const double x = event[0], y = event[1];
-
-  // One probe answers e ∈ f_v for every broker v; the DFS then costs one
-  // bit test per hop instead of a rectangle scan.
-  router->broker_probe.Probe(x, y);
-  const match::BitSet& contains = router->broker_probe.owners();
-
-  router->stack.assign(tree.children(net::BrokerTree::kPublisher).begin(),
-                       tree.children(net::BrokerTree::kPublisher).end());
-  while (!router->stack.empty()) {
-    const int v = router->stack.back();
-    router->stack.pop_back();
-    if (!contains.Test(v)) continue;
-    ++stats->broker_hits[v];
-    ++stats->total_messages;
-    if (tree.is_leaf(v)) {
-      const int cnt = dx.leaf[v].CountContaining(x, y);
-      if (cnt > 0) {
-        stats->deliveries += cnt;
-      } else {
-        ++stats->wasted_leaf_hits;
-      }
-      router->reached.Set(v);
-      router->reached_leaves.push_back(v);
-    } else {
-      for (int c : tree.children(v)) router->stack.push_back(c);
-    }
-  }
-
-  // Ground truth over matching placed subscribers only: j's event was
-  // delivered iff the DFS entered j's leaf (the filter chain containing e
-  // is exactly the DFS entry condition).
-  router->sub_matched.clear();
-  dx.subscribers.AppendContaining(x, y, &router->sub_matched);
-  for (const int32_t j : router->sub_matched) {
-    if (!router->reached.Test(solution.assignment[j])) {
-      ++stats->missed_deliveries;
-    }
-  }
-
-  for (const int v : router->reached_leaves) router->reached.Reset(v);
-  router->reached_leaves.clear();
-}
-
-}  // namespace
 
 void DisseminationStats::CheckInvariants() const {
   using audit::Category;
@@ -226,25 +30,39 @@ void DisseminationStats::CheckInvariants() const {
                   "wasted_leaf_hits > total_messages");
 }
 
+namespace detail {
+
 DisseminationStats Simulate(const core::SaProblem& problem,
                             const core::SaSolution& solution,
                             const std::vector<geo::Point>& events,
-                            const SimulateOptions& options) {
-  SLP_DCHECK(static_cast<int>(solution.filters.size()) ==
-             problem.tree().num_nodes());
-  const int num_nodes = problem.tree().num_nodes();
-  int unplaced = 0;
-  const std::vector<std::vector<int>> subs_of_leaf =
-      GroupSubsByLeaf(problem, solution, &unplaced);
+                            const SimulateOptions& options, Matcher* matcher) {
+  const net::BrokerTree& tree = problem.tree();
+  const int num_nodes = tree.num_nodes();
+  SLP_DCHECK(static_cast<int>(solution.filters.size()) == num_nodes);
 
-  // The index is d=2-only; other event dimensions (and the trivial empty
-  // deployment) take the linear scan.
-  const bool indexed =
-      options.engine == MatchEngine::kIndexed &&
-      problem.num_subscribers() > 0 &&
-      problem.subscriber(0).subscription.dim() == 2;
-  DeploymentIndex dx;
-  if (indexed) dx = BuildDeploymentIndex(problem, solution, subs_of_leaf);
+  std::vector<match::OwnedRect> broker_rects;
+  for (int v = 1; v < num_nodes; ++v) {
+    for (const geo::Rectangle& r : solution.filters[v].rects()) {
+      broker_rects.push_back({v, r});
+    }
+  }
+  matcher->IndexBrokers(broker_rects, num_nodes);
+
+  // Placed subscriptions only: a subscriber with assignment[j] < 0 (parked
+  // or orphaned in a dynamic snapshot) has no leaf to reach, so it is
+  // counted once and kept out of the miss walk.
+  int unplaced = 0;
+  std::vector<match::OwnedRect> sub_rects;
+  sub_rects.reserve(problem.num_subscribers());
+  for (int j = 0; j < problem.num_subscribers(); ++j) {
+    if (solution.assignment[j] < 0) {
+      ++unplaced;
+      continue;
+    }
+    SLP_DCHECK(solution.assignment[j] < num_nodes);
+    sub_rects.push_back({j, problem.subscriber(j).subscription});
+  }
+  matcher->IndexSubscriptions(sub_rects, problem.num_subscribers());
 
   const int num_events = static_cast<int>(events.size());
   const int shards =
@@ -252,17 +70,22 @@ DisseminationStats Simulate(const core::SaProblem& problem,
 
   auto route_range = [&](int begin, int end, DisseminationStats* stats) {
     stats->broker_hits.assign(num_nodes, 0);
-    if (indexed) {
-      IndexedRouter router(dx, num_nodes);
-      for (int i = begin; i < end; ++i) {
-        ++stats->events;
-        RouteEventIndexed(problem, solution, events[i], dx, &router, stats);
-      }
-    } else {
-      for (int i = begin; i < end; ++i) {
-        ++stats->events;
-        RouteEventLinear(problem, solution, events[i], subs_of_leaf, stats);
-      }
+    Router router(*matcher, num_nodes);
+    const auto children = [&](int v) -> const std::vector<int>& {
+      return tree.children(v);
+    };
+    const auto forwards = [](int) { return true; };
+    const auto leaf_of = [&](int32_t j) { return solution.assignment[j]; };
+    // A matching placed subscriber is delivered iff the DFS reached its
+    // leaf (the filter chain containing e is exactly the DFS entry
+    // condition), and missed otherwise.
+    const auto on_match = [&](int32_t, int, bool reached) {
+      ++(reached ? stats->deliveries : stats->missed_deliveries);
+    };
+    for (int i = begin; i < end; ++i) {
+      ++stats->events;
+      router.Route(events[i], tree, children, forwards, leaf_of, on_match,
+                   stats);
     }
   };
 
@@ -296,6 +119,16 @@ DisseminationStats Simulate(const core::SaProblem& problem,
   stats.unplaced_subscribers = unplaced;
   stats.CheckInvariants();
   return stats;
+}
+
+}  // namespace detail
+
+DisseminationStats Simulate(const core::SaProblem& problem,
+                            const core::SaSolution& solution,
+                            const std::vector<geo::Point>& events,
+                            const SimulateOptions& options) {
+  detail::IndexedMatcher matcher;
+  return detail::Simulate(problem, solution, events, options, &matcher);
 }
 
 DisseminationStats SimulateUniform(const core::SaProblem& problem,

@@ -12,18 +12,14 @@
 //  * quantifies false positives: traffic into brokers whose subscribers
 //    did not need the event (the slack the optimizer minimizes).
 //
-// Two interchangeable matching engines drive the replay (DESIGN.md §11):
-//
-//  * kIndexed (default) — the production fast path. All broker filter
-//    rectangles go into one match::MatchIndex (owner = node id) and each
-//    leaf's subscriptions into a per-leaf index, so routing an event costs
-//    one index probe for the whole tree (a bitset of brokers whose filters
-//    contain it), a bit-test DFS per hop, and one popcount-style count per
-//    reached leaf; the ground-truth miss walk probes a global subscriber
-//    index instead of scanning all m subscriptions.
-//  * kLinear — the legacy rectangle-by-rectangle scan, kept as the
-//    differential baseline. Both engines produce bit-identical
-//    DisseminationStats on every workload (enforced by tests/match_test).
+// Routing (DESIGN.md §11) indexes every broker filter rectangle and every
+// placed subscription once per call (src/match, any event dimension d).
+// Each event then costs one broker-filter probe, a bit-test DFS, and one
+// walk over the event's matching subscriptions, which counts deliveries
+// and misses and marks the leaves that served one; reached leaves that
+// served none are the wasted hits. The kernel is shared with the fault
+// replay (src/sim/route.h), and tests/match_test checks every counter
+// against a brute-force router.
 
 #ifndef SLP_SIM_DISSEMINATION_H_
 #define SLP_SIM_DISSEMINATION_H_
@@ -36,14 +32,7 @@
 
 namespace slp::sim {
 
-// Which matching engine routes events.
-enum class MatchEngine {
-  kLinear,   // legacy rectangle-by-rectangle scan (differential baseline)
-  kIndexed,  // grid-indexed matching (src/match)
-};
-
 struct SimulateOptions {
-  MatchEngine engine = MatchEngine::kIndexed;
   // Number of contiguous event shards processed in parallel on the shared
   // thread pool. Counters are order-independent sums, so any shard count
   // produces bit-identical stats (enforced by tests); 1 = serial.
@@ -105,6 +94,19 @@ DisseminationStats Simulate(const core::SaProblem& problem,
                             const core::SaSolution& solution,
                             const std::vector<geo::Point>& events,
                             const SimulateOptions& options = {});
+
+namespace detail {
+
+class Matcher;
+
+// Simulate with the probes of `matcher` (src/sim/route.h), which it
+// indexes itself; the public Simulate passes the grid-indexed matcher.
+DisseminationStats Simulate(const core::SaProblem& problem,
+                            const core::SaSolution& solution,
+                            const std::vector<geo::Point>& events,
+                            const SimulateOptions& options, Matcher* matcher);
+
+}  // namespace detail
 
 }  // namespace slp::sim
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <set>
 #include <utility>
 
@@ -10,97 +9,12 @@
 #include "src/core/greedy.h"
 #include "src/core/metrics.h"
 #include "src/liveness/heartbeat.h"
-#include "src/match/audit.h"
 #include "src/match/match_index.h"
+#include "src/sim/route.h"
 
 namespace slp::sim {
 
 namespace {
-
-// Ground-truth view threaded through routing: events die at actually-down
-// brokers even when the believed overlay still routes through them, and
-// deliveries to offline clients are diverted into stale_deliveries.
-struct GroundTruth {
-  const liveness::HeartbeatChannel& channel;
-  const std::vector<int>& client_of_handle;  // handle -> client
-  int64_t& stale_deliveries;
-};
-
-// A matching event arrived at `client`'s leaf: a delivery if the client is
-// listening, a stale delivery if it is offline.
-void CountArrival(const GroundTruth& truth, int client,
-                  DisseminationStats* stats) {
-  if (truth.channel.client_offline(client)) {
-    ++truth.stale_deliveries;
-  } else {
-    ++stats->deliveries;
-  }
-}
-
-// Routes one event over the live overlay (the kLinear reference engine): a
-// broker forwards iff it is live and the event lies inside its current
-// (DynamicAssigner) filter.
-// Failed brokers never appear in live_children, which the SLP_DCHECK below
-// asserts — they are excluded from total_messages by construction. An
-// actually-down broker still *receives* the message (its believed parent
-// sent it) but forwards nothing.
-void RouteLiveEvent(const core::DynamicAssigner& dyn, const geo::Point& event,
-                    const std::vector<std::vector<int>>& handles_of_leaf,
-                    const GroundTruth& truth, DisseminationStats* stats) {
-  const net::BrokerTree& tree = dyn.tree();
-  std::vector<int> stack(
-      tree.live_children(net::BrokerTree::kPublisher).begin(),
-      tree.live_children(net::BrokerTree::kPublisher).end());
-  while (!stack.empty()) {
-    const int v = stack.back();
-    stack.pop_back();
-    SLP_DCHECK(!tree.is_failed(v));
-    bool inside = false;
-    for (const geo::Rectangle& r : dyn.filter(v)) {
-      if (r.ContainsPoint(event)) {
-        inside = true;
-        break;
-      }
-    }
-    if (!inside) continue;
-    ++stats->broker_hits[v];
-    ++stats->total_messages;
-    if (truth.channel.broker_down(v)) continue;
-    if (tree.is_leaf(v)) {
-      bool matched_any = false;
-      for (int h : handles_of_leaf[v]) {
-        if (dyn.subscriber(h).subscription.ContainsPoint(event)) {
-          matched_any = true;
-          CountArrival(truth, truth.client_of_handle[h], stats);
-        }
-      }
-      if (!matched_any) ++stats->wasted_leaf_hits;
-    } else {
-      for (int c : tree.live_children(v)) stack.push_back(c);
-    }
-  }
-}
-
-// True iff every hop on the live path from `leaf` to the publisher is
-// actually up and its filter contains the event — i.e., routing physically
-// delivered it.
-bool ReachedOverLivePath(const core::DynamicAssigner& dyn, int leaf,
-                         const geo::Point& event, const GroundTruth& truth) {
-  const net::BrokerTree& tree = dyn.tree();
-  for (int v = leaf; v != net::BrokerTree::kPublisher;
-       v = tree.live_parent(v)) {
-    if (truth.channel.broker_down(v)) return false;
-    bool inside = false;
-    for (const geo::Rectangle& r : dyn.filter(v)) {
-      if (r.ContainsPoint(event)) {
-        inside = true;
-        break;
-      }
-    }
-    if (!inside) return false;
-  }
-  return true;
-}
 
 // True iff some broker on the believed live path of `leaf` is actually
 // down (the event's non-arrival is the detector's lag, not a filter bug).
@@ -114,100 +28,17 @@ bool BelievedPathActuallyDown(const core::DynamicAssigner& dyn, int leaf,
   return false;
 }
 
-std::vector<std::vector<int>> HandlesByLeaf(const core::DynamicAssigner& dyn) {
-  std::vector<std::vector<int>> out(dyn.tree().num_nodes());
-  for (int h = 0; h < dyn.slot_count(); ++h) {
-    if (!dyn.is_occupied(h)) continue;
-    const int leaf = dyn.leaf_of(h);
-    if (leaf >= 0) out[leaf].push_back(h);
-  }
-  return out;
-}
-
-// ---- Indexed live routing (DESIGN.md §11) ----
-//
-// The live analogue of the dissemination DeploymentIndex: the current
-// filter rectangles of every *live* broker (failed brokers are excluded at
-// build time, so they can never be probed in), rebuilt whenever placement
-// changes. The clients' subscriptions are indexed once per replay instead
-// (see ReplayWithFaults).
-struct LiveEngine {
-  match::MatchIndex brokers;
-};
-
-LiveEngine BuildLiveEngine(const core::DynamicAssigner& dyn) {
+// The current filter rectangles of every *live* broker (owner = node id).
+// Failed brokers are left out, so they can never be probed in.
+std::vector<match::OwnedRect> LiveBrokerRects(
+    const core::DynamicAssigner& dyn) {
   const net::BrokerTree& tree = dyn.tree();
-  std::vector<match::OwnedRect> broker_rects;
+  std::vector<match::OwnedRect> rects;
   for (int v = 1; v < tree.num_nodes(); ++v) {
     if (tree.is_failed(v)) continue;
-    for (const geo::Rectangle& r : dyn.filter(v)) {
-      broker_rects.push_back({v, r});
-    }
+    for (const geo::Rectangle& r : dyn.filter(v)) rects.push_back({v, r});
   }
-  LiveEngine eng{match::BuildIndex(broker_rects, tree.num_nodes())};
-#if SLP_AUDITS_ENABLED
-  match::AuditIndex(eng.brokers, broker_rects, "fault-replay broker index");
-#endif
-  return eng;
-}
-
-// Per-replay probe workspace; recreated with the engine on rebuilds (the
-// MatchBatch holds a pointer into it).
-struct LiveRouter {
-  LiveRouter(const LiveEngine& eng, int num_nodes)
-      : broker_probe(&eng.brokers), reached(num_nodes), served(num_nodes) {}
-
-  match::MatchBatch broker_probe;
-  match::BitSet reached;  // live leaves this event physically arrived at
-  match::BitSet served;   // reached leaves holding a matching client
-  std::vector<int> reached_leaves;
-  std::vector<int> stack;
-};
-
-// Indexed replacement for RouteLiveEvent's DFS: one probe per event and a
-// bit test per live hop. It only marks the live leaves the event reached;
-// the walk over the event's matching clients then counts the deliveries
-// and marks the leaves that served one, and ClearReached counts the rest
-// as wasted. The DFS prunes at actually-down brokers (after counting the
-// message the believed parent sent), so `reached` means "the event
-// physically arrived", not "the believed overlay would have routed it".
-void RouteLiveEventIndexed(const core::DynamicAssigner& dyn,
-                           const geo::Point& event,
-                           const liveness::HeartbeatChannel& channel,
-                           LiveRouter* router, DisseminationStats* stats) {
-  const net::BrokerTree& tree = dyn.tree();
-  router->broker_probe.Probe(event);
-  const match::BitSet& contains = router->broker_probe.owners();
-
-  router->stack.assign(
-      tree.live_children(net::BrokerTree::kPublisher).begin(),
-      tree.live_children(net::BrokerTree::kPublisher).end());
-  while (!router->stack.empty()) {
-    const int v = router->stack.back();
-    router->stack.pop_back();
-    SLP_DCHECK(!tree.is_failed(v));
-    if (!contains.Test(v)) continue;
-    ++stats->broker_hits[v];
-    ++stats->total_messages;
-    if (channel.broker_down(v)) continue;
-    if (tree.is_leaf(v)) {
-      router->reached.Set(v);
-      router->reached_leaves.push_back(v);
-    } else {
-      for (int c : tree.live_children(v)) router->stack.push_back(c);
-    }
-  }
-}
-
-// Counts each reached leaf that served no matching client as a wasted hit
-// and clears the event's marks.
-void ClearReached(LiveRouter* router, DisseminationStats* stats) {
-  for (const int v : router->reached_leaves) {
-    if (!router->served.Test(v)) ++stats->wasted_leaf_hits;
-    router->reached.Reset(v);
-    router->served.Reset(v);
-  }
-  router->reached_leaves.clear();
+  return rects;
 }
 
 Status ValidateOptions(const FaultReplayOptions& options) {
@@ -271,10 +102,12 @@ FaultPlan FaultPlan::SeededRandom(const net::BrokerTree& tree, int num_events,
   return Scripted(std::move(events));
 }
 
+namespace detail {
+
 Result<FaultReplayResult> ReplayWithFaults(
     core::DynamicAssigner& dyn, const FaultPlan& plan,
     const std::vector<geo::Point>& events, const FaultReplayOptions& options,
-    Rng& rng) {
+    Rng& rng, Matcher* matcher) {
   SLP_RETURN_IF_ERROR(ValidateOptions(options));
   const liveness::LeaseConfig& lease = options.lease;
   const net::BrokerTree& tree = dyn.tree();
@@ -323,33 +156,18 @@ Result<FaultReplayResult> ReplayWithFaults(
     phase_clients[c % client_interval].push_back(c);
   }
 
-  const GroundTruth truth{channel, client_of_handle, result.stale_deliveries};
-
-  // Indexed matching is d=2-only; other dimensions (and the empty
-  // population) take the linear scans.
-  const bool indexed = options.engine == MatchEngine::kIndexed &&
-                       num_clients > 0 && client_sub[0].subscription.dim() == 2;
   // A client's subscription never changes (a reconnect re-Adds
   // client_sub[c]), so one index over them, keyed by client id, serves
   // the whole replay; only the broker filters are re-indexed as placement
-  // changes.
-  match::MatchIndex client_index;
-  if (indexed) {
-    std::vector<match::OwnedRect> client_rects;
-    client_rects.reserve(num_clients);
-    for (int c = 0; c < num_clients; ++c) {
-      client_rects.push_back({c, client_sub[c].subscription});
-    }
-    client_index = match::BuildIndex(client_rects, num_clients);
-#if SLP_AUDITS_ENABLED
-    match::AuditIndex(client_index, client_rects, "fault-replay client index");
-#endif
+  // changes (repairs, fail/recover, expiries, reconnects).
+  std::vector<match::OwnedRect> client_rects;
+  client_rects.reserve(num_clients);
+  for (int c = 0; c < num_clients; ++c) {
+    client_rects.push_back({c, client_sub[c].subscription});
   }
-  LiveEngine live_engine;
-  std::unique_ptr<LiveRouter> router;
-  std::vector<std::vector<int>> handles_of_leaf;  // kLinear only
+  matcher->IndexSubscriptions(client_rects, num_clients);
+  Router router(*matcher, num_nodes);
   bool placement_dirty = true;
-  std::vector<int32_t> matched_clients;
 
   EpochRecoveryStats epoch;
   epoch.first_event = 0;
@@ -364,6 +182,52 @@ Result<FaultReplayResult> ReplayWithFaults(
   // Clients whose lease expired (untracked); they reconnect at their next
   // refresh phase once online. Ordered set: iteration is deterministic.
   std::set<int> expired;
+
+  // Routing over the believed overlay (step 6). Events die at actually-
+  // down brokers, after the believed parent's message is counted; an
+  // arrival for an offline client is a stale delivery. A matching client
+  // the event did not reach is attributed against ground truth. Order
+  // matters: an actually-down broker on the believed path explains the
+  // miss (missed_undetected) before any filter reasoning — missed_live
+  // stays reserved for true coverage bugs.
+  const auto children = [&](int v) -> const std::vector<int>& {
+    return tree.live_children(v);
+  };
+  const auto forwards = [&](int v) {
+    SLP_DCHECK(!tree.is_failed(v));
+    return !channel.broker_down(v);
+  };
+  const auto leaf_of = [&](int32_t c) {
+    const int h = client_handle[c];
+    return h < 0 ? -1 : dyn.leaf_of(h);
+  };
+  const auto on_match = [&](int32_t c, int leaf, bool reached) {
+    if (reached) {
+      ++(channel.client_offline(c) ? result.stale_deliveries
+                                   : result.stats.deliveries);
+      return;
+    }
+    if (channel.client_offline(c)) return;  // not listening: no miss
+    const int h = client_handle[c];
+    if (h < 0) {
+      // Expunged by a premature lease expiry: missed until its reconnect.
+      ++result.missed_expired;
+    } else if (leaf < 0) {
+      // Orphaned, or degraded and parked unplaced: the outage's price.
+      ++result.missed_outage;
+      ++epoch.missed_outage;
+    } else if (BelievedPathActuallyDown(dyn, leaf, channel)) {
+      ++result.missed_undetected;
+      ++epoch.missed_undetected;
+    } else if (dyn.state(h) == core::SubscriberState::kLive) {
+      ++result.missed_live;
+      ++epoch.missed_live;
+      ++result.stats.missed_deliveries;
+    } else {
+      ++result.missed_degraded;
+      ++epoch.missed_degraded;
+    }
+  };
 
   const int num_events = static_cast<int>(events.size());
   for (int i = 0; i < num_events; ++i) {
@@ -507,82 +371,18 @@ Result<FaultReplayResult> ReplayWithFaults(
       outage_start = -1;
     }
 
-    // 6. Route over the believed overlay; events die at actually-down
-    // brokers and deliveries to offline clients count as stale.
+    // 6. Route over the believed overlay, attributing every matching
+    // client against ground truth.
     if (placement_dirty) {
-      if (indexed) {
-        live_engine = BuildLiveEngine(dyn);
-        router = std::make_unique<LiveRouter>(live_engine, num_nodes);
-      } else {
-        handles_of_leaf = HandlesByLeaf(dyn);
-      }
+      matcher->IndexBrokers(LiveBrokerRects(dyn), num_nodes);
       placement_dirty = false;
     }
-    const geo::Point& event = events[i];
     ++result.stats.events;
     ++epoch.num_events;
-    if (indexed) {
-      RouteLiveEventIndexed(dyn, event, channel, router.get(), &result.stats);
-    } else {
-      RouteLiveEvent(dyn, event, handles_of_leaf, truth, &result.stats);
-    }
+    router.Route(events[i], tree, children, forwards, leaf_of, on_match,
+                 &result.stats);
 
-    // 7. Ground-truth attribution over the clients matching the event.
-    // The indexed engine probes the client index (O(matches)), counts an
-    // arrival for each client whose current leaf the routing DFS reached,
-    // and marks that leaf served; the linear engine scans every client,
-    // counted its arrivals while routing, and re-walks the live path.
-    // Order matters: an actually-down broker on the believed path explains
-    // the miss (missed_undetected) before any filter reasoning —
-    // missed_live stays reserved for true coverage bugs.
-    matched_clients.clear();
-    if (indexed) {
-      client_index.AppendContaining(event[0], event[1], &matched_clients);
-    } else {
-      for (int c = 0; c < num_clients; ++c) {
-        if (client_sub[c].subscription.ContainsPoint(event)) {
-          matched_clients.push_back(c);
-        }
-      }
-    }
-    for (const int32_t c : matched_clients) {
-      const int h = client_handle[c];
-      const int leaf = h < 0 ? -1 : dyn.leaf_of(h);
-      if (indexed && leaf >= 0 && router->reached.Test(leaf)) {
-        CountArrival(truth, c, &result.stats);
-        router->served.Set(leaf);
-        continue;
-      }
-      if (channel.client_offline(c)) continue;  // not listening: no miss
-      if (h < 0) {
-        // Expunged by a premature lease expiry: missed until its reconnect.
-        ++result.missed_expired;
-        continue;
-      }
-      if (leaf < 0) {
-        // Orphaned, or degraded and parked unplaced: the outage's price.
-        ++result.missed_outage;
-        ++epoch.missed_outage;
-        continue;
-      }
-      if (!indexed && ReachedOverLivePath(dyn, leaf, event, truth)) continue;
-      if (BelievedPathActuallyDown(dyn, leaf, channel)) {
-        ++result.missed_undetected;
-        ++epoch.missed_undetected;
-        continue;
-      }
-      if (dyn.state(h) == core::SubscriberState::kLive) {
-        ++result.missed_live;
-        ++epoch.missed_live;
-        ++result.stats.missed_deliveries;
-      } else {
-        ++result.missed_degraded;
-        ++epoch.missed_degraded;
-      }
-    }
-    if (indexed) ClearReached(router.get(), &result.stats);
-
-    // 8. Epoch boundary.
+    // 7. Epoch boundary.
     if ((i + 1) % options.epoch_length == 0 || i + 1 == num_events) {
       epoch.deliveries = result.stats.deliveries - epoch_delivery_base;
       epoch_delivery_base = result.stats.deliveries;
@@ -615,6 +415,16 @@ Result<FaultReplayResult> ReplayWithFaults(
     }
   }
   return result;
+}
+
+}  // namespace detail
+
+Result<FaultReplayResult> ReplayWithFaults(
+    core::DynamicAssigner& dyn, const FaultPlan& plan,
+    const std::vector<geo::Point>& events, const FaultReplayOptions& options,
+    Rng& rng) {
+  detail::IndexedMatcher matcher;
+  return detail::ReplayWithFaults(dyn, plan, events, options, rng, &matcher);
 }
 
 }  // namespace slp::sim

@@ -51,6 +51,12 @@
 // faults follow the tracker's order rather than the plan's: recoveries as
 // their heartbeats arrive, then deaths, each in node-id order.
 //
+// Routing runs the kernel shared with Simulate (src/sim/route.h, any
+// event dimension): the clients' subscriptions are indexed once per
+// replay, keyed by client id, and the live broker filters are re-indexed
+// only when placement changed; each event's matching clients are walked
+// once to count deliveries and attribute misses.
+//
 // Per-epoch recovery metrics (orphan backlog, repairs, per-cause misses,
 // Q(T) of the live deployment) expose the recovery trajectory, and the
 // final Q(T) is compared against a fresh offline Gr* re-solve of the
@@ -132,12 +138,6 @@ class FaultPlan {
 };
 
 struct FaultReplayOptions {
-  // Which matching engine routes events over the live overlay. kIndexed
-  // indexes the clients' subscriptions once per replay and re-indexes only
-  // the live broker filters when placement changes (repairs, fail/recover,
-  // expiries, reconnects); kLinear scans rectangles. The two are
-  // bit-identical (enforced by tests/match_test).
-  MatchEngine engine = MatchEngine::kIndexed;
   // Epoch length (in events) for the recovery-metrics time series.
   int epoch_length = 100;
   core::RepairOptions repair;
@@ -255,6 +255,19 @@ Result<FaultReplayResult> ReplayWithFaults(core::DynamicAssigner& dyn,
                                            const std::vector<geo::Point>& events,
                                            const FaultReplayOptions& options,
                                            Rng& rng);
+
+namespace detail {
+
+// ReplayWithFaults with the probes of `matcher` (src/sim/route.h): the
+// replay indexes the clients' subscriptions into it once (owner = client
+// id) and the live broker filters whenever placement changed. The public
+// overload passes the grid-indexed matcher.
+Result<FaultReplayResult> ReplayWithFaults(
+    core::DynamicAssigner& dyn, const FaultPlan& plan,
+    const std::vector<geo::Point>& events, const FaultReplayOptions& options,
+    Rng& rng, Matcher* matcher);
+
+}  // namespace detail
 
 }  // namespace slp::sim
 

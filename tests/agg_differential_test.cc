@@ -23,6 +23,7 @@
 #include "src/workload/googlegroups.h"
 #include "src/workload/grid.h"
 #include "src/workload/rss.h"
+#include "tests/route_oracle.h"
 #include "tests/test_util.h"
 
 namespace slp::agg {
@@ -132,8 +133,9 @@ void RunDifferential(Family family, uint64_t seed) {
                    core::ComputeMetrics(compressed, compact.value())
                        .total_bandwidth);
 
-  // Dissemination differential: the SAME expanded solution replayed under
-  // both matching engines yields bit-identical statistics.
+  // Dissemination differential: the SAME expanded solution routed by the
+  // brute-force router (tests/route_oracle.h) and by Simulate yields
+  // bit-identical statistics.
   Rng rng_events(99);
   std::vector<geo::Point> events;
   events.reserve(2000);
@@ -148,13 +150,9 @@ void RunDifferential(Family family, uint64_t seed) {
     }
     events.push_back(std::move(p));
   }
-  sim::SimulateOptions linear, indexed;
-  linear.engine = sim::MatchEngine::kLinear;
-  indexed.engine = sim::MatchEngine::kIndexed;
   const sim::DisseminationStats a =
-      sim::Simulate(problem, expanded, events, linear);
-  const sim::DisseminationStats b =
-      sim::Simulate(problem, expanded, events, indexed);
+      test::BruteForceSimulate(problem, expanded, events);
+  const sim::DisseminationStats b = sim::Simulate(problem, expanded, events);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.total_messages, b.total_messages);
   EXPECT_EQ(a.deliveries, b.deliveries);

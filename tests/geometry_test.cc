@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -74,6 +75,23 @@ TEST(RectangleTest, ContainmentSemantics) {
   // Touching the boundary still counts (closed boxes).
   EXPECT_TRUE(outer.Contains(Box2(0, 10, 0, 10)));
   EXPECT_FALSE(outer.Contains(Box2(-0.001, 1, 0, 1)));
+}
+
+// Regression: ContainsPoint used the negated test (p < lo || p > hi),
+// which a NaN fails, so NaN counted as inside every rectangle. A
+// non-finite coordinate lies outside every rectangle.
+TEST(RectangleTest, ContainsPointRejectsNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Rectangle r = Box2(0, 1, 0, 1);
+  EXPECT_TRUE(r.ContainsPoint({0.3, 0.3}));
+  EXPECT_FALSE(r.ContainsPoint({nan, 0.3}));
+  EXPECT_FALSE(r.ContainsPoint({0.3, nan}));
+  EXPECT_FALSE(r.ContainsPoint({nan, nan}));
+  EXPECT_FALSE(r.ContainsPoint({inf, 0.3}));
+  EXPECT_FALSE(r.ContainsPoint({0.3, -inf}));
+  EXPECT_FALSE(r.OnBoundary({nan, 0.0}));
+  EXPECT_FALSE(Filter({r, Box2(0.5, 2, 0.5, 2)}).ContainsPoint({nan, 0.7}));
 }
 
 TEST(RectangleTest, IntersectionAndDisjointness) {

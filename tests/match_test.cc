@@ -1,14 +1,16 @@
-// Differential tests for the indexed matching engine (DESIGN.md §11):
+// Differential tests for event matching and routing (DESIGN.md §11):
 // MatchIndex must agree with a linear rectangle scan on random and
-// adversarial workloads (abutting tiles, duplicates, degenerate/point
-// rectangles, probes exactly on boundaries), the indexed and linear
-// dissemination engines must produce bit-identical DisseminationStats on
-// grid/GG/multi-level workloads and under fault replay (oracle and
-// realistic leases), and the parked-subscriber guard must hold on both
-// engines.
+// adversarial workloads in one, two and three dimensions (abutting tiles,
+// duplicates, degenerate/point rectangles, probes exactly on boundaries,
+// non-finite probes); Simulate must equal the brute-force router of
+// tests/route_oracle.h, and its own loop over brute-force probes, on
+// grid/GG/multi-level workloads and on random d = 1 and d = 3
+// deployments; and the fault replay must equal its own loop over
+// brute-force probes of the live filters (oracle and realistic leases).
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -20,10 +22,12 @@
 #include "src/match/audit.h"
 #include "src/match/bitset.h"
 #include "src/match/match_index.h"
+#include "src/match/subsumption.h"
 #include "src/network/tree_builder.h"
 #include "src/sim/churn_scenarios.h"
 #include "src/sim/dissemination.h"
 #include "src/sim/fault_plan.h"
+#include "tests/route_oracle.h"
 #include "tests/test_util.h"
 
 namespace slp {
@@ -38,9 +42,7 @@ using match::MatchBatch;
 using match::MatchIndex;
 using match::OwnedRect;
 using sim::DisseminationStats;
-using sim::MatchEngine;
 using sim::Simulate;
-using sim::SimulateOptions;
 
 // Installs a non-aborting recording handler for the test's lifetime and
 // zeroes the trip counters on both entry and exit (invariant_test pattern).
@@ -84,6 +86,13 @@ std::vector<int32_t> LinearOwners(const std::vector<OwnedRect>& rects,
   return owners;
 }
 
+// Rectangles (not owners) containing p, by the dedup-free probe.
+size_t NumContaining(const MatchIndex& index, const Point& p) {
+  std::vector<int32_t> owners;
+  index.AppendContaining(p, &owners);
+  return owners.size();
+}
+
 void ExpectProbeMatchesScan(const MatchIndex& index,
                             const std::vector<OwnedRect>& rects,
                             const Point& p) {
@@ -91,11 +100,10 @@ void ExpectProbeMatchesScan(const MatchIndex& index,
   std::vector<int32_t> got = batch.Probe(p);
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, LinearOwners(rects, p))
-      << "probe (" << p[0] << ", " << p[1] << ")";
-  int rect_hits = 0;
+      << "probe " << ::testing::PrintToString(p);
+  size_t rect_hits = 0;
   for (const OwnedRect& r : rects) rect_hits += r.rect.ContainsPoint(p);
-  EXPECT_EQ(index.CountContaining(p[0], p[1]), rect_hits);
-  EXPECT_EQ(index.AnyContains(p[0], p[1]), rect_hits > 0);
+  EXPECT_EQ(NumContaining(index, p), rect_hits);
 }
 
 TEST(BitSetTest, SetTestResetCountIterate) {
@@ -172,15 +180,15 @@ TEST(MatchIndexTest, AbuttingTilesClosedBoundarySemantics) {
 
   MatchBatch batch(&index);
   // Interior corner (0.5, 0.25): four tiles meet.
-  EXPECT_EQ(batch.Probe(0.5, 0.25).size(), 4u);
+  EXPECT_EQ(batch.Probe({0.5, 0.25}).size(), 4u);
   // Interior of a shared vertical edge: exactly two tiles.
-  EXPECT_EQ(batch.Probe(0.25, 0.1).size(), 2u);
+  EXPECT_EQ(batch.Probe({0.25, 0.1}).size(), 2u);
   // Outer boundary corner: one tile.
-  EXPECT_EQ(batch.Probe(0.0, 0.0).size(), 1u);
+  EXPECT_EQ(batch.Probe({0.0, 0.0}).size(), 1u);
   // Outer edge, interior of one tile's top side: one tile.
-  EXPECT_EQ(batch.Probe(0.6, 1.0).size(), 1u);
+  EXPECT_EQ(batch.Probe({0.6, 1.0}).size(), 1u);
   // Tile interior: one.
-  EXPECT_EQ(batch.Probe(0.1, 0.1).size(), 1u);
+  EXPECT_EQ(batch.Probe({0.1, 0.1}).size(), 1u);
 
   // Every grid line intersection and edge midpoint agrees with the scan.
   for (int i = 0; i <= kTiles; ++i) {
@@ -207,7 +215,7 @@ TEST(MatchIndexTest, DegeneratePointAndSegmentRectangles) {
   ExpectProbeMatchesScan(index, rects, {2.0, 2.0});   // outside everything
 
   MatchBatch batch(&index);
-  const auto& at_point = batch.Probe(0.3, 0.7);
+  const auto& at_point = batch.Probe({0.3, 0.7});
   EXPECT_EQ(LinearOwners(rects, {0.3, 0.7}),
             (std::vector<int32_t>{0, 2, 3}));
   EXPECT_EQ(at_point.size(), 3u);
@@ -217,15 +225,14 @@ TEST(MatchIndexTest, EmptyIndexAndOutOfBoundsProbes) {
   const MatchIndex empty = BuildIndex({}, 5);
   EXPECT_EQ(empty.num_rects(), 0);
   MatchBatch batch(&empty);
-  EXPECT_TRUE(batch.Probe(0.5, 0.5).empty());
-  EXPECT_EQ(empty.CountContaining(0.5, 0.5), 0);
-  EXPECT_FALSE(empty.AnyContains(0.5, 0.5));
+  EXPECT_TRUE(batch.Probe({0.5, 0.5}).empty());
+  EXPECT_EQ(NumContaining(empty, {0.5, 0.5}), 0u);
 
   const std::vector<OwnedRect> rects = {{0, Rectangle({0, 0}, {1, 1})}};
   const MatchIndex index = BuildIndex(rects, 1);
-  EXPECT_FALSE(index.AnyContains(1.0000001, 0.5));
-  EXPECT_FALSE(index.AnyContains(0.5, -0.0000001));
-  EXPECT_TRUE(index.AnyContains(1.0, 0.5));  // closed upper edge
+  EXPECT_EQ(NumContaining(index, {1.0000001, 0.5}), 0u);
+  EXPECT_EQ(NumContaining(index, {0.5, -0.0000001}), 0u);
+  EXPECT_EQ(NumContaining(index, {1.0, 0.5}), 1u);  // closed upper edge
 }
 
 TEST(MatchIndexTest, BuilderMatchesBuildIndex) {
@@ -237,7 +244,7 @@ TEST(MatchIndexTest, BuilderMatchesBuildIndex) {
   EXPECT_EQ(index.num_rects(), 3);
   EXPECT_EQ(index.num_owners(), 3);
   MatchBatch batch(&index);
-  EXPECT_EQ(batch.Probe(0.5, 0.5).size(), 3u);  // shared corner of all three
+  EXPECT_EQ(batch.Probe({0.5, 0.5}).size(), 3u);  // shared corner of all three
 }
 
 TEST(MatchAuditTest, CleanIndexPassesAudit) {
@@ -273,7 +280,159 @@ TEST(MatchAuditTest, TripsOnCorruptedReference) {
             RecordingHandler::Count(Category::kMatchIndex));
 }
 
-// ---- Dissemination engine differential ----
+// Random rectangles in [0, 1]^d under `num_owners` owners, a tenth of
+// them flat on one axis, plus an exact duplicate under another owner.
+std::vector<OwnedRect> RandomRects(int d, int n, int num_owners, Rng& rng) {
+  std::vector<OwnedRect> rects;
+  for (int k = 0; k < n; ++k) {
+    Point center(d);
+    std::vector<double> widths(d);
+    for (int a = 0; a < d; ++a) {
+      center[a] = rng.Uniform(0, 1);
+      widths[a] = rng.Bernoulli(0.1) ? 0 : rng.Uniform(0, 0.4);
+    }
+    rects.push_back({static_cast<int32_t>(k % num_owners),
+                     Rectangle::FromCenter(center, widths)});
+  }
+  rects.push_back({static_cast<int32_t>(num_owners - 1), rects[0].rect});
+  return rects;
+}
+
+// Axis 1 is flat when d = 1, and axes 2 and up are checked exactly when
+// d = 3: random probes, every corner and the center of every rectangle,
+// and the center moved onto each face, all agree with the linear scan.
+TEST(MatchIndexTest, AgreesWithLinearScanInOneAndThreeDimensions) {
+  for (const int d : {1, 3}) {
+    SCOPED_TRACE(d);
+    Rng rng(300 + d);
+    const std::vector<OwnedRect> rects = RandomRects(d, 300, 120, rng);
+    const MatchIndex index = BuildIndex(rects, 120);
+    EXPECT_EQ(index.dim(), d);
+    for (int k = 0; k < index.num_rects(); ++k) {
+      EXPECT_EQ(index.rect(k), rects[k].rect);
+    }
+    for (int t = 0; t < 300; ++t) {
+      Point p(d);
+      for (int a = 0; a < d; ++a) p[a] = rng.Uniform(-0.2, 1.2);
+      ExpectProbeMatchesScan(index, rects, p);
+    }
+    for (const OwnedRect& r : rects) {
+      for (unsigned mask = 0; mask < (1u << d); ++mask) {
+        ExpectProbeMatchesScan(index, rects, r.rect.Corner(mask));
+      }
+      const Point c = r.rect.Center();
+      ExpectProbeMatchesScan(index, rects, c);
+      for (int a = 0; a < d; ++a) {
+        Point f = c;
+        f[a] = r.rect.hi(a);
+        ExpectProbeMatchesScan(index, rects, f);
+      }
+    }
+  }
+  // A point inside a 3-D box on axes 0 and 1 but outside it on axis 2.
+  const std::vector<OwnedRect> box = {{0, Rectangle({0, 0, 0}, {1, 1, 1})}};
+  const MatchIndex index = BuildIndex(box, 1);
+  EXPECT_EQ(NumContaining(index, {0.5, 0.5, 1.5}), 0u);
+  EXPECT_EQ(NumContaining(index, {0.5, 0.5, 1.0}), 1u);
+}
+
+// Regression: CellX/CellY cast floor(NaN) to int (undefined behaviour),
+// and the probes then disagreed on whether NaN was inside. A non-finite
+// coordinate on any axis lies outside every rectangle, for every probe.
+TEST(MatchIndexTest, NonFiniteProbesMatchNothing) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const int d : {1, 2, 3}) {
+    SCOPED_TRACE(d);
+    Rng rng(400 + d);
+    const std::vector<OwnedRect> rects = RandomRects(d, 200, 50, rng);
+    const MatchIndex index = BuildIndex(rects, 50);
+    MatchBatch batch(&index);
+    for (int a = 0; a < d; ++a) {
+      for (const double bad : {nan, inf, -inf}) {
+        Point p(d, 0.5);
+        p[a] = bad;
+        EXPECT_TRUE(batch.Probe(p).empty()) << ::testing::PrintToString(p);
+        EXPECT_EQ(batch.owners().Count(), 0);
+        EXPECT_EQ(NumContaining(index, p), 0u);
+        if (d <= 2) {
+          std::vector<int32_t> out;
+          index.AppendContaining(p[0], d == 2 ? p[1] : 0.0, &out);
+          EXPECT_TRUE(out.empty());
+        }
+        for (const OwnedRect& r : rects) EXPECT_FALSE(r.rect.ContainsPoint(p));
+      }
+    }
+  }
+}
+
+TEST(MatchAuditTest, ThreeDimensionalIndexPassesAndCorruptionTrips) {
+  RecordingHandler handler;
+  Rng rng(78);
+  const std::vector<OwnedRect> rects = RandomRects(3, 100, 30, rng);
+  const MatchIndex index = BuildIndex(rects, 30);
+  match::AuditIndex(index, rects, "clean 3-D index");
+  EXPECT_EQ(RecordingHandler::Total(), 0);
+  // A reference that differs from the indexed rectangles only on axis 2
+  // disagrees at its corners.
+  std::vector<OwnedRect> corrupted = rects;
+  std::vector<double> lo = corrupted[0].rect.lo();
+  lo[2] -= 0.05;
+  corrupted[0].rect = Rectangle(lo, corrupted[0].rect.hi());
+  match::AuditIndex(index, corrupted, "corrupted 3-D reference");
+  EXPECT_GE(RecordingHandler::Count(Category::kMatchIndex), 1);
+}
+
+// The subsumption index grids every entry, whatever its dimension: d = 3
+// coverers come back exactly as a containment scan finds them, before and
+// after the grid is rebuilt, with retired entries skipped.
+TEST(SubsumptionIndexTest, ThreeDimensionalCoverers) {
+  Rng rng(91);
+  std::vector<Rectangle> reps;
+  match::SubsumptionIndex index;
+  std::vector<Rectangle> queries;
+  for (int q = 0; q < 60; ++q) {
+    const Point c = {rng.Uniform(0.2, 0.8), rng.Uniform(0.2, 0.8),
+                     rng.Uniform(0.2, 0.8)};
+    queries.push_back(Rectangle::FromCenter(c, {0.05, 0.05, 0.05}));
+  }
+  const auto expect_coverers = [&] {
+    for (const Rectangle& q : queries) {
+      std::vector<int32_t> got;
+      index.AppendCoverers(q, &got);
+      std::vector<int32_t> want;
+      for (int k = 0; k < static_cast<int>(reps.size()); ++k) {
+        if (k % 7 != 3 && reps[k].Contains(q)) want.push_back(k);
+      }
+      EXPECT_EQ(got, want) << q.ToString();
+    }
+  };
+  for (int k = 0; k < 400; ++k) {
+    const Point c = {rng.Uniform(0, 1), rng.Uniform(0, 1), rng.Uniform(0, 1)};
+    reps.push_back(Rectangle::FromCenter(
+        c, {rng.Uniform(0.1, 0.8), rng.Uniform(0.1, 0.8),
+            rng.Uniform(0.1, 0.8)}));
+    index.Insert(k, reps.back());
+    if (k % 7 == 3) index.Retire(k);
+    if (k == 40) expect_coverers();  // all in the linear tail
+  }
+  EXPECT_GT(index.indexed(), 0);
+  expect_coverers();
+  // A coverer on axes 0 and 1 that misses on axis 2 is not reported.
+  match::SubsumptionIndex single;
+  single.Insert(5, Rectangle({0, 0, 0}, {1, 1, 0.5}));
+  for (int k = 0; k < 100; ++k) {
+    single.Insert(100 + k, Rectangle({2, 2, 2}, {3, 3, 3}));
+  }
+  ASSERT_GT(single.indexed(), 0);
+  std::vector<int32_t> got;
+  single.AppendCoverers(Rectangle({0.2, 0.2, 0.4}, {0.3, 0.3, 0.6}), &got);
+  EXPECT_TRUE(got.empty());
+  single.AppendCoverers(Rectangle({0.2, 0.2, 0.1}, {0.3, 0.3, 0.5}), &got);
+  EXPECT_EQ(got, (std::vector<int32_t>{5}));
+}
+
+// ---- Dissemination differential ----
 
 void ExpectStatsEqual(const DisseminationStats& a,
                       const DisseminationStats& b) {
@@ -284,6 +443,27 @@ void ExpectStatsEqual(const DisseminationStats& a,
   EXPECT_EQ(a.missed_deliveries, b.missed_deliveries);
   EXPECT_EQ(a.unplaced_subscribers, b.unplaced_subscribers);
   EXPECT_EQ(a.broker_hits, b.broker_hits);
+}
+
+// Simulates with the production matcher and checks every counter against
+// the brute-force router and against the same loop over brute-force
+// probes, sharded `num_shards` ways.
+DisseminationStats SimulateAgainstOracle(const core::SaProblem& problem,
+                                         const core::SaSolution& solution,
+                                         const std::vector<Point>& events,
+                                         int num_shards = 1) {
+  const DisseminationStats got =
+      Simulate(problem, solution, events, {num_shards});
+  {
+    SCOPED_TRACE("brute-force router");
+    ExpectStatsEqual(got, test::BruteForceSimulate(problem, solution, events));
+  }
+  {
+    SCOPED_TRACE("brute-force probes");
+    ExpectStatsEqual(got, test::SimulateWithBruteForceProbes(
+                              problem, solution, events, num_shards));
+  }
+  return got;
 }
 
 // Events for the differential: uniform samples plus every corner and
@@ -324,12 +504,8 @@ TEST(DisseminationDifferentialTest, EnginesBitIdenticalAcrossWorkloads) {
     const core::SaSolution s = core::RunGrStar(c.problem, rng);
     const std::vector<Point> events = DifferentialEvents(s, 2000, 13);
 
-    SimulateOptions linear{MatchEngine::kLinear, 1};
-    SimulateOptions indexed{MatchEngine::kIndexed, 1};
-    const DisseminationStats a = Simulate(c.problem, s, events, linear);
-    const DisseminationStats b = Simulate(c.problem, s, events, indexed);
     SCOPED_TRACE(c.name);
-    ExpectStatsEqual(a, b);
+    const DisseminationStats b = SimulateAgainstOracle(c.problem, s, events);
     EXPECT_EQ(b.missed_deliveries, 0);
     EXPECT_GT(b.deliveries, 0);
   }
@@ -341,23 +517,18 @@ TEST(DisseminationDifferentialTest, ShardedBitIdenticalToSerial) {
   const core::SaSolution s = core::RunGrStar(p, rng);
   const std::vector<Point> events = DifferentialEvents(s, 3000, 23);
 
-  for (const MatchEngine engine :
-       {MatchEngine::kLinear, MatchEngine::kIndexed}) {
-    const DisseminationStats serial =
-        Simulate(p, s, events, {engine, 1});
-    for (const int shards : {2, 4, 7}) {
-      const DisseminationStats sharded =
-          Simulate(p, s, events, {engine, shards});
-      SCOPED_TRACE(shards);
-      ExpectStatsEqual(serial, sharded);
-    }
+  const DisseminationStats serial = SimulateAgainstOracle(p, s, events);
+  for (const int shards : {2, 4, 7}) {
+    const DisseminationStats sharded = Simulate(p, s, events, {shards});
+    SCOPED_TRACE(shards);
+    ExpectStatsEqual(serial, sharded);
   }
 }
 
 TEST(DisseminationDifferentialTest, AbuttingLeafFiltersBoundaryEvent) {
   // Two leaves with abutting filters sharing the edge x = 0.5. An event
   // exactly on the edge enters BOTH brokers under the closed convention —
-  // on both engines, with identical counters.
+  // in production and in the oracle, with identical counters.
   net::BrokerTree tree({0, 0});
   const int a = tree.AddBroker({1, 0}, net::BrokerTree::kPublisher);
   const int b = tree.AddBroker({-1, 0}, net::BrokerTree::kPublisher);
@@ -379,26 +550,22 @@ TEST(DisseminationDifferentialTest, AbuttingLeafFiltersBoundaryEvent) {
   solution.filters[b] = geo::Filter({Rectangle({0.5, 0}, {1, 1})});
 
   const std::vector<Point> events = {{0.5, 0.5}};  // exactly on the edge
-  for (const MatchEngine engine :
-       {MatchEngine::kLinear, MatchEngine::kIndexed}) {
-    const DisseminationStats stats =
-        Simulate(problem, solution, events, {engine, 1});
-    SCOPED_TRACE(engine == MatchEngine::kLinear ? "linear" : "indexed");
-    EXPECT_EQ(stats.broker_hits[a], 1);
-    EXPECT_EQ(stats.broker_hits[b], 1);
-    EXPECT_EQ(stats.total_messages, 2);
-    // Both subscriptions also contain the edge event: two deliveries, no
-    // waste, no misses.
-    EXPECT_EQ(stats.deliveries, 2);
-    EXPECT_EQ(stats.wasted_leaf_hits, 0);
-    EXPECT_EQ(stats.missed_deliveries, 0);
-  }
+  const DisseminationStats stats =
+      SimulateAgainstOracle(problem, solution, events);
+  EXPECT_EQ(stats.broker_hits[a], 1);
+  EXPECT_EQ(stats.broker_hits[b], 1);
+  EXPECT_EQ(stats.total_messages, 2);
+  // Both subscriptions also contain the edge event: two deliveries, no
+  // waste, no misses.
+  EXPECT_EQ(stats.deliveries, 2);
+  EXPECT_EQ(stats.wasted_leaf_hits, 0);
+  EXPECT_EQ(stats.missed_deliveries, 0);
 }
 
 TEST(DisseminationDifferentialTest, ParkedSubscriberSkippedAndCounted) {
   // Regression: assignment[j] < 0 (parked/orphaned in a dynamic snapshot)
-  // used to index subs_of_leaf by a negative id — undefined behavior. Both
-  // engines must skip the subscriber, count it once, and keep it out of
+  // used to index subs_of_leaf by a negative id — undefined behavior.
+  // Routing must skip the subscriber, count it once, and keep it out of
   // the ground-truth miss walk.
   core::SaProblem p = test::SmallGridProblem(200, 5);
   Rng rng(31);
@@ -415,18 +582,81 @@ TEST(DisseminationDifferentialTest, ParkedSubscriberSkippedAndCounted) {
     events.push_back({ev_rng.Uniform(0, 1), ev_rng.Uniform(0, 1)});
   }
 
-  const DisseminationStats linear =
-      Simulate(p, s, events, {MatchEngine::kLinear, 1});
-  const DisseminationStats indexed =
-      Simulate(p, s, events, {MatchEngine::kIndexed, 1});
-  ExpectStatsEqual(linear, indexed);
+  const DisseminationStats indexed = SimulateAgainstOracle(p, s, events);
   EXPECT_EQ(indexed.unplaced_subscribers, 2);
   // Parked subscribers are excluded from the miss walk: a fully-covered
   // deployment still reports zero misses.
   EXPECT_EQ(indexed.missed_deliveries, 0);
 }
 
-// ---- Fault-replay engine differential ----
+// Regression: a NaN coordinate used to reach an undefined float-to-int
+// cast in the grid, after which the linear scan counted the event inside
+// every rectangle and the index outside. A non-finite event lies outside
+// every filter, so it enters no broker and matches no one.
+TEST(DisseminationDifferentialTest, NonFiniteEventMatchesOracle) {
+  core::SaProblem p = test::SmallGridProblem(300, 8);
+  Rng rng(5);
+  const core::SaSolution s = core::RunGrStar(p, rng);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Point> events = {
+      {nan, 0.3}, {0.3, nan}, {nan, nan}, {inf, 0.3}, {0.3, -inf}};
+  const DisseminationStats stats = SimulateAgainstOracle(p, s, events);
+  EXPECT_EQ(stats.events, static_cast<int>(events.size()));
+  EXPECT_EQ(stats.total_messages, 0);
+  EXPECT_EQ(stats.deliveries, 0);
+  EXPECT_EQ(stats.wasted_leaf_hits, 0);
+  EXPECT_EQ(stats.missed_deliveries, 0);
+  EXPECT_EQ(stats.unplaced_subscribers, 0);
+  for (const int64_t hits : stats.broker_hits) EXPECT_EQ(hits, 0);
+}
+
+// The index has no dimension gate: one-dimensional and three-dimensional
+// deployments, with shrunk filters so that misses occur, route exactly
+// like the brute-force router, serially and sharded.
+TEST(DisseminationDifferentialTest,
+     OneAndThreeDimensionalDeploymentsMatchOracle) {
+  for (const int d : {1, 3}) {
+    SCOPED_TRACE(d);
+    const test::Deployment dep =
+        test::RandomDeployment(d, 300, 30, 0.3, 60 + d);
+    const std::vector<Point> events =
+        test::RandomEvents(d, 1500, dep.solution, 70 + d);
+    const DisseminationStats serial =
+        SimulateAgainstOracle(dep.problem, dep.solution, events);
+    EXPECT_GT(serial.deliveries, 0);
+    EXPECT_GT(serial.missed_deliveries, 0);
+    EXPECT_GT(serial.wasted_leaf_hits, 0);
+    for (const int shards : {3, 8}) {
+      SCOPED_TRACE(shards);
+      ExpectStatsEqual(serial, SimulateAgainstOracle(dep.problem, dep.solution,
+                                                     events, shards));
+    }
+  }
+}
+
+// With every subscriber parked nothing is delivered or missed, and every
+// leaf an event reaches is a wasted hit.
+TEST(DisseminationDifferentialTest, AllParkedDeploymentWastesEveryReachedLeaf) {
+  test::Deployment dep = test::RandomDeployment(2, 200, 25, 0.0, 81);
+  std::fill(dep.solution.assignment.begin(), dep.solution.assignment.end(),
+            -1);
+  const std::vector<Point> events =
+      test::RandomEvents(2, 800, dep.solution, 82);
+  const DisseminationStats stats =
+      SimulateAgainstOracle(dep.problem, dep.solution, events);
+  EXPECT_EQ(stats.unplaced_subscribers, dep.problem.num_subscribers());
+  EXPECT_EQ(stats.deliveries, 0);
+  EXPECT_EQ(stats.missed_deliveries, 0);
+  int64_t leaf_hits = 0;
+  for (const int leaf : dep.problem.tree().leaf_brokers()) {
+    leaf_hits += stats.broker_hits[leaf];
+  }
+  EXPECT_GT(leaf_hits, 0);
+  EXPECT_EQ(stats.wasted_leaf_hits, leaf_hits);
+}
+
+// ---- Fault-replay differential ----
 
 core::DynamicAssigner PopulatedAssigner(int subs, int brokers,
                                         uint64_t seed) {
@@ -446,58 +676,6 @@ core::DynamicAssigner PopulatedAssigner(int subs, int brokers,
     EXPECT_TRUE(r.ok());
   }
   return dyn;
-}
-
-TEST(FaultReplayDifferentialTest, EnginesBitIdenticalUnderFaults) {
-  constexpr int kSubs = 400, kBrokers = 24, kEvents = 600;
-  constexpr uint64_t kSeed = 41;
-
-  std::vector<geo::Point> events;
-  Rng ev_rng(kSeed + 1);
-  for (int i = 0; i < kEvents; ++i) {
-    events.push_back({ev_rng.Uniform(0, 1), ev_rng.Uniform(0, 1)});
-  }
-
-  sim::FaultReplayResult results[2];
-  for (int e = 0; e < 2; ++e) {
-    core::DynamicAssigner dyn = PopulatedAssigner(kSubs, kBrokers, kSeed);
-    Rng plan_rng(kSeed + 2);
-    const sim::FaultPlan plan = sim::FaultPlan::SeededRandom(
-        dyn.tree(), kEvents, 0.15, kEvents / 3, plan_rng);
-    sim::FaultReplayOptions options;
-    options.engine = e == 0 ? MatchEngine::kLinear : MatchEngine::kIndexed;
-    options.epoch_length = 100;
-    options.compute_fresh_baseline = false;
-    Rng rng(kSeed + 3);
-    auto r = sim::ReplayWithFaults(dyn, plan, events, options, rng);
-    ASSERT_TRUE(r.ok());
-    results[e] = std::move(r).value();
-  }
-
-  const sim::FaultReplayResult& lin = results[0];
-  const sim::FaultReplayResult& idx = results[1];
-  ExpectStatsEqual(lin.stats, idx.stats);
-  EXPECT_EQ(lin.missed_live, idx.missed_live);
-  EXPECT_EQ(lin.missed_outage, idx.missed_outage);
-  EXPECT_EQ(lin.missed_degraded, idx.missed_degraded);
-  EXPECT_EQ(lin.total_orphaned, idx.total_orphaned);
-  EXPECT_EQ(lin.total_repaired, idx.total_repaired);
-  EXPECT_EQ(lin.total_degraded_placed, idx.total_degraded_placed);
-  EXPECT_EQ(lin.total_undegraded, idx.total_undegraded);
-  EXPECT_EQ(lin.time_to_repair, idx.time_to_repair);
-  EXPECT_EQ(lin.unrepaired_at_end, idx.unrepaired_at_end);
-  EXPECT_EQ(lin.degraded_at_end, idx.degraded_at_end);
-  EXPECT_EQ(lin.qt_final, idx.qt_final);
-  ASSERT_EQ(lin.epochs.size(), idx.epochs.size());
-  for (size_t i = 0; i < lin.epochs.size(); ++i) {
-    EXPECT_EQ(lin.epochs[i].deliveries, idx.epochs[i].deliveries);
-    EXPECT_EQ(lin.epochs[i].missed_outage, idx.epochs[i].missed_outage);
-    EXPECT_EQ(lin.epochs[i].repaired, idx.epochs[i].repaired);
-    EXPECT_EQ(lin.epochs[i].orphans_end, idx.epochs[i].orphans_end);
-  }
-  // The replay is correctness-critical: no live subscriber may miss.
-  EXPECT_EQ(idx.missed_live, 0);
-  EXPECT_GT(idx.total_orphaned, 0);  // the plan actually failed brokers
 }
 
 // Every FaultReplayResult field, per-epoch series included.
@@ -552,10 +730,54 @@ void ExpectReplayResultsEqual(const sim::FaultReplayResult& a,
   EXPECT_EQ(a.deaths_deferred, b.deaths_deferred);
 }
 
+// The replay with the production matcher, or (oracle = true) the same
+// loop over brute-force probes of the assigner's live filters.
+Result<sim::FaultReplayResult> ReplayOracleOrIndexed(
+    bool oracle, core::DynamicAssigner& dyn, const sim::FaultPlan& plan,
+    const std::vector<Point>& events, const sim::FaultReplayOptions& options,
+    Rng& rng) {
+  if (!oracle) return sim::ReplayWithFaults(dyn, plan, events, options, rng);
+  test::LiveFilterMatcher matcher(&dyn);
+  return sim::detail::ReplayWithFaults(dyn, plan, events, options, rng,
+                                       &matcher);
+}
+
+TEST(FaultReplayDifferentialTest, EnginesBitIdenticalUnderFaults) {
+  constexpr int kSubs = 400, kBrokers = 24, kEvents = 600;
+  constexpr uint64_t kSeed = 41;
+
+  std::vector<geo::Point> events;
+  Rng ev_rng(kSeed + 1);
+  for (int i = 0; i < kEvents; ++i) {
+    events.push_back({ev_rng.Uniform(0, 1), ev_rng.Uniform(0, 1)});
+  }
+
+  sim::FaultReplayResult results[2];
+  for (int e = 0; e < 2; ++e) {
+    core::DynamicAssigner dyn = PopulatedAssigner(kSubs, kBrokers, kSeed);
+    Rng plan_rng(kSeed + 2);
+    const sim::FaultPlan plan = sim::FaultPlan::SeededRandom(
+        dyn.tree(), kEvents, 0.15, kEvents / 3, plan_rng);
+    sim::FaultReplayOptions options;
+    options.epoch_length = 100;
+    options.compute_fresh_baseline = false;
+    Rng rng(kSeed + 3);
+    auto r = ReplayOracleOrIndexed(e == 0, dyn, plan, events, options, rng);
+    ASSERT_TRUE(r.ok());
+    results[e] = std::move(r).value();
+  }
+
+  const sim::FaultReplayResult& idx = results[1];
+  ExpectReplayResultsEqual(results[0], idx);
+  // The replay is correctness-critical: no live subscriber may miss.
+  EXPECT_EQ(idx.missed_live, 0);
+  EXPECT_GT(idx.total_orphaned, 0);  // the plan actually failed brokers
+}
+
 // The same differential under a realistic lease, over crashes, slow
-// brokers and flaky clients together: the linear walk's offline-client
-// skip, stale-delivery diversion and undetected-miss attribution must
-// agree with the indexed engine's on a plan that exercises all three.
+// brokers and flaky clients together: the offline-client skip,
+// stale-delivery diversion and undetected-miss attribution must agree
+// over brute-force and indexed probes on a plan that exercises all three.
 TEST(FaultReplayDifferentialTest, EnginesBitIdenticalUnderLeases) {
   constexpr int kSubs = 400, kBrokers = 24, kEvents = 600;
   constexpr uint64_t kSeed = 43;
@@ -582,13 +804,12 @@ TEST(FaultReplayDifferentialTest, EnginesBitIdenticalUnderLeases) {
         sim::FaultPlan::Scripted(std::move(merged), flaky.client_events());
 
     sim::FaultReplayOptions options;
-    options.engine = e == 0 ? MatchEngine::kLinear : MatchEngine::kIndexed;
     options.epoch_length = 100;
     options.lease = liveness::LeaseConfig{};
     options.lease.heartbeat_interval = 2;
     options.lease.subscriber_interval = 4;
     Rng rng(kSeed + 5);
-    auto r = sim::ReplayWithFaults(dyn, plan, events, options, rng);
+    auto r = ReplayOracleOrIndexed(e == 0, dyn, plan, events, options, rng);
     ASSERT_TRUE(r.ok()) << r.status().message();
     results[e] = std::move(r).value();
   }

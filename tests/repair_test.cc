@@ -18,6 +18,7 @@
 #include "src/network/tree_builder.h"
 #include "src/sim/fault_plan.h"
 #include "src/workload/grid.h"
+#include "tests/route_oracle.h"
 
 namespace slp::core {
 namespace {
@@ -676,12 +677,14 @@ TEST(FaultReplayTest, PreFailedBrokerStaysDownUntilThePlanRecoversIt) {
   }
 }
 
-// Hand-counted delivery accounting on a scripted replay, under both
-// engines. Leaf A (node 1) holds clients 0 and 3, leaf B (node 2) clients
-// 1 and 2; the default max_delay pins each subscriber to the leaf on its
-// side. Event ec lies inside client c's rectangle and no other's, so only
-// that client's leaf is reached. With one-tick heartbeats and a 10-tick
-// client lease, client c refreshes at ticks ≡ c (mod 10):
+// Hand-counted delivery accounting on a scripted replay, with the
+// production matcher and with brute-force probes of the live filters
+// (tests/route_oracle.h). Leaf A (node 1) holds clients 0 and 3, leaf B
+// (node 2) clients 1 and 2; the default max_delay pins each subscriber to
+// the leaf on its side. Event ec lies inside client c's rectangle and no
+// other's, so only that client's leaf is reached. With one-tick
+// heartbeats and a 10-tick client lease, client c refreshes at ticks
+// ≡ c (mod 10):
 //   tick  0     client 1 offline; e2 → B delivers to client 2
 //   ticks 1–2   client 0 offline; e0 → A: stale delivery, A not wasted
 //   ticks 3–4   e1 → B: client 1 offline but placed: stale delivery
@@ -711,19 +714,20 @@ TEST(FaultReplayTest, ScriptedDeliveryAccountingIsExact) {
   options.repair_budget_seconds = 0;
   options.compute_fresh_baseline = false;
 
-  for (const sim::MatchEngine engine :
-       {sim::MatchEngine::kLinear, sim::MatchEngine::kIndexed}) {
-    SCOPED_TRACE(engine == sim::MatchEngine::kLinear ? "linear" : "indexed");
+  for (const bool oracle : {true, false}) {
+    SCOPED_TRACE(oracle ? "brute-force probes" : "indexed");
     DynamicAssigner dyn(TwoBrokerTree(), SaConfig{}, 8);
     const int leaf_a = 1, leaf_b = 2;
     ASSERT_EQ(dyn.leaf_of(dyn.Add(MakeSub(2, 0, 0.0, 0.1)).value()), leaf_a);
     ASSERT_EQ(dyn.leaf_of(dyn.Add(MakeSub(-2, 0, 0.4, 0.1)).value()), leaf_b);
     ASSERT_EQ(dyn.leaf_of(dyn.Add(MakeSub(-2, 0, 0.8, 0.1)).value()), leaf_b);
     ASSERT_EQ(dyn.leaf_of(dyn.Add(MakeSub(2, 0, 0.2, 0.1)).value()), leaf_a);
-    options.engine = engine;
     Rng rng(2);
+    test::LiveFilterMatcher matcher(&dyn);
     const Result<sim::FaultReplayResult> replay =
-        sim::ReplayWithFaults(dyn, plan, events, options, rng);
+        oracle ? sim::detail::ReplayWithFaults(dyn, plan, events, options,
+                                               rng, &matcher)
+               : sim::ReplayWithFaults(dyn, plan, events, options, rng);
     ASSERT_TRUE(replay.ok()) << replay.status().message();
     const sim::FaultReplayResult& r = replay.value();
 
