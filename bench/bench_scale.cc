@@ -9,7 +9,8 @@
 //  * end-to-end SLP over the multi-level tree (paper out-degree 15) —
 //    serial vs sharded, asserted bit-identical in-run;
 //  * dynamic arrivals — sequential Add vs one AddBatch, asserted to land
-//    identical loads with fewer escalation-rung scans.
+//    identical loads (Add is an AddBatch of one, so the escalation-rung
+//    scan counts are equal by construction).
 //
 // Memory is reported two ways: exact bytes held by each candidate layout
 // (capacity accounting, deterministic) and the process peak RSS

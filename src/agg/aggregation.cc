@@ -266,7 +266,7 @@ Aggregation BuildAggregation(const core::SaProblem& problem,
       // aggregate rect relative to the representative's own subscription.
       bool rect_ok = agg.rect.Contains(r);
       if (!rect_ok && options.eps > 0) {
-        rect_ok = agg.rect.EnclosureWith(r).Volume() <=
+        rect_ok = agg.rect.EnclosureVolume(r) <=
                   (1.0 + options.eps) * seed_vol[a] + 1e-12;
       }
       if (!rect_ok) continue;

@@ -1,7 +1,6 @@
 #include "src/core/dynamic.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -30,7 +29,7 @@ std::vector<geo::Rectangle> GreedyMergeToAlpha(
     size_t bi = 0, bj = 1;
     for (size_t i = 0; i < rects.size(); ++i) {
       for (size_t j = i + 1; j < rects.size(); ++j) {
-        const double waste = rects[i].EnclosureWith(rects[j]).Volume() -
+        const double waste = rects[i].EnclosureVolume(rects[j]) -
                              rects[i].Volume() - rects[j].Volume();
         if (waste < best) {
           best = waste;
@@ -61,15 +60,6 @@ DynamicAssigner::DynamicAssigner(net::BrokerTree tree, SaConfig config,
     leaf_index_[leaves[i]] = static_cast<int>(i);
   }
   filters_.resize(tree_.num_nodes());
-  RebuildLivePaths();
-}
-
-void DynamicAssigner::RebuildLivePaths() {
-  paths_.assign(tree_.num_nodes(), {});
-  for (int leaf : tree_.live_leaf_brokers()) {
-    auto path = tree_.LivePathFromRoot(leaf);
-    paths_[leaf].assign(path.begin() + 1, path.end());
-  }
 }
 
 double DynamicAssigner::LoadCap(double lbf) const {
@@ -86,88 +76,29 @@ int DynamicAssigner::load_of(int leaf_node) const {
   return loads_[leaf_index_[leaf_node]];
 }
 
-double DynamicAssigner::LatencyAt(const wl::Subscriber& s, int leaf) const {
-  return tree_.LiveLatencyVia(leaf, s.location);
+GrKernel& DynamicAssigner::Price(const wl::Subscriber& s) {
+  gr_.Start(tree_, filters_, config_.alpha, s.subscription);
+  gr_.MeasureLatency(config_, s.location);
+  return gr_;
 }
 
-double DynamicAssigner::LatencyBound(const wl::Subscriber& s) const {
-  // The promise is relative to the *designed* network (static Δ): failures
-  // must never silently relax a subscriber's SLA — serving above this bound
-  // is a quantified degradation, not a new normal.
-  return (1.0 + config_.max_delay) * tree_.ShortestLatency(s.location);
+bool DynamicAssigner::UseVeto() const {
+  if (!placement_veto_) return false;
+  for (int leaf : tree_.live_leaf_brokers()) {
+    if (!placement_veto_(leaf)) return true;
+  }
+  return false;
 }
 
-double DynamicAssigner::IncorporationCost(const wl::Subscriber& s,
-                                          int leaf) const {
-  double cost = 0;
-  for (int v : paths_[leaf]) {
-    const auto& rects = filters_[v];
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto& r : rects) {
-      best = std::min(best, r.EnlargementTo(s.subscription));
-    }
-    if (static_cast<int>(rects.size()) < config_.alpha) {
-      best = std::min(best, s.subscription.Volume());
-    }
-    cost += best;
-  }
-  return cost;
-}
-
-Result<int> DynamicAssigner::PlaceOnline(const wl::Subscriber& s) const {
-  const auto& live_leaves = tree_.live_leaf_brokers();
-  if (live_leaves.empty()) {
-    return Status::Infeasible("no live leaf broker");
-  }
-  ++add_stats_.arrivals;
-  // Honor the suspicion veto only while a non-vetoed live leaf exists:
-  // the veto is advisory and must never make an arrival bounce.
-  bool use_veto = false;
-  if (placement_veto_) {
-    for (int leaf : live_leaves) {
-      if (!placement_veto_(leaf)) {
-        use_veto = true;
-        break;
-      }
-    }
-  }
-  const double bound = LatencyBound(s);
-  for (double lbf : {config_.beta, config_.beta_max,
-                     std::numeric_limits<double>::infinity()}) {
-    ++add_stats_.escalation_scans;
-    int best = -1;
-    double best_cost = std::numeric_limits<double>::infinity();
-    for (int leaf : live_leaves) {
-      if (use_veto && placement_veto_(leaf)) continue;
-      if (LatencyAt(s, leaf) > bound + 1e-12) continue;
-      const int idx = leaf_index_[leaf];
-      if (std::isfinite(lbf) && loads_[idx] + 1 > LoadCap(lbf) + 1e-9) {
-        continue;
-      }
-      ++add_stats_.cost_evals;
-      const double cost = IncorporationCost(s, leaf);
-      if (cost < best_cost) {
-        best_cost = cost;
-        best = leaf;
-      }
-    }
-    if (best >= 0) return best;
-  }
-  // Failures took every leaf that met the static promise: admit at the
-  // smallest latency excess (ties by enlargement cost); Add records the
-  // excess as a degradation.
-  ++add_stats_.escalation_scans;
+int DynamicAssigner::BestLeafWithin(double cap, bool use_veto) {
   int best = -1;
-  double best_excess = std::numeric_limits<double>::infinity();
   double best_cost = std::numeric_limits<double>::infinity();
-  for (int leaf : live_leaves) {
-    if (use_veto && placement_veto_(leaf)) continue;
-    const double excess = LatencyAt(s, leaf) - bound;
-    ++add_stats_.cost_evals;
-    const double cost = IncorporationCost(s, leaf);
-    if (excess < best_excess - 1e-12 ||
-        (excess < best_excess + 1e-12 && cost < best_cost)) {
-      best_excess = excess;
+  for (int leaf : tree_.live_leaf_brokers()) {
+    if (use_veto && leaf_vetoed(leaf)) continue;
+    if (gr_.latency(leaf) > gr_.bound() + 1e-12) continue;
+    if (loads_[leaf_index_[leaf]] + 1 > cap + 1e-9) continue;
+    const double cost = gr_.Cost(leaf);
+    if (cost < best_cost) {
       best_cost = cost;
       best = leaf;
     }
@@ -175,58 +106,21 @@ Result<int> DynamicAssigner::PlaceOnline(const wl::Subscriber& s) const {
   return best;
 }
 
-Status DynamicAssigner::IncorporateRect(int node, const geo::Rectangle& r) {
-  auto& rects = filters_[node];
-  double best = std::numeric_limits<double>::infinity();
-  int arg = -1;
-  for (size_t i = 0; i < rects.size(); ++i) {
-    const double c = rects[i].EnlargementTo(r);
-    if (c < best) {
-      best = c;
-      arg = static_cast<int>(i);
-    }
-  }
-  if (static_cast<int>(rects.size()) < config_.alpha && r.Volume() < best) {
-    rects.push_back(r);
-    return Status::OK();
-  }
-  if (arg < 0) {
-    // Only reachable with a non-positive α (no rectangle may exist, none
-    // does): a config error reported as a status, not an abort.
-    return Status::Infeasible("filter complexity alpha must be >= 1");
-  }
-  rects[arg].Enclose(r);
-  return Status::OK();
-}
-
-Status DynamicAssigner::GrowPathFilters(int leaf, const geo::Rectangle& sub) {
-  for (int v : paths_[leaf]) {
-    SLP_RETURN_IF_ERROR(IncorporateRect(v, sub));
-  }
-  return Status::OK();
-}
-
 Result<int> DynamicAssigner::Add(const wl::Subscriber& subscriber) {
-  if (agg_enabled_) {
-    const int fast = TrySubsumedAdmission(subscriber);
-    if (fast >= 0) return fast;
-  }
-  Result<int> placed = PlaceOnline(subscriber);
-  if (!placed.ok()) return placed.status();
-  if (config_.alpha < 1) {
-    return Status::Infeasible("filter complexity alpha must be >= 1");
-  }
-  const int leaf = placed.value();
-  SLP_RETURN_IF_ERROR(GrowPathFilters(leaf, subscriber.subscription));
-  ++loads_[leaf_index_[leaf]];
-  ++population_;
-  const int handle = CommitSlot(subscriber, leaf);
-  RegisterAggregate(handle);
-  return handle;
+  SLP_RETURN_IF_ERROR(BeginBatch());
+  return AdmitOne(subscriber);
 }
 
 Result<std::vector<int>> DynamicAssigner::AddBatch(
     const std::vector<wl::Subscriber>& batch) {
+  SLP_RETURN_IF_ERROR(BeginBatch());
+  std::vector<int> handles;
+  handles.reserve(batch.size());
+  for (const wl::Subscriber& s : batch) handles.push_back(AdmitOne(s));
+  return handles;
+}
+
+Status DynamicAssigner::BeginBatch() {
   const auto& live_leaves = tree_.live_leaf_brokers();
   if (live_leaves.empty()) {
     return Status::Infeasible("no live leaf broker");
@@ -234,140 +128,90 @@ Result<std::vector<int>> DynamicAssigner::AddBatch(
   if (config_.alpha < 1) {
     return Status::Infeasible("filter complexity alpha must be >= 1");
   }
-  const int l = static_cast<int>(live_leaves.size());
-
-  // Veto flags are constant within a batch (the tracker only mutates
-  // between ticks, never mid-batch), so evaluate the predicate once per
-  // leaf. `use_veto` follows PlaceOnline's advisory rule.
-  std::vector<char> vetoed(l, 0);
-  bool use_veto = false;
-  if (placement_veto_) {
-    for (int i = 0; i < l; ++i) {
-      vetoed[i] = placement_veto_(live_leaves[i]) ? 1 : 0;
-      if (vetoed[i] == 0) use_veto = true;
-    }
-  }
-
+  // The veto predicate is constant within a batch (the tracker only
+  // mutates between ticks, never mid-batch).
+  use_veto_ = UseVeto();
   // Rung caps are constant for the whole batch: they depend only on the
   // live-leaf count (no topology events inside a batch) and the expected
   // population. Loads only grow within a batch, so once no leaf has
   // headroom at a rung, every later scan of that rung is provably futile
   // — track the headroom counts and skip those scans (counted).
-  const double caps[2] = {LoadCap(config_.beta), LoadCap(config_.beta_max)};
-  int headroom[2] = {0, 0};
-  for (int i = 0; i < l; ++i) {
-    const int load = loads_[leaf_index_[live_leaves[i]]];
+  caps_[0] = LoadCap(config_.beta);
+  caps_[1] = LoadCap(config_.beta_max);
+  headroom_[0] = headroom_[1] = 0;
+  for (int leaf : live_leaves) {
+    const int load = loads_[leaf_index_[leaf]];
     for (int rung = 0; rung < 2; ++rung) {
-      headroom[rung] += (load + 1 <= caps[rung] + 1e-9) ? 1 : 0;
+      headroom_[rung] += (load + 1 <= caps_[rung] + 1e-9) ? 1 : 0;
     }
   }
+  return Status::OK();
+}
 
-  std::vector<int> handles;
-  handles.reserve(batch.size());
-  // Per-arrival caches, reused across rungs (and across the fallback):
-  // latencies are pure in the topology, and filters only change after the
-  // arrival commits, so every rung of one arrival sees the same values
-  // sequential Add recomputes.
-  std::vector<double> latency(l);
-  std::vector<double> cost(l);
-  std::vector<char> cost_ready(l);
-  const double inf = std::numeric_limits<double>::infinity();
-  for (const wl::Subscriber& s : batch) {
-    if (agg_enabled_) {
-      const int fast = TrySubsumedAdmission(s);
-      if (fast >= 0) {
-        // The fast path bumped the leaf's load past the commit, so the
-        // headroom condition reads post-commit: lost iff the leaf is now
-        // exactly full at the rung's cap.
-        const int idx = leaf_index_[slots_[fast].leaf];
-        for (int rung = 0; rung < 2; ++rung) {
-          if (loads_[idx] <= caps[rung] + 1e-9 &&
-              loads_[idx] + 1 > caps[rung] + 1e-9) {
-            --headroom[rung];
-          }
-        }
-        handles.push_back(fast);
-        continue;
-      }
-    }
-    ++add_stats_.arrivals;
-    const double bound = LatencyBound(s);
-    for (int i = 0; i < l; ++i) latency[i] = LatencyAt(s, live_leaves[i]);
-    std::fill(cost_ready.begin(), cost_ready.end(), 0);
-    auto cost_at = [&](int i) {
-      if (cost_ready[i] == 0) {
-        ++add_stats_.cost_evals;
-        cost[i] = IncorporationCost(s, live_leaves[i]);
-        cost_ready[i] = 1;
-      }
-      return cost[i];
-    };
-
-    // The β → β_max → ∞ ladder, with PlaceOnline's exact decisions.
-    int leaf = -1;
-    for (int rung = 0; rung < 3 && leaf < 0; ++rung) {
-      if (rung < 2 && headroom[rung] == 0) {
-        ++add_stats_.escalation_skips;
-        continue;
-      }
-      ++add_stats_.escalation_scans;
-      int best = -1;
-      double best_cost = inf;
-      for (int i = 0; i < l; ++i) {
-        if (use_veto && vetoed[i] != 0) continue;
-        if (latency[i] > bound + 1e-12) continue;
-        if (rung < 2 &&
-            loads_[leaf_index_[live_leaves[i]]] + 1 > caps[rung] + 1e-9) {
-          continue;
-        }
-        const double c = cost_at(i);
-        if (c < best_cost) {
-          best_cost = c;
-          best = i;
-        }
-      }
-      if (best >= 0) leaf = live_leaves[best];
-    }
-    if (leaf < 0) {
-      // Degraded fallback: smallest latency excess, ties by cost.
-      ++add_stats_.escalation_scans;
-      int best = -1;
-      double best_excess = inf;
-      double best_cost = inf;
-      for (int i = 0; i < l; ++i) {
-        if (use_veto && vetoed[i] != 0) continue;
-        const double excess = latency[i] - bound;
-        const double c = cost_at(i);
-        if (excess < best_excess - 1e-12 ||
-            (excess < best_excess + 1e-12 && c < best_cost)) {
-          best_excess = excess;
-          best_cost = c;
-          best = i;
-        }
-      }
-      leaf = live_leaves[best];
-    }
-
-    SLP_RETURN_IF_ERROR(GrowPathFilters(leaf, s.subscription));
-    const int idx = leaf_index_[leaf];
-    for (int rung = 0; rung < 2; ++rung) {
-      // Headroom lost iff the leaf could take this arrival but not one more.
-      if (loads_[idx] + 1 <= caps[rung] + 1e-9 &&
-          loads_[idx] + 2 > caps[rung] + 1e-9) {
-        --headroom[rung];
-      }
-    }
-    ++loads_[idx];
-    ++population_;
-    const int handle = CommitSlot(s, leaf);
-    RegisterAggregate(handle);
-    handles.push_back(handle);
+int DynamicAssigner::AdmitOne(const wl::Subscriber& s) {
+  ++add_stats_.arrivals;
+  Price(s);
+  if (agg_enabled_) {
+    const int fast = TrySubsumedAdmission(s);
+    if (fast >= 0) return fast;
   }
-  return handles;
+  const int64_t costs_before = gr_.leaf_costs();
+  // The β → β_max → ∞ ladder; the kernel prices each leaf once across it.
+  int leaf = -1;
+  for (int rung = 0; rung < 3 && leaf < 0; ++rung) {
+    if (rung < 2 && headroom_[rung] == 0) {
+      ++add_stats_.escalation_skips;
+      continue;
+    }
+    ++add_stats_.escalation_scans;
+    leaf = BestLeafWithin(
+        rung < 2 ? caps_[rung] : std::numeric_limits<double>::infinity(),
+        use_veto_);
+  }
+  if (leaf < 0) {
+    // Failures took every leaf that met the static promise: admit at the
+    // smallest latency excess (ties by enlargement cost), recorded below
+    // as a degradation.
+    ++add_stats_.escalation_scans;
+    double best_excess = std::numeric_limits<double>::infinity();
+    double best_cost = std::numeric_limits<double>::infinity();
+    for (int candidate : tree_.live_leaf_brokers()) {
+      if (use_veto_ && leaf_vetoed(candidate)) continue;
+      const double excess = gr_.latency(candidate) - gr_.bound();
+      const double cost = gr_.Cost(candidate);
+      if (excess < best_excess - 1e-12 ||
+          (excess < best_excess + 1e-12 && cost < best_cost)) {
+        best_excess = excess;
+        best_cost = cost;
+        leaf = candidate;
+      }
+    }
+  }
+  add_stats_.cost_evals += gr_.leaf_costs() - costs_before;
+
+  const Status grown =
+      GrowLivePath(tree_, leaf, s.subscription, config_.alpha, &filters_);
+  SLP_DCHECK(grown.ok());  // BeginBatch rejected alpha < 1
+  Occupy(leaf);
+  const int handle = CommitSlot(s, leaf, gr_.latency(leaf) - gr_.bound());
+  RegisterAggregate(handle);
+  return handle;
+}
+
+void DynamicAssigner::Occupy(int leaf) {
+  const int idx = leaf_index_[leaf];
+  for (int rung = 0; rung < 2; ++rung) {
+    // Headroom lost iff the leaf could take this arrival but not one more.
+    if (loads_[idx] + 1 <= caps_[rung] + 1e-9 &&
+        loads_[idx] + 2 > caps_[rung] + 1e-9) {
+      --headroom_[rung];
+    }
+  }
+  ++loads_[idx];
+  ++population_;
 }
 
 int DynamicAssigner::TrySubsumedAdmission(const wl::Subscriber& s) {
-  if (config_.alpha < 1) return -1;  // keep Add's config-error reporting
   // Aggregates whose representative subscription contains s's. The index
   // answers full containment directly; candidates arrive in ascending
   // aggregate id (creation) order, making the pick deterministic.
@@ -389,19 +233,17 @@ int DynamicAssigner::TrySubsumedAdmission(const wl::Subscriber& s) {
         static_cast<int>(agg.members.size()) >= agg_config_.max_members) {
       continue;
     }
-    if (leaf_vetoed(rep.leaf)) continue;  // suspicion: no new placements
-    if (LatencyAt(s, rep.leaf) > LatencyBound(s) + 1e-12) continue;
-    const int idx = leaf_index_[rep.leaf];
-    if (loads_[idx] + 1 > cap + 1e-9) continue;
-    // Admit at the representative's leaf. No GrowPathFilters: the member's
+    const int leaf = rep.leaf;
+    if (leaf_vetoed(leaf)) continue;  // suspicion: no new placements
+    if (gr_.latency(leaf) > gr_.bound() + 1e-12) continue;
+    if (loads_[leaf_index_[leaf]] + 1 > cap + 1e-9) continue;
+    // Admit at the representative's leaf. No filter growth: the member's
     // subscription is inside the representative's, and every live-path
     // filter already holds a rectangle containing the representative's
     // subscription (placement grew it there, and rectangles only grow).
-    ++loads_[idx];
-    ++population_;
-    ++add_stats_.arrivals;
+    Occupy(leaf);
     ++add_stats_.subsumed_admissions;
-    const int handle = CommitSlot(s, rep.leaf);
+    const int handle = CommitSlot(s, leaf, gr_.latency(leaf) - gr_.bound());
     SLP_DCHECK(slots_[handle].state == SubscriberState::kLive);
     if (static_cast<int>(agg_of_.size()) < static_cast<int>(slots_.size())) {
       agg_of_.resize(slots_.size(), -1);
@@ -477,12 +319,23 @@ void DynamicAssigner::DisableAggregation() {
   ResetAggregates();
 }
 
-int DynamicAssigner::CommitSlot(const wl::Subscriber& s, int leaf) {
-  Slot slot;
-  slot.subscriber = s;
+int DynamicAssigner::CommitSlot(const wl::Subscriber& s, int leaf,
+                                double excess) {
+  int h = static_cast<int>(slots_.size());
+  if (free_slots_.empty()) {
+    Slot fresh;
+    fresh.subscriber = s;  // copied before growing: `s` may be a slot's
+    slots_.push_back(std::move(fresh));
+  } else {
+    h = free_slots_.top();
+    free_slots_.pop();
+    slots_[h].subscriber = s;  // copy-assignment reuses the vacated buffers
+  }
+  Slot& slot = slots_[h];
+  SLP_DCHECK(!slot.occupied);
   slot.leaf = leaf;
   slot.occupied = true;
-  const double excess = LatencyAt(s, leaf) - LatencyBound(s);
+  slot.violation = {};
   if (excess > 1e-12) {
     slot.state = SubscriberState::kDegraded;
     slot.violation.latency = excess;
@@ -490,15 +343,7 @@ int DynamicAssigner::CommitSlot(const wl::Subscriber& s, int leaf) {
     slot.state = SubscriberState::kLive;
     ++live_count_;
   }
-  if (!free_slots_.empty()) {
-    const int h = free_slots_.top();
-    free_slots_.pop();
-    SLP_DCHECK(!slots_[h].occupied);
-    slots_[h] = std::move(slot);
-    return h;
-  }
-  slots_.push_back(std::move(slot));
-  return static_cast<int>(slots_.size()) - 1;
+  return h;
 }
 
 void DynamicAssigner::ReleasePlacement(Slot* slot) {
@@ -532,7 +377,6 @@ void DynamicAssigner::Remove(int handle) {
 
 Status DynamicAssigner::FailBroker(int node) {
   SLP_RETURN_IF_ERROR(tree_.FailBroker(node));
-  RebuildLivePaths();
 #if SLP_AUDITS_ENABLED
   net::AuditLiveOverlay(tree_);
 #endif
@@ -556,7 +400,6 @@ Status DynamicAssigner::FailBroker(int node) {
 
 Status DynamicAssigner::RecoverBroker(int node) {
   SLP_RETURN_IF_ERROR(tree_.RecoverBroker(node));
-  RebuildLivePaths();
 #if SLP_AUDITS_ENABLED
   net::AuditLiveOverlay(tree_);
 #endif
@@ -581,7 +424,7 @@ Status DynamicAssigner::RecoverBroker(int node) {
   for (int a = tree_.live_parent(node); a != net::BrokerTree::kPublisher;
        a = tree_.live_parent(a)) {
     for (const auto& r : filters_[node]) {
-      SLP_RETURN_IF_ERROR(IncorporateRect(a, r));
+      SLP_RETURN_IF_ERROR(Incorporate(r, config_.alpha, &filters_[a]));
     }
   }
   return Status::OK();
@@ -636,7 +479,8 @@ Status DynamicAssigner::PlaceAt(int handle, int leaf,
     return Status::InvalidArgument("PlaceAt: cannot place into kOrphaned");
   }
   Slot& slot = slots_[handle];
-  SLP_RETURN_IF_ERROR(GrowPathFilters(leaf, slot.subscriber.subscription));
+  SLP_RETURN_IF_ERROR(GrowLivePath(tree_, leaf, slot.subscriber.subscription,
+                                   config_.alpha, &filters_));
   DetachAggregate(handle);
   ReleasePlacement(&slot);
   slot.leaf = leaf;
@@ -767,8 +611,8 @@ void DynamicAssigner::InstallLive(const LiveSnapshot& snap,
     // (failures, or greedy best-effort under load pressure): quantify
     // instead of pretending. With no failures this equals the snapshot
     // problem's own bound check.
-    const double excess =
-        LatencyAt(slot.subscriber, slot.leaf) - LatencyBound(slot.subscriber);
+    const GrKernel& gr = Price(slot.subscriber);
+    const double excess = gr.latency(slot.leaf) - gr.bound();
     if (excess > 1e-12) {
       slot.state = SubscriberState::kDegraded;
       slot.violation = {};

@@ -47,6 +47,7 @@
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/core/assignment.h"
+#include "src/core/gr_kernel.h"
 #include "src/core/problem.h"
 #include "src/core/slp.h"
 #include "src/geometry/rectangle.h"
@@ -85,20 +86,20 @@ struct ReoptimizeReport {
   std::string algorithm;
 };
 
-// Cumulative counters of the online-placement work done by Add/AddBatch.
-// The batch path amortizes: per-arrival latency/cost caches and batch-level
-// rung-saturation counters that skip provably futile β/β_max scans — the
-// same placement decisions as sequential Add, with measurably fewer
-// escalation-ladder solves (escalation_scans) and cost evaluations.
+// Cumulative counters of the online-placement work done by Add/AddBatch
+// (Add is a batch of one, so both count alike). Each arrival is priced by
+// one GrKernel session, and the batch's rung-saturation counters skip
+// provably futile β/β_max scans — fewer escalation-ladder solves than the
+// always-scan ladder (tests/gr_oracle.h), with the same placements.
 struct AddStats {
   int64_t arrivals = 0;
   // Full per-leaf scans of one rung of the Gr escalation ladder
   // (β, β_max, ∞, or the degraded fallback) — the ladder's "solves".
   int64_t escalation_scans = 0;
-  // Rung scans AddBatch proved futile (no leaf has headroom at the rung's
-  // cap) and skipped without scanning.
+  // Rung scans proved futile (no leaf has headroom at the rung's cap) and
+  // skipped without scanning.
   int64_t escalation_skips = 0;
-  // IncorporationCost evaluations (one filter-path walk each).
+  // Leaf incorporation costs computed (each at most once per arrival).
   int64_t cost_evals = 0;
   // Arrivals admitted through the subsumption fast path: subscription
   // covered by a live aggregate representative's, admitted at the rep's
@@ -127,26 +128,28 @@ class DynamicAssigner {
   DynamicAssigner(net::BrokerTree tree, SaConfig config,
                   int expected_population);
 
-  // Adds a subscriber and assigns it online. Returns a handle for removal,
-  // or kInfeasible when no live leaf broker exists at all (every leaf
-  // failed) — the assigner state is unchanged in that case. If live leaves
-  // exist but none meets the subscriber's static latency promise (failures
-  // took the close ones), the subscriber is admitted kDegraded with the
-  // latency excess quantified.
+  // Adds a subscriber and assigns it online: an AddBatch of one, without
+  // the batch's vector. Returns a handle for removal, or kInfeasible when
+  // no live leaf broker exists at all (every leaf failed) or alpha < 1 —
+  // the assigner state is unchanged in that case. If live leaves exist but
+  // none meets the subscriber's static latency promise (failures took the
+  // close ones), the subscriber is admitted kDegraded with the latency
+  // excess quantified. A recycled handle's Add allocates nothing once the
+  // filters hold alpha rectangles per node.
   Result<int> Add(const wl::Subscriber& subscriber);
 
   // Adds a batch of subscribers, placed online in arrival order with
   // exactly the semantics of calling Add once per element — bit-identical
-  // placements, filters, loads, states, and handles — while amortizing the
-  // per-arrival work: each arrival's per-leaf latencies and incorporation
-  // costs are computed once across all rungs (Add recomputes them per
-  // rung), and the batch tracks how many live leaves still have headroom
-  // at β and β_max (caps are constant within a batch and loads only grow,
-  // so a saturated rung stays saturated and its scans are skipped — see
-  // AddStats::escalation_skips). Returns one handle per subscriber.
-  // kInfeasible with the assigner unchanged when no live leaf broker
-  // exists or alpha < 1 (the same per-element outcome sequential Add would
-  // produce, which also leaves no state behind).
+  // placements, filters, loads, states, handles and AddStats. Each arrival
+  // is priced by one GrKernel session: one distance per static leaf, each
+  // node's enlargement at most once across all rungs. The batch tracks how
+  // many live leaves still have headroom at β and β_max (caps are constant
+  // within a batch and loads only grow, so a saturated rung stays
+  // saturated and its scans are skipped — see AddStats::escalation_skips).
+  // The placements are those of the always-scan Gr ladder
+  // (tests/gr_oracle.h). Returns one handle per subscriber. kInfeasible
+  // with the assigner unchanged when no live leaf broker exists or
+  // alpha < 1.
   Result<std::vector<int>> AddBatch(const std::vector<wl::Subscriber>& batch);
 
   // Work counters accumulated by Add and AddBatch since construction.
@@ -200,13 +203,17 @@ class DynamicAssigner {
   double LoadCap(double lbf) const;
   // Current load of a live leaf node.
   int load_of(int leaf_node) const;
-  // Latency of serving `s` via `leaf` in the live overlay, and s's bound
-  // (1 + max_delay) · Δ_live.
-  double LatencyAt(const wl::Subscriber& s, int leaf) const;
-  double LatencyBound(const wl::Subscriber& s) const;
-  // Gr incorporation cost of adding s's subscription along the live path
-  // to `leaf`.
-  double IncorporationCost(const wl::Subscriber& s, int leaf) const;
+  // Starts the assigner's Gr session for `s` and returns it: `s` priced
+  // against the current filters over the live overlay, latency pass
+  // included (config().latency_mode, bound over the designed tree). Valid
+  // until the filters or the topology change, or the next Price, Add or
+  // AddBatch.
+  GrKernel& Price(const wl::Subscriber& s);
+  // One rung of the Gr ladder for the subscriber the session prices: among
+  // live leaves within its latency bound with room for one more under
+  // `cap` (+inf: none checked), skipping vetoed leaves when `use_veto`,
+  // the first of least cost; -1 if none.
+  int BestLeafWithin(double cap, bool use_veto);
 
   // Places an orphaned/degraded/live subscriber at `leaf` (a live leaf):
   // releases any previous placement, grows filters along the live path,
@@ -245,6 +252,9 @@ class DynamicAssigner {
   bool leaf_vetoed(int leaf) const {
     return placement_veto_ && placement_veto_(leaf);
   }
+  // The advisory rule: honor the veto only while some live leaf is not
+  // vetoed.
+  bool UseVeto() const;
 
   // ---- Online subsumption fast path (DESIGN.md §14) ----
   //
@@ -339,18 +349,18 @@ class DynamicAssigner {
     DegradedViolation violation;
   };
 
-  // Gr-style online placement over live leaves. kInfeasible when no live
-  // leaf exists (state unchanged).
-  Result<int> PlaceOnline(const wl::Subscriber& s) const;
-  // Fills a slot (recycling the lowest free handle, as Add always has)
-  // with a subscriber placed at `leaf` and returns the handle. The caller
-  // has already grown filters and bumped the leaf load / population.
-  int CommitSlot(const wl::Subscriber& s, int leaf);
-  // Grows filters_[node] to incorporate `r` (R-tree least-enlargement,
-  // honoring α). kInfeasible only for a non-positive α.
-  Status IncorporateRect(int node, const geo::Rectangle& r);
-  // Grows filters along the live path to `leaf` for `sub`.
-  Status GrowPathFilters(int leaf, const geo::Rectangle& sub);
+  // Starts a batch: kInfeasible when no live leaf exists or alpha < 1;
+  // otherwise sets the veto rule, the β/β_max caps and their headroom.
+  Status BeginBatch();
+  // Places one arrival of the current batch and returns its handle.
+  int AdmitOne(const wl::Subscriber& s);
+  // Bumps a leaf's load and the population, keeping the batch's headroom.
+  void Occupy(int leaf);
+  // Fills a slot (recycling the lowest free handle, as Add always has,
+  // into the vacated slot's buffers) with a subscriber placed at `leaf`
+  // `excess` above its latency bound, and returns the handle. The caller
+  // has already grown filters and occupied the leaf.
+  int CommitSlot(const wl::Subscriber& s, int leaf, double excess);
   // Releases a slot's current placement (load + leaf), if any.
   void ReleasePlacement(Slot* slot);
   // Drops `handle` from orphans_ if present.
@@ -368,8 +378,6 @@ class DynamicAssigner {
   // Drops every aggregate and, when enabled, re-seeds one per placed kLive
   // slot in ascending handle order.
   void ResetAggregates();
-  // Recomputes paths_ from the live overlay after a fail/recover event.
-  void RebuildLivePaths();
   // Installs a fresh solution from a live snapshot back into the slots.
   void InstallLive(const LiveSnapshot& snap, const SaSolution& fresh);
 
@@ -385,15 +393,20 @@ class DynamicAssigner {
   // handles, so popping the minimum reproduces the historical
   // first-free-slot choice.
   std::priority_queue<int, std::vector<int>, std::greater<>> free_slots_;
-  // Mutable: PlaceOnline is logically const but meters its scan work.
-  mutable AddStats add_stats_;
+  AddStats add_stats_;
   int live_count_ = 0;
   int population_ = 0;
   std::vector<int> orphans_;
-  std::vector<int> loads_;                       // by static leaf index
-  std::vector<int> leaf_index_;                  // node id -> leaf index
-  std::vector<std::vector<geo::Rectangle>> filters_;  // by node id
-  std::vector<std::vector<int>> paths_;  // live leaf -> live path (sans P)
+  std::vector<int> loads_;       // by static leaf index
+  std::vector<int> leaf_index_;  // node id -> leaf index
+  FilterTable filters_;
+  // The Gr session and the rest of the current batch's state (Add is a
+  // batch of one). gr_ is read only through Price, which restarts it, so a
+  // copied assigner never reads the session of the one it was copied from.
+  GrKernel gr_;
+  bool use_veto_ = false;
+  double caps_[2] = {0, 0};   // load caps at β, β_max
+  int headroom_[2] = {0, 0};  // live leaves with room under each cap
 
   // ---- Subsumption fast-path state ----
   struct DynAggregate {

@@ -7,60 +7,11 @@
 #include "src/common/invariant.h"
 #include "src/common/status.h"
 #include "src/core/filter_adjust.h"
+#include "src/core/gr_kernel.h"
 
 namespace slp::core {
 
 namespace {
-
-// Mutable R-tree-style filter state per tree node: at most alpha
-// rectangles, grown greedily as subscriptions are routed through the node.
-class PathFilters {
- public:
-  PathFilters(const net::BrokerTree& tree, int alpha)
-      : alpha_(alpha), rects_(tree.num_nodes()) {}
-
-  // Least added volume to incorporate `sub` into node v's filter: either
-  // enlarging an existing rectangle or (if below the complexity cap)
-  // opening a new one with volume Vol(sub).
-  double IncorporationCost(int v, const geo::Rectangle& sub) const {
-    const auto& rs = rects_[v];
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto& r : rs) {
-      best = std::min(best, r.EnlargementTo(sub));
-      if (best == 0) return 0;
-    }
-    if (static_cast<int>(rs.size()) < alpha_) {
-      best = std::min(best, sub.Volume());
-    }
-    return best;
-  }
-
-  // Applies the cheapest incorporation chosen by IncorporationCost.
-  void Incorporate(int v, const geo::Rectangle& sub) {
-    auto& rs = rects_[v];
-    double best = std::numeric_limits<double>::infinity();
-    int arg = -1;
-    for (size_t i = 0; i < rs.size(); ++i) {
-      const double c = rs[i].EnlargementTo(sub);
-      if (c < best) {
-        best = c;
-        arg = static_cast<int>(i);
-      }
-    }
-    if (static_cast<int>(rs.size()) < alpha_ && sub.Volume() < best) {
-      rs.push_back(sub);
-      return;
-    }
-    SLP_DCHECK(arg >= 0);
-    rs[arg].Enclose(sub);
-  }
-
-  geo::Filter ToFilter(int v) const { return geo::Filter(rects_[v]); }
-
- private:
-  const int alpha_;
-  std::vector<std::vector<geo::Rectangle>> rects_;
-};
 
 class GreedyRunner {
  public:
@@ -71,15 +22,11 @@ class GreedyRunner {
         rng_(rng),
         tree_(problem.tree()),
         m_(problem.num_subscribers()),
-        filters_(tree_, problem.config().alpha),
+        filters_(tree_.num_nodes()),
         loads_(problem.num_leaves(), 0) {
+    // The kernel walks the live overlay, which is the designed tree here.
+    SLP_DCHECK(!tree_.any_failed());
     BuildCandidates();
-    // Cache publisher-to-leaf paths without the publisher itself.
-    paths_.resize(tree_.num_nodes());
-    for (int leaf : tree_.leaf_brokers()) {
-      auto path = tree_.PathFromRoot(leaf);
-      paths_[leaf].assign(path.begin() + 1, path.end());
-    }
   }
 
   SaSolution Run() {
@@ -98,7 +45,7 @@ class GreedyRunner {
 
     solution.filters.assign(tree_.num_nodes(), geo::Filter());
     for (int leaf : tree_.leaf_brokers()) {
-      solution.filters[leaf] = filters_.ToFilter(leaf);
+      solution.filters[leaf] = geo::Filter(filters_[leaf]);
     }
     // Greedy also maintained internal filters for its cost function, but a
     // grown rectangle at a child may straddle two parent rectangles; the
@@ -139,18 +86,14 @@ class GreedyRunner {
                      : std::numeric_limits<double>::infinity();
   }
 
-  double PathCost(int j, int leaf) const {
-    const geo::Rectangle& sub = problem_.subscriber(j).subscription;
-    double cost = 0;
-    for (int v : paths_[leaf]) cost += filters_.IncorporationCost(v, sub);
-    return cost;
-  }
-
   // Assigns subscriber j to the best candidate under the desired lbf; if
   // none is available the cap is escalated toward β_max *for this
   // subscriber only* (subsequent subscribers start from β again), and as a
-  // last resort the least-loaded latency candidate is overloaded.
+  // last resort the least-loaded latency candidate is overloaded. One
+  // kernel session prices every escalation step.
   void AssignOne(int j, SaSolution* solution) {
+    gr_.Start(tree_, filters_, problem_.config().alpha,
+              problem_.subscriber(j).subscription);
     double lbf = problem_.config().beta;
     while (true) {
       int best = PickBest(j, lbf);
@@ -172,13 +115,13 @@ class GreedyRunner {
     }
   }
 
-  int PickBest(int j, double lbf) const {
+  int PickBest(int j, double lbf) {
     double best_cost = std::numeric_limits<double>::infinity();
     double best_load = std::numeric_limits<double>::infinity();
     int best = -1;
     for (int leaf : candidates_[j]) {
       if (std::isfinite(lbf) && IsFull(leaf, lbf)) continue;
-      const double cost = PathCost(j, leaf);
+      const double cost = gr_.Cost(leaf);
       const double load = LoadRatio(leaf);
       if (cost < best_cost - 1e-15 ||
           (cost <= best_cost + 1e-15 && load < best_load)) {
@@ -193,8 +136,10 @@ class GreedyRunner {
   void Commit(int j, int leaf, SaSolution* solution) {
     solution->assignment[j] = leaf;
     ++loads_[problem_.leaf_index(leaf)];
-    const geo::Rectangle& sub = problem_.subscriber(j).subscription;
-    for (int v : paths_[leaf]) filters_.Incorporate(v, sub);
+    const Status grown =
+        GrowLivePath(tree_, leaf, problem_.subscriber(j).subscription,
+                     problem_.config().alpha, &filters_);
+    SLP_DCHECK(grown.ok());
   }
 
   // Gr*: subscribers with the fewest usable candidates first, with lazy
@@ -248,9 +193,10 @@ class GreedyRunner {
   const net::BrokerTree& tree_;
   const int m_;
 
-  PathFilters filters_;
+  // R-tree-style filters grown as subscriptions route through each node.
+  FilterTable filters_;
+  GrKernel gr_;
   std::vector<std::vector<int>> candidates_;  // per subscriber: leaf nodes
-  std::vector<std::vector<int>> paths_;       // per leaf: path sans publisher
   std::vector<int> loads_;                    // per leaf index
   int overload_count_ = 0;
 };

@@ -15,42 +15,21 @@ RepairEngine::RepairEngine(DynamicAssigner* assigner, RepairOptions options)
   SLP_DCHECK(dyn_ != nullptr);
 }
 
-bool RepairEngine::UseVeto() const {
-  if (!dyn_->has_placement_veto()) return false;
-  for (int leaf : dyn_->tree().live_leaf_brokers()) {
-    if (!dyn_->leaf_vetoed(leaf)) return true;
-  }
-  return false;
-}
-
-int RepairEngine::BestConstrainedLeaf(const wl::Subscriber& s, double lbf,
-                                      bool use_veto) const {
-  const double bound = dyn_->LatencyBound(s);
-  const double cap = dyn_->LoadCap(lbf);
-  int best = -1;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (int leaf : dyn_->tree().live_leaf_brokers()) {
-    if (use_veto && dyn_->leaf_vetoed(leaf)) continue;
-    if (dyn_->LatencyAt(s, leaf) > bound + 1e-12) continue;
-    if (dyn_->load_of(leaf) + 1 > cap + 1e-9) continue;
-    const double cost = dyn_->IncorporationCost(s, leaf);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = leaf;
-    }
-  }
-  return best;
-}
-
 SubscriberState RepairEngine::PlaceWithLadder(int handle,
                                               RepairReport* report) {
-  const wl::Subscriber& s = dyn_->subscriber(handle);
   const auto& live_leaves = dyn_->tree().live_leaf_brokers();
-  const bool use_veto = UseVeto();
+  if (live_leaves.empty()) {
+    // Park: nothing can host the subscriber until a broker recovers.
+    const Status parked = dyn_->Park(handle, DegradedViolation{});
+    SLP_DCHECK(parked.ok());
+    return SubscriberState::kDegraded;
+  }
+  const bool use_veto = dyn_->UseVeto();
+  GrKernel& gr = dyn_->Price(dyn_->subscriber(handle));
 
   // Rungs 1–2: Gr within constraints, desired cap first.
   for (double lbf : {dyn_->config().beta, dyn_->config().beta_max}) {
-    const int leaf = BestConstrainedLeaf(s, lbf, use_veto);
+    const int leaf = dyn_->BestLeafWithin(dyn_->LoadCap(lbf), use_veto);
     if (leaf >= 0) {
       const Status placed =
           dyn_->PlaceAt(handle, leaf, SubscriberState::kLive);
@@ -59,14 +38,6 @@ SubscriberState RepairEngine::PlaceWithLadder(int handle,
     }
   }
 
-  if (live_leaves.empty()) {
-    // Park: nothing can host the subscriber until a broker recovers.
-    const Status parked = dyn_->Park(handle, DegradedViolation{});
-    SLP_DCHECK(parked.ok());
-    return SubscriberState::kDegraded;
-  }
-
-  const double bound = dyn_->LatencyBound(s);
   const double cap_max = dyn_->LoadCap(dyn_->config().beta_max);
 
   // Rung 3: latency-slack relaxation under the emergency cap — minimize
@@ -78,8 +49,8 @@ SubscriberState RepairEngine::PlaceWithLadder(int handle,
     for (int leaf : live_leaves) {
       if (use_veto && dyn_->leaf_vetoed(leaf)) continue;
       if (dyn_->load_of(leaf) + 1 > cap_max + 1e-9) continue;
-      const double excess = std::max(0.0, dyn_->LatencyAt(s, leaf) - bound);
-      const double cost = dyn_->IncorporationCost(s, leaf);
+      const double excess = std::max(0.0, gr.latency(leaf) - gr.bound());
+      const double cost = gr.Cost(leaf);
       if (excess < best_excess - 1e-12 ||
           (excess < best_excess + 1e-12 && cost < best_cost)) {
         best_excess = excess;
@@ -105,7 +76,7 @@ SubscriberState RepairEngine::PlaceWithLadder(int handle,
   double best_excess = std::numeric_limits<double>::infinity();
   for (int leaf : live_leaves) {
     if (use_veto && dyn_->leaf_vetoed(leaf)) continue;
-    const double excess = std::max(0.0, dyn_->LatencyAt(s, leaf) - bound);
+    const double excess = std::max(0.0, gr.latency(leaf) - gr.bound());
     if (excess < best_excess) {
       best_excess = excess;
       best = leaf;
@@ -169,11 +140,11 @@ RepairReport RepairEngine::Repair(const Deadline& deadline, int64_t now) {
         handle, Backoff{0, now + options_.backoff_base});
     if (inserted || now < it->second.next) continue;
     ++report.retried;
-    const wl::Subscriber& s = dyn_->subscriber(handle);
-    const bool use_veto = UseVeto();
+    const bool use_veto = dyn_->UseVeto();
+    dyn_->Price(dyn_->subscriber(handle));
     int leaf = -1;
     for (double lbf : {dyn_->config().beta, dyn_->config().beta_max}) {
-      leaf = BestConstrainedLeaf(s, lbf, use_veto);
+      leaf = dyn_->BestLeafWithin(dyn_->LoadCap(lbf), use_veto);
       if (leaf >= 0) break;
     }
     if (leaf >= 0) {

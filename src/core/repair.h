@@ -105,14 +105,9 @@ class RepairEngine {
     int64_t next = 0;
   };
 
-  // True iff the assigner carries a placement veto and at least one live
-  // leaf is not vetoed — the advisory-veto rule shared with PlaceOnline.
-  bool UseVeto() const;
-  // Ladder rungs 1–2: best live leaf within `lbf` cap and latency bound;
-  // -1 if none. Skips vetoed leaves when `use_veto`.
-  int BestConstrainedLeaf(const wl::Subscriber& s, double lbf,
-                          bool use_veto) const;
-  // Runs the full ladder for one subscriber. Returns the resulting state.
+  // Runs the full ladder for one subscriber, every rung priced by one
+  // session of the assigner's GrKernel (DynamicAssigner::Price). Returns
+  // the resulting state.
   SubscriberState PlaceWithLadder(int handle, RepairReport* report);
   // Erases entries whose handle is no longer an occupied kDegraded
   // subscriber (removed, reoptimized back to kLive, or orphaned again).

@@ -114,8 +114,17 @@ Rectangle& Rectangle::Enclose(const Rectangle& r) {
   return *this;
 }
 
+double Rectangle::EnclosureVolume(const Rectangle& r) const {
+  SLP_DCHECK(r.dim() == dim());
+  double v = 1;
+  for (size_t i = 0; i < lo_.size(); ++i) {
+    v *= std::max(hi_[i], r.hi_[i]) - std::min(lo_[i], r.lo_[i]);
+  }
+  return v;
+}
+
 double Rectangle::EnlargementTo(const Rectangle& r) const {
-  return EnclosureWith(r).Volume() - Volume();
+  return EnclosureVolume(r) - Volume();
 }
 
 Rectangle Rectangle::Expanded(double eps) const {

@@ -87,11 +87,16 @@ class Rectangle {
   // Smallest box containing both this and r.
   Rectangle EnclosureWith(const Rectangle& r) const;
 
+  // Vol(MEB(this, r)), computed in place: bit-identical to
+  // EnclosureWith(r).Volume() (the same per-dimension sides multiplied in
+  // the same order) without building the enclosure.
+  double EnclosureVolume(const Rectangle& r) const;
+
   // Grows this box (in place) to contain r. Returns *this.
   Rectangle& Enclose(const Rectangle& r);
 
   // Vol(MEB(this, r)) - Vol(this): the R-tree-style insertion cost used by
-  // the greedy algorithms (Section III).
+  // the greedy algorithms (Section III). Allocates nothing.
   double EnlargementTo(const Rectangle& r) const;
 
   // The paper's ε-expansion: each side [l,h] becomes

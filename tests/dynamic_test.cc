@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/deadline.h"
 #include "src/core/audit.h"
 #include "src/core/dynamic.h"
 #include "src/core/greedy.h"
 #include "src/core/metrics.h"
+#include "src/core/repair.h"
 #include "src/network/tree_builder.h"
 #include "src/workload/coverable.h"
 #include "src/workload/googlegroups.h"
+#include "src/workload/grid.h"
+#include "tests/gr_oracle.h"
 
 namespace slp::core {
 namespace {
@@ -174,10 +178,11 @@ TEST(DynamicTest, AddBatchEmptyAndInfeasibleLeaveStateUnchanged) {
 
 // The AddBatch equivalence contract fuzzed at scale: 1000 arrivals in
 // batches with removals in between (exercising slot recycling), against a
-// twin assigner fed the same stream through sequential Add. Final state —
-// handles, assignments, states, loads, every filter rectangle — must be
+// twin assigner fed the same stream through sequential Add, each Add
+// checked against the brute-force ladder (tests/gr_oracle.h). Final state
+// — handles, assignments, states, loads, every filter rectangle — must be
 // identical, while the batch path does measurably fewer escalation-rung
-// scans (the amortization being purchased).
+// scans than the always-scan ladder (the amortization being purchased).
 TEST(DynamicTest, AddBatchMatchesSequentialAddFuzz) {
   wl::Workload w = wl::GenerateGoogleGroupsVariant(
       wl::Level::kHigh, wl::Level::kLow, 1000, 8, /*seed=*/9);
@@ -192,13 +197,19 @@ TEST(DynamicTest, AddBatchMatchesSequentialAddFuzz) {
 
   Rng rng(77);
   size_t next = 0;
+  int64_t oracle_scans = 0;
   for (int round = 0; round < 4; ++round) {
     const std::vector<wl::Subscriber> batch(
         w.subscribers.begin() + next, w.subscribers.begin() + next + 250);
     next += 250;
     std::vector<int> seq_handles;
     seq_handles.reserve(batch.size());
-    for (const auto& s : batch) seq_handles.push_back(seq.Add(s).value());
+    for (const auto& s : batch) {
+      const GrOracleChoice want = GrOracleLadder(seq, s);
+      oracle_scans += want.scans;
+      seq_handles.push_back(seq.Add(s).value());
+      EXPECT_EQ(seq.leaf_of(seq_handles.back()), want.leaf);
+    }
     auto got = bat.AddBatch(batch);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(got.value(), seq_handles) << "round " << round;
@@ -229,8 +240,218 @@ TEST(DynamicTest, AddBatchMatchesSequentialAddFuzz) {
   // Same work admitted, less work done.
   EXPECT_EQ(seq.add_stats().arrivals, bat.add_stats().arrivals);
   EXPECT_GT(bat.add_stats().escalation_skips, 0);
-  EXPECT_LT(bat.add_stats().escalation_scans, seq.add_stats().escalation_scans);
+  EXPECT_LT(bat.add_stats().escalation_scans, oracle_scans);
   EXPECT_LE(bat.add_stats().cost_evals, seq.add_stats().cost_evals);
+  // Add is a batch of one: the two paths do the same work.
+  EXPECT_EQ(bat.add_stats().escalation_scans, seq.add_stats().escalation_scans);
+}
+
+// SaConfig::latency_mode binds online placement too: an assigner
+// configured for last-hop latency admits, repairs and quantifies against
+// the last hop, so its own Snapshot() validates. Publisher at 0, leaves at
+// 0.1 and -1.0, a subscriber at -0.85: the last hops are 0.95 and 0.15
+// against a bound of 1.3 × 0.15 = 0.195, so only leaf 2 is feasible
+// (both are under path latency).
+TEST(DynamicTest, LastHopLatencyModeBindsOnlinePlacement) {
+  net::BrokerTree tree({0.0});
+  tree.AddBroker({0.1}, net::BrokerTree::kPublisher);
+  tree.AddBroker({-1.0}, net::BrokerTree::kPublisher);
+  tree.Finalize();
+  SaConfig config;
+  config.max_delay = 0.3;
+  config.latency_mode = LatencyMode::kLastHop;
+  DynamicAssigner dyn(std::move(tree), config, 1);
+  wl::Subscriber s;
+  s.location = {-0.85};
+  s.subscription = Rectangle({0.1, 0.1}, {0.2, 0.2});
+  const int h = dyn.Add(s).value();
+  EXPECT_EQ(dyn.leaf_of(h), 2);
+  EXPECT_EQ(dyn.state(h), SubscriberState::kLive);
+  {
+    auto [problem, solution] = dyn.Snapshot();
+    ValidationOptions opts;
+    opts.check_load = false;
+    const Status valid = ValidateSolution(problem, solution, opts);
+    EXPECT_TRUE(valid.ok()) << valid.ToString();
+  }
+  // Losing leaf 2 leaves only a last hop of 0.95: repair must quantify the
+  // excess over 0.195, not admit it as live.
+  ASSERT_TRUE(dyn.FailBroker(2).ok());
+  RepairEngine engine(&dyn);
+  engine.Repair(Deadline::Infinite());
+  EXPECT_EQ(dyn.leaf_of(h), 1);
+  EXPECT_EQ(dyn.state(h), SubscriberState::kDegraded);
+  EXPECT_NEAR(dyn.violation(h).latency, 0.95 - 0.195, 1e-12);
+}
+
+// Mirrors one repair pass onto `twin` (taken just before it), checking
+// every placement the pass made within constraints — rung 1/2 of the
+// orphan ladder and the degraded retries — against the brute-force rung.
+// Returns the number of placements checked.
+int CheckRepairPass(const DynamicAssigner& dyn, DynamicAssigner& twin,
+                    const std::vector<int>& orphans) {
+  int checked = 0;
+  auto oracle_rungs = [&twin](int h) {
+    const int leaf = GrOracleRung(twin, twin.subscriber(h), twin.config().beta);
+    return leaf >= 0
+               ? leaf
+               : GrOracleRung(twin, twin.subscriber(h), twin.config().beta_max);
+  };
+  for (int h : orphans) {
+    const int want = oracle_rungs(h);
+    if (dyn.state(h) == SubscriberState::kLive) {
+      EXPECT_EQ(dyn.leaf_of(h), want) << "orphan " << h;
+      EXPECT_TRUE(twin.PlaceAt(h, dyn.leaf_of(h), SubscriberState::kLive).ok());
+      ++checked;
+    } else if (dyn.leaf_of(h) >= 0) {
+      EXPECT_EQ(want, -1) << "orphan " << h << " degraded past a free rung";
+      EXPECT_TRUE(twin.PlaceAt(h, dyn.leaf_of(h), SubscriberState::kDegraded,
+                               dyn.violation(h))
+                      .ok());
+    } else {
+      EXPECT_TRUE(twin.Park(h, dyn.violation(h)).ok());
+    }
+  }
+  // Retries run over the degraded handles in ascending order; one that
+  // came back live took the oracle's rung-1/2 leaf.
+  for (int h : twin.degraded_handles()) {
+    if (dyn.state(h) != SubscriberState::kLive) continue;
+    EXPECT_EQ(dyn.leaf_of(h), oracle_rungs(h)) << "retry " << h;
+    EXPECT_TRUE(twin.PlaceAt(h, dyn.leaf_of(h), SubscriberState::kLive).ok());
+    ++checked;
+  }
+  // The mirror replayed the pass exactly: same loads, same filters.
+  EXPECT_EQ(twin.loads(), dyn.loads());
+  for (int v = 0; v < dyn.tree().num_nodes(); ++v) {
+    EXPECT_TRUE(twin.filter(v) == dyn.filter(v)) << "node " << v;
+  }
+  return checked;
+}
+
+// Every Add, every AddBatch element and every repair rung-1/2 placement
+// lands on the leaf the brute-force Gr ladder picks, on multi-level trees
+// (out-degree 3) under interior and leaf failures and recoveries, a
+// placement veto, saturated β/β_max caps and the degraded fallback.
+TEST(DynamicTest, PlacementsMatchBruteForceGrLadderFuzz) {
+  int64_t checked_adds = 0, checked_batch = 0, checked_repairs = 0;
+  int64_t fallbacks = 0, interior_failures = 0, vetoed_adds = 0;
+  int64_t skips = 0, scans = 0, all_oracle_scans = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    wl::GridParams params;
+    params.num_subscribers = 700;
+    params.num_brokers = 30;
+    params.seed = seed;
+    const wl::Workload w = wl::GenerateGrid(params);
+    Rng tree_rng(seed + 50);
+    const net::BrokerTree tree = net::BuildMultiLevelTree(
+        w.publisher, w.broker_locations, 3, tree_rng);
+    // A tight delay cap makes failures force the degraded fallback; a
+    // loose one lets every leaf fill, so β and β_max saturate (caps are
+    // well below the arrival count).
+    SaConfig config;
+    config.max_delay = seed % 2 == 1 ? 0.2 : 3.0;
+    config.alpha = 2;
+    DynamicAssigner dyn(tree, config, 250);
+    RepairEngine engine(&dyn);
+    int64_t oracle_scans = 0;
+    std::vector<int> failed;
+    Rng rng(seed * 1000 + 7);
+    int64_t now = 0;
+    for (size_t next = 0; next < w.subscribers.size();) {
+      const double dice = rng.Uniform(0, 1);
+      if (dice < 0.45) {
+        const wl::Subscriber& s = w.subscribers[next++];
+        const GrOracleChoice want = GrOracleLadder(dyn, s);
+        oracle_scans += want.scans;
+        fallbacks += want.scans == 4 ? 1 : 0;
+        vetoed_adds += dyn.has_placement_veto() ? 1 : 0;
+        const int h = dyn.Add(s).value();
+        ASSERT_EQ(dyn.leaf_of(h), want.leaf) << "seed " << seed;
+        ++checked_adds;
+      } else if (dice < 0.6) {
+        const size_t end =
+            std::min(w.subscribers.size(),
+                     next + static_cast<size_t>(rng.UniformInt(1, 12)));
+        const std::vector<wl::Subscriber> batch(w.subscribers.begin() + next,
+                                                w.subscribers.begin() + end);
+        next = end;
+        DynamicAssigner twin = dyn;
+        std::vector<int> want;
+        for (const wl::Subscriber& s : batch) {
+          const GrOracleChoice choice = GrOracleLadder(twin, s);
+          oracle_scans += choice.scans;
+          want.push_back(choice.leaf);
+          (void)twin.Add(s);
+        }
+        const std::vector<int> got = dyn.AddBatch(batch).value();
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(dyn.leaf_of(got[i]), want[i]) << "seed " << seed;
+          ++checked_batch;
+        }
+      } else if (dice < 0.75) {
+        std::vector<int> occupied;
+        for (int h = 0; h < dyn.slot_count(); ++h) {
+          if (dyn.is_occupied(h)) occupied.push_back(h);
+        }
+        if (occupied.empty()) continue;
+        const int h = occupied[rng.UniformInt(
+            0, static_cast<int64_t>(occupied.size()) - 1)];
+        dyn.Remove(h);
+        engine.Forget(h);
+      } else if (dice < 0.86) {
+        // Fail a broker (interior ones splice, leaves orphan), keeping at
+        // least two live leaves, then repair.
+        const int node =
+            1 + static_cast<int>(rng.UniformInt(0, tree.num_brokers() - 1));
+        if (dyn.tree().is_failed(node) ||
+            (tree.is_leaf(node) &&
+             dyn.tree().live_leaf_brokers().size() <= 2)) {
+          continue;
+        }
+        ASSERT_TRUE(dyn.FailBroker(node).ok());
+        failed.push_back(node);
+        interior_failures += tree.is_leaf(node) ? 0 : 1;
+        DynamicAssigner twin = dyn;
+        const std::vector<int> orphans = dyn.orphans();
+        engine.Repair(Deadline::Infinite(), now);
+        checked_repairs += CheckRepairPass(dyn, twin, orphans);
+      } else if (dice < 0.94) {
+        if (failed.empty()) continue;
+        const size_t pick = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(failed.size()) - 1));
+        ASSERT_TRUE(dyn.RecoverBroker(failed[pick]).ok());
+        failed.erase(failed.begin() + static_cast<std::ptrdiff_t>(pick));
+        // Time moves on: degraded subscribers' backoffs elapse.
+        now += 100;
+        DynamicAssigner twin = dyn;
+        engine.Repair(Deadline::Infinite(), now);
+        checked_repairs += CheckRepairPass(dyn, twin, {});
+      } else if (dyn.has_placement_veto()) {
+        dyn.set_placement_veto({});
+      } else {
+        // Veto every third live leaf (by position, so it moves with
+        // failures).
+        const std::vector<int> live = dyn.tree().live_leaf_brokers();
+        std::vector<char> vetoed(tree.num_nodes(), 0);
+        for (size_t i = seed % 3; i < live.size(); i += 3) vetoed[live[i]] = 1;
+        dyn.set_placement_veto(
+            [vetoed](int leaf) { return vetoed[leaf] != 0; });
+      }
+    }
+    EXPECT_LE(dyn.add_stats().escalation_scans, oracle_scans);
+    skips += dyn.add_stats().escalation_skips;
+    scans += dyn.add_stats().escalation_scans;
+    all_oracle_scans += oracle_scans;
+    AuditLiveFilters(dyn);
+  }
+  EXPECT_GT(skips, 0);
+  EXPECT_LT(scans, all_oracle_scans);
+  EXPECT_GT(checked_adds, 500);
+  EXPECT_GT(checked_batch, 100);
+  EXPECT_GT(checked_repairs, 20);
+  EXPECT_GT(fallbacks, 0);
+  EXPECT_GT(interior_failures, 0);
+  EXPECT_GT(vetoed_adds, 0);
 }
 
 // ---- Online subsumption fast path (DESIGN.md §14) ----

@@ -2,6 +2,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -123,6 +124,48 @@ TEST(RectangleTest, EnclosureAndEnlargement) {
   Rectangle m = a;
   m.Enclose(b);
   EXPECT_TRUE(m == e);
+}
+
+// The in-place enclosure volume and EnlargementTo are pinned bit for bit
+// (EXPECT_EQ on the doubles) to building the enclosure: random, nested,
+// disjoint and zero-extent boxes in d = 1..4.
+TEST(RectangleTest, InPlaceEnclosureVolumeIsBitIdentical) {
+  Rng rng(41);
+  int checked = 0;
+  for (int d = 1; d <= 4; ++d) {
+    for (int trial = 0; trial < 200; ++trial) {
+      const Rectangle a = RandomBox(d, rng);
+      const Rectangle random = RandomBox(d, rng);
+      // Nested: a box shrunk inside `a` (and `a` inside its enclosure).
+      std::vector<double> lo(d), hi(d), plo(d), phi(d), shift(d);
+      for (int i = 0; i < d; ++i) {
+        const double t = rng.Uniform(0, 0.5), u = rng.Uniform(0.5, 1);
+        lo[i] = a.lo(i) + t * a.length(i);
+        hi[i] = a.lo(i) + u * a.length(i);
+        // Zero extent in some dimensions: a face, an edge or a point.
+        plo[i] = phi[i] = rng.Bernoulli(0.5) ? rng.Uniform(-1, 2)
+                                             : a.lo(i);
+        if (rng.Bernoulli(0.3)) phi[i] = plo[i] + rng.Uniform(0, 1);
+        shift[i] = a.lo(i) + 3 + rng.Uniform(0, 1);  // disjoint from a
+      }
+      std::vector<double> shift_hi(d);
+      for (int i = 0; i < d; ++i) shift_hi[i] = shift[i] + a.length(i);
+      const Rectangle nested(lo, hi);
+      const Rectangle degenerate(plo, phi);
+      const Rectangle disjoint(shift, shift_hi);
+      for (const Rectangle* b : {&random, &nested, &degenerate, &disjoint}) {
+        for (const auto& [x, y] : {std::pair{&a, b}, std::pair{b, &a}}) {
+          EXPECT_EQ(x->EnclosureVolume(*y), x->EnclosureWith(*y).Volume());
+          EXPECT_EQ(x->EnlargementTo(*y),
+                    x->EnclosureWith(*y).Volume() - x->Volume());
+          ++checked;
+        }
+      }
+      EXPECT_EQ(nested.EnlargementTo(nested), 0.0);
+      EXPECT_EQ(degenerate.EnclosureVolume(degenerate), degenerate.Volume());
+    }
+  }
+  EXPECT_EQ(checked, 4 * 200 * 8);
 }
 
 TEST(RectangleTest, MebOfSet) {
