@@ -3,13 +3,16 @@
 
     scripts/perf_pairs.py --run serve:211-220 --run churn:221-230 \\
         [--base REF] [--trace]
+    scripts/perf_pairs.py --self-test
 
 Run from the root of a checkout: that working tree is the *change*. The
 *parent* is the commit --base names (default HEAD, which compares an
 uncommitted change with its parent; compare a committed one with
 --base HEAD~1, a branch with --base $(git merge-base main HEAD)). It is
-checked out detached into a git worktree at .bench_build/perf_pairs_parent
-(ignored, like the rest of .bench_build/) and removed on exit.
+exported with `git archive` into .bench_build/perf_pairs_parent (ignored,
+like the rest of .bench_build/) and removed on exit; an export left behind
+by a killed run is replaced. An export, unlike a worktree, leaves nothing
+in the repository's git metadata.
 
 perfbench is built in both trees first (perfbench/run.py's own build, into
 each tree's .bench_build/). Then, for each --run WORKLOAD:SEEDS, every seed
@@ -22,10 +25,14 @@ untraced one, and the report adds the traced run's per-layer metrics.
 For each metric the report prints, per side, the median, the quartiles and
 IQR / median; the change's median relative to the parent's; the pairs the
 change won; and whether the medians differ by more than the parent's
-interquartile range. It gates nothing on timings. It exits nonzero if a run
-fails or is not `correct`, or if `qt`, `lbf`, `attempted` or `failed`
-differ between the two sides on any seed; those come from the untraced
-runs.
+interquartile range. It exits nonzero if a run fails or is not `correct`;
+if `qt`, `lbf`, `attempted` or `failed` differ between the two sides on any
+seed (those come from the untraced runs); or if, on any workload, an
+end-to-end metric's median is worse than the parent's by more than that
+metric's BENCHMARK.json bound, relative to the parent's median.
+
+--self-test checks the bound gate and the identity gate on synthetic pairs
+and exits nonzero if either misjudges one; CI runs it.
 """
 
 import argparse
@@ -140,20 +147,112 @@ def report(workload, pairs, benchmark):
               f"{wins}/{len(pairs)} | {'yes' if beyond else 'no'} |")
 
 
+def regressions(pairs, benchmark):
+    """End-to-end metrics whose change median is worse than the parent's by
+    more than the metric's bound (a fraction of the parent's median)."""
+    out = []
+    for spec in benchmark["end_to_end"]:
+        name = spec["name"]
+        if not all(name in p[s]["metrics"] for p in pairs
+                   for s in ("parent", "change")):
+            continue
+        pmed = statistics.median(p["parent"]["metrics"][name]["value"]
+                                 for p in pairs)
+        cmed = statistics.median(p["change"]["metrics"][name]["value"]
+                                 for p in pairs)
+        worse = pmed - cmed if spec.get("better", "lower") == "higher" \
+            else cmed - pmed
+        if worse > spec["bound"] * abs(pmed):
+            out.append(f"{name} median {cmed:.6g} against {pmed:.6g}, worse "
+                       f"by more than its bound {spec['bound']:g}")
+    return out
+
+
+def identity_value(side, name):
+    """A field or metric the identity gate compares; None when missing."""
+    if name in IDENTICAL_FIELDS:
+        return side[name]
+    metric = side["metrics"].get(name)
+    return None if metric is None else metric["value"]
+
+
 def mismatches(pair):
     """Fields and metrics that must agree bit for bit; a metric missing on
     either side counts as a mismatch."""
-    parent, change = pair["parent"], pair["change"]
-    bad = [f for f in IDENTICAL_FIELDS if parent[f] != change[f]]
-    for m in IDENTICAL_METRICS:
-        if m not in parent["metrics"] or m not in change["metrics"]:
-            bad.append(f"{m} (missing)")
-        elif parent["metrics"][m] != change["metrics"][m]:
-            bad.append(m)
+    bad = []
+    for name in IDENTICAL_FIELDS + IDENTICAL_METRICS:
+        parent = identity_value(pair["parent"], name)
+        if parent is None or parent != identity_value(pair["change"], name):
+            bad.append(name)
     return bad
 
 
+def self_test():
+    """Judges synthetic pairs against a two-metric benchmark and returns the
+    process exit status."""
+    benchmark = {"end_to_end": [
+        {"name": "cpu_s", "better": "lower", "bound": 0.25},
+        {"name": "rate", "better": "higher", "bound": 0.25},
+    ]}
+
+    def pairs(parent, change):
+        out = []
+        for seed, (pv, cv) in enumerate(zip(parent, change)):
+            out.append({"seed": seed, **{
+                side: {"attempted": 1, "failed": 0, "metrics": {
+                    "cpu_s": {"value": v[0]}, "rate": {"value": v[1]},
+                    "qt": {"value": 1.0}, "lbf": {"value": 1.0}}}
+                for side, v in (("parent", pv), ("change", cv))}})
+        return out
+
+    base = [(1.0, 100.0), (1.1, 110.0), (0.9, 90.0)]
+    cases = [
+        ("identical runs pass", base, base, []),
+        ("cpu 20 % worse passes", base,
+         [(c * 1.2, r) for c, r in base], []),
+        ("cpu 30 % worse fails", base,
+         [(c * 1.3, r) for c, r in base], ["cpu_s"]),
+        ("cpu 3x better passes", base,
+         [(c / 3, r) for c, r in base], []),
+        ("rate 30 % lower fails", base,
+         [(c, r * 0.7) for c, r in base], ["rate"]),
+        ("rate 2x higher passes", base,
+         [(c, r * 2) for c, r in base], []),
+        # One outlier pair moves no median.
+        ("one slow pair passes", base,
+         [(5.0, 100.0), (1.1, 110.0), (0.9, 90.0)], []),
+        ("both worse fail", base,
+         [(c * 2, r / 2) for c, r in base], ["cpu_s", "rate"]),
+    ]
+    failures = 0
+    for label, parent, change, want in cases:
+        got = [line.split()[0]
+               for line in regressions(pairs(parent, change), benchmark)]
+        if got != want:
+            print(f"perf_pairs.py --self-test: {label}: flagged {got}, "
+                  f"expected {want}")
+            failures += 1
+    odd = pairs(base, base)
+    del odd[0]["change"]["metrics"]["lbf"]
+    odd[1]["change"]["metrics"]["qt"]["value"] = 1.5
+    odd[2]["change"]["failed"] = 1
+    both_missing = pairs(base, base)[0]
+    for side in ("parent", "change"):
+        del both_missing[side]["metrics"]["qt"]
+    got = [mismatches(p) for p in odd + [both_missing, pairs(base, base)[0]]]
+    if got != [["lbf"], ["qt"], ["failed"], ["qt"], []]:
+        print(f"perf_pairs.py --self-test: identity gate flagged {got}")
+        failures += 1
+    if failures:
+        print(f"perf_pairs.py --self-test: {failures} case(s) FAILED")
+        return 1
+    print(f"perf_pairs.py --self-test: {len(cases) + 1} cases ok")
+    return 0
+
+
 def main():
+    if sys.argv[1:] == ["--self-test"]:
+        sys.exit(self_test())
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     parser.add_argument("--run", action="append", required=True,
@@ -170,14 +269,19 @@ def main():
     seconds = benchmark["run_seconds"]
     sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}",
               cwd=change_dir)
-    worktree = change_dir / ".bench_build" / "perf_pairs_parent"
-    if worktree.exists():
-        fail(f"{worktree} exists; remove it (git worktree remove)")
-    worktree.parent.mkdir(parents=True, exist_ok=True)
-    git("worktree", "add", "--detach", str(worktree), sha, cwd=change_dir)
-    print(f"parent: {sha} in {worktree}", file=sys.stderr)
+    parent_dir = change_dir / ".bench_build" / "perf_pairs_parent"
+    shutil.rmtree(parent_dir, ignore_errors=True)
+    parent_dir.mkdir(parents=True)
+    archive = subprocess.Popen(["git", "archive", sha], cwd=change_dir,
+                               stdout=subprocess.PIPE)
+    untar = subprocess.run(["tar", "-x", "-C", str(parent_dir)],
+                           stdin=archive.stdout)
+    archive.stdout.close()
+    if archive.wait() or untar.returncode:
+        fail(f"could not export {sha} into {parent_dir}")
+    print(f"parent: {sha} in {parent_dir}", file=sys.stderr)
     try:
-        trees = {"parent": worktree, "change": change_dir}
+        trees = {"parent": parent_dir, "change": change_dir}
         for tree in trees.values():
             build(tree)
         failed = False
@@ -199,16 +303,21 @@ def main():
                         failed = True
                 bad = mismatches(pair)
                 if bad:
-                    print(f"{workload} seed {seed}: {', '.join(bad)} differ",
+                    values = ", ".join(
+                        f"{name} {identity_value(pair['parent'], name)!r} -> "
+                        f"{identity_value(pair['change'], name)!r}"
+                        for name in bad)
+                    print(f"{workload} seed {seed}: differ: {values}",
                           file=sys.stderr)
                     failed = True
                 pairs.append(pair)
             report(workload, pairs, benchmark)
+            for line in regressions(pairs, benchmark):
+                print(f"{workload}: {line}", file=sys.stderr)
+                failed = True
         sys.exit(1 if failed else 0)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(worktree)],
-                       cwd=change_dir)
-        shutil.rmtree(worktree, ignore_errors=True)
+        shutil.rmtree(parent_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":

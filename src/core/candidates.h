@@ -52,13 +52,15 @@ class CandidateRow {
 struct Targets {
   int count = 0;
   // Global capacity fraction of each target (sums to the fraction of the
-  // tree covered by this run; 1 for a root/one-level run).
+  // tree covered by this run; 1 for a root/one-level run). The LP's (C3)
+  // caps β · kappa[t] · |Sb| use these global shares, so below the root
+  // they sum to less than |Sb| whenever β κ_node < 1 (lp_relax.h).
   std::vector<double> kappa;
-  // Total subscribers in the whole problem; load caps are
-  // β · kappa[t] · total_weight regardless of recursion depth, so the
-  // global load-balance factor is what gets enforced. For an unweighted
-  // problem total_weight == (double)total_subscribers exactly, so the cap
-  // arithmetic is bit-identical to the historical
+  // Total subscribers in the whole problem; the max-flow step's load caps
+  // (AbsCap) are β · kappa[t] · total_weight regardless of recursion depth,
+  // so the global load-balance factor is what gets enforced. For an
+  // unweighted problem total_weight == (double)total_subscribers exactly,
+  // so the cap arithmetic is bit-identical to the historical
   // β · kappa[t] · total_subscribers.
   int total_subscribers = 0;
   double total_weight = 0;

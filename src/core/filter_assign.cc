@@ -15,6 +15,16 @@ namespace slp::core {
 
 namespace {
 
+// Initial certificate-size guess (Algorithm 1 starts at 4).
+constexpr int kInitialG = 4;
+// LPRelax retries with a fresh Sb sample when the LP comes back infeasible
+// (paper: "up to a small number of times"); the ladder has kSbRetries + 1
+// rungs.
+constexpr int kSbRetries = 4;
+// Cap on valid-iteration resampling attempts (Lemma 3: each attempt is
+// valid with probability >= 1/2).
+constexpr int kValidityRetries = 12;
+
 #if SLP_AUDITS_ENABLED
 // Rectangle sanity (finite, lo<=hi) of every filter a FilterAssign call
 // hands back — rounding, ε-expansion, and completion all build new
@@ -112,7 +122,7 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
     return result;
   };
 
-  for (int g = options.initial_g;; g = std::min(2 * g, rows + 1)) {
+  for (int g = kInitialG;; g = std::min(2 * g, rows + 1)) {
     if (g > rows + 0) {
       // Certificate search exhausted the whole set; one final exact pass
       // with Q = all rows (guaranteed to cover if the LP succeeds).
@@ -133,7 +143,7 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
     for (int iter = 0; iter < stage_iters; ++iter) {
       ++result.iterations;
       // ---- One (possibly resampled-for-validity) iteration ----
-      for (int validity = 0; validity < options.validity_retries; ++validity) {
+      for (int validity = 0; validity < kValidityRetries; ++validity) {
         if (!budget_left()) {
           // Budget exhausted: return the best filters seen, completed.
           return best_effort();
@@ -151,7 +161,9 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
         // the FilterGen candidates, and the built LP are all still valid:
         // the retained model just retunes its (C3) rows and re-solves
         // warm-started from the previous optimal basis. Same-rung retries
-        // resample Sb fresh, as before.
+        // resample Sb fresh, as before. Below the root the load certificate
+        // usually decides every enforcing rung, so the no-(C3) rung is the
+        // iteration's one solve, and it starts cold.
         Result<LpRelaxResult> lp_result =
             Status::Internal("no LPRelax attempt made");
         std::vector<int> sa_rows;
@@ -161,13 +173,13 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
                                         : problem.config().beta;
         double prev_beta = 0;
         bool prev_enforce = false;
-        for (int attempt = 0; attempt <= options.sb_retries; ++attempt) {
+        for (int attempt = 0; attempt <= kSbRetries; ++attempt) {
           if (!budget_left()) break;
           double beta = desired_beta;
           bool enforce_load = options.lp.enforce_load;
-          if (attempt == options.sb_retries) {
+          if (attempt == kSbRetries) {
             enforce_load = false;
-          } else if (2 * attempt >= options.sb_retries) {
+          } else if (2 * attempt >= kSbRetries) {
             beta = problem.config().beta_max;
           }
           const bool rung_changed =
@@ -212,15 +224,22 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
             model->SetLoadRung(beta, enforce_load);
           }
 
+          // Every rung counts against the budget, including one the load
+          // certificate decides without the simplex: the sampling and the
+          // build above are the same either way.
           ++result.lp_calls;
-          lp_result = model->Solve(options.lp, rng);
-          // Accumulate dual-path accounting from every solve, including the
+          lp_result = model->Solve(rng);
+          if (model->last_solve_certified()) ++result.certified_rungs;
+          // Accumulate solver accounting from every solve, including the
           // infeasible-at-β ones (those are exactly the rungs that
-          // escalate).
+          // escalate). A certified rung's counters are all zero.
           const lp::SolverStats& lp_stats = model->last_lp_stats();
           if (lp_stats.dual_used) ++result.dual_lp_calls;
           if (lp_stats.dual_fallback) ++result.dual_fallbacks;
           result.dual_pivots += lp_stats.dual_pivots;
+          result.pivots += lp_stats.pivots;
+          result.degenerate_pivots += lp_stats.degenerate_pivots;
+          result.bland_pivots += lp_stats.bland_pivots;
           if (lp_result.ok()) break;
           if (lp_result.status().code() == StatusCode::kResourceExhausted) {
             // The engine's pivot cap died inside a single solve: the
@@ -270,7 +289,7 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
         double wv = 0, wtotal = 0;
         for (double w : weights) wtotal += w;
         for (int r : v) wv += weights[r];
-        if (wv <= options.eps * wtotal || validity + 1 == options.validity_retries) {
+        if (wv <= options.eps * wtotal || validity + 1 == kValidityRetries) {
           // Valid (or retries exhausted — accept to guarantee progress):
           // double the weight of uncovered subscribers.
           for (int r : v) weights[r] *= 2;

@@ -36,17 +36,10 @@ namespace slp::core {
 struct FilterAssignOptions {
   // ε of the ε-expansion / ε-certificate machinery.
   double eps = 0.2;
-  // Initial certificate-size guess (Algorithm 1 starts at 4).
-  int initial_g = 4;
   // |Sb| = sb_factor · (number of targets), capped by the subscriber count.
   int sb_factor = 5;
-  // LPRelax retries with a fresh Sb sample when the LP comes back
-  // infeasible (paper: "up to a small number of times").
-  int sb_retries = 4;
-  // Cap on valid-iteration resampling attempts (Lemma 3: each attempt is
-  // valid with probability >= 1/2).
-  int validity_retries = 12;
-  // Total LP budget; 0 = unlimited (paper-faithful).
+  // Total LP budget, counted in ladder rungs (certified ones included);
+  // 0 = unlimited (paper-faithful).
   int max_lp_calls = 40;
   // Hard wall-clock budget: once expired, no further LP is attempted and
   // the best filters seen are completed deterministically, exactly like a
@@ -65,9 +58,18 @@ struct FilterAssignResult {
   // Fractional LP objective of the final (successful) LPRelax call — the
   // Section IV-D lower-bound yardstick.
   double fractional_objective = 0;
+  // Ladder rungs attempted (the max_lp_calls unit), and how many of them
+  // the load certificate decided without the simplex: lp_calls −
+  // certified_rungs LPs were solved.
   int lp_calls = 0;
+  int certified_rungs = 0;
   int iterations = 0;
   int final_g = 0;
+  // Simplex pivots over every solved rung, and those that were degenerate
+  // (zero step) or taken under Bland's rule (lp::SolverStats).
+  int pivots = 0;
+  int degenerate_pivots = 0;
+  int bland_pivots = 0;
   // β-escalation re-solve accounting: how many LP calls completed through
   // the dual pivot loop, how many rung re-solves fell back to the primal
   // warm-start path, and the total dual pivots spent.

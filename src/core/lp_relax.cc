@@ -12,6 +12,24 @@
 
 namespace slp::core {
 
+namespace {
+
+// Max candidate targets per subscriber in the LP: the nearest half by
+// latency plus a random half of the remaining feasible targets (pure
+// nearest-k collapses onto the same few brokers for geographically
+// clustered subscribers and starves the load constraint).
+constexpr int kTargetsPerSubscriber = 6;
+// Max candidate rectangles per subscriber in the LP: the smallest few plus
+// log-spaced larger ones (see Build).
+constexpr int kRectsPerSubscriber = 8;
+// Rounding attempts before the deterministic completion kicks in.
+constexpr int kMaxRoundingAttempts = 20;
+// Solve reports a load-infeasible sample when the optimum's (C3) slacks
+// sum past this many (weighted) subscribers.
+constexpr double kLoadSlackLimit = 0.5;
+
+}  // namespace
+
 Result<LpRelaxModel> LpRelaxModel::Build(
     const SaProblem& problem, const Targets& targets,
     const std::vector<int>& sa_rows, const std::vector<int>& sb_rows,
@@ -46,14 +64,14 @@ Result<LpRelaxModel> LpRelaxModel::Build(
       return Status::Infeasible("subscriber with no feasible target");
     }
     std::vector<int> tcap;
-    if (static_cast<int>(cand.size()) <= options.targets_per_subscriber) {
+    if (cand.size() <= kTargetsPerSubscriber) {
       tcap.assign(cand.begin(), cand.end());
     } else {
-      const int near = (options.targets_per_subscriber + 1) / 2;
+      const int near = (kTargetsPerSubscriber + 1) / 2;
       tcap.assign(cand.begin(), cand.begin() + near);
-      const int rest = static_cast<int>(cand.size()) - near;
+      const int rest = cand.size() - near;
       for (int pick : UniformSampleWithoutReplacement(
-               rest, options.targets_per_subscriber - near, rng)) {
+               rest, kTargetsPerSubscriber - near, rng)) {
         tcap.push_back(cand[near + pick]);
       }
     }
@@ -73,7 +91,7 @@ Result<LpRelaxModel> LpRelaxModel::Build(
       return Status::Infeasible("subscription not contained in any candidate");
     }
     std::vector<int> rcap;
-    const int small_quota = std::max(1, options.rects_per_subscriber - 3);
+    const int small_quota = std::max(1, kRectsPerSubscriber - 3);
     const int take_small =
         std::min<int>(small_quota, static_cast<int>(containing.size()));
     rcap.assign(containing.begin(), containing.begin() + take_small);
@@ -99,6 +117,7 @@ Result<LpRelaxModel> LpRelaxModel::Build(
       g.weight_sb += targets.row_weight(row);
     }
   }
+  for (const Group& g : groups) model.sb_weight_ += g.weight_sb;
 
   // ---- LP construction ----
   lp::LpProblem& lp = model.lp_;
@@ -205,8 +224,39 @@ void LpRelaxModel::SetLoadRung(double beta, bool enforce_load) {
   rung_dirty_ = !c3_rows_.empty();
 }
 
-Result<LpRelaxResult> LpRelaxModel::Solve(const LpRelaxOptions& options,
-                                          Rng& rng) {
+double LpRelaxModel::LoadSlackFloor() const {
+  if (c3_rows_.empty()) return 0;
+  double caps = 0;
+  for (const C3Row& c3 : c3_rows_) caps += lp_.rhs(c3.row);
+  return sb_weight_ - caps;
+}
+
+double LpRelaxModel::LoadSlackSum(const std::vector<double>& x) const {
+  double sum = 0;
+  for (const C3Row& c3 : c3_rows_) sum += x[c3.slack_var];
+  return sum;
+}
+
+Result<LpRelaxResult> LpRelaxModel::Solve(Rng& rng) {
+  last_certified_ = false;
+  if (enforce_load_ && !c3_rows_.empty()) {
+    // Load certificate (lp_relax.h). A simplex optimum may miss each (C2)
+    // row by τ, worth τ·weight_sb in (C3), and each (C3) row by τ, so its
+    // slack sum is at least floor − τ·(W_sb + #(C3) rows).
+    double rhs_norm = 0;
+    for (int r = 0; r < lp_.num_constraints(); ++r) {
+      rhs_norm = std::max(rhs_norm, std::abs(lp_.rhs(r)));
+    }
+    const double blur = lp::kFeasibilityTol * (1 + rhs_norm) *
+                        (sb_weight_ + static_cast<double>(c3_rows_.size()));
+    if (LoadSlackFloor() - blur > kLoadSlackLimit) {
+      last_stats_ = lp::SolverStats{};
+      last_certified_ = true;
+      return Status::Infeasible(
+          "load-balance sample cannot be balanced at the requested beta");
+    }
+  }
+
   const lp::SimplexSolver solver;
   // After a rung mutation the retained basis is the pre-mutation optimum:
   // rhs edits leave it dual-feasible, so the dual pivot loop is the natural
@@ -238,10 +288,8 @@ Result<LpRelaxResult> LpRelaxModel::Solve(const LpRelaxOptions& options,
   // slack as infeasibility at this β. With load enforcement off the slacks
   // are free variables, so their values are meaningless — report 0.
   if (enforce_load_) {
-    double slack_total = 0;
-    for (const C3Row& c3 : c3_rows_) slack_total += sol.x[c3.slack_var];
-    result.load_slack_used = slack_total;
-    if (slack_total > 0.5) {
+    result.load_slack_used = LoadSlackSum(sol.x);
+    if (result.load_slack_used > kLoadSlackLimit) {
       return Status::Infeasible(
           "load-balance sample cannot be balanced at the requested beta");
     }
@@ -282,7 +330,7 @@ Result<LpRelaxResult> LpRelaxModel::Solve(const LpRelaxOptions& options,
   };
 
   bool covered = false;
-  for (int attempt = 0; attempt < options.max_rounding_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxRoundingAttempts; ++attempt) {
     ++result.rounding_attempts;
     round_once();
     covered = true;
@@ -337,7 +385,7 @@ Result<LpRelaxResult> LpRelax(const SaProblem& problem, const Targets& targets,
       LpRelaxModel::Build(problem, targets, sa_rows, sb_rows, rects, options,
                           rng);
   if (!model.ok()) return model.status();
-  return model.value().Solve(options, rng);
+  return model.value().Solve(rng);
 }
 
 }  // namespace slp::core

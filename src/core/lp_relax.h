@@ -23,6 +23,16 @@
 // only the (C3) caps/penalties between rungs and re-solves warm-started
 // from the previous optimal basis, instead of rebuilding and cold-solving
 // near-identical LPs.
+//
+// (C3) below the root: κ_i is target i's *global* capacity share, so at an
+// interior node v the caps sum to at most β κ_v |Sb|, and with
+// β_max κ_v < 1 every load-enforcing rung is infeasible by construction;
+// only the no-(C3) rung produces filters there. Load certificate: every
+// target of an Sb group carries a (C3) row and (C2) sends each group's
+// whole weight to its targets, so at every feasible point the (C3) slacks
+// sum to at least W_sb − Σ caps (W_sb the weighted |Sb|). When that floor
+// clears 0.5 by more than the simplex's feasibility tolerance can blur,
+// Solve returns the load-infeasible verdict with no tableau and no pivot.
 
 #ifndef SLP_CORE_LP_RELAX_H_
 #define SLP_CORE_LP_RELAX_H_
@@ -40,15 +50,6 @@
 namespace slp::core {
 
 struct LpRelaxOptions {
-  // Max candidate targets per subscriber in the LP: the nearest half by
-  // latency plus a random half of the remaining feasible targets (pure
-  // nearest-k collapses onto the same few brokers for geographically
-  // clustered subscribers and starves the load constraint).
-  int targets_per_subscriber = 6;
-  // Max candidate rectangles per subscriber in the LP (smallest volume).
-  int rects_per_subscriber = 8;
-  // Rounding attempts before the deterministic completion kicks in.
-  int max_rounding_attempts = 20;
   // Load-balance factor used in (C3); < 0 means the problem's β. Callers
   // (FilterAssign) escalate this toward β_max when the LP is infeasible.
   double beta = -1;
@@ -113,15 +114,25 @@ class LpRelaxModel {
   // Solves the LP (dual re-solve after SetLoadRung, otherwise
   // warm-starting from the previous Solve's basis when one is retained)
   // and rounds the fractional optimum to filters. Returns kInfeasible when
-  // the load sample cannot be balanced at the current β. The basis is
-  // retained even on that path, so the caller's escalation re-solve starts
-  // from this optimum.
-  Result<LpRelaxResult> Solve(const LpRelaxOptions& options, Rng& rng);
+  // the load sample cannot be balanced at the current β, decided by the
+  // load certificate (no simplex run, basis untouched) or by the optimum's
+  // (C3) slack (basis retained, so the caller's escalation re-solve starts
+  // from this optimum).
+  Result<LpRelaxResult> Solve(Rng& rng);
 
   // Counters from the most recent Solve, populated even when that solve
   // ended infeasible-at-β (LpRelaxResult::lp_stats only exists on the OK
   // path, but the infeasible rungs are exactly the ones that escalate).
+  // All zero after a certified verdict.
   const lp::SolverStats& last_lp_stats() const { return last_stats_; }
+  // True when the most recent Solve was decided by the load certificate.
+  bool last_solve_certified() const { return last_certified_; }
+
+  // W_sb − Σ (C3) caps at the current rung: a lower bound on the (C3)
+  // slack sum at every feasible point of lp(). 0 without (C3) rows.
+  double LoadSlackFloor() const;
+  // The (C3) slack sum at a point x of lp().
+  double LoadSlackSum(const std::vector<double>& x) const;
 
   // Test/bench access to the underlying LP and the retained basis, so the
   // differential harness can replay real escalation ladders cold vs warm
@@ -159,10 +170,12 @@ class LpRelaxModel {
   lp::LpProblem lp_;
   double penalty_ = 0;      // (C3) slack objective coefficient when enforced
   double sb_size_ = 0;      // |Sb| at build time
+  double sb_weight_ = 0;    // Σ group weight_sb: what (C2) forces into (C3)
   double sa_size_ = 0;      // |Sa| at build time (rounding boost)
   bool enforce_load_ = true;
   lp::Basis basis_;         // previous optimum, warm-start hint
   lp::SolverStats last_stats_;  // counters from the most recent Solve
+  bool last_certified_ = false;
   // Set by SetLoadRung, cleared by Solve: the retained basis belongs to a
   // pre-mutation optimum, so the next solve should continue dually.
   bool rung_dirty_ = false;

@@ -179,6 +179,10 @@ class SlpRunner {
       if (stats_ != nullptr) {
         MutexLock lock(mu_);
         stats_->lp_calls += fa.value().lp_calls;
+        stats_->certified_rungs += fa.value().certified_rungs;
+        stats_->pivots += fa.value().pivots;
+        stats_->degenerate_pivots += fa.value().degenerate_pivots;
+        stats_->bland_pivots += fa.value().bland_pivots;
         stats_->any_budget_exhausted |= fa.value().budget_exhausted;
       }
       if (is_root) {

@@ -41,9 +41,15 @@ struct SlpOptions {
   int num_shards = 0;
 };
 
+// Sums over every FilterAssign call of the run (FilterAssignResult has
+// the per-call meaning of each counter).
 struct SlpStats {
   int slp1_invocations = 0;
   int lp_calls = 0;
+  int certified_rungs = 0;
+  int pivots = 0;
+  int degenerate_pivots = 0;
+  int bland_pivots = 0;
   bool any_budget_exhausted = false;
 };
 

@@ -47,6 +47,13 @@ struct Basis {
 struct SolverStats {
   int pivots = 0;             // total pivots, both phases
   int phase1_pivots = 0;      // pivots spent reaching feasibility
+  // Pivots that moved no value: a primal step with ratio θ = 0, or a dual
+  // step of zero length (the dual loop's own stall test). The stalls
+  // behind the pivot tail.
+  int degenerate_pivots = 0;
+  // Primal pivots priced by Bland's rule, after stall_threshold
+  // non-improving pivots in a row.
+  int bland_pivots = 0;
   int refactorizations = 0;   // basis refactorizations
   int max_eta_length = 0;     // longest eta file between refactorizations
   double avg_ftran_density = 0;  // mean nnz(B^-1 a_q)/m over all FTRANs

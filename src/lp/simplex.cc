@@ -35,8 +35,6 @@ constexpr int kRecomputeInterval = 500;
 // Hard refactorization cadence (pivots); max_eta / eta_fill_factor
 // usually trigger much earlier.
 constexpr int kRefactorInterval = 3000;
-// Primal feasibility tolerance, scaled by 1 + max|rhs|.
-constexpr double kFeasibilityTol = 1e-7;
 // Reduced-cost tolerance for pricing and dual feasibility.
 constexpr double kOptimalityTol = 1e-7;
 // Smallest |pivot| the primal and dual ratio tests accept.
@@ -116,6 +114,9 @@ class SparseTableau {
         // but ultimately useless (the fallback used to be silent).
         const SolverStats warm_trail = stats_;
         stats_ = SolverStats{};
+        // The pivot count carries over the restart, and so do its parts.
+        stats_.degenerate_pivots = warm_trail.degenerate_pivots;
+        stats_.bland_pivots = warm_trail.bland_pivots;
         stats_.warm_started = warm_trail.warm_started;
         stats_.warm_restoration_rounds = warm_trail.warm_restoration_rounds;
         stats_.warm_fell_back_cold = true;
@@ -734,6 +735,8 @@ class SparseTableau {
       }
 
       if (theta >= kInf) return SolveStatus::kUnbounded;
+      if (theta == 0) ++stats_.degenerate_pivots;
+      if (bland) ++stats_.bland_pivots;
 
       // ---- Apply the step ----
       if (theta > 0) {
@@ -1081,6 +1084,7 @@ class SparseTableau {
       // the max-infeasibility rule is cycling — let the primal path (with
       // its Bland safeguard) finish instead.
       if (std::abs(tstep) <= 1e-12) {
+        ++stats_.degenerate_pivots;
         if (++stall > options_.stall_threshold) return std::nullopt;
       } else {
         stall = 0;
@@ -1188,6 +1192,7 @@ LpSolution SimplexSolver::ResolveDual(const LpProblem& problem,
   solution.iterations += abandoned.dual_pivots;
   solution.stats.pivots = solution.iterations;
   solution.stats.dual_pivots = abandoned.dual_pivots;
+  solution.stats.degenerate_pivots += abandoned.degenerate_pivots;
   solution.stats.bound_flips = abandoned.bound_flips;
   solution.stats.dual_fallback = true;
   solution.stats.solve_seconds = timer.Seconds();

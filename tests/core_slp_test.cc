@@ -478,6 +478,45 @@ TEST(FilterAssignTest, TopicWorkloadConvergesFast) {
   EXPECT_LE(result.value().lp_calls, 12);
 }
 
+TEST(FilterAssignTest, BelowRootSolvesOneLpPerIteration) {
+  // At an interior node below the root the children's capacity shares sum
+  // to κ_v, and β_max κ_v < 1 leaves every load-enforcing rung infeasible
+  // by construction: the load certificate decides each of them, so the
+  // no-(C3) rung is the one simplex solve of every iteration.
+  SaConfig config;
+  config.max_delay = 1.0;
+  SaProblem p = test::SmallMultiLevelProblem(800, 30, 4, config, 17);
+  const net::BrokerTree& tree = p.tree();
+  int tested = 0;
+  for (int node : tree.children(net::BrokerTree::kPublisher)) {
+    if (tree.children(node).size() < 2) continue;
+    ASSERT_LT(config.beta_max * p.subtree_capacity_fraction(node), 1.0);
+    const Targets all = BuildChildTargets(p, AllSubscribers(p), node);
+    std::vector<int> subs;
+    for (int r = 0; r < all.num_rows(); ++r) {
+      if (!all.candidates(r).empty()) subs.push_back(all.subscribers[r]);
+    }
+    const Targets targets = BuildChildTargets(p, subs, node);
+    Rng rng(30 + node);
+    auto result = FilterAssign(p, targets, FilterAssignOptions{}, rng);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const FilterAssignResult& fa = result.value();
+    EXPECT_GT(fa.certified_rungs, 0) << "node " << node;
+    EXPECT_EQ(fa.lp_calls - fa.certified_rungs, fa.iterations)
+        << "node " << node;
+    for (int r = 0; r < targets.num_rows(); ++r) {
+      const auto& sub = p.subscriber(targets.subscribers[r]).subscription;
+      bool covered = false;
+      for (int t : targets.candidates(r)) {
+        covered = covered || fa.filters[t].CoversRect(sub);
+      }
+      EXPECT_TRUE(covered) << "node " << node << " row " << r;
+    }
+    ++tested;
+  }
+  EXPECT_GT(tested, 0);
+}
+
 // ---------------------------------------------------------------------------
 // SLP1 / SLP end-to-end
 // ---------------------------------------------------------------------------
@@ -536,6 +575,14 @@ TEST(SlpTest, MultiLevelEndToEnd) {
   EXPECT_TRUE(ValidateSolution(p, s, opts).ok())
       << ValidateSolution(p, s, opts).ToString();
   EXPECT_GE(stats.slp1_invocations, 1);
+  // The stage counters add up across the recursion: some load-enforcing
+  // rungs below the root are certified, the rest were solved, and the
+  // pivot classes are parts of the pivot total.
+  EXPECT_GT(stats.certified_rungs, 0);
+  EXPECT_LT(stats.certified_rungs, stats.lp_calls);
+  EXPECT_GT(stats.pivots, 0);
+  EXPECT_LE(stats.degenerate_pivots, stats.pivots);
+  EXPECT_LE(stats.bland_pivots, stats.pivots);
 }
 
 TEST(SlpTest, OneLevelTreeReducesToLeafAssignment) {

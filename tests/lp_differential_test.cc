@@ -15,17 +15,20 @@
 // Families: general boxed LPs, degenerate assignment polytopes, infeasible
 // and unbounded instances, rank-deficient rows/columns, rhs "rung"
 // perturbations in both directions, row additions continued dually, LU
-// unit-column repair fuzzing, and escalation ladders replayed from the
-// exact LPs FilterAssign builds on the three paper workload generators.
+// unit-column repair fuzzing, escalation ladders replayed from the exact
+// LPs FilterAssign builds on the three paper workload generators, and the
+// (C3) load certificate against the certified optimum of the same LPs.
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
+#include "src/common/status.h"
 #include "src/core/candidates.h"
 #include "src/core/filter_gen.h"
 #include "src/core/lp_relax.h"
@@ -513,7 +516,7 @@ TEST(LpDifferentialTest, FilterAssignLaddersAgreeColdWarmDual) {
         problem, targets, all_rows, all_rows, rects, opts, rng);
     if (!built.ok()) continue;  // structurally infeasible sample: no ladder
     core::LpRelaxModel model = std::move(built.value());
-    (void)model.Solve(opts, rng);  // seed the retained basis
+    (void)model.Solve(rng);  // seed the retained basis
     if (model.basis().empty()) continue;
     ++ladders;
 
@@ -546,7 +549,7 @@ TEST(LpDifferentialTest, FilterAssignLaddersAgreeColdWarmDual) {
       if (dual.stats.dual_used && !dual.stats.dual_fallback) ++dual_engaged;
       // Advance the retained basis through the model's own path (which
       // itself uses ResolveDual after SetLoadRung).
-      const auto advanced = model.Solve(opts, rng);
+      const auto advanced = model.Solve(rng);
       if (advanced.ok()) {
         EXPECT_TRUE(model.last_lp_stats().dual_used ||
                     model.last_lp_stats().dual_fallback);
@@ -558,6 +561,162 @@ TEST(LpDifferentialTest, FilterAssignLaddersAgreeColdWarmDual) {
   EXPECT_GT(ladders, 100);
   EXPECT_EQ(rungs_checked, ladders * 3);
   EXPECT_GT(dual_engaged, ladders / 2);
+}
+
+// ---------------------------------------------------------------------------
+// The (C3) load certificate (LpRelaxModel::Solve): a rung it decides without
+// the simplex must be one the simplex calls load-infeasible, it must fire
+// wherever its floor clears the threshold by more than a rounding allowance,
+// and it must not fire within the solver's tolerance of the threshold.
+// ---------------------------------------------------------------------------
+
+// Problem subscribers with at least one latency-feasible child of `node`.
+std::vector<int> SubscribersWithChildTarget(const core::SaProblem& problem,
+                                            int node) {
+  const core::Targets all =
+      core::BuildChildTargets(problem, core::AllSubscribers(problem), node);
+  std::vector<int> subs;
+  for (int r = 0; r < all.num_rows(); ++r) {
+    if (!all.candidates(r).empty()) subs.push_back(all.subscribers[r]);
+  }
+  return subs;
+}
+
+struct CertificateTally {
+  int certified = 0;
+  int solved = 0;
+  int near_threshold = 0;
+};
+
+// Samples Sb and Q as FilterAssign does (Sb of 5 rows per target, Q of as
+// many again), builds the model over Sa = Q ∪ Sb, and solves it at the
+// rungs 0.5β, β and β_max. Each certified rung is checked against the
+// simplex's KKT-certified optimum of the model's LP. When `all_candidates`
+// (every row keeps all of its candidate targets, as with at most six
+// children), the floor is also recomputed from the sample alone, and rungs
+// just above, at and just below the threshold are added.
+void CheckLoadCertificate(const core::SaProblem& problem,
+                          const core::Targets& targets, bool all_candidates,
+                          uint64_t seed, CertificateTally* tally) {
+  const SimplexSolver solver;
+  Rng rng(seed);
+  const int rows = targets.num_rows();
+  const int sb_size = std::min(rows, 5 * targets.count);
+  const std::vector<int> sb_rows =
+      UniformSampleWithoutReplacement(rows, sb_size, rng);
+  const std::vector<int> q_rows =
+      UniformSampleWithoutReplacement(rows, sb_size, rng);
+  std::vector<int> sa_rows;
+  std::set_union(q_rows.begin(), q_rows.end(), sb_rows.begin(), sb_rows.end(),
+                 std::back_inserter(sa_rows));
+  std::vector<int> sa_subs;
+  for (int r : sa_rows) sa_subs.push_back(targets.subscribers[r]);
+  const std::vector<geo::Rectangle> rects = core::FilterGen(
+      problem, sa_subs, targets.count, core::FilterGenOptions{}, rng);
+  Result<core::LpRelaxModel> built = core::LpRelaxModel::Build(
+      problem, targets, sa_rows, sb_rows, rects, core::LpRelaxOptions{}, rng);
+  if (!built.ok()) return;  // structurally infeasible sample
+  core::LpRelaxModel& model = built.value();
+
+  // The floor from the sample alone: W_sb − β W_sb Σ κ over every target
+  // some Sb row can reach.
+  double w_sb = 0;
+  std::vector<bool> reached(targets.count, false);
+  for (int r : sb_rows) {
+    w_sb += targets.row_weight(r);
+    for (int t : targets.candidates(r)) reached[t] = true;
+  }
+  double kappa_sum = 0;
+  for (int t = 0; t < targets.count; ++t) {
+    if (reached[t]) kappa_sum += targets.kappa[t];
+  }
+  auto floor_at = [&](double beta) { return w_sb - beta * kappa_sum * w_sb; };
+
+  struct Rung {
+    double beta;
+    bool near_threshold;
+  };
+  const double beta = problem.config().beta;
+  std::vector<Rung> rungs = {{0.5 * beta, false},
+                             {beta, false},
+                             {problem.config().beta_max, false}};
+  if (all_candidates) {
+    // Floors of 0.5 + 0.1 (must fire), 0.5 + 1e-6 (inside the solver's
+    // tolerance: must not fire) and 0.5 − 1e-6 (must not fire).
+    for (double delta : {0.1, 1e-6, -1e-6}) {
+      rungs.push_back(
+          {(w_sb - 0.5 - delta) / (kappa_sum * w_sb), delta < 0.01});
+    }
+  }
+  for (const Rung& rung : rungs) {
+    model.SetLoadRung(rung.beta, true);
+    const Result<core::LpRelaxResult> verdict = model.Solve(rng);
+    const bool certified = model.last_solve_certified();
+    if (all_candidates) {
+      const double expected = floor_at(rung.beta);
+      EXPECT_NEAR(model.LoadSlackFloor(), expected, 1e-9 * (1 + w_sb))
+          << "seed " << seed << " beta " << rung.beta;
+      if (expected > 0.6) {
+        EXPECT_TRUE(certified) << "seed " << seed << " floor " << expected;
+      }
+    }
+    if (rung.near_threshold) {
+      ++tally->near_threshold;
+      EXPECT_FALSE(certified) << "seed " << seed << " fired at floor "
+                              << model.LoadSlackFloor();
+    }
+    if (!certified) {
+      ++tally->solved;
+      continue;
+    }
+    ++tally->certified;
+    EXPECT_EQ(verdict.status().code(), StatusCode::kInfeasible);
+    EXPECT_EQ(model.last_lp_stats().pivots, 0);
+    const LpSolution opt = solver.Solve(model.lp());
+    ASSERT_TRUE(CertifyOptimal(model.lp(), opt)) << "seed " << seed;
+    EXPECT_GT(model.LoadSlackSum(opt.x), 0.5) << "seed " << seed;
+  }
+}
+
+TEST(LpDifferentialTest, LoadCertificateIsSound) {
+  CertificateTally child;
+  CertificateTally leaf;
+  for (int seed = 0; seed < 12; ++seed) {
+    core::SaConfig config;
+    config.max_delay = 1.0;
+    const int out_degree = 3 + seed % 3;
+    core::SaProblem problem = test::SmallMultiLevelProblem(
+        300, 24, out_degree, config, 500 + seed);
+    if (seed % 2 == 1) {
+      // Multiplicities in [1, 4]: caps and sample weight scale with them.
+      Rng wrng(600 + seed);
+      std::vector<double> weights(problem.num_subscribers());
+      for (double& w : weights) w = wrng.Uniform(1, 4);
+      problem.SetWeights(std::move(weights));
+    }
+    const net::BrokerTree& tree = problem.tree();
+    for (int node = 0; node < tree.num_nodes(); ++node) {
+      if (tree.children(node).size() < 2) continue;
+      const core::Targets targets = core::BuildChildTargets(
+          problem, SubscribersWithChildTarget(problem, node), node);
+      if (targets.num_rows() == 0) continue;
+      ASSERT_LE(targets.count, 6);  // every candidate target is kept
+      CheckLoadCertificate(problem, targets, true, 700 + 31 * seed + node,
+                           &child);
+    }
+    // Leaf targets over a slice of the population, which keeps the LP
+    // small: rows with more than six feasible leaves keep a random six.
+    std::vector<int> slice = core::AllSubscribers(problem);
+    slice.resize(40);
+    const core::Targets leaves = core::BuildLeafTargets(problem, slice);
+    CheckLoadCertificate(problem, leaves, false, 900 + seed, &leaf);
+  }
+  // Both verdict paths and every near-threshold rung must be exercised.
+  EXPECT_GT(child.certified, 50);
+  EXPECT_GT(child.solved, 50);
+  EXPECT_GT(child.near_threshold, 50);
+  EXPECT_GT(leaf.certified, 0);
+  EXPECT_GT(leaf.solved, 0);
 }
 
 }  // namespace

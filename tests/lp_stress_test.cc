@@ -96,13 +96,21 @@ LpProblem BealeCyclingLp() {
 
 TEST(DegenerateStressTest, BealeCyclingSolvedUnderImmediateBland) {
   const LpProblem p = BealeCyclingLp();
-  // stall_threshold = 1 flips to Bland's rule after a single non-improving
-  // pivot, so most of the run happens under the anti-cycling rule.
-  SimplexOptions opts;
-  opts.stall_threshold = 1;
-  const LpSolution sol = Certified(p, opts);
-  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(sol.objective, -0.05, kTol);
+  // stall_threshold = 1 flips to Bland's rule after two non-improving
+  // pivots in a row. Dantzig pricing reaches this optimum in two pivots,
+  // the first of them degenerate (every rhs is 0 but one), so only
+  // stall_threshold = 0 runs the rest of the solve under Bland's rule.
+  for (const int stall_threshold : {1, 0}) {
+    SimplexOptions opts;
+    opts.stall_threshold = stall_threshold;
+    const LpSolution sol = Certified(p, opts);
+    ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(sol.objective, -0.05, kTol);
+    EXPECT_GT(sol.stats.degenerate_pivots, 0);
+    EXPECT_LE(sol.stats.degenerate_pivots, sol.stats.pivots);
+    EXPECT_LE(sol.stats.bland_pivots, sol.stats.pivots);
+    if (stall_threshold == 0) EXPECT_GT(sol.stats.bland_pivots, 0);
+  }
 }
 
 TEST(DegenerateStressTest, HighlyDegenerateAssignmentTerminates) {
@@ -128,7 +136,31 @@ TEST(DegenerateStressTest, HighlyDegenerateAssignmentTerminates) {
   }
   SimplexOptions opts;
   opts.stall_threshold = 2;
-  Certified(p, opts);
+  const LpSolution sol = Certified(p, opts);
+  EXPECT_GT(sol.stats.degenerate_pivots, 0);
+  EXPECT_GT(sol.stats.bland_pivots, 0);
+  EXPECT_LE(sol.stats.bland_pivots, sol.stats.pivots);
+}
+
+TEST(DegenerateStressTest, NondegenerateLpReportsNoStalls) {
+  // min −x − y s.t. x + 2y ≤ 4, 3x + y ≤ 6: the slack basis is feasible
+  // with positive values, and every ratio test has one strictly positive
+  // minimum, so each pivot moves and none runs under Bland's rule.
+  LpProblem p;
+  const int x = p.AddVariable(-1, 0, kInfinity);
+  const int y = p.AddVariable(-1, 0, kInfinity);
+  const int r1 = p.AddConstraint(Sense::kLessEqual, 4);
+  p.AddEntry(r1, x, 1);
+  p.AddEntry(r1, y, 2);
+  const int r2 = p.AddConstraint(Sense::kLessEqual, 6);
+  p.AddEntry(r2, x, 3);
+  p.AddEntry(r2, y, 1);
+  const LpSolution sol = Certified(p);
+  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(sol.objective, -2.8, kTol);  // x = 1.6, y = 1.2
+  EXPECT_GT(sol.stats.pivots, 0);
+  EXPECT_EQ(sol.stats.degenerate_pivots, 0);
+  EXPECT_EQ(sol.stats.bland_pivots, 0);
 }
 
 TEST(DegenerateStressTest, TinyEtaFileForcesRefactorizations) {
