@@ -1,19 +1,22 @@
 // Aggregation-layer benchmark (DESIGN.md §14): what the subsumption layer
 // buys on coverable workloads.
 //
-// Two measurements:
-//  * SLP end-to-end — direct RunSlp on the full problem vs AggregateSolve
-//    (aggregate + compressed solve + expand) on the SAME workload, across
-//    a sweep of coverable fractions at the small size and at the paper's
-//    headline fraction (0.6 coverable, >= 50%) at the large size. Reports
-//    wall time, realized compression ratio, Q(T) of both solutions (the
-//    expansion transfers filters verbatim, so aggregated Q(T) is the
-//    compressed run's), and process peak RSS. The aggregated run goes
-//    FIRST so its peak-RSS figure is not polluted by the direct solve
-//    (getrusage peaks are monotone across the process).
-//  * Dynamic arrivals — the same arrival stream through a plain assigner
-//    and one with the online subsumption fast path enabled: wall time,
-//    arrivals/s, and how many admissions the index probe carried.
+// SLP end-to-end — direct RunSlp on the full problem vs AggregateSolve
+// (aggregate + compressed solve + expand) on the SAME workload, across a
+// sweep of coverable fractions at the small size and at the paper's
+// headline fraction (0.6 coverable, >= 50%) at the large size. Reports wall
+// time, realized compression ratio, Q(T) of both solutions (the expansion
+// transfers filters verbatim, so aggregated Q(T) is the compressed run's),
+// and process peak RSS. The aggregated run goes FIRST so its peak-RSS
+// figure is not polluted by the direct solve (getrusage peaks are monotone
+// across the process).
+//
+// Every row is checked outside the timed regions: both solutions must pass
+// core::ValidateSolution's structural checks (every subscriber assigned to
+// a leaf, coverage, nesting, at most alpha rectangles per filter; latency
+// and load are reported, not gated), and the two pipelines must agree on
+// latency feasibility. The binary exits nonzero, naming the row and the
+// defect, if any check fails.
 //
 // Scales: SLP_AGG_MAX caps the largest size (default 1000000);
 // SLP_BROKERS (default 64), SLP_SEED as usual. Prints tables and writes
@@ -28,7 +31,7 @@
 
 #include "bench/bench_util.h"
 #include "src/agg/aggregation.h"
-#include "src/core/dynamic.h"
+#include "src/core/assignment.h"
 #include "src/workload/coverable.h"
 
 namespace slp::bench {
@@ -95,7 +98,21 @@ struct SolveRow {
   int agg_repair_moves = 0;          // RepairExpandedLoad moves
   long agg_peak_rss_kb = 0;
   long peak_rss_kb = 0;
+  // ValidateSolution verdicts (latency and load unchecked) of the expanded
+  // and the direct solution.
+  Status agg_valid;
+  Status direct_valid;
 };
+
+// ValidateSolution without its latency and load checks: those are the
+// rows' reported outcomes, not defects.
+Status ValidateStructure(const core::SaProblem& problem,
+                         const core::SaSolution& solution) {
+  core::ValidationOptions options;
+  options.check_latency = false;
+  options.check_load = false;
+  return core::ValidateSolution(problem, solution, options);
+}
 
 SolveRow RunSolve(const std::string& name, const wl::Workload& w,
                   double fraction, uint64_t seed) {
@@ -140,6 +157,7 @@ SolveRow RunSolve(const std::string& name, const wl::Workload& w,
     row.agg_qt =
         core::ComputeMetrics(problem, result.value()).total_bandwidth;
     row.agg_latency_feasible = result.value().latency_feasible;
+    row.agg_valid = ValidateStructure(problem, result.value());
   }
 
   {
@@ -158,48 +176,10 @@ SolveRow RunSolve(const std::string& name, const wl::Workload& w,
     row.direct_qt =
         core::ComputeMetrics(problem, result.value()).total_bandwidth;
     row.direct_latency_feasible = result.value().latency_feasible;
+    row.direct_valid = ValidateStructure(problem, result.value());
   }
 
   row.peak_rss_kb = PeakRssKb();
-  return row;
-}
-
-struct DynRow {
-  std::string workload;
-  int subscribers = 0;
-  double plain_seconds = 0;
-  double agg_seconds = 0;
-  int64_t subsumed_admissions = 0;
-  bool same_population = false;
-};
-
-DynRow RunDynamic(const std::string& name, const wl::Workload& w,
-                  uint64_t seed) {
-  (void)seed;
-  DynRow row;
-  row.workload = name;
-  row.subscribers = static_cast<int>(w.subscribers.size());
-
-  net::BrokerTree tree =
-      net::BuildOneLevelTree(w.publisher, w.broker_locations);
-  core::SaConfig config;
-  config.max_delay = 3.0;
-  core::DynamicAssigner plain(tree, config, row.subscribers);
-  core::DynamicAssigner agg_on(std::move(tree), config, row.subscribers);
-  agg_on.EnableAggregation();
-
-  {
-    WallTimer timer;
-    for (const auto& s : w.subscribers) (void)plain.Add(s);
-    row.plain_seconds = timer.Seconds();
-  }
-  {
-    WallTimer timer;
-    for (const auto& s : w.subscribers) (void)agg_on.Add(s);
-    row.agg_seconds = timer.Seconds();
-  }
-  row.subsumed_admissions = agg_on.add_stats().subsumed_admissions;
-  row.same_population = plain.population() == agg_on.population();
   return row;
 }
 
@@ -250,29 +230,22 @@ int Main(int argc, char** argv) {
         r.peak_rss_kb / 1024.0);
   }
 
-  std::vector<DynRow> dyn_rows;
-  dyn_rows.push_back(
-      RunDynamic("grid", CoverableGrid(small, brokers, 0.6, seed), seed));
-  if (max_subs > small) {
-    dyn_rows.push_back(RunDynamic(
-        "grid", CoverableGrid(max_subs, brokers, 0.6, seed), seed));
-  }
-  std::printf("\n%-6s %-9s %10s %10s %12s %14s %14s\n", "wl", "subs",
-              "plain(s)", "agg(s)", "subsumed", "plain-adds/s",
-              "agg-adds/s");
-  for (const DynRow& r : dyn_rows) {
-    std::printf("%-6s %-9d %10.2f %10.2f %12lld %14.0f %14.0f\n",
-                r.workload.c_str(), r.subscribers, r.plain_seconds,
-                r.agg_seconds,
-                static_cast<long long>(r.subsumed_admissions),
-                r.plain_seconds > 0 ? r.subscribers / r.plain_seconds : 0,
-                r.agg_seconds > 0 ? r.subscribers / r.agg_seconds : 0);
-  }
-
   bool ok = true;
-  for (const DynRow& r : dyn_rows) ok &= r.same_population;
   for (const SolveRow& r : rows) {
-    ok &= r.agg_latency_feasible == r.direct_latency_feasible;
+    const auto fail = [&](const std::string& defect) {
+      std::fprintf(stderr, "%s %d cover %.2f: %s\n", r.workload.c_str(),
+                   r.subscribers, r.coverable_fraction, defect.c_str());
+      ok = false;
+    };
+    if (!r.agg_valid.ok()) {
+      fail("expanded solution invalid: " + r.agg_valid.ToString());
+    }
+    if (!r.direct_valid.ok()) {
+      fail("direct solution invalid: " + r.direct_valid.ToString());
+    }
+    if (r.agg_latency_feasible != r.direct_latency_feasible) {
+      fail("latency-feasibility verdicts differ");
+    }
   }
 
   FILE* f = std::fopen(json_path.c_str(), "w");
@@ -313,24 +286,6 @@ int Main(int argc, char** argv) {
     std::fprintf(f, "      \"agg_peak_rss_kb\": %ld,\n", r.agg_peak_rss_kb);
     std::fprintf(f, "      \"peak_rss_kb\": %ld\n", r.peak_rss_kb);
     std::fprintf(f, "    }%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"dynamic_rows\": [\n");
-  for (size_t i = 0; i < dyn_rows.size(); ++i) {
-    const DynRow& r = dyn_rows[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"workload\": \"%s\",\n", r.workload.c_str());
-    std::fprintf(f, "      \"subscribers\": %d,\n", r.subscribers);
-    std::fprintf(f, "      \"add_plain_seconds\": %.3f,\n", r.plain_seconds);
-    std::fprintf(f, "      \"add_agg_seconds\": %.3f,\n", r.agg_seconds);
-    std::fprintf(f, "      \"subsumed_admissions\": %lld,\n",
-                 static_cast<long long>(r.subsumed_admissions));
-    std::fprintf(f, "      \"plain_adds_per_second\": %.0f,\n",
-                 r.plain_seconds > 0 ? r.subscribers / r.plain_seconds : 0);
-    std::fprintf(f, "      \"agg_adds_per_second\": %.0f,\n",
-                 r.agg_seconds > 0 ? r.subscribers / r.agg_seconds : 0);
-    std::fprintf(f, "      \"same_population\": %s\n",
-                 r.same_population ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < dyn_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

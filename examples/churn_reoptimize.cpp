@@ -48,7 +48,7 @@ int main() {
     if (epoch == kEpochs) break;
     // Churn: oldest 600 leave, 600 fresh arrive.
     for (int c = 0; c < kChurnPerEpoch; ++c) {
-      dyn.Remove(live.front());
+      SLP_CHECK(dyn.Remove(live.front()).ok());
       live.pop_front();
       live.push_back(
           dyn.Add(w.subscribers[next++ % w.subscribers.size()]).value());

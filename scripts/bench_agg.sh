@@ -3,9 +3,10 @@
 # BENCH_agg.json in the repo root: direct SLP vs aggregate-solve-then-
 # expand (wall time, compression ratio, Q(T), peak RSS) across coverable
 # fractions at 100k and at the >=50%-coverable setting at 1M on the grid
-# and GG workloads, plus plain-Add vs subsumption-fast-path arrival
-# throughput. The binary exits nonzero if the in-run checks (population
-# equality, matching feasibility verdicts) fail.
+# and GG workloads. The binary exits nonzero if a row's in-run checks
+# fail: both solutions must pass ValidateSolution's structural checks
+# (assignment, coverage, nesting, alpha) and agree on latency
+# feasibility.
 #
 # Usage: scripts/bench_agg.sh [build-dir]   (default: build-release)
 # SLP_AGG_MAX caps the largest size (e.g. 100000 for a smoke run).

@@ -91,70 +91,4 @@ void AuditLiveFilters(const DynamicAssigner& dyn) {
   }
 }
 
-void AuditDynamicAggregation(const DynamicAssigner& dyn) {
-  if (!dyn.aggregation_enabled()) return;
-  constexpr auto kAgg = audit::Category::kAggregation;
-  // Aggregate side: alive aggregates are coherent covering units.
-  std::vector<long> member_count(dyn.aggregate_count(), 0);
-  for (int a = 0; a < dyn.aggregate_count(); ++a) {
-    const std::string who = "aggregate " + std::to_string(a);
-    if (!dyn.aggregate_alive(a)) {
-      SLP_AUDIT_CHECK(kAgg, dyn.aggregate_members(a).empty(),
-                      who + ": dead but still has members");
-      continue;
-    }
-    const int rep = dyn.aggregate_rep(a);
-    SLP_AUDIT_CHECK(kAgg,
-                    dyn.is_occupied(rep) &&
-                        dyn.state(rep) == SubscriberState::kLive &&
-                        dyn.leaf_of(rep) >= 0,
-                    who + ": representative handle " + std::to_string(rep) +
-                        " is not a live placed subscriber");
-    if (!dyn.is_occupied(rep) || dyn.leaf_of(rep) < 0) continue;
-    const geo::Rectangle& rect = dyn.subscriber(rep).subscription;
-    bool rep_is_member = false;
-    for (int member : dyn.aggregate_members(a)) {
-      const std::string mwho = who + ", member handle " +
-                               std::to_string(member);
-      SLP_AUDIT_CHECK(kAgg, dyn.is_occupied(member),
-                      mwho + ": vacant (recycled handle retained?)");
-      if (!dyn.is_occupied(member)) continue;
-      ++member_count[a];
-      rep_is_member |= member == rep;
-      SLP_AUDIT_CHECK(kAgg, dyn.aggregate_of(member) == a,
-                      mwho + ": aggregate_of says " +
-                          std::to_string(dyn.aggregate_of(member)));
-      SLP_AUDIT_CHECK(kAgg, dyn.state(member) == SubscriberState::kLive &&
-                                dyn.leaf_of(member) == dyn.leaf_of(rep),
-                      mwho + ": not live at the representative's leaf");
-      SLP_AUDIT_CHECK(kAgg,
-                      rect.Contains(dyn.subscriber(member).subscription),
-                      mwho + ": subscription not inside the "
-                             "representative's");
-    }
-    SLP_AUDIT_CHECK(kAgg, rep_is_member,
-                    who + ": representative not among its members");
-  }
-  // Handle side: multiplicity sums match live membership exactly.
-  std::vector<long> affiliation(dyn.aggregate_count(), 0);
-  for (int h = 0; h < dyn.slot_count(); ++h) {
-    const int a = dyn.aggregate_of(h);
-    if (a < 0) continue;
-    const std::string who = "handle " + std::to_string(h);
-    SLP_AUDIT_CHECK(kAgg, dyn.is_occupied(h),
-                    who + ": vacant but affiliated with aggregate " +
-                        std::to_string(a));
-    SLP_AUDIT_CHECK(kAgg, a < dyn.aggregate_count() && dyn.aggregate_alive(a),
-                    who + ": affiliated with a dead aggregate");
-    if (a < dyn.aggregate_count()) ++affiliation[a];
-  }
-  for (int a = 0; a < dyn.aggregate_count(); ++a) {
-    SLP_AUDIT_CHECK(kAgg, affiliation[a] == member_count[a],
-                    "aggregate " + std::to_string(a) + ": " +
-                        std::to_string(member_count[a]) +
-                        " members but " + std::to_string(affiliation[a]) +
-                        " affiliated handles");
-  }
-}
-
 }  // namespace slp::core

@@ -36,14 +36,6 @@ void AuditNesting(const SaProblem& problem, const SaSolution& solution);
 // Audits per-subscriber live-path coverage of a dynamic deployment.
 void AuditLiveFilters(const DynamicAssigner& dyn);
 
-// Audits the subsumption fast path's membership invariants
-// (Category::kAggregation): every alive aggregate's representative is a
-// live placed tenant whose subscription contains every member's; members
-// are live at the representative's leaf; membership lists and the
-// handle-to-aggregate map agree exactly (no vacant or recycled handle is
-// referenced). A no-op while aggregation is disabled.
-void AuditDynamicAggregation(const DynamicAssigner& dyn);
-
 }  // namespace slp::core
 
 #endif  // SLP_CORE_AUDIT_H_

@@ -151,10 +151,6 @@ Status DynamicAssigner::BeginBatch() {
 int DynamicAssigner::AdmitOne(const wl::Subscriber& s) {
   ++add_stats_.arrivals;
   Price(s);
-  if (agg_enabled_) {
-    const int fast = TrySubsumedAdmission(s);
-    if (fast >= 0) return fast;
-  }
   const int64_t costs_before = gr_.leaf_costs();
   // The β → β_max → ∞ ladder; the kernel prices each leaf once across it.
   int leaf = -1;
@@ -193,9 +189,7 @@ int DynamicAssigner::AdmitOne(const wl::Subscriber& s) {
       GrowLivePath(tree_, leaf, s.subscription, config_.alpha, &filters_);
   SLP_DCHECK(grown.ok());  // BeginBatch rejected alpha < 1
   Occupy(leaf);
-  const int handle = CommitSlot(s, leaf, gr_.latency(leaf) - gr_.bound());
-  RegisterAggregate(handle);
-  return handle;
+  return CommitSlot(s, leaf, gr_.latency(leaf) - gr_.bound());
 }
 
 void DynamicAssigner::Occupy(int leaf) {
@@ -209,114 +203,6 @@ void DynamicAssigner::Occupy(int leaf) {
   }
   ++loads_[idx];
   ++population_;
-}
-
-int DynamicAssigner::TrySubsumedAdmission(const wl::Subscriber& s) {
-  // Aggregates whose representative subscription contains s's. The index
-  // answers full containment directly; candidates arrive in ascending
-  // aggregate id (creation) order, making the pick deterministic.
-  agg_scratch_.clear();
-  agg_index_.AppendCoverers(s.subscription, &agg_scratch_);
-  const double cap =
-      LoadCap(agg_config_.lbf_cap > 0 ? agg_config_.lbf_cap
-                                      : config_.beta_max);
-  for (const int32_t a : agg_scratch_) {
-    const DynAggregate& agg = aggregates_[a];
-    if (!agg.alive) continue;
-    const Slot& rep = slots_[agg.rep];
-    // The representative must still be a live, placed tenant of its leaf;
-    // detach-on-release makes anything else a stale index entry.
-    if (!rep.occupied || rep.state != SubscriberState::kLive || rep.leaf < 0) {
-      continue;
-    }
-    if (agg_config_.max_members > 0 &&
-        static_cast<int>(agg.members.size()) >= agg_config_.max_members) {
-      continue;
-    }
-    const int leaf = rep.leaf;
-    if (leaf_vetoed(leaf)) continue;  // suspicion: no new placements
-    if (gr_.latency(leaf) > gr_.bound() + 1e-12) continue;
-    if (loads_[leaf_index_[leaf]] + 1 > cap + 1e-9) continue;
-    // Admit at the representative's leaf. No filter growth: the member's
-    // subscription is inside the representative's, and every live-path
-    // filter already holds a rectangle containing the representative's
-    // subscription (placement grew it there, and rectangles only grow).
-    Occupy(leaf);
-    ++add_stats_.subsumed_admissions;
-    const int handle = CommitSlot(s, leaf, gr_.latency(leaf) - gr_.bound());
-    SLP_DCHECK(slots_[handle].state == SubscriberState::kLive);
-    if (static_cast<int>(agg_of_.size()) < static_cast<int>(slots_.size())) {
-      agg_of_.resize(slots_.size(), -1);
-    }
-    aggregates_[a].members.push_back(handle);
-    agg_of_[handle] = a;
-    return handle;
-  }
-  return -1;
-}
-
-void DynamicAssigner::RegisterAggregate(int handle) {
-  if (!agg_enabled_) return;
-  const Slot& slot = slots_[handle];
-  if (!slot.occupied || slot.state != SubscriberState::kLive ||
-      slot.leaf < 0) {
-    return;
-  }
-  if (static_cast<int>(agg_of_.size()) < static_cast<int>(slots_.size())) {
-    agg_of_.resize(slots_.size(), -1);
-  }
-  SLP_DCHECK(agg_of_[handle] < 0);
-  const int a = static_cast<int>(aggregates_.size());
-  DynAggregate agg;
-  agg.rep = handle;
-  agg.alive = true;
-  agg.rect = slot.subscriber.subscription;
-  agg.members.push_back(handle);
-  aggregates_.push_back(std::move(agg));
-  agg_of_[handle] = a;
-  agg_index_.Insert(a, aggregates_[a].rect);
-}
-
-void DynamicAssigner::DetachAggregate(int handle) {
-  if (!agg_enabled_) return;
-  if (handle < 0 || handle >= static_cast<int>(agg_of_.size())) return;
-  const int a = agg_of_[handle];
-  if (a < 0) return;
-  DynAggregate& agg = aggregates_[a];
-  if (agg.rep == handle) {
-    // Losing the representative dissolves the aggregate: the remaining
-    // members keep their placements but stop covering future arrivals.
-    for (int member : agg.members) agg_of_[member] = -1;
-    agg.members.clear();
-    agg.alive = false;
-    agg_index_.Retire(a);
-    return;
-  }
-  agg.members.erase(
-      std::remove(agg.members.begin(), agg.members.end(), handle),
-      agg.members.end());
-  agg_of_[handle] = -1;
-}
-
-void DynamicAssigner::ResetAggregates() {
-  aggregates_.clear();
-  agg_of_.assign(slots_.size(), -1);
-  agg_index_ = match::SubsumptionIndex();
-  if (!agg_enabled_) return;
-  for (size_t h = 0; h < slots_.size(); ++h) {
-    RegisterAggregate(static_cast<int>(h));
-  }
-}
-
-void DynamicAssigner::EnableAggregation(const DynAggregationConfig& config) {
-  agg_enabled_ = true;
-  agg_config_ = config;
-  ResetAggregates();
-}
-
-void DynamicAssigner::DisableAggregation() {
-  agg_enabled_ = false;
-  ResetAggregates();
 }
 
 int DynamicAssigner::CommitSlot(const wl::Subscriber& s, int leaf,
@@ -358,11 +244,11 @@ void DynamicAssigner::DropOrphan(int handle) {
                  orphans_.end());
 }
 
-void DynamicAssigner::Remove(int handle) {
-  SLP_DCHECK(handle >= 0 && handle < static_cast<int>(slots_.size()));
+Status DynamicAssigner::Remove(int handle) {
+  if (!is_occupied(handle)) {
+    return Status::InvalidArgument("Remove: vacant handle");
+  }
   Slot& slot = slots_[handle];
-  SLP_DCHECK(slot.occupied);
-  DetachAggregate(handle);
   ReleasePlacement(&slot);
   if (slot.state == SubscriberState::kLive) --live_count_;
   if (slot.state == SubscriberState::kOrphaned) DropOrphan(handle);
@@ -373,6 +259,7 @@ void DynamicAssigner::Remove(int handle) {
   free_slots_.push(handle);
   // Filters intentionally stay: shrinking online could uncover remaining
   // subscribers. Staleness is reclaimed by Reoptimize().
+  return Status::OK();
 }
 
 Status DynamicAssigner::FailBroker(int node) {
@@ -385,16 +272,12 @@ Status DynamicAssigner::FailBroker(int node) {
   for (size_t h = 0; h < slots_.size(); ++h) {
     Slot& slot = slots_[h];
     if (!slot.occupied || slot.leaf != node) continue;
-    DetachAggregate(static_cast<int>(h));
     ReleasePlacement(&slot);
     if (slot.state == SubscriberState::kLive) --live_count_;
     slot.state = SubscriberState::kOrphaned;
     slot.violation = {};
     orphans_.push_back(static_cast<int>(h));
   }
-#if SLP_AUDITS_ENABLED
-  AuditDynamicAggregation(*this);
-#endif
   return Status::OK();
 }
 
@@ -481,7 +364,6 @@ Status DynamicAssigner::PlaceAt(int handle, int leaf,
   Slot& slot = slots_[handle];
   SLP_RETURN_IF_ERROR(GrowLivePath(tree_, leaf, slot.subscriber.subscription,
                                    config_.alpha, &filters_));
-  DetachAggregate(handle);
   ReleasePlacement(&slot);
   slot.leaf = leaf;
   ++loads_[leaf_index_[leaf]];
@@ -491,10 +373,6 @@ Status DynamicAssigner::PlaceAt(int handle, int leaf,
   slot.violation =
       new_state == SubscriberState::kDegraded ? violation : DegradedViolation{};
   DropOrphan(handle);
-  // A re-placed live subscriber covers arrivals again from its new leaf
-  // (the repair-path analogue of Add's registration; without it, every
-  // repair would silently shrink the fast path's reach).
-  RegisterAggregate(handle);
   return Status::OK();
 }
 
@@ -503,7 +381,6 @@ Status DynamicAssigner::Park(int handle, DegradedViolation violation) {
     return Status::InvalidArgument("Park: vacant handle");
   }
   Slot& slot = slots_[handle];
-  DetachAggregate(handle);
   ReleasePlacement(&slot);
   if (slot.state == SubscriberState::kLive) --live_count_;
   slot.state = SubscriberState::kDegraded;
@@ -629,12 +506,6 @@ void DynamicAssigner::InstallLive(const LiveSnapshot& snap,
     filters_[v].assign(fresh.filters[lv].rects().begin(),
                        fresh.filters[lv].rects().end());
   }
-  // The fresh deployment invalidates every covering argument made against
-  // the old filters; rebuild the aggregates from the installed state.
-  ResetAggregates();
-#if SLP_AUDITS_ENABLED
-  AuditDynamicAggregation(*this);
-#endif
 }
 
 std::pair<SaProblem, SaSolution> DynamicAssigner::Snapshot() const {

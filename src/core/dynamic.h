@@ -51,7 +51,6 @@
 #include "src/core/problem.h"
 #include "src/core/slp.h"
 #include "src/geometry/rectangle.h"
-#include "src/match/subsumption.h"
 #include "src/network/broker_tree.h"
 #include "src/workload/workload.h"
 
@@ -101,24 +100,6 @@ struct AddStats {
   int64_t escalation_skips = 0;
   // Leaf incorporation costs computed (each at most once per arrival).
   int64_t cost_evals = 0;
-  // Arrivals admitted through the subsumption fast path: subscription
-  // covered by a live aggregate representative's, admitted at the rep's
-  // leaf with one index probe — no escalation-ladder scan, no cost
-  // evaluation, no filter growth.
-  int64_t subsumed_admissions = 0;
-};
-
-// Knobs of the online subsumption fast path (EnableAggregation). The
-// dynamic path admits only exact covers (never grows a representative's
-// rect — the knob's eps lives in the offline layer, src/agg).
-struct DynAggregationConfig {
-  // Load-balance factor capping fast-path admissions at the rep's leaf;
-  // <= 0 uses the config's beta_max. A tighter cap reserves the headroom
-  // between it and beta_max for the escalation ladder's own decisions.
-  double lbf_cap = 0;
-  // Max members per aggregate (0 = unbounded); bounds how many admissions
-  // one representative's departure orphans from the fast path.
-  int max_members = 0;
 };
 
 class DynamicAssigner {
@@ -157,7 +138,9 @@ class DynamicAssigner {
 
   // Removes a previously added subscriber (any state). Filters stay as
   // they are (stale but safe). The slot is recycled by a later Add.
-  void Remove(int handle);
+  // kInvalidArgument with the assigner unchanged if the handle is vacant
+  // or out of range.
+  Status Remove(int handle);
 
   // ---- Crash-stop failure events ----
 
@@ -256,43 +239,6 @@ class DynamicAssigner {
   // vetoed.
   bool UseVeto() const;
 
-  // ---- Online subsumption fast path (DESIGN.md §14) ----
-  //
-  // With aggregation enabled, every kLive placed arrival registers as the
-  // representative of a fresh single-member aggregate, and a later arrival
-  // whose subscription is covered by a live representative's is admitted at
-  // the representative's leaf in O(index probe): latency is checked
-  // directly, load against the configured cap, and — because the member's
-  // subscription is inside the representative's, which every live-path
-  // filter already covers — no filter needs to grow and no escalation rung
-  // is scanned (AddStats::subsumed_admissions counts these).
-  //
-  // Membership hygiene is uniform: ANY placement change (Remove, PlaceAt,
-  // Park, a leaf failure orphaning the handle) detaches the handle from
-  // its aggregate, and losing the representative dissolves the whole
-  // aggregate (members stay placed; they just stop covering future
-  // arrivals). Reoptimization resets and re-seeds from the installed
-  // deployment. The detach-on-release rule is what keeps recycled handles
-  // from inheriting a previous tenant's membership.
-  void EnableAggregation(const DynAggregationConfig& config = {});
-  void DisableAggregation();
-  bool aggregation_enabled() const { return agg_enabled_; }
-
-  // Aggregate inspection (ids are dense, dead ones stay allocated).
-  int aggregate_count() const { return static_cast<int>(aggregates_.size()); }
-  bool aggregate_alive(int a) const { return aggregates_[a].alive; }
-  // Representative handle of aggregate a (meaningful while alive).
-  int aggregate_rep(int a) const { return aggregates_[a].rep; }
-  const std::vector<int>& aggregate_members(int a) const {
-    return aggregates_[a].members;
-  }
-  // Aggregate id of a handle, -1 when unaffiliated.
-  int aggregate_of(int handle) const {
-    return handle >= 0 && handle < static_cast<int>(agg_of_.size())
-               ? agg_of_[handle]
-               : -1;
-  }
-
   // Leaf loads by (static) leaf index.
   const std::vector<int>& loads() const { return loads_; }
 
@@ -365,19 +311,6 @@ class DynamicAssigner {
   void ReleasePlacement(Slot* slot);
   // Drops `handle` from orphans_ if present.
   void DropOrphan(int handle);
-  // Fast-path admission against the live aggregates; returns the committed
-  // handle or -1 when no representative qualifies (caller falls through to
-  // the escalation ladder).
-  int TrySubsumedAdmission(const wl::Subscriber& s);
-  // Makes `handle` (kLive, placed) the representative of a fresh
-  // aggregate. No-op when aggregation is off or the slot does not qualify.
-  void RegisterAggregate(int handle);
-  // Detaches `handle` from its aggregate; dissolves the aggregate when the
-  // handle is its representative. Safe on unaffiliated handles.
-  void DetachAggregate(int handle);
-  // Drops every aggregate and, when enabled, re-seeds one per placed kLive
-  // slot in ascending handle order.
-  void ResetAggregates();
   // Installs a fresh solution from a live snapshot back into the slots.
   void InstallLive(const LiveSnapshot& snap, const SaSolution& fresh);
 
@@ -407,20 +340,6 @@ class DynamicAssigner {
   bool use_veto_ = false;
   double caps_[2] = {0, 0};   // load caps at β, β_max
   int headroom_[2] = {0, 0};  // live leaves with room under each cap
-
-  // ---- Subsumption fast-path state ----
-  struct DynAggregate {
-    int rep = -1;            // representative handle
-    bool alive = false;
-    geo::Rectangle rect;     // the rep's subscription (never grown online)
-    std::vector<int> members;  // handles, rep included, admission order
-  };
-  bool agg_enabled_ = false;
-  DynAggregationConfig agg_config_;
-  std::vector<DynAggregate> aggregates_;
-  std::vector<int> agg_of_;  // by handle; -1 = unaffiliated
-  match::SubsumptionIndex agg_index_;  // owner = aggregate id
-  mutable std::vector<int32_t> agg_scratch_;
 };
 
 }  // namespace slp::core

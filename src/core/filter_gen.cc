@@ -13,6 +13,15 @@ namespace slp::core {
 
 namespace {
 
+// k = kSuperSubscriptionFactor · num_targets super-subscriptions; the
+// clustering step is skipped when the input is already that small.
+constexpr int kSuperSubscriptionFactor = 5;
+// Maximum overlap fraction η between same-level intervals (>= 1/2).
+constexpr double kEta = 0.5;
+// Relative weight of network coordinates vs event coordinates in the joint
+// clustering space.
+constexpr double kNetworkWeight = 1.0;
+
 struct Interval {
   double lo, hi;
   double length() const { return hi - lo; }
@@ -26,7 +35,7 @@ struct Interval {
 // network ⊕ event space and take per-cluster MEBs.
 std::vector<geo::Rectangle> SuperSubscriptions(
     const SaProblem& problem, const std::vector<int>& sa_indices, int k,
-    const FilterGenOptions& options, Rng& rng) {
+    Rng& rng) {
   const int n = static_cast<int>(sa_indices.size());
   // Feature scaling: normalize each feature block by its observed extent so
   // neither space dominates.
@@ -57,8 +66,7 @@ std::vector<geo::Rectangle> SuperSubscriptions(
     geo::Point f;
     f.reserve(net_dim + 2 * ev_dim);
     for (int d = 0; d < net_dim; ++d) {
-      f.push_back(options.network_weight *
-                  scale(s.location[d], net_lo[d], net_hi[d]));
+      f.push_back(kNetworkWeight * scale(s.location[d], net_lo[d], net_hi[d]));
     }
     const auto center = s.subscription.Center();
     for (int d = 0; d < ev_dim; ++d) {
@@ -86,8 +94,7 @@ std::vector<geo::Rectangle> SuperSubscriptions(
 }
 
 // The hierarchical interval generation of Section IV-A.3 for one dimension.
-std::vector<Interval> GenerateIntervals(std::vector<Interval> input,
-                                        double eta) {
+std::vector<Interval> GenerateIntervals(std::vector<Interval> input) {
   SLP_DCHECK(!input.empty());
   double span_lo = input[0].lo, span_hi = input[0].hi;
   double min_len = input[0].length(), max_len = input[0].length();
@@ -130,7 +137,7 @@ std::vector<Interval> GenerateIntervals(std::vector<Interval> input,
         }
         if (hi >= lo) out.push_back({lo, hi});
         // Advance past all left endpoints within (1-eta)*len of start.
-        while (p < level.size() && level[p]->lo < start + (1 - eta) * len) {
+        while (p < level.size() && level[p]->lo < start + (1 - kEta) * len) {
           ++p;
         }
       }
@@ -155,10 +162,10 @@ std::vector<geo::Rectangle> FilterGen(const SaProblem& problem,
   const int ev_dim = problem.subscriber(sa_indices[0]).subscription.dim();
 
   // Step 1 (optional): super-subscriptions.
-  const int k = options.super_subscription_factor * num_targets;
+  const int k = kSuperSubscriptionFactor * num_targets;
   std::vector<geo::Rectangle> supers;
   if (static_cast<int>(sa_indices.size()) > k) {
-    supers = SuperSubscriptions(problem, sa_indices, k, options, rng);
+    supers = SuperSubscriptions(problem, sa_indices, k, rng);
   } else {
     supers.reserve(sa_indices.size());
     for (int idx : sa_indices) {
@@ -172,7 +179,7 @@ std::vector<geo::Rectangle> FilterGen(const SaProblem& problem,
     std::vector<Interval> proj;
     proj.reserve(supers.size());
     for (const auto& r : supers) proj.push_back({r.lo(d), r.hi(d)});
-    axes[d] = GenerateIntervals(std::move(proj), options.eta);
+    axes[d] = GenerateIntervals(std::move(proj));
   }
 
   // Cartesian products.

@@ -29,17 +29,9 @@
 namespace slp::core {
 
 struct FilterGenOptions {
-  // k = super_subscription_factor * num_targets super-subscriptions; the
-  // clustering step is skipped when the input is already that small.
-  int super_subscription_factor = 5;
-  // Maximum overlap fraction η between same-level intervals (>= 1/2).
-  double eta = 0.5;
   // Keep-smallest pruning: per subscription, how many containing candidates
   // survive (the global MEB is kept unconditionally).
   int covers_per_subscription = 8;
-  // Relative weight of network coordinates vs event coordinates in the
-  // joint clustering space.
-  double network_weight = 1.0;
 };
 
 // Generates candidate filter rectangles for the subscriptions indexed by

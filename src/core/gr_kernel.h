@@ -1,7 +1,7 @@
 // The Gr placement kernel (Section III): the least filter enlargement along
 // a publisher-to-leaf path, priced for every Gr caller — online admission
-// (DynamicAssigner::Add, AddBatch and the subsumption fast path), the repair
-// ladder (RepairEngine) and offline Gr/Gr* (greedy.cc).
+// (DynamicAssigner::Add and AddBatch), the repair ladder (RepairEngine) and
+// offline Gr/Gr* (greedy.cc).
 //
 // A session prices one subscriber. Each node's least enlargement is
 // computed at most once per session and summed root to leaf in path order,

@@ -13,6 +13,10 @@ namespace slp::core {
 
 namespace {
 
+// Multiplicative lbf escalation step when a subscriber runs out of
+// candidates (clamped at β_max).
+constexpr double kLbfEscalation = 1.1;
+
 class GreedyRunner {
  public:
   GreedyRunner(const SaProblem& problem, const GreedyOptions& options,
@@ -102,8 +106,7 @@ class GreedyRunner {
         return;
       }
       if (lbf < problem_.config().beta_max - 1e-12) {
-        lbf = std::min(lbf * options_.lbf_escalation,
-                       problem_.config().beta_max);
+        lbf = std::min(lbf * kLbfEscalation, problem_.config().beta_max);
         continue;  // cap loosened for this subscriber; retry
       }
       // Best effort: overload the least-loaded candidate.

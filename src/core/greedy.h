@@ -33,9 +33,6 @@ struct GreedyOptions {
   bool offline = false;
   // Drop the latency constraint from candidate sets (Gr¬l).
   bool ignore_latency = false;
-  // Multiplicative lbf escalation step when a subscriber runs out of
-  // candidates (clamped at β_max).
-  double lbf_escalation = 1.1;
 };
 
 // Runs the selected greedy variant. Always produces a complete solution

@@ -10,6 +10,14 @@
 
 namespace slp::core {
 
+namespace {
+
+// Exponential growth of a degraded subscriber's retry wait per failed
+// retry (capped at RepairOptions::backoff_max).
+constexpr double kBackoffFactor = 2.0;
+
+}  // namespace
+
 RepairEngine::RepairEngine(DynamicAssigner* assigner, RepairOptions options)
     : dyn_(assigner), options_(options) {
   SLP_DCHECK(dyn_ != nullptr);
@@ -157,7 +165,7 @@ RepairReport RepairEngine::Repair(const Deadline& deadline, int64_t now) {
       Backoff& b = it->second;
       ++b.attempts;
       const double wait =
-          options_.backoff_base * std::pow(options_.backoff_factor, b.attempts);
+          options_.backoff_base * std::pow(kBackoffFactor, b.attempts);
       b.next = now + static_cast<int64_t>(std::min(
                          wait, static_cast<double>(options_.backoff_max)));
     }

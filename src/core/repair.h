@@ -52,10 +52,9 @@
 namespace slp::core {
 
 struct RepairOptions {
-  // Ticks before the first retry of a degraded subscriber, and the
-  // exponential growth per failed retry (capped).
+  // Ticks before the first retry of a degraded subscriber; the wait grows
+  // by kBackoffFactor (repair.cc) per failed retry, capped at backoff_max.
   int64_t backoff_base = 4;
-  double backoff_factor = 2.0;
   int64_t backoff_max = 1024;
 };
 

@@ -13,6 +13,9 @@ namespace slp::core {
 
 namespace {
 
+// Multiplicative β escalation per retry (β_max is always tried last).
+constexpr double kEscalation = 1.05;
+
 // A (row, target) covering edge with its cohesion cost: the volume of the
 // smallest filter rectangle at the target containing the row's
 // subscription. Routing subscribers toward their most specific filters
@@ -104,7 +107,7 @@ FlowAttempt RunFlow(const SaProblem& problem, const Targets& targets,
 
   int64_t flow = mf.Solve(s, t_node);
   while (flow < supply && beta < problem.config().beta_max - 1e-12) {
-    beta = std::min(beta * options.escalation, problem.config().beta_max);
+    beta = std::min(beta * kEscalation, problem.config().beta_max);
     for (int t = 0; t < nt; ++t) {
       mf.SetCapacity(target_edge[t], cap_at(t, beta));
     }

@@ -18,8 +18,6 @@
 namespace slp::core {
 
 struct SubscriptionAssignOptions {
-  // Multiplicative β escalation per retry (β_max is always tried last).
-  double escalation = 1.05;
   // Seed the flow with a cost-ordered greedy pre-assignment (cost = volume
   // of the smallest covering rectangle) so max-flow only reroutes where
   // load balance demands it. Off reproduces the paper's plain max-flow.

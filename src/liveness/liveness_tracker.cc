@@ -192,7 +192,8 @@ TickReport LivenessTracker::Tick(int64_t now) {
         (now - c.last_heard) / config_.subscriber_interval;
     if (misses >= config_.subscriber_miss_dead) {
       report.expired.push_back(ExpiredLease{client, c.handle});
-      dyn_->Remove(c.handle);
+      const Status removed = dyn_->Remove(c.handle);
+      SLP_DCHECK(removed.ok());
       ++stats_.lease_expirations;
       c.handle = -1;
       --num_tracked_;

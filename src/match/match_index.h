@@ -91,7 +91,8 @@ class MatchIndex {
   // that contains the whole query rectangle `q` (q ⊆ rect, closed on every
   // edge), without deduplication. A rectangle containing q necessarily
   // contains q's lo corner, so only that corner's grid cell is scanned —
-  // the candidate set the subsumption layer narrows by exact containment.
+  // the candidate set SubsumptionIndex (src/match/subsumption.h) narrows
+  // by exact containment.
   void AppendContainingRect(const geo::Rectangle& q,
                             std::vector<int32_t>* out) const;
 

@@ -95,7 +95,7 @@ std::vector<int64_t> AllocationsPerAdd(int brokers) {
   config.max_delay = 1.0;
   core::DynamicAssigner dyn(std::move(tree), config, 4000);
   const std::vector<int> handles = dyn.AddBatch(w.subscribers).value();
-  for (int k = 0; k < 200; ++k) dyn.Remove(handles[k]);
+  for (int k = 0; k < 200; ++k) EXPECT_TRUE(dyn.Remove(handles[k]).ok());
 
   std::vector<int64_t> per_add;
   per_add.reserve(200);

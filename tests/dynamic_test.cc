@@ -9,7 +9,6 @@
 #include "src/core/metrics.h"
 #include "src/core/repair.h"
 #include "src/network/tree_builder.h"
-#include "src/workload/coverable.h"
 #include "src/workload/googlegroups.h"
 #include "src/workload/grid.h"
 #include "tests/gr_oracle.h"
@@ -41,6 +40,43 @@ SaConfig LooseConfig() {
   return config;
 }
 
+// The assigner-wide counts agree with its slots: population() counts the
+// occupied slots, live_count() the kLive ones, orphans() the kOrphaned
+// ones, and each leaf's load the handles placed there, so Σ loads() equals
+// the placed handles.
+::testing::AssertionResult BookkeepingConsistent(const DynamicAssigner& dyn) {
+  std::vector<int> placed_at(dyn.tree().num_nodes(), 0);
+  int occupied = 0, live = 0, orphaned = 0, placed = 0;
+  for (int h = 0; h < dyn.slot_count(); ++h) {
+    if (!dyn.is_occupied(h)) continue;
+    ++occupied;
+    live += dyn.state(h) == SubscriberState::kLive ? 1 : 0;
+    orphaned += dyn.state(h) == SubscriberState::kOrphaned ? 1 : 0;
+    if (dyn.leaf_of(h) < 0) continue;
+    ++placed;
+    ++placed_at[dyn.leaf_of(h)];
+  }
+  int load_sum = 0;
+  for (int l : dyn.loads()) load_sum += l;
+  if (dyn.population() != occupied || dyn.live_count() != live ||
+      static_cast<int>(dyn.orphans().size()) != orphaned ||
+      load_sum != placed) {
+    return ::testing::AssertionFailure()
+           << "population " << dyn.population() << " vs " << occupied
+           << " occupied, live_count " << dyn.live_count() << " vs " << live
+           << ", orphans " << dyn.orphans().size() << " vs " << orphaned
+           << ", sum of loads " << load_sum << " vs " << placed << " placed";
+  }
+  for (int leaf : dyn.tree().leaf_brokers()) {
+    if (dyn.load_of(leaf) != placed_at[leaf]) {
+      return ::testing::AssertionFailure()
+             << "leaf " << leaf << " load " << dyn.load_of(leaf) << " vs "
+             << placed_at[leaf] << " placed there";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(DynamicTest, AddAssignsAndCovers) {
   DynamicAssigner dyn(TwoBrokerTree(), LooseConfig(), 10);
   const int h = dyn.Add(MakeSub(0, 1, 0.1, 0.1)).value();
@@ -57,7 +93,7 @@ TEST(DynamicTest, RemoveReleasesCapacityButKeepsFilters) {
   DynamicAssigner dyn(TwoBrokerTree(), LooseConfig(), 10);
   const int h = dyn.Add(MakeSub(0, 1, 0.1, 0.1)).value();
   const double bw_before = dyn.CurrentBandwidth();
-  dyn.Remove(h);
+  ASSERT_TRUE(dyn.Remove(h).ok());
   EXPECT_EQ(dyn.live_count(), 0);
   EXPECT_EQ(dyn.loads()[0] + dyn.loads()[1], 0);
   // Stale filters remain until reoptimization.
@@ -67,10 +103,36 @@ TEST(DynamicTest, RemoveReleasesCapacityButKeepsFilters) {
 TEST(DynamicTest, HandleReuseAfterRemoval) {
   DynamicAssigner dyn(TwoBrokerTree(), LooseConfig(), 10);
   const int h1 = dyn.Add(MakeSub(0, 1, 0.1, 0.1)).value();
-  dyn.Remove(h1);
+  ASSERT_TRUE(dyn.Remove(h1).ok());
   const int h2 = dyn.Add(MakeSub(0, 1, 0.5, 0.1)).value();
   EXPECT_EQ(h1, h2);  // slot reused
   EXPECT_EQ(dyn.live_count(), 1);
+}
+
+// A vacant or out-of-range handle is rejected with the assigner unchanged,
+// in every build type: a second Remove that counted the departure again
+// would also queue the slot twice for reuse, and two later Adds would
+// share one handle.
+TEST(DynamicTest, RemoveOfVacantHandleIsRejected) {
+  DynamicAssigner dyn(TwoBrokerTree(), LooseConfig(), 10);
+  const int a = dyn.Add(MakeSub(0, 1, 0.1, 0.1)).value();
+  const int b = dyn.Add(MakeSub(0, -1, 0.5, 0.1)).value();
+  ASSERT_TRUE(dyn.Remove(a).ok());
+  EXPECT_EQ(dyn.Remove(a).code(), StatusCode::kInvalidArgument);
+  for (int bad : {-1, dyn.slot_count(), 1 << 20}) {
+    EXPECT_EQ(dyn.Remove(bad).code(), StatusCode::kInvalidArgument) << bad;
+  }
+  EXPECT_EQ(dyn.population(), 1);
+  EXPECT_EQ(dyn.live_count(), 1);
+  EXPECT_TRUE(dyn.is_occupied(b));
+  EXPECT_TRUE(BookkeepingConsistent(dyn));
+  const int c = dyn.Add(MakeSub(0, 1, 0.2, 0.1)).value();
+  const int d = dyn.Add(MakeSub(0, 1, 0.3, 0.1)).value();
+  EXPECT_NE(c, d);
+  EXPECT_NE(c, b);
+  EXPECT_NE(d, b);
+  EXPECT_EQ(dyn.population(), 3);
+  EXPECT_TRUE(BookkeepingConsistent(dyn));
 }
 
 TEST(DynamicTest, LoadCapsRespectedOnline) {
@@ -96,7 +158,7 @@ TEST(DynamicTest, ChurnCreatesStalenessReoptimizeReclaims) {
                          .value());
   }
   // Phase 2: topic A leaves; topic B (around 0.8) arrives.
-  for (int h : phase1) dyn.Remove(h);
+  for (int h : phase1) ASSERT_TRUE(dyn.Remove(h).ok());
   for (int i = 0; i < 30; ++i) {
     (void)dyn.Add(
         MakeSub(rng.Uniform(-1, 1), 1, rng.Uniform(0.75, 0.85), 0.05));
@@ -216,8 +278,8 @@ TEST(DynamicTest, AddBatchMatchesSequentialAddFuzz) {
     // Deterministic churn between batches: same removals on both twins.
     for (int h : seq_handles) {
       if (rng.Bernoulli(0.2)) {
-        seq.Remove(h);
-        bat.Remove(h);
+        ASSERT_TRUE(seq.Remove(h).ok());
+        ASSERT_TRUE(bat.Remove(h).ok());
       }
     }
   }
@@ -331,7 +393,9 @@ int CheckRepairPass(const DynamicAssigner& dyn, DynamicAssigner& twin,
 // Every Add, every AddBatch element and every repair rung-1/2 placement
 // lands on the leaf the brute-force Gr ladder picks, on multi-level trees
 // (out-degree 3) under interior and leaf failures and recoveries, a
-// placement veto, saturated β/β_max caps and the degraded fallback.
+// placement veto, saturated β/β_max caps and the degraded fallback. The
+// assigner's counts and loads agree with its slots after every Remove,
+// failure, recovery and repair pass.
 TEST(DynamicTest, PlacementsMatchBruteForceGrLadderFuzz) {
   int64_t checked_adds = 0, checked_batch = 0, checked_repairs = 0;
   int64_t fallbacks = 0, interior_failures = 0, vetoed_adds = 0;
@@ -396,8 +460,9 @@ TEST(DynamicTest, PlacementsMatchBruteForceGrLadderFuzz) {
         if (occupied.empty()) continue;
         const int h = occupied[rng.UniformInt(
             0, static_cast<int64_t>(occupied.size()) - 1)];
-        dyn.Remove(h);
+        ASSERT_TRUE(dyn.Remove(h).ok());
         engine.Forget(h);
+        ASSERT_TRUE(BookkeepingConsistent(dyn)) << "seed " << seed;
       } else if (dice < 0.86) {
         // Fail a broker (interior ones splice, leaves orphan), keeping at
         // least two live leaves, then repair.
@@ -411,10 +476,12 @@ TEST(DynamicTest, PlacementsMatchBruteForceGrLadderFuzz) {
         ASSERT_TRUE(dyn.FailBroker(node).ok());
         failed.push_back(node);
         interior_failures += tree.is_leaf(node) ? 0 : 1;
+        ASSERT_TRUE(BookkeepingConsistent(dyn)) << "seed " << seed;
         DynamicAssigner twin = dyn;
         const std::vector<int> orphans = dyn.orphans();
         engine.Repair(Deadline::Infinite(), now);
         checked_repairs += CheckRepairPass(dyn, twin, orphans);
+        ASSERT_TRUE(BookkeepingConsistent(dyn)) << "seed " << seed;
       } else if (dice < 0.94) {
         if (failed.empty()) continue;
         const size_t pick = static_cast<size_t>(
@@ -423,9 +490,11 @@ TEST(DynamicTest, PlacementsMatchBruteForceGrLadderFuzz) {
         failed.erase(failed.begin() + static_cast<std::ptrdiff_t>(pick));
         // Time moves on: degraded subscribers' backoffs elapse.
         now += 100;
+        ASSERT_TRUE(BookkeepingConsistent(dyn)) << "seed " << seed;
         DynamicAssigner twin = dyn;
         engine.Repair(Deadline::Infinite(), now);
         checked_repairs += CheckRepairPass(dyn, twin, {});
+        ASSERT_TRUE(BookkeepingConsistent(dyn)) << "seed " << seed;
       } else if (dyn.has_placement_veto()) {
         dyn.set_placement_veto({});
       } else {
@@ -438,6 +507,7 @@ TEST(DynamicTest, PlacementsMatchBruteForceGrLadderFuzz) {
             [vetoed](int leaf) { return vetoed[leaf] != 0; });
       }
     }
+    EXPECT_TRUE(BookkeepingConsistent(dyn)) << "seed " << seed;
     EXPECT_LE(dyn.add_stats().escalation_scans, oracle_scans);
     skips += dyn.add_stats().escalation_skips;
     scans += dyn.add_stats().escalation_scans;
@@ -452,300 +522,6 @@ TEST(DynamicTest, PlacementsMatchBruteForceGrLadderFuzz) {
   EXPECT_GT(fallbacks, 0);
   EXPECT_GT(interior_failures, 0);
   EXPECT_GT(vetoed_adds, 0);
-}
-
-// ---- Online subsumption fast path (DESIGN.md §14) ----
-
-TEST(DynamicAggTest, SubsumedAdmissionDoesNoEscalationWork) {
-  DynamicAssigner dyn(TwoBrokerTree(), LooseConfig(), 10);
-  dyn.EnableAggregation();
-  const int parent = dyn.Add(MakeSub(0, 1, 0.1, 0.4)).value();
-  const AddStats before = dyn.add_stats();
-  ASSERT_GT(before.escalation_scans, 0);  // the normal path did work
-  // A covered arrival at the same location: admitted by index probe only.
-  const int child = dyn.Add(MakeSub(0, 1, 0.2, 0.1)).value();
-  const AddStats& after = dyn.add_stats();
-  EXPECT_EQ(after.subsumed_admissions, before.subsumed_admissions + 1);
-  EXPECT_EQ(after.arrivals, before.arrivals + 1);
-  // The fast path never scans an escalation rung or evaluates a cost —
-  // the counters prove FilterAssign-free, LP-free admission.
-  EXPECT_EQ(after.escalation_scans, before.escalation_scans);
-  EXPECT_EQ(after.cost_evals, before.cost_evals);
-  EXPECT_EQ(dyn.leaf_of(child), dyn.leaf_of(parent));
-  EXPECT_EQ(dyn.state(child), SubscriberState::kLive);
-  const int a = dyn.aggregate_of(parent);
-  ASSERT_GE(a, 0);
-  EXPECT_EQ(dyn.aggregate_of(child), a);
-  EXPECT_EQ(dyn.aggregate_rep(a), parent);
-  EXPECT_EQ(static_cast<int>(dyn.aggregate_members(a).size()), 2);
-  AuditDynamicAggregation(dyn);
-  AuditLiveFilters(dyn);
-}
-
-TEST(DynamicAggTest, RemovingTheRepresentativeDissolvesTheAggregate) {
-  DynamicAssigner dyn(TwoBrokerTree(), LooseConfig(), 10);
-  dyn.EnableAggregation();
-  const int parent = dyn.Add(MakeSub(0, 1, 0.1, 0.4)).value();
-  const int child = dyn.Add(MakeSub(0, 1, 0.2, 0.1)).value();
-  const int a = dyn.aggregate_of(parent);
-  ASSERT_EQ(dyn.aggregate_of(child), a);
-  dyn.Remove(parent);
-  // The member stays placed, but the covering unit is gone.
-  EXPECT_TRUE(dyn.is_occupied(child));
-  EXPECT_EQ(dyn.state(child), SubscriberState::kLive);
-  EXPECT_FALSE(dyn.aggregate_alive(a));
-  EXPECT_EQ(dyn.aggregate_of(child), -1);
-  EXPECT_TRUE(dyn.aggregate_members(a).empty());
-  AuditDynamicAggregation(dyn);
-  // An arrival covered by the DISSOLVED rep's rect is not subsumed by it:
-  // it goes through the normal path and seeds a fresh aggregate.
-  const int64_t subsumed = dyn.add_stats().subsumed_admissions;
-  const int fresh = dyn.Add(MakeSub(0, 1, 0.15, 0.2)).value();
-  EXPECT_EQ(dyn.add_stats().subsumed_admissions, subsumed);
-  EXPECT_GE(dyn.aggregate_of(fresh), 0);
-  EXPECT_NE(dyn.aggregate_of(fresh), a);
-  AuditDynamicAggregation(dyn);
-}
-
-// The PR 8 leak class, aggregation edition: a recycled handle must never
-// inherit the previous tenant's aggregate membership.
-TEST(DynamicAggTest, RecycledHandleGetsFreshMembership) {
-  DynamicAssigner dyn(TwoBrokerTree(), LooseConfig(), 10);
-  dyn.EnableAggregation();
-  const int parent = dyn.Add(MakeSub(0, 1, 0.1, 0.4)).value();
-  const int child = dyn.Add(MakeSub(0, 1, 0.2, 0.1)).value();
-  const int a = dyn.aggregate_of(parent);
-  dyn.Remove(child);
-  EXPECT_EQ(dyn.aggregate_of(child), -1);
-  ASSERT_EQ(static_cast<int>(dyn.aggregate_members(a).size()), 1);
-  // Recycle the slot with an UNRELATED subscription: it must come back as
-  // the representative of its own fresh aggregate, not a member of a's.
-  const int reused = dyn.Add(MakeSub(0, -1, 0.7, 0.1)).value();
-  EXPECT_EQ(reused, child);  // slot actually recycled
-  const int b = dyn.aggregate_of(reused);
-  ASSERT_GE(b, 0);
-  EXPECT_NE(b, a);
-  EXPECT_EQ(dyn.aggregate_rep(b), reused);
-  AuditDynamicAggregation(dyn);
-}
-
-TEST(DynamicAggTest, LeafFailureDetachesAndRepairReRegisters) {
-  DynamicAssigner dyn(TwoBrokerTree(), LooseConfig(), 10);
-  dyn.EnableAggregation();
-  const int parent = dyn.Add(MakeSub(0, 1, 0.1, 0.4)).value();
-  const int child = dyn.Add(MakeSub(0, 1, 0.2, 0.1)).value();
-  const int home = dyn.leaf_of(parent);
-  ASSERT_EQ(dyn.leaf_of(child), home);
-  const int a = dyn.aggregate_of(parent);
-  ASSERT_TRUE(dyn.FailBroker(home).ok());
-  // Both orphaned, the aggregate dissolved with its representative.
-  EXPECT_EQ(dyn.state(parent), SubscriberState::kOrphaned);
-  EXPECT_EQ(dyn.state(child), SubscriberState::kOrphaned);
-  EXPECT_FALSE(dyn.aggregate_alive(a));
-  EXPECT_EQ(dyn.aggregate_of(parent), -1);
-  EXPECT_EQ(dyn.aggregate_of(child), -1);
-  AuditDynamicAggregation(dyn);
-  // Repair re-places the representative on the surviving leaf: it must
-  // re-register, and a covered arrival is again a fast-path admission
-  // landing at the NEW leaf.
-  const int other = home == 1 ? 2 : 1;
-  ASSERT_TRUE(dyn.PlaceAt(parent, other, SubscriberState::kLive).ok());
-  const int b = dyn.aggregate_of(parent);
-  ASSERT_GE(b, 0);
-  EXPECT_NE(b, a);
-  EXPECT_EQ(dyn.aggregate_rep(b), parent);
-  const int64_t subsumed = dyn.add_stats().subsumed_admissions;
-  const int late = dyn.Add(MakeSub(0, 1, 0.25, 0.05)).value();
-  EXPECT_EQ(dyn.add_stats().subsumed_admissions, subsumed + 1);
-  EXPECT_EQ(dyn.leaf_of(late), other);
-  EXPECT_EQ(dyn.aggregate_of(late), b);
-  AuditDynamicAggregation(dyn);
-  AuditLiveFilters(dyn);
-}
-
-TEST(DynamicAggTest, AddBatchBitIdenticalToSequentialWithAggregation) {
-  wl::Workload w = wl::GenerateGoogleGroupsVariant(wl::Level::kHigh,
-                                                   wl::Level::kLow, 250, 6, 5);
-  wl::CoverableOptions cover;
-  cover.fraction = 0.6;
-  Rng cover_rng(17);
-  wl::MakeCoverable(&w, cover, cover_rng);
-  net::BrokerTree tree =
-      net::BuildOneLevelTree(w.publisher, w.broker_locations);
-  SaConfig config;
-  config.max_delay = 3.0;
-  DynamicAssigner seq(tree, config, 250);
-  DynamicAssigner bat(tree, config, 250);
-  seq.EnableAggregation();
-  bat.EnableAggregation();
-  std::vector<int> seq_handles;
-  for (const auto& s : w.subscribers) {
-    seq_handles.push_back(seq.Add(s).value());
-  }
-  const std::vector<int> bat_handles = bat.AddBatch(w.subscribers).value();
-  ASSERT_EQ(seq_handles, bat_handles);
-  EXPECT_GT(seq.add_stats().subsumed_admissions, 0);
-  EXPECT_EQ(seq.add_stats().subsumed_admissions,
-            bat.add_stats().subsumed_admissions);
-  for (int h : seq_handles) {
-    EXPECT_EQ(seq.leaf_of(h), bat.leaf_of(h)) << "handle " << h;
-    EXPECT_EQ(seq.state(h), bat.state(h)) << "handle " << h;
-    EXPECT_EQ(seq.aggregate_of(h), bat.aggregate_of(h)) << "handle " << h;
-  }
-  EXPECT_EQ(seq.loads(), bat.loads());
-  for (int v = 0; v < tree.num_nodes(); ++v) {
-    EXPECT_TRUE(seq.filter(v) == bat.filter(v))
-        << "filter of node " << v << " differs";
-  }
-  AuditDynamicAggregation(seq);
-  AuditDynamicAggregation(bat);
-}
-
-// Seeded fuzz: the same interleaving of arrivals, departures, failures,
-// and recoveries driven against an aggregation-on and an aggregation-off
-// assigner. Placements may differ (the fast path admits at the
-// representative's leaf), but the tracked population, slot occupancy, and
-// the membership/filter invariants must hold throughout — and the fast
-// path must demonstrably save escalation work.
-TEST(DynamicAggTest, FuzzInterleavingAggOnVsOff) {
-  wl::Workload w = wl::GenerateGoogleGroupsVariant(wl::Level::kHigh,
-                                                   wl::Level::kLow, 300, 6, 7);
-  wl::CoverableOptions cover;
-  cover.fraction = 0.7;
-  cover.dup_fraction = 0.5;
-  Rng cover_rng(23);
-  wl::MakeCoverable(&w, cover, cover_rng);
-  net::BrokerTree tree =
-      net::BuildOneLevelTree(w.publisher, w.broker_locations);
-  const int num_brokers = tree.num_nodes() - 1;
-  SaConfig config;
-  config.max_delay = 3.0;
-  DynamicAssigner on(tree, config, 300);
-  DynamicAssigner off(tree, config, 300);
-  on.EnableAggregation();
-
-  Rng rng(99);
-  size_t next_sub = 0;
-  std::vector<int> failed;
-  auto next = [&]() -> const wl::Subscriber& {
-    return w.subscribers[next_sub++ % w.subscribers.size()];
-  };
-  for (int step = 0; step < 600; ++step) {
-    const double dice = rng.Uniform(0, 1);
-    if (dice < 0.55) {
-      const wl::Subscriber& s = next();
-      const auto ha = on.Add(s);
-      const auto hb = off.Add(s);
-      ASSERT_EQ(ha.ok(), hb.ok());
-      if (ha.ok()) {
-        ASSERT_EQ(ha.value(), hb.value());  // same slot recycling
-      }
-    } else if (dice < 0.65 && on.slot_count() > 0) {
-      const wl::Subscriber& s = next();
-      const wl::Subscriber& s2 = next();
-      const auto ha = on.AddBatch({s, s2});
-      const auto hb = off.AddBatch({s, s2});
-      ASSERT_EQ(ha.ok(), hb.ok());
-      if (ha.ok()) {
-        ASSERT_EQ(ha.value(), hb.value());
-      }
-    } else if (dice < 0.85) {
-      // Remove a uniformly chosen occupied handle (same in both: slot
-      // occupancy is lockstep).
-      std::vector<int> occupied;
-      for (int h = 0; h < on.slot_count(); ++h) {
-        if (on.is_occupied(h)) occupied.push_back(h);
-      }
-      if (occupied.empty()) continue;
-      const int h = occupied[rng.UniformInt(
-          0, static_cast<int64_t>(occupied.size()) - 1)];
-      ASSERT_TRUE(off.is_occupied(h));
-      on.Remove(h);
-      off.Remove(h);
-    } else if (dice < 0.93 && static_cast<int>(failed.size()) + 1 <
-                                  num_brokers) {
-      const int node = 1 + static_cast<int>(rng.UniformInt(0, num_brokers - 1));
-      const auto sa = on.FailBroker(node);
-      const auto sb = off.FailBroker(node);
-      ASSERT_EQ(sa.ok(), sb.ok());
-      if (sa.ok()) failed.push_back(node);
-    } else if (!failed.empty()) {
-      const int pick = static_cast<int>(
-          rng.UniformInt(0, static_cast<int64_t>(failed.size()) - 1));
-      const int node = failed[pick];
-      ASSERT_TRUE(on.RecoverBroker(node).ok());
-      ASSERT_TRUE(off.RecoverBroker(node).ok());
-      failed.erase(failed.begin() + pick);
-    }
-    if (step % 100 == 99) {
-      AuditDynamicAggregation(on);
-      AuditLiveFilters(on);
-      AuditLiveFilters(off);
-    }
-  }
-
-  // Lockstep bookkeeping: same tracked population and slot occupancy.
-  EXPECT_EQ(on.population(), off.population());
-  ASSERT_EQ(on.slot_count(), off.slot_count());
-  int on_placed = 0, off_placed = 0;
-  for (int h = 0; h < on.slot_count(); ++h) {
-    ASSERT_EQ(on.is_occupied(h), off.is_occupied(h)) << "handle " << h;
-    if (on.is_occupied(h) && on.leaf_of(h) >= 0) ++on_placed;
-    if (off.is_occupied(h) && off.leaf_of(h) >= 0) ++off_placed;
-  }
-  // Loads account exactly for the placed handles on each side.
-  int on_load = 0, off_load = 0;
-  for (int l : on.loads()) on_load += l;
-  for (int l : off.loads()) off_load += l;
-  EXPECT_EQ(on_load, on_placed);
-  EXPECT_EQ(off_load, off_placed);
-  // The fast path fired, and saved escalation work relative to off.
-  EXPECT_GT(on.add_stats().subsumed_admissions, 0);
-  EXPECT_EQ(off.add_stats().subsumed_admissions, 0);
-  EXPECT_LE(on.add_stats().escalation_scans, off.add_stats().escalation_scans);
-  AuditDynamicAggregation(on);
-  AuditLiveFilters(on);
-}
-
-TEST(DynamicAggTest, ReoptimizeReseedsAggregatesFromInstalledDeployment) {
-  wl::Workload w = wl::GenerateGoogleGroupsVariant(wl::Level::kHigh,
-                                                   wl::Level::kLow, 200, 6, 9);
-  wl::CoverableOptions cover;
-  cover.fraction = 0.6;
-  Rng cover_rng(31);
-  wl::MakeCoverable(&w, cover, cover_rng);
-  net::BrokerTree tree =
-      net::BuildOneLevelTree(w.publisher, w.broker_locations);
-  SaConfig config;
-  config.max_delay = 3.0;
-  DynamicAssigner dyn(std::move(tree), config, 200);
-  dyn.EnableAggregation();
-  for (const auto& s : w.subscribers) (void)dyn.Add(s);
-  Rng rng(4);
-  dyn.Reoptimize([](const SaProblem& p, Rng& r) { return RunGrStar(p, r); },
-                 rng);
-  // Reoptimization rebuilt membership from scratch over the installed
-  // placements; the invariants hold and the fast path still works.
-  AuditDynamicAggregation(dyn);
-  int alive = 0;
-  for (int a = 0; a < dyn.aggregate_count(); ++a) {
-    alive += dyn.aggregate_alive(a) ? 1 : 0;
-  }
-  EXPECT_GT(alive, 0);
-  const int64_t subsumed = dyn.add_stats().subsumed_admissions;
-  // Duplicate an installed live subscriber: must be a covered arrival.
-  int some_live = -1;
-  for (int h = 0; h < dyn.slot_count(); ++h) {
-    if (dyn.is_occupied(h) && dyn.state(h) == SubscriberState::kLive &&
-        dyn.aggregate_of(h) >= 0) {
-      some_live = h;
-      break;
-    }
-  }
-  ASSERT_GE(some_live, 0);
-  (void)dyn.Add(dyn.subscriber(some_live));
-  EXPECT_GT(dyn.add_stats().subsumed_admissions, subsumed);
-  AuditDynamicAggregation(dyn);
 }
 
 }  // namespace

@@ -453,7 +453,7 @@ TEST(LivenessAuditTest, VacatedTrackedHandleTripsLivenessOnly) {
   tracker.TrackSubscriber(0, h, 0);
   // Removing the subscription without ForgetSubscriber leaves the tracker
   // holding a lease on a vacant slot.
-  dyn.Remove(h);
+  ASSERT_TRUE(dyn.Remove(h).ok());
   RecordingHandler guard;
   liveness::AuditLiveness(tracker);
   guard.ExpectOnly(Category::kLiveness);

@@ -1031,7 +1031,7 @@ TEST(LivenessSoakTest, ReconnectStormKeepsTrackerAndAssignerCoherent) {
   HeartbeatChannel channel(&dyn.tree(), population);
   const LeaseConfig lease = RealisticLease();
   LivenessTracker tracker(&dyn, lease, 0);
-  core::RepairEngine engine(&dyn, core::RepairOptions{2, 2.0, 32});
+  core::RepairEngine engine(&dyn, core::RepairOptions{2, 32});
   for (int c = 0; c < population; ++c) tracker.TrackSubscriber(c, c, 0);
 
   Rng rng(33);

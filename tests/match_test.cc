@@ -385,7 +385,7 @@ TEST(MatchAuditTest, ThreeDimensionalIndexPassesAndCorruptionTrips) {
 
 // The subsumption index grids every entry, whatever its dimension: d = 3
 // coverers come back exactly as a containment scan finds them, before and
-// after the grid is rebuilt, with retired entries skipped.
+// after the grid is rebuilt.
 TEST(SubsumptionIndexTest, ThreeDimensionalCoverers) {
   Rng rng(91);
   std::vector<Rectangle> reps;
@@ -402,7 +402,7 @@ TEST(SubsumptionIndexTest, ThreeDimensionalCoverers) {
       index.AppendCoverers(q, &got);
       std::vector<int32_t> want;
       for (int k = 0; k < static_cast<int>(reps.size()); ++k) {
-        if (k % 7 != 3 && reps[k].Contains(q)) want.push_back(k);
+        if (reps[k].Contains(q)) want.push_back(k);
       }
       EXPECT_EQ(got, want) << q.ToString();
     }
@@ -413,7 +413,6 @@ TEST(SubsumptionIndexTest, ThreeDimensionalCoverers) {
         c, {rng.Uniform(0.1, 0.8), rng.Uniform(0.1, 0.8),
             rng.Uniform(0.1, 0.8)}));
     index.Insert(k, reps.back());
-    if (k % 7 == 3) index.Retire(k);
     if (k == 40) expect_coverers();  // all in the linear tail
   }
   EXPECT_GT(index.indexed(), 0);

@@ -340,12 +340,12 @@ TEST(RepairEngineTest, BackoffEntriesAreErasedWithTheirSubscribers) {
   EXPECT_EQ(engine.backoff_entries(), 2);
 
   // Voluntary departure with the caller-side hand-off: entry gone at once.
-  dyn.Remove(h0);
+  ASSERT_TRUE(dyn.Remove(h0).ok());
   engine.Forget(h0);
   EXPECT_EQ(engine.backoff_entries(), 1);
 
   // Departure without Forget: the next pass prunes the stale entry.
-  dyn.Remove(h1);
+  ASSERT_TRUE(dyn.Remove(h1).ok());
   engine.Repair(Deadline::Infinite(), /*now=*/1);
   EXPECT_EQ(engine.backoff_entries(), 0);
 
@@ -835,7 +835,7 @@ TEST(RepairFuzzTest, RandomSequencesPreserveNestingAndDelivery) {
   for (int seq = 0; seq < kSequences; ++seq) {
     Rng rng(1000 + seq);
     DynamicAssigner dyn(TwoLevelTree(), LooseConfig(), 12);
-    RepairEngine engine(&dyn, RepairOptions{/*backoff_base=*/1, 2.0, 8});
+    RepairEngine engine(&dyn, RepairOptions{/*backoff_base=*/1, 8});
     std::vector<int> handles;
 
     for (int op = 0; op < kOpsPerSequence; ++op) {
@@ -852,7 +852,7 @@ TEST(RepairFuzzTest, RandomSequencesPreserveNestingAndDelivery) {
         }
       } else if (kind == 5 && !handles.empty()) {  // Remove
         const size_t pick = rng.UniformInt(0, handles.size() - 1);
-        dyn.Remove(handles[pick]);
+        ASSERT_TRUE(dyn.Remove(handles[pick]).ok());
         handles.erase(handles.begin() + pick);
       } else if (kind <= 7) {  // Fail a random live broker
         std::vector<int> live;

@@ -115,31 +115,5 @@ TEST(ScaleTest, MillionSubscriberAggregateSolve) {
   EXPECT_TRUE(status.ok()) << status.message();
 }
 
-// 1M arrivals with the online subsumption fast path: same admission
-// outcome as the plain batch (everyone placed), with a large share of
-// arrivals admitted by index probe alone.
-TEST(ScaleTest, MillionArrivalsSubsumedFastPath) {
-  wl::Workload w = MillionGrid(/*brokers=*/32);
-  wl::CoverableOptions cover;
-  cover.fraction = 0.6;
-  cover.dup_fraction = 0.6;
-  Rng cover_rng(13);
-  wl::MakeCoverable(&w, cover, cover_rng);
-  net::BrokerTree tree =
-      net::BuildOneLevelTree(w.publisher, w.broker_locations);
-  SaConfig config;
-  config.max_delay = 3.0;
-  DynamicAssigner dyn(std::move(tree), config, kMillion);
-  dyn.EnableAggregation();
-  auto handles = dyn.AddBatch(w.subscribers);
-  ASSERT_TRUE(handles.ok()) << handles.status().ToString();
-  EXPECT_EQ(dyn.population(), kMillion);
-  int64_t total = 0;
-  for (int l : dyn.loads()) total += l;
-  EXPECT_EQ(total, kMillion);
-  // With 60% coverable arrivals the fast path should carry a large share.
-  EXPECT_GT(dyn.add_stats().subsumed_admissions, kMillion / 4);
-}
-
 }  // namespace
 }  // namespace slp::core
