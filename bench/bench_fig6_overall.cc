@@ -3,7 +3,8 @@
 // The paper plots, per algorithm, a triangle whose vertices are total
 // bandwidth, RMS delay, and STDEV of broker load, averaged over the four
 // (IS, BI) workloads. This harness prints those three series (plus the lbf
-// and feasibility flags the figure discusses in text).
+// and feasibility flags the figure discusses in text). The SLP row is the
+// paper's SLP1: RunSlp on a one-level tree.
 //
 // Expected shape (paper): SLP1 and Gr* minimize bandwidth while staying
 // within the delay bound and the lbf cap; Gr is worse on bandwidth and
@@ -43,7 +44,7 @@ int main() {
     wl::Workload w = wl::GenerateGoogleGroupsVariant(
         levels.first, levels.second, subs, brokers, seed);
     core::SaProblem problem = MakeOneLevelProblem(std::move(w), config);
-    for (const auto& [name, algo] : AllAlgorithms(/*multi_level=*/false)) {
+    for (const auto& [name, algo] : AllAlgorithms()) {
       RunResult r = RunAlgorithm(name, algo, problem, seed);
       if (acc.find(name) == acc.end()) order.push_back(name);
       Acc& a = acc[name];

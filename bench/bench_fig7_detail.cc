@@ -4,6 +4,8 @@
 //   7(c) broker-load five-number summaries with the β / βmax lines;
 //   7(d) broker-load CDF for selected algorithms.
 //
+// The SLP rows are the paper's SLP1: RunSlp on a one-level tree.
+//
 // Expected shape (paper): SLP1/Gr* bound delay at 0.3 while Gr¬l produces
 // unacceptable delays (worst near the publisher); Balance/Closest balance
 // load at huge bandwidth; Gr leaves >10% of brokers overloaded.
@@ -32,7 +34,7 @@ int main() {
         levels.first, levels.second, subs, brokers, seed);
     core::SaProblem problem = MakeOneLevelProblem(std::move(w), config);
     std::vector<RunResult> runs;
-    for (const auto& [name, algo] : AllAlgorithms(false)) {
+    for (const auto& [name, algo] : AllAlgorithms()) {
       runs.push_back(RunAlgorithm(name, algo, problem, seed));
     }
     all_runs.push_back(std::move(runs));
@@ -54,9 +56,9 @@ int main() {
   // ---- 7(b): delay vs shortest-path distance scatter (sampled) ----
   PrintHeader(
       "Figure 7(b): relative delay vs shortest-path latency, (IS:H, BI:H)\n"
-      "(sampled subscribers; SLP1/Gr* must stay at/below the 0.3 bound)");
+      "(sampled subscribers; SLP/Gr* must stay at/below the 0.3 bound)");
   std::printf("%-10s %10s %10s\n", "algorithm", "Delta", "delay");
-  for (const char* pick : {"SLP1", "Gr*", "Gr-l", "Closest-b"}) {
+  for (const char* pick : {"SLP", "Gr*", "Gr-l", "Closest-b"}) {
     for (const RunResult& r : runs) {
       if (r.name != pick) continue;
       for (int j = 0; j < problem.num_subscribers(); j += subs / 25) {
@@ -93,7 +95,7 @@ int main() {
   std::printf("%-10s", "load<=");
   for (int p : probes) std::printf(" %6d", p);
   std::printf("\n");
-  for (const char* pick : {"SLP1", "Gr*", "Gr", "Balance"}) {
+  for (const char* pick : {"SLP", "Gr*", "Gr", "Balance"}) {
     for (const RunResult& r : runs) {
       if (r.name != pick) continue;
       const auto cdf = core::LoadCdf(r.metrics.loads, probes);

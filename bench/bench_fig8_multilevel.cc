@@ -67,7 +67,7 @@ int main() {
           levels.first, levels.second, subs, brokers, seed);
       core::SaProblem problem = MakeMultiLevelProblem(
           std::move(w), setting.config, out_degree, seed);
-      for (const auto& [name, algo] : AllAlgorithms(/*multi_level=*/true)) {
+      for (const auto& [name, algo] : AllAlgorithms()) {
         RunResult r = RunAlgorithm(name, algo, problem, seed);
         if (acc.find(name) == acc.end()) order.push_back(name);
         Acc& a = acc[name];

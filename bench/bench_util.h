@@ -25,7 +25,6 @@
 #include "src/core/metrics.h"
 #include "src/core/problem.h"
 #include "src/core/slp.h"
-#include "src/core/slp1.h"
 #include "src/network/tree_builder.h"
 #include "src/workload/googlegroups.h"
 #include "src/workload/grid.h"
@@ -52,15 +51,6 @@ struct RunResult {
 
 using Algorithm = core::SaSolution (*)(const core::SaProblem&, Rng&);
 
-inline core::SaSolution RunSlp1Adapter(const core::SaProblem& p, Rng& rng) {
-  auto r = core::RunSlp1(p, core::Slp1Options{}, rng);
-  if (!r.ok()) {
-    std::fprintf(stderr, "SLP1 failed: %s\n", r.status().ToString().c_str());
-    std::exit(1);
-  }
-  return std::move(r).value();
-}
-
 inline core::SaSolution RunSlpAdapter(const core::SaProblem& p, Rng& rng) {
   auto r = core::RunSlp(p, core::SlpOptions{}, rng);
   if (!r.ok()) {
@@ -82,12 +72,11 @@ inline RunResult RunAlgorithm(const std::string& name, Algorithm algo,
   return out;
 }
 
-// The named algorithm set of Section VI.
-inline std::vector<std::pair<std::string, Algorithm>> AllAlgorithms(
-    bool multi_level) {
+// The named algorithm set of Section VI. On a one-level tree the "SLP" row
+// is the paper's SLP1 (see src/core/slp.h).
+inline std::vector<std::pair<std::string, Algorithm>> AllAlgorithms() {
   return {
-      {multi_level ? "SLP" : "SLP1",
-       multi_level ? &RunSlpAdapter : &RunSlp1Adapter},
+      {"SLP", &RunSlpAdapter},
       {"Gr", &core::RunGr},
       {"Gr*", &core::RunGrStar},
       {"Gr-l", &core::RunGrNoLatency},

@@ -1,5 +1,5 @@
 // Quickstart: build a small content-based pub/sub deployment, assign
-// subscribers with Gr* and with SLP1, and compare the solutions.
+// subscribers with Gr* and with SLP, and compare the solutions.
 //
 //   $ ./quickstart
 //
@@ -12,7 +12,7 @@
 #include "src/core/assignment.h"
 #include "src/core/greedy.h"
 #include "src/core/metrics.h"
-#include "src/core/slp1.h"
+#include "src/core/slp.h"
 #include "src/network/tree_builder.h"
 #include "src/workload/googlegroups.h"
 
@@ -45,15 +45,16 @@ int main() {
 
   // 4b. SLP — LP relaxation + rounding + max-flow. Slower, but it also
   //     yields the fractional lower bound used as an optimality yardstick.
+  //     On this one-level tree it is the paper's SLP1.
   Rng rng2(7);
-  auto slp1 = core::RunSlp1(problem, core::Slp1Options{}, rng2);
-  if (!slp1.ok()) {
-    std::printf("SLP1 failed: %s\n", slp1.status().ToString().c_str());
+  auto slp = core::RunSlp(problem, core::SlpOptions{}, rng2);
+  if (!slp.ok()) {
+    std::printf("SLP failed: %s\n", slp.status().ToString().c_str());
     return 1;
   }
 
   // 5. Validate and compare.
-  for (const core::SaSolution* s : {&greedy, &slp1.value()}) {
+  for (const core::SaSolution* s : {&greedy, &slp.value()}) {
     const Status st = ValidateSolution(problem, *s);
     const core::SolutionMetrics m = core::ComputeMetrics(problem, *s);
     std::printf(
@@ -64,8 +65,8 @@ int main() {
   std::printf(
       "\nLP fractional lower bound (yardstick): %.4f\n"
       "=> Gr* is within %.1fx of the bound on this workload.\n",
-      slp1.value().fractional_lower_bound,
+      slp.value().fractional_lower_bound,
       core::ComputeMetrics(problem, greedy).total_bandwidth /
-          slp1.value().fractional_lower_bound);
+          slp.value().fractional_lower_bound);
   return 0;
 }

@@ -7,8 +7,9 @@
 // latency-feasible assignment with load caps, standing in for "your
 // algorithm" — three ways:
 //   1. against Gr¬l (a constraint-dropping baseline): misleading;
-//   2. against SLP1's solution: a realistic achievable target;
-//   3. against SLP1's fractional bound: a certificate of optimality gap.
+//   2. against SLP's solution: a realistic achievable target;
+//   3. against SLP's fractional bound: a certificate of optimality gap.
+// The tree is one-level, so SLP here is the paper's SLP1.
 
 #include <cstdio>
 
@@ -16,7 +17,7 @@
 #include "src/core/filter_adjust.h"
 #include "src/core/greedy.h"
 #include "src/core/metrics.h"
-#include "src/core/slp1.h"
+#include "src/core/slp.h"
 #include "src/network/tree_builder.h"
 #include "src/workload/googlegroups.h"
 
@@ -74,23 +75,24 @@ int main() {
   Rng rng2(9);
   const core::SaSolution gr_nl = core::RunGrNoLatency(problem, rng2);
   Rng rng3(9);
-  auto slp1 = core::RunSlp1(problem, core::Slp1Options{}, rng3);
-  if (!slp1.ok()) {
-    std::printf("SLP1 failed: %s\n", slp1.status().ToString().c_str());
+  auto slp = core::RunSlp(problem, core::SlpOptions{}, rng3);
+  if (!slp.ok()) {
+    std::printf("SLP failed: %s\n", slp.status().ToString().c_str());
     return 1;
   }
 
   const double bw_mine = core::ComputeMetrics(problem, mine).total_bandwidth;
   const double bw_nl = core::ComputeMetrics(problem, gr_nl).total_bandwidth;
-  const double bw_slp = core::ComputeMetrics(problem, slp1.value()).total_bandwidth;
-  const double frac = slp1.value().fractional_lower_bound;
+  const double bw_slp =
+      core::ComputeMetrics(problem, slp.value()).total_bandwidth;
+  const double frac = slp.value().fractional_lower_bound;
 
   std::printf("evaluating heuristic 'RandomFeasible' (bandwidth %.4f)\n\n",
               bw_mine);
   std::printf("vs Gr-l (drops latency):      %.4f  -> looks %.1fx worse "
               "(misleading: Gr-l's delays are unusable)\n",
               bw_nl, bw_mine / bw_nl);
-  std::printf("vs SLP1 (all constraints):    %.4f  -> %.1fx worse than an "
+  std::printf("vs SLP (all constraints):     %.4f  -> %.1fx worse than an "
               "achievable solution\n",
               bw_slp, bw_mine / bw_slp);
   std::printf("vs LP fractional lower bound: %.4f  -> at most %.1fx from "
@@ -98,7 +100,7 @@ int main() {
               frac, bw_mine / frac);
   std::printf(
       "\nTakeaway: the LP bound turns 'worse than some heuristic' into a\n"
-      "quantified optimality gap, and SLP1 shows what is actually\n"
+      "quantified optimality gap, and SLP shows what is actually\n"
       "achievable under ALL constraints.\n");
   return 0;
 }

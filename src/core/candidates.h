@@ -46,15 +46,15 @@ class CandidateRow {
   int size_;
 };
 
-// One SLP1 run's assignable targets for a subset of subscribers.
+// One SLP1 stage's (or GlobalRepair's) targets for a subset of subscribers.
 // `subscribers[r]` is the problem-level subscriber index of local row r;
 // candidate rows are indexed by the local row r.
 struct Targets {
   int count = 0;
   // Global capacity fraction of each target (sums to the fraction of the
-  // tree covered by this run; 1 for a root/one-level run). The LP's (C3)
-  // caps β · kappa[t] · |Sb| use these global shares, so below the root
-  // they sum to less than |Sb| whenever β κ_node < 1 (lp_relax.h).
+  // tree these targets cover: 1 at the root or over all leaves). The LP's
+  // (C3) caps β · kappa[t] · |Sb| use these global shares, so below the
+  // root they sum to less than |Sb| whenever β κ_node < 1 (lp_relax.h).
   std::vector<double> kappa;
   // Total subscribers in the whole problem; the max-flow step's load caps
   // (AbsCap) are β · kappa[t] · total_weight regardless of recursion depth,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "src/common/invariant.h"
@@ -72,8 +73,15 @@ double DynamicAssigner::LoadCap(double lbf) const {
 }
 
 int DynamicAssigner::load_of(int leaf_node) const {
-  SLP_DCHECK(leaf_index_[leaf_node] >= 0);
+  SLP_AUDIT_CHECK(audit::Category::kDcheck,
+                  leaf_node >= 0 && leaf_node < tree_.num_nodes() &&
+                      leaf_index_[leaf_node] >= 0,
+                  BadArgument("load_of: node ", leaf_node));
   return loads_[leaf_index_[leaf_node]];
+}
+
+std::string DynamicAssigner::BadArgument(const char* what, int arg) {
+  return what + std::to_string(arg);
 }
 
 GrKernel& DynamicAssigner::Price(const wl::Subscriber& s) {
@@ -313,31 +321,6 @@ Status DynamicAssigner::RecoverBroker(int node) {
   return Status::OK();
 }
 
-bool DynamicAssigner::is_occupied(int handle) const {
-  return handle >= 0 && handle < static_cast<int>(slots_.size()) &&
-         slots_[handle].occupied;
-}
-
-SubscriberState DynamicAssigner::state(int handle) const {
-  SLP_DCHECK(is_occupied(handle));
-  return slots_[handle].state;
-}
-
-const wl::Subscriber& DynamicAssigner::subscriber(int handle) const {
-  SLP_DCHECK(is_occupied(handle));
-  return slots_[handle].subscriber;
-}
-
-int DynamicAssigner::leaf_of(int handle) const {
-  SLP_DCHECK(is_occupied(handle));
-  return slots_[handle].leaf;
-}
-
-const DegradedViolation& DynamicAssigner::violation(int handle) const {
-  SLP_DCHECK(is_occupied(handle));
-  return slots_[handle].violation;
-}
-
 std::vector<int> DynamicAssigner::degraded_handles() const {
   std::vector<int> out;
   for (size_t h = 0; h < slots_.size(); ++h) {
@@ -436,40 +419,29 @@ ReoptimizeReport DynamicAssigner::Reoptimize(
 
 ReoptimizeReport DynamicAssigner::ReoptimizeWithDeadline(
     const SlpOptions& options, Rng& rng, const Deadline& deadline) {
-  ReoptimizeReport report;
-  if (population_ == 0) {
-    for (auto& f : filters_) f.clear();
-    return report;
-  }
-  Result<LiveSnapshot> snap = SnapshotLive();
-  if (!snap.ok()) return report;
-  const SaProblem& problem = snap.value().problem;
-
-  SaSolution fresh;
-  if (deadline.expired()) {
-    // No budget at all: go straight to the cheap offline greedy.
-    fresh = RunGrStar(problem, rng);
-    report.used_fallback = true;
-    report.budget_exhausted = true;
-  } else {
-    SlpOptions bounded = options;
-    bounded.slp1.filter_assign.deadline = deadline;
-    SlpStats stats;
-    Result<SaSolution> slp = RunSlp(problem, bounded, rng, &stats);
-    if (slp.ok()) {
-      fresh = std::move(slp).value();
-      report.budget_exhausted =
-          stats.any_budget_exhausted || deadline.expired();
-    } else {
-      fresh = RunGrStar(problem, rng);
-      report.used_fallback = true;
-    }
-  }
-  report.algorithm = fresh.algorithm;
-  InstallLive(snap.value(), fresh);
-#if SLP_AUDITS_ENABLED
-  AuditLiveFilters(*this);
-#endif
+  bool used_fallback = false;
+  bool budget_exhausted = false;
+  ReoptimizeReport report = Reoptimize(
+      [&](const SaProblem& problem, Rng& r) -> SaSolution {
+        if (deadline.expired()) {
+          // No budget at all: go straight to the cheap offline greedy.
+          used_fallback = budget_exhausted = true;
+          return RunGrStar(problem, r);
+        }
+        SlpOptions bounded = options;
+        bounded.slp1.filter_assign.deadline = deadline;
+        SlpStats stats;
+        Result<SaSolution> slp = RunSlp(problem, bounded, r, &stats);
+        if (!slp.ok()) {
+          used_fallback = true;
+          return RunGrStar(problem, r);
+        }
+        budget_exhausted = stats.any_budget_exhausted || deadline.expired();
+        return std::move(slp).value();
+      },
+      rng);
+  report.used_fallback = used_fallback;
+  report.budget_exhausted = budget_exhausted;
   return report;
 }
 

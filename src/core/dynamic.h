@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "src/common/deadline.h"
+#include "src/common/invariant.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/core/assignment.h"
@@ -169,13 +170,25 @@ class DynamicAssigner {
     return filters_[node];
   }
 
-  bool is_occupied(int handle) const;
-  SubscriberState state(int handle) const;
-  const wl::Subscriber& subscriber(int handle) const;
+  bool is_occupied(int handle) const {
+    return handle >= 0 && handle < slot_count() && slots_[handle].occupied;
+  }
+  // The accessors below take an occupied handle (load_of: a leaf node);
+  // any other argument fails an audit check (abort) in every build type.
+  SubscriberState state(int handle) const {
+    return OccupiedSlot(handle, "state: handle ").state;
+  }
+  const wl::Subscriber& subscriber(int handle) const {
+    return OccupiedSlot(handle, "subscriber: handle ").subscriber;
+  }
   // Assigned leaf node of a placed subscriber; -1 when parked/orphaned.
-  int leaf_of(int handle) const;
+  int leaf_of(int handle) const {
+    return OccupiedSlot(handle, "leaf_of: handle ").leaf;
+  }
   // Violation record of a kDegraded subscriber.
-  const DegradedViolation& violation(int handle) const;
+  const DegradedViolation& violation(int handle) const {
+    return OccupiedSlot(handle, "violation: handle ").violation;
+  }
 
   // Handles currently orphaned (oldest first).
   const std::vector<int>& orphans() const { return orphans_; }
@@ -294,6 +307,16 @@ class DynamicAssigner {
     SubscriberState state = SubscriberState::kLive;
     DegradedViolation violation;
   };
+
+  // slots_[handle] after the accessors' check. Inline because routing calls
+  // leaf_of once per match; the report is built out of line.
+  const Slot& OccupiedSlot(int handle, const char* what) const {
+    SLP_AUDIT_CHECK(audit::Category::kDcheck, is_occupied(handle),
+                    BadArgument(what, handle));
+    return slots_[handle];
+  }
+  // `what` followed by `arg`: the context of a failed accessor check.
+  [[gnu::cold]] static std::string BadArgument(const char* what, int arg);
 
   // Starts a batch: kInfeasible when no live leaf exists or alpha < 1;
   // otherwise sets the veto rule, the β/β_max caps and their headroom.

@@ -8,6 +8,12 @@
 // Per the technical-report role of the threshold γ, a recursion node whose
 // subscriber share is at most γ skips the LP machinery and partitions
 // greedily (nearest feasible child with available capacity).
+//
+// RunSlp is also SLP1's entry point (Section IV): on a one-level tree the
+// root stage is SLP1's FilterAssign and max-flow over the leaves, then
+// GlobalRepair re-runs the leaf-level flow with an α-MEB cover of each
+// leaf's assigned subscriptions added to its filters. A one-level problem
+// with at most γ subscribers is partitioned greedily, with no bound.
 
 #ifndef SLP_CORE_SLP_H_
 #define SLP_CORE_SLP_H_
@@ -15,10 +21,18 @@
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/core/assignment.h"
+#include "src/core/filter_assign.h"
 #include "src/core/problem.h"
-#include "src/core/slp1.h"
+#include "src/core/subscription_assign.h"
 
 namespace slp::core {
+
+// One SLP1 stage's options, used at every node that runs the LP machinery
+// (subscription_assign also drives GlobalRepair's flow).
+struct Slp1Options {
+  FilterAssignOptions filter_assign;
+  SubscriptionAssignOptions subscription_assign;
+};
 
 struct SlpOptions {
   Slp1Options slp1;
@@ -53,10 +67,9 @@ struct SlpStats {
   bool any_budget_exhausted = false;
 };
 
-// Runs SLP over the (multi-level) tree of `problem`. Also correct on a
-// one-level tree, where it reduces to SLP1. fractional_lower_bound of the
-// result is the root-level LP objective (only the one-level case makes it a
-// bandwidth lower bound; see DESIGN.md).
+// Runs SLP over the tree of `problem`. fractional_lower_bound of the
+// result is the root-level LP objective, -1 if the root ran no LP (only
+// the one-level case makes it a bandwidth lower bound; see DESIGN.md).
 Result<SaSolution> RunSlp(const SaProblem& problem, const SlpOptions& options,
                           Rng& rng, SlpStats* stats = nullptr);
 

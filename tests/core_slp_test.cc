@@ -11,7 +11,6 @@
 #include "src/core/lp_relax.h"
 #include "src/core/metrics.h"
 #include "src/core/slp.h"
-#include "src/core/slp1.h"
 #include "src/core/subscription_assign.h"
 #include "tests/test_util.h"
 
@@ -518,17 +517,17 @@ TEST(FilterAssignTest, BelowRootSolvesOneLpPerIteration) {
 }
 
 // ---------------------------------------------------------------------------
-// SLP1 / SLP end-to-end
+// SLP1 (RunSlp on a one-level tree) / SLP end-to-end
 // ---------------------------------------------------------------------------
 
 TEST(Slp1Test, EndToEndValidSolution) {
   SaProblem p = test::SmallGgProblem(600, 8);
   Rng rng(12);
-  Slp1Stats stats;
-  auto result = RunSlp1(p, Slp1Options{}, rng, &stats);
+  SlpStats stats;
+  auto result = RunSlp(p, SlpOptions{}, rng, &stats);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const SaSolution& s = result.value();
-  EXPECT_EQ(s.algorithm, "SLP1");
+  EXPECT_EQ(s.algorithm, "SLP");
   ValidationOptions opts;
   opts.check_load = s.load_feasible;
   EXPECT_TRUE(ValidateSolution(p, s, opts).ok())
@@ -540,7 +539,7 @@ TEST(Slp1Test, EndToEndValidSolution) {
 TEST(Slp1Test, BandwidthCompetitiveWithGreedy) {
   SaProblem p = test::SmallGgProblem(800, 8);
   Rng rng1(13), rng2(13);
-  auto slp1 = RunSlp1(p, Slp1Options{}, rng1);
+  auto slp1 = RunSlp(p, SlpOptions{}, rng1);
   ASSERT_TRUE(slp1.ok());
   const double bw_slp = ComputeMetrics(p, slp1.value()).total_bandwidth;
   const double bw_closest_like =
@@ -554,12 +553,70 @@ TEST(Slp1Test, BandwidthCompetitiveWithGreedy) {
 TEST(Slp1Test, DeterministicGivenSeed) {
   SaProblem p = test::SmallGridProblem(300, 6);
   Rng rng1(14), rng2(14);
-  auto a = RunSlp1(p, Slp1Options{}, rng1);
-  auto b = RunSlp1(p, Slp1Options{}, rng2);
+  auto a = RunSlp(p, SlpOptions{}, rng1);
+  auto b = RunSlp(p, SlpOptions{}, rng2);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a.value().assignment, b.value().assignment);
   EXPECT_DOUBLE_EQ(a.value().fractional_lower_bound,
                    b.value().fractional_lower_bound);
+}
+
+// On a one-level tree RunSlp is SLP1: the root's children are the leaves,
+// so its root stage builds the leaf targets and runs SLP1's FilterAssign
+// on them with the root's forked stream; GlobalRepair's second flow and
+// the filter adjustment follow. A problem of at most γ subscribers skips
+// the LP and gets no fractional bound (src/core/slp.h).
+TEST(SlpTest, OneLevelRootStageIsSlp1Stage) {
+  SaProblem grid = test::SmallGridProblem(400, 6);
+  SaProblem gg = test::SmallGgProblem(500, 8);
+  SaProblem weighted = test::SmallGgProblem(500, 8);
+  {
+    Rng wrng(19);
+    std::vector<double> weights(weighted.num_subscribers());
+    for (double& w : weights) w = static_cast<double>(wrng.UniformInt(1, 4));
+    weighted.SetWeights(std::move(weights));
+  }
+  const uint64_t seed = 20;
+  for (const SaProblem* p : {&grid, &gg, &weighted}) {
+    const Targets leaf = BuildLeafTargets(*p, AllSubscribers(*p));
+    const Targets child = BuildChildTargets(*p, AllSubscribers(*p),
+                                            net::BrokerTree::kPublisher);
+    EXPECT_EQ(child.count, leaf.count);
+    EXPECT_EQ(child.kappa, leaf.kappa);
+    EXPECT_EQ(child.total_subscribers, leaf.total_subscribers);
+    EXPECT_EQ(child.total_weight, leaf.total_weight);
+    EXPECT_EQ(child.subscribers, leaf.subscribers);
+    EXPECT_EQ(child.weight, leaf.weight);
+    EXPECT_EQ(child.cand_offsets, leaf.cand_offsets);
+    EXPECT_EQ(child.cand_targets, leaf.cand_targets);
+    EXPECT_EQ(child.cand_latency, leaf.cand_latency);
+
+    SlpOptions opts;
+    opts.num_threads = 1;
+    Rng fork = Rng(seed).Fork(net::BrokerTree::kPublisher);
+    auto fa = FilterAssign(*p, leaf, opts.slp1.filter_assign, fork);
+    ASSERT_TRUE(fa.ok()) << fa.status().ToString();
+    Rng rng(seed);
+    SlpStats stats;
+    auto slp = RunSlp(*p, opts, rng, &stats);
+    ASSERT_TRUE(slp.ok()) << slp.status().ToString();
+    EXPECT_EQ(slp.value().fractional_lower_bound,
+              fa.value().fractional_objective);
+    EXPECT_EQ(stats.lp_calls, fa.value().lp_calls);
+    EXPECT_EQ(stats.slp1_invocations, 1);
+  }
+
+  SaProblem small = test::SmallGridProblem(40, 4);
+  ASSERT_LE(small.num_subscribers(), SlpOptions{}.gamma);
+  Rng rng(seed);
+  SlpStats stats;
+  auto slp = RunSlp(small, SlpOptions{}, rng, &stats);
+  ASSERT_TRUE(slp.ok()) << slp.status().ToString();
+  EXPECT_EQ(stats.lp_calls, 0);
+  EXPECT_LT(slp.value().fractional_lower_bound, 0.0);
+  EXPECT_TRUE(slp.value().load_feasible);
+  EXPECT_TRUE(ValidateSolution(small, slp.value()).ok())
+      << ValidateSolution(small, slp.value()).ToString();
 }
 
 TEST(SlpTest, MultiLevelEndToEnd) {
@@ -713,7 +770,7 @@ TEST(GroupSubscriptionsByLeafTest, GroupsValidAssignment) {
 TEST(SlpTest, FractionalBoundBelowTrivialSolution) {
   SaProblem p = test::SmallGgProblem(500, 8);
   Rng rng(18);
-  auto result = RunSlp1(p, Slp1Options{}, rng);
+  auto result = RunSlp(p, SlpOptions{}, rng);
   ASSERT_TRUE(result.ok());
   // Trivial solution: every broker filters the whole event space => sum
   // volume ~ 8. The fractional optimum must be far below that.

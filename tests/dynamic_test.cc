@@ -1,3 +1,4 @@
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -133,6 +134,70 @@ TEST(DynamicTest, RemoveOfVacantHandleIsRejected) {
   EXPECT_NE(d, b);
   EXPECT_EQ(dyn.population(), 3);
   EXPECT_TRUE(BookkeepingConsistent(dyn));
+}
+
+// The accessors check their argument in every build type: a handle
+// outside [0, slot_count()) or a vacant slot, or load_of on a node that is
+// not a leaf, dies with the audit report naming the accessor and the bad
+// argument instead of reading past the assigner's tables.
+class DynamicAccessorDeathTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    kept_ = dyn_.Add(MakeSub(0, 1, 0.1, 0.1)).value();
+    vacant_ = dyn_.Add(MakeSub(0, -1, 0.5, 0.1)).value();
+    ASSERT_TRUE(dyn_.Remove(vacant_).ok());
+  }
+
+  std::vector<int> BadHandles() const {
+    return {-1, dyn_.slot_count(), vacant_};
+  }
+
+  // The audit report: the failed condition, then the accessor and handle.
+  static std::string Report(const char* accessor, int handle) {
+    return "is_occupied\\(handle\\) .* " + std::string(accessor) +
+           ": handle " + std::to_string(handle);
+  }
+
+  DynamicAssigner dyn_{TwoBrokerTree(), LooseConfig(), 10};
+  int kept_ = -1;
+  int vacant_ = -1;
+};
+
+TEST_F(DynamicAccessorDeathTest, StateRejectsBadHandles) {
+  for (int h : BadHandles()) {
+    EXPECT_DEATH(dyn_.state(h), Report("state", h)) << h;
+  }
+  EXPECT_EQ(dyn_.state(kept_), SubscriberState::kLive);
+}
+
+TEST_F(DynamicAccessorDeathTest, SubscriberRejectsBadHandles) {
+  for (int h : BadHandles()) {
+    EXPECT_DEATH(dyn_.subscriber(h), Report("subscriber", h)) << h;
+  }
+  EXPECT_EQ(dyn_.subscriber(kept_).location, (geo::Point{0, 1}));
+}
+
+TEST_F(DynamicAccessorDeathTest, LeafOfRejectsBadHandles) {
+  for (int h : BadHandles()) {
+    EXPECT_DEATH(dyn_.leaf_of(h), Report("leaf_of", h)) << h;
+  }
+  EXPECT_TRUE(dyn_.tree().is_leaf(dyn_.leaf_of(kept_)));
+}
+
+TEST_F(DynamicAccessorDeathTest, ViolationRejectsBadHandles) {
+  for (int h : BadHandles()) {
+    EXPECT_DEATH(dyn_.violation(h), Report("violation", h)) << h;
+  }
+  EXPECT_FALSE(dyn_.violation(kept_).unplaced);
+}
+
+TEST_F(DynamicAccessorDeathTest, LoadOfRejectsNonLeafNodes) {
+  for (int node : {net::BrokerTree::kPublisher, -1, dyn_.tree().num_nodes()}) {
+    EXPECT_DEATH(dyn_.load_of(node), "load_of: node " + std::to_string(node))
+        << node;
+  }
+  EXPECT_EQ(dyn_.load_of(dyn_.leaf_of(kept_)), 1);
 }
 
 TEST(DynamicTest, LoadCapsRespectedOnline) {

@@ -15,7 +15,6 @@
 #include "src/core/greedy.h"
 #include "src/core/metrics.h"
 #include "src/core/slp.h"
-#include "src/core/slp1.h"
 #include "src/network/tree_builder.h"
 #include "src/sim/dissemination.h"
 #include "src/workload/googlegroups.h"
@@ -199,14 +198,15 @@ TEST_P(BalanceFloorSweep, BalanceLbfIsFloor) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BalanceFloorSweep, ::testing::Range(0, 3));
 
-// SLP1 end-to-end on each workload family (slower; one seed each).
+// SLP1 (RunSlp on a one-level tree) end-to-end on each workload family
+// (slower; one seed each).
 class Slp1WorkloadSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(Slp1WorkloadSweep, ProducesValidYardstick) {
   core::SaProblem problem =
       MakeProblem(static_cast<WorkloadKind>(GetParam()), false, 21);
   Rng rng(21);
-  auto result = core::RunSlp1(problem, core::Slp1Options{}, rng);
+  auto result = core::RunSlp(problem, core::SlpOptions{}, rng);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const core::SaSolution& s = result.value();
   core::ValidationOptions opts;

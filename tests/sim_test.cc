@@ -5,7 +5,7 @@
 
 #include "src/core/greedy.h"
 #include "src/core/metrics.h"
-#include "src/core/slp1.h"
+#include "src/core/slp.h"
 #include "src/sim/dissemination.h"
 #include "tests/test_util.h"
 
@@ -85,7 +85,7 @@ TEST(DisseminationTest, NoFalseNegativesAcrossAlgorithms) {
     if (algo == 0) {
       s = core::RunGrStar(p, rng);
     } else {
-      auto r = core::RunSlp1(p, core::Slp1Options{}, rng);
+      auto r = core::RunSlp(p, core::SlpOptions{}, rng);
       ASSERT_TRUE(r.ok());
       s = std::move(r).value();
     }
