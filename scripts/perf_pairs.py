@@ -2,7 +2,7 @@
 """Alternating parent/change perfbench pairs, reported per metric.
 
     scripts/perf_pairs.py --run serve:211-220 --run churn:221-230 \\
-        [--base REF] [--trace]
+        [--base REF] [--trace] [--quality WORKLOAD]
     scripts/perf_pairs.py --self-test
 
 Run from the root of a checkout: that working tree is the *change*. The
@@ -31,18 +31,29 @@ seed (those come from the untraced runs); or if, on any workload, an
 end-to-end metric's median is worse than the parent's by more than that
 metric's BENCHMARK.json bound, relative to the parent's median.
 
---self-test checks the bound gate and the identity gate on synthetic pairs
-and exits nonzero if either misjudges one; CI runs it.
+--quality WORKLOAD (repeatable) is for a change that is meant to move the
+solution, e.g. by drawing a different random stream. For that workload,
+`qt` and `lbf` leave the identity gate (they must still be present on both
+sides), and the report adds, per metric, the per-seed change / parent
+ratio: its median, quartiles, min and max, the seeds the change won and
+lost, and the two-sided sign-test p of wins against losses (ties
+dropped). `correct`, `attempted`, `failed` and the bound gate still apply.
+
+--self-test checks the bound gate, the identity gate and the quality report
+on synthetic pairs and exits nonzero if any misjudges one; CI runs it.
 """
 
 import argparse
 import json
+import math
 import shutil
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
+# The solution-quality metrics: identical on both sides, unless --quality
+# names the workload.
 IDENTICAL_METRICS = ("qt", "lbf")
 IDENTICAL_FIELDS = ("attempted", "failed")
 
@@ -176,15 +187,66 @@ def identity_value(side, name):
     return None if metric is None else metric["value"]
 
 
-def mismatches(pair):
+def mismatches(pair, quality=False):
     """Fields and metrics that must agree bit for bit; a metric missing on
-    either side counts as a mismatch."""
+    either side counts as a mismatch. With `quality`, the quality metrics
+    need only be present on both sides."""
     bad = []
     for name in IDENTICAL_FIELDS + IDENTICAL_METRICS:
         parent = identity_value(pair["parent"], name)
-        if parent is None or parent != identity_value(pair["change"], name):
+        change = identity_value(pair["change"], name)
+        if parent is None or change is None:
+            bad.append(name)
+        elif parent != change and not (quality and
+                                       name in IDENTICAL_METRICS):
             bad.append(name)
     return bad
+
+
+def sign_test(wins, losses):
+    """Two-sided sign-test p of `wins` against `losses` (ties dropped)."""
+    n = wins + losses
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
+def quality_stats(pairs, name, benchmark):
+    """The per-seed change / parent ratios of metric `name` and their
+    summary: median, quartiles, min, max, wins, losses and sign-test p."""
+    higher = better_of(name, benchmark["end_to_end"]) == "higher"
+    ratios = [p["change"]["metrics"][name]["value"] /
+              p["parent"]["metrics"][name]["value"] for p in pairs]
+    wins = sum(1 for r in ratios if (r > 1 if higher else r < 1))
+    losses = sum(1 for r in ratios if (r < 1 if higher else r > 1))
+    q1, med, q3 = quartiles(ratios)
+    return {"ratios": ratios, "median": med, "q1": q1, "q3": q3,
+            "min": min(ratios), "max": max(ratios), "wins": wins,
+            "losses": losses, "p": sign_test(wins, losses)}
+
+
+def quality_report(workload, pairs, benchmark):
+    print(f"\n### {workload} quality: change / parent per seed, "
+          f"{len(pairs)} seeds\n")
+    print("| metric | median [Q1, Q3] | min | max | wins | losses | "
+          "sign-test p |")
+    print("|---|---|---|---|---|---|---|")
+    per_seed = []
+    for name in IDENTICAL_METRICS:
+        if not all(name in p[s]["metrics"] for p in pairs
+                   for s in ("parent", "change")):
+            continue  # the gate already flagged the missing metric
+        q = quality_stats(pairs, name, benchmark)
+        print(f"| `{name}` | {q['median']:.4f} [{q['q1']:.4f}, "
+              f"{q['q3']:.4f}] | {q['min']:.4f} | {q['max']:.4f} | "
+              f"{q['wins']}/{len(pairs)} | {q['losses']}/{len(pairs)} | "
+              f"{q['p']:.3g} |")
+        per_seed.append(f"{name} per seed: " + ", ".join(
+            f"{p['seed']} {r:.4f}" for p, r in zip(pairs, q["ratios"])))
+    print()
+    for line in per_seed:
+        print(line)
 
 
 def self_test():
@@ -239,14 +301,42 @@ def self_test():
     both_missing = pairs(base, base)[0]
     for side in ("parent", "change"):
         del both_missing[side]["metrics"]["qt"]
-    got = [mismatches(p) for p in odd + [both_missing, pairs(base, base)[0]]]
+    judged = odd + [both_missing, pairs(base, base)[0]]
+    got = [mismatches(p) for p in judged]
     if got != [["lbf"], ["qt"], ["failed"], ["qt"], []]:
         print(f"perf_pairs.py --self-test: identity gate flagged {got}")
+        failures += 1
+    # Under --quality a moved qt passes; a missing metric, or a moved
+    # attempted/failed, still fails.
+    got = [mismatches(p, quality=True) for p in judged]
+    if got != [["lbf"], [], ["failed"], ["qt"], []]:
+        print(f"perf_pairs.py --self-test: quality gate flagged {got}")
+        failures += 1
+
+    # Quality report: qt ratios 0.9, 0.95, 1.0, 1.05, 0.8 win 3, lose 1 and
+    # tie 1 (p = 2·(1 + 4)/16); ten wins of ten give p = 2/1024. lbf's
+    # "better" defaults to lower, like BENCHMARK.json's.
+    moved = pairs(base * 2, base * 2)[:5]
+    for pair, r in zip(moved, (0.9, 0.95, 1.0, 1.05, 0.8)):
+        pair["change"]["metrics"]["qt"] = {"value": r}
+    q = quality_stats(moved, "qt", benchmark)
+    want = {"median": 0.95, "q1": 0.9, "q3": 1.0, "min": 0.8, "max": 1.05,
+            "wins": 3, "losses": 1, "p": 0.625}
+    if any(not math.isclose(q[k], v) for k, v in want.items()):
+        print(f"perf_pairs.py --self-test: quality stats {q}, expected {want}")
+        failures += 1
+    swept = pairs(base * 4, base * 4)[:10]
+    for pair in swept:
+        pair["change"]["metrics"]["lbf"] = {"value": 0.99}
+    q = quality_stats(swept, "lbf", benchmark)
+    if (q["wins"], q["losses"]) != (10, 0) or \
+            not math.isclose(q["p"], 2 / 1024):
+        print(f"perf_pairs.py --self-test: ten lbf wins judged {q}")
         failures += 1
     if failures:
         print(f"perf_pairs.py --self-test: {failures} case(s) FAILED")
         return 1
-    print(f"perf_pairs.py --self-test: {len(cases) + 1} cases ok")
+    print(f"perf_pairs.py --self-test: {len(cases) + 4} cases ok")
     return 0
 
 
@@ -261,8 +351,15 @@ def main():
                         help="the parent commit (default HEAD)")
     parser.add_argument("--trace", action="store_true",
                         help="add traced runs: report the per-layer metrics")
+    parser.add_argument("--quality", action="append", default=[],
+                        metavar="WORKLOAD",
+                        help="report qt and lbf per-seed ratios for this "
+                             "workload instead of requiring them identical")
     args = parser.parse_args()
     runs = [parse_run(spec) for spec in args.run]
+    for workload in args.quality:
+        if workload not in (w for w, _ in runs):
+            fail(f"--quality {workload!r} names no --run workload")
 
     change_dir = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
     benchmark = json.loads((change_dir / "BENCHMARK.json").read_text())
@@ -301,7 +398,7 @@ def main():
                         print(f"{workload} seed {seed}: {side} run is not "
                               "correct", file=sys.stderr)
                         failed = True
-                bad = mismatches(pair)
+                bad = mismatches(pair, workload in args.quality)
                 if bad:
                     values = ", ".join(
                         f"{name} {identity_value(pair['parent'], name)!r} -> "
@@ -312,6 +409,8 @@ def main():
                     failed = True
                 pairs.append(pair)
             report(workload, pairs, benchmark)
+            if workload in args.quality:
+                quality_report(workload, pairs, benchmark)
             for line in regressions(pairs, benchmark):
                 print(f"{workload}: {line}", file=sys.stderr)
                 failed = True

@@ -20,6 +20,9 @@ SaSolution RunClosestImpl(const SaProblem& problem, bool enforce_cap,
   solution.assignment.assign(m, -1);
   std::vector<int> loads(problem.num_leaves(), 0);
 
+  auto cap = [&](int idx) {
+    return problem.config().beta_max * problem.capacity_fraction(idx) * m;
+  };
   for (int j = 0; j < m; ++j) {
     const geo::Point& loc = problem.subscriber(j).location;
     int best = -1;
@@ -34,21 +37,20 @@ SaSolution RunClosestImpl(const SaProblem& problem, bool enforce_cap,
       }
       if (enforce_cap) {
         const int idx = problem.leaf_index(leaf);
-        const double cap =
-            problem.config().beta_max * problem.capacity_fraction(idx) * m;
-        if (loads[idx] + 1 > cap + 1e-9) continue;
+        if (loads[idx] + 1 > cap(idx) + 1e-9) continue;
       }
       if (d < best_dist) {
         best_dist = d;
         best = leaf;
       }
     }
-    if (best < 0) {
-      best = fallback;  // every broker full; overload the nearest
-      solution.load_feasible = false;
-    }
+    if (best < 0) best = fallback;  // every broker full; overload the nearest
     solution.assignment[j] = best;
     ++loads[problem.leaf_index(best)];
+  }
+  // Both variants report overload from the final leaf loads.
+  for (int idx = 0; idx < problem.num_leaves(); ++idx) {
+    if (loads[idx] > cap(idx) + 1e-9) solution.load_feasible = false;
   }
 
   solution.filters.assign(tree.num_nodes(), geo::Filter());

@@ -100,6 +100,22 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
 
   const int sb_size =
       std::min(rows, std::max(1, options.sb_factor * targets.count));
+  // Load-enforcing rungs the instance rules out (LoadRungRuledOut) are
+  // skipped before any sampling, so the ladder starts at the desired β, at
+  // β_max, or at the no-(C3) rung. Starting at the no-(C3) rung — below the
+  // root whenever β_max κ_v < 1 — Sb would feed only (C3), so each
+  // iteration draws Q alone (Sa = Q), builds one model with no (C3) rows,
+  // and makes one LP solve.
+  const double beta = problem.config().beta;
+  const double beta_max = problem.config().beta_max;
+  const bool enforce = options.lp.enforce_load;
+  int first_rung = 0;
+  if (enforce && LoadRungRuledOut(targets, sb_size, beta_max)) {
+    first_rung = kSbRetries;
+  } else if (enforce && LoadRungRuledOut(targets, sb_size, beta)) {
+    first_rung = (kSbRetries + 1) / 2;  // the first β_max rung
+  }
+  const bool draw_sb = first_rung < kSbRetries;
 
   std::vector<double> weights;
   auto budget_left = [&]() {
@@ -161,30 +177,26 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
         // the FilterGen candidates, and the built LP are all still valid:
         // the retained model just retunes its (C3) rows and re-solves
         // warm-started from the previous optimal basis. Same-rung retries
-        // resample Sb fresh, as before. Below the root the load certificate
-        // usually decides every enforcing rung, so the no-(C3) rung is the
-        // iteration's one solve, and it starts cold.
+        // resample Sb fresh.
         Result<LpRelaxResult> lp_result =
             Status::Internal("no LPRelax attempt made");
         std::vector<int> sa_rows;
         std::optional<LpRelaxModel> model;
-        const double desired_beta = options.lp.beta > 0
-                                        ? options.lp.beta
-                                        : problem.config().beta;
         double prev_beta = 0;
         bool prev_enforce = false;
-        for (int attempt = 0; attempt <= kSbRetries; ++attempt) {
+        for (int attempt = first_rung; attempt <= kSbRetries; ++attempt) {
           if (!budget_left()) break;
-          double beta = desired_beta;
-          bool enforce_load = options.lp.enforce_load;
+          double rung_beta = beta;
+          bool enforce_load = enforce;
           if (attempt == kSbRetries) {
             enforce_load = false;
           } else if (2 * attempt >= kSbRetries) {
-            beta = problem.config().beta_max;
+            rung_beta = beta_max;
           }
           const bool rung_changed =
-              attempt > 0 && (beta != prev_beta || enforce_load != prev_enforce);
-          prev_beta = beta;
+              attempt > 0 &&
+              (rung_beta != prev_beta || enforce_load != prev_enforce);
+          prev_beta = rung_beta;
           prev_enforce = enforce_load;
 
           if (!model || !rung_changed) {
@@ -193,7 +205,8 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
             // all rebuilt. Both samples come back sorted, so the union is
             // a linear merge.
             const std::vector<int> sb_rows =
-                UniformSampleWithoutReplacement(rows, sb_size, rng);
+                draw_sb ? UniformSampleWithoutReplacement(rows, sb_size, rng)
+                        : std::vector<int>();
             sa_rows.clear();
             std::set_union(q_rows.begin(), q_rows.end(), sb_rows.begin(),
                            sb_rows.end(), std::back_inserter(sa_rows));
@@ -204,11 +217,8 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
             const std::vector<geo::Rectangle> rects = FilterGen(
                 problem, sa_subs, targets.count, options.filter_gen, rng);
 
-            LpRelaxOptions build_opts = options.lp;
-            build_opts.beta = beta;
-            build_opts.enforce_load = enforce_load;
             Result<LpRelaxModel> built = LpRelaxModel::Build(
-                problem, targets, sa_rows, sb_rows, rects, build_opts, rng);
+                problem, targets, sa_rows, sb_rows, rects, rng);
             if (!built.ok()) {
               lp_result = built.status();
               if (built.status().code() != StatusCode::kInfeasible) {
@@ -218,21 +228,18 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
               continue;
             }
             model.emplace(std::move(built.value()));
-          } else {
-            // β-escalation on the same sample: mutate (C3) in place and
-            // warm-start from the basis the failed solve left behind.
-            model->SetLoadRung(beta, enforce_load);
           }
+          // Hand the rung to the model. A fresh model was built at the
+          // enforced rung of the problem's β; a retained one mutates (C3) in
+          // place, and its solve continues from the basis the failed solve
+          // left behind.
+          model->SetLoadRung(rung_beta, enforce_load);
 
-          // Every rung counts against the budget, including one the load
-          // certificate decides without the simplex: the sampling and the
-          // build above are the same either way.
           ++result.lp_calls;
           lp_result = model->Solve(rng);
-          if (model->last_solve_certified()) ++result.certified_rungs;
           // Accumulate solver accounting from every solve, including the
           // infeasible-at-β ones (those are exactly the rungs that
-          // escalate). A certified rung's counters are all zero.
+          // escalate).
           const lp::SolverStats& lp_stats = model->last_lp_stats();
           if (lp_stats.dual_used) ++result.dual_lp_calls;
           if (lp_stats.dual_fallback) ++result.dual_fallbacks;

@@ -10,7 +10,10 @@
 // subscribers double and the stage repeats (valid iterations only — an
 // iteration whose uncovered weight exceeds ε of the total is resampled).
 // After 4·g·ln(|S|/g) valid iterations the stage concludes the certificate
-// is larger and doubles g.
+// is larger and doubles g. Load rungs the instance rules out
+// (LoadRungRuledOut, lp_relax.h) are skipped before sampling; where that is
+// every load-enforcing rung (below the root when β_max κ_v < 1), no Sb is
+// drawn and each iteration makes one LP solve without (C3).
 //
 // Engineering knob beyond the paper: `max_lp_calls` bounds the total number
 // of LP solves; when exhausted the best filters seen are returned after a
@@ -38,8 +41,7 @@ struct FilterAssignOptions {
   double eps = 0.2;
   // |Sb| = sb_factor · (number of targets), capped by the subscriber count.
   int sb_factor = 5;
-  // Total LP budget, counted in ladder rungs (certified ones included);
-  // 0 = unlimited (paper-faithful).
+  // Total LP budget, counted in LP solves; 0 = unlimited (paper-faithful).
   int max_lp_calls = 40;
   // Hard wall-clock budget: once expired, no further LP is attempted and
   // the best filters seen are completed deterministically, exactly like a
@@ -58,11 +60,8 @@ struct FilterAssignResult {
   // Fractional LP objective of the final (successful) LPRelax call — the
   // Section IV-D lower-bound yardstick.
   double fractional_objective = 0;
-  // Ladder rungs attempted (the max_lp_calls unit), and how many of them
-  // the load certificate decided without the simplex: lp_calls −
-  // certified_rungs LPs were solved.
+  // LP solves (the max_lp_calls unit): one per ladder rung attempted.
   int lp_calls = 0;
-  int certified_rungs = 0;
   int iterations = 0;
   int final_g = 0;
   // Simplex pivots over every solved rung, and those that were degenerate

@@ -33,8 +33,7 @@ constexpr double kLoadSlackLimit = 0.5;
 Result<LpRelaxModel> LpRelaxModel::Build(
     const SaProblem& problem, const Targets& targets,
     const std::vector<int>& sa_rows, const std::vector<int>& sb_rows,
-    const std::vector<geo::Rectangle>& rects, const LpRelaxOptions& options,
-    Rng& rng) {
+    const std::vector<geo::Rectangle>& rects, Rng& rng) {
   SLP_DCHECK(!sa_rows.empty());
   SLP_DCHECK(!rects.empty());
 
@@ -117,7 +116,6 @@ Result<LpRelaxModel> LpRelaxModel::Build(
       g.weight_sb += targets.row_weight(row);
     }
   }
-  for (const Group& g : groups) model.sb_weight_ += g.weight_sb;
 
   // ---- LP construction ----
   lp::LpProblem& lp = model.lp_;
@@ -176,8 +174,7 @@ Result<LpRelaxModel> LpRelaxModel::Build(
     for (const auto& r : rects) max_vol = std::max(max_vol, r.Volume());
     model.penalty_ =
         2.0 * problem.config().alpha * targets.count * std::max(max_vol, 1e-6);
-    const double beta =
-        options.beta > 0 ? options.beta : problem.config().beta;
+    const double beta = problem.config().beta;
     std::map<int, int> c3_row;
     for (size_t gi = 0; gi < groups.size(); ++gi) {
       if (groups[gi].weight_sb <= 0) continue;
@@ -207,8 +204,6 @@ Result<LpRelaxModel> LpRelaxModel::Build(
       }
     }
   }
-  model.SetLoadRung(options.beta > 0 ? options.beta : problem.config().beta,
-                    options.enforce_load);
   return model;
 }
 
@@ -224,11 +219,10 @@ void LpRelaxModel::SetLoadRung(double beta, bool enforce_load) {
   rung_dirty_ = !c3_rows_.empty();
 }
 
-double LpRelaxModel::LoadSlackFloor() const {
-  if (c3_rows_.empty()) return 0;
-  double caps = 0;
-  for (const C3Row& c3 : c3_rows_) caps += lp_.rhs(c3.row);
-  return sb_weight_ - caps;
+bool LoadRungRuledOut(const Targets& targets, int sb_size, double beta) {
+  double kappa_sum = 0;
+  for (double kappa : targets.kappa) kappa_sum += kappa;
+  return sb_size * (1 - beta * kappa_sum) > kLoadSlackLimit;
 }
 
 double LpRelaxModel::LoadSlackSum(const std::vector<double>& x) const {
@@ -238,25 +232,6 @@ double LpRelaxModel::LoadSlackSum(const std::vector<double>& x) const {
 }
 
 Result<LpRelaxResult> LpRelaxModel::Solve(Rng& rng) {
-  last_certified_ = false;
-  if (enforce_load_ && !c3_rows_.empty()) {
-    // Load certificate (lp_relax.h). A simplex optimum may miss each (C2)
-    // row by τ, worth τ·weight_sb in (C3), and each (C3) row by τ, so its
-    // slack sum is at least floor − τ·(W_sb + #(C3) rows).
-    double rhs_norm = 0;
-    for (int r = 0; r < lp_.num_constraints(); ++r) {
-      rhs_norm = std::max(rhs_norm, std::abs(lp_.rhs(r)));
-    }
-    const double blur = lp::kFeasibilityTol * (1 + rhs_norm) *
-                        (sb_weight_ + static_cast<double>(c3_rows_.size()));
-    if (LoadSlackFloor() - blur > kLoadSlackLimit) {
-      last_stats_ = lp::SolverStats{};
-      last_certified_ = true;
-      return Status::Infeasible(
-          "load-balance sample cannot be balanced at the requested beta");
-    }
-  }
-
   const lp::SimplexSolver solver;
   // After a rung mutation the retained basis is the pre-mutation optimum:
   // rhs edits leave it dual-feasible, so the dual pivot loop is the natural
@@ -374,18 +349,6 @@ Result<LpRelaxResult> LpRelaxModel::Solve(Rng& rng) {
     result.filters[t] = geo::Filter(std::move(rs));
   }
   return result;
-}
-
-Result<LpRelaxResult> LpRelax(const SaProblem& problem, const Targets& targets,
-                              const std::vector<int>& sa_rows,
-                              const std::vector<int>& sb_rows,
-                              const std::vector<geo::Rectangle>& rects,
-                              const LpRelaxOptions& options, Rng& rng) {
-  Result<LpRelaxModel> model =
-      LpRelaxModel::Build(problem, targets, sa_rows, sb_rows, rects, options,
-                          rng);
-  if (!model.ok()) return model.status();
-  return model.value().Solve(rng);
 }
 
 }  // namespace slp::core

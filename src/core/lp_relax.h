@@ -26,13 +26,9 @@
 //
 // (C3) below the root: κ_i is target i's *global* capacity share, so at an
 // interior node v the caps sum to at most β κ_v |Sb|, and with
-// β_max κ_v < 1 every load-enforcing rung is infeasible by construction;
-// only the no-(C3) rung produces filters there. Load certificate: every
-// target of an Sb group carries a (C3) row and (C2) sends each group's
-// whole weight to its targets, so at every feasible point the (C3) slacks
-// sum to at least W_sb − Σ caps (W_sb the weighted |Sb|). When that floor
-// clears 0.5 by more than the simplex's feasibility tolerance can blur,
-// Solve returns the load-infeasible verdict with no tableau and no pivot.
+// β_max κ_v < 1 every load-enforcing rung is infeasible by construction.
+// LoadRungRuledOut decides that from the instance, before any sample is
+// drawn, and FilterAssign skips the rungs it rules out.
 
 #ifndef SLP_CORE_LP_RELAX_H_
 #define SLP_CORE_LP_RELAX_H_
@@ -49,14 +45,24 @@
 
 namespace slp::core {
 
+// FilterAssign's ladder options (FilterAssignOptions::lp).
 struct LpRelaxOptions {
-  // Load-balance factor used in (C3); < 0 means the problem's β. Callers
-  // (FilterAssign) escalate this toward β_max when the LP is infeasible.
-  double beta = -1;
-  // Drop (C3) entirely — last-resort fallback; load balance is then
-  // enforced only by the max-flow assignment step.
+  // False drops (C3) on every rung; load balance is then enforced only by
+  // the max-flow assignment step.
   bool enforce_load = true;
 };
+
+// The static (C3) rule: true when no Sb sample of `sb_size` rows over
+// `targets` can be balanced at `beta`, so the load-enforcing rung at
+// `beta` is load-infeasible before any sample is drawn. Row weights are at
+// least 1 (SaProblem::SetWeights), so the sample's weight W_sb is at least
+// sb_size, and (C2) sends all of it into the (C3) rows, whose caps sum to
+// at most β Σκ W_sb (Σκ over targets.kappa). At every feasible point the
+// (C3) slacks therefore sum to at least sb_size (1 − β Σκ); the rule fires
+// when that floor exceeds the 0.5 of slack Solve reports as
+// load-infeasible. It never fires at the root (Σκ = 1, β ≥ 1); at a node
+// v below it (Σκ = κ_v) it fires whenever β κ_v < 1 − 0.5 / sb_size.
+bool LoadRungRuledOut(const Targets& targets, int sb_size, double beta);
 
 struct LpRelaxResult {
   // One (possibly >α rectangles — fixed later by filter adjustment) filter
@@ -90,17 +96,19 @@ struct LpRelaxResult {
 class LpRelaxModel {
  public:
   // Groups subscribers, caps candidates (consuming rng for the target
-  // spread), and builds the LP. sa_rows / sb_rows index into
-  // targets.subscribers; sb_rows must be a subset of sa_rows (any order).
-  // `rects` is the candidate set from FilterGen, sorted by
-  // volume ascending (copied into the model). Fails kInfeasible when some
-  // subscriber has no feasible target or no containing rectangle.
+  // spread), and builds the LP at the enforced rung of the problem's β
+  // (SetLoadRung moves it to another). sa_rows / sb_rows index into
+  // targets.subscribers; sb_rows must be a subset of sa_rows (any order),
+  // and an empty sb_rows builds no (C3) rows. `rects` is the candidate set
+  // from FilterGen, sorted by volume ascending (copied into the model).
+  // Fails kInfeasible when some subscriber has no feasible target or no
+  // containing rectangle.
   static Result<LpRelaxModel> Build(const SaProblem& problem,
                                     const Targets& targets,
                                     const std::vector<int>& sa_rows,
                                     const std::vector<int>& sb_rows,
                                     const std::vector<geo::Rectangle>& rects,
-                                    const LpRelaxOptions& options, Rng& rng);
+                                    Rng& rng);
 
   // Reconfigures the (C3) load rung in place: caps at `beta` (must be > 0)
   // and, when enforce_load is false, zeroes the slack penalties so the rows
@@ -114,23 +122,16 @@ class LpRelaxModel {
   // Solves the LP (dual re-solve after SetLoadRung, otherwise
   // warm-starting from the previous Solve's basis when one is retained)
   // and rounds the fractional optimum to filters. Returns kInfeasible when
-  // the load sample cannot be balanced at the current β, decided by the
-  // load certificate (no simplex run, basis untouched) or by the optimum's
-  // (C3) slack (basis retained, so the caller's escalation re-solve starts
-  // from this optimum).
+  // the optimum's (C3) slack shows the load sample cannot be balanced at
+  // the current β (basis retained, so the caller's escalation re-solve
+  // starts from this optimum).
   Result<LpRelaxResult> Solve(Rng& rng);
 
   // Counters from the most recent Solve, populated even when that solve
   // ended infeasible-at-β (LpRelaxResult::lp_stats only exists on the OK
   // path, but the infeasible rungs are exactly the ones that escalate).
-  // All zero after a certified verdict.
   const lp::SolverStats& last_lp_stats() const { return last_stats_; }
-  // True when the most recent Solve was decided by the load certificate.
-  bool last_solve_certified() const { return last_certified_; }
 
-  // W_sb − Σ (C3) caps at the current rung: a lower bound on the (C3)
-  // slack sum at every feasible point of lp(). 0 without (C3) rows.
-  double LoadSlackFloor() const;
   // The (C3) slack sum at a point x of lp().
   double LoadSlackSum(const std::vector<double>& x) const;
 
@@ -170,27 +171,14 @@ class LpRelaxModel {
   lp::LpProblem lp_;
   double penalty_ = 0;      // (C3) slack objective coefficient when enforced
   double sb_size_ = 0;      // |Sb| at build time
-  double sb_weight_ = 0;    // Σ group weight_sb: what (C2) forces into (C3)
   double sa_size_ = 0;      // |Sa| at build time (rounding boost)
   bool enforce_load_ = true;
   lp::Basis basis_;         // previous optimum, warm-start hint
   lp::SolverStats last_stats_;  // counters from the most recent Solve
-  bool last_certified_ = false;
   // Set by SetLoadRung, cleared by Solve: the retained basis belongs to a
   // pre-mutation optimum, so the next solve should continue dually.
   bool rung_dirty_ = false;
 };
-
-// sa_rows / sb_rows index into targets.subscribers (local rows). sb_rows
-// must be a subset of sa_rows. `rects` is the candidate set from FilterGen,
-// sorted by volume ascending. Returns kInfeasible if
-// the LP has no fractional solution (e.g., the Sb sample makes load balance
-// impossible). One-shot convenience wrapper over LpRelaxModel.
-Result<LpRelaxResult> LpRelax(const SaProblem& problem, const Targets& targets,
-                              const std::vector<int>& sa_rows,
-                              const std::vector<int>& sb_rows,
-                              const std::vector<geo::Rectangle>& rects,
-                              const LpRelaxOptions& options, Rng& rng);
 
 }  // namespace slp::core
 

@@ -30,7 +30,6 @@ class SlpRunner {
     solution.algorithm = "SLP";
     solution.assignment.assign(problem_.num_subscribers(), -1);
     solution.latency_feasible = true;
-    solution.load_feasible = true;
 
     // Pre-size before the recursion: concurrent child subtrees write
     // disjoint slots but must never resize the vector.
@@ -179,7 +178,6 @@ class SlpRunner {
       if (stats_ != nullptr) {
         MutexLock lock(mu_);
         stats_->lp_calls += fa.value().lp_calls;
-        stats_->certified_rungs += fa.value().certified_rungs;
         stats_->pivots += fa.value().pivots;
         stats_->degenerate_pivots += fa.value().degenerate_pivots;
         stats_->bland_pivots += fa.value().bland_pivots;
@@ -193,10 +191,6 @@ class SlpRunner {
           problem_, targets, &preliminary, rng,
           options_.slp1.subscription_assign);
       if (!sa.ok()) return sa.status();
-      {
-        MutexLock lock(mu_);
-        solution->load_feasible &= sa.value().load_feasible;
-      }
       target_of = sa.value().target_of;
       // Remember leaf-level preliminary filters for the adjustment step
       // (pre-sized in Run(); children are disjoint across sibling tasks).
@@ -267,9 +261,7 @@ class SlpRunner {
   // by index disjointness, which the type system cannot express; see the
   // pre-sizing note in Run().
   std::vector<geo::Filter> preliminary_leaf_filters_;
-  // Guards the stats_ pointee and SaSolution flag updates from concurrent
-  // subtrees (the SaSolution is a caller-owned out-param, so its guarded
-  // fields cannot carry the annotation themselves).
+  // Guards the stats_ pointee from concurrent subtrees.
   Mutex mu_;
 };
 

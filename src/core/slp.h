@@ -60,7 +60,6 @@ struct SlpOptions {
 struct SlpStats {
   int slp1_invocations = 0;
   int lp_calls = 0;
-  int certified_rungs = 0;
   int pivots = 0;
   int degenerate_pivots = 0;
   int bland_pivots = 0;

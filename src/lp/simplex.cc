@@ -35,6 +35,8 @@ constexpr int kRecomputeInterval = 500;
 // Hard refactorization cadence (pivots); max_eta / eta_fill_factor
 // usually trigger much earlier.
 constexpr int kRefactorInterval = 3000;
+// Primal feasibility tolerance, scaled by 1 + max|rhs|.
+constexpr double kFeasibilityTol = 1e-7;
 // Reduced-cost tolerance for pricing and dual feasibility.
 constexpr double kOptimalityTol = 1e-7;
 // Smallest |pivot| the primal and dual ratio tests accept.

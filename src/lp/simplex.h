@@ -44,10 +44,6 @@ enum class SolveStatus {
 
 const char* ToString(SolveStatus status);
 
-// Primal feasibility tolerance, scaled by 1 + max|rhs|: an optimum may miss
-// each row and each variable bound by up to kFeasibilityTol·(1 + max|rhs|).
-inline constexpr double kFeasibilityTol = 1e-7;
-
 struct SimplexOptions {
   // Hard cap on total pivots across both phases; <=0 means automatic
   // (max(20000, 50 * rows)).

@@ -215,6 +215,26 @@ TEST(ClosestTest, CapVariantSpillsToSecondNearest) {
   EXPECT_EQ(nb_loads[0], 10);  // no cap: everyone on the nearest broker
 }
 
+TEST(ClosestTest, LoadFlagMatchesLoadBalanceFactor) {
+  // Both variants derive load_feasible from their final leaf loads, so the
+  // flag says whether lbf stays within β_max; Closest¬b, which ignores the
+  // cap, must report the overloads it makes.
+  int overloaded = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SaProblem p = test::SmallGgProblem(600, 10, SaConfig{}, seed);
+    for (bool capped : {false, true}) {
+      Rng rng(seed);
+      const SaSolution s =
+          capped ? RunClosest(p, rng) : RunClosestNoBalance(p, rng);
+      const double lbf = LoadBalanceFactor(p, s);
+      EXPECT_EQ(s.load_feasible, lbf <= p.config().beta_max)
+          << s.algorithm << " seed " << seed << " lbf " << lbf;
+      if (lbf > p.config().beta_max) ++overloaded;
+    }
+  }
+  EXPECT_GT(overloaded, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Balance
 // ---------------------------------------------------------------------------

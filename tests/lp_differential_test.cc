@@ -17,7 +17,7 @@
 // perturbations in both directions, row additions continued dually, LU
 // unit-column repair fuzzing, escalation ladders replayed from the exact
 // LPs FilterAssign builds on the three paper workload generators, and the
-// (C3) load certificate against the certified optimum of the same LPs.
+// static (C3) rule against the certified optimum of the same LPs.
 
 #include <algorithm>
 #include <cmath>
@@ -511,9 +511,8 @@ TEST(LpDifferentialTest, FilterAssignLaddersAgreeColdWarmDual) {
     const std::vector<geo::Rectangle> rects =
         core::FilterGen(problem, core::AllSubscribers(problem), targets.count,
                         core::FilterGenOptions{}, rng);
-    core::LpRelaxOptions opts;
     Result<core::LpRelaxModel> built = core::LpRelaxModel::Build(
-        problem, targets, all_rows, all_rows, rects, opts, rng);
+        problem, targets, all_rows, all_rows, rects, rng);
     if (!built.ok()) continue;  // structurally infeasible sample: no ladder
     core::LpRelaxModel model = std::move(built.value());
     (void)model.Solve(rng);  // seed the retained basis
@@ -564,10 +563,11 @@ TEST(LpDifferentialTest, FilterAssignLaddersAgreeColdWarmDual) {
 }
 
 // ---------------------------------------------------------------------------
-// The (C3) load certificate (LpRelaxModel::Solve): a rung it decides without
-// the simplex must be one the simplex calls load-infeasible, it must fire
-// wherever its floor clears the threshold by more than a rounding allowance,
-// and it must not fire within the solver's tolerance of the threshold.
+// The static (C3) rule (core::LoadRungRuledOut): wherever it rules a load
+// rung out, the model FilterAssign would have built with Sb at that rung is
+// load-infeasible (its KKT-certified optimum's (C3) slacks sum past 0.5),
+// and it never rules out a rung at the root or on leaf targets, where the
+// capacity shares sum to 1.
 // ---------------------------------------------------------------------------
 
 // Problem subscribers with at least one latency-feasible child of `node`.
@@ -582,22 +582,20 @@ std::vector<int> SubscribersWithChildTarget(const core::SaProblem& problem,
   return subs;
 }
 
-struct CertificateTally {
-  int certified = 0;
-  int solved = 0;
-  int near_threshold = 0;
+struct RuleTally {
+  int ruled_out = 0;
+  int kept = 0;
 };
 
 // Samples Sb and Q as FilterAssign does (Sb of 5 rows per target, Q of as
-// many again), builds the model over Sa = Q ∪ Sb, and solves it at the
-// rungs 0.5β, β and β_max. Each certified rung is checked against the
-// simplex's KKT-certified optimum of the model's LP. When `all_candidates`
-// (every row keeps all of its candidate targets, as with at most six
-// children), the floor is also recomputed from the sample alone, and rungs
-// just above, at and just below the threshold are added.
-void CheckLoadCertificate(const core::SaProblem& problem,
-                          const core::Targets& targets, bool all_candidates,
-                          uint64_t seed, CertificateTally* tally) {
+// many again), builds the model over Sa = Q ∪ Sb, and asks the rule about
+// the rungs 1, β and β_max, and about the rungs where the rule's floor
+// sb_size (1 − β Σκ) is 0.5 ± 0.1 (the first must be ruled out, the second
+// kept). Each rung it rules out is checked against the simplex's
+// KKT-certified optimum of the model's LP at that rung. Where the shares
+// sum to 1 (`root_or_leaves`), no rung with β ≥ 1 may be ruled out.
+void CheckLoadRule(const core::SaProblem& problem, const core::Targets& targets,
+                   bool root_or_leaves, uint64_t seed, RuleTally* tally) {
   const SimplexSolver solver;
   Rng rng(seed);
   const int rows = targets.num_rows();
@@ -614,73 +612,44 @@ void CheckLoadCertificate(const core::SaProblem& problem,
   const std::vector<geo::Rectangle> rects = core::FilterGen(
       problem, sa_subs, targets.count, core::FilterGenOptions{}, rng);
   Result<core::LpRelaxModel> built = core::LpRelaxModel::Build(
-      problem, targets, sa_rows, sb_rows, rects, core::LpRelaxOptions{}, rng);
+      problem, targets, sa_rows, sb_rows, rects, rng);
   if (!built.ok()) return;  // structurally infeasible sample
   core::LpRelaxModel& model = built.value();
 
-  // The floor from the sample alone: W_sb − β W_sb Σ κ over every target
-  // some Sb row can reach.
-  double w_sb = 0;
-  std::vector<bool> reached(targets.count, false);
-  for (int r : sb_rows) {
-    w_sb += targets.row_weight(r);
-    for (int t : targets.candidates(r)) reached[t] = true;
-  }
   double kappa_sum = 0;
-  for (int t = 0; t < targets.count; ++t) {
-    if (reached[t]) kappa_sum += targets.kappa[t];
-  }
-  auto floor_at = [&](double beta) { return w_sb - beta * kappa_sum * w_sb; };
-
-  struct Rung {
-    double beta;
-    bool near_threshold;
+  for (double kappa : targets.kappa) kappa_sum += kappa;
+  auto rung_at_floor = [&](double floor) {
+    return (1 - floor / sb_size) / kappa_sum;
   };
-  const double beta = problem.config().beta;
-  std::vector<Rung> rungs = {{0.5 * beta, false},
-                             {beta, false},
-                             {problem.config().beta_max, false}};
-  if (all_candidates) {
-    // Floors of 0.5 + 0.1 (must fire), 0.5 + 1e-6 (inside the solver's
-    // tolerance: must not fire) and 0.5 − 1e-6 (must not fire).
-    for (double delta : {0.1, 1e-6, -1e-6}) {
-      rungs.push_back(
-          {(w_sb - 0.5 - delta) / (kappa_sum * w_sb), delta < 0.01});
+  const double must_rule_out = rung_at_floor(0.6);
+  const double must_keep = rung_at_floor(0.4);
+  EXPECT_TRUE(core::LoadRungRuledOut(targets, sb_size, must_rule_out))
+      << "seed " << seed;
+  EXPECT_FALSE(core::LoadRungRuledOut(targets, sb_size, must_keep))
+      << "seed " << seed;
+  for (double beta : {1.0, problem.config().beta, problem.config().beta_max,
+                      must_rule_out, must_keep}) {
+    const bool ruled_out = core::LoadRungRuledOut(targets, sb_size, beta);
+    if (root_or_leaves && beta >= 1) {
+      EXPECT_FALSE(ruled_out) << "seed " << seed << " beta " << beta;
     }
-  }
-  for (const Rung& rung : rungs) {
-    model.SetLoadRung(rung.beta, true);
-    const Result<core::LpRelaxResult> verdict = model.Solve(rng);
-    const bool certified = model.last_solve_certified();
-    if (all_candidates) {
-      const double expected = floor_at(rung.beta);
-      EXPECT_NEAR(model.LoadSlackFloor(), expected, 1e-9 * (1 + w_sb))
-          << "seed " << seed << " beta " << rung.beta;
-      if (expected > 0.6) {
-        EXPECT_TRUE(certified) << "seed " << seed << " floor " << expected;
-      }
-    }
-    if (rung.near_threshold) {
-      ++tally->near_threshold;
-      EXPECT_FALSE(certified) << "seed " << seed << " fired at floor "
-                              << model.LoadSlackFloor();
-    }
-    if (!certified) {
-      ++tally->solved;
+    if (!ruled_out) {
+      ++tally->kept;
       continue;
     }
-    ++tally->certified;
-    EXPECT_EQ(verdict.status().code(), StatusCode::kInfeasible);
-    EXPECT_EQ(model.last_lp_stats().pivots, 0);
+    ++tally->ruled_out;
+    model.SetLoadRung(beta, true);
     const LpSolution opt = solver.Solve(model.lp());
     ASSERT_TRUE(CertifyOptimal(model.lp(), opt)) << "seed " << seed;
-    EXPECT_GT(model.LoadSlackSum(opt.x), 0.5) << "seed " << seed;
+    EXPECT_GT(model.LoadSlackSum(opt.x), 0.5)
+        << "seed " << seed << " beta " << beta;
   }
 }
 
-TEST(LpDifferentialTest, LoadCertificateIsSound) {
-  CertificateTally child;
-  CertificateTally leaf;
+TEST(LpDifferentialTest, LoadRungRuleIsSound) {
+  RuleTally child;
+  RuleTally root;
+  RuleTally leaf;
   for (int seed = 0; seed < 12; ++seed) {
     core::SaConfig config;
     config.max_delay = 1.0;
@@ -700,23 +669,23 @@ TEST(LpDifferentialTest, LoadCertificateIsSound) {
       const core::Targets targets = core::BuildChildTargets(
           problem, SubscribersWithChildTarget(problem, node), node);
       if (targets.num_rows() == 0) continue;
-      ASSERT_LE(targets.count, 6);  // every candidate target is kept
-      CheckLoadCertificate(problem, targets, true, 700 + 31 * seed + node,
-                           &child);
+      const bool is_root = node == net::BrokerTree::kPublisher;
+      CheckLoadRule(problem, targets, is_root, 700 + 31 * seed + node,
+                    is_root ? &root : &child);
     }
     // Leaf targets over a slice of the population, which keeps the LP
     // small: rows with more than six feasible leaves keep a random six.
     std::vector<int> slice = core::AllSubscribers(problem);
     slice.resize(40);
     const core::Targets leaves = core::BuildLeafTargets(problem, slice);
-    CheckLoadCertificate(problem, leaves, false, 900 + seed, &leaf);
+    CheckLoadRule(problem, leaves, true, 900 + seed, &leaf);
   }
-  // Both verdict paths and every near-threshold rung must be exercised.
-  EXPECT_GT(child.certified, 50);
-  EXPECT_GT(child.solved, 50);
-  EXPECT_GT(child.near_threshold, 50);
-  EXPECT_GT(leaf.certified, 0);
-  EXPECT_GT(leaf.solved, 0);
+  // Both verdicts must be exercised below the root, and the root and the
+  // leaves must be checked on every seed.
+  EXPECT_GT(child.ruled_out, 50);
+  EXPECT_GT(child.kept, 50);
+  EXPECT_GE(root.kept, 12 * 4);
+  EXPECT_GE(leaf.kept, 12 * 4);
 }
 
 }  // namespace
