@@ -52,7 +52,6 @@ const char* ToString(Category category) {
     case Category::kMatchIndex: return "MATCH_INDEX";
     case Category::kDissemination: return "DISSEMINATION";
     case Category::kLiveness: return "LIVENESS";
-    case Category::kAggregation: return "AGGREGATION";
     case Category::kCount: break;
   }
   return "UNKNOWN";

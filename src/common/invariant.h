@@ -44,7 +44,6 @@ enum class Category : int {
   kMatchIndex,     // grid-index probe answers ≡ linear rectangle scan
   kDissemination,  // dissemination counter identities (cross-counter sums)
   kLiveness,       // lease-tracker state vs overlay state coherence
-  kAggregation,    // member ⊆ representative, multiplicity/membership sums
   kCount,
 };
 

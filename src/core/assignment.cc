@@ -82,15 +82,8 @@ std::vector<int> LeafLoads(const SaProblem& problem,
 
 double LoadBalanceFactor(const SaProblem& problem,
                          const SaSolution& solution) {
-  // Weighted loads: a row of multiplicity k counts as k member
-  // subscribers. Unweighted, every weight is 1.0 and total_weight == m, so
-  // the quotients match the historical integer-count computation exactly.
-  std::vector<double> loads(problem.num_leaves(), 0);
-  for (int j = 0; j < problem.num_subscribers(); ++j) {
-    const int idx = problem.leaf_index(solution.assignment[j]);
-    if (idx >= 0) loads[idx] += problem.weight(j);
-  }
-  const double m = problem.total_weight();
+  const std::vector<int> loads = LeafLoads(problem, solution);
+  const double m = problem.num_subscribers();
   double lbf = 0;
   for (size_t i = 0; i < loads.size(); ++i) {
     const double kappa = problem.capacity_fraction(static_cast<int>(i));

@@ -187,12 +187,7 @@ Targets BuildLeafTargets(const SaProblem& problem,
   t.kappa.resize(t.count);
   for (int i = 0; i < t.count; ++i) t.kappa[i] = problem.capacity_fraction(i);
   t.total_subscribers = problem.num_subscribers();
-  t.total_weight = problem.total_weight();
   t.subscribers = sub_indices;
-  if (problem.is_weighted()) {
-    t.weight.reserve(sub_indices.size());
-    for (int j : sub_indices) t.weight.push_back(problem.weight(j));
-  }
 
   const LeafSoa soa = BuildLeafSoa(problem, leaves);
   const int rows = static_cast<int>(sub_indices.size());
@@ -224,12 +219,7 @@ Targets BuildChildTargets(const SaProblem& problem,
   Targets t;
   t.count = static_cast<int>(children.size());
   t.total_subscribers = problem.num_subscribers();
-  t.total_weight = problem.total_weight();
   t.subscribers = sub_indices;
-  if (problem.is_weighted()) {
-    t.weight.reserve(sub_indices.size());
-    for (int j : sub_indices) t.weight.push_back(problem.weight(j));
-  }
   t.kappa.resize(t.count, 0.0);
   for (int c = 0; c < t.count; ++c) {
     t.kappa[c] = problem.subtree_capacity_fraction(children[c]);

@@ -57,20 +57,11 @@ struct Targets {
   // root they sum to less than |Sb| whenever β κ_node < 1 (lp_relax.h).
   std::vector<double> kappa;
   // Total subscribers in the whole problem; the max-flow step's load caps
-  // (AbsCap) are β · kappa[t] · total_weight regardless of recursion depth,
-  // so the global load-balance factor is what gets enforced. For an
-  // unweighted problem total_weight == (double)total_subscribers exactly,
-  // so the cap arithmetic is bit-identical to the historical
-  // β · kappa[t] · total_subscribers.
+  // (AbsCap) are β · kappa[t] · total_subscribers regardless of recursion
+  // depth, so the global load-balance factor is what gets enforced.
   int total_subscribers = 0;
-  double total_weight = 0;
 
   std::vector<int> subscribers;  // local row -> problem subscriber index
-  // Per-row multiplicity (member count of an aggregate row); empty for an
-  // unweighted problem, in which case row_weight(r) == 1 for every row.
-  std::vector<double> weight;
-
-  double row_weight(int r) const { return weight.empty() ? 1.0 : weight[r]; }
 
   // CSR candidate storage: row r's candidates are
   // cand_targets[cand_offsets[r] .. cand_offsets[r+1]) with latencies in
@@ -93,9 +84,9 @@ struct Targets {
   }
 
   // Absolute load cap of target t at load-balance factor `lbf`, in
-  // member-subscriber units.
+  // subscribers.
   double AbsCap(int t, double lbf) const {
-    return lbf * kappa[t] * total_weight;
+    return lbf * kappa[t] * total_subscribers;
   }
 };
 

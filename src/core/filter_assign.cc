@@ -9,6 +9,7 @@
 #include "src/common/invariant.h"
 #include "src/common/status.h"
 #include "src/core/filter_adjust.h"
+#include "src/core/lp_relax.h"
 #include "src/geometry/audit.h"
 
 namespace slp::core {
@@ -108,11 +109,10 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
   // and makes one LP solve.
   const double beta = problem.config().beta;
   const double beta_max = problem.config().beta_max;
-  const bool enforce = options.lp.enforce_load;
   int first_rung = 0;
-  if (enforce && LoadRungRuledOut(targets, sb_size, beta_max)) {
+  if (LoadRungRuledOut(targets, sb_size, beta_max)) {
     first_rung = kSbRetries;
-  } else if (enforce && LoadRungRuledOut(targets, sb_size, beta)) {
+  } else if (LoadRungRuledOut(targets, sb_size, beta)) {
     first_rung = (kSbRetries + 1) / 2;  // the first β_max rung
   }
   const bool draw_sb = first_rung < kSbRetries;
@@ -144,12 +144,8 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
       // with Q = all rows (guaranteed to cover if the LP succeeds).
       g = rows;
     }
-    result.final_g = g;
-    // MWU coreset weights start at each row's multiplicity (all 1.0
-    // unweighted): an aggregate row standing for k members should be
-    // sampled into Q as often as k singleton rows would be.
-    weights.resize(rows);
-    for (int r = 0; r < rows; ++r) weights[r] = targets.row_weight(r);
+    // MWU coreset weights start at 1 for every row.
+    weights.assign(rows, 1.0);
     const int q = std::min(
         rows, static_cast<int>(std::ceil(10.0 * g * std::log(std::max(g, 2)))));
     const int stage_iters = std::max(
@@ -186,13 +182,9 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
         bool prev_enforce = false;
         for (int attempt = first_rung; attempt <= kSbRetries; ++attempt) {
           if (!budget_left()) break;
-          double rung_beta = beta;
-          bool enforce_load = enforce;
-          if (attempt == kSbRetries) {
-            enforce_load = false;
-          } else if (2 * attempt >= kSbRetries) {
-            rung_beta = beta_max;
-          }
+          const bool enforce_load = attempt < kSbRetries;
+          const double rung_beta =
+              enforce_load && 2 * attempt >= kSbRetries ? beta_max : beta;
           const bool rung_changed =
               attempt > 0 &&
               (rung_beta != prev_beta || enforce_load != prev_enforce);
@@ -241,9 +233,6 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
           // infeasible-at-β ones (those are exactly the rungs that
           // escalate).
           const lp::SolverStats& lp_stats = model->last_lp_stats();
-          if (lp_stats.dual_used) ++result.dual_lp_calls;
-          if (lp_stats.dual_fallback) ++result.dual_fallbacks;
-          result.dual_pivots += lp_stats.dual_pivots;
           result.pivots += lp_stats.pivots;
           result.degenerate_pivots += lp_stats.degenerate_pivots;
           result.bland_pivots += lp_stats.bland_pivots;

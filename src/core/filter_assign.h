@@ -31,8 +31,8 @@
 #include "src/common/status.h"
 #include "src/core/candidates.h"
 #include "src/core/filter_gen.h"
-#include "src/core/lp_relax.h"
 #include "src/core/problem.h"
+#include "src/geometry/filter.h"
 
 namespace slp::core {
 
@@ -51,7 +51,6 @@ struct FilterAssignOptions {
   // (DESIGN.md §9).
   Deadline deadline;
   FilterGenOptions filter_gen;
-  LpRelaxOptions lp;
 };
 
 struct FilterAssignResult {
@@ -63,18 +62,11 @@ struct FilterAssignResult {
   // LP solves (the max_lp_calls unit): one per ladder rung attempted.
   int lp_calls = 0;
   int iterations = 0;
-  int final_g = 0;
   // Simplex pivots over every solved rung, and those that were degenerate
   // (zero step) or taken under Bland's rule (lp::SolverStats).
   int pivots = 0;
   int degenerate_pivots = 0;
   int bland_pivots = 0;
-  // β-escalation re-solve accounting: how many LP calls completed through
-  // the dual pivot loop, how many rung re-solves fell back to the primal
-  // warm-start path, and the total dual pivots spent.
-  int dual_lp_calls = 0;
-  int dual_fallbacks = 0;
-  int dual_pivots = 0;
   // True if the LP budget (max_lp_calls or the deadline) ran out and
   // deterministic completion was used.
   bool budget_exhausted = false;

@@ -25,7 +25,7 @@ constexpr int kRectsPerSubscriber = 8;
 // Rounding attempts before the deterministic completion kicks in.
 constexpr int kMaxRoundingAttempts = 20;
 // Solve reports a load-infeasible sample when the optimum's (C3) slacks
-// sum past this many (weighted) subscribers.
+// sum past this many subscribers.
 constexpr double kLoadSlackLimit = 0.5;
 
 }  // namespace
@@ -40,11 +40,7 @@ Result<LpRelaxModel> LpRelaxModel::Build(
   LpRelaxModel model;
   model.targets_ = &targets;
   model.rects_ = rects;
-  // Weighted |Sb|: Σ multiplicities of the sampled rows, so the (C3) cap
-  // β κ_t |Sb| stays the same fraction of the sampled load mass. Exactly
-  // (double)sb_rows.size() when unweighted.
-  model.sb_size_ = 0;
-  for (int r : sb_rows) model.sb_size_ += targets.row_weight(r);
+  model.sb_size_ = static_cast<double>(sb_rows.size());
   model.sa_size_ = static_cast<double>(sa_rows.size());
 
   std::vector<int> sb_sorted = sb_rows;
@@ -110,10 +106,7 @@ Result<LpRelaxModel> LpRelaxModel::Build(
     Group& g = groups[it->second];
     g.rows.push_back(row);
     if (std::binary_search(sb_sorted.begin(), sb_sorted.end(), row)) {
-      // Load weight of a sampled row is its multiplicity (1 unweighted):
-      // an aggregate representative stands for that many member
-      // subscribers in the (C3) cap.
-      g.weight_sb += targets.row_weight(row);
+      g.weight_sb += 1;
     }
   }
 
@@ -258,16 +251,12 @@ Result<LpRelaxResult> LpRelaxModel::Solve(Rng& rng) {
 #endif
 
   LpRelaxResult result;
-  result.lp_stats = sol.stats;
   // Report only the filter-volume part of the objective; surface any (C3)
   // slack as infeasibility at this β. With load enforcement off the slacks
-  // are free variables, so their values are meaningless — report 0.
-  if (enforce_load_) {
-    result.load_slack_used = LoadSlackSum(sol.x);
-    if (result.load_slack_used > kLoadSlackLimit) {
-      return Status::Infeasible(
-          "load-balance sample cannot be balanced at the requested beta");
-    }
+  // are free variables, so their values are meaningless.
+  if (enforce_load_ && LoadSlackSum(sol.x) > kLoadSlackLimit) {
+    return Status::Infeasible(
+        "load-balance sample cannot be balanced at the requested beta");
   }
   double y_objective = 0;
   for (const YVar& y : yvars_) {
@@ -306,7 +295,6 @@ Result<LpRelaxResult> LpRelaxModel::Solve(Rng& rng) {
 
   bool covered = false;
   for (int attempt = 0; attempt < kMaxRoundingAttempts; ++attempt) {
-    ++result.rounding_attempts;
     round_once();
     covered = true;
     for (const Group& g : groups_) {
@@ -320,7 +308,6 @@ Result<LpRelaxResult> LpRelaxModel::Solve(Rng& rng) {
   if (!covered) {
     // Deterministic completion: give each uncovered group its
     // highest-fractional-mass (target, rect) pair.
-    result.used_completion = true;
     for (const Group& g : groups_) {
       if (group_covered(g)) continue;
       double best = -1;

@@ -45,21 +45,13 @@
 
 namespace slp::core {
 
-// FilterAssign's ladder options (FilterAssignOptions::lp).
-struct LpRelaxOptions {
-  // False drops (C3) on every rung; load balance is then enforced only by
-  // the max-flow assignment step.
-  bool enforce_load = true;
-};
-
 // The static (C3) rule: true when no Sb sample of `sb_size` rows over
 // `targets` can be balanced at `beta`, so the load-enforcing rung at
-// `beta` is load-infeasible before any sample is drawn. Row weights are at
-// least 1 (SaProblem::SetWeights), so the sample's weight W_sb is at least
-// sb_size, and (C2) sends all of it into the (C3) rows, whose caps sum to
-// at most β Σκ W_sb (Σκ over targets.kappa). At every feasible point the
-// (C3) slacks therefore sum to at least sb_size (1 − β Σκ); the rule fires
-// when that floor exceeds the 0.5 of slack Solve reports as
+// `beta` is load-infeasible before any sample is drawn. Rows have unit
+// weight, so (C2) sends sb_size units into the (C3) rows, whose caps sum
+// to at most β Σκ sb_size (Σκ over targets.kappa). At every feasible point
+// the (C3) slacks therefore sum to at least sb_size (1 − β Σκ); the rule
+// fires when that floor exceeds the 0.5 of slack Solve reports as
 // load-infeasible. It never fires at the root (Σκ = 1, β ≥ 1); at a node
 // v below it (Σκ = κ_v) it fires whenever β κ_v < 1 − 0.5 / sb_size.
 bool LoadRungRuledOut(const Targets& targets, int sb_size, double beta);
@@ -72,19 +64,9 @@ struct LpRelaxResult {
   // fractional lower bound of Section IV-D. (C3) is enforced softly with a
   // heavily penalized slack so that an over-tight load sample degrades the
   // solution instead of wasting a full infeasibility proof; the penalty is
-  // excluded here and surfaced via load_slack_used.
+  // excluded here, and Solve reports a slack sum past 0.5 as
+  // load-infeasible.
   double fractional_objective = 0;
-  // Total (C3) slack in the fractional optimum (subscribers of Sb beyond
-  // the β cap); > 0 means the sample could not be balanced at β.
-  double load_slack_used = 0;
-  // Number of rounding rounds used; true if the deterministic completion
-  // had to add rectangles for uncovered subscribers.
-  int rounding_attempts = 0;
-  bool used_completion = false;
-  // Solver counters for this LP solve (dual_used / dual_fallback report
-  // whether a rung re-solve went through the dual pivot loop or fell back
-  // to the primal warm-start path).
-  lp::SolverStats lp_stats;
 };
 
 // One built relaxation, retained across load-rung changes. The (C3) rows
@@ -128,8 +110,8 @@ class LpRelaxModel {
   Result<LpRelaxResult> Solve(Rng& rng);
 
   // Counters from the most recent Solve, populated even when that solve
-  // ended infeasible-at-β (LpRelaxResult::lp_stats only exists on the OK
-  // path, but the infeasible rungs are exactly the ones that escalate).
+  // ended infeasible-at-β (the infeasible rungs are exactly the ones that
+  // escalate).
   const lp::SolverStats& last_lp_stats() const { return last_stats_; }
 
   // The (C3) slack sum at a point x of lp().
@@ -149,7 +131,7 @@ class LpRelaxModel {
   struct Group {
     std::vector<int> targets;  // candidate target ids (capped, sorted)
     std::vector<int> rects;    // candidate rectangle ids (capped, sorted)
-    double weight_sb = 0;      // members inside Sb (load-balance weight)
+    double weight_sb = 0;      // members inside Sb ((C3) coefficient)
     std::vector<int> rows;     // member local rows (for coverage checks)
   };
   struct YVar {

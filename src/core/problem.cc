@@ -1,12 +1,27 @@
 #include "src/core/problem.h"
 
 #include <algorithm>
+#include <cmath>
+#include <iomanip>
 #include <limits>
+#include <sstream>
+#include <string>
 
 #include "src/common/invariant.h"
 #include "src/common/status.h"
 
 namespace slp::core {
+
+namespace {
+
+// One "<field> = <value>" clause of the audit context for a rejected input.
+std::string Field(const std::string& name, double value) {
+  std::ostringstream os;
+  os << std::setprecision(12) << name << " = " << value;
+  return os.str();
+}
+
+}  // namespace
 
 SaProblem::SaProblem(net::BrokerTree tree,
                      std::vector<wl::Subscriber> subscribers, SaConfig config)
@@ -14,7 +29,6 @@ SaProblem::SaProblem(net::BrokerTree tree,
       subscribers_(std::move(subscribers)),
       config_(config) {
   const int l = static_cast<int>(tree_.leaf_brokers().size());
-  SLP_DCHECK(l > 0);
   kappa_.assign(l, 1.0 / l);
   Init();
 }
@@ -26,25 +40,40 @@ SaProblem::SaProblem(net::BrokerTree tree,
       subscribers_(std::move(subscribers)),
       config_(config),
       kappa_(std::move(capacity_fractions)) {
-  SLP_DCHECK(kappa_.size() == tree_.leaf_brokers().size());
-  double total = 0;
-  for (double k : kappa_) {
-    SLP_DCHECK(k >= 0);
-    total += k;
-  }
-  SLP_DCHECK(std::abs(total - 1.0) < 1e-9);
   Init();
 }
 
 void SaProblem::Init() {
-  SLP_DCHECK(!subscribers_.empty());
-  SLP_DCHECK(config_.alpha >= 1);
-  SLP_DCHECK(config_.max_delay >= 0);
-  SLP_DCHECK(config_.beta_max >= config_.beta);
-  SLP_DCHECK(config_.beta >= 1.0);
+  // The inputs are checked in every build type, before anything is indexed
+  // by them: a κ vector shorter than the leaf list would be read past its
+  // end by the subtree sums below.
+  constexpr auto kCat = audit::Category::kDcheck;
+  const auto& leaves = tree_.leaf_brokers();
+  SLP_AUDIT_CHECK(kCat, kappa_.size() == leaves.size(),
+                  "SaProblem: " + Field("capacity_fractions.size()",
+                                        kappa_.size()) +
+                      ", " + Field("leaves", leaves.size()));
+  double total = 0;
+  for (size_t i = 0; i < kappa_.size(); ++i) {
+    SLP_AUDIT_CHECK(kCat, kappa_[i] >= 0,
+                    "SaProblem: " + Field("capacity_fractions[" +
+                                              std::to_string(i) + "]",
+                                          kappa_[i]));
+    total += kappa_[i];
+  }
+  SLP_AUDIT_CHECK(kCat, std::abs(total - 1.0) < 1e-9,
+                  "SaProblem: " + Field("sum of capacity_fractions", total));
+  SLP_AUDIT_CHECK(kCat, !subscribers_.empty(),
+                  "SaProblem: " + Field("subscribers.size()", 0));
+  SLP_AUDIT_CHECK(kCat, config_.alpha >= 1,
+                  "SaProblem: " + Field("config.alpha", config_.alpha));
+  SLP_AUDIT_CHECK(kCat, config_.max_delay >= 0,
+                  "SaProblem: " + Field("config.max_delay", config_.max_delay));
+  SLP_AUDIT_CHECK(kCat, config_.beta >= 1 && config_.beta <= config_.beta_max,
+                  "SaProblem: " + Field("config.beta", config_.beta) + ", " +
+                      Field("config.beta_max", config_.beta_max));
 
   leaf_index_.assign(tree_.num_nodes(), -1);
-  const auto& leaves = tree_.leaf_brokers();
   for (size_t i = 0; i < leaves.size(); ++i) {
     leaf_index_[leaves[i]] = static_cast<int>(i);
   }
@@ -71,16 +100,6 @@ void SaProblem::Init() {
     }
     latency_bound_[j] = (1.0 + config_.max_delay) * best_mode;
   }
-}
-
-void SaProblem::SetWeights(std::vector<double> weights) {
-  SLP_DCHECK(weights.size() == subscribers_.size());
-  total_weight_ = 0;
-  for (double w : weights) {
-    SLP_DCHECK(w >= 1.0);
-    total_weight_ += w;
-  }
-  weights_ = std::move(weights);
 }
 
 double SaProblem::RelativeDelay(int j, int leaf_node) const {

@@ -57,28 +57,6 @@ class SaProblem {
   int num_subscribers() const { return static_cast<int>(subscribers_.size()); }
   const SaConfig& config() const { return config_; }
 
-  // ---- Multiplicity weights (subscription aggregation, DESIGN.md §14) ----
-  //
-  // A compressed problem built from aggregate representatives carries one
-  // row per aggregate, weighted by how many original subscribers it stands
-  // for; load caps then budget β · κ_i · total_weight() member-subscribers
-  // per leaf instead of β · κ_i · m rows. An unweighted problem (the
-  // default) has weight(j) == 1 for every row and total_weight() == m
-  // exactly, so every weighted code path reduces bit-identically to the
-  // historical unweighted arithmetic.
-
-  // Installs per-subscriber multiplicities (size must equal
-  // num_subscribers(); every entry >= 1). Weights are integral member
-  // counts stored as double for the load arithmetic.
-  void SetWeights(std::vector<double> weights);
-  bool is_weighted() const { return !weights_.empty(); }
-  double weight(int j) const { return weights_.empty() ? 1.0 : weights_[j]; }
-  // Σ_j weight(j); exactly (double)num_subscribers() when unweighted.
-  double total_weight() const {
-    return weights_.empty() ? static_cast<double>(num_subscribers())
-                            : total_weight_;
-  }
-
   int num_leaves() const {
     return static_cast<int>(tree_.leaf_brokers().size());
   }
@@ -127,8 +105,6 @@ class SaProblem {
   net::BrokerTree tree_;
   std::vector<wl::Subscriber> subscribers_;
   SaConfig config_;
-  std::vector<double> weights_;        // empty = unweighted (all 1)
-  double total_weight_ = 0;
   std::vector<double> kappa_;          // by leaf index
   std::vector<double> subtree_kappa_;  // by node id; Σ κ over subtree leaves
   std::vector<int> leaf_index_;        // by node id

@@ -226,17 +226,15 @@ class SlpRunner {
   // β, then β_max), falling back to the nearest feasible child.
   std::vector<int> GreedyPartition(const Targets& targets) {
     const int rows = static_cast<int>(targets.subscribers.size());
-    std::vector<double> load(targets.count, 0);
+    std::vector<int> load(targets.count, 0);
     std::vector<int> target_of(rows, -1);
     for (int r = 0; r < rows; ++r) {
       const CandidateRow cand = targets.candidates(r);
       SLP_DCHECK(!cand.empty());
-      // Aggregate rows land whole (their member count); 1 when unweighted.
-      const double w = targets.row_weight(r);
       int pick = -1;
       for (double lbf : {problem_.config().beta, problem_.config().beta_max}) {
         for (int t : cand) {
-          if (load[t] + w <= targets.AbsCap(t, lbf) + 1e-9) {
+          if (load[t] + 1 <= targets.AbsCap(t, lbf) + 1e-9) {
             pick = t;
             break;
           }
@@ -245,7 +243,7 @@ class SlpRunner {
       }
       if (pick < 0) pick = cand[0];
       target_of[r] = pick;
-      load[pick] += w;
+      ++load[pick];
     }
     return target_of;
   }

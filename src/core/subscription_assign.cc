@@ -34,13 +34,6 @@ struct FlowAttempt {
   int64_t flow = 0;
 };
 
-// Integral multiplicity of row r (1 for an unweighted problem): the number
-// of member-subscribers an aggregate row stands for, which is the row's
-// flow supply and its load contribution.
-int64_t RowUnits(const Targets& targets, int r) {
-  return static_cast<int64_t>(std::llround(targets.row_weight(r)));
-}
-
 FlowAttempt RunFlow(const SaProblem& problem, const Targets& targets,
                     const std::vector<std::vector<CoverEdge>>& covers,
                     const SubscriptionAssignOptions& options) {
@@ -56,19 +49,14 @@ FlowAttempt RunFlow(const SaProblem& problem, const Targets& targets,
   for (int t = 0; t < nt; ++t) {
     target_edge[t] = mf.AddEdge(s, 2 + t, cap_at(t, beta));
   }
-  // Every edge of row r carries up to the row's full multiplicity: an
-  // aggregate row is *preferably* routed whole, but the flow may split it
-  // across targets; the extraction below then resolves the split to the
-  // majority target (aggregates are never split in the final assignment).
-  int64_t supply = 0;
+  // Every row is one unit of supply, routed whole to one target.
+  const int64_t supply = rows;
   std::vector<int> sink_edge(rows);
   std::vector<std::vector<std::pair<int, int>>> row_edges(rows);
   for (int r = 0; r < rows; ++r) {
-    const int64_t units = RowUnits(targets, r);
-    supply += units;
-    sink_edge[r] = mf.AddEdge(2 + nt + r, t_node, units);
+    sink_edge[r] = mf.AddEdge(2 + nt + r, t_node, 1);
     for (const CoverEdge& e : covers[r]) {
-      row_edges[r].push_back({mf.AddEdge(2 + e.target, 2 + nt + r, units),
+      row_edges[r].push_back({mf.AddEdge(2 + e.target, 2 + nt + r, 1),
                               e.target});
     }
   }
@@ -94,14 +82,13 @@ FlowAttempt RunFlow(const SaProblem& problem, const Targets& targets,
     std::vector<bool> seeded(rows, false);
     for (const Item& item : items) {
       if (seeded[item.row]) continue;
-      const int64_t units = RowUnits(targets, item.row);
       const int t = covers[item.row][item.cover_idx].target;
-      if (used[t] + units > cap_at(t, beta)) continue;
+      if (used[t] + 1 > cap_at(t, beta)) continue;
       seeded[item.row] = true;
-      used[t] += units;
+      ++used[t];
       mf.PushPath({target_edge[t], row_edges[item.row][item.cover_idx].first,
                    sink_edge[item.row]},
-                  units);
+                  1);
     }
   }
 
@@ -118,16 +105,11 @@ FlowAttempt RunFlow(const SaProblem& problem, const Targets& targets,
   out.flow = flow;
   out.target_of.assign(rows, -1);
   for (int r = 0; r < rows; ++r) {
-    // Resolve to the target carrying the most of this row's flow (first
-    // such target on a tie — covers are in deterministic candidate order).
-    // Unweighted rows have unit supply, so this is exactly the historical
-    // "first edge with positive flow".
-    int64_t best_flow = 0;
+    // A routed row's unit flows over exactly one of its edges.
     for (const auto& [edge, t] : row_edges[r]) {
-      const int64_t f = mf.flow(edge);
-      if (f > best_flow) {
-        best_flow = f;
+      if (mf.flow(edge) > 0) {
         out.target_of[r] = t;
+        break;
       }
     }
   }
@@ -171,34 +153,26 @@ Result<SubscriptionAssignResult> AssignByMaxFlow(
     }
   }
 
-  int64_t supply = 0;
-  for (int r = 0; r < rows; ++r) {
-    supply += static_cast<int64_t>(std::llround(targets.row_weight(r)));
-  }
-
   FlowAttempt attempt = RunFlow(problem, targets, covers, options);
 
   // Enrichment: unroutable rows see only saturated targets; open up their
   // nearest feasible target that still has headroom at β_max.
   for (int round = 0;
-       attempt.flow < supply && round < options.enrichment_rounds; ++round) {
-    std::vector<double> load(nt, 0);
+       attempt.flow < rows && round < options.enrichment_rounds; ++round) {
+    std::vector<int> load(nt, 0);
     for (int r = 0; r < rows; ++r) {
-      if (attempt.target_of[r] >= 0) {
-        load[attempt.target_of[r]] += targets.row_weight(r);
-      }
+      if (attempt.target_of[r] >= 0) ++load[attempt.target_of[r]];
     }
     std::vector<std::vector<geo::Rectangle>> pending(nt);
-    std::vector<double> pending_count(nt, 0);
     bool any = false;
     for (int r = 0; r < rows; ++r) {
       if (attempt.target_of[r] >= 0) continue;
-      const double w = targets.row_weight(r);
       // Nearest latency-feasible target with spare β_max capacity that does
       // not already cover this row.
       for (int t : targets.candidates(r)) {
         const double cap = targets.AbsCap(t, problem.config().beta_max);
-        if (load[t] + pending_count[t] + w > cap + 1e-9) continue;
+        const int pending_count = static_cast<int>(pending[t].size());
+        if (load[t] + pending_count + 1 > cap + 1e-9) continue;
         const bool already_covering =
             std::any_of(covers[r].begin(), covers[r].end(),
                         [t](const CoverEdge& e) { return e.target == t; });
@@ -207,7 +181,6 @@ Result<SubscriptionAssignResult> AssignByMaxFlow(
         }
         pending[t].push_back(
             problem.subscriber(targets.subscribers[r]).subscription);
-        pending_count[t] += w;
         any = true;
         break;
       }
@@ -226,31 +199,20 @@ Result<SubscriptionAssignResult> AssignByMaxFlow(
   SubscriptionAssignResult result;
   result.achieved_beta = attempt.achieved_beta;
   result.target_of = attempt.target_of;
-
-  if (attempt.flow < supply) {
-    // A weighted row may have routed part of its supply and still been
-    // resolved whole to its majority target; only rows with no flow at all
-    // remain unassigned here.
-    bool any_unassigned = false;
-    for (int r = 0; r < rows; ++r) any_unassigned |= result.target_of[r] < 0;
-    if (any_unassigned && !options.best_effort_overflow) {
-      return Status::Infeasible(
-          "load-balance constraint too tight: max flow < |S| at beta_max");
-    }
-    // Route leftovers to their least-loaded covering target.
-    std::vector<double> load(nt, 0);
+  result.load_feasible = attempt.flow >= rows;
+  if (!result.load_feasible) {
+    // Route leftovers best-effort to their least-loaded covering target.
+    std::vector<int> load(nt, 0);
     for (int r = 0; r < rows; ++r) {
-      if (result.target_of[r] >= 0) {
-        load[result.target_of[r]] += targets.row_weight(r);
-      }
+      if (result.target_of[r] >= 0) ++load[result.target_of[r]];
     }
     for (int r = 0; r < rows; ++r) {
       if (result.target_of[r] >= 0) continue;
       int best = covers[r][0].target;
       double best_ratio = std::numeric_limits<double>::infinity();
       for (const CoverEdge& e : covers[r]) {
-        const double denom =
-            std::max(1e-12, targets.kappa[e.target] * targets.total_weight);
+        const double denom = std::max(
+            1e-12, targets.kappa[e.target] * targets.total_subscribers);
         const double ratio = load[e.target] / denom;
         if (ratio < best_ratio) {
           best_ratio = ratio;
@@ -258,63 +220,7 @@ Result<SubscriptionAssignResult> AssignByMaxFlow(
         }
       }
       result.target_of[r] = best;
-      load[best] += targets.row_weight(r);
-    }
-  }
-  if (targets.weight.empty()) {
-    // Unweighted: unit rows never split, so routed == within-cap and the
-    // historical flag semantics hold exactly.
-    result.load_feasible = attempt.flow >= supply;
-  } else {
-    // Weighted: atomically resolving a split aggregate can push a target
-    // past its cap even at full flow. Repair deterministically — shed the
-    // lightest rows of each overloaded target onto covering targets that
-    // still have β_max slack (coverage-safe: covers[] only lists targets
-    // whose filter contains the row) — then measure the achieved loads
-    // honestly. Moves only land where the cap holds, so repair never
-    // creates a new overload.
-    std::vector<double> load(nt, 0);
-    for (int r = 0; r < rows; ++r) {
-      load[result.target_of[r]] += targets.row_weight(r);
-    }
-    const auto cap = [&](int t) {
-      return targets.AbsCap(t, problem.config().beta_max);
-    };
-    std::vector<int> shed;  // rows currently on an overloaded target
-    for (int r = 0; r < rows; ++r) {
-      const int t = result.target_of[r];
-      if (load[t] > cap(t) + 1e-9) shed.push_back(r);
-    }
-    std::sort(shed.begin(), shed.end(), [&](int a, int b) {
-      if (result.target_of[a] != result.target_of[b]) {
-        return result.target_of[a] < result.target_of[b];
-      }
-      const double wa = targets.row_weight(a);
-      const double wb = targets.row_weight(b);
-      return wa != wb ? wa < wb : a < b;
-    });
-    for (const int r : shed) {
-      const int t = result.target_of[r];
-      if (load[t] <= cap(t) + 1e-9) continue;  // repaired already
-      const double w = targets.row_weight(r);
-      int best = -1;
-      double best_slack = 0;
-      for (const CoverEdge& e : covers[r]) {
-        if (e.target == t) continue;
-        const double slack = cap(e.target) - load[e.target] - w;
-        if (slack >= -1e-9 && (best < 0 || slack > best_slack)) {
-          best = e.target;
-          best_slack = slack;
-        }
-      }
-      if (best < 0) continue;
-      result.target_of[r] = best;
-      load[t] -= w;
-      load[best] += w;
-    }
-    result.load_feasible = true;
-    for (int t = 0; t < nt; ++t) {
-      result.load_feasible &= load[t] <= cap(t) + 1e-9;
+      ++load[best];
     }
   }
   return result;

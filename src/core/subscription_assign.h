@@ -29,11 +29,6 @@ struct SubscriptionAssignOptions {
   // preliminary filters are extended in place; the final filters are
   // rebuilt from the assignment by FilterAdjust anyway.
   int enrichment_rounds = 3;
-  // When even enrichment leaves subscribers unrouted, place them
-  // best-effort on their least-loaded covering target (flag the result)
-  // instead of failing. The paper stops in this case; the fallback keeps
-  // benchmark runs comparable and is reported via `load_feasible`.
-  bool best_effort_overflow = true;
 };
 
 struct SubscriptionAssignResult {
@@ -47,8 +42,10 @@ struct SubscriptionAssignResult {
 // be extended in place by enrichment rounds. A target covers subscriber
 // row r iff it is latency-feasible for r and one of its filter rectangles
 // contains r's subscription. Returns kInfeasible only if some subscriber
-// is covered by no target at all, or — when best_effort_overflow is off —
-// load balance cannot be met within β_max.
+// is covered by no target at all. When even enrichment leaves subscribers
+// unrouted at β_max, they are placed best-effort on their least-loaded
+// covering target and `load_feasible` is false. The paper stops in this
+// case; the fallback keeps benchmark runs comparable.
 Result<SubscriptionAssignResult> AssignByMaxFlow(
     const SaProblem& problem, const Targets& targets,
     std::vector<geo::Filter>* filters, Rng& rng,

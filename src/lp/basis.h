@@ -33,13 +33,6 @@ struct Basis {
     return static_cast<int>(structural.size()) == num_vars &&
            static_cast<int>(logical.size()) == num_constraints;
   }
-  // Extends the snapshot after `count` rows were appended to the problem
-  // (LpProblem::AddRows): each new row's logical variable starts basic, so
-  // the extended basis matrix gains an identity block and its duals start
-  // at zero — exactly the shape SimplexSolver::ResolveDual continues from.
-  void ExtendForNewRows(int count) {
-    logical.insert(logical.end(), count, VarStatus::kBasic);
-  }
 };
 
 // Per-solve counters exposed on LpSolution: pivots, factorization,

@@ -1,6 +1,7 @@
 #include "src/lp/lp_problem.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/invariant.h"
 #include "src/common/status.h"
@@ -20,15 +21,6 @@ int LpProblem::AddConstraint(Sense sense, double rhs) {
   sense_.push_back(sense);
   rhs_.push_back(rhs);
   return num_constraints() - 1;
-}
-
-int LpProblem::AddRows(const std::vector<RowSpec>& rows) {
-  const int first = num_constraints();
-  for (const RowSpec& spec : rows) {
-    const int r = AddConstraint(spec.sense, spec.rhs);
-    for (const auto& [col, coef] : spec.entries) AddEntry(r, col, coef);
-  }
-  return first;
 }
 
 void LpProblem::AddEntry(int row, int col, double coef) {

@@ -9,7 +9,6 @@
 #define SLP_LP_LP_PROBLEM_H_
 
 #include <limits>
-#include <utility>
 #include <vector>
 
 namespace slp::lp {
@@ -38,22 +37,6 @@ class LpProblem {
   // Adds a constraint with the given sense and right-hand side. Returns its
   // row index.
   int AddConstraint(Sense sense, double rhs);
-
-  // One row of a batch append: sense, rhs, and the row's entries as
-  // (column, coefficient) pairs over existing variables.
-  struct RowSpec {
-    Sense sense;
-    double rhs;
-    std::vector<std::pair<int, double>> entries;
-  };
-
-  // Appends `rows` fresh constraints (e.g., (C3) rows for a fresh Sb
-  // sample) and returns the index of the first one. A Basis from a solve of
-  // the pre-append problem stays usable after Basis::ExtendForNewRows: the
-  // new rows' logical variables enter basic with zero duals, which leaves
-  // the old reduced costs untouched — so SimplexSolver::ResolveDual can
-  // continue dually instead of cold-starting.
-  int AddRows(const std::vector<RowSpec>& rows);
 
   // Adds coefficient `coef` for variable `col` in constraint `row`.
   void AddEntry(int row, int col, double coef);

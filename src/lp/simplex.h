@@ -16,9 +16,8 @@
 //
 // On top of the primal loop, ResolveDual() runs a bounded-variable dual
 // simplex on the same LU/eta kernel. It is the re-solve engine for edits
-// that keep a basis dual-feasible but break primal feasibility — rhs
-// changes (the FilterAssign load rungs) and appended rows
-// (LpProblem::AddRows + Basis::ExtendForNewRows). When the hint is not
+// that keep a basis dual-feasible but break primal feasibility: rhs
+// changes, such as the FilterAssign load rungs. When the hint is not
 // dual-feasible (e.g., after objective edits) or dual pivoting runs into
 // numerical trouble, it falls back to the primal warm-start path — like
 // warm starts, the dual engine is an accelerator, never a correctness
@@ -84,12 +83,12 @@ class SimplexSolver {
   LpSolution Solve(const LpProblem& problem, const Basis* hint) const;
 
   // Re-solves `problem` by dual simplex starting from `hint` (typically
-  // the previous optimum of the same problem before rhs edits or row
-  // additions). Falls back to Solve(problem, &hint) — the primal
-  // warm-start path — when the hint is rejected, is not dual-feasible
-  // after bound flips, or the dual loop hits numerical trouble; the
-  // returned stats report dual_used / dual_fallback, and a fallback's
-  // counters include the abandoned dual pivots and bound flips.
+  // the previous optimum of the same problem before rhs edits). Falls back
+  // to Solve(problem, &hint) — the primal warm-start path — when the hint
+  // is rejected, is not dual-feasible after bound flips, or the dual loop
+  // hits numerical trouble; the returned stats report dual_used /
+  // dual_fallback, and a fallback's counters include the abandoned dual
+  // pivots and bound flips.
   LpSolution ResolveDual(const LpProblem& problem, const Basis& hint) const;
 
  private:

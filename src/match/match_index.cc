@@ -135,30 +135,6 @@ void MatchIndex::AppendContaining(double x, double y,
                     [&](int32_t k) { out->push_back(owner_[k]); });
 }
 
-void MatchIndex::AppendContainingRect(const geo::Rectangle& q,
-                                      std::vector<int32_t>* out) const {
-  if (owner_.empty()) return;
-  SLP_DCHECK(q.dim() == dim_);
-  const double qlx = q.lo(0), qhx = q.hi(0);
-  const double qly = dim_ > 1 ? q.lo(1) : 0.0, qhy = dim_ > 1 ? q.hi(1) : 0.0;
-  if (!(qlx >= min_x_ && qhx <= max_x_ && qly >= min_y_ && qhy <= max_y_)) {
-    return;
-  }
-  const size_t rest = static_cast<size_t>(dim_ > 2 ? dim_ - 2 : 0);
-  int count = 0;
-  const int32_t* ids = CellBegin(CellX(qlx), CellY(qly), &count);
-  for (int i = 0; i < count; ++i) {
-    const int32_t k = ids[i];
-    bool inside = lo_x_[k] <= qlx && qhx <= hi_x_[k] && lo_y_[k] <= qly &&
-                  qhy <= hi_y_[k];
-    for (size_t a = 0; a < rest && inside; ++a) {
-      inside = lo_rest_[k * rest + a] <= q.lo(static_cast<int>(a) + 2) &&
-               q.hi(static_cast<int>(a) + 2) <= hi_rest_[k * rest + a];
-    }
-    if (inside) out->push_back(owner_[k]);
-  }
-}
-
 MatchIndex BuildIndex(const std::vector<OwnedRect>& rects, int num_owners) {
   SLP_DCHECK(num_owners >= 0);
   MatchIndex idx;

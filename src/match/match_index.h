@@ -87,15 +87,6 @@ class MatchIndex {
   // The same probe at (x, y), for an index of dimension at most 2.
   void AppendContaining(double x, double y, std::vector<int32_t>* out) const;
 
-  // Owner-tagged containment probe: appends the owner of every rectangle
-  // that contains the whole query rectangle `q` (q ⊆ rect, closed on every
-  // edge), without deduplication. A rectangle containing q necessarily
-  // contains q's lo corner, so only that corner's grid cell is scanned —
-  // the candidate set SubsumptionIndex (src/match/subsumption.h) narrows
-  // by exact containment.
-  void AppendContainingRect(const geo::Rectangle& q,
-                            std::vector<int32_t>* out) const;
-
  private:
   friend MatchIndex BuildIndex(const std::vector<OwnedRect>& rects,
                                int num_owners);

@@ -76,6 +76,88 @@ TEST(SaProblemTest, CustomCapacityFractions) {
   EXPECT_DOUBLE_EQ(p.capacity_fraction(1), 0.7);
 }
 
+// SaProblem checks its inputs in every build type: each bad input dies
+// with the audit report naming the field and its value, before the
+// constructor indexes anything by it.
+class SaProblemDeathTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  }
+
+  // Three leaves under the publisher, and one subscriber.
+  static net::BrokerTree ThreeLeafTree() {
+    net::BrokerTree tree({0, 0});
+    for (double x : {1.0, 2.0, 3.0}) {
+      tree.AddBroker({x, 0}, net::BrokerTree::kPublisher);
+    }
+    tree.Finalize();
+    return tree;
+  }
+  static std::vector<wl::Subscriber> OneSubscriber() {
+    std::vector<wl::Subscriber> subs(1);
+    subs[0].location = {1, 1};
+    subs[0].subscription = Rectangle({0, 0}, {1, 1});
+    return subs;
+  }
+  static void Build(SaConfig config) {
+    (void)SaProblem(ThreeLeafTree(), OneSubscriber(), config);
+  }
+  static void Build(std::vector<double> kappa) {
+    (void)SaProblem(ThreeLeafTree(), OneSubscriber(), SaConfig{},
+                    std::move(kappa));
+  }
+};
+
+TEST_F(SaProblemDeathTest, RejectsKappaCountOtherThanLeafCount) {
+  EXPECT_DEATH(Build(std::vector<double>{0.5, 0.5}),
+               "capacity_fractions.size\\(\\) = 2, leaves = 3");
+}
+
+TEST_F(SaProblemDeathTest, RejectsNegativeKappa) {
+  EXPECT_DEATH(Build(std::vector<double>{0.6, -0.1, 0.5}),
+               "capacity_fractions\\[1\\] = -0.1");
+}
+
+TEST_F(SaProblemDeathTest, RejectsKappaNotSummingToOne) {
+  EXPECT_DEATH(Build(std::vector<double>{0.3, 0.3, 0.3}),
+               "sum of capacity_fractions = 0.9");
+  Build(std::vector<double>{0.2, 0.3, 0.5});
+}
+
+TEST_F(SaProblemDeathTest, RejectsEmptyPopulation) {
+  EXPECT_DEATH((void)SaProblem(ThreeLeafTree(), {}, SaConfig{}),
+               "subscribers.size\\(\\) = 0");
+}
+
+TEST_F(SaProblemDeathTest, RejectsAlphaBelowOne) {
+  SaConfig config;
+  config.alpha = 0;
+  EXPECT_DEATH(Build(config), "config.alpha = 0");
+}
+
+TEST_F(SaProblemDeathTest, RejectsNegativeOrNanMaxDelay) {
+  SaConfig config;
+  config.max_delay = -0.5;
+  EXPECT_DEATH(Build(config), "config.max_delay = -0.5");
+  config.max_delay = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH(Build(config), "config.max_delay = -?nan");
+}
+
+TEST_F(SaProblemDeathTest, RejectsBetaBelowOne) {
+  SaConfig config;
+  config.beta = 0.9;
+  EXPECT_DEATH(Build(config), "config.beta = 0.9, config.beta_max = 1.8");
+}
+
+TEST_F(SaProblemDeathTest, RejectsBetaAboveBetaMax) {
+  SaConfig config;
+  config.beta = 2.0;
+  EXPECT_DEATH(Build(config), "config.beta = 2, config.beta_max = 1.8");
+  config.beta_max = 2.0;
+  Build(config);
+}
+
 TEST(SaProblemTest, LastHopLatencyModeBoundsOnlyTheLastHop) {
   // Leaf A: short path, far from the sub. Leaf B: long path, right next to
   // the sub. Path mode admits A but not B; last-hop mode admits B but not A.

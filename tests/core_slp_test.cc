@@ -313,12 +313,6 @@ TEST(SubscriptionAssignTest, BestEffortOverflowFlagged) {
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result.value().load_feasible);
   for (int t : result.value().target_of) EXPECT_EQ(t, 0);
-
-  SubscriptionAssignOptions strict;
-  strict.best_effort_overflow = false;
-  auto strict_result = AssignByMaxFlow(p, targets, &filters, flow_rng, strict);
-  EXPECT_FALSE(strict_result.ok());
-  EXPECT_EQ(strict_result.status().code(), StatusCode::kInfeasible);
 }
 
 TEST(SubscriptionAssignTest, CohesionSeedPrefersSpecificFilters) {
@@ -572,24 +566,15 @@ TEST(Slp1Test, DeterministicGivenSeed) {
 TEST(SlpTest, OneLevelRootStageIsSlp1Stage) {
   SaProblem grid = test::SmallGridProblem(400, 6);
   SaProblem gg = test::SmallGgProblem(500, 8);
-  SaProblem weighted = test::SmallGgProblem(500, 8);
-  {
-    Rng wrng(19);
-    std::vector<double> weights(weighted.num_subscribers());
-    for (double& w : weights) w = static_cast<double>(wrng.UniformInt(1, 4));
-    weighted.SetWeights(std::move(weights));
-  }
   const uint64_t seed = 20;
-  for (const SaProblem* p : {&grid, &gg, &weighted}) {
+  for (const SaProblem* p : {&grid, &gg}) {
     const Targets leaf = BuildLeafTargets(*p, AllSubscribers(*p));
     const Targets child = BuildChildTargets(*p, AllSubscribers(*p),
                                             net::BrokerTree::kPublisher);
     EXPECT_EQ(child.count, leaf.count);
     EXPECT_EQ(child.kappa, leaf.kappa);
     EXPECT_EQ(child.total_subscribers, leaf.total_subscribers);
-    EXPECT_EQ(child.total_weight, leaf.total_weight);
     EXPECT_EQ(child.subscribers, leaf.subscribers);
-    EXPECT_EQ(child.weight, leaf.weight);
     EXPECT_EQ(child.cand_offsets, leaf.cand_offsets);
     EXPECT_EQ(child.cand_targets, leaf.cand_targets);
     EXPECT_EQ(child.cand_latency, leaf.cand_latency);

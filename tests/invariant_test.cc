@@ -10,8 +10,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/agg/aggregation.h"
-#include "src/agg/audit.h"
 #include "src/common/invariant.h"
 #include "src/core/audit.h"
 #include "src/core/dynamic.h"
@@ -457,84 +455,6 @@ TEST(LivenessAuditTest, VacatedTrackedHandleTripsLivenessOnly) {
   RecordingHandler guard;
   liveness::AuditLiveness(tracker);
   guard.ExpectOnly(Category::kLiveness);
-}
-
-// ---------------------------------------------------------------------------
-// Aggregation audits (Category::kAggregation)
-// ---------------------------------------------------------------------------
-
-// One aggregate of three: a parent and two identical covered children at
-// the parent's location, so every corruption below has a real member to
-// betray.
-std::pair<core::SaProblem, agg::Aggregation> CoveredTriple() {
-  std::vector<wl::Subscriber> subs = {
-      MakeSub(0, 1, 0.1, 0.5),
-      MakeSub(0, 1, 0.2, 0.1),
-      MakeSub(0, 1, 0.2, 0.1),
-  };
-  core::SaProblem problem(TwoLevelTree(), std::move(subs), LooseConfig());
-  agg::Aggregation aggregation =
-      agg::BuildAggregation(problem, agg::AggregationOptions{});
-  return {std::move(problem), std::move(aggregation)};
-}
-
-TEST(AggregationAuditTest, ValidAggregationPasses) {
-  auto [problem, aggregation] = CoveredTriple();
-  ASSERT_EQ(aggregation.aggregates.size(), 1u);
-  ASSERT_EQ(aggregation.aggregates[0].members.size(), 3u);
-  RecordingHandler guard;
-  agg::AuditAggregation(problem, aggregation);
-  EXPECT_EQ(guard.Total(), 0);
-}
-
-TEST(AggregationAuditTest, ShrunkRectTripsAggregationOnly) {
-  auto [problem, aggregation] = CoveredTriple();
-  // Shrink the aggregate rect so the members' subscriptions escape it.
-  aggregation.aggregates[0].rect =
-      geo::Rectangle({0.1, 0.1}, {0.15, 0.15});
-  RecordingHandler guard;
-  agg::AuditAggregation(problem, aggregation);
-  guard.ExpectOnly(Category::kAggregation);
-}
-
-TEST(AggregationAuditTest, MismatchedAggOfTripsAggregationOnly) {
-  auto [problem, aggregation] = CoveredTriple();
-  aggregation.agg_of[1] = 7;  // points at a non-existent aggregate
-  RecordingHandler guard;
-  agg::AuditAggregation(problem, aggregation);
-  guard.ExpectOnly(Category::kAggregation);
-}
-
-TEST(AggregationAuditTest, MissingRepresentativeTripsAggregationOnly) {
-  auto [problem, aggregation] = CoveredTriple();
-  auto& members = aggregation.aggregates[0].members;
-  members.erase(std::find(members.begin(), members.end(),
-                          aggregation.aggregates[0].rep));
-  RecordingHandler guard;
-  agg::AuditAggregation(problem, aggregation);
-  guard.ExpectOnly(Category::kAggregation);
-}
-
-TEST(AggregationAuditTest, BrokenMembershipSumTripsAggregationOnly) {
-  auto [problem, aggregation] = CoveredTriple();
-  aggregation.aggregates[0].members.pop_back();  // a subscriber vanished
-  RecordingHandler guard;
-  agg::AuditAggregation(problem, aggregation);
-  guard.ExpectOnly(Category::kAggregation);
-}
-
-TEST(CleanEndToEndTest, AggregateSolvePipelineTripsNothing) {
-  RecordingHandler guard;
-  core::SaProblem p = test::SmallGridProblem(250, 8);
-  Rng rng(3);
-  const auto result =
-      agg::AggregateSolve(p, agg::AggregateSolveOptions{}, rng);
-  ASSERT_TRUE(result.ok());
-  core::AuditNesting(p, result.value());
-  agg::AuditAggregation(
-      p, agg::BuildAggregation(p, agg::AggregationOptions{}));
-  EXPECT_EQ(guard.Total(), 0)
-      << "clean aggregate-solve run must not trip any auditor";
 }
 
 TEST(CleanEndToEndTest, SlpPipelineTripsNothing) {

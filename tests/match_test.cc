@@ -22,7 +22,6 @@
 #include "src/match/audit.h"
 #include "src/match/bitset.h"
 #include "src/match/match_index.h"
-#include "src/match/subsumption.h"
 #include "src/network/tree_builder.h"
 #include "src/sim/churn_scenarios.h"
 #include "src/sim/dissemination.h"
@@ -381,54 +380,6 @@ TEST(MatchAuditTest, ThreeDimensionalIndexPassesAndCorruptionTrips) {
   corrupted[0].rect = Rectangle(lo, corrupted[0].rect.hi());
   match::AuditIndex(index, corrupted, "corrupted 3-D reference");
   EXPECT_GE(RecordingHandler::Count(Category::kMatchIndex), 1);
-}
-
-// The subsumption index grids every entry, whatever its dimension: d = 3
-// coverers come back exactly as a containment scan finds them, before and
-// after the grid is rebuilt.
-TEST(SubsumptionIndexTest, ThreeDimensionalCoverers) {
-  Rng rng(91);
-  std::vector<Rectangle> reps;
-  match::SubsumptionIndex index;
-  std::vector<Rectangle> queries;
-  for (int q = 0; q < 60; ++q) {
-    const Point c = {rng.Uniform(0.2, 0.8), rng.Uniform(0.2, 0.8),
-                     rng.Uniform(0.2, 0.8)};
-    queries.push_back(Rectangle::FromCenter(c, {0.05, 0.05, 0.05}));
-  }
-  const auto expect_coverers = [&] {
-    for (const Rectangle& q : queries) {
-      std::vector<int32_t> got;
-      index.AppendCoverers(q, &got);
-      std::vector<int32_t> want;
-      for (int k = 0; k < static_cast<int>(reps.size()); ++k) {
-        if (reps[k].Contains(q)) want.push_back(k);
-      }
-      EXPECT_EQ(got, want) << q.ToString();
-    }
-  };
-  for (int k = 0; k < 400; ++k) {
-    const Point c = {rng.Uniform(0, 1), rng.Uniform(0, 1), rng.Uniform(0, 1)};
-    reps.push_back(Rectangle::FromCenter(
-        c, {rng.Uniform(0.1, 0.8), rng.Uniform(0.1, 0.8),
-            rng.Uniform(0.1, 0.8)}));
-    index.Insert(k, reps.back());
-    if (k == 40) expect_coverers();  // all in the linear tail
-  }
-  EXPECT_GT(index.indexed(), 0);
-  expect_coverers();
-  // A coverer on axes 0 and 1 that misses on axis 2 is not reported.
-  match::SubsumptionIndex single;
-  single.Insert(5, Rectangle({0, 0, 0}, {1, 1, 0.5}));
-  for (int k = 0; k < 100; ++k) {
-    single.Insert(100 + k, Rectangle({2, 2, 2}, {3, 3, 3}));
-  }
-  ASSERT_GT(single.indexed(), 0);
-  std::vector<int32_t> got;
-  single.AppendCoverers(Rectangle({0.2, 0.2, 0.4}, {0.3, 0.3, 0.6}), &got);
-  EXPECT_TRUE(got.empty());
-  single.AppendCoverers(Rectangle({0.2, 0.2, 0.1}, {0.3, 0.3, 0.5}), &got);
-  EXPECT_EQ(got, (std::vector<int32_t>{5}));
 }
 
 // ---- Dissemination differential ----

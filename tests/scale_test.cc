@@ -10,13 +10,10 @@
 
 #include <gtest/gtest.h>
 
-#include "src/agg/aggregation.h"
 #include "src/core/candidates.h"
 #include "src/core/dynamic.h"
-#include "src/core/metrics.h"
 #include "src/core/problem.h"
 #include "src/network/tree_builder.h"
-#include "src/workload/coverable.h"
 #include "src/workload/grid.h"
 
 namespace slp::core {
@@ -81,38 +78,6 @@ TEST(ScaleTest, MillionArrivalsAddBatch) {
   EXPECT_EQ(total, kMillion);
   EXPECT_EQ(dyn.add_stats().arrivals, kMillion);
   EXPECT_GT(dyn.add_stats().escalation_skips, 0);
-}
-
-// Aggregated end-to-end solve at 1M on a heavily coverable grid workload
-// (>= 50% of subscribers rewritten as children): the subsumption layer
-// must compress substantially, the compressed SLP run must finish, and
-// the expanded solution must be honestly feasible on the full problem.
-TEST(ScaleTest, MillionSubscriberAggregateSolve) {
-  wl::Workload w = MillionGrid(/*brokers=*/64);
-  wl::CoverableOptions cover;
-  cover.fraction = 0.6;
-  cover.dup_fraction = 0.6;
-  Rng cover_rng(11);
-  wl::MakeCoverable(&w, cover, cover_rng);
-  net::BrokerTree tree =
-      net::BuildOneLevelTree(w.publisher, w.broker_locations);
-  SaProblem problem(std::move(tree), std::move(w.subscribers), SaConfig{});
-
-  agg::AggregateSolveOptions options;
-  options.agg.compat = agg::CompatRule::kTriangle;  // O(1) per pair at scale
-  agg::AggregateSolveStats stats;
-  Rng rng(7);
-  const auto expanded = agg::AggregateSolve(problem, options, rng, &stats);
-  ASSERT_TRUE(expanded.ok()) << expanded.status().message();
-  EXPECT_GT(stats.compression_ratio, 1.5);
-  EXPECT_LT(stats.aggregates, kMillion / 2 + kMillion / 10);
-  ASSERT_EQ(expanded.value().assignment.size(),
-            static_cast<size_t>(kMillion));
-  EXPECT_TRUE(expanded.value().latency_feasible);
-  ValidationOptions validate;
-  validate.check_load = expanded.value().load_feasible;
-  const Status status = ValidateSolution(problem, expanded.value(), validate);
-  EXPECT_TRUE(status.ok()) << status.message();
 }
 
 }  // namespace
