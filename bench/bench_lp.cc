@@ -1,17 +1,13 @@
-// LP engine benchmark: warm-started β-escalation re-solves vs cold
-// re-solves, and the dual-simplex rung re-solve (ResolveDual) vs both, on
-// LPRelax-shaped instances; plus end-to-end FilterAssign throughput.
-// Prints tables and writes BENCH_lp.json (path from argv[1] or
-// SLP_BENCH_LP_JSON; default ./BENCH_lp.json) recording the speedups.
+// LP engine benchmark: cold solves of LPRelax-shaped instances, plus
+// end-to-end FilterAssign throughput. Prints tables and writes
+// BENCH_lp.json (path from argv[1] or SLP_BENCH_LP_JSON; default
+// ./BENCH_lp.json) recording wall time and pivots per instance.
 //
 // The instances mimic the FilterAssign ladder's LPs: covering rows (C2),
-// per-target capacity rows with penalized slack (C3), box variables. The
-// "escalation" step is the ladder's rung change — cap rhs loosened, slack
-// penalties retuned in place — re-solved either warm (previous basis as
-// hint) or cold. The "dual_resolve" series tightens the caps instead
-// (rhs-only edit: the retained basis stays dual-feasible but goes primal
-// infeasible — the dual loop's home turf) and re-solves cold, primal-warm,
-// and dually.
+// per-target capacity rows with penalized slack (C3), box variables. Each
+// is edited to a later ladder rung (cap rhs loosened, slack penalties
+// retuned in place) and solved from scratch, as LpRelaxModel::Solve
+// solves every rung.
 
 #include <algorithm>
 #include <cstdio>
@@ -77,7 +73,7 @@ LadderLp MakeLadderLp(int rows, Rng& rng) {
 }
 
 // The ladder's rung change: loosen every capacity cap and retune the slack
-// penalty, in place (shape preserved, basis stays compatible).
+// penalty, in place (shape preserved).
 void EscalateRung(LadderLp* l, double scale, double penalty) {
   for (size_t i = 0; i < l->cap_rows.size(); ++i) {
     l->p.SetRhs(l->cap_rows[i], l->p.rhs(l->cap_rows[i]) * scale);
@@ -85,57 +81,10 @@ void EscalateRung(LadderLp* l, double scale, double penalty) {
   }
 }
 
-struct Timed {
+struct ColdRow {
+  int rows = 0;
   double seconds = 0;
-  lp::LpSolution sol;
-};
-
-// Best-of-`reps` wall time (best, not median: minimizes scheduler noise,
-// and every run must produce the same optimum anyway).
-Timed TimeSolve(const lp::LpProblem& p, const lp::SimplexOptions& opts,
-                const lp::Basis* hint, int reps) {
-  Timed out;
-  out.seconds = 1e100;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer timer;
-    lp::LpSolution sol = lp::SimplexSolver(opts).Solve(p, hint);
-    const double s = timer.Seconds();
-    if (s < out.seconds) {
-      out.seconds = s;
-      out.sol = std::move(sol);
-    }
-  }
-  return out;
-}
-
-// Best-of-`reps` wall time for the dual re-solve path.
-Timed TimeResolveDual(const lp::LpProblem& p, const lp::SimplexOptions& opts,
-                      const lp::Basis& hint, int reps) {
-  Timed out;
-  out.seconds = 1e100;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer timer;
-    lp::LpSolution sol = lp::SimplexSolver(opts).ResolveDual(p, hint);
-    const double s = timer.Seconds();
-    if (s < out.seconds) {
-      out.seconds = s;
-      out.sol = std::move(sol);
-    }
-  }
-  return out;
-}
-
-struct WarmRow {
-  int rows = 0;
-  double cold_s = 0, warm_s = 0, speedup = 0;
-  int cold_pivots = 0, warm_pivots = 0;
-};
-
-struct DualRow {
-  int rows = 0;
-  double cold_s = 0, warm_s = 0, dual_s = 0;
-  int cold_pivots = 0, warm_pivots = 0, dual_pivots = 0, bound_flips = 0;
-  bool dual_used = false;
+  int pivots = 0;
 };
 
 }  // namespace
@@ -145,94 +94,36 @@ int Main(int argc, char** argv) {
   const std::string json_path =
       argc > 1 ? argv[1] : (env != nullptr ? env : "BENCH_lp.json");
 
-  PrintHeader("β-escalation re-solve: warm (basis hint) vs cold");
-  std::printf("%8s %12s %12s %9s %12s %12s\n", "rows", "cold (s)", "warm (s)",
-              "speedup", "cold pivots", "warm pivots");
+  PrintHeader("Cold solve of an escalated rung");
+  std::printf("%8s %12s %12s\n", "rows", "seconds", "pivots");
 
-  std::vector<WarmRow> warm;
+  std::vector<ColdRow> cold;
   for (int rows : {100, 500, 2000}) {
     Rng rng(200 + rows);
     LadderLp l = MakeLadderLp(rows, rng);
-    lp::SimplexOptions opts;
-    const lp::LpSolution base = lp::SimplexSolver(opts).Solve(l.p);
-    if (base.status != lp::SolveStatus::kOptimal) {
-      std::fprintf(stderr, "base solve failed at rows=%d\n", rows);
-      return 1;
-    }
     EscalateRung(&l, 1.3, 5e3);
+    // Best-of-reps wall time (best, not median: minimizes scheduler noise,
+    // and every run takes the same pivots to the same optimum anyway).
     const int reps = rows >= 2000 ? 2 : 5;
-    const Timed cold_re = TimeSolve(l.p, opts, nullptr, reps);
-    const Timed warm_re = TimeSolve(l.p, opts, &base.basis, reps);
-    if (cold_re.sol.status != lp::SolveStatus::kOptimal ||
-        warm_re.sol.status != lp::SolveStatus::kOptimal ||
-        std::abs(cold_re.sol.objective - warm_re.sol.objective) >
-            1e-6 * (1 + std::abs(cold_re.sol.objective))) {
-      std::fprintf(stderr, "warm/cold disagree at rows=%d\n", rows);
-      return 1;
-    }
-    WarmRow row;
+    ColdRow row;
     row.rows = rows;
-    row.cold_s = cold_re.seconds;
-    row.warm_s = warm_re.seconds;
-    row.speedup = cold_re.seconds / warm_re.seconds;
-    row.cold_pivots = cold_re.sol.stats.pivots;
-    row.warm_pivots = warm_re.sol.stats.pivots;
-    warm.push_back(row);
-    std::printf("%8d %12.4f %12.4f %8.1fx %12d %12d\n", rows, row.cold_s,
-                row.warm_s, row.speedup, row.cold_pivots, row.warm_pivots);
+    row.seconds = 1e100;
+    for (int r = 0; r < reps; ++r) {
+      WallTimer timer;
+      const lp::LpSolution sol = lp::SimplexSolver().Solve(l.p);
+      row.seconds = std::min(row.seconds, timer.Seconds());
+      if (sol.status != lp::SolveStatus::kOptimal) {
+        std::fprintf(stderr, "cold solve failed at rows=%d: %s\n", rows,
+                     lp::ToString(sol.status));
+        return 1;
+      }
+      row.pivots = sol.stats.pivots;
+    }
+    cold.push_back(row);
+    std::printf("%8d %12.4f %12d\n", rows, row.seconds, row.pivots);
   }
 
-  PrintHeader("Tightened-rung re-solve: dual simplex vs primal warm vs cold");
-  std::printf("%8s %10s %10s %10s %12s %12s %12s %8s\n", "rows", "cold (s)",
-              "warm (s)", "dual (s)", "cold pivots", "warm pivots",
-              "dual pivots", "flips");
-
-  std::vector<DualRow> dual;
-  for (int rows : {100, 500, 2000}) {
-    Rng rng(300 + rows);
-    LadderLp l = MakeLadderLp(rows, rng);
-    lp::SimplexOptions opts;
-    const lp::LpSolution base = lp::SimplexSolver(opts).Solve(l.p);
-    if (base.status != lp::SolveStatus::kOptimal) {
-      std::fprintf(stderr, "base solve failed at rows=%d\n", rows);
-      return 1;
-    }
-    // Tighten the caps with the penalty unchanged: a pure rhs edit, so the
-    // retained basis stays dual-feasible while its x_B goes out of bounds.
-    // The generator's caps sit ~7x above the optimal per-target load, so
-    // the scale must cut below that slack for the rung to actually bind.
-    EscalateRung(&l, 0.1, 1e4);
-    const int reps = rows >= 2000 ? 2 : 5;
-    const Timed cold_re = TimeSolve(l.p, opts, nullptr, reps);
-    const Timed warm_re = TimeSolve(l.p, opts, &base.basis, reps);
-    const Timed dual_re = TimeResolveDual(l.p, opts, base.basis, reps);
-    const double obj = cold_re.sol.objective;
-    if (cold_re.sol.status != lp::SolveStatus::kOptimal ||
-        warm_re.sol.status != lp::SolveStatus::kOptimal ||
-        dual_re.sol.status != lp::SolveStatus::kOptimal ||
-        std::abs(warm_re.sol.objective - obj) > 1e-6 * (1 + std::abs(obj)) ||
-        std::abs(dual_re.sol.objective - obj) > 1e-6 * (1 + std::abs(obj))) {
-      std::fprintf(stderr, "dual/warm/cold disagree at rows=%d\n", rows);
-      return 1;
-    }
-    DualRow row;
-    row.rows = rows;
-    row.cold_s = cold_re.seconds;
-    row.warm_s = warm_re.seconds;
-    row.dual_s = dual_re.seconds;
-    row.cold_pivots = cold_re.sol.stats.pivots;
-    row.warm_pivots = warm_re.sol.stats.pivots;
-    row.dual_pivots = dual_re.sol.stats.pivots;
-    row.bound_flips = dual_re.sol.stats.bound_flips;
-    row.dual_used = dual_re.sol.stats.dual_used;
-    dual.push_back(row);
-    std::printf("%8d %10.4f %10.4f %10.4f %12d %12d %12d %8d%s\n", rows,
-                row.cold_s, row.warm_s, row.dual_s, row.cold_pivots,
-                row.warm_pivots, row.dual_pivots, row.bound_flips,
-                row.dual_used ? "" : "  (fell back to primal)");
-  }
-
-  PrintHeader("End-to-end FilterAssign (ladder + warm re-solves inside)");
+  PrintHeader("End-to-end FilterAssign (ladder of cold solves inside)");
   const int subs = EnvInt("SLP_SUBS", 800);
   const int brokers = EnvInt("SLP_BROKERS", 20);
   wl::Workload w = wl::GenerateGoogleGroupsVariant(
@@ -267,28 +158,11 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"escalation_resolve\": [\n");
-  for (size_t i = 0; i < warm.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"rows\": %d, \"cold_seconds\": %.6f, "
-                 "\"warm_seconds\": %.6f, \"speedup\": %.2f, "
-                 "\"cold_pivots\": %d, \"warm_pivots\": %d}%s\n",
-                 warm[i].rows, warm[i].cold_s, warm[i].warm_s, warm[i].speedup,
-                 warm[i].cold_pivots, warm[i].warm_pivots,
-                 i + 1 < warm.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"dual_resolve\": [\n");
-  for (size_t i = 0; i < dual.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"rows\": %d, \"cold_seconds\": %.6f, "
-                 "\"warm_seconds\": %.6f, \"dual_seconds\": %.6f, "
-                 "\"cold_pivots\": %d, \"warm_pivots\": %d, "
-                 "\"dual_pivots\": %d, \"bound_flips\": %d, "
-                 "\"dual_used\": %s}%s\n",
-                 dual[i].rows, dual[i].cold_s, dual[i].warm_s, dual[i].dual_s,
-                 dual[i].cold_pivots, dual[i].warm_pivots, dual[i].dual_pivots,
-                 dual[i].bound_flips, dual[i].dual_used ? "true" : "false",
-                 i + 1 < dual.size() ? "," : "");
+  std::fprintf(f, "{\n  \"cold_solve\": [\n");
+  for (size_t i = 0; i < cold.size(); ++i) {
+    std::fprintf(f, "    {\"rows\": %d, \"seconds\": %.6f, \"pivots\": %d}%s\n",
+                 cold[i].rows, cold[i].seconds, cold[i].pivots,
+                 i + 1 < cold.size() ? "," : "");
   }
   std::fprintf(f,
                "  ],\n  \"filter_assign\": {\"subscribers\": %d, "

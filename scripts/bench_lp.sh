@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Builds (Release) and runs the LP engine benchmark, leaving BENCH_lp.json
-# in the repo root: warm-vs-cold β-escalation re-solves, the dual_resolve
-# series (dual simplex vs primal warm vs cold on tightened rungs: pivots +
-# wall time per rung), and end-to-end FilterAssign throughput.
+# in the repo root: the cold_solve series (wall time and pivots of a cold
+# solve of 100-, 500- and 2,000-row ladder-shaped LPs) and end-to-end
+# FilterAssign throughput.
 #
 # Usage: scripts/bench_lp.sh [build-dir]   (default: build-release)
 set -euo pipefail

@@ -24,8 +24,11 @@ untraced one, and the report adds the traced run's per-layer metrics.
 
 For each metric the report prints, per side, the median, the quartiles and
 IQR / median; the change's median relative to the parent's; the pairs the
-change won; and whether the medians differ by more than the parent's
-interquartile range. It exits nonzero if a run fails or is not `correct`;
+change won; and whether the change is a gain: it won at least nine tenths
+of the pairs, ties counting for neither side, and its median is better
+than the parent's by more than the parent's interquartile range. A gain
+is reported only; it never changes the exit status. It exits nonzero if a
+run fails or is not `correct`;
 if `qt`, `lbf`, `attempted` or `failed` differ between the two sides on any
 seed (those come from the untraced runs); or if, on any workload, an
 end-to-end metric's median is worse than the parent's by more than that
@@ -39,8 +42,9 @@ ratio: its median, quartiles, min and max, the seeds the change won and
 lost, and the two-sided sign-test p of wins against losses (ties
 dropped). `correct`, `attempted`, `failed` and the bound gate still apply.
 
---self-test checks the bound gate, the identity gate and the quality report
-on synthetic pairs and exits nonzero if any misjudges one; CI runs it.
+--self-test checks the bound gate, the identity gate, the gain rule and the
+quality report on synthetic pairs and exits nonzero if any misjudges one;
+CI runs it.
 """
 
 import argparse
@@ -131,6 +135,18 @@ def better_of(metric, spec):
     return "lower"
 
 
+def is_gain(parent, change, higher):
+    """The change wins at least nine tenths of the pairs (ties count for
+    neither side), and its median is better than the parent's by more than
+    the parent's interquartile range."""
+    wins = sum(1 for a, b in zip(parent, change)
+               if (b > a if higher else b < a))
+    pq1, pmed, pq3 = quartiles(parent)
+    cmed = statistics.median(change)
+    better = cmed - pmed if higher else pmed - cmed
+    return 10 * wins >= 9 * len(parent) and better > pq3 - pq1
+
+
 def report(workload, pairs, benchmark):
     spec = benchmark["end_to_end"] + benchmark.get("per_layer", [])
     names = [m["name"] for m in spec]
@@ -140,7 +156,7 @@ def report(workload, pairs, benchmark):
     print(f"\n### {workload}: {len(pairs)} pairs, seeds "
           f"{pairs[0]['seed']}-{pairs[-1]['seed']}\n")
     print("| metric | parent median [Q1, Q3] | IQR/med | change median "
-          "[Q1, Q3] | IQR/med | change/parent | wins | beyond parent IQR |")
+          "[Q1, Q3] | IQR/med | change/parent | wins | gain |")
     print("|---|---|---|---|---|---|---|---|")
     for name in metrics:
         parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
@@ -151,11 +167,11 @@ def report(workload, pairs, benchmark):
         wins = sum(1 for a, b in zip(parent, change)
                    if (b > a if higher else b < a))
         ratio = cmed / pmed if pmed else float("nan")
-        beyond = abs(cmed - pmed) > (pq3 - pq1)
+        gain = is_gain(parent, change, higher)
         print(f"| `{name}` | {pmed:.6g} [{pq1:.6g}, {pq3:.6g}] | "
               f"{spread(pq1, pmed, pq3):.3f} | {cmed:.6g} [{cq1:.6g}, "
               f"{cq3:.6g}] | {spread(cq1, cmed, cq3):.3f} | {ratio:.3f} | "
-              f"{wins}/{len(pairs)} | {'yes' if beyond else 'no'} |")
+              f"{wins}/{len(pairs)} | {'yes' if gain else 'no'} |")
 
 
 def regressions(pairs, benchmark):
@@ -313,6 +329,25 @@ def self_test():
         print(f"perf_pairs.py --self-test: quality gate flagged {got}")
         failures += 1
 
+    # Gain rule on ten pairs of a lower-is-better metric whose parent IQR
+    # is 0.045: six big wins and four small losses move the median past
+    # the IQR but win only 6/10, so no gain; ten wins are one.
+    parent = [1.0 + 0.01 * k for k in range(10)]
+    gain_cases = [
+        ("6/10 wins past the parent's IQR is no gain",
+         [v - 0.5 for v in parent[:6]] + [v + 0.01 for v in parent[6:]],
+         False),
+        ("10/10 wins past the parent's IQR is a gain",
+         [v - 0.5 for v in parent], True),
+        ("10/10 wins within the parent's IQR is no gain",
+         [v - 0.001 for v in parent], False),
+    ]
+    for label, change, want in gain_cases:
+        if is_gain(parent, change, higher=False) != want:
+            print(f"perf_pairs.py --self-test: {label}: judged "
+                  f"{not want}")
+            failures += 1
+
     # Quality report: qt ratios 0.9, 0.95, 1.0, 1.05, 0.8 win 3, lose 1 and
     # tie 1 (p = 2·(1 + 4)/16); ten wins of ten give p = 2/1024. lbf's
     # "better" defaults to lower, like BENCHMARK.json's.
@@ -336,7 +371,8 @@ def self_test():
     if failures:
         print(f"perf_pairs.py --self-test: {failures} case(s) FAILED")
         return 1
-    print(f"perf_pairs.py --self-test: {len(cases) + 4} cases ok")
+    print(f"perf_pairs.py --self-test: {len(cases) + len(gain_cases) + 4} "
+          "cases ok")
     return 0
 
 

@@ -13,10 +13,11 @@
 //    conservation, ...). Also compiled out in Release.
 //
 //  * SLP_AUDIT_CHECK(category, expr, context) — the always-compiled
-//    check the deep auditors (AuditNesting, AuditBasis, ...) are built
-//    from. Auditor *functions* exist in every build type so tests can
-//    drive them directly; only their library *call sites* (wired at
-//    phase boundaries, gated on SLP_AUDITS_ENABLED) vanish in Release.
+//    check the deep auditors (AuditNesting, AuditFlowConservation, the
+//    simplex's tableau self-audit, ...) are built from. Auditor
+//    *functions* exist in every build type so tests can drive them
+//    directly; only their library *call sites* (wired at phase
+//    boundaries, gated on SLP_AUDITS_ENABLED) vanish in Release.
 //
 // Every failing check bumps an atomic per-category trip counter and
 // invokes the installed failure handler. The default handler prints a

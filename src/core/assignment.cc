@@ -5,6 +5,13 @@
 
 namespace slp::core {
 
+namespace {
+
+// How far past its cap an lbf may read and still count as within it.
+constexpr double kLbfTolerance = 1e-6;
+
+}  // namespace
+
 Status ValidateSolution(const SaProblem& problem, const SaSolution& solution,
                         const ValidationOptions& options) {
   const auto& tree = problem.tree();
@@ -61,7 +68,7 @@ Status ValidateSolution(const SaProblem& problem, const SaSolution& solution,
     const double cap =
         options.lbf_cap > 0 ? options.lbf_cap : problem.config().beta_max;
     const double lbf = LoadBalanceFactor(problem, solution);
-    if (lbf > cap + 1e-6) {
+    if (lbf > cap + kLbfTolerance) {
       std::ostringstream os;
       os << "load balance factor " << lbf << " exceeds cap " << cap;
       return Status::Infeasible(os.str());
@@ -91,6 +98,18 @@ double LoadBalanceFactor(const SaProblem& problem,
     lbf = std::max(lbf, loads[i] / (kappa * m));
   }
   return lbf;
+}
+
+void SetFeasibilityFlags(const SaProblem& problem, SaSolution* solution) {
+  solution->load_feasible = LoadBalanceFactor(problem, *solution) <=
+                            problem.config().beta_max + kLbfTolerance;
+  solution->latency_feasible = true;
+  for (int j = 0; j < problem.num_subscribers(); ++j) {
+    if (!problem.LatencyOk(j, solution->assignment[j])) {
+      solution->latency_feasible = false;
+      break;
+    }
+  }
 }
 
 }  // namespace slp::core

@@ -21,11 +21,11 @@ struct SaSolution {
   std::vector<int> assignment;
   // node id -> filter.
   std::vector<geo::Filter> filters;
-  // Whether the algorithm managed to keep the lbf within β_max (algorithms
-  // report best-effort solutions otherwise, as the paper does for Gr).
+  // Whether the lbf is within β_max (algorithms report best-effort
+  // solutions otherwise, as the paper does for Gr), and whether every
+  // subscriber meets its latency bound (algorithms that ignore latency,
+  // e.g. Gr¬l, may violate it). SetFeasibilityFlags derives both.
   bool load_feasible = true;
-  // Whether every subscriber meets its latency bound (algorithms that
-  // ignore latency, e.g. Gr¬l, may violate it).
   bool latency_feasible = true;
   // SLP family only: the LP fractional objective (sum of rectangle volumes)
   // from the root run — the lower-bound yardstick of Section IV-D. Negative
@@ -61,6 +61,12 @@ std::vector<int> LeafLoads(const SaProblem& problem,
 // max_i load_i / (κ_i · m): the load-balance factor of the assignment.
 double LoadBalanceFactor(const SaProblem& problem,
                          const SaSolution& solution);
+
+// Derives solution->load_feasible (LoadBalanceFactor ≤ β_max, with
+// ValidateSolution's tolerance) and solution->latency_feasible (LatencyOk
+// for every subscriber at its leaf) from the assignment. Every algorithm
+// calls it once its assignment is final.
+void SetFeasibilityFlags(const SaProblem& problem, SaSolution* solution);
 
 }  // namespace slp::core
 

@@ -85,8 +85,6 @@ SaSolution RunBalance(const SaProblem& problem, Rng& rng) {
       best_assignment[j] =
           candidates[j].empty() ? tree.leaf_brokers()[0] : candidates[j][0];
     }
-    solution.load_feasible = false;
-    solution.latency_feasible = false;
   }
   for (int iter = 0; iter < 40 && hi - lo > 1e-4 * hi; ++iter) {
     const double mid = (lo + hi) / 2;
@@ -103,8 +101,8 @@ SaSolution RunBalance(const SaProblem& problem, Rng& rng) {
   solution.filters.assign(tree.num_nodes(), geo::Filter());
   AdjustLeafFilters(problem, &solution, rng);
   BuildInternalFilters(problem, &solution, rng);
-  solution.load_feasible = true;
-  solution.latency_feasible = true;
+  // The bisection's lbf can end above β_max: the flags say so.
+  SetFeasibilityFlags(problem, &solution);
   return solution;
 }
 

@@ -48,23 +48,12 @@ SaSolution RunClosestImpl(const SaProblem& problem, bool enforce_cap,
     solution.assignment[j] = best;
     ++loads[problem.leaf_index(best)];
   }
-  // Both variants report overload from the final leaf loads.
-  for (int idx = 0; idx < problem.num_leaves(); ++idx) {
-    if (loads[idx] > cap(idx) + 1e-9) solution.load_feasible = false;
-  }
-
   solution.filters.assign(tree.num_nodes(), geo::Filter());
   AdjustLeafFilters(problem, &solution, rng);
   BuildInternalFilters(problem, &solution, rng);
-  // These baselines never look at the latency constraint; record whether
-  // the result happens to satisfy it.
-  solution.latency_feasible = true;
-  for (int j = 0; j < m; ++j) {
-    if (!problem.LatencyOk(j, solution.assignment[j])) {
-      solution.latency_feasible = false;
-      break;
-    }
-  }
+  // Neither variant looks at the latency constraint, and Closest¬b not at
+  // the cap either: the flags record what the result happens to satisfy.
+  SetFeasibilityFlags(problem, &solution);
   return solution;
 }
 

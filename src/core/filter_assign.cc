@@ -171,9 +171,9 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
         // (C3) — load balance is then left to the max-flow assignment
         // step). When only the rung changed between attempts, the sample,
         // the FilterGen candidates, and the built LP are all still valid:
-        // the retained model just retunes its (C3) rows and re-solves
-        // warm-started from the previous optimal basis. Same-rung retries
-        // resample Sb fresh.
+        // the retained model just retunes its (C3) rows and is solved
+        // again, with no new random draws. Same-rung retries resample Sb
+        // fresh.
         Result<LpRelaxResult> lp_result =
             Status::Internal("no LPRelax attempt made");
         std::vector<int> sa_rows;
@@ -223,8 +223,7 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
           }
           // Hand the rung to the model. A fresh model was built at the
           // enforced rung of the problem's β; a retained one mutates (C3) in
-          // place, and its solve continues from the basis the failed solve
-          // left behind.
+          // place. Either way the solve below starts cold.
           model->SetLoadRung(rung_beta, enforce_load);
 
           ++result.lp_calls;

@@ -39,7 +39,6 @@ class GreedyRunner {
                          : options_.offline      ? "Gr*"
                                                  : "Gr";
     solution.assignment.assign(m_, -1);
-    solution.latency_feasible = !options_.ignore_latency;
 
     if (options_.offline) {
       RunOffline(&solution);
@@ -55,7 +54,7 @@ class GreedyRunner {
     // grown rectangle at a child may straddle two parent rectangles; the
     // bottom-up pass re-derives interior filters with guaranteed nesting.
     BuildInternalFilters(problem_, &solution, rng_);
-    solution.load_feasible = overload_count_ == 0;
+    SetFeasibilityFlags(problem_, &solution);
     return solution;
   }
 
@@ -93,8 +92,9 @@ class GreedyRunner {
   // Assigns subscriber j to the best candidate under the desired lbf; if
   // none is available the cap is escalated toward β_max *for this
   // subscriber only* (subsequent subscribers start from β again), and as a
-  // last resort the least-loaded latency candidate is overloaded. One
-  // kernel session prices every escalation step.
+  // last resort the cap is dropped: the least-cost candidate takes j, with
+  // load breaking cost ties only. One kernel session prices every
+  // escalation step.
   void AssignOne(int j, SaSolution* solution) {
     gr_.Start(tree_, filters_, problem_.config().alpha,
               problem_.subscriber(j).subscription);
@@ -109,10 +109,9 @@ class GreedyRunner {
         lbf = std::min(lbf * kLbfEscalation, problem_.config().beta_max);
         continue;  // cap loosened for this subscriber; retry
       }
-      // Best effort: overload the least-loaded candidate.
+      // Best effort: no cap, so the least-cost candidate is overloaded.
       best = PickBest(j, std::numeric_limits<double>::infinity());
       SLP_DCHECK(best >= 0);
-      ++overload_count_;
       Commit(j, best, solution);
       return;
     }
@@ -201,7 +200,6 @@ class GreedyRunner {
   GrKernel gr_;
   std::vector<std::vector<int>> candidates_;  // per subscriber: leaf nodes
   std::vector<int> loads_;                    // per leaf index
-  int overload_count_ = 0;
 };
 
 }  // namespace

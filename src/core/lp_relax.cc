@@ -160,8 +160,8 @@ Result<LpRelaxModel> LpRelaxModel::Build(
   // full phase-1 infeasibility proofs on over-tight samples; positive slack
   // at the optimum is reported as infeasibility below. The rows are built
   // unconditionally (for non-empty Sb) with caps at the problem's β;
-  // SetLoadRung retunes or neutralizes them in place so the LP's shape —
-  // and with it any retained warm-start basis — survives rung changes.
+  // SetLoadRung retunes or neutralizes them in place, so a rung change
+  // needs no rebuild.
   if (!sb_rows.empty()) {
     double max_vol = 0;
     for (const auto& r : rects) max_vol = std::max(max_vol, r.Volume());
@@ -209,7 +209,6 @@ void LpRelaxModel::SetLoadRung(double beta, bool enforce_load) {
     // constraints go inert without changing the LP's shape.
     lp_.SetObj(c3.slack_var, enforce_load ? penalty_ : 0.0);
   }
-  rung_dirty_ = !c3_rows_.empty();
 }
 
 bool LoadRungRuledOut(const Targets& targets, int sb_size, double beta) {
@@ -225,16 +224,7 @@ double LpRelaxModel::LoadSlackSum(const std::vector<double>& x) const {
 }
 
 Result<LpRelaxResult> LpRelaxModel::Solve(Rng& rng) {
-  const lp::SimplexSolver solver;
-  // After a rung mutation the retained basis is the pre-mutation optimum:
-  // rhs edits leave it dual-feasible, so the dual pivot loop is the natural
-  // re-solve (ResolveDual falls back to the primal warm path on the
-  // enforce_load objective retune, which breaks dual feasibility instead).
-  const lp::LpSolution sol =
-      (rung_dirty_ && !basis_.empty())
-          ? solver.ResolveDual(lp_, basis_)
-          : solver.Solve(lp_, basis_.empty() ? nullptr : &basis_);
-  rung_dirty_ = false;
+  const lp::LpSolution sol = lp::SimplexSolver().Solve(lp_);
   last_stats_ = sol.stats;
   if (sol.status == lp::SolveStatus::kInfeasible) {
     return Status::Infeasible("filter-assignment LP infeasible");
@@ -243,13 +233,6 @@ Result<LpRelaxResult> LpRelaxModel::Solve(Rng& rng) {
     return Status::ResourceExhausted(std::string("LP solver: ") +
                                      lp::ToString(sol.status));
   }
-  // Retain the basis before any infeasibility verdict: an escalation
-  // re-solve after "can't balance at β" is exactly the warm-start customer.
-  basis_ = sol.basis;
-#if SLP_AUDITS_ENABLED
-  lp::AuditBasis(basis_, lp_);
-#endif
-
   LpRelaxResult result;
   // Report only the filter-volume part of the objective; surface any (C3)
   // slack as infeasibility at this β. With load enforcement off the slacks

@@ -20,9 +20,8 @@
 //
 // LpRelaxModel is the retained form: FilterAssign's infeasibility ladder
 // (β → β_max → drop (C3)) builds the model once per sample, then mutates
-// only the (C3) caps/penalties between rungs and re-solves warm-started
-// from the previous optimal basis, instead of rebuilding and cold-solving
-// near-identical LPs.
+// only the (C3) caps/penalties between rungs and solves it again, instead
+// of redrawing the sample, rerunning FilterGen and rebuilding the LP.
 //
 // (C3) below the root: κ_i is target i's *global* capacity share, so at an
 // interior node v the caps sum to at most β κ_v |Sb|, and with
@@ -40,8 +39,8 @@
 #include "src/core/candidates.h"
 #include "src/core/problem.h"
 #include "src/geometry/filter.h"
-#include "src/lp/basis.h"
 #include "src/lp/lp_problem.h"
+#include "src/lp/simplex.h"
 
 namespace slp::core {
 
@@ -72,9 +71,10 @@ struct LpRelaxResult {
 // One built relaxation, retained across load-rung changes. The (C3) rows
 // and their penalty slacks are always present (when Sb is non-empty), so
 // SetLoadRung can retune or neutralize them in place without changing the
-// LP's shape — which keeps the previous solve's basis valid as a warm-start
-// hint for the next one. Holds pointers to the problem/targets it was built
-// from; they must outlive the model.
+// LP's shape: a rung change keeps the sample, the candidate grouping (and
+// the random draws behind it) and the built LP, and only the solve is
+// repeated. Holds pointers to the problem/targets it was built from; they
+// must outlive the model.
 class LpRelaxModel {
  public:
   // Groups subscribers, caps candidates (consuming rng for the target
@@ -94,19 +94,12 @@ class LpRelaxModel {
 
   // Reconfigures the (C3) load rung in place: caps at `beta` (must be > 0)
   // and, when enforce_load is false, zeroes the slack penalties so the rows
-  // go inert. No-op when the model has no (C3) rows (empty Sb). Marks the
-  // model rung-dirty: the next Solve re-solves by dual simplex from the
-  // retained basis (rhs edits keep it dual-feasible), falling back to the
-  // primal warm-start path automatically when it isn't (e.g., the
-  // enforce_load toggle retunes objective coefficients).
+  // go inert. No-op when the model has no (C3) rows (empty Sb).
   void SetLoadRung(double beta, bool enforce_load);
 
-  // Solves the LP (dual re-solve after SetLoadRung, otherwise
-  // warm-starting from the previous Solve's basis when one is retained)
-  // and rounds the fractional optimum to filters. Returns kInfeasible when
-  // the optimum's (C3) slack shows the load sample cannot be balanced at
-  // the current β (basis retained, so the caller's escalation re-solve
-  // starts from this optimum).
+  // Cold-solves the LP at the current rung and rounds the fractional
+  // optimum to filters. Returns kInfeasible when the optimum's (C3) slack
+  // shows the load sample cannot be balanced at the current β.
   Result<LpRelaxResult> Solve(Rng& rng);
 
   // Counters from the most recent Solve, populated even when that solve
@@ -117,11 +110,10 @@ class LpRelaxModel {
   // The (C3) slack sum at a point x of lp().
   double LoadSlackSum(const std::vector<double>& x) const;
 
-  // Test/bench access to the underlying LP and the retained basis, so the
-  // differential harness can replay real escalation ladders cold vs warm
-  // vs dual against the exact LPs FilterAssign solves.
+  // Test access to the underlying LP, so the differential harness can
+  // replay real escalation ladders against the exact LPs FilterAssign
+  // solves.
   const lp::LpProblem& lp() const { return lp_; }
-  const lp::Basis& basis() const { return basis_; }
 
  private:
   LpRelaxModel() = default;
@@ -155,11 +147,7 @@ class LpRelaxModel {
   double sb_size_ = 0;      // |Sb| at build time
   double sa_size_ = 0;      // |Sa| at build time (rounding boost)
   bool enforce_load_ = true;
-  lp::Basis basis_;         // previous optimum, warm-start hint
   lp::SolverStats last_stats_;  // counters from the most recent Solve
-  // Set by SetLoadRung, cleared by Solve: the retained basis belongs to a
-  // pre-mutation optimum, so the next solve should continue dually.
-  bool rung_dirty_ = false;
 };
 
 }  // namespace slp::core

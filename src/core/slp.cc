@@ -29,7 +29,6 @@ class SlpRunner {
     SaSolution solution;
     solution.algorithm = "SLP";
     solution.assignment.assign(problem_.num_subscribers(), -1);
-    solution.latency_feasible = true;
 
     // Pre-size before the recursion: concurrent child subtrees write
     // disjoint slots but must never resize the vector.
@@ -45,13 +44,15 @@ class SlpRunner {
     // Global load repair: the per-level assignments enforce the load caps
     // only against sampled Sb sets, and the sampling error compounds down
     // the recursion. One leaf-level max-flow over the whole subscriber set
-    // restores the global cap wherever feasible; the cohesion seeding keeps
-    // subscribers at their current leaves unless rebalancing demands
-    // otherwise.
+    // restores the global cap wherever feasible. Its cohesion seeding is
+    // cost-ordered over every cover, not over current leaves: a subscriber
+    // starts at its current leaf only when that leaf's cover is also its
+    // cheapest.
     SLP_RETURN_IF_ERROR(GlobalRepair(&solution));
 
     AdjustLeafFilters(problem_, &solution, rng_);
     BuildInternalFilters(problem_, &solution, rng_);
+    SetFeasibilityFlags(problem_, &solution);
 #if SLP_AUDITS_ENABLED
     AuditNesting(problem_, solution);
 #endif
@@ -122,7 +123,6 @@ class SlpRunner {
     Result<SubscriptionAssignResult> repaired = AssignByMaxFlow(
         problem_, targets, &filters, rng_, options_.slp1.subscription_assign);
     if (!repaired.ok()) return repaired.status();
-    solution->load_feasible = repaired.value().load_feasible;
     for (size_t r = 0; r < targets.subscribers.size(); ++r) {
       solution->assignment[targets.subscribers[r]] =
           problem_.leaf_node(repaired.value().target_of[r]);

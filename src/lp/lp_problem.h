@@ -46,9 +46,8 @@ class LpProblem {
   int num_entries() const { return static_cast<int>(entry_row_.size()); }
 
   // In-place edits that preserve the problem's shape (no rows/columns
-  // added or removed), so a Basis from a previous solve stays compatible
-  // and re-solves can warm-start. Used by the FilterAssign β-escalation
-  // ladder to retune its (C3) load rows without rebuilding the model.
+  // added or removed). Used by the FilterAssign β-escalation ladder to
+  // retune its (C3) load rows without rebuilding the model.
   void SetRhs(int row, double rhs) { rhs_[row] = rhs; }
   void SetObj(int col, double obj) { obj_[col] = obj; }
 

@@ -8,20 +8,8 @@
 // The basis is a sparse LU factorization plus a bounded product-form eta
 // file (src/lp/lu_factor.h). FTRAN/BTRAN exploit right-hand-side sparsity,
 // so a pivot costs O(m + fill), and the factorization is rebuilt only on
-// eta-length / fill / instability triggers. Solve() returns the final
-// Basis, and a later Solve(problem, &basis) on a structurally identical
-// problem (same variable/row counts — e.g. after rhs or objective edits)
-// crashes its starting basis from the hint, typically reaching the new
-// optimum in a handful of pivots.
-//
-// On top of the primal loop, ResolveDual() runs a bounded-variable dual
-// simplex on the same LU/eta kernel. It is the re-solve engine for edits
-// that keep a basis dual-feasible but break primal feasibility: rhs
-// changes, such as the FilterAssign load rungs. When the hint is not
-// dual-feasible (e.g., after objective edits) or dual pivoting runs into
-// numerical trouble, it falls back to the primal warm-start path — like
-// warm starts, the dual engine is an accelerator, never a correctness
-// risk (stats.dual_fallback reports the path taken).
+// eta-length / fill / instability triggers. Every solve starts cold from
+// the slack/artificial basis, and phase 1 alone decides infeasibility.
 
 #ifndef SLP_LP_SIMPLEX_H_
 #define SLP_LP_SIMPLEX_H_
@@ -29,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "src/lp/basis.h"
 #include "src/lp/lp_problem.h"
 
 namespace slp::lp {
@@ -55,6 +42,23 @@ struct SimplexOptions {
   double eta_fill_factor = 4.0;
 };
 
+// Per-solve counters exposed on LpSolution: pivots, factorization and
+// FTRAN-sparsity behavior, and wall time.
+struct SolverStats {
+  int pivots = 0;             // total pivots, both phases
+  int phase1_pivots = 0;      // pivots spent reaching feasibility
+  // Pivots that moved no value (ratio θ = 0): the stalls behind the pivot
+  // tail.
+  int degenerate_pivots = 0;
+  // Pivots priced by Bland's rule, after stall_threshold non-improving
+  // pivots in a row.
+  int bland_pivots = 0;
+  int refactorizations = 0;   // basis refactorizations
+  int max_eta_length = 0;     // longest eta file between refactorizations
+  double avg_ftran_density = 0;  // mean nnz(B^-1 a_q)/m over all FTRANs
+  double solve_seconds = 0;   // wall time inside Solve()
+};
+
 struct LpSolution {
   SolveStatus status = SolveStatus::kIterationLimit;
   double objective = 0;
@@ -62,48 +66,24 @@ struct LpSolution {
   std::vector<double> duals;  // one per constraint (valid when optimal)
   int iterations = 0;
   SolverStats stats;
-  // Final basis snapshot (empty unless the solve ended kOptimal). Feed it
-  // back into Solve() to warm-start a re-solve after rhs/objective edits.
-  Basis basis;
 };
 
-// Solves `problem` (a minimization LP). Stateless across calls; any
-// warm-start state lives in the Basis value the caller threads through.
+// Solves `problem` (a minimization LP). Stateless across calls.
+//
+// The solver self-audits its tableau (basis/position bijection, nonbasic
+// upper-bound statuses only on boxed columns, eta-file length, B·B^-1
+// unit-vector residuals) at every refactorization and at the end of every
+// optimal solve when SLP_AUDITS_ENABLED; violations are reported through
+// slp::audit::Fail with Category::kBasis (DESIGN.md §10).
 class SimplexSolver {
  public:
   explicit SimplexSolver(SimplexOptions options = {}) : options_(options) {}
 
-  LpSolution Solve(const LpProblem& problem) const {
-    return Solve(problem, nullptr);
-  }
-
-  // `hint`, when non-null, non-empty, and dimension-compatible with
-  // `problem`, seeds the starting basis; otherwise the solver cold-starts
-  // with the usual two-phase method.
-  LpSolution Solve(const LpProblem& problem, const Basis* hint) const;
-
-  // Re-solves `problem` by dual simplex starting from `hint` (typically
-  // the previous optimum of the same problem before rhs edits). Falls back
-  // to Solve(problem, &hint) — the primal warm-start path — when the hint
-  // is rejected, is not dual-feasible after bound flips, or the dual loop
-  // hits numerical trouble; the returned stats report dual_used /
-  // dual_fallback, and a fallback's counters include the abandoned dual
-  // pivots and bound flips.
-  LpSolution ResolveDual(const LpProblem& problem, const Basis& hint) const;
+  LpSolution Solve(const LpProblem& problem) const;
 
  private:
   SimplexOptions options_;
 };
-
-// Deep auditor (DESIGN.md §10): var-status coherence of a basis snapshot
-// against the problem it solves — sizes match, exactly num_constraints
-// variables are basic, kAtUpper only on variables with a finite upper
-// bound, and logical variables never kAtUpper (ExportBasis's contract).
-// The solver additionally self-audits its internal tableau
-// (basis/position bijection, eta-file length, B·B^-1 unit-vector
-// residuals) at factorization boundaries in debug builds. Violations are
-// reported through slp::audit::Fail with Category::kBasis.
-void AuditBasis(const Basis& basis, const LpProblem& problem);
 
 }  // namespace slp::lp
 

@@ -73,6 +73,20 @@ TEST(GreedyTest, GrNoLatencyIgnoresLatencyButBalancesLoad) {
   }
 }
 
+TEST(GreedyTest, GrNoLatencyReportsMetLatencyBounds) {
+  // Gr¬l ignores latency while assigning, but its flag reports the result:
+  // with a bound this loose every subscriber meets it.
+  SaConfig config;
+  config.max_delay = 100;
+  SaProblem p = test::SmallGgProblem(600, 10, config, 4);
+  Rng rng(4);
+  SaSolution s = RunGrNoLatency(p, rng);
+  ValidationOptions opts;
+  opts.check_load = false;
+  ASSERT_TRUE(ValidateSolution(p, s, opts).ok());
+  EXPECT_TRUE(s.latency_feasible);
+}
+
 TEST(GreedyTest, GrNoLatencyBandwidthNotWorseThanGr) {
   // Dropping a constraint can only help the (greedy) objective on average;
   // this is the "too good to be true" property the paper leans on.
@@ -253,6 +267,21 @@ TEST(BalanceTest, AchievesBestLbfAmongAll) {
   Rng rng3(14);
   const double lbf_closest = LoadBalanceFactor(p, RunClosestNoBalance(p, rng3));
   EXPECT_LE(lbf_balance, lbf_closest + 1e-6);
+}
+
+TEST(BalanceTest, LoadFlagReportsLbfPastBetaMax) {
+  // A latency bound this tight leaves no assignment within β_max: the
+  // bisection ends far above it, and the flag must say so.
+  SaConfig config;
+  config.max_delay = 0.05;
+  config.beta = 1.05;
+  config.beta_max = 1.1;
+  SaProblem p = test::SmallGgProblem(800, 12, config, 1);
+  Rng rng(1);
+  SaSolution s = RunBalance(p, rng);
+  const double lbf = LoadBalanceFactor(p, s);
+  EXPECT_GT(lbf, config.beta_max);
+  EXPECT_FALSE(s.load_feasible) << "lbf " << lbf;
 }
 
 TEST(BalanceTest, RespectsLatency) {

@@ -21,8 +21,6 @@
 #include "src/geometry/audit.h"
 #include "src/geometry/filter.h"
 #include "src/geometry/rectangle.h"
-#include "src/lp/lp_problem.h"
-#include "src/lp/simplex.h"
 #include "src/liveness/audit.h"
 #include "src/liveness/liveness_tracker.h"
 #include "src/network/audit.h"
@@ -222,78 +220,6 @@ TEST(NestingAuditTest, ShrunkenEdgeFilterTripsNestingOnly) {
   RecordingHandler guard;
   core::AuditNesting(p, corrupted);
   guard.ExpectOnly(Category::kNesting);
-}
-
-// ---------------------------------------------------------------------------
-// Basis auditor
-// ---------------------------------------------------------------------------
-
-lp::LpProblem SmallLp() {
-  // min -x - 2y  s.t.  x + y <= 4,  y <= 3,  0 <= x,y <= 10.
-  lp::LpProblem p;
-  const int x = p.AddVariable(-1, 0, 10);
-  const int y = p.AddVariable(-2, 0, 10);
-  const int r0 = p.AddConstraint(lp::Sense::kLessEqual, 4);
-  const int r1 = p.AddConstraint(lp::Sense::kLessEqual, 3);
-  p.AddEntry(r0, x, 1);
-  p.AddEntry(r0, y, 1);
-  p.AddEntry(r1, y, 1);
-  return p;
-}
-
-TEST(BasisAuditTest, OptimalBasisPasses) {
-  const lp::LpProblem p = SmallLp();
-  const lp::LpSolution sol = lp::SimplexSolver().Solve(p);
-  ASSERT_EQ(sol.status, lp::SolveStatus::kOptimal);
-  RecordingHandler guard;
-  lp::AuditBasis(sol.basis, p);
-  EXPECT_EQ(guard.Total(), 0);
-}
-
-TEST(BasisAuditTest, FlippedVarStatusTripsBasisOnly) {
-  const lp::LpProblem p = SmallLp();
-  const lp::LpSolution sol = lp::SimplexSolver().Solve(p);
-  ASSERT_EQ(sol.status, lp::SolveStatus::kOptimal);
-
-  // Flip one basic structural variable to nonbasic: the basic count no
-  // longer matches the row count.
-  lp::Basis corrupted = sol.basis;
-  bool flipped = false;
-  for (auto& st : corrupted.structural) {
-    if (st == lp::VarStatus::kBasic) {
-      st = lp::VarStatus::kAtLower;
-      flipped = true;
-      break;
-    }
-  }
-  if (!flipped) {
-    for (auto& st : corrupted.logical) {
-      if (st == lp::VarStatus::kBasic) {
-        st = lp::VarStatus::kAtLower;
-        flipped = true;
-        break;
-      }
-    }
-  }
-  ASSERT_TRUE(flipped);
-
-  RecordingHandler guard;
-  lp::AuditBasis(corrupted, p);
-  guard.ExpectOnly(Category::kBasis);
-}
-
-TEST(BasisAuditTest, AtUpperWithInfiniteBoundTripsBasisOnly) {
-  const lp::LpProblem p = SmallLp();
-  const lp::LpSolution sol = lp::SimplexSolver().Solve(p);
-  ASSERT_EQ(sol.status, lp::SolveStatus::kOptimal);
-  lp::Basis corrupted = sol.basis;
-  // Add an unbounded variable marked at-upper: incoherent by definition.
-  lp::LpProblem p2 = SmallLp();
-  p2.AddVariable(0, 0, lp::kInfinity);
-  corrupted.structural.push_back(lp::VarStatus::kAtUpper);
-  RecordingHandler guard;
-  lp::AuditBasis(corrupted, p2);
-  guard.ExpectOnly(Category::kBasis);
 }
 
 // ---------------------------------------------------------------------------

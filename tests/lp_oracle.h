@@ -255,6 +255,14 @@ inline ::testing::AssertionResult CertifyVerdict(const lp::LpProblem& p,
          << "status " << lp::ToString(sol.status) << " is not a verdict";
 }
 
+// Solves p and expects its verdict certified from the problem data alone.
+inline lp::LpSolution Certified(const lp::LpProblem& p,
+                                lp::SimplexOptions options = {}) {
+  const lp::LpSolution sol = lp::SimplexSolver(options).Solve(p);
+  EXPECT_TRUE(CertifyVerdict(p, sol));
+  return sol;
+}
+
 // --- random LP families (seeded; each deterministic in its Rng) ----------
 
 // Random bounded-variable LP with mixed senses and tunable density. All

@@ -1,13 +1,10 @@
 // Stress tests for the revised-simplex engine (src/lp/simplex.cc).
 //
-// Three families:
+// Two families:
 //  * randomized LPs whose every verdict is certified from the problem data
 //    alone (tests/lp_oracle.h: KKT, elastic LP, recession direction);
 //  * degenerate / cycling-prone instances that exercise the Bland fallback
-//    and the eta-length / fill refactorization triggers;
-//  * warm-start property tests: perturbed-rhs (and objective) re-solves
-//    seeded with the previous basis must classify and score exactly like a
-//    cold start.
+//    and the eta-length / fill refactorization triggers.
 
 #include <algorithm>
 #include <cmath>
@@ -16,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
-#include "src/lp/basis.h"
 #include "src/lp/lp_problem.h"
 #include "src/lp/simplex.h"
 #include "tests/lp_oracle.h"
@@ -26,16 +22,10 @@ namespace {
 
 constexpr double kTol = 1e-6;
 
+using test::Certified;
 using test::LpFeasible;
 using test::RandomBoxedLp;
 using test::RandomCoveringLp;
-
-// Solves p and certifies the verdict from the problem data alone.
-LpSolution Certified(const LpProblem& p, SimplexOptions options = {}) {
-  const LpSolution sol = SimplexSolver(options).Solve(p);
-  EXPECT_TRUE(test::CertifyVerdict(p, sol));
-  return sol;
-}
 
 // ---------------------------------------------------------------------------
 // Randomized sweep, every verdict certified. The suite name predates the
@@ -196,184 +186,6 @@ TEST(DegenerateStressTest, FillFactorTriggerAlsoRefactorizes) {
   const LpSolution ref = SimplexSolver().Solve(p);
   ASSERT_EQ(ref.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, ref.objective, kTol);
-}
-
-// ---------------------------------------------------------------------------
-// Warm-start property tests.
-// ---------------------------------------------------------------------------
-
-TEST(WarmStartTest, WarmStartMatchesColdStart) {
-  // Solve once cold, then repeatedly perturb the rhs and re-solve both ways:
-  // the warm solve (seeded with the previous basis) must classify and score
-  // exactly like the cold solve at every step.
-  Rng rng(2024);
-  LpProblem p = RandomCoveringLp(rng, 100, 50, 0.12);
-
-  const SimplexSolver solver;
-  LpSolution prev = solver.Solve(p);
-  ASSERT_EQ(prev.status, SolveStatus::kOptimal);
-  ASSERT_FALSE(prev.basis.empty());
-
-  int warm_accepted = 0;
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < p.num_constraints(); ++i) {
-      if (rng.Bernoulli(0.3)) {
-        p.SetRhs(i, std::max(0.0, p.rhs(i) + rng.Uniform(-0.3, 0.3)));
-      }
-    }
-    const LpSolution warm = solver.Solve(p, &prev.basis);
-    const LpSolution cold = solver.Solve(p);
-    ASSERT_EQ(warm.status, cold.status) << "round " << round;
-    if (cold.status == SolveStatus::kOptimal) {
-      EXPECT_NEAR(warm.objective, cold.objective, kTol) << "round " << round;
-      EXPECT_TRUE(LpFeasible(p, warm.x));
-      prev = warm;
-    }
-    if (warm.stats.warm_started) ++warm_accepted;
-    // The restoration accounting must be consistent: a crashed basis that
-    // was feasible as-is reports zero restoration rounds, an infeasible one
-    // reports at least one, and none of these mild nudges should force the
-    // cold fallback.
-    if (warm.stats.warm_started) {
-      if (warm.stats.warm_feasible) {
-        EXPECT_EQ(warm.stats.warm_restoration_rounds, 0) << "round " << round;
-      } else {
-        EXPECT_GE(warm.stats.warm_restoration_rounds, 1) << "round " << round;
-      }
-      EXPECT_FALSE(warm.stats.warm_fell_back_cold) << "round " << round;
-    }
-  }
-  // Small rhs nudges keep the basis dimension-compatible, so the hint must
-  // actually be taken (not silently discarded) in every round.
-  EXPECT_EQ(warm_accepted, 10);
-}
-
-TEST(WarmStartTest, WarmStartSurvivesObjectiveEdits) {
-  // The FilterAssign ladder also flips objective coefficients (the (C3)
-  // slack penalties); warm re-solves must stay exact under SetObj edits.
-  Rng rng(515);
-  LpProblem p = RandomCoveringLp(rng, 80, 40, 0.15);
-  const SimplexSolver solver;
-  LpSolution prev = solver.Solve(p);
-  ASSERT_EQ(prev.status, SolveStatus::kOptimal);
-
-  for (int round = 0; round < 6; ++round) {
-    for (int j = 0; j < p.num_vars(); ++j) {
-      if (rng.Bernoulli(0.2)) {
-        p.SetObj(j, std::max(0.01, p.obj(j) + rng.Uniform(-0.5, 0.5)));
-      }
-    }
-    const LpSolution warm = solver.Solve(p, &prev.basis);
-    const LpSolution cold = solver.Solve(p);
-    ASSERT_EQ(warm.status, cold.status);
-    ASSERT_EQ(warm.status, SolveStatus::kOptimal);
-    EXPECT_NEAR(warm.objective, cold.objective, kTol);
-    EXPECT_TRUE(warm.stats.warm_started);
-    // Pure objective edits leave the old optimum primal feasible, so the
-    // crashed basis should be feasible as-is (no restoration pivots, no
-    // cold fallback).
-    EXPECT_TRUE(warm.stats.warm_feasible);
-    EXPECT_EQ(warm.stats.warm_restoration_rounds, 0);
-    EXPECT_FALSE(warm.stats.warm_fell_back_cold);
-    prev = warm;
-  }
-}
-
-TEST(WarmStartTest, WarmStartCheaperThanColdOnSmallPerturbations) {
-  Rng rng(77);
-  LpProblem p = RandomCoveringLp(rng, 200, 100, 0.08);
-  const SimplexSolver solver;
-  const LpSolution base = solver.Solve(p);
-  ASSERT_EQ(base.status, SolveStatus::kOptimal);
-
-  int warm_pivots = 0, cold_pivots = 0;
-  for (int round = 0; round < 5; ++round) {
-    const int i = static_cast<int>(rng.UniformInt(0, p.num_constraints() - 1));
-    p.SetRhs(i, p.rhs(i) * 1.02);
-    const LpSolution warm = solver.Solve(p, &base.basis);
-    const LpSolution cold = solver.Solve(p);
-    ASSERT_EQ(warm.status, SolveStatus::kOptimal);
-    ASSERT_EQ(cold.status, SolveStatus::kOptimal);
-    EXPECT_NEAR(warm.objective, cold.objective, kTol);
-    warm_pivots += warm.stats.pivots;
-    cold_pivots += cold.stats.pivots;
-  }
-  // The whole point of the warm start: tiny perturbations re-solve in far
-  // fewer pivots than a two-phase cold start.
-  EXPECT_LT(warm_pivots, cold_pivots);
-}
-
-TEST(WarmStartTest, IncompatibleHintFallsBackToColdStart) {
-  Rng rng(31337);
-  const LpProblem p = RandomCoveringLp(rng, 40, 20, 0.2);
-  Basis bogus;
-  bogus.structural.assign(7, VarStatus::kAtLower);  // wrong dimensions
-  bogus.logical.assign(3, VarStatus::kBasic);
-  const LpSolution sol = SimplexSolver().Solve(p, &bogus);
-  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-  EXPECT_FALSE(sol.stats.warm_started);
-  const LpSolution ref = SimplexSolver().Solve(p);
-  EXPECT_NEAR(sol.objective, ref.objective, kTol);
-}
-
-TEST(WarmStartTest, AdversarialHintStillReachesOptimum) {
-  // A dimension-compatible but terrible hint (everything at lower bound,
-  // all logicals basic) must never change the answer — at worst the solver
-  // restores feasibility or falls back to a cold start internally.
-  Rng rng(902);
-  const LpProblem p = RandomCoveringLp(rng, 60, 30, 0.15);
-  Basis hint;
-  hint.structural.assign(p.num_vars(), VarStatus::kAtLower);
-  hint.logical.assign(p.num_constraints(), VarStatus::kBasic);
-  const LpSolution sol = SimplexSolver().Solve(p, &hint);
-  const LpSolution ref = SimplexSolver().Solve(p);
-  ASSERT_EQ(sol.status, ref.status);
-  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(sol.objective, ref.objective, kTol);
-  EXPECT_TRUE(LpFeasible(p, sol.x));
-}
-
-TEST(WarmStartTest, HintOnInfeasibleProblemStillClassifiesInfeasible) {
-  // Warm starts are an accelerator, never an oracle: infeasibility must
-  // still be detected when the perturbation kills the feasible region.
-  LpProblem p;
-  int x = p.AddVariable(1, 0, 10);
-  int r1 = p.AddConstraint(Sense::kGreaterEqual, 2);
-  p.AddEntry(r1, x, 1);
-  int r2 = p.AddConstraint(Sense::kLessEqual, 5);
-  p.AddEntry(r2, x, 1);
-  const SimplexSolver solver;
-  const LpSolution first = solver.Solve(p);
-  ASSERT_EQ(first.status, SolveStatus::kOptimal);
-  p.SetRhs(r1, 20);  // now x >= 20 contradicts x <= 5 and x <= 10
-  const LpSolution warm = solver.Solve(p, &first.basis);
-  EXPECT_EQ(warm.status, SolveStatus::kInfeasible);
-  // The hint was accepted, restoration could not reach the true bounds,
-  // and the solve restarted cold to run the real phase 1 — all of which
-  // the stats must now report instead of hiding (the fallback used to be
-  // silent).
-  EXPECT_TRUE(warm.stats.warm_started);
-  EXPECT_GE(warm.stats.warm_restoration_rounds, 1);
-  EXPECT_TRUE(warm.stats.warm_fell_back_cold);
-}
-
-// End-to-end shape of the ladder: rhs tightening (β escalation analogue)
-// chained across three rungs, each warm-started from the previous basis.
-TEST(WarmStartTest, ChainedEscalationRungsStayExact) {
-  Rng rng(660);
-  LpProblem p = RandomCoveringLp(rng, 120, 60, 0.1);
-  const SimplexSolver solver;
-  LpSolution prev = solver.Solve(p);
-  ASSERT_EQ(prev.status, SolveStatus::kOptimal);
-  for (double scale : {1.05, 1.12, 1.25}) {
-    for (int i = 0; i < p.num_constraints(); ++i) p.SetRhs(i, p.rhs(i) * scale);
-    const LpSolution warm = solver.Solve(p, &prev.basis);
-    const LpSolution cold = solver.Solve(p);
-    ASSERT_EQ(warm.status, cold.status);
-    if (cold.status != SolveStatus::kOptimal) break;
-    EXPECT_NEAR(warm.objective, cold.objective, kTol);
-    prev = warm;
-  }
 }
 
 }  // namespace
