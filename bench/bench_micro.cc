@@ -1,14 +1,19 @@
-// Micro-benchmarks for the substrates (google-benchmark): simplex, Dinic
-// max-flow, union volume, candidate filter generation, k-means. These are
-// not paper figures; they document the cost of the building blocks.
+// Micro-benchmarks for the substrates (google-benchmark): simplex, the
+// assignment-flow kernel (Dinic), union volume, candidate filter
+// generation, k-means. These are not paper figures; they document the
+// cost of the building blocks.
+
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "src/common/random.h"
+#include "src/core/assignment_flow.h"
 #include "src/core/candidates.h"
 #include "src/core/filter_gen.h"
 #include "src/core/slp.h"
-#include "src/flow/max_flow.h"
 #include "src/geometry/clustering.h"
 #include "src/geometry/filter.h"
 #include "src/geometry/union_volume.h"
@@ -48,22 +53,31 @@ void BM_SimplexAssignmentLp(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexAssignmentLp)->Arg(50)->Arg(200)->Arg(500);
 
+// Builds and solves the assignment-flow kernel: `subs` rows, 50 targets
+// capped at subs / 50 + 2, each row covered by 5 distinct random targets.
 void BM_DinicBipartite(benchmark::State& state) {
   const int subs = static_cast<int>(state.range(0));
   const int brokers = 50;
+  const int covers_per_row = 5;
   Rng rng(2);
   for (auto _ : state) {
-    flow::MaxFlow mf(2 + brokers + subs);
-    for (int b = 0; b < brokers; ++b) {
-      mf.AddEdge(0, 2 + b, subs / brokers + 2);
-    }
+    std::vector<int64_t> offsets(subs + 1, 0);
+    std::vector<int32_t> targets;
+    targets.reserve(static_cast<size_t>(subs) * covers_per_row);
     for (int j = 0; j < subs; ++j) {
-      mf.AddEdge(2 + brokers + j, 1, 1);
-      for (int e = 0; e < 5; ++e) {
-        mf.AddEdge(2 + rng.UniformInt(0, brokers - 1), 2 + brokers + j, 1);
+      while (static_cast<int64_t>(targets.size()) - offsets[j] <
+             covers_per_row) {
+        const auto t = static_cast<int32_t>(rng.UniformInt(0, brokers - 1));
+        if (std::find(targets.begin() + offsets[j], targets.end(), t) ==
+            targets.end()) {
+          targets.push_back(t);
+        }
       }
+      offsets[j + 1] = static_cast<int64_t>(targets.size());
     }
-    benchmark::DoNotOptimize(mf.Solve(0, 1));
+    core::AssignmentFlow flow(brokers, std::move(offsets), std::move(targets));
+    for (int b = 0; b < brokers; ++b) flow.SetCap(b, subs / brokers + 2);
+    benchmark::DoNotOptimize(flow.Solve());
   }
 }
 BENCHMARK(BM_DinicBipartite)->Arg(1000)->Arg(10000)->Arg(50000);

@@ -13,7 +13,7 @@
 //    conservation, ...). Also compiled out in Release.
 //
 //  * SLP_AUDIT_CHECK(category, expr, context) — the always-compiled
-//    check the deep auditors (AuditNesting, AuditFlowConservation, the
+//    check the deep auditors (AuditNesting, AuditAssignmentFlow, the
 //    simplex's tableau self-audit, ...) are built from. Auditor
 //    *functions* exist in every build type so tests can drive them
 //    directly; only their library *call sites* (wired at phase
@@ -40,7 +40,7 @@ enum class Category : int {
   kRectangle,      // lo <= hi, finite coordinates
   kNesting,        // filter nesting / subscriber containment
   kBasis,          // LP basis coherence, B·B^-1 residual, eta length
-  kFlow,           // per-node flow balance + capacity bounds
+  kFlow,           // assignment flow: routed rows, covers, loads vs caps
   kLiveOverlay,    // parent/child symmetry, spliced reachability
   kMatchIndex,     // grid-index probe answers ≡ linear rectangle scan
   kDissemination,  // dissemination counter identities (cross-counter sums)

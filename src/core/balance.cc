@@ -1,50 +1,36 @@
 #include "src/core/balance.h"
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/common/invariant.h"
 #include "src/common/status.h"
+#include "src/core/assignment_flow.h"
 #include "src/core/filter_adjust.h"
-#include "src/flow/max_flow.h"
 
 namespace slp::core {
 
 namespace {
 
-// Attempts a full assignment with per-leaf caps floor(lbf * κ_i * m).
-// Returns true and fills `assignment` (subscriber -> leaf node) on success.
-bool TryAssign(const SaProblem& problem,
-               const std::vector<std::vector<int>>& candidates, double lbf,
+// Attempts a full assignment with per-leaf caps floor(lbf * κ_i * m),
+// re-solving `flow` from zero flow. Returns true and fills `assignment`
+// (subscriber -> leaf node) on success.
+bool TryAssign(const SaProblem& problem, double lbf, AssignmentFlow* flow,
                std::vector<int>* assignment) {
   const int m = problem.num_subscribers();
-  const int l = problem.num_leaves();
-  flow::MaxFlow mf(2 + l + m);
-  const int s = 0, t = 1;
-  std::vector<int> broker_edge(l);
-  for (int i = 0; i < l; ++i) {
+  flow->Reset();
+  for (int i = 0; i < problem.num_leaves(); ++i) {
     const auto cap = static_cast<int64_t>(
         std::floor(lbf * problem.capacity_fraction(i) * m + 1e-9));
-    broker_edge[i] = mf.AddEdge(s, 2 + i, cap);
+    flow->SetCap(i, cap);
   }
-  std::vector<std::vector<std::pair<int, int>>> sub_edges(m);
-  for (int j = 0; j < m; ++j) {
-    mf.AddEdge(2 + l + j, t, 1);
-    for (int leaf : candidates[j]) {
-      const int i = problem.leaf_index(leaf);
-      sub_edges[j].push_back({mf.AddEdge(2 + i, 2 + l + j, 1), leaf});
-    }
-  }
-  if (mf.Solve(s, t) < m) return false;
+  if (flow->Solve() < m) return false;
   assignment->assign(m, -1);
   for (int j = 0; j < m; ++j) {
-    for (const auto& [edge, leaf] : sub_edges[j]) {
-      if (mf.flow(edge) > 0) {
-        (*assignment)[j] = leaf;
-        break;
-      }
-    }
-    SLP_DCHECK((*assignment)[j] >= 0);
+    SLP_DCHECK(flow->target_of(j) >= 0);
+    (*assignment)[j] = problem.leaf_node(flow->target_of(j));
   }
   return true;
 }
@@ -55,13 +41,20 @@ SaSolution RunBalance(const SaProblem& problem, Rng& rng) {
   const int m = problem.num_subscribers();
   const auto& tree = problem.tree();
 
-  // Latency-feasible candidate leaves ("covers" without filters).
-  std::vector<std::vector<int>> candidates(m);
+  // Latency-feasible candidate leaves ("covers" without filters), by leaf
+  // index in leaf order. One kernel serves every bisection step.
+  std::vector<int64_t> offsets(m + 1, 0);
+  std::vector<int32_t> leaves;
   for (int j = 0; j < m; ++j) {
     for (int leaf : tree.leaf_brokers()) {
-      if (problem.LatencyOk(j, leaf)) candidates[j].push_back(leaf);
+      if (problem.LatencyOk(j, leaf)) {
+        leaves.push_back(problem.leaf_index(leaf));
+      }
     }
+    offsets[j + 1] = static_cast<int64_t>(leaves.size());
   }
+  AssignmentFlow flow(problem.num_leaves(), std::move(offsets),
+                      std::move(leaves));
 
   SaSolution solution;
   solution.algorithm = "Balance";
@@ -74,7 +67,7 @@ SaSolution RunBalance(const SaProblem& problem, Rng& rng) {
   }
   double hi = min_kappa > 0 ? 1.0 / min_kappa + 1 : m;
   std::vector<int> best_assignment;
-  if (!TryAssign(problem, candidates, hi, &best_assignment)) {
+  if (!TryAssign(problem, hi, &flow, &best_assignment)) {
     // Even fully unbalanced routing fails only if some subscriber has no
     // latency-feasible broker, which cannot happen (Δ-achieving leaf).
     SLP_DCHECK(false);
@@ -82,14 +75,15 @@ SaSolution RunBalance(const SaProblem& problem, Rng& rng) {
     // get a structurally complete (if infeasible) solution.
     best_assignment.assign(m, -1);
     for (int j = 0; j < m; ++j) {
-      best_assignment[j] =
-          candidates[j].empty() ? tree.leaf_brokers()[0] : candidates[j][0];
+      best_assignment[j] = flow.covers(j).empty()
+                               ? tree.leaf_brokers()[0]
+                               : problem.leaf_node(flow.covers(j)[0]);
     }
   }
   for (int iter = 0; iter < 40 && hi - lo > 1e-4 * hi; ++iter) {
     const double mid = (lo + hi) / 2;
     std::vector<int> attempt;
-    if (TryAssign(problem, candidates, mid, &attempt)) {
+    if (TryAssign(problem, mid, &flow, &attempt)) {
       hi = mid;
       best_assignment = std::move(attempt);
     } else {

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "src/common/invariant.h"
 #include "src/common/status.h"
 #include "src/core/filter_adjust.h"
-#include "src/flow/max_flow.h"
 
 namespace slp::core {
 
@@ -16,125 +16,150 @@ namespace {
 // Multiplicative β escalation per retry (β_max is always tried last).
 constexpr double kEscalation = 1.05;
 
-// A (row, target) covering edge with its cohesion cost: the volume of the
-// smallest filter rectangle at the target containing the row's
-// subscription. Routing subscribers toward their most specific filters
-// keeps topically similar subscriptions together, which the final filter
-// adjustment rewards with tight MEBs.
-struct CoverEdge {
-  int target;
-  double cost;
-};
+}  // namespace
 
-// One max-flow attempt with β escalation. Fills `target_of` (-1 for rows
-// the flow could not route) and returns the achieved β.
-struct FlowAttempt {
-  std::vector<int> target_of;
-  double achieved_beta = 0;
-  int64_t flow = 0;
-};
-
-FlowAttempt RunFlow(const SaProblem& problem, const Targets& targets,
-                    const std::vector<std::vector<CoverEdge>>& covers,
-                    const SubscriptionAssignOptions& options) {
-  const int rows = static_cast<int>(covers.size());
+CoverTable ComputeCovers(const SaProblem& problem, const Targets& targets,
+                         const std::vector<geo::Filter>& filters) {
+  const int rows = targets.num_rows();
   const int nt = targets.count;
-  flow::MaxFlow mf(2 + nt + rows);
-  const int s = 0, t_node = 1;
-  const auto cap_at = [&](int t, double beta) {
-    return static_cast<int64_t>(std::floor(targets.AbsCap(t, beta) + 1e-9));
-  };
-  double beta = problem.config().beta;
-  std::vector<int> target_edge(nt);
-  for (int t = 0; t < nt; ++t) {
-    target_edge[t] = mf.AddEdge(s, 2 + t, cap_at(t, beta));
-  }
-  // Every row is one unit of supply, routed whole to one target.
-  const int64_t supply = rows;
-  std::vector<int> sink_edge(rows);
-  std::vector<std::vector<std::pair<int, int>>> row_edges(rows);
-  for (int r = 0; r < rows; ++r) {
-    sink_edge[r] = mf.AddEdge(2 + nt + r, t_node, 1);
-    for (const CoverEdge& e : covers[r]) {
-      row_edges[r].push_back({mf.AddEdge(2 + e.target, 2 + nt + r, 1),
-                              e.target});
-    }
-  }
+  CoverTable covers;
+  covers.offsets.assign(rows + 1, 0);
+  if (rows == 0) return covers;
+  const int d = problem.subscriber(targets.subscribers[0]).subscription.dim();
 
-  // Cohesion seeding: a cost-ordered greedy pre-assignment pushed as
-  // initial flow; Solve() then only reroutes where load balance demands.
-  if (options.cohesion_seeding) {
-    struct Item {
-      double cost;
-      int row;
-      int cover_idx;
-    };
-    std::vector<Item> items;
-    for (int r = 0; r < rows; ++r) {
-      for (size_t c = 0; c < covers[r].size(); ++c) {
-        items.push_back({covers[r][c].cost, r, static_cast<int>(c)});
+  // Every target's rectangles, flattened and sorted by volume: the first
+  // that contains a subscription is the smallest, whose volume is the
+  // cover's cost. A NaN volume can never be that minimum, and an
+  // infinite one makes no cover, so the first hit decides. A
+  // subscription outside the box enclosing a target's rectangles is in
+  // none of them.
+  std::vector<int64_t> rect_offsets(nt + 1, 0);
+  std::vector<double> rect_volume, rect_lo, rect_hi;
+  std::vector<double> box_lo(static_cast<size_t>(nt) * d);
+  std::vector<double> box_hi(static_cast<size_t>(nt) * d);
+  std::vector<std::pair<double, int>> by_volume;
+  for (int t = 0; t < nt; ++t) {
+    const std::vector<geo::Rectangle>& rects = filters[t].rects();
+    by_volume.clear();
+    for (int k = 0; k < static_cast<int>(rects.size()); ++k) {
+      SLP_DCHECK(rects[k].dim() == d);
+      const double volume = rects[k].Volume();
+      if (!std::isnan(volume)) by_volume.push_back({volume, k});
+    }
+    std::sort(by_volume.begin(), by_volume.end());
+    double* lo = box_lo.data() + static_cast<size_t>(t) * d;
+    double* hi = box_hi.data() + static_cast<size_t>(t) * d;
+    std::fill(lo, lo + d, std::numeric_limits<double>::infinity());
+    std::fill(hi, hi + d, -std::numeric_limits<double>::infinity());
+    for (const auto& [volume, k] : by_volume) {
+      rect_volume.push_back(volume);
+      for (int i = 0; i < d; ++i) {
+        rect_lo.push_back(rects[k].lo(i));
+        rect_hi.push_back(rects[k].hi(i));
+        lo[i] = std::min(lo[i], rects[k].lo(i));
+        hi[i] = std::max(hi[i], rects[k].hi(i));
       }
     }
-    std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
-      return a.cost < b.cost;
-    });
-    std::vector<int64_t> used(nt, 0);
-    std::vector<bool> seeded(rows, false);
-    for (const Item& item : items) {
-      if (seeded[item.row]) continue;
-      const int t = covers[item.row][item.cover_idx].target;
-      if (used[t] + 1 > cap_at(t, beta)) continue;
-      seeded[item.row] = true;
-      ++used[t];
-      mf.PushPath({target_edge[t], row_edges[item.row][item.cover_idx].first,
-                   sink_edge[item.row]},
-                  1);
-    }
+    rect_offsets[t + 1] = static_cast<int64_t>(rect_volume.size());
   }
+  // Closed containment exactly as Rectangle::Contains tests it.
+  const auto contains = [d](const double* lo, const double* hi,
+                            const double* sub_lo, const double* sub_hi) {
+    for (int i = 0; i < d; ++i) {
+      if (sub_lo[i] < lo[i] || sub_hi[i] > hi[i]) return false;
+    }
+    return true;
+  };
 
-  int64_t flow = mf.Solve(s, t_node);
-  while (flow < supply && beta < problem.config().beta_max - 1e-12) {
-    beta = std::min(beta * kEscalation, problem.config().beta_max);
-    for (int t = 0; t < nt; ++t) {
-      mf.SetCapacity(target_edge[t], cap_at(t, beta));
-    }
-    flow = mf.Solve(s, t_node);  // resumes from the current flow
-  }
-  FlowAttempt out;
-  out.achieved_beta = beta;
-  out.flow = flow;
-  out.target_of.assign(rows, -1);
+  // Untouched capacity costs no memory, so reserving every candidate is
+  // free where covers are sparse.
+  covers.target.reserve(targets.cand_targets.size());
+  covers.cost.reserve(targets.cand_targets.size());
   for (int r = 0; r < rows; ++r) {
-    // A routed row's unit flows over exactly one of its edges.
-    for (const auto& [edge, t] : row_edges[r]) {
-      if (mf.flow(edge) > 0) {
-        out.target_of[r] = t;
+    const geo::Rectangle& sub =
+        problem.subscriber(targets.subscribers[r]).subscription;
+    const double* sub_lo = sub.lo().data();
+    const double* sub_hi = sub.hi().data();
+    for (int t : targets.candidates(r)) {
+      const size_t box = static_cast<size_t>(t) * d;
+      if (!contains(&box_lo[box], &box_hi[box], sub_lo, sub_hi)) continue;
+      for (int64_t k = rect_offsets[t]; k < rect_offsets[t + 1]; ++k) {
+        if (!contains(&rect_lo[k * d], &rect_hi[k * d], sub_lo, sub_hi)) {
+          continue;
+        }
+        if (std::isfinite(rect_volume[k])) {
+          covers.target.push_back(t);
+          covers.cost.push_back(rect_volume[k]);
+        }
         break;
       }
     }
-  }
-  return out;
-}
-
-std::vector<std::vector<CoverEdge>> ComputeCovers(
-    const SaProblem& problem, const Targets& targets,
-    const std::vector<geo::Filter>& filters) {
-  const int rows = static_cast<int>(targets.subscribers.size());
-  std::vector<std::vector<CoverEdge>> covers(rows);
-  for (int r = 0; r < rows; ++r) {
-    const auto& sub = problem.subscriber(targets.subscribers[r]).subscription;
-    for (int t : targets.candidates(r)) {
-      double best = std::numeric_limits<double>::infinity();
-      for (const auto& rect : filters[t].rects()) {
-        if (rect.Contains(sub)) best = std::min(best, rect.Volume());
-      }
-      if (std::isfinite(best)) covers[r].push_back({t, best});
-    }
+    covers.offsets[r + 1] = static_cast<int64_t>(covers.target.size());
   }
   return covers;
 }
 
-}  // namespace
+FlowRun RunFlow(const SaProblem& problem, const Targets& targets,
+                CoverTable covers, const SubscriptionAssignOptions& options) {
+  const int rows = static_cast<int>(covers.offsets.size()) - 1;
+  const int nt = targets.count;
+  const auto cap_at = [&](int t, double beta) {
+    return static_cast<int64_t>(std::floor(targets.AbsCap(t, beta) + 1e-9));
+  };
+  double beta = problem.config().beta;
+
+  // Cohesion seeding: a cost-ordered greedy pre-assignment written as the
+  // initial flow; Solve() then only reroutes where load balance demands.
+  struct Item {
+    double cost;
+    int row;
+    int target;
+  };
+  std::vector<Item> items;
+  if (options.cohesion_seeding) {
+    items.reserve(covers.cost.size());
+    for (int r = 0; r < rows; ++r) {
+      for (int64_t k = covers.offsets[r]; k < covers.offsets[r + 1]; ++k) {
+        items.push_back({covers.cost[k], r, covers.target[k]});
+      }
+    }
+  }
+  std::vector<double>().swap(covers.cost);
+  FlowRun run;
+  run.flow =
+      AssignmentFlow(nt, std::move(covers.offsets), std::move(covers.target));
+  AssignmentFlow& flow = run.flow;
+  for (int t = 0; t < nt; ++t) flow.SetCap(t, cap_at(t, beta));
+
+  if (options.cohesion_seeding) {
+    // Ties decide the seeding. A cost is the volume of one filter
+    // rectangle, and a filter has few, so many items share each cost;
+    // std::sort orders tied items unstably but deterministically, and
+    // this exact call (same items, same order, same comparator) is what
+    // fixes every seeded row. A stable sort, a tie-break or a per-row
+    // seeding would each move results (DESIGN.md §5, cohesion seeding).
+    std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
+      return a.cost < b.cost;
+    });
+    for (const Item& item : items) {
+      if (flow.target_of(item.row) >= 0 ||
+          flow.load(item.target) >= flow.cap(item.target)) {
+        continue;
+      }
+      flow.Assign(item.row, item.target);
+    }
+    std::vector<Item>().swap(items);
+  }
+
+  flow.Solve();
+  while (flow.flow() < rows && beta < problem.config().beta_max - 1e-12) {
+    beta = std::min(beta * kEscalation, problem.config().beta_max);
+    for (int t = 0; t < nt; ++t) flow.SetCap(t, cap_at(t, beta));
+    flow.Solve();  // resumes from the current flow
+  }
+  run.achieved_beta = beta;
+  return run;
+}
 
 Result<SubscriptionAssignResult> AssignByMaxFlow(
     const SaProblem& problem, const Targets& targets,
@@ -145,38 +170,33 @@ Result<SubscriptionAssignResult> AssignByMaxFlow(
   const int rows = static_cast<int>(targets.subscribers.size());
   const int nt = targets.count;
 
-  std::vector<std::vector<CoverEdge>> covers =
-      ComputeCovers(problem, targets, *filters);
+  CoverTable covers = ComputeCovers(problem, targets, *filters);
   for (int r = 0; r < rows; ++r) {
-    if (covers[r].empty()) {
+    if (covers.offsets[r + 1] == covers.offsets[r]) {
       return Status::Infeasible("subscriber covered by no target filter");
     }
   }
 
-  FlowAttempt attempt = RunFlow(problem, targets, covers, options);
+  FlowRun run = RunFlow(problem, targets, std::move(covers), options);
 
   // Enrichment: unroutable rows see only saturated targets; open up their
   // nearest feasible target that still has headroom at β_max.
   for (int round = 0;
-       attempt.flow < rows && round < options.enrichment_rounds; ++round) {
-    std::vector<int> load(nt, 0);
-    for (int r = 0; r < rows; ++r) {
-      if (attempt.target_of[r] >= 0) ++load[attempt.target_of[r]];
-    }
+       run.flow.flow() < rows && round < options.enrichment_rounds; ++round) {
+    const AssignmentFlow& flow = run.flow;
     std::vector<std::vector<geo::Rectangle>> pending(nt);
     bool any = false;
     for (int r = 0; r < rows; ++r) {
-      if (attempt.target_of[r] >= 0) continue;
+      if (flow.target_of(r) >= 0) continue;
       // Nearest latency-feasible target with spare β_max capacity that does
       // not already cover this row.
       for (int t : targets.candidates(r)) {
         const double cap = targets.AbsCap(t, problem.config().beta_max);
-        const int pending_count = static_cast<int>(pending[t].size());
-        if (load[t] + pending_count + 1 > cap + 1e-9) continue;
-        const bool already_covering =
-            std::any_of(covers[r].begin(), covers[r].end(),
-                        [t](const CoverEdge& e) { return e.target == t; });
-        if (already_covering) {
+        const auto pending_count = static_cast<int64_t>(pending[t].size());
+        if (flow.load(t) + pending_count + 1 > cap + 1e-9) continue;
+        const auto row_covers = flow.covers(r);
+        if (std::find(row_covers.begin(), row_covers.end(), t) !=
+            row_covers.end()) {
           continue;  // the flow just could not use it
         }
         pending[t].push_back(
@@ -192,31 +212,32 @@ Result<SubscriptionAssignResult> AssignByMaxFlow(
           CoverWithAlphaMebs(pending[t], problem.config().alpha, rng);
       for (const auto& rect : extra.rects()) (*filters)[t].Add(rect);
     }
-    covers = ComputeCovers(problem, targets, *filters);
-    attempt = RunFlow(problem, targets, covers, options);
+    run.flow = AssignmentFlow();  // release before the re-run builds anew
+    run = RunFlow(problem, targets, ComputeCovers(problem, targets, *filters),
+                  options);
   }
 
+  const AssignmentFlow& flow = run.flow;
   SubscriptionAssignResult result;
-  result.achieved_beta = attempt.achieved_beta;
-  result.target_of = attempt.target_of;
-  result.load_feasible = attempt.flow >= rows;
+  result.achieved_beta = run.achieved_beta;
+  result.target_of = flow.target_of();
+  result.load_feasible = flow.flow() >= rows;
   if (!result.load_feasible) {
     // Route leftovers best-effort to their least-loaded covering target.
-    std::vector<int> load(nt, 0);
-    for (int r = 0; r < rows; ++r) {
-      if (result.target_of[r] >= 0) ++load[result.target_of[r]];
-    }
+    std::vector<int64_t> load(nt);
+    for (int t = 0; t < nt; ++t) load[t] = flow.load(t);
     for (int r = 0; r < rows; ++r) {
       if (result.target_of[r] >= 0) continue;
-      int best = covers[r][0].target;
+      const auto row_covers = flow.covers(r);
+      int best = row_covers[0];
       double best_ratio = std::numeric_limits<double>::infinity();
-      for (const CoverEdge& e : covers[r]) {
-        const double denom = std::max(
-            1e-12, targets.kappa[e.target] * targets.total_subscribers);
-        const double ratio = load[e.target] / denom;
+      for (int t : row_covers) {
+        const double denom =
+            std::max(1e-12, targets.kappa[t] * targets.total_subscribers);
+        const double ratio = load[t] / denom;
         if (ratio < best_ratio) {
           best_ratio = ratio;
-          best = e.target;
+          best = t;
         }
       }
       result.target_of[r] = best;

@@ -7,10 +7,12 @@
 #ifndef SLP_CORE_SUBSCRIPTION_ASSIGN_H_
 #define SLP_CORE_SUBSCRIPTION_ASSIGN_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "src/common/random.h"
 #include "src/common/status.h"
+#include "src/core/assignment_flow.h"
 #include "src/core/candidates.h"
 #include "src/core/problem.h"
 #include "src/geometry/filter.h"
@@ -50,6 +52,36 @@ Result<SubscriptionAssignResult> AssignByMaxFlow(
     const SaProblem& problem, const Targets& targets,
     std::vector<geo::Filter>* filters, Rng& rng,
     const SubscriptionAssignOptions& options = {});
+
+// The covers of one flow stage, as a CSR over local rows: row r's
+// covering targets, in candidate order, are
+// target[offsets[r] .. offsets[r+1]), and cost[k] is the volume of the
+// smallest rectangle of target[k]'s filter that contains the row's
+// subscription (the cohesion-seeding key: routing subscribers toward
+// their most specific filters keeps topically similar subscriptions
+// together, which the final filter adjustment rewards with tight MEBs).
+struct CoverTable {
+  std::vector<int64_t> offsets;  // rows + 1
+  std::vector<int32_t> target;
+  std::vector<double> cost;
+};
+
+// Target t covers row r iff t is one of r's candidates and one of
+// filters[t]'s rectangles contains r's subscription.
+CoverTable ComputeCovers(const SaProblem& problem, const Targets& targets,
+                         const std::vector<geo::Filter>& filters);
+
+// One flow run of AssignByMaxFlow: with cohesion seeding on, a greedy
+// cost-ordered pre-assignment at the problem's β; then max-flow; then,
+// while rows stay unrouted, β raised ×1.05 toward β_max (β_max is always
+// tried last), each raise resuming from the current flow.
+struct FlowRun {
+  AssignmentFlow flow;
+  double achieved_beta = 0;  // β value at which the flow saturated
+};
+
+FlowRun RunFlow(const SaProblem& problem, const Targets& targets,
+                CoverTable covers, const SubscriptionAssignOptions& options);
 
 }  // namespace slp::core
 

@@ -1,11 +1,16 @@
+// The test oracle's own suite: tests/flow_oracle.h's MaxFlow against
+// Edmonds-Karp and hand-solved networks. The assignment-flow kernel is
+// held to this oracle in tests/assignment_flow_test.cc.
+
 #include <algorithm>
+#include <array>
 #include <queue>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
-#include "src/flow/max_flow.h"
+#include "tests/flow_oracle.h"
 
 namespace slp::flow {
 namespace {

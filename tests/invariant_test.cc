@@ -11,13 +11,13 @@
 
 #include "gtest/gtest.h"
 #include "src/common/invariant.h"
+#include "src/core/assignment_flow.h"
 #include "src/core/audit.h"
 #include "src/core/dynamic.h"
 #include "src/core/repair.h"
 #include "src/common/deadline.h"
 #include "src/common/random.h"
 #include "src/core/slp.h"
-#include "src/flow/max_flow.h"
 #include "src/geometry/audit.h"
 #include "src/geometry/filter.h"
 #include "src/geometry/rectangle.h"
@@ -227,35 +227,52 @@ TEST(NestingAuditTest, ShrunkenEdgeFilterTripsNestingOnly) {
 // ---------------------------------------------------------------------------
 
 TEST(FlowAuditTest, SolvedNetworkPasses) {
-  flow::MaxFlow mf(4);
-  mf.AddEdge(0, 1, 5);
-  mf.AddEdge(0, 2, 3);
-  mf.AddEdge(1, 3, 4);
-  mf.AddEdge(2, 3, 4);
-  mf.AddEdge(1, 2, 2);
-  EXPECT_EQ(mf.Solve(0, 3), 8);
+  // Row 2 is covered by both targets; seeding it on target 0 forces the
+  // solve to reroute it before row 0 fits.
+  core::AssignmentFlow flow(2, {0, 1, 2, 4}, {0, 1, 0, 1});
+  flow.SetCap(0, 1);
+  flow.SetCap(1, 2);
+  flow.Assign(2, 0);
+  EXPECT_EQ(flow.Solve(), 3);
+  EXPECT_EQ(flow.target_of(0), 0);
+  EXPECT_EQ(flow.target_of(2), 1);
   RecordingHandler guard;
-  flow::AuditFlowConservation(mf, 0, 3);
+  core::AuditAssignmentFlow(flow);
   EXPECT_EQ(guard.Total(), 0);
 }
 
 TEST(FlowAuditTest, DisconnectedPushTripsFlowOnly) {
-  flow::MaxFlow mf(5);
-  mf.AddEdge(0, 1, 5);
-  const int stray = mf.AddEdge(2, 3, 5);  // not on any s-t path
-  mf.AddEdge(1, 4, 5);
-  EXPECT_EQ(mf.Solve(0, 4), 5);
+  // Rows 0 and 1 are covered by target 0 only, row 2 by target 1 only.
+  // Target 0 holds one row, target 1 two.
+  core::AssignmentFlow flow(2, {0, 1, 2, 3}, {0, 0, 1});
+  flow.SetCap(0, 1);
+  flow.SetCap(1, 2);
+  EXPECT_EQ(flow.Solve(), 2);  // target 0 takes one of rows 0 and 1
+  const int stranded = flow.target_of(0) < 0 ? 0 : 1;
+  ASSERT_LT(flow.target_of(stranded), 0);
   {
     RecordingHandler clean;
-    flow::AuditFlowConservation(mf, 0, 4);
+    core::AuditAssignmentFlow(flow);
     EXPECT_EQ(clean.Total(), 0);
   }
-  // Unbalance nodes 2 and 3: push along a "path" that is a lone interior
-  // edge. Per-edge bounds stay valid, so only conservation can catch it.
+  {
+    // Seed the stranded row on target 1, which has headroom but does not
+    // cover it. Loads and the flow count stay consistent, so only the
+    // cover check can catch it.
+    core::AssignmentFlow moved = flow;
+    RecordingHandler guard;
+    moved.Assign(stranded, 1);
+    core::AuditAssignmentFlow(moved);
+    guard.ExpectOnly(Category::kFlow, 1);
+    EXPECT_EQ(guard.Count(Category::kFlow), 1);
+  }
+  // Seed it on target 0, which covers it but is full: only the cap check
+  // can catch it.
   RecordingHandler guard;
-  mf.PushPath({stray}, 2);
-  flow::AuditFlowConservation(mf, 0, 4);
-  guard.ExpectOnly(Category::kFlow, 2);  // both endpoints imbalance
+  flow.Assign(stranded, 0);
+  core::AuditAssignmentFlow(flow);
+  guard.ExpectOnly(Category::kFlow, 1);
+  EXPECT_EQ(guard.Count(Category::kFlow), 1);
 }
 
 // ---------------------------------------------------------------------------
