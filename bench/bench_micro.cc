@@ -17,7 +17,6 @@
 #include "src/geometry/clustering.h"
 #include "src/geometry/filter.h"
 #include "src/geometry/union_volume.h"
-#include "src/geometry/volume_memo.h"
 #include "src/lp/simplex.h"
 #include "src/network/tree_builder.h"
 #include "src/workload/googlegroups.h"
@@ -93,19 +92,8 @@ std::vector<geo::Rectangle> OverlappingSquares(int n) {
   return rs;
 }
 
-// The Q(T) hot path: repeated exact-volume evaluation of an unchanged
-// broker filter, as core::metrics and core::dynamic issue it. After the
-// first iteration this is a content-hash memo hit.
-void BM_UnionVolume(benchmark::State& state) {
-  geo::Filter f(OverlappingSquares(static_cast<int>(state.range(0))));
-  geo::VolumeMemo::Global().Clear();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(geo::VolumeMemo::Global().UnionVolume(f));
-  }
-}
-BENCHMARK(BM_UnionVolume)->Arg(3)->Arg(6)->Arg(10)->Arg(20);
-
-// Uncached engine dispatch (inclusion-exclusion for n <= 4, sweep above).
+// The Q(T) primitive, Vol(f_i), as core::metrics and core::dynamic call
+// it: the engine dispatch (inclusion-exclusion for n <= 4, sweep above).
 void BM_UnionVolumeExact(benchmark::State& state) {
   geo::Filter f(OverlappingSquares(static_cast<int>(state.range(0))));
   for (auto _ : state) {
@@ -142,8 +130,7 @@ void BM_FilterGen(benchmark::State& state) {
                     core::SaConfig{});
   Rng rng(4);
   for (auto _ : state) {
-    auto rects =
-        core::FilterGen(p, core::AllSubscribers(p), 20, {}, rng);
+    auto rects = core::FilterGen(p, core::AllSubscribers(p), 20, rng);
     benchmark::DoNotOptimize(rects.size());
   }
 }

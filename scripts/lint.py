@@ -207,8 +207,8 @@ def check_raw_sync(path, code):
         report(path, line_of(code, m.start()), "no-raw-sync-primitive",
                f"std::{m.group(1)} bypasses the thread-safety "
                "annotations; use the capability-annotated wrappers in "
-               "src/common/sync.h (slp::Mutex/MutexLock/SharedMutex/"
-               "CondVar, DESIGN.md §15)")
+               "src/common/sync.h (slp::Mutex/MutexLock/CondVar, "
+               "DESIGN.md §15)")
 
 
 def check_nested_vectors(path, code):

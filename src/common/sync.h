@@ -23,7 +23,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 // --- Attribute macros ------------------------------------------------------
 //
@@ -57,20 +56,14 @@
 #define SLP_ACQUIRED_AFTER(...) \
   SLP_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
 
-// Function contracts: the caller must hold (exclusively / shared) the
-// listed capabilities on entry, and still holds them on exit.
+// Function contracts: the caller must hold the listed capabilities on
+// entry, and still holds them on exit.
 #define SLP_REQUIRES(...) \
   SLP_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define SLP_REQUIRES_SHARED(...) \
-  SLP_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 
 // Function acquires / releases the listed capabilities.
 #define SLP_ACQUIRE(...) SLP_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define SLP_ACQUIRE_SHARED(...) \
-  SLP_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define SLP_RELEASE(...) SLP_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define SLP_RELEASE_SHARED(...) \
-  SLP_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 #define SLP_TRY_ACQUIRE(...) \
   SLP_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 
@@ -121,54 +114,6 @@ class SLP_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-// --- Reader/writer mutex ---------------------------------------------------
-
-// A std::shared_mutex carrying the capability; shared (reader) acquisition
-// is tracked separately from exclusive, so writing a guarded member under
-// only a ReaderMutexLock is a compile error under Clang.
-class SLP_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() SLP_ACQUIRE() { mu_.lock(); }
-  void Unlock() SLP_RELEASE() { mu_.unlock(); }
-  void ReaderLock() SLP_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void ReaderUnlock() SLP_RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
-};
-
-// RAII exclusive scope lock over SharedMutex.
-class SLP_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) SLP_ACQUIRE(mu) : mu_(mu) {
-    mu_.Lock();
-  }
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-  ~WriterMutexLock() SLP_RELEASE() { mu_.Unlock(); }
-
- private:
-  SharedMutex& mu_;
-};
-
-// RAII shared (read) scope lock over SharedMutex.
-class SLP_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) SLP_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.ReaderLock();
-  }
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-  ~ReaderMutexLock() SLP_RELEASE() { mu_.ReaderUnlock(); }
-
- private:
-  SharedMutex& mu_;
 };
 
 // --- Condition variable ----------------------------------------------------

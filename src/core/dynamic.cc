@@ -11,7 +11,7 @@
 #include "src/core/filter_adjust.h"
 #include "src/core/greedy.h"
 #include "src/geometry/filter.h"
-#include "src/geometry/volume_memo.h"
+#include "src/geometry/union_volume.h"
 #include "src/network/audit.h"
 
 namespace slp::core {
@@ -374,12 +374,11 @@ Status DynamicAssigner::Park(int handle, DegradedViolation violation) {
 }
 
 double DynamicAssigner::CurrentBandwidth() const {
-  // Churn touches few paths between bandwidth probes; unchanged broker
-  // filters hit the volume memo. Failed brokers carry no traffic.
+  // Failed brokers carry no traffic.
   double total = 0;
   for (int v = 1; v < tree_.num_nodes(); ++v) {
     if (tree_.is_failed(v)) continue;
-    total += geo::VolumeMemo::Global().UnionVolume(geo::Filter(filters_[v]));
+    total += geo::UnionVolume(filters_[v]);
   }
   return total;
 }
@@ -391,9 +390,12 @@ double DynamicAssigner::TightBandwidth(Rng& rng) const {
   for (auto& f : tight.filters) f.Clear();
   AdjustLeafFilters(problem, &tight, rng);
   BuildInternalFilters(problem, &tight, rng);
+  // Snapshot's tree keeps the static node ids but not the failures, so the
+  // failed brokers are skipped here, as in CurrentBandwidth.
   double total = 0;
-  for (int v = 1; v < problem.tree().num_nodes(); ++v) {
-    total += geo::VolumeMemo::Global().UnionVolume(tight.filters[v]);
+  for (int v = 1; v < tree_.num_nodes(); ++v) {
+    if (tree_.is_failed(v)) continue;
+    total += tight.filters[v].UnionVolume();
   }
   return total;
 }

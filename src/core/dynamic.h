@@ -30,8 +30,8 @@
 // and join before returning, and those tasks write disjoint slots of
 // locals, never assigner members). Calling any method concurrently with
 // any other — including from a pool task — is a contract violation, not
-// a supported mode; the shared-capability layer (src/common/sync.h)
-// deliberately stops at the pool/memo/audit substrate.
+// a supported mode; the capability layer (src/common/sync.h)
+// deliberately stops at the pool/audit substrate.
 
 #ifndef SLP_CORE_DYNAMIC_H_
 #define SLP_CORE_DYNAMIC_H_
@@ -259,8 +259,9 @@ class DynamicAssigner {
   // filters. Failed brokers carry no traffic and are excluded.
   double CurrentBandwidth() const;
 
-  // Σ_i Vol(f'_i) if every filter were rebuilt tightly from the live
-  // subscriptions (the reoptimization headroom). Uses ≤α MEB clustering.
+  // Σ_i Vol(f'_i) over live brokers if every filter were rebuilt tightly
+  // from the live subscriptions (the reoptimization headroom: the same
+  // brokers as CurrentBandwidth). Uses ≤α MEB clustering.
   double TightBandwidth(Rng& rng) const;
 
   // Rebuilds the deployment offline from all tracked subscribers (orphans

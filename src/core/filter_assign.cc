@@ -9,6 +9,7 @@
 #include "src/common/invariant.h"
 #include "src/common/status.h"
 #include "src/core/filter_adjust.h"
+#include "src/core/filter_gen.h"
 #include "src/core/lp_relax.h"
 #include "src/geometry/audit.h"
 
@@ -206,8 +207,8 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
             std::vector<int> sa_subs;
             sa_subs.reserve(sa_rows.size());
             for (int r : sa_rows) sa_subs.push_back(targets.subscribers[r]);
-            const std::vector<geo::Rectangle> rects = FilterGen(
-                problem, sa_subs, targets.count, options.filter_gen, rng);
+            const std::vector<geo::Rectangle> rects =
+                FilterGen(problem, sa_subs, targets.count, rng);
 
             Result<LpRelaxModel> built = LpRelaxModel::Build(
                 problem, targets, sa_rows, sb_rows, rects, rng);

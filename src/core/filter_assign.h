@@ -30,7 +30,6 @@
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/core/candidates.h"
-#include "src/core/filter_gen.h"
 #include "src/core/problem.h"
 #include "src/geometry/filter.h"
 
@@ -50,7 +49,6 @@ struct FilterAssignOptions {
   // is bit-identical to one without. Used by the post-failure repair path
   // (DESIGN.md §9).
   Deadline deadline;
-  FilterGenOptions filter_gen;
 };
 
 struct FilterAssignResult {

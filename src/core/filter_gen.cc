@@ -21,6 +21,9 @@ constexpr double kEta = 0.5;
 // Relative weight of network coordinates vs event coordinates in the joint
 // clustering space.
 constexpr double kNetworkWeight = 1.0;
+// Keep-smallest pruning: per subscription, how many containing candidates
+// survive (the global MEB is kept unconditionally).
+constexpr int kCoversPerSubscription = 8;
 
 struct Interval {
   double lo, hi;
@@ -154,9 +157,7 @@ std::vector<Interval> GenerateIntervals(std::vector<Interval> input) {
 
 std::vector<geo::Rectangle> FilterGen(const SaProblem& problem,
                                       const std::vector<int>& sa_indices,
-                                      int num_targets,
-                                      const FilterGenOptions& options,
-                                      Rng& rng) {
+                                      int num_targets, Rng& rng) {
   SLP_DCHECK(!sa_indices.empty());
   SLP_DCHECK(num_targets > 0);
   const int ev_dim = problem.subscriber(sa_indices[0]).subscription.dim();
@@ -256,7 +257,7 @@ std::vector<geo::Rectangle> FilterGen(const SaProblem& problem,
     for (size_t s = 0; s < subs.size(); ++s) {
       if (shrunk[c].Contains(subs[s])) {
         contained.push_back(static_cast<int>(s));
-        if (kept_covers[s] < options.covers_per_subscription) keep = true;
+        if (kept_covers[s] < kCoversPerSubscription) keep = true;
       }
     }
     if (contained.size() >= wide_threshold) keep = true;

@@ -15,7 +15,7 @@
 // The global MEB of the input is always included, so every subscription is
 // contained in at least one candidate. To keep the LP small, a
 // keep-smallest pruning retains, per subscription, only the
-// `covers_per_subscription` smallest candidates containing it.
+// kCoversPerSubscription (8) smallest candidates containing it.
 
 #ifndef SLP_CORE_FILTER_GEN_H_
 #define SLP_CORE_FILTER_GEN_H_
@@ -28,20 +28,12 @@
 
 namespace slp::core {
 
-struct FilterGenOptions {
-  // Keep-smallest pruning: per subscription, how many containing candidates
-  // survive (the global MEB is kept unconditionally).
-  int covers_per_subscription = 8;
-};
-
 // Generates candidate filter rectangles for the subscriptions indexed by
 // `sa_indices` (into problem.subscribers()), for a run with `num_targets`
 // assignable targets. Result is sorted by volume ascending and non-empty.
 std::vector<geo::Rectangle> FilterGen(const SaProblem& problem,
                                       const std::vector<int>& sa_indices,
-                                      int num_targets,
-                                      const FilterGenOptions& options,
-                                      Rng& rng);
+                                      int num_targets, Rng& rng);
 
 }  // namespace slp::core
 

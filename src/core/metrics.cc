@@ -5,7 +5,6 @@
 
 #include "src/common/invariant.h"
 #include "src/common/status.h"
-#include "src/geometry/volume_memo.h"
 
 namespace slp::core {
 
@@ -14,11 +13,8 @@ SolutionMetrics ComputeMetrics(const SaProblem& problem,
   const auto& tree = problem.tree();
   SolutionMetrics out;
 
-  // Memoized: repeated Q(T) evaluations of unchanged broker filters (churn
-  // snapshots, benchmark sweeps) are cache hits.
   for (int v = 1; v < tree.num_nodes(); ++v) {
-    out.total_bandwidth +=
-        geo::VolumeMemo::Global().UnionVolume(solution.filters[v]);
+    out.total_bandwidth += solution.filters[v].UnionVolume();
     out.total_bandwidth_sum += solution.filters[v].SumVolume();
   }
 

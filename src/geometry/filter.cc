@@ -31,15 +31,7 @@ double Filter::SumVolume() const {
   return v;
 }
 
-double Filter::UnionVolume() const {
-  if (rects_.empty()) return 0;
-  // Inclusion-exclusion wins on tiny filters (no compression overhead); the
-  // polynomial sweep wins as soon as subset blowup becomes possible.
-  if (rects_.size() <= kInclusionExclusionMax) {
-    return InclusionExclusionUnionVolume(rects_);
-  }
-  return SweepUnionVolume(rects_);
-}
+double Filter::UnionVolume() const { return geo::UnionVolume(rects_); }
 
 Filter Filter::Expanded(double eps) const {
   std::vector<Rectangle> out;

@@ -47,11 +47,9 @@ class Filter {
   // paper, footnote 2).
   double SumVolume() const;
 
-  // Exact volume of the union. Dispatches on complexity: inclusion-
-  // exclusion for size() <= kInclusionExclusionMax, the polynomial
-  // coordinate-compression sweep above that (src/geometry/union_volume.h),
-  // so arbitrarily large filters stay tractable. Repeated evaluations of
-  // unchanged filters should go through geo::VolumeMemo instead.
+  // Exact volume of the union: geo::UnionVolume(rects())
+  // (src/geometry/union_volume.h), inclusion-exclusion for small filters
+  // and the polynomial coordinate-compression sweep above that.
   double UnionVolume() const;
 
   // ε-expansion applied to each rectangle (Section IV-A.2).
@@ -59,10 +57,6 @@ class Filter {
 
   // Minimum enclosing box of all rectangles; nullopt for an empty filter.
   std::optional<Rectangle> Meb() const;
-
-  // Largest filter complexity for which UnionVolume() uses inclusion-
-  // exclusion rather than the sweep.
-  static constexpr int kInclusionExclusionMax = 4;
 
  private:
   std::vector<Rectangle> rects_;

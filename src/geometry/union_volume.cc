@@ -10,6 +10,10 @@ namespace slp::geo {
 
 namespace {
 
+// Largest rectangle count for which UnionVolume() uses inclusion-exclusion
+// rather than the sweep.
+constexpr size_t kInclusionExclusionMax = 4;
+
 // DFS over subsets of rects[start..] whose running intersection `acc` has
 // positive volume, accumulating the inclusion-exclusion sum. `sign` is +1
 // for odd subset cardinality, -1 for even. Zero-volume intersections are
@@ -92,6 +96,15 @@ double SweepRecurse(const std::vector<Rectangle>& rects,
 }
 
 }  // namespace
+
+double UnionVolume(const std::vector<Rectangle>& rects) {
+  // Inclusion-exclusion wins on tiny inputs (no compression overhead); the
+  // polynomial sweep wins as soon as subset blowup becomes possible.
+  if (rects.size() <= kInclusionExclusionMax) {
+    return InclusionExclusionUnionVolume(rects);
+  }
+  return SweepUnionVolume(rects);
+}
 
 double InclusionExclusionUnionVolume(const std::vector<Rectangle>& rects) {
   double total = 0;

@@ -1,7 +1,8 @@
-// Exact union-of-rectangles volume engines.
+// Exact union-of-rectangles volume: Vol(f_i), the term of
+// Q(T) = Σ_i Vol(f_i) (Section II).
 //
-// Two exact algorithms with very different cost profiles back
-// Filter::UnionVolume():
+// UnionVolume() dispatches between two exact algorithms with very
+// different cost profiles:
 //
 //  - InclusionExclusionUnionVolume: DFS over non-empty subset intersections.
 //    Exponential in n in the worst case but allocation-light and fastest for
@@ -23,6 +24,11 @@
 #include "src/geometry/rectangle.h"
 
 namespace slp::geo {
+
+// Exact volume of the union of `rects`; 0 when empty. Inclusion-exclusion
+// for at most four rectangles, the sweep above that, so arbitrarily large
+// inputs stay tractable.
+double UnionVolume(const std::vector<Rectangle>& rects);
 
 // Exact union volume by inclusion-exclusion over subset intersections.
 // Prunes empty and zero-volume intersections (a zero-volume intersection

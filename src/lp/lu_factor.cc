@@ -29,13 +29,6 @@ void ScatterVec::RebuildIndex(double density_threshold) {
   }
 }
 
-int ScatterVec::nnz() const {
-  if (!dense) return static_cast<int>(idx.size());
-  int count = 0;
-  for (double v : val) count += (v != 0.0);
-  return count;
-}
-
 std::vector<BasisFactorization::Repair> BasisFactorization::Factorize(
     const std::vector<int>& col_start, const std::vector<int>& row,
     const std::vector<double>& coef, const std::vector<int>& basis_cols,

@@ -77,7 +77,6 @@ class ScatterVec {
   // more than `density_threshold * n` entries are nonzero.
   void RebuildIndex(double density_threshold);
 
-  int nnz() const;
   int size() const { return n_; }
 
   std::vector<double> val;

@@ -9,7 +9,6 @@
 
 #include "src/common/invariant.h"
 #include "src/common/status.h"
-#include "src/common/timer.h"
 #include "src/lp/lu_factor.h"
 
 namespace slp::lp {
@@ -73,7 +72,7 @@ class SparseTableau {
     if (num_art_ > 0) {
       SetPhase1Costs();
       RecomputeDuals();
-      const SolveStatus st = Iterate(max_iters, &solution.iterations);
+      const SolveStatus st = Iterate(max_iters);
       if (st == SolveStatus::kIterationLimit) {
         solution.status = st;
         return Finish(std::move(solution));
@@ -81,7 +80,6 @@ class SparseTableau {
       SLP_DCHECK(st != SolveStatus::kUnbounded);  // phase-1 obj bounded below
       if (CurrentObjective() > kFeasibilityTol * (1 + rhs_norm_)) {
         solution.status = SolveStatus::kInfeasible;
-        stats_.phase1_pivots = solution.iterations;
         return Finish(std::move(solution));
       }
       for (int j = art_begin_; j < total_cols_; ++j) {
@@ -90,12 +88,11 @@ class SparseTableau {
         xval_[j] = 0;
       }
     }
-    stats_.phase1_pivots = solution.iterations;
 
     // ---- Phase 2 ----
     SetPhase2Costs(problem);
     RecomputeDuals();
-    const SolveStatus st = Iterate(max_iters, &solution.iterations);
+    const SolveStatus st = Iterate(max_iters);
     solution.status = st;
     if (st != SolveStatus::kOptimal) return Finish(std::move(solution));
 
@@ -114,9 +111,6 @@ class SparseTableau {
 
  private:
   LpSolution Finish(LpSolution solution) {
-    if (ftran_count_ > 0) {
-      stats_.avg_ftran_density = ftran_density_sum_ / ftran_count_;
-    }
     solution.stats = stats_;
     return solution;
   }
@@ -391,8 +385,9 @@ class SparseTableau {
 
   // One phase of primal simplex on the current costs; every linear-algebra
   // step runs through the LU+eta factorization with sparse right-hand
-  // sides.
-  SolveStatus Iterate(int max_iters, int* iteration_counter) {
+  // sides. Pivots count into stats_.pivots, whose total over both phases
+  // max_iters caps.
+  SolveStatus Iterate(int max_iters) {
     int since_recompute = 0;
     int since_refactor = 0;
     int stall = 0;
@@ -402,7 +397,7 @@ class SparseTableau {
     int price_cursor = 0;
 
     while (true) {
-      if (*iteration_counter >= max_iters) return SolveStatus::kIterationLimit;
+      if (stats_.pivots >= max_iters) return SolveStatus::kIterationLimit;
 
       // ---- Pricing ----
       int q = -1;
@@ -446,7 +441,7 @@ class SparseTableau {
       }
       verified = false;
 
-      ++(*iteration_counter);
+      ++stats_.pivots;
 
       // ---- FTRAN: w = B^-1 A_q (position space) ----
       w_vec_.Clear();
@@ -454,9 +449,6 @@ class SparseTableau {
         w_vec_.Add(entry_row_[p], entry_coef_[p]);
       }
       factor_.Ftran(&w_vec_, kDensityThreshold);
-      ftran_density_sum_ +=
-          static_cast<double>(w_vec_.nnz()) / std::max(1, m_);
-      ++ftran_count_;
 
       const double d_q = ReducedCost(q);
       const double sigma = at_upper_[q] ? -1.0 : 1.0;
@@ -625,8 +617,6 @@ class SparseTableau {
   std::vector<double> resid_scratch_;
 
   SolverStats stats_;
-  double ftran_density_sum_ = 0;
-  int64_t ftran_count_ = 0;
 };
 
 }  // namespace
@@ -634,12 +624,8 @@ class SparseTableau {
 LpSolution SimplexSolver::Solve(const LpProblem& problem) const {
   SLP_DCHECK(problem.num_constraints() > 0);
   SLP_DCHECK(problem.num_vars() > 0);
-  WallTimer timer;
   SparseTableau tableau(problem, options_);
-  LpSolution solution = tableau.Run(problem);
-  solution.stats.pivots = solution.iterations;
-  solution.stats.solve_seconds = timer.Seconds();
-  return solution;
+  return tableau.Run(problem);
 }
 
 }  // namespace slp::lp

@@ -42,11 +42,10 @@ struct SimplexOptions {
   double eta_fill_factor = 4.0;
 };
 
-// Per-solve counters exposed on LpSolution: pivots, factorization and
-// FTRAN-sparsity behavior, and wall time.
+// Per-solve counters exposed on LpSolution: pivots and factorization
+// behavior.
 struct SolverStats {
   int pivots = 0;             // total pivots, both phases
-  int phase1_pivots = 0;      // pivots spent reaching feasibility
   // Pivots that moved no value (ratio θ = 0): the stalls behind the pivot
   // tail.
   int degenerate_pivots = 0;
@@ -55,8 +54,6 @@ struct SolverStats {
   int bland_pivots = 0;
   int refactorizations = 0;   // basis refactorizations
   int max_eta_length = 0;     // longest eta file between refactorizations
-  double avg_ftran_density = 0;  // mean nnz(B^-1 a_q)/m over all FTRANs
-  double solve_seconds = 0;   // wall time inside Solve()
 };
 
 struct LpSolution {
@@ -64,7 +61,6 @@ struct LpSolution {
   double objective = 0;
   std::vector<double> x;      // primal values, one per problem variable
   std::vector<double> duals;  // one per constraint (valid when optimal)
-  int iterations = 0;
   SolverStats stats;
 };
 

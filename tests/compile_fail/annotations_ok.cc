@@ -1,9 +1,9 @@
 // Expect-pass TU: the full src/common/sync.h surface used correctly —
 // scoped and manual locking, TryLock branch tracking, REQUIRES helpers,
-// reader/writer locks, EXCLUDES contracts, and the CondVar wait loop —
-// must compile warning-free under -Werror=thread-safety(-beta). Pins
-// that the wrapper annotations themselves are coherent (a bad attribute
-// on a wrapper would poison every correct caller in src/).
+// EXCLUDES contracts, and the CondVar wait loop — must compile
+// warning-free under -Werror=thread-safety(-beta). Pins that the wrapper
+// annotations themselves are coherent (a bad attribute on a wrapper would
+// poison every correct caller in src/).
 // Registered by tests/compile_fail/CMakeLists.txt; never linked or run.
 
 #include <deque>
@@ -35,24 +35,12 @@ class Channel {
     return true;
   }
 
-  long reads() const SLP_EXCLUDES(rw_mu_) {
-    slp::ReaderMutexLock lock(rw_mu_);
-    return reads_;
-  }
-
-  void BumpReads() SLP_EXCLUDES(rw_mu_) {
-    slp::WriterMutexLock lock(rw_mu_);
-    ++reads_;
-  }
-
  private:
   void PopLocked() SLP_REQUIRES(mu_) { queue_.pop_front(); }
 
   slp::Mutex mu_;
   slp::CondVar cv_;
   std::deque<int> queue_ SLP_GUARDED_BY(mu_);
-  mutable slp::SharedMutex rw_mu_;
-  long reads_ SLP_GUARDED_BY(rw_mu_) = 0;
 };
 
 }  // namespace
@@ -60,7 +48,6 @@ class Channel {
 int main() {
   Channel c;
   c.Send(1);
-  c.BumpReads();
   if (!c.TrySend(2)) return 1;
-  return c.Receive() + static_cast<int>(c.reads()) - 2;
+  return c.Receive() - 1;
 }

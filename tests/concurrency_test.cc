@@ -1,14 +1,12 @@
 // Runtime companions of the compile-time concurrency contracts
-// (DESIGN.md §15): seeded multi-thread stress over the capability-guarded
-// substrate — VolumeMemo under concurrent identical-content insert/lookup,
-// ThreadPool shutdown while jobs are queued, and failure-handler
-// installation racing pool workers that trip audits. All of these run in
-// the TSan CI lane via ordinary suite membership; two of them are
-// regression tests for data races the annotation pass flushed out
-// (unlocked VolumeMemo stat reads; handler swap during an in-flight trip).
+// (DESIGN.md §15): multi-thread stress over the capability-guarded
+// substrate — ThreadPool shutdown while jobs are queued, and
+// failure-handler installation racing pool workers that trip audits. Both
+// run in the TSan CI lane via ordinary suite membership; the second is the
+// regression test for a data race the annotation pass flushed out (handler
+// swap during an in-flight trip).
 
 #include <atomic>
-#include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -17,93 +15,9 @@
 
 #include "src/common/invariant.h"
 #include "src/common/parallel.h"
-#include "src/common/random.h"
-#include "src/geometry/filter.h"
-#include "src/geometry/rectangle.h"
-#include "src/geometry/volume_memo.h"
 
 namespace slp {
 namespace {
-
-geo::Filter RandomFilter(Rng& rng, int rects) {
-  std::vector<geo::Rectangle> rs;
-  rs.reserve(rects);
-  for (int r = 0; r < rects; ++r) {
-    const double x = rng.Uniform(0, 100);
-    const double y = rng.Uniform(0, 100);
-    rs.push_back(geo::Rectangle({x, y}, {x + rng.Uniform(0.1, 20),
-                                         y + rng.Uniform(0.1, 20)}));
-  }
-  return geo::Filter(std::move(rs));
-}
-
-// Seeded stress: many threads hammer ONE memo with a small set of
-// filters, so concurrent lookups and inserts of identical content hashes
-// collide constantly. Every answer must equal the serial ground truth,
-// and the hit/miss accounting must add up exactly.
-TEST(ConcurrencyTest, VolumeMemoConcurrentIdenticalContent) {
-  Rng rng(20260809);
-  constexpr int kFilters = 16;
-  constexpr int kShards = 8;
-  constexpr int kRounds = 200;
-
-  std::vector<geo::Filter> filters;
-  std::vector<double> expected;
-  for (int i = 0; i < kFilters; ++i) {
-    filters.push_back(RandomFilter(rng, 1 + i % 6));
-    expected.push_back(filters.back().UnionVolume());
-  }
-
-  geo::VolumeMemo memo;
-  std::atomic<int> mismatches{0};
-  ThreadPool::Global().ParallelFor(kShards, [&](int s) {
-    for (int round = 0; round < kRounds; ++round) {
-      // Shard-dependent order => lookups and inserts interleave across
-      // shards on the same keys.
-      const int i = (round * (s + 1) + s) % kFilters;
-      if (memo.UnionVolume(filters[i]) != expected[i]) {
-        mismatches.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  });
-
-  EXPECT_EQ(mismatches.load(), 0);
-  // Exactly one table entry per distinct filter, however the races fell.
-  EXPECT_EQ(memo.size(), static_cast<size_t>(kFilters));
-  // Every call either hit or missed; duplicate concurrent misses on the
-  // same key are legal (both compute, both insert the same value), so
-  // misses >= kFilters rather than ==.
-  EXPECT_EQ(memo.hits() + memo.misses(),
-            static_cast<uint64_t>(kShards) * kRounds);
-  EXPECT_GE(memo.misses(), static_cast<uint64_t>(kFilters));
-}
-
-// Regression (TSan): hits()/misses()/size() used to read non-atomic
-// counters without the lock; concurrent stat polling while another thread
-// populates the memo was a data race.
-TEST(ConcurrencyTest, VolumeMemoStatsReadDuringInserts) {
-  Rng rng(7);
-  constexpr int kFilters = 64;
-  std::vector<geo::Filter> filters;
-  for (int i = 0; i < kFilters; ++i) filters.push_back(RandomFilter(rng, 3));
-
-  geo::VolumeMemo memo;
-  std::atomic<bool> done{false};
-  uint64_t observed = 0;
-  std::thread poller([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      observed += memo.hits() + memo.misses() + memo.size();
-    }
-  });
-  ThreadPool::Global().ParallelFor(4, [&](int s) {
-    for (int i = 0; i < kFilters; ++i) {
-      (void)memo.UnionVolume(filters[(i + s) % kFilters]);
-    }
-  });
-  done.store(true, std::memory_order_release);
-  poller.join();
-  EXPECT_EQ(memo.hits() + memo.misses(), static_cast<uint64_t>(4 * kFilters));
-}
 
 // Destroying the pool while jobs are queued must still run fn(i) exactly
 // once for every i: workers exit at the next queue check and each

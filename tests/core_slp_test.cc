@@ -27,7 +27,7 @@ using geo::Rectangle;
 TEST(FilterGenTest, EverySubscriptionCovered) {
   SaProblem p = test::SmallGridProblem(400, 8);
   Rng rng(1);
-  auto rects = FilterGen(p, AllSubscribers(p), 8, FilterGenOptions{}, rng);
+  auto rects = FilterGen(p, AllSubscribers(p), 8, rng);
   ASSERT_FALSE(rects.empty());
   for (int j = 0; j < p.num_subscribers(); ++j) {
     bool covered = false;
@@ -44,7 +44,7 @@ TEST(FilterGenTest, EverySubscriptionCovered) {
 TEST(FilterGenTest, SortedByVolumeAndDeduped) {
   SaProblem p = test::SmallGgProblem(500, 8);
   Rng rng(2);
-  auto rects = FilterGen(p, AllSubscribers(p), 8, FilterGenOptions{}, rng);
+  auto rects = FilterGen(p, AllSubscribers(p), 8, rng);
   for (size_t i = 1; i < rects.size(); ++i) {
     EXPECT_LE(rects[i - 1].Volume(), rects[i].Volume() + 1e-15);
   }
@@ -54,25 +54,13 @@ TEST(FilterGenTest, SortedByVolumeAndDeduped) {
   }
 }
 
-TEST(FilterGenTest, PruningCapsCandidateCount) {
-  SaProblem p = test::SmallGridProblem(500, 8);
-  Rng rng(3);
-  FilterGenOptions few;
-  few.covers_per_subscription = 2;
-  FilterGenOptions many;
-  many.covers_per_subscription = 20;
-  auto rects_few = FilterGen(p, AllSubscribers(p), 8, few, rng);
-  auto rects_many = FilterGen(p, AllSubscribers(p), 8, many, rng);
-  EXPECT_LE(rects_few.size(), rects_many.size());
-}
-
 TEST(FilterGenTest, SmallInputSkipsSuperSubscriptions) {
   // With fewer subscriptions than k = 5 * targets, candidates come from the
   // raw subscriptions; each subscription itself should appear (as the
   // shrunken MEB of a singleton product cell at the finest level).
   SaProblem p = test::SmallGridProblem(30, 4);
   Rng rng(4);
-  auto rects = FilterGen(p, AllSubscribers(p), 4, FilterGenOptions{}, rng);
+  auto rects = FilterGen(p, AllSubscribers(p), 4, rng);
   for (int j = 0; j < p.num_subscribers(); ++j) {
     bool covered = false;
     for (const auto& r : rects) {
@@ -93,7 +81,7 @@ TEST(FilterGenTest, IdenticalSubscriptionsYieldOneTightCandidate) {
   }
   SaProblem p(std::move(tree), std::move(subs), SaConfig{});
   Rng rng(5);
-  auto rects = FilterGen(p, AllSubscribers(p), 1, FilterGenOptions{}, rng);
+  auto rects = FilterGen(p, AllSubscribers(p), 1, rng);
   ASSERT_EQ(rects.size(), 1u);
   EXPECT_TRUE(rects[0] == Rectangle({0.2, 0.2}, {0.4, 0.4}));
 }
@@ -127,7 +115,7 @@ TEST(LpRelaxTest, SeparatesTopicClustersAcrossBrokers) {
   std::vector<int> all_rows(targets.subscribers.size());
   for (size_t i = 0; i < all_rows.size(); ++i) all_rows[i] = static_cast<int>(i);
   Rng rng(6);
-  auto rects = FilterGen(p, AllSubscribers(p), 2, FilterGenOptions{}, rng);
+  auto rects = FilterGen(p, AllSubscribers(p), 2, rng);
   auto model =
       LpRelaxModel::Build(p, targets, all_rows, all_rows, rects, rng);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
@@ -171,7 +159,7 @@ TEST(LpRelaxTest, InfeasibleWhenLoadCapForcesSplitButOnlyOneBrokerFeasible) {
   std::vector<int> all_rows(20);
   for (int i = 0; i < 20; ++i) all_rows[i] = i;
   Rng rng(7);
-  auto rects = FilterGen(p, AllSubscribers(p), 2, FilterGenOptions{}, rng);
+  auto rects = FilterGen(p, AllSubscribers(p), 2, rng);
   auto model =
       LpRelaxModel::Build(p, targets, all_rows, all_rows, rects, rng);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
@@ -200,7 +188,7 @@ TEST(LpRelaxTest, FractionalObjectiveIsLowerBoundForItsOwnRounding) {
   std::vector<int> sa_subs;
   for (int r : sa_rows) sa_subs.push_back(targets.subscribers[r]);
   Rng rng(8);
-  auto rects = FilterGen(p, sa_subs, targets.count, FilterGenOptions{}, rng);
+  auto rects = FilterGen(p, sa_subs, targets.count, rng);
   auto model = LpRelaxModel::Build(p, targets, sa_rows, sb_rows, rects, rng);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   auto result = model.value().Solve(rng);

@@ -6,9 +6,11 @@
 #include "src/common/deadline.h"
 #include "src/core/audit.h"
 #include "src/core/dynamic.h"
+#include "src/core/filter_adjust.h"
 #include "src/core/greedy.h"
 #include "src/core/metrics.h"
 #include "src/core/repair.h"
+#include "src/geometry/filter.h"
 #include "src/network/tree_builder.h"
 #include "src/workload/googlegroups.h"
 #include "src/workload/grid.h"
@@ -265,6 +267,74 @@ TEST(DynamicTest, SnapshotMetricsMatchLiveState) {
   EXPECT_EQ(total, 200);
   EXPECT_NEAR(ComputeMetrics(problem, solution).total_bandwidth,
               dyn.CurrentBandwidth(), 1e-9);
+}
+
+// Σ Vol(f_i) over the assigner's non-failed brokers, from the filters as
+// they stand.
+double LiveFilterVolume(const DynamicAssigner& dyn) {
+  double total = 0;
+  for (int v = 1; v < dyn.tree().num_nodes(); ++v) {
+    if (dyn.tree().is_failed(v)) continue;
+    total += geo::Filter(dyn.filter(v)).UnionVolume();
+  }
+  return total;
+}
+
+// CurrentBandwidth and TightBandwidth count the same brokers: after an
+// interior broker with live subscribers below it fails, neither counts its
+// filter, and TightBandwidth equals the tight rebuild over Snapshot()
+// summed over the non-failed nodes.
+TEST(DynamicTest, BandwidthsSkipFailedInteriorBroker) {
+  // Publisher 0; interior brokers 1 and 2; leaves 3, 4 under 1 and 5, 6
+  // under 2.
+  net::BrokerTree tree({0, 0});
+  tree.AddBroker({1, 0}, net::BrokerTree::kPublisher);
+  tree.AddBroker({-1, 0}, net::BrokerTree::kPublisher);
+  tree.AddBroker({1.5, 0.5}, 1);
+  tree.AddBroker({1.5, -0.5}, 1);
+  tree.AddBroker({-1.5, 0.5}, 2);
+  tree.AddBroker({-1.5, -0.5}, 2);
+  tree.Finalize();
+  DynamicAssigner dyn(std::move(tree), LooseConfig(), 24);
+  Rng rng(11);
+  for (int i = 0; i < 24; ++i) {
+    const double x = i % 2 == 0 ? 1.5 : -1.5;
+    ASSERT_TRUE(dyn.Add(MakeSub(x, rng.Uniform(-0.5, 0.5),
+                                rng.Uniform(0.0, 0.8), 0.1))
+                    .ok());
+  }
+  int below_1 = 0;
+  for (int h = 0; h < dyn.slot_count(); ++h) {
+    below_1 += dyn.leaf_of(h) == 3 || dyn.leaf_of(h) == 4 ? 1 : 0;
+  }
+  ASSERT_GT(below_1, 0);
+  EXPECT_EQ(dyn.CurrentBandwidth(), LiveFilterVolume(dyn));
+
+  constexpr uint64_t kSeed = 5;
+  Rng before_rng(kSeed);
+  const double tight_before = dyn.TightBandwidth(before_rng);
+
+  ASSERT_TRUE(dyn.FailBroker(1).ok());
+  EXPECT_EQ(dyn.live_count(), 24);
+  EXPECT_EQ(dyn.CurrentBandwidth(), LiveFilterVolume(dyn));
+
+  Rng after_rng(kSeed);
+  const double tight_after = dyn.TightBandwidth(after_rng);
+  auto [problem, solution] = dyn.Snapshot();
+  for (auto& f : solution.filters) f.Clear();
+  Rng rebuild_rng(kSeed);
+  AdjustLeafFilters(problem, &solution, rebuild_rng);
+  BuildInternalFilters(problem, &solution, rebuild_rng);
+  double want = 0;
+  for (int v = 1; v < problem.tree().num_nodes(); ++v) {
+    if (dyn.tree().is_failed(v)) continue;
+    want += solution.filters[v].UnionVolume();
+  }
+  EXPECT_EQ(tight_after, want);
+  EXPECT_LT(tight_after, tight_before);
+
+  ASSERT_TRUE(dyn.RecoverBroker(1).ok());
+  EXPECT_EQ(dyn.CurrentBandwidth(), LiveFilterVolume(dyn));
 }
 
 TEST(DynamicTest, OnlineQualityWithinReachOfOffline) {

@@ -13,7 +13,6 @@
 #include "src/geometry/point.h"
 #include "src/geometry/rectangle.h"
 #include "src/geometry/union_volume.h"
-#include "src/geometry/volume_memo.h"
 
 namespace slp::geo {
 namespace {
@@ -385,28 +384,6 @@ TEST(UnionVolumeEngineTest, LargeFilterUsesTractableSweep) {
   EXPECT_GT(v, 0.25);  // at least one 0.5x0.5 square
   EXPECT_LE(v, 1.0);   // all inside [0, 1]^2
   EXPECT_DOUBLE_EQ(v, SweepUnionVolume(rects));
-}
-
-TEST(VolumeMemoTest, HitsAfterFirstEvaluation) {
-  VolumeMemo memo;
-  Filter f({Box2(0, 2, 0, 2), Box2(1, 3, 0, 2)});
-  EXPECT_DOUBLE_EQ(memo.UnionVolume(f), 6.0);
-  EXPECT_EQ(memo.misses(), 1u);
-  EXPECT_DOUBLE_EQ(memo.UnionVolume(f), 6.0);
-  EXPECT_EQ(memo.hits(), 1u);
-  // Different content is a distinct entry, not a stale hit.
-  Filter g({Box2(0, 2, 0, 2), Box2(1, 3, 0, 3)});
-  EXPECT_DOUBLE_EQ(memo.UnionVolume(g), g.UnionVolume());
-  EXPECT_EQ(memo.misses(), 2u);
-  memo.Clear();
-  EXPECT_EQ(memo.size(), 0u);
-  EXPECT_EQ(memo.hits(), 0u);
-}
-
-TEST(VolumeMemoTest, EmptyFilterIsZeroWithoutCaching) {
-  VolumeMemo memo;
-  EXPECT_DOUBLE_EQ(memo.UnionVolume(Filter()), 0.0);
-  EXPECT_EQ(memo.size(), 0u);
 }
 
 TEST(KMeansTest, SeparatedClustersRecovered) {

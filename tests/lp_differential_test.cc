@@ -372,9 +372,8 @@ TEST(LpDifferentialTest, FilterAssignLaddersAgreeColdWarmDual) {
       all_rows[i] = static_cast<int>(i);
     }
     Rng rng(seed);
-    const std::vector<geo::Rectangle> rects =
-        core::FilterGen(problem, core::AllSubscribers(problem), targets.count,
-                        core::FilterGenOptions{}, rng);
+    const std::vector<geo::Rectangle> rects = core::FilterGen(
+        problem, core::AllSubscribers(problem), targets.count, rng);
     Result<core::LpRelaxModel> built = core::LpRelaxModel::Build(
         problem, targets, all_rows, all_rows, rects, rng);
     if (!built.ok()) continue;  // structurally infeasible sample: no ladder
@@ -457,8 +456,8 @@ void CheckLoadRule(const core::SaProblem& problem, const core::Targets& targets,
                  std::back_inserter(sa_rows));
   std::vector<int> sa_subs;
   for (int r : sa_rows) sa_subs.push_back(targets.subscribers[r]);
-  const std::vector<geo::Rectangle> rects = core::FilterGen(
-      problem, sa_subs, targets.count, core::FilterGenOptions{}, rng);
+  const std::vector<geo::Rectangle> rects =
+      core::FilterGen(problem, sa_subs, targets.count, rng);
   Result<core::LpRelaxModel> built = core::LpRelaxModel::Build(
       problem, targets, sa_rows, sb_rows, rects, rng);
   if (!built.ok()) return;  // structurally infeasible sample
