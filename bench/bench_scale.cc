@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,19 +44,14 @@ long PeakRssKb() {
   return ru.ru_maxrss;  // kilobytes on Linux
 }
 
-// The pre-CSR candidate layout: one heap-allocated row pair per
-// subscriber. Kept as the benchmark baseline so the CSR win stays
-// measured, not remembered.
-struct NestedTargets {
-  std::vector<std::vector<int>> candidates;
-  std::vector<std::vector<double>> latency;
-};
+// The pre-CSR candidate layout: one heap-allocated row per subscriber,
+// holding the same target ids in the same order as a CSR row. Kept as the
+// benchmark baseline so the CSR win stays measured, not remembered.
+using NestedTargets = std::vector<std::vector<int>>;
 
 NestedTargets BuildNestedLeafTargets(const core::SaProblem& problem) {
   const int m = problem.num_subscribers();
-  NestedTargets t;
-  t.candidates.resize(m);
-  t.latency.resize(m);
+  NestedTargets t(m);
   std::vector<std::pair<double, int>> row;
   for (int j = 0; j < m; ++j) {
     row.clear();
@@ -65,21 +61,15 @@ NestedTargets BuildNestedLeafTargets(const core::SaProblem& problem) {
       if (lat <= bound + 1e-12) row.emplace_back(lat, i);
     }
     std::sort(row.begin(), row.end());
-    t.candidates[j].reserve(row.size());
-    t.latency[j].reserve(row.size());
-    for (const auto& [lat, i] : row) {
-      t.candidates[j].push_back(i);
-      t.latency[j].push_back(lat);
-    }
+    t[j].reserve(row.size());
+    for (const auto& entry : row) t[j].push_back(entry.second);
   }
   return t;
 }
 
 size_t NestedBytes(const NestedTargets& t) {
-  size_t bytes = t.candidates.capacity() * sizeof(std::vector<int>) +
-                 t.latency.capacity() * sizeof(std::vector<double>);
-  for (const auto& r : t.candidates) bytes += r.capacity() * sizeof(int);
-  for (const auto& r : t.latency) bytes += r.capacity() * sizeof(double);
+  size_t bytes = t.capacity() * sizeof(std::vector<int>);
+  for (const auto& r : t) bytes += r.capacity() * sizeof(int);
   return bytes;
 }
 
@@ -90,28 +80,22 @@ size_t NestedBytes(const NestedTargets& t) {
 // as csr_reserved_bytes so the slack stays visible.
 size_t CsrBytes(const core::Targets& t) {
   return t.cand_offsets.size() * sizeof(int64_t) +
-         t.cand_targets.size() * sizeof(int32_t) +
-         t.cand_latency.size() * sizeof(double);
+         t.cand_targets.size() * sizeof(int32_t);
 }
 
 size_t CsrReservedBytes(const core::Targets& t) {
   return t.cand_offsets.capacity() * sizeof(int64_t) +
-         t.cand_targets.capacity() * sizeof(int32_t) +
-         t.cand_latency.capacity() * sizeof(double);
+         t.cand_targets.capacity() * sizeof(int32_t);
 }
 
+// Same ids in the same order, row by row.
 bool NestedEqualsCsr(const NestedTargets& nested, const core::Targets& csr) {
-  if (static_cast<int>(nested.candidates.size()) != csr.num_rows()) {
-    return false;
-  }
+  if (static_cast<int>(nested.size()) != csr.num_rows()) return false;
   for (int r = 0; r < csr.num_rows(); ++r) {
-    const core::CandidateRow row = csr.candidates(r);
-    const auto& cand = nested.candidates[r];
-    if (static_cast<int>(cand.size()) != row.size()) return false;
-    for (int k = 0; k < row.size(); ++k) {
-      if (cand[k] != row[k] || nested.latency[r][k] != row.latency(k)) {
-        return false;
-      }
+    const std::span<const int32_t> row = csr.candidates(r);
+    if (!std::equal(nested[r].begin(), nested[r].end(), row.begin(),
+                    row.end())) {
+      return false;
     }
   }
   return true;
@@ -194,8 +178,7 @@ Row RunSize(int m, int brokers, int shards, uint64_t seed) {
     const core::Targets sharded = core::BuildLeafTargets(problem, subs, shards);
     row.csr_sharded_build_seconds = sharded_timer.Seconds();
     row.csr_sharded_identical = csr.cand_offsets == sharded.cand_offsets &&
-                                csr.cand_targets == sharded.cand_targets &&
-                                csr.cand_latency == sharded.cand_latency;
+                                csr.cand_targets == sharded.cand_targets;
   }
 
   // ---- End-to-end SLP: serial vs sharded ----

@@ -8,7 +8,6 @@
 
 #include "src/common/invariant.h"
 #include "src/common/parallel.h"
-#include "src/common/status.h"
 
 namespace slp::core {
 
@@ -20,28 +19,23 @@ namespace {
 struct CsrShard {
   std::vector<int64_t> row_end;  // cumulative nnz within this shard
   std::vector<int32_t> targets;
-  std::vector<double> latency;
 };
 
-// Sorts a row by latency ascending (ties broken by target id, so the
-// order is fully deterministic) and appends it to the shard.
+// Sorts a row's (latency, target) pairs by latency ascending (ties broken
+// by target id, so the order is fully deterministic) and appends the
+// target ids to the shard.
 //
 // This is deliberately a full sort, not a partial_sort to some prefix —
 // see the row-order contract on Targets::cand_targets.
 void AppendSortedRow(std::vector<std::pair<double, int32_t>>* row,
                      CsrShard* out) {
   std::sort(row->begin(), row->end());
-  // Bulk-extend then write through raw pointers: one capacity check per
+  // Bulk-extend then write through a raw pointer: one capacity check per
   // row instead of one per element (measurable at millions of elements).
   const size_t base = out->targets.size();
   out->targets.resize(base + row->size());
-  out->latency.resize(base + row->size());
   int32_t* tp = out->targets.data() + base;
-  double* lp = out->latency.data() + base;
-  for (const auto& [lat, target] : *row) {
-    *tp++ = target;
-    *lp++ = lat;
-  }
+  for (const auto& entry : *row) *tp++ = entry.second;
   out->row_end.push_back(static_cast<int64_t>(out->targets.size()));
 }
 
@@ -53,7 +47,6 @@ void BuildShard(int row_begin, int row_end, const FillRow& fill_row,
   const int rows = row_end - row_begin;
   out->row_end.reserve(rows);
   out->targets.reserve(rows);  // >= 1 candidate per row
-  out->latency.reserve(rows);
   std::vector<std::pair<double, int32_t>> row;
   // After a probe prefix, re-reserve from the observed mean row width (3%
   // slack). vector growth copies the whole array each doubling — at 1M
@@ -66,7 +59,6 @@ void BuildShard(int row_begin, int row_end, const FillRow& fill_row,
       const size_t estimate =
           out->targets.size() * static_cast<size_t>(rows) / probe;
       out->targets.reserve(estimate + estimate / 32 + kProbeRows);
-      out->latency.reserve(estimate + estimate / 32 + kProbeRows);
     }
     row.clear();
     fill_row(r, &row);
@@ -85,12 +77,10 @@ void BuildCsr(int rows, int num_shards, const FillRow& fill_row, Targets* t) {
   t->cand_offsets.reserve(rows + 1);
   t->cand_offsets.push_back(0);
   t->cand_targets.clear();
-  t->cand_latency.clear();
   if (shards == 1) {
     CsrShard shard;
     BuildShard(0, rows, fill_row, &shard);
     t->cand_targets = std::move(shard.targets);
-    t->cand_latency = std::move(shard.latency);
     for (int64_t e : shard.row_end) t->cand_offsets.push_back(e);
     // The probe reserve can overshoot by a few percent on skewed row
     // widths. That slack is deliberately NOT trimmed: the tail past
@@ -111,33 +101,16 @@ void BuildCsr(int rows, int num_shards, const FillRow& fill_row, Targets* t) {
     total += static_cast<int64_t>(p.targets.size());
   }
   t->cand_targets.reserve(total);
-  t->cand_latency.reserve(total);
   for (CsrShard& p : pieces) {
     const int64_t base = static_cast<int64_t>(t->cand_targets.size());
     t->cand_targets.insert(t->cand_targets.end(), p.targets.begin(),
                            p.targets.end());
-    t->cand_latency.insert(t->cand_latency.end(), p.latency.begin(),
-                           p.latency.end());
     for (int64_t e : p.row_end) t->cand_offsets.push_back(base + e);
     // Release each piece as soon as it is copied out: the concatenation's
     // resident peak stays near one copy of the table instead of two.
     std::vector<int32_t>().swap(p.targets);
-    std::vector<double>().swap(p.latency);
     std::vector<int64_t>().swap(p.row_end);
   }
-}
-
-}  // namespace
-
-std::vector<int> AllSubscribers(const SaProblem& problem) {
-  std::vector<int> all(problem.num_subscribers());
-  std::iota(all.begin(), all.end(), 0);
-  return all;
-}
-
-std::vector<int> SubtreeLeaves(const net::BrokerTree& tree, int node) {
-  const std::span<const int> leaves = tree.subtree_leaves(node);
-  return {leaves.begin(), leaves.end()};
 }
 
 // Flat per-leaf latency inputs: base[i] + sqrt(Σ_d (loc[i·dim+d] − s_d)²)
@@ -178,64 +151,31 @@ inline double SoaLatency(const LeafSoa& soa, size_t slot, const double* sub) {
   return soa.base[slot] + std::sqrt(s);
 }
 
-Targets BuildLeafTargets(const SaProblem& problem,
-                         const std::vector<int>& sub_indices, int num_shards) {
+// The one fill behind both builders. Target t is tree node nodes[t]: its
+// kappa is the node's subtree κ sum and its latency to a subscriber the
+// optimistic minimum over the node's subtree leaves. A leaf's subtree is
+// the leaf itself, so over the leaf brokers these are min(∞, latency) and
+// 0.0 + κ_i: the leaf table, bit for bit.
+Targets BuildTargets(const SaProblem& problem,
+                     const std::vector<int>& sub_indices,
+                     const std::vector<int>& nodes, int num_shards) {
   const auto& tree = problem.tree();
-  const auto& leaves = tree.leaf_brokers();
   Targets t;
-  t.count = static_cast<int>(leaves.size());
+  t.count = static_cast<int>(nodes.size());
+  t.total_subscribers = problem.num_subscribers();
+  t.subscribers = sub_indices;
   t.kappa.resize(t.count);
-  for (int i = 0; i < t.count; ++i) t.kappa[i] = problem.capacity_fraction(i);
-  t.total_subscribers = problem.num_subscribers();
-  t.subscribers = sub_indices;
-
+  // SoA over every target's subtree leaves, in target order, so target c's
+  // leaves are the slots [slot_end[c-1], slot_end[c]).
+  std::vector<int> leaves;
+  std::vector<size_t> slot_end(t.count);
+  for (int c = 0; c < t.count; ++c) {
+    t.kappa[c] = problem.subtree_capacity_fraction(nodes[c]);
+    const std::span<const int> subtree = tree.subtree_leaves(nodes[c]);
+    leaves.insert(leaves.end(), subtree.begin(), subtree.end());
+    slot_end[c] = leaves.size();
+  }
   const LeafSoa soa = BuildLeafSoa(problem, leaves);
-  const int rows = static_cast<int>(sub_indices.size());
-  BuildCsr(
-      rows, num_shards,
-      [&](int r, std::vector<std::pair<double, int32_t>>* row) {
-        const int j = sub_indices[r];
-        const double bound = problem.latency_bound(j);
-        const double* sub = problem.subscriber(j).location.data();
-        for (int i = 0; i < t.count; ++i) {
-          const double lat = SoaLatency(soa, static_cast<size_t>(i), sub);
-          if (lat <= bound + 1e-12) {
-            row->emplace_back(lat, static_cast<int32_t>(i));
-          }
-        }
-        SLP_DCHECK(!row->empty());  // Δ-achieving leaf always qualifies
-      },
-      &t);
-  return t;
-}
-
-Targets BuildChildTargets(const SaProblem& problem,
-                          const std::vector<int>& sub_indices, int node,
-                          int num_shards) {
-  const auto& tree = problem.tree();
-  const auto& children = tree.children(node);
-  SLP_DCHECK(!children.empty());
-
-  Targets t;
-  t.count = static_cast<int>(children.size());
-  t.total_subscribers = problem.num_subscribers();
-  t.subscribers = sub_indices;
-  t.kappa.resize(t.count, 0.0);
-  for (int c = 0; c < t.count; ++c) {
-    t.kappa[c] = problem.subtree_capacity_fraction(children[c]);
-  }
-
-  // SoA over every leaf of the whole tree, indexed by position in the
-  // global subtree-leaf table so each child's leaves are one contiguous
-  // slot range (the Euler-tour property of the memoized table).
-  std::vector<int> all_leaves;
-  std::vector<std::pair<size_t, size_t>> child_slots(t.count);
-  for (int c = 0; c < t.count; ++c) {
-    const std::span<const int> leaves = tree.subtree_leaves(children[c]);
-    child_slots[c] = {all_leaves.size(), all_leaves.size() + leaves.size()};
-    all_leaves.insert(all_leaves.end(), leaves.begin(), leaves.end());
-  }
-  const LeafSoa soa = BuildLeafSoa(problem, all_leaves);
 
   const int rows = static_cast<int>(sub_indices.size());
   BuildCsr(
@@ -244,10 +184,10 @@ Targets BuildChildTargets(const SaProblem& problem,
         const int j = sub_indices[r];
         const double bound = problem.latency_bound(j);
         const double* sub = problem.subscriber(j).location.data();
+        size_t slot = 0;
         for (int c = 0; c < t.count; ++c) {
           double best = std::numeric_limits<double>::infinity();
-          for (size_t slot = child_slots[c].first;
-               slot < child_slots[c].second; ++slot) {
+          for (; slot < slot_end[c]; ++slot) {
             best = std::min(best, SoaLatency(soa, slot, sub));
           }
           if (best <= bound + 1e-12) {
@@ -257,6 +197,34 @@ Targets BuildChildTargets(const SaProblem& problem,
       },
       &t);
   return t;
+}
+
+}  // namespace
+
+std::vector<int> AllSubscribers(const SaProblem& problem) {
+  std::vector<int> all(problem.num_subscribers());
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
+
+Targets BuildLeafTargets(const SaProblem& problem,
+                         const std::vector<int>& sub_indices, int num_shards) {
+  Targets t = BuildTargets(problem, sub_indices,
+                           problem.tree().leaf_brokers(), num_shards);
+  // No row is empty (equal neighbouring offsets): the Δ-achieving leaf
+  // always qualifies.
+  SLP_DCHECK(std::adjacent_find(t.cand_offsets.begin(),
+                                t.cand_offsets.end()) ==
+             t.cand_offsets.end());
+  return t;
+}
+
+Targets BuildChildTargets(const SaProblem& problem,
+                          const std::vector<int>& sub_indices, int node,
+                          int num_shards) {
+  const auto& children = problem.tree().children(node);
+  SLP_DCHECK(!children.empty());
+  return BuildTargets(problem, sub_indices, children, num_shards);
 }
 
 }  // namespace slp::core

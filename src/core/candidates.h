@@ -5,46 +5,27 @@
 // multi-level algorithm (Section V) the targets at an internal node are its
 // child subtrees, with optimistic latency (minimum over the subtree's
 // leaves) and aggregated capacity. Targets abstracts both so FilterAssign /
-// LPRelax / the max-flow assignment are written once.
+// LPRelax / the max-flow assignment are written once, and one fill builds
+// both: a leaf is the one-leaf subtree of itself.
 //
-// Storage is CSR (compressed sparse row): one flat int32 target array and
-// one flat latency array for all rows, with per-row offsets. At 1M
-// subscribers the historical vector<vector<...>> layout spent most of its
-// time in the allocator and pointer-chasing; the flat layout is one
-// allocation per array and scans contiguously. Call sites read rows
-// through the thin CandidateRow view.
+// Storage is CSR (compressed sparse row): per-row offsets into one flat
+// int32 array of target ids. A row is subscriber j's B_j — its
+// latency-feasible targets — in latency order; the latencies that decide
+// the order are not stored, since no reader needs one once the row is
+// sorted. At 1M subscribers the historical vector<vector<...>> layout
+// spent most of its time in the allocator and pointer-chasing; the flat
+// layout is one allocation per array and scans contiguously.
 
 #ifndef SLP_CORE_CANDIDATES_H_
 #define SLP_CORE_CANDIDATES_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/core/problem.h"
 
 namespace slp::core {
-
-// Read-only view of one subscriber row of a CSR Targets: the
-// latency-feasible targets sorted by latency ascending (ties by target
-// id), with the matching latency values. Iteration yields target ids, as
-// the historical nested-vector rows did.
-class CandidateRow {
- public:
-  CandidateRow(const int32_t* targets, const double* latency, int size)
-      : targets_(targets), latency_(latency), size_(size) {}
-
-  int size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  int operator[](int k) const { return targets_[k]; }
-  double latency(int k) const { return latency_[k]; }
-  const int32_t* begin() const { return targets_; }
-  const int32_t* end() const { return targets_ + size_; }
-
- private:
-  const int32_t* targets_;
-  const double* latency_;
-  int size_;
-};
 
 // One SLP1 stage's (or GlobalRepair's) targets for a subset of subscribers.
 // `subscribers[r]` is the problem-level subscriber index of local row r;
@@ -64,23 +45,22 @@ struct Targets {
   std::vector<int> subscribers;  // local row -> problem subscriber index
 
   // CSR candidate storage: row r's candidates are
-  // cand_targets[cand_offsets[r] .. cand_offsets[r+1]) with latencies in
-  // the parallel cand_latency slice. Each row is sorted by latency
-  // ascending, ties by target id — a load-bearing contract: consumers walk
-  // rows nearest-first to unbounded depth (GreedyPartition scans until
-  // capacity admits the subscriber; the enrichment pass in
+  // cand_targets[cand_offsets[r] .. cand_offsets[r+1]). Each row is sorted
+  // by latency ascending, ties by target id — a load-bearing contract, and
+  // with no latency stored the order is all a row says beyond its ids:
+  // consumers walk rows nearest-first to unbounded depth (GreedyPartition
+  // scans until capacity admits the subscriber; the enrichment pass in
   // subscription_assign.cc scans until it finds an assigned broker), so no
   // top-k prefix short of the whole row is safe to cap at.
   std::vector<int64_t> cand_offsets;  // size rows + 1
   std::vector<int32_t> cand_targets;
-  std::vector<double> cand_latency;
 
   int num_rows() const { return static_cast<int>(subscribers.size()); }
 
-  CandidateRow candidates(int r) const {
-    const int64_t begin = cand_offsets[r];
-    return {cand_targets.data() + begin, cand_latency.data() + begin,
-            static_cast<int>(cand_offsets[r + 1] - begin)};
+  // Row r's target ids, nearest first.
+  std::span<const int32_t> candidates(int r) const {
+    return {cand_targets.data() + cand_offsets[r],
+            cand_targets.data() + cand_offsets[r + 1]};
   }
 
   // Absolute load cap of target t at load-balance factor `lbf`, in
@@ -112,11 +92,6 @@ Targets BuildChildTargets(const SaProblem& problem,
 
 // Convenience: every subscriber index of the problem.
 std::vector<int> AllSubscribers(const SaProblem& problem);
-
-// Leaf node ids in the subtree rooted at `node` (node itself if leaf).
-// Reads the tree's memoized flat subtree-leaf table; same order as the
-// historical per-call tree walk.
-std::vector<int> SubtreeLeaves(const net::BrokerTree& tree, int node);
 
 }  // namespace slp::core
 

@@ -67,7 +67,7 @@ void Complete(const SaProblem& problem, const Targets& targets,
               std::vector<geo::Filter>* filters) {
   std::vector<std::vector<geo::Rectangle>> extra(targets.count);
   for (int r : uncovered) {
-    const CandidateRow cand = targets.candidates(r);
+    const std::span<const int32_t> cand = targets.candidates(r);
     SLP_DCHECK(!cand.empty());
     const int t = cand[0];  // nearest feasible target
     extra[t].push_back(problem.subscriber(targets.subscribers[r]).subscription);

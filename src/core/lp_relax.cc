@@ -54,7 +54,7 @@ Result<LpRelaxModel> LpRelaxModel::Build(
     // Targets: nearest half by latency plus a random spread of the rest —
     // clustered subscribers would otherwise all point at the same few
     // brokers and make load balance impossible within the cap.
-    const CandidateRow cand = targets.candidates(row);
+    const std::span<const int32_t> cand = targets.candidates(row);
     if (cand.empty()) {
       return Status::Infeasible("subscriber with no feasible target");
     }
@@ -64,7 +64,7 @@ Result<LpRelaxModel> LpRelaxModel::Build(
     } else {
       const int near = (kTargetsPerSubscriber + 1) / 2;
       tcap.assign(cand.begin(), cand.begin() + near);
-      const int rest = cand.size() - near;
+      const int rest = static_cast<int>(cand.size()) - near;
       for (int pick : UniformSampleWithoutReplacement(
                rest, kTargetsPerSubscriber - near, rng)) {
         tcap.push_back(cand[near + pick]);
@@ -97,16 +97,9 @@ Result<LpRelaxModel> LpRelaxModel::Build(
     auto key = std::make_pair(std::move(tcap), std::move(rcap));
     auto [it, inserted] =
         group_of.emplace(key, static_cast<int>(groups.size()));
-    if (inserted) {
-      Group g;
-      g.targets = key.first;
-      g.rects = key.second;
-      groups.push_back(std::move(g));
-    }
-    Group& g = groups[it->second];
-    g.rows.push_back(row);
+    if (inserted) groups.push_back({key.first, key.second});
     if (std::binary_search(sb_sorted.begin(), sb_sorted.end(), row)) {
-      g.weight_sb += 1;
+      groups[it->second].weight_sb += 1;
     }
   }
 

@@ -124,7 +124,6 @@ class LpRelaxModel {
     std::vector<int> targets;  // candidate target ids (capped, sorted)
     std::vector<int> rects;    // candidate rectangle ids (capped, sorted)
     double weight_sb = 0;      // members inside Sb ((C3) coefficient)
-    std::vector<int> rows;     // member local rows (for coverage checks)
   };
   struct YVar {
     int target;

@@ -101,7 +101,9 @@ TEST(ZipfTest, PmfSumsToOneAndDecreases) {
   double total = 0;
   for (int k = 0; k < 100; ++k) {
     total += z.Pmf(k);
-    if (k > 0) EXPECT_LE(z.Pmf(k), z.Pmf(k - 1));
+    if (k > 0) {
+      EXPECT_LE(z.Pmf(k), z.Pmf(k - 1));
+    }
   }
   EXPECT_NEAR(total, 1.0, 1e-12);
 }
@@ -198,7 +200,7 @@ TEST(UniformSampleTest, UnbiasedInclusion) {
 TEST(TimerTest, MeasuresElapsedTime) {
   WallTimer t;
   volatile double x = 0;
-  for (int i = 0; i < 1000000; ++i) x += i;
+  for (int i = 0; i < 1000000; ++i) x = x + i;
   EXPECT_GE(t.Seconds(), 0.0);
   t.Reset();
   EXPECT_LT(t.Seconds(), 1.0);

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -213,12 +215,18 @@ TEST(CandidatesTest, LeafTargetsSortedAndFeasible) {
   for (double k : t.kappa) kappa_sum += k;
   EXPECT_NEAR(kappa_sum, 1.0, 1e-9);
   for (int r = 0; r < t.num_rows(); ++r) {
-    const CandidateRow cand = t.candidates(r);
+    const int j = t.subscribers[r];
+    const std::span<const int32_t> cand = t.candidates(r);
     ASSERT_FALSE(cand.empty());
-    for (int c = 0; c < cand.size(); ++c) {
-      EXPECT_TRUE(p.LatencyOk(t.subscribers[r], p.leaf_node(cand[c])));
+    // Rows are ordered by (latency, id). The fill's arithmetic reproduces
+    // AssignmentLatency bit for bit, so the keys compare exactly.
+    auto key = [&](int32_t leaf) {
+      return std::make_pair(p.AssignmentLatency(j, p.leaf_node(leaf)), leaf);
+    };
+    for (size_t c = 0; c < cand.size(); ++c) {
+      EXPECT_TRUE(p.LatencyOk(j, p.leaf_node(cand[c])));
       if (c > 0) {
-        EXPECT_GE(cand.latency(c), cand.latency(c - 1));
+        EXPECT_LT(key(cand[c - 1]), key(cand[c]));
       }
     }
   }
@@ -243,26 +251,76 @@ TEST(CandidatesTest, ChildTargetsAggregateKappaAndOptimism) {
   for (double k : t.kappa) kappa_sum += k;
   EXPECT_NEAR(kappa_sum, 1.0, 1e-9);  // root covers the whole tree
 
-  // Optimistic latency of a child equals min over its subtree leaves.
+  // A child's optimistic latency is the min over its subtree leaves: each
+  // candidate's meets the bound, and rows are ordered by it, ties by id.
   for (size_t r = 0; r < t.subscribers.size(); r += 37) {
     const int j = t.subscribers[r];
-    const CandidateRow cand = t.candidates(static_cast<int>(r));
-    for (int c = 0; c < cand.size(); ++c) {
-      const int child = tree.children(root)[cand[c]];
+    std::pair<double, int32_t> prev(-1.0, -1);
+    for (int32_t c : t.candidates(static_cast<int>(r))) {
+      const int child = tree.children(root)[c];
       double want = 1e300;
-      for (int leaf : SubtreeLeaves(tree, child)) {
+      for (int leaf : tree.subtree_leaves(child)) {
         want = std::min(want, tree.LatencyVia(leaf, p.subscriber(j).location));
       }
-      EXPECT_NEAR(cand.latency(c), want, 1e-9);
       EXPECT_LE(want, p.latency_bound(j) + 1e-9);
+      EXPECT_LT(prev, std::make_pair(want, c));
+      prev = {want, c};
     }
   }
+}
+
+// An exact latency tie is broken by target id, lower first. Without stored
+// latencies the order is all a row holds beyond its ids, and the random
+// workloads' continuous coordinates never tie.
+TEST(CandidatesTest, ExactLatencyTiesOrderByTargetId) {
+  std::vector<wl::Subscriber> subs(1);
+  subs[0].location = {2, 1};
+  subs[0].subscription = Rectangle({0, 0}, {0.1, 0.1});
+  SaConfig config;
+  config.max_delay = 10;  // every target is latency-feasible
+
+  // Leaf targets: leaves 1 and 2 share (2, 0); leaf 0 is farther.
+  net::BrokerTree flat({0, 0});
+  for (const geo::Point& at : {geo::Point{4, 0}, {2, 0}, {2, 0}}) {
+    flat.AddBroker(at, net::BrokerTree::kPublisher);
+  }
+  flat.Finalize();
+  const SaProblem one_level(std::move(flat), subs, config);
+  ASSERT_EQ(one_level.AssignmentLatency(0, one_level.leaf_node(1)),
+            one_level.AssignmentLatency(0, one_level.leaf_node(2)));
+  const Targets lt = BuildLeafTargets(one_level, AllSubscribers(one_level));
+  const std::span<const int32_t> leaf_row = lt.candidates(0);
+  EXPECT_EQ(std::vector<int32_t>(leaf_row.begin(), leaf_row.end()),
+            (std::vector<int32_t>{1, 2, 0}));
+
+  // Child targets: children 1 and 2 sit at (1, 0), and each has a leaf at
+  // (2, 0), so their optimistic latencies tie; child 0 is farther.
+  net::BrokerTree deep({0, 0});
+  const int far = deep.AddBroker({5, 0}, net::BrokerTree::kPublisher);
+  const int a = deep.AddBroker({1, 0}, net::BrokerTree::kPublisher);
+  const int b = deep.AddBroker({1, 0}, net::BrokerTree::kPublisher);
+  deep.AddBroker({6, 0}, far);
+  const int a_near = deep.AddBroker({2, 0}, a);
+  deep.AddBroker({3, 0}, a);
+  deep.AddBroker({0, 3}, b);
+  const int b_near = deep.AddBroker({2, 0}, b);
+  deep.Finalize();
+  const SaProblem two_level(std::move(deep), subs, config);
+  ASSERT_EQ(two_level.AssignmentLatency(0, a_near),
+            two_level.AssignmentLatency(0, b_near));
+  const Targets ct = BuildChildTargets(two_level, AllSubscribers(two_level),
+                                       net::BrokerTree::kPublisher);
+  const std::span<const int32_t> child_row = ct.candidates(0);
+  EXPECT_EQ(std::vector<int32_t>(child_row.begin(), child_row.end()),
+            (std::vector<int32_t>{1, 2, 0}));
 }
 
 TEST(CandidatesTest, SubtreeLeavesOfLeafIsItself) {
   SaProblem p = test::SmallMultiLevelProblem(50, 15, 4);
   for (int leaf : p.tree().leaf_brokers()) {
-    EXPECT_EQ(SubtreeLeaves(p.tree(), leaf), std::vector<int>{leaf});
+    const std::span<const int> leaves = p.tree().subtree_leaves(leaf);
+    EXPECT_EQ(std::vector<int>(leaves.begin(), leaves.end()),
+              std::vector<int>{leaf});
   }
 }
 
@@ -531,15 +589,10 @@ TEST(FilterAdjustTest, InternalFiltersNestChildren) {
 // ---- CSR vs. legacy nested-vector differential ----
 //
 // Reference reimplementation of the candidate build as it existed before
-// the CSR refactor: one vector<int> + vector<double> per row, a per-call
-// subtree-leaf tree walk, and per-call kappa accumulation. The CSR build
-// must reproduce it exactly (same targets, bit-identical latencies) on
-// every workload family.
-
-struct LegacyRow {
-  std::vector<int> targets;
-  std::vector<double> latency;
-};
+// the CSR refactor: one vector per row, sorted by (latency, id), a
+// per-call subtree-leaf tree walk, and per-call kappa accumulation. The
+// CSR build must reproduce it exactly (the same target ids in the same
+// order) on every workload family.
 
 // The historical stack-DFS (push children in order, pop from the back) the
 // memoized BrokerTree table replaced; order matters because kappa sums and
@@ -559,53 +612,45 @@ std::vector<int> LegacySubtreeLeaves(const net::BrokerTree& tree, int node) {
   return leaves;
 }
 
-LegacyRow LegacyLeafRow(const SaProblem& p, int j) {
-  std::vector<std::pair<double, int>> cand;
+// The target ids of a row of (latency, id) pairs, sorted.
+std::vector<int32_t> SortedIds(std::vector<std::pair<double, int32_t>> cand) {
+  std::sort(cand.begin(), cand.end());
+  std::vector<int32_t> ids;
+  for (const auto& entry : cand) ids.push_back(entry.second);
+  return ids;
+}
+
+std::vector<int32_t> LegacyLeafRow(const SaProblem& p, int j) {
+  std::vector<std::pair<double, int32_t>> cand;
   for (int i = 0; i < p.num_leaves(); ++i) {
     const double lat = p.AssignmentLatency(j, p.leaf_node(i));
     if (lat <= p.latency_bound(j) + 1e-12) cand.emplace_back(lat, i);
   }
-  std::sort(cand.begin(), cand.end());
-  LegacyRow row;
-  for (const auto& [lat, i] : cand) {
-    row.targets.push_back(i);
-    row.latency.push_back(lat);
-  }
-  return row;
+  return SortedIds(std::move(cand));
 }
 
-LegacyRow LegacyChildRow(const SaProblem& p, int j, int node) {
+std::vector<int32_t> LegacyChildRow(const SaProblem& p, int j, int node) {
   const auto& children = p.tree().children(node);
-  std::vector<std::pair<double, int>> cand;
+  std::vector<std::pair<double, int32_t>> cand;
   for (size_t c = 0; c < children.size(); ++c) {
     double best = std::numeric_limits<double>::infinity();
     for (int leaf : LegacySubtreeLeaves(p.tree(), children[c])) {
       best = std::min(best, p.AssignmentLatency(j, leaf));
     }
     if (best <= p.latency_bound(j) + 1e-12) {
-      cand.emplace_back(best, static_cast<int>(c));
+      cand.emplace_back(best, static_cast<int32_t>(c));
     }
   }
-  std::sort(cand.begin(), cand.end());
-  LegacyRow row;
-  for (const auto& [lat, c] : cand) {
-    row.targets.push_back(c);
-    row.latency.push_back(lat);
-  }
-  return row;
+  return SortedIds(std::move(cand));
 }
 
-void ExpectRowsEqual(const Targets& t, int r, const LegacyRow& legacy) {
-  const CandidateRow cand = t.candidates(r);
-  ASSERT_EQ(cand.size(), static_cast<int>(legacy.targets.size()))
+// Ids and order: the legacy rows are sorted by (latency, id), so equal ids
+// in equal order mean the CSR fill ranked every target the same way.
+void ExpectRowsEqual(const Targets& t, int r,
+                     const std::vector<int32_t>& legacy) {
+  const std::span<const int32_t> cand = t.candidates(r);
+  EXPECT_EQ(std::vector<int32_t>(cand.begin(), cand.end()), legacy)
       << "row " << r;
-  for (int k = 0; k < cand.size(); ++k) {
-    EXPECT_EQ(cand[k], legacy.targets[k]) << "row " << r << " slot " << k;
-    // Bit-identical, not approximately equal: the CSR build performs the
-    // same arithmetic in the same order.
-    EXPECT_EQ(cand.latency(k), legacy.latency[k])
-        << "row " << r << " slot " << k;
-  }
 }
 
 core::SaProblem SmallRssProblem(int subs, int brokers, uint64_t seed) {
@@ -664,7 +709,6 @@ TEST(CsrDifferentialTest, ShardedBuildBitIdenticalToSerial) {
     const Targets sharded = BuildLeafTargets(p, subs, shards);
     EXPECT_EQ(serial.cand_offsets, sharded.cand_offsets) << shards;
     EXPECT_EQ(serial.cand_targets, sharded.cand_targets) << shards;
-    EXPECT_EQ(serial.cand_latency, sharded.cand_latency) << shards;
   }
 }
 
@@ -672,7 +716,9 @@ TEST(SubtreeLeavesTest, MemoizedTableMatchesLegacyWalkEverywhere) {
   const SaProblem p = test::SmallMultiLevelProblem(100, 30, 3);
   const auto& tree = p.tree();
   for (int node = 0; node < tree.num_nodes(); ++node) {
-    EXPECT_EQ(SubtreeLeaves(tree, node), LegacySubtreeLeaves(tree, node))
+    const std::span<const int> leaves = tree.subtree_leaves(node);
+    EXPECT_EQ(std::vector<int>(leaves.begin(), leaves.end()),
+              LegacySubtreeLeaves(tree, node))
         << "node " << node;
   }
 }

@@ -565,7 +565,6 @@ TEST(SlpTest, OneLevelRootStageIsSlp1Stage) {
     EXPECT_EQ(child.subscribers, leaf.subscribers);
     EXPECT_EQ(child.cand_offsets, leaf.cand_offsets);
     EXPECT_EQ(child.cand_targets, leaf.cand_targets);
-    EXPECT_EQ(child.cand_latency, leaf.cand_latency);
 
     SlpOptions opts;
     opts.num_threads = 1;

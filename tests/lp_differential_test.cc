@@ -6,9 +6,9 @@
 // an optimum, the elastic LP's positive least violation for
 // infeasibility, and a feasible point plus an improving recession
 // direction for unboundedness. The certificate, not a second engine, is
-// the oracle. Some test names still say "agree" or "fall back" from when
-// warm and dual re-solves were compared against the cold solve; they are
-// kept so the test ids stay stable.
+// the oracle. Some test names still say "agree" from when warm and dual
+// re-solves were compared against the cold solve; they are kept so the
+// test ids stay stable.
 //
 // Families: general boxed LPs, degenerate assignment polytopes, infeasible
 // and unbounded instances, rank-deficient rows/columns, rhs "rung"
@@ -226,7 +226,7 @@ TEST(LpDifferentialTest, ChainedRungLaddersStayExact) {
 }
 
 // Objective edits, like the ladder's (C3) slack-penalty retune.
-TEST(LpDifferentialTest, ObjectiveEditFallsBackToPrimal) {
+TEST(LpDifferentialTest, ObjectiveEditedResolvesCertify) {
   for (int seed = 0; seed < 20; ++seed) {
     Rng rng(80'000 + seed);
     LpProblem p = RandomCoveringLp(rng, 50, 25, 0.15);
@@ -351,7 +351,7 @@ core::SaProblem SmallRssProblem(int subs, int brokers, core::SaConfig config,
   return core::SaProblem(std::move(tree), std::move(w.subscribers), config);
 }
 
-TEST(LpDifferentialTest, FilterAssignLaddersAgreeColdWarmDual) {
+TEST(LpDifferentialTest, FilterAssignLaddersCertifyEveryRung) {
   const SimplexSolver solver;
   int ladders = 0;
   int rungs_checked = 0;

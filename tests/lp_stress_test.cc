@@ -99,7 +99,9 @@ TEST(DegenerateStressTest, BealeCyclingSolvedUnderImmediateBland) {
     EXPECT_GT(sol.stats.degenerate_pivots, 0);
     EXPECT_LE(sol.stats.degenerate_pivots, sol.stats.pivots);
     EXPECT_LE(sol.stats.bland_pivots, sol.stats.pivots);
-    if (stall_threshold == 0) EXPECT_GT(sol.stats.bland_pivots, 0);
+    if (stall_threshold == 0) {
+      EXPECT_GT(sol.stats.bland_pivots, 0);
+    }
   }
 }
 
