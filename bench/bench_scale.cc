@@ -1,21 +1,17 @@
 // Million-subscriber scale benchmark (DESIGN.md §12): wall time and memory
 // of the SLP pipeline at 100k and 1M subscribers on the grid workload.
 //
-// Three comparisons per size:
-//  * candidate-table build — the historical nested vector<vector<...>>
-//    layout (reimplemented here as the baseline) vs the flat CSR build,
-//    serial and sharded, with an in-run differential (nested == CSR) and
-//    a bit-identity check (sharded CSR == serial CSR);
+// Two sections per size:
 //  * end-to-end SLP over the multi-level tree (paper out-degree 15) —
-//    serial vs sharded, asserted bit-identical in-run;
-//  * dynamic arrivals — sequential Add vs one AddBatch, asserted to land
-//    identical loads (Add is an AddBatch of one, so the escalation-rung
-//    scan counts are equal by construction).
+//    serial vs sharded, asserted bit-identical in-run. The workload is
+//    moved into the problem, so the section holds it once;
+//  * dynamic arrivals — one AddBatch of every subscriber, from a second
+//    draw of the same workload. Add is an AddBatch of one, so a single
+//    row times both; DynamicTest.AddBatchMatchesSequentialAddFuzz checks
+//    that identity.
 //
-// Memory is reported two ways: exact bytes held by each candidate layout
-// (capacity accounting, deterministic) and the process peak RSS
-// (getrusage ru_maxrss, monotone across the run — the 1M row's value is
-// the honest pipeline peak).
+// Memory is the process peak RSS (getrusage ru_maxrss, monotone across
+// the run — the 1M row's value is the honest pipeline peak).
 //
 // Scales: SLP_SCALE_MAX caps the largest size (default 1000000);
 // SLP_BROKERS (default 100), SLP_SHARDS (default 8), SLP_SEED as usual.
@@ -26,13 +22,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/core/candidates.h"
 #include "src/core/dynamic.h"
 
 namespace slp::bench {
@@ -42,63 +36,6 @@ long PeakRssKb() {
   struct rusage ru;
   getrusage(RUSAGE_SELF, &ru);
   return ru.ru_maxrss;  // kilobytes on Linux
-}
-
-// The pre-CSR candidate layout: one heap-allocated row per subscriber,
-// holding the same target ids in the same order as a CSR row. Kept as the
-// benchmark baseline so the CSR win stays measured, not remembered.
-using NestedTargets = std::vector<std::vector<int>>;
-
-NestedTargets BuildNestedLeafTargets(const core::SaProblem& problem) {
-  const int m = problem.num_subscribers();
-  NestedTargets t(m);
-  std::vector<std::pair<double, int>> row;
-  for (int j = 0; j < m; ++j) {
-    row.clear();
-    const double bound = problem.latency_bound(j);
-    for (int i = 0; i < problem.num_leaves(); ++i) {
-      const double lat = problem.AssignmentLatency(j, problem.leaf_node(i));
-      if (lat <= bound + 1e-12) row.emplace_back(lat, i);
-    }
-    std::sort(row.begin(), row.end());
-    t[j].reserve(row.size());
-    for (const auto& entry : row) t[j].push_back(entry.second);
-  }
-  return t;
-}
-
-size_t NestedBytes(const NestedTargets& t) {
-  size_t bytes = t.capacity() * sizeof(std::vector<int>);
-  for (const auto& r : t) bytes += r.capacity() * sizeof(int);
-  return bytes;
-}
-
-// Touched bytes — what the layout actually keeps resident. The CSR build's
-// probe reserve can leave a few percent of slack capacity past size(), but
-// that tail is never written and so never faulted in: it occupies address
-// space, not memory. The reserved (capacity) figure is reported separately
-// as csr_reserved_bytes so the slack stays visible.
-size_t CsrBytes(const core::Targets& t) {
-  return t.cand_offsets.size() * sizeof(int64_t) +
-         t.cand_targets.size() * sizeof(int32_t);
-}
-
-size_t CsrReservedBytes(const core::Targets& t) {
-  return t.cand_offsets.capacity() * sizeof(int64_t) +
-         t.cand_targets.capacity() * sizeof(int32_t);
-}
-
-// Same ids in the same order, row by row.
-bool NestedEqualsCsr(const NestedTargets& nested, const core::Targets& csr) {
-  if (static_cast<int>(nested.size()) != csr.num_rows()) return false;
-  for (int r = 0; r < csr.num_rows(); ++r) {
-    const std::span<const int32_t> row = csr.candidates(r);
-    if (!std::equal(nested[r].begin(), nested[r].end(), row.begin(),
-                    row.end())) {
-      return false;
-    }
-  }
-  return true;
 }
 
 bool SolutionsIdentical(const core::SaSolution& a, const core::SaSolution& b) {
@@ -115,75 +52,37 @@ struct Row {
   int subscribers = 0;
   int brokers = 0;
   double gen_seconds = 0;
-  double nested_build_seconds = 0;
-  double csr_build_seconds = 0;
-  double csr_sharded_build_seconds = 0;
-  size_t nested_bytes = 0;
-  size_t csr_bytes = 0;
-  size_t csr_reserved_bytes = 0;
-  bool nested_csr_identical = false;
-  bool csr_sharded_identical = false;
   double slp_serial_seconds = 0;
   double slp_sharded_seconds = 0;
   bool slp_sharded_identical = false;
-  double add_seq_seconds = 0;
   double add_batch_seconds = 0;
-  int64_t add_seq_scans = 0;
   int64_t add_batch_scans = 0;
-  bool add_batch_identical = false;
+  bool add_batch_admitted_all = false;
   long peak_rss_kb = 0;
 };
+
+wl::Workload GridWorkload(int m, int brokers, uint64_t seed) {
+  wl::GridParams params;
+  params.num_subscribers = m;
+  params.num_brokers = brokers;
+  params.seed = seed;
+  return wl::GenerateGrid(params);
+}
 
 Row RunSize(int m, int brokers, int shards, uint64_t seed) {
   Row row;
   row.subscribers = m;
   row.brokers = brokers;
 
-  wl::GridParams params;
-  params.num_subscribers = m;
-  params.num_brokers = brokers;
-  params.seed = seed;
-  WallTimer gen_timer;
-  const wl::Workload w = wl::GenerateGrid(params);
-  row.gen_seconds = gen_timer.Seconds();
-
-  core::SaConfig config;
-  config.max_delay = 1.0;
-
-  // ---- Candidate-table build: nested baseline vs CSR ----
-  {
-    core::SaProblem problem = MakeOneLevelProblem(w, config);
-    const std::vector<int> subs = core::AllSubscribers(problem);
-
-    core::Targets csr;
-    {
-      WallTimer nested_timer;
-      const NestedTargets nested = BuildNestedLeafTargets(problem);
-      row.nested_build_seconds = nested_timer.Seconds();
-      row.nested_bytes = NestedBytes(nested);
-
-      WallTimer csr_timer;
-      csr = core::BuildLeafTargets(problem, subs, /*num_shards=*/1);
-      row.csr_build_seconds = csr_timer.Seconds();
-      row.csr_bytes = CsrBytes(csr);
-      row.csr_reserved_bytes = CsrReservedBytes(csr);
-      row.nested_csr_identical = NestedEqualsCsr(nested, csr);
-      // The nested baseline dies here: on this class of VM, first-touch of
-      // fresh pages gets sharply more expensive as net RSS grows, so the
-      // sharded build below should not be charged for ~1GB of dead
-      // baseline the process is still holding.
-    }
-
-    WallTimer sharded_timer;
-    const core::Targets sharded = core::BuildLeafTargets(problem, subs, shards);
-    row.csr_sharded_build_seconds = sharded_timer.Seconds();
-    row.csr_sharded_identical = csr.cand_offsets == sharded.cand_offsets &&
-                                csr.cand_targets == sharded.cand_targets;
-  }
-
   // ---- End-to-end SLP: serial vs sharded ----
   {
-    const core::SaProblem problem = MakeMultiLevelProblem(w, config, 15, seed);
+    WallTimer gen_timer;
+    wl::Workload w = GridWorkload(m, brokers, seed);
+    row.gen_seconds = gen_timer.Seconds();
+    core::SaConfig config;
+    config.max_delay = 1.0;
+    const core::SaProblem problem =
+        MakeMultiLevelProblem(std::move(w), config, 15, seed);
 
     core::SlpOptions serial;
     serial.num_threads = 1;
@@ -208,27 +107,21 @@ Row RunSize(int m, int brokers, int shards, uint64_t seed) {
     }
   }
 
-  // ---- Dynamic arrivals: sequential Add vs AddBatch ----
+  // ---- Dynamic arrivals: one AddBatch ----
   {
+    const wl::Workload w = GridWorkload(m, brokers, seed);
     net::BrokerTree tree =
         net::BuildOneLevelTree(w.publisher, w.broker_locations);
     core::SaConfig dyn_config;
     dyn_config.max_delay = 3.0;
     // Caps below the arrival count so the escalation ladder is exercised.
-    core::DynamicAssigner seq(tree, dyn_config, m / 2);
-    core::DynamicAssigner bat(std::move(tree), dyn_config, m / 2);
-
-    WallTimer seq_timer;
-    for (const auto& s : w.subscribers) (void)seq.Add(s);
-    row.add_seq_seconds = seq_timer.Seconds();
-    row.add_seq_scans = seq.add_stats().escalation_scans;
+    core::DynamicAssigner dyn(std::move(tree), dyn_config, m / 2);
 
     WallTimer bat_timer;
-    auto handles = bat.AddBatch(w.subscribers);
+    auto handles = dyn.AddBatch(w.subscribers);
     row.add_batch_seconds = bat_timer.Seconds();
-    row.add_batch_scans = bat.add_stats().escalation_scans;
-    row.add_batch_identical = handles.ok() && seq.loads() == bat.loads() &&
-                              seq.population() == bat.population();
+    row.add_batch_scans = dyn.add_stats().escalation_scans;
+    row.add_batch_admitted_all = handles.ok() && dyn.population() == m;
   }
 
   row.peak_rss_kb = PeakRssKb();
@@ -257,33 +150,22 @@ int Main(int argc, char** argv) {
   std::vector<Row> rows;
   for (int m : sizes) rows.push_back(RunSize(m, brokers, shards, seed));
 
-  std::printf("%-10s %12s %12s %12s %10s %10s %12s %12s %12s %12s %10s\n",
-              "subs", "nested(s)", "csr(s)", "csr-shard(s)", "nested-MB",
-              "csr-MB", "slp-ser(s)", "slp-shard(s)", "add-seq(s)",
-              "add-batch(s)", "peakRSS-MB");
+  std::printf("%-10s %12s %12s %12s %10s\n", "subs", "slp-ser(s)",
+              "slp-shard(s)", "add-batch(s)", "peakRSS-MB");
   for (const Row& r : rows) {
-    std::printf(
-        "%-10d %12.3f %12.3f %12.3f %10.1f %10.1f %12.2f %12.2f %12.2f "
-        "%12.2f %10.1f\n",
-        r.subscribers, r.nested_build_seconds, r.csr_build_seconds,
-        r.csr_sharded_build_seconds, r.nested_bytes / 1048576.0,
-        r.csr_bytes / 1048576.0, r.slp_serial_seconds, r.slp_sharded_seconds,
-        r.add_seq_seconds, r.add_batch_seconds, r.peak_rss_kb / 1024.0);
+    std::printf("%-10d %12.2f %12.2f %12.2f %10.1f\n", r.subscribers,
+                r.slp_serial_seconds, r.slp_sharded_seconds,
+                r.add_batch_seconds, r.peak_rss_kb / 1024.0);
   }
 
   bool all_checks = true;
   for (const Row& r : rows) {
-    all_checks &= r.nested_csr_identical && r.csr_sharded_identical &&
-                  r.slp_sharded_identical && r.add_batch_identical;
+    all_checks &= r.slp_sharded_identical && r.add_batch_admitted_all;
     std::printf(
-        "m=%d checks: nested==csr %s, sharded-csr identical %s, "
-        "sharded-slp identical %s, addbatch==add %s "
-        "(scans %lld -> %lld)\n",
-        r.subscribers, r.nested_csr_identical ? "ok" : "FAIL",
-        r.csr_sharded_identical ? "ok" : "FAIL",
-        r.slp_sharded_identical ? "ok" : "FAIL",
-        r.add_batch_identical ? "ok" : "FAIL",
-        static_cast<long long>(r.add_seq_scans),
+        "m=%d checks: sharded-slp identical %s, addbatch admitted all %s "
+        "(scans %lld)\n",
+        r.subscribers, r.slp_sharded_identical ? "ok" : "FAIL",
+        r.add_batch_admitted_all ? "ok" : "FAIL",
         static_cast<long long>(r.add_batch_scans));
   }
 
@@ -301,35 +183,16 @@ int Main(int argc, char** argv) {
     std::fprintf(f, "    {\n");
     std::fprintf(f, "      \"subscribers\": %d,\n", r.subscribers);
     std::fprintf(f, "      \"gen_seconds\": %.3f,\n", r.gen_seconds);
-    std::fprintf(f, "      \"nested_build_seconds\": %.3f,\n",
-                 r.nested_build_seconds);
-    std::fprintf(f, "      \"csr_build_seconds\": %.3f,\n",
-                 r.csr_build_seconds);
-    std::fprintf(f, "      \"csr_sharded_build_seconds\": %.3f,\n",
-                 r.csr_sharded_build_seconds);
-    std::fprintf(f, "      \"nested_bytes\": %zu,\n", r.nested_bytes);
-    std::fprintf(f, "      \"csr_bytes\": %zu,\n", r.csr_bytes);
-    std::fprintf(f, "      \"csr_reserved_bytes\": %zu,\n",
-                 r.csr_reserved_bytes);
-    std::fprintf(f, "      \"nested_csr_identical\": %s,\n",
-                 r.nested_csr_identical ? "true" : "false");
-    std::fprintf(f, "      \"csr_sharded_identical\": %s,\n",
-                 r.csr_sharded_identical ? "true" : "false");
     std::fprintf(f, "      \"slp_serial_seconds\": %.2f,\n",
                  r.slp_serial_seconds);
     std::fprintf(f, "      \"slp_sharded_seconds\": %.2f,\n",
                  r.slp_sharded_seconds);
     std::fprintf(f, "      \"slp_sharded_identical\": %s,\n",
                  r.slp_sharded_identical ? "true" : "false");
-    std::fprintf(f, "      \"add_seq_seconds\": %.2f,\n", r.add_seq_seconds);
     std::fprintf(f, "      \"add_batch_seconds\": %.2f,\n",
                  r.add_batch_seconds);
-    std::fprintf(f, "      \"add_seq_escalation_scans\": %lld,\n",
-                 static_cast<long long>(r.add_seq_scans));
     std::fprintf(f, "      \"add_batch_escalation_scans\": %lld,\n",
                  static_cast<long long>(r.add_batch_scans));
-    std::fprintf(f, "      \"add_batch_identical\": %s,\n",
-                 r.add_batch_identical ? "true" : "false");
     std::fprintf(f, "      \"peak_rss_kb\": %ld\n", r.peak_rss_kb);
     std::fprintf(f, "    }%s\n", i + 1 < rows.size() ? "," : "");
   }

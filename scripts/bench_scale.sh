@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Builds (Release) and runs the scale benchmark, leaving BENCH_scale.json
 # in the repo root: wall time and peak RSS of the million-subscriber
-# pipeline — nested-vector candidate baseline vs the flat CSR build
-# (serial and sharded), end-to-end SLP serial vs sharded, and sequential
-# Add vs AddBatch — at 100k and 1M subscribers, with in-run differential
-# and bit-identity checks (the binary exits nonzero on any mismatch).
+# pipeline — end-to-end SLP serial vs sharded, and one AddBatch of every
+# arrival — at 100k and 1M subscribers, with in-run checks (sharded SLP
+# bit-identical to serial, AddBatch admits everyone; the binary exits
+# nonzero on any failure).
 #
 # Usage: scripts/bench_scale.sh [build-dir]   (default: build-release)
 # SLP_SCALE_MAX caps the largest size (e.g. 100000 for a smoke run).

@@ -11,6 +11,7 @@
 #include "src/core/filter_adjust.h"
 #include "src/core/filter_gen.h"
 #include "src/core/lp_relax.h"
+#include "src/core/subscription_assign.h"
 #include "src/geometry/audit.h"
 
 namespace slp::core {
@@ -40,22 +41,17 @@ void AuditResultFilters(const FilterAssignResult& result) {
 }
 #endif
 
-// Rows (into targets.subscribers) not covered by `filters`: no candidate
-// target's filter contains the row's subscription in a single rectangle.
+// Rows (into targets.subscribers) not covered by `filters`: no
+// latency-feasible target's filter contains the row's subscription in a
+// single rectangle of finite volume — exactly the rows AssignByMaxFlow
+// would find without a cover.
 std::vector<int> Violate(const SaProblem& problem, const Targets& targets,
                          const std::vector<geo::Filter>& filters) {
+  const CoverTable covers =
+      ComputeCovers(problem, targets, filters, /*first_only=*/true);
   std::vector<int> out;
-  const int rows = static_cast<int>(targets.subscribers.size());
-  for (int r = 0; r < rows; ++r) {
-    const auto& sub = problem.subscriber(targets.subscribers[r]).subscription;
-    bool covered = false;
-    for (int t : targets.candidates(r)) {
-      if (filters[t].CoversRect(sub)) {
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) out.push_back(r);
+  for (int r = 0; r < targets.num_rows(); ++r) {
+    if (covers.offsets[r + 1] == covers.offsets[r]) out.push_back(r);
   }
   return out;
 }
@@ -67,9 +63,8 @@ void Complete(const SaProblem& problem, const Targets& targets,
               std::vector<geo::Filter>* filters) {
   std::vector<std::vector<geo::Rectangle>> extra(targets.count);
   for (int r : uncovered) {
-    const std::span<const int32_t> cand = targets.candidates(r);
-    SLP_DCHECK(!cand.empty());
-    const int t = cand[0];  // nearest feasible target
+    const int t = targets.nearest[r];
+    SLP_DCHECK(t >= 0);
     extra[t].push_back(problem.subscriber(targets.subscribers[r]).subscription);
   }
   for (int t = 0; t < targets.count; ++t) {
@@ -88,10 +83,9 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
                                         Rng& rng) {
   const int rows = static_cast<int>(targets.subscribers.size());
   SLP_DCHECK(rows > 0);
-  for (int r = 0; r < rows; ++r) {
-    if (targets.candidates(r).empty()) {
-      return Status::Infeasible("subscriber with no latency-feasible target");
-    }
+  if (std::find(targets.nearest.begin(), targets.nearest.end(), -1) !=
+      targets.nearest.end()) {
+    return Status::Infeasible("subscriber with no latency-feasible target");
   }
 
   FilterAssignResult result;

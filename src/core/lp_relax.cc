@@ -54,7 +54,7 @@ Result<LpRelaxModel> LpRelaxModel::Build(
     // Targets: nearest half by latency plus a random spread of the rest —
     // clustered subscribers would otherwise all point at the same few
     // brokers and make load balance impossible within the cap.
-    const std::span<const int32_t> cand = targets.candidates(row);
+    const std::vector<int32_t> cand = Candidates(problem, targets, row);
     if (cand.empty()) {
       return Status::Infeasible("subscriber with no feasible target");
     }

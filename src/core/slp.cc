@@ -229,7 +229,7 @@ class SlpRunner {
     std::vector<int> load(targets.count, 0);
     std::vector<int> target_of(rows, -1);
     for (int r = 0; r < rows; ++r) {
-      const std::span<const int32_t> cand = targets.candidates(r);
+      const std::vector<int32_t> cand = Candidates(problem_, targets, r);
       SLP_DCHECK(!cand.empty());
       int pick = -1;
       for (double lbf : {problem_.config().beta, problem_.config().beta_max}) {

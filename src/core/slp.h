@@ -46,12 +46,13 @@ struct SlpOptions {
   // node id) before dispatch, never from a shared generator.
   int num_threads = 0;
   // Number of contiguous shards the parallel regions (child-subtree
-  // fan-out, the GlobalRepair per-leaf covering, and the candidate-table
-  // builds) are split into before dispatching on the pool. <= 0 derives
-  // one shard per pool thread. Any value is bit-identical to serial: work
-  // items depend only on their own index (RNG streams are forked per index
-  // before dispatch) and shard results are combined in index order, so the
-  // partition never affects the output — only the scheduling granularity.
+  // fan-out, the GlobalRepair per-leaf covering, and the targets' per-row
+  // nearest-target pass) are split into before dispatching on the pool.
+  // <= 0 derives one shard per pool thread. Any value is bit-identical to
+  // serial: work items depend only on their own index (RNG streams are
+  // forked per index before dispatch) and each writes only its own slots,
+  // so the partition never affects the output — only the scheduling
+  // granularity.
   int num_shards = 0;
 };
 

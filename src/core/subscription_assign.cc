@@ -19,7 +19,8 @@ constexpr double kEscalation = 1.05;
 }  // namespace
 
 CoverTable ComputeCovers(const SaProblem& problem, const Targets& targets,
-                         const std::vector<geo::Filter>& filters) {
+                         const std::vector<geo::Filter>& filters,
+                         bool first_only) {
   const int rows = targets.num_rows();
   const int nt = targets.count;
   CoverTable covers;
@@ -71,16 +72,26 @@ CoverTable ComputeCovers(const SaProblem& problem, const Targets& targets,
     return true;
   };
 
-  // Untouched capacity costs no memory, so reserving every candidate is
-  // free where covers are sparse.
-  covers.target.reserve(targets.cand_targets.size());
-  covers.cost.reserve(targets.cand_targets.size());
+  // Untouched capacity costs no memory, so reserving a cover for every
+  // (row, target) pair is free where covers are sparse.
+  const size_t most = static_cast<size_t>(rows) * (first_only ? 1 : nt);
+  covers.target.reserve(most);
+  covers.cost.reserve(most);
+  struct Cover {
+    double latency;
+    int32_t target;
+    double cost;
+  };
+  std::vector<Cover> row;
   for (int r = 0; r < rows; ++r) {
-    const geo::Rectangle& sub =
-        problem.subscriber(targets.subscribers[r]).subscription;
+    const int j = targets.subscribers[r];
+    const geo::Rectangle& sub = problem.subscriber(j).subscription;
+    const geo::Point& at = problem.subscriber(j).location;
+    const double limit = LatencyLimit(problem, j);
     const double* sub_lo = sub.lo().data();
     const double* sub_hi = sub.hi().data();
-    for (int t : targets.candidates(r)) {
+    row.clear();
+    for (int t = 0; t < nt && !(first_only && !row.empty()); ++t) {
       const size_t box = static_cast<size_t>(t) * d;
       if (!contains(&box_lo[box], &box_hi[box], sub_lo, sub_hi)) continue;
       for (int64_t k = rect_offsets[t]; k < rect_offsets[t + 1]; ++k) {
@@ -88,11 +99,20 @@ CoverTable ComputeCovers(const SaProblem& problem, const Targets& targets,
           continue;
         }
         if (std::isfinite(rect_volume[k])) {
-          covers.target.push_back(t);
-          covers.cost.push_back(rect_volume[k]);
+          const double latency = targets.Latency(t, at);
+          if (latency <= limit) row.push_back({latency, t, rect_volume[k]});
         }
         break;
       }
+    }
+    // B_j's order: the flow's edge order and the seeding's ties rely on it.
+    std::sort(row.begin(), row.end(), [](const Cover& a, const Cover& b) {
+      return a.latency < b.latency ||
+             (a.latency == b.latency && a.target < b.target);
+    });
+    for (const Cover& cover : row) {
+      covers.target.push_back(cover.target);
+      covers.cost.push_back(cover.cost);
     }
     covers.offsets[r + 1] = static_cast<int64_t>(covers.target.size());
   }
@@ -190,7 +210,7 @@ Result<SubscriptionAssignResult> AssignByMaxFlow(
       if (flow.target_of(r) >= 0) continue;
       // Nearest latency-feasible target with spare β_max capacity that does
       // not already cover this row.
-      for (int t : targets.candidates(r)) {
+      for (int t : Candidates(problem, targets, r)) {
         const double cap = targets.AbsCap(t, problem.config().beta_max);
         const auto pending_count = static_cast<int64_t>(pending[t].size());
         if (flow.load(t) + pending_count + 1 > cap + 1e-9) continue;

@@ -66,10 +66,16 @@ struct CoverTable {
   std::vector<double> cost;
 };
 
-// Target t covers row r iff t is one of r's candidates and one of
-// filters[t]'s rectangles contains r's subscription.
+// Target t covers row r iff one of filters[t]'s rectangles of finite
+// volume contains r's subscription and t meets r's latency bound (t is in
+// B_j). The covers are found from the filters, and a latency is computed
+// only for a target whose filter contains the subscription; each row comes
+// out in B_j's (latency, id) order. With `first_only` a row stops at its
+// first cover, which answers "is the row covered?" and nothing more: the
+// one containment scan behind FilterAssign's coverage test as well.
 CoverTable ComputeCovers(const SaProblem& problem, const Targets& targets,
-                         const std::vector<geo::Filter>& filters);
+                         const std::vector<geo::Filter>& filters,
+                         bool first_only = false);
 
 // One flow run of AssignByMaxFlow: with cohesion seeding on, a greedy
 // cost-ordered pre-assignment at the problem's β; then max-flow; then,

@@ -37,18 +37,6 @@ int ClampedCell(double c, int g) {
 
 }  // namespace
 
-MatchIndex::Builder& MatchIndex::Builder::Add(int owner,
-                                              const geo::Rectangle& rect) {
-  SLP_DCHECK(owner >= 0 && owner < num_owners_);
-  SLP_DCHECK(rect.dim() >= 1);
-  rects_.push_back(OwnedRect{owner, rect});
-  return *this;
-}
-
-MatchIndex MatchIndex::Builder::Build() && {
-  return BuildIndex(rects_, num_owners_);
-}
-
 int MatchIndex::CellX(double x) const {
   // inv_wx_ == 0 (flat axis or empty index) maps everything to cell 0.
   return ClampedCell((x - min_x_) * inv_wx_, gx_);

@@ -46,23 +46,6 @@ struct OwnedRect {
 
 class MatchIndex {
  public:
-  class Builder {
-   public:
-    // `num_owners` bounds the owner ids that may be added; probes answer
-    // bitsets of this width.
-    explicit Builder(int num_owners) : num_owners_(num_owners) {}
-
-    // Adds one rectangle for `owner`. Every rectangle of one index has
-    // the same dimension.
-    Builder& Add(int owner, const geo::Rectangle& rect);
-
-    MatchIndex Build() &&;
-
-   private:
-    int num_owners_ = 0;
-    std::vector<OwnedRect> rects_;
-  };
-
   MatchIndex() = default;
 
   int num_owners() const { return num_owners_; }

@@ -216,10 +216,15 @@ TEST(CandidatesTest, LeafTargetsSortedAndFeasible) {
   EXPECT_NEAR(kappa_sum, 1.0, 1e-9);
   for (int r = 0; r < t.num_rows(); ++r) {
     const int j = t.subscribers[r];
-    const std::span<const int32_t> cand = t.candidates(r);
+    const std::vector<int32_t> cand = Candidates(p, t, r);
     ASSERT_FALSE(cand.empty());
-    // Rows are ordered by (latency, id). The fill's arithmetic reproduces
+    EXPECT_EQ(t.nearest[r], cand[0]);
+    // Rows are ordered by (latency, id). Targets::Latency reproduces
     // AssignmentLatency bit for bit, so the keys compare exactly.
+    for (int leaf = 0; leaf < t.count; ++leaf) {
+      EXPECT_EQ(t.Latency(leaf, p.subscriber(j).location),
+                p.AssignmentLatency(j, p.leaf_node(leaf)));
+    }
     auto key = [&](int32_t leaf) {
       return std::make_pair(p.AssignmentLatency(j, p.leaf_node(leaf)), leaf);
     };
@@ -238,7 +243,7 @@ TEST(CandidatesTest, LeafTargetsRespectSubsetSelection) {
   Targets t = BuildLeafTargets(p, subset);
   EXPECT_EQ(t.subscribers, subset);
   EXPECT_EQ(t.num_rows(), 3);
-  EXPECT_EQ(t.cand_offsets.size(), 4u);
+  EXPECT_EQ(t.nearest.size(), 3u);
 }
 
 TEST(CandidatesTest, ChildTargetsAggregateKappaAndOptimism) {
@@ -256,7 +261,7 @@ TEST(CandidatesTest, ChildTargetsAggregateKappaAndOptimism) {
   for (size_t r = 0; r < t.subscribers.size(); r += 37) {
     const int j = t.subscribers[r];
     std::pair<double, int32_t> prev(-1.0, -1);
-    for (int32_t c : t.candidates(static_cast<int>(r))) {
+    for (int32_t c : Candidates(p, t, static_cast<int>(r))) {
       const int child = tree.children(root)[c];
       double want = 1e300;
       for (int leaf : tree.subtree_leaves(child)) {
@@ -289,9 +294,8 @@ TEST(CandidatesTest, ExactLatencyTiesOrderByTargetId) {
   ASSERT_EQ(one_level.AssignmentLatency(0, one_level.leaf_node(1)),
             one_level.AssignmentLatency(0, one_level.leaf_node(2)));
   const Targets lt = BuildLeafTargets(one_level, AllSubscribers(one_level));
-  const std::span<const int32_t> leaf_row = lt.candidates(0);
-  EXPECT_EQ(std::vector<int32_t>(leaf_row.begin(), leaf_row.end()),
-            (std::vector<int32_t>{1, 2, 0}));
+  EXPECT_EQ(Candidates(one_level, lt, 0), (std::vector<int32_t>{1, 2, 0}));
+  EXPECT_EQ(lt.nearest[0], 1);
 
   // Child targets: children 1 and 2 sit at (1, 0), and each has a leaf at
   // (2, 0), so their optimistic latencies tie; child 0 is farther.
@@ -310,9 +314,37 @@ TEST(CandidatesTest, ExactLatencyTiesOrderByTargetId) {
             two_level.AssignmentLatency(0, b_near));
   const Targets ct = BuildChildTargets(two_level, AllSubscribers(two_level),
                                        net::BrokerTree::kPublisher);
-  const std::span<const int32_t> child_row = ct.candidates(0);
-  EXPECT_EQ(std::vector<int32_t>(child_row.begin(), child_row.end()),
-            (std::vector<int32_t>{1, 2, 0}));
+  EXPECT_EQ(Candidates(two_level, ct, 0), (std::vector<int32_t>{1, 2, 0}));
+  EXPECT_EQ(ct.nearest[0], 1);
+}
+
+// Each row's stored nearest target is its B_j's first entry, or -1 for an
+// empty row, at any shard count. A tight delay bound leaves most rows of a
+// below-root node without a feasible child, so the -1 rows are covered too.
+TEST(CandidatesTest, NearestIsFirstCandidateAtAnyShardCount) {
+  SaConfig config;
+  config.max_delay = 0.3;
+  const SaProblem p = test::SmallMultiLevelProblem(400, 24, 4, config, 3);
+  const auto& tree = p.tree();
+  const std::vector<int> subs = AllSubscribers(p);
+  int empty_rows = 0;
+  for (int shards : {1, 2, 3, 7, 64}) {
+    std::vector<Targets> all = {BuildLeafTargets(p, subs, shards)};
+    for (int node = 0; node < tree.num_nodes(); ++node) {
+      if (tree.children(node).size() < 2) continue;
+      all.push_back(BuildChildTargets(p, subs, node, shards));
+    }
+    for (const Targets& t : all) {
+      ASSERT_EQ(t.nearest.size(), subs.size());
+      for (int r = 0; r < t.num_rows(); ++r) {
+        const std::vector<int32_t> cand = Candidates(p, t, r);
+        ASSERT_EQ(t.nearest[r], cand.empty() ? -1 : cand[0])
+            << "row " << r << ", " << shards << " shards";
+        empty_rows += cand.empty() ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(empty_rows, 0);
 }
 
 TEST(CandidatesTest, SubtreeLeavesOfLeafIsItself) {
@@ -529,7 +561,7 @@ TEST(FilterAdjustTest, AdjustLeafFiltersProducesValidTightSolution) {
   s.assignment.resize(p.num_subscribers());
   Targets t = BuildLeafTargets(p, AllSubscribers(p));
   for (size_t r = 0; r < t.subscribers.size(); ++r) {
-    s.assignment[t.subscribers[r]] = p.leaf_node(t.candidates(static_cast<int>(r))[0]);
+    s.assignment[t.subscribers[r]] = p.leaf_node(t.nearest[r]);
   }
   s.filters.assign(p.tree().num_nodes(), Filter());
   Rng rng(9);
@@ -548,7 +580,7 @@ TEST(FilterAdjustTest, TighteningPreliminaryNeverWorsensCoverage) {
   s.assignment.resize(p.num_subscribers());
   Targets t = BuildLeafTargets(p, AllSubscribers(p));
   for (size_t r = 0; r < t.subscribers.size(); ++r) {
-    s.assignment[t.subscribers[r]] = p.leaf_node(t.candidates(static_cast<int>(r))[0]);
+    s.assignment[t.subscribers[r]] = p.leaf_node(t.nearest[r]);
   }
   // Loose preliminary filters: the global event box everywhere.
   s.filters.assign(p.tree().num_nodes(), Filter());
@@ -575,7 +607,7 @@ TEST(FilterAdjustTest, InternalFiltersNestChildren) {
   s.assignment.resize(p.num_subscribers());
   Targets t = BuildLeafTargets(p, AllSubscribers(p));
   for (size_t r = 0; r < t.subscribers.size(); ++r) {
-    s.assignment[t.subscribers[r]] = p.leaf_node(t.candidates(static_cast<int>(r))[0]);
+    s.assignment[t.subscribers[r]] = p.leaf_node(t.nearest[r]);
   }
   s.filters.assign(p.tree().num_nodes(), Filter());
   Rng rng(11);
@@ -586,13 +618,14 @@ TEST(FilterAdjustTest, InternalFiltersNestChildren) {
   EXPECT_TRUE(ValidateSolution(p, s, opts).ok());
 }
 
-// ---- CSR vs. legacy nested-vector differential ----
+// ---- Candidate rows vs. the legacy nested-vector build ----
 //
 // Reference reimplementation of the candidate build as it existed before
-// the CSR refactor: one vector per row, sorted by (latency, id), a
-// per-call subtree-leaf tree walk, and per-call kappa accumulation. The
-// CSR build must reproduce it exactly (the same target ids in the same
-// order) on every workload family.
+// the flat refactor: one vector per row, sorted by (latency, id), a
+// per-call subtree-leaf tree walk, and per-call kappa accumulation.
+// Candidates() must reproduce it exactly (the same target ids in the same
+// order) on every workload family, and each row's stored nearest target
+// must be its first entry.
 
 // The historical stack-DFS (push children in order, pop from the back) the
 // memoized BrokerTree table replaced; order matters because kappa sums and
@@ -645,12 +678,11 @@ std::vector<int32_t> LegacyChildRow(const SaProblem& p, int j, int node) {
 }
 
 // Ids and order: the legacy rows are sorted by (latency, id), so equal ids
-// in equal order mean the CSR fill ranked every target the same way.
-void ExpectRowsEqual(const Targets& t, int r,
+// in equal order mean Candidates() ranked every target the same way.
+void ExpectRowsEqual(const SaProblem& p, const Targets& t, int r,
                      const std::vector<int32_t>& legacy) {
-  const std::span<const int32_t> cand = t.candidates(r);
-  EXPECT_EQ(std::vector<int32_t>(cand.begin(), cand.end()), legacy)
-      << "row " << r;
+  EXPECT_EQ(Candidates(p, t, r), legacy) << "row " << r;
+  EXPECT_EQ(t.nearest[r], legacy.empty() ? -1 : legacy[0]) << "row " << r;
 }
 
 core::SaProblem SmallRssProblem(int subs, int brokers, uint64_t seed) {
@@ -671,9 +703,9 @@ TEST(CsrDifferentialTest, LeafTargetsMatchLegacyNestedBuild) {
   for (const SaProblem& p : problems) {
     const Targets t = BuildLeafTargets(p, AllSubscribers(p));
     ASSERT_EQ(t.num_rows(), p.num_subscribers());
-    ASSERT_EQ(t.cand_offsets.size(), static_cast<size_t>(t.num_rows()) + 1);
+    ASSERT_EQ(t.nearest.size(), static_cast<size_t>(t.num_rows()));
     for (int r = 0; r < t.num_rows(); ++r) {
-      ExpectRowsEqual(t, r, LegacyLeafRow(p, t.subscribers[r]));
+      ExpectRowsEqual(p, t, r, LegacyLeafRow(p, t.subscribers[r]));
     }
   }
 }
@@ -696,7 +728,7 @@ TEST(CsrDifferentialTest, ChildTargetsMatchLegacyNestedBuild) {
       EXPECT_EQ(t.kappa[c], k) << "node " << node << " child " << c;
     }
     for (int r = 0; r < t.num_rows(); ++r) {
-      ExpectRowsEqual(t, r, LegacyChildRow(p, t.subscribers[r], node));
+      ExpectRowsEqual(p, t, r, LegacyChildRow(p, t.subscribers[r], node));
     }
   }
 }
@@ -707,8 +739,10 @@ TEST(CsrDifferentialTest, ShardedBuildBitIdenticalToSerial) {
   const Targets serial = BuildLeafTargets(p, subs, /*num_shards=*/1);
   for (int shards : {2, 3, 7, 64}) {
     const Targets sharded = BuildLeafTargets(p, subs, shards);
-    EXPECT_EQ(serial.cand_offsets, sharded.cand_offsets) << shards;
-    EXPECT_EQ(serial.cand_targets, sharded.cand_targets) << shards;
+    EXPECT_EQ(serial.nearest, sharded.nearest) << shards;
+    EXPECT_EQ(serial.slot_offsets, sharded.slot_offsets) << shards;
+    EXPECT_EQ(serial.base, sharded.base) << shards;
+    EXPECT_EQ(serial.loc, sharded.loc) << shards;
   }
 }
 

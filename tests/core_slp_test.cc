@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -196,6 +198,117 @@ TEST(LpRelaxTest, FractionalObjectiveIsLowerBoundForItsOwnRounding) {
   double rounded_sum = 0;
   for (const auto& f : result.value().filters) rounded_sum += f.SumVolume();
   EXPECT_LE(result.value().fractional_objective, rounded_sum + 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// The cover rule: one containment scan answers every cover question
+// ---------------------------------------------------------------------------
+
+// Random filters of one to four rectangles per target, sized so that some
+// rows are covered several times and some not at all.
+std::vector<Filter> RandomFilters(int count, Rng& rng) {
+  std::vector<Filter> filters(count);
+  for (Filter& f : filters) {
+    const int rects = static_cast<int>(rng.UniformInt(1, 4));
+    for (int k = 0; k < rects; ++k) {
+      f.Add(Rectangle::FromCenter({rng.Uniform(0, 1), rng.Uniform(0, 1)},
+                                  {rng.Uniform(0, 0.6), rng.Uniform(0, 0.6)}));
+    }
+  }
+  return filters;
+}
+
+// The rows FilterAssign's coverage test reports uncovered (a first-only
+// row is empty) are exactly the rows where no target of B_j has a filter
+// rectangle containing the subscription, and a first-only row's one cover
+// is among the row's full covers. Returns the number of covered rows.
+int ExpectFirstOnlyMatchesCandidateRule(const SaProblem& p,
+                                        const Targets& targets, Rng& rng) {
+  const std::vector<Filter> filters = RandomFilters(targets.count, rng);
+  const CoverTable first =
+      ComputeCovers(p, targets, filters, /*first_only=*/true);
+  const CoverTable full = ComputeCovers(p, targets, filters);
+  int covered_rows = 0;
+  for (int r = 0; r < targets.num_rows(); ++r) {
+    const Rectangle& sub = p.subscriber(targets.subscribers[r]).subscription;
+    bool covered = false;
+    for (int t : Candidates(p, targets, r)) {
+      covered = covered || filters[t].CoversRect(sub);
+    }
+    EXPECT_EQ(first.offsets[r + 1] - first.offsets[r], covered ? 1 : 0)
+        << "row " << r;
+    EXPECT_EQ(full.offsets[r + 1] > full.offsets[r], covered) << "row " << r;
+    if (covered && first.offsets[r + 1] > first.offsets[r]) {
+      const auto begin = full.target.begin() + full.offsets[r];
+      const auto end = full.target.begin() + full.offsets[r + 1];
+      EXPECT_NE(std::find(begin, end, first.target[first.offsets[r]]), end)
+          << "row " << r;
+    }
+    covered_rows += covered ? 1 : 0;
+  }
+  return covered_rows;
+}
+
+TEST(CoverRuleTest, FirstOnlyEmptyRowsMatchCandidateCoversRect) {
+  SaConfig config;
+  config.max_delay = 0.4;
+  const SaProblem leaf_problem = test::SmallGridProblem(300, 8, config);
+  const SaProblem deep = test::SmallMultiLevelProblem(300, 20, 4, config, 5);
+  std::vector<std::pair<const SaProblem*, Targets>> stages = {
+      {&leaf_problem,
+       BuildLeafTargets(leaf_problem, AllSubscribers(leaf_problem))}};
+  for (int node = 0; node < deep.tree().num_nodes(); ++node) {
+    if (deep.tree().children(node).size() < 2) continue;
+    stages.push_back(
+        {&deep, BuildChildTargets(deep, AllSubscribers(deep), node)});
+  }
+  Rng rng(2027);
+  int rows = 0, covered = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    for (const auto& [problem, targets] : stages) {
+      covered += ExpectFirstOnlyMatchesCandidateRule(*problem, targets, rng);
+      rows += targets.num_rows();
+    }
+  }
+  // Both outcomes occur, so neither side of the rule goes untested.
+  EXPECT_GT(covered, 0);
+  EXPECT_LT(covered, rows);
+}
+
+// A rectangle with finite coordinates but infinite volume contains the
+// subscription (CoversRect holds), yet it is no cover: no cost can be
+// charged for it. The coverage test and the flow follow the same rule, so
+// FilterAssign can never hand the flow a filter it then rejects.
+TEST(CoverRuleTest, InfiniteVolumeRectangleCoversNothing) {
+  net::BrokerTree tree({0, 0});
+  tree.AddBroker({1, 0}, net::BrokerTree::kPublisher);
+  tree.AddBroker({0, 1}, net::BrokerTree::kPublisher);
+  tree.Finalize();
+  std::vector<wl::Subscriber> subs(2);
+  subs[0].location = {1, 0.5};
+  subs[0].subscription = Rectangle({0.1, 0.1}, {0.2, 0.2});
+  subs[1].location = {0.5, 1};
+  subs[1].subscription = Rectangle({0.7, 0.7}, {0.8, 0.8});
+  SaConfig config;
+  config.max_delay = 10;  // both leaves are feasible for both subscribers
+  const SaProblem p(std::move(tree), subs, config);
+  const Targets targets = BuildLeafTargets(p, AllSubscribers(p));
+
+  std::vector<Filter> filters = {
+      Filter({Rectangle({-1e200, -1e200}, {1e200, 1e200})}),
+      Filter({Rectangle({0.6, 0.6}, {0.9, 0.9})})};
+  ASSERT_TRUE(std::isinf(filters[0].rects()[0].Volume()));
+  ASSERT_TRUE(filters[0].CoversRect(subs[0].subscription));
+
+  for (bool first_only : {true, false}) {
+    const CoverTable covers = ComputeCovers(p, targets, filters, first_only);
+    EXPECT_EQ(covers.offsets, (std::vector<int64_t>{0, 0, 1})) << first_only;
+    EXPECT_EQ(covers.target, std::vector<int32_t>{1}) << first_only;
+  }
+  Rng rng(1);
+  const auto assigned = AssignByMaxFlow(p, targets, &filters, rng);
+  ASSERT_FALSE(assigned.ok());
+  EXPECT_EQ(assigned.status().code(), StatusCode::kInfeasible);
 }
 
 // ---------------------------------------------------------------------------
@@ -480,7 +593,7 @@ TEST(FilterAssignTest, BelowRootSolvesOneLpPerIteration) {
     const Targets all = BuildChildTargets(p, AllSubscribers(p), node);
     std::vector<int> subs;
     for (int r = 0; r < all.num_rows(); ++r) {
-      if (!all.candidates(r).empty()) subs.push_back(all.subscribers[r]);
+      if (all.nearest[r] >= 0) subs.push_back(all.subscribers[r]);
     }
     const Targets targets = BuildChildTargets(p, subs, node);
     Rng rng(30 + node);
@@ -491,7 +604,7 @@ TEST(FilterAssignTest, BelowRootSolvesOneLpPerIteration) {
     for (int r = 0; r < targets.num_rows(); ++r) {
       const auto& sub = p.subscriber(targets.subscribers[r]).subscription;
       bool covered = false;
-      for (int t : targets.candidates(r)) {
+      for (int t : Candidates(p, targets, r)) {
         covered = covered || fa.filters[t].CoversRect(sub);
       }
       EXPECT_TRUE(covered) << "node " << node << " row " << r;
@@ -563,8 +676,10 @@ TEST(SlpTest, OneLevelRootStageIsSlp1Stage) {
     EXPECT_EQ(child.kappa, leaf.kappa);
     EXPECT_EQ(child.total_subscribers, leaf.total_subscribers);
     EXPECT_EQ(child.subscribers, leaf.subscribers);
-    EXPECT_EQ(child.cand_offsets, leaf.cand_offsets);
-    EXPECT_EQ(child.cand_targets, leaf.cand_targets);
+    EXPECT_EQ(child.nearest, leaf.nearest);
+    EXPECT_EQ(child.slot_offsets, leaf.slot_offsets);
+    EXPECT_EQ(child.base, leaf.base);
+    EXPECT_EQ(child.loc, leaf.loc);
 
     SlpOptions opts;
     opts.num_threads = 1;

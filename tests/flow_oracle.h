@@ -322,6 +322,10 @@ inline FlowAttempt RunFlow(const core::SaProblem& problem,
   return out;
 }
 
+// A row's covers walked candidate-first: B_j in order, each target kept
+// when one of its filter's rectangles contains the subscription, at the
+// least containing volume. core::ComputeCovers finds the same covers
+// filter-first, so this stays an independent reference for it.
 inline std::vector<std::vector<CoverEdge>> ComputeCovers(
     const core::SaProblem& problem, const core::Targets& targets,
     const std::vector<geo::Filter>& filters) {
@@ -329,7 +333,7 @@ inline std::vector<std::vector<CoverEdge>> ComputeCovers(
   std::vector<std::vector<CoverEdge>> covers(rows);
   for (int r = 0; r < rows; ++r) {
     const auto& sub = problem.subscriber(targets.subscribers[r]).subscription;
-    for (int t : targets.candidates(r)) {
+    for (int t : core::Candidates(problem, targets, r)) {
       double best = std::numeric_limits<double>::infinity();
       for (const auto& rect : filters[t].rects()) {
         if (rect.Contains(sub)) best = std::min(best, rect.Volume());

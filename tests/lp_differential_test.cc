@@ -424,7 +424,7 @@ std::vector<int> SubscribersWithChildTarget(const core::SaProblem& problem,
       core::BuildChildTargets(problem, core::AllSubscribers(problem), node);
   std::vector<int> subs;
   for (int r = 0; r < all.num_rows(); ++r) {
-    if (!all.candidates(r).empty()) subs.push_back(all.subscribers[r]);
+    if (all.nearest[r] >= 0) subs.push_back(all.subscribers[r]);
   }
   return subs;
 }

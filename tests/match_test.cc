@@ -234,18 +234,6 @@ TEST(MatchIndexTest, EmptyIndexAndOutOfBoundsProbes) {
   EXPECT_EQ(NumContaining(index, {1.0, 0.5}), 1u);  // closed upper edge
 }
 
-TEST(MatchIndexTest, BuilderMatchesBuildIndex) {
-  MatchIndex::Builder builder(3);
-  builder.Add(0, Rectangle({0, 0}, {0.5, 0.5}))
-      .Add(1, Rectangle({0.5, 0}, {1, 0.5}))
-      .Add(2, Rectangle({0, 0.5}, {1, 1}));
-  const MatchIndex index = std::move(builder).Build();
-  EXPECT_EQ(index.num_rects(), 3);
-  EXPECT_EQ(index.num_owners(), 3);
-  MatchBatch batch(&index);
-  EXPECT_EQ(batch.Probe({0.5, 0.5}).size(), 3u);  // shared corner of all three
-}
-
 TEST(MatchAuditTest, CleanIndexPassesAudit) {
   RecordingHandler handler;
   Rng rng(77);

@@ -29,11 +29,12 @@ wl::Workload MillionGrid(int brokers) {
   return wl::GenerateGrid(params);
 }
 
-// The tentpole path at full width: generate 1M subscribers, build the CSR
-// candidate table serially and sharded, and require bit-identical arrays.
-// Also pins the CSR structural invariants at a size where a quadratic or
-// realloc-churn regression would time the test out rather than pass.
-TEST(ScaleTest, MillionSubscriberCsrBuildShardIdentity) {
+// The per-row nearest-target pass at full width: generate 1M subscribers,
+// build the leaf targets serially and sharded, and require identical
+// nearest targets. Every row has one (the Δ-achieving leaf), and each is
+// its B_j's first entry — checked on every row, at a size where a
+// quadratic regression would time the test out rather than pass.
+TEST(ScaleTest, MillionSubscriberNearestTargetShardIdentity) {
   wl::Workload w = MillionGrid(/*brokers=*/64);
   ASSERT_EQ(w.subscribers.size(), static_cast<size_t>(kMillion));
   net::BrokerTree tree =
@@ -43,18 +44,15 @@ TEST(ScaleTest, MillionSubscriberCsrBuildShardIdentity) {
   const std::vector<int> subs = AllSubscribers(p);
   const Targets serial = BuildLeafTargets(p, subs, /*num_shards=*/1);
   ASSERT_EQ(serial.num_rows(), kMillion);
-  ASSERT_EQ(serial.cand_offsets.size(), static_cast<size_t>(kMillion) + 1);
-  ASSERT_EQ(serial.cand_offsets.front(), 0);
+  ASSERT_EQ(serial.nearest.size(), static_cast<size_t>(kMillion));
   for (int r = 0; r < serial.num_rows(); ++r) {
-    ASSERT_LT(serial.cand_offsets[r], serial.cand_offsets[r + 1])
-        << "empty candidate row " << r;
+    const std::vector<int32_t> cand = Candidates(p, serial, r);
+    ASSERT_FALSE(cand.empty()) << "empty candidate row " << r;
+    ASSERT_EQ(serial.nearest[r], cand[0]) << "row " << r;
   }
-  ASSERT_EQ(serial.cand_offsets.back(),
-            static_cast<int64_t>(serial.cand_targets.size()));
 
   const Targets sharded = BuildLeafTargets(p, subs, /*num_shards=*/8);
-  EXPECT_EQ(serial.cand_offsets, sharded.cand_offsets);
-  EXPECT_EQ(serial.cand_targets, sharded.cand_targets);
+  EXPECT_EQ(serial.nearest, sharded.nearest);
 }
 
 // 1M dynamic arrivals through AddBatch: completes, admits everyone, and
