@@ -71,9 +71,13 @@ DisseminationStats Simulate(const core::SaProblem& problem,
   auto route_range = [&](int begin, int end, DisseminationStats* stats) {
     stats->broker_hits.assign(num_nodes, 0);
     Router router(*matcher, num_nodes);
+    // One broker-index probe per event answers every entry test of its DFS.
+    match::BitSet entered(num_nodes);
+    std::vector<int32_t> hits;
     const auto children = [&](int v) -> const std::vector<int>& {
       return tree.children(v);
     };
+    const auto enters = [&](int v) { return entered.Test(v); };
     const auto forwards = [](int) { return true; };
     const auto leaf_of = [&](int32_t j) { return solution.assignment[j]; };
     // A matching placed subscriber is delivered iff the DFS reached its
@@ -84,8 +88,11 @@ DisseminationStats Simulate(const core::SaProblem& problem,
     };
     for (int i = begin; i < end; ++i) {
       ++stats->events;
-      router.Route(events[i], tree, children, forwards, leaf_of, on_match,
-                   stats);
+      for (const int32_t v : hits) entered.Reset(v);
+      hits.clear();
+      matcher->ProbeBrokers(events[i], &entered, &hits);
+      router.Route(events[i], tree, children, enters, forwards, leaf_of,
+                   on_match, stats);
     }
   };
 

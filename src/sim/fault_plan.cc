@@ -28,19 +28,6 @@ bool BelievedPathActuallyDown(const core::DynamicAssigner& dyn, int leaf,
   return false;
 }
 
-// The current filter rectangles of every *live* broker (owner = node id).
-// Failed brokers are left out, so they can never be probed in.
-std::vector<match::OwnedRect> LiveBrokerRects(
-    const core::DynamicAssigner& dyn) {
-  const net::BrokerTree& tree = dyn.tree();
-  std::vector<match::OwnedRect> rects;
-  for (int v = 1; v < tree.num_nodes(); ++v) {
-    if (tree.is_failed(v)) continue;
-    for (const geo::Rectangle& r : dyn.filter(v)) rects.push_back({v, r});
-  }
-  return rects;
-}
-
 Status ValidateOptions(const FaultReplayOptions& options) {
   if (options.epoch_length <= 0) {
     return Status::InvalidArgument("epoch_length must be positive");
@@ -54,6 +41,41 @@ Status ValidateOptions(const FaultReplayOptions& options) {
   }
   if (lease.miss_dead < lease.miss_suspect) {
     return Status::InvalidArgument("lease miss_dead is below miss_suspect");
+  }
+  return Status::OK();
+}
+
+// The loop's plan checks, run before its first tick so that a rejected
+// plan leaves the assigner untouched: the faults and client events it
+// applies, in its order, against ground truth seeded from the overlay.
+Status ValidatePlan(const FaultPlan& plan, const net::BrokerTree& tree,
+                    int num_clients, int num_events) {
+  std::vector<bool> down(tree.num_nodes());
+  for (int v = 1; v < tree.num_nodes(); ++v) down[v] = tree.is_failed(v);
+  const std::vector<FaultEvent>& faults = plan.events();
+  const std::vector<ClientEvent>& clients = plan.client_events();
+  size_t next_fault = 0, next_client = 0;
+  for (int i = 0; i < num_events; ++i) {
+    for (; next_fault < faults.size() && faults[next_fault].at_event <= i;
+         ++next_fault) {
+      const FaultEvent& f = faults[next_fault];
+      if (f.node <= net::BrokerTree::kPublisher || f.node >= tree.num_nodes()) {
+        return Status::InvalidArgument("fault on invalid broker node");
+      }
+      if (f.heartbeat_only) continue;
+      if (down[f.node] == f.fail) {
+        return Status::InvalidArgument(f.fail ? "broker already down"
+                                              : "broker not down");
+      }
+      down[f.node] = f.fail;
+    }
+    for (; next_client < clients.size() && clients[next_client].at_event <= i;
+         ++next_client) {
+      const int c = clients[next_client].client;
+      if (c < 0 || c >= num_clients) {
+        return Status::InvalidArgument("client event on invalid client id");
+      }
+    }
   }
   return Status::OK();
 }
@@ -117,17 +139,24 @@ Result<FaultReplayResult> ReplayWithFaults(
 
   // Stable client ids: the assigner's initial population in handle order.
   // client_handle goes to -1 while a client's lease is expired; the
-  // subscription is kept so a reconnect can re-Add it.
+  // subscription is kept so a reconnect can re-Add it. It never changes,
+  // so one index over the subscriptions (owner = client id) serves the
+  // whole replay.
   std::vector<int> client_handle;
   std::vector<wl::Subscriber> client_sub;
-  std::vector<int> client_of_handle(dyn.slot_count(), -1);
+  std::vector<match::OwnedRect> client_rects;
   for (int h = 0; h < dyn.slot_count(); ++h) {
     if (!dyn.is_occupied(h)) continue;
-    client_of_handle[h] = static_cast<int>(client_handle.size());
+    const int c = static_cast<int>(client_handle.size());
     client_handle.push_back(h);
     client_sub.push_back(dyn.subscriber(h));
+    client_rects.push_back({c, client_sub[c].subscription});
   }
   const int num_clients = static_cast<int>(client_handle.size());
+  const int num_events = static_cast<int>(events.size());
+  SLP_RETURN_IF_ERROR(ValidatePlan(plan, tree, num_clients, num_events));
+  matcher->IndexSubscriptions(client_rects, num_clients);
+  Router router(*matcher, num_nodes);
 
   // Ground truth starts where belief does: a broker already failed in the
   // overlay is down until the plan recovers it.
@@ -155,19 +184,6 @@ Result<FaultReplayResult> ReplayWithFaults(
   for (int c = 0; c < num_clients; ++c) {
     phase_clients[c % client_interval].push_back(c);
   }
-
-  // A client's subscription never changes (a reconnect re-Adds
-  // client_sub[c]), so one index over them, keyed by client id, serves
-  // the whole replay; only the broker filters are re-indexed as placement
-  // changes (repairs, fail/recover, expiries, reconnects).
-  std::vector<match::OwnedRect> client_rects;
-  client_rects.reserve(num_clients);
-  for (int c = 0; c < num_clients; ++c) {
-    client_rects.push_back({c, client_sub[c].subscription});
-  }
-  matcher->IndexSubscriptions(client_rects, num_clients);
-  Router router(*matcher, num_nodes);
-  bool placement_dirty = true;
 
   EpochRecoveryStats epoch;
   epoch.first_event = 0;
@@ -229,22 +245,14 @@ Result<FaultReplayResult> ReplayWithFaults(
     }
   };
 
-  const int num_events = static_cast<int>(events.size());
   for (int i = 0; i < num_events; ++i) {
-    // 1. Ground truth moves: crashes, recoveries, mutes, client churn.
-    // Nothing here touches the believed overlay.
+    // 1. Ground truth moves (as ValidatePlan checked): crashes,
+    // recoveries, mutes, client churn. Nothing here touches belief.
     while (next_fault < faults.size() && faults[next_fault].at_event <= i) {
       const FaultEvent& f = faults[next_fault++];
-      if (f.node <= net::BrokerTree::kPublisher || f.node >= num_nodes) {
-        return Status::InvalidArgument("fault on invalid broker node");
-      }
       if (f.heartbeat_only) {
         channel.SetBrokerMuted(f.node, f.fail);
         continue;
-      }
-      if (channel.broker_down(f.node) == f.fail) {
-        return Status::InvalidArgument(f.fail ? "broker already down"
-                                              : "broker not down");
       }
       channel.SetBrokerDown(f.node, f.fail);
       down_since[f.node] = f.fail ? i : -1;
@@ -252,9 +260,6 @@ Result<FaultReplayResult> ReplayWithFaults(
     while (next_client < client_faults.size() &&
            client_faults[next_client].at_event <= i) {
       const ClientEvent& c = client_faults[next_client++];
-      if (c.client < 0 || c.client >= num_clients) {
-        return Status::InvalidArgument("client event on invalid client id");
-      }
       channel.SetClientOffline(c.client, c.offline);
     }
 
@@ -262,7 +267,6 @@ Result<FaultReplayResult> ReplayWithFaults(
     // does not renew in bursts. Delivery is decided by the channel over
     // the believed overlay; a delivered heartbeat from a believed-dead
     // broker recovers it (the tracker calls RecoverBroker).
-    bool overlay_changed = false;
     for (int v = 1; v < num_nodes; ++v) {
       if (i % lease.heartbeat_interval != v % lease.heartbeat_interval) {
         continue;
@@ -273,7 +277,6 @@ Result<FaultReplayResult> ReplayWithFaults(
       ++result.heartbeats_delivered;
       if (tracker.HeardBroker(v, i) == liveness::HeardKind::kRecovered) {
         ++result.broker_recoveries;
-        overlay_changed = true;
       }
     }
     const int64_t phase = i % client_interval;
@@ -310,16 +313,11 @@ Result<FaultReplayResult> ReplayWithFaults(
     for (const liveness::ExpiredLease& e : tick.expired) {
       engine.Forget(e.handle);  // the handle is gone; drop its backoff
       client_handle[e.client] = -1;
-      client_of_handle[e.handle] = -1;
       ++result.lease_expirations;
       if (!channel.client_offline(e.client)) {
         ++result.false_lease_expirations;
       }
       expired.insert(e.client);
-    }
-    if (!tick.declared_dead.empty() || !tick.expired.empty() ||
-        overlay_changed) {
-      placement_dirty = true;
     }
 
     // 4. Reconnects: an expired client that is online re-subscribes at its
@@ -337,13 +335,8 @@ Result<FaultReplayResult> ReplayWithFaults(
         continue;
       }
       client_handle[c] = handle.value();
-      if (handle.value() >= static_cast<int>(client_of_handle.size())) {
-        client_of_handle.resize(handle.value() + 1, -1);
-      }
-      client_of_handle[handle.value()] = c;
       tracker.TrackSubscriber(c, handle.value(), i);
       ++result.reconnects;
-      placement_dirty = true;
       it = expired.erase(it);
     }
 
@@ -362,9 +355,6 @@ Result<FaultReplayResult> ReplayWithFaults(
       result.total_undegraded += report.undegraded;
       epoch.repaired += report.repaired + report.undegraded;
       epoch.degraded_placed += report.degraded;
-      if (report.repaired + report.degraded + report.undegraded > 0) {
-        placement_dirty = true;
-      }
     }
     if (outage_start >= 0 && dyn.orphans().empty()) {
       result.time_to_repair.push_back(i - outage_start);
@@ -372,14 +362,18 @@ Result<FaultReplayResult> ReplayWithFaults(
     }
 
     // 6. Route over the believed overlay, attributing every matching
-    // client against ground truth.
-    if (placement_dirty) {
-      matcher->IndexBrokers(LiveBrokerRects(dyn), num_nodes);
-      placement_dirty = false;
-    }
+    // client against ground truth. A visited (live) broker is entered iff
+    // its current filter contains the event (paper, Section II).
+    const geo::Point& e = events[i];
+    const auto enters = [&](int v) {
+      for (const geo::Rectangle& r : dyn.filter(v)) {
+        if (r.ContainsPoint(e)) return true;
+      }
+      return false;
+    };
     ++result.stats.events;
     ++epoch.num_events;
-    router.Route(events[i], tree, children, forwards, leaf_of, on_match,
+    router.Route(e, tree, children, enters, forwards, leaf_of, on_match,
                  &result.stats);
 
     // 7. Epoch boundary.

@@ -53,9 +53,9 @@
 //
 // Routing runs the kernel shared with Simulate (src/sim/route.h, any
 // event dimension): the clients' subscriptions are indexed once per
-// replay, keyed by client id, and the live broker filters are re-indexed
-// only when placement changed; each event's matching clients are walked
-// once to count deliveries and attribute misses.
+// replay, keyed by client id; an event enters each live broker it visits
+// iff the broker's current filter contains it (no index to go stale); and
+// its matching clients are walked once to count deliveries and misses.
 //
 // Per-epoch recovery metrics (orphan backlog, repairs, per-cause misses,
 // Q(T) of the live deployment) expose the recovery trajectory, and the
@@ -146,7 +146,10 @@ struct FaultReplayOptions {
   // this is what makes time-to-repair exceed zero.
   double repair_budget_seconds = -1;
   // Solve a fresh offline Gr* over the final live topology and report the
-  // Q(T) inflation of the online-repaired deployment against it.
+  // Q(T) inflation of the online-repaired deployment against it: a
+  // SnapshotLive plus a Gr* over the whole population, about a quarter of
+  // the replay on perfbench churn (9.5 of 35.1 ms per instance, DESIGN.md
+  // §13). Callers that never read qt_fresh or qt_inflation can turn it off.
   bool compute_fresh_baseline = true;
   // Lease parameters of the LivenessTracker that detects failures (see
   // file comment); detection delay is their outcome, not an input. The
@@ -245,11 +248,12 @@ struct FaultReplayResult {
 // the fresh-baseline Gr* solve (a plan with compute_fresh_baseline=false
 // consumes no randomness). Ground truth starts equal to the overlay: a
 // broker already failed in `dyn` is down until the plan recovers it.
-// kInvalidArgument: epoch_length <= 0; a lease with a non-positive
-// interval, miss_suspect or subscriber_miss_dead, or miss_dead <
-// miss_suspect; a fault on an invalid broker (the publisher, out of
-// range), failing an already-down broker or recovering one that is up;
-// a client event on an invalid client id.
+// kInvalidArgument, with `dyn` untouched: epoch_length <= 0; a lease with
+// a non-positive interval, miss_suspect or subscriber_miss_dead, or
+// miss_dead < miss_suspect; among the plan's events before the stream's
+// end, a fault on an invalid broker (the publisher, out of range), failing
+// an already-down broker or recovering one that is up, or a client event
+// on an invalid client id.
 Result<FaultReplayResult> ReplayWithFaults(core::DynamicAssigner& dyn,
                                            const FaultPlan& plan,
                                            const std::vector<geo::Point>& events,
@@ -258,9 +262,9 @@ Result<FaultReplayResult> ReplayWithFaults(core::DynamicAssigner& dyn,
 
 namespace detail {
 
-// ReplayWithFaults with the probes of `matcher` (src/sim/route.h): the
-// replay indexes the clients' subscriptions into it once (owner = client
-// id) and the live broker filters whenever placement changed. The public
+// ReplayWithFaults with the subscription probe of `matcher`
+// (src/sim/route.h): the replay indexes the clients' subscriptions into it
+// once (owner = client id) and indexes no broker filters. The public
 // overload passes the grid-indexed matcher.
 Result<FaultReplayResult> ReplayWithFaults(
     core::DynamicAssigner& dyn, const FaultPlan& plan,

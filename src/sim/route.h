@@ -5,19 +5,19 @@
 // iff its parent forwarded it and it lies inside the broker's filter, and
 // a leaf delivers it to each assigned subscriber whose subscription
 // matches. So the event's matching subscriptions decide every delivery,
-// and Router::Route handles one event in four steps:
-//  1. one broker-filter probe: the brokers whose filters contain e;
-//  2. a DFS from the publisher with one bit test per hop, counting broker
-//     hits and marking the leaves the event reaches;
-//  3. one walk over the event's matching subscriptions, telling the
+// and Router::Route handles one event in three steps:
+//  1. a DFS from the publisher that enters each broker it visits by the
+//     caller's test, counting broker hits and marking the leaves reached;
+//  2. one walk over the event's matching subscriptions, telling the
 //     caller's hook for each whether its subscriber's leaf was reached
 //     (and marking a reached leaf served);
-//  4. a clear that counts every reached but unserved leaf as a wasted hit.
-// Simulate routes the designed tree; the fault replay routes the believed
-// live overlay, where an actually-down broker receives the message its
-// believed parent sent but forwards nothing.
+//  3. a clear that counts every reached but unserved leaf as a wasted hit.
+// Simulate routes the designed tree, entering brokers by one broker-index
+// probe per event; the replay routes the believed live overlay, testing
+// each visited broker's current filter, and an actually-down broker
+// receives the message its believed parent sent but forwards nothing.
 //
-// The two probes come from a Matcher. Production uses the grid indexes of
+// The probes come from a Matcher. Production uses the grid indexes of
 // src/match (IndexedMatcher); tests substitute a brute-force scan through
 // the detail:: entry points of Simulate and ReplayWithFaults.
 
@@ -35,9 +35,9 @@
 
 namespace slp::sim::detail {
 
-// The two point probes routing needs. The Index* calls replace what is
-// indexed; the probes are const and may run concurrently from several
-// Routers.
+// The point probes of routing: broker filters (Simulate only) and
+// subscriptions. The Index* calls replace what is indexed; the probes are
+// const and may run concurrently from several Routers.
 class Matcher {
  public:
   Matcher() = default;
@@ -88,35 +88,31 @@ class IndexedMatcher final : public Matcher {
 class Router {
  public:
   Router(const Matcher& matcher, int num_nodes)
-      : matcher_(matcher),
-        contains_(num_nodes),
-        reached_(num_nodes),
-        served_(num_nodes) {}
+      : matcher_(matcher), reached_(num_nodes), served_(num_nodes) {}
 
   // Routes e and counts broker_hits, total_messages and wasted_leaf_hits
   // into `stats`. The caller describes the overlay and the subscribers:
   //  * children(v) -> const std::vector<int>&: v's children in the routed
   //    overlay (called for the publisher and for forwarding brokers);
+  //  * enters(v) -> bool: whether e lies inside v's filter (called for
+  //    every broker the DFS visits);
   //  * forwards(v) -> bool: whether an entered broker passes e on (a leaf
   //    that does not forward is not reached);
   //  * leaf_of(s) -> int: subscriber s's leaf, or -1 if it has none;
   //  * on_match(s, leaf, reached): called once per subscriber whose
   //    subscription contains e; `reached` is whether e arrived at `leaf`.
-  template <typename Children, typename Forwards, typename LeafOf,
-            typename OnMatch>
+  template <typename Children, typename Enters, typename Forwards,
+            typename LeafOf, typename OnMatch>
   void Route(const geo::Point& e, const net::BrokerTree& tree,
-             Children&& children, Forwards&& forwards, LeafOf&& leaf_of,
-             OnMatch&& on_match, DisseminationStats* stats) {
-    for (const int32_t v : hits_) contains_.Reset(v);
-    hits_.clear();
-    matcher_.ProbeBrokers(e, &contains_, &hits_);
-
+             Children&& children, Enters&& enters, Forwards&& forwards,
+             LeafOf&& leaf_of, OnMatch&& on_match,
+             DisseminationStats* stats) {
     const std::vector<int>& roots = children(net::BrokerTree::kPublisher);
     stack_.assign(roots.begin(), roots.end());
     while (!stack_.empty()) {
       const int v = stack_.back();
       stack_.pop_back();
-      if (!contains_.Test(v)) continue;
+      if (!enters(v)) continue;
       ++stats->broker_hits[v];
       ++stats->total_messages;
       if (!forwards(v)) continue;
@@ -148,10 +144,8 @@ class Router {
 
  private:
   const Matcher& matcher_;
-  match::BitSet contains_;     // brokers whose filters contain the event
-  std::vector<int32_t> hits_;  // contains_'s set bits
-  match::BitSet reached_;      // leaves the event arrived at
-  match::BitSet served_;       // reached leaves with a matching subscriber
+  match::BitSet reached_;  // leaves the event arrived at
+  match::BitSet served_;   // reached leaves with a matching subscriber
   std::vector<int> reached_leaves_;
   std::vector<int> stack_;
   std::vector<int32_t> matches_;

@@ -26,6 +26,7 @@
 #include "src/sim/churn_scenarios.h"
 #include "src/sim/fault_plan.h"
 #include "src/workload/grid.h"
+#include "tests/route_oracle.h"
 
 namespace slp {
 namespace {
@@ -87,22 +88,27 @@ LeaseConfig TightLease(int miss_suspect, int miss_dead) {
   return lease;
 }
 
-std::vector<Point> UniformEvents(int n, Rng& rng) {
+// n events uniform over [0, 1]^d.
+std::vector<Point> UniformEvents(int n, Rng& rng, int d = 2) {
   std::vector<Point> events;
   for (int i = 0; i < n; ++i) {
-    events.push_back({rng.Uniform(0, 1), rng.Uniform(0, 1)});
+    Point e(d);
+    for (int a = 0; a < d; ++a) e[a] = rng.Uniform(0, 1);
+    events.push_back(std::move(e));
   }
   return events;
 }
 
-// A populated assigner over the grid workload; identical arguments produce
-// bit-identical assigners (the oracle-equivalence test builds two).
+// A populated assigner over the grid workload, its subscriptions reshaped
+// to d axes (test::ReshapeRectangle) when d != 2; identical arguments
+// produce bit-identical assigners (the oracle-equivalence test builds
+// two).
 struct GridFixture {
   wl::Workload workload;
   core::DynamicAssigner dyn;
 };
 
-GridFixture MakeGridFixture(int num_subscribers) {
+GridFixture MakeGridFixture(int num_subscribers, int d = 2) {
   wl::GridParams params;
   params.num_subscribers = num_subscribers;
   params.num_brokers = 12;
@@ -114,7 +120,13 @@ GridFixture MakeGridFixture(int num_subscribers) {
   core::SaConfig config;
   config.max_delay = 2.0;
   core::DynamicAssigner dyn(std::move(tree), config, num_subscribers);
-  for (const auto& s : w.subscribers) EXPECT_TRUE(dyn.Add(s).ok());
+  Rng shape_rng(5);
+  for (auto& s : w.subscribers) {
+    if (d != 2) {
+      s.subscription = test::ReshapeRectangle(s.subscription, d, shape_rng);
+    }
+    EXPECT_TRUE(dyn.Add(s).ok());
+  }
   return GridFixture{std::move(w), std::move(dyn)};
 }
 
@@ -742,12 +754,14 @@ sim::FaultReplayResult CrashStopReference(core::DynamicAssigner& dyn,
   return r;
 }
 
-// Replays `plan` twice on identical 200-subscriber grid assigners: once
-// through the crash-stop reference, once through ReplayWithFaults with
-// default options, and compares them field by field.
-void ExpectDefaultReplayMatchesCrashStop(const sim::FaultPlan& plan) {
-  GridFixture a = MakeGridFixture(200);
-  GridFixture b = MakeGridFixture(200);
+// Replays `plan` twice on identical 200-subscriber grid assigners with
+// d-dimensional events and subscriptions: once through the crash-stop
+// reference, once through ReplayWithFaults with default options, and
+// compares them field by field.
+void ExpectDefaultReplayMatchesCrashStop(const sim::FaultPlan& plan,
+                                         int d = 2) {
+  GridFixture a = MakeGridFixture(200, d);
+  GridFixture b = MakeGridFixture(200, d);
 
   // A down/up-only plan (no mutes, no client churn) with distinct fault
   // ticks: a recovery heartbeat can then never race a same-tick crash on
@@ -765,7 +779,7 @@ void ExpectDefaultReplayMatchesCrashStop(const sim::FaultPlan& plan) {
   ASSERT_EQ(ticks.size(), plan.events().size());
 
   Rng event_rng(4);
-  const std::vector<Point> events = UniformEvents(600, event_rng);
+  const std::vector<Point> events = UniformEvents(600, event_rng, d);
   sim::FaultReplayOptions options;
   options.epoch_length = 150;
 
@@ -778,7 +792,10 @@ void ExpectDefaultReplayMatchesCrashStop(const sim::FaultPlan& plan) {
   ASSERT_TRUE(stale.ok()) << stale.status().message();
   const sim::FaultReplayResult& s = stale.value();
 
-  // Routing counters: bit-identical.
+  // Routing counters: bit-identical, over a plan that delivered and
+  // orphaned.
+  EXPECT_GT(s.stats.deliveries, 0);
+  EXPECT_GT(s.total_orphaned, 0);
   EXPECT_EQ(c.stats.total_messages, s.stats.total_messages);
   EXPECT_EQ(c.stats.deliveries, s.stats.deliveries);
   EXPECT_EQ(c.stats.missed_deliveries, s.stats.missed_deliveries);
@@ -831,7 +848,9 @@ void ExpectDefaultReplayMatchesCrashStop(const sim::FaultPlan& plan) {
 // expire. It detects every crash on the tick it happens and revives every
 // recovery on its tick, so belief equals ground truth at every routing
 // instant and the default replay must reproduce crash-stop bit-identically
-// (the contract documented in src/sim/fault_plan.h).
+// (the contract documented in src/sim/fault_plan.h). The reference tests
+// every filter rectangle itself, so it also checks the replay's broker
+// entry test and subscription index with 1-d and 3-d subscriptions.
 TEST(OracleEquivalenceTest, HairTriggerStalenessMatchesCrashStop) {
   const LeaseConfig oracle = sim::FaultReplayOptions{}.lease;
   EXPECT_EQ(oracle.heartbeat_interval, 1);
@@ -852,6 +871,12 @@ TEST(OracleEquivalenceTest, HairTriggerStalenessMatchesCrashStop) {
     Rng plan_rng(12);
     ExpectDefaultReplayMatchesCrashStop(sim::FaultPlan::SeededRandom(
         shape.dyn.tree(), 600, 0.25, 150, plan_rng));
+  }
+  for (const int d : {1, 3}) {
+    SCOPED_TRACE(d == 1 ? "SustainedChurn, d = 1" : "SustainedChurn, d = 3");
+    Rng plan_rng(11);
+    ExpectDefaultReplayMatchesCrashStop(
+        sim::SustainedChurn(shape.dyn.tree(), 600, 0.25, 120, 2, plan_rng), d);
   }
 }
 

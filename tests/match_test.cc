@@ -5,8 +5,8 @@
 // non-finite probes); Simulate must equal the brute-force router of
 // tests/route_oracle.h, and its own loop over brute-force probes, on
 // grid/GG/multi-level workloads and on random d = 1 and d = 3
-// deployments; and the fault replay must equal its own loop over
-// brute-force probes of the live filters (oracle and realistic leases).
+// deployments; and the fault replay must equal its own loop over a
+// brute-force subscription probe (oracle and realistic leases).
 
 #include <algorithm>
 #include <cstdint>
@@ -596,20 +596,26 @@ TEST(DisseminationDifferentialTest, AllParkedDeploymentWastesEveryReachedLeaf) {
 
 // ---- Fault-replay differential ----
 
-core::DynamicAssigner PopulatedAssigner(int subs, int brokers,
-                                        uint64_t seed) {
+// The grid workload on a multi-level tree, its subscriptions reshaped to
+// d axes (test::ReshapeRectangle) when d != 2.
+core::DynamicAssigner PopulatedAssigner(int subs, int brokers, uint64_t seed,
+                                        int d = 2) {
   wl::GridParams params;
   params.num_subscribers = subs;
   params.num_brokers = brokers;
   params.seed = seed;
-  const wl::Workload w = wl::GenerateGrid(params);
+  wl::Workload w = wl::GenerateGrid(params);
   core::SaConfig config;
   config.max_delay = 2.0;
   Rng tree_rng(seed);
   net::BrokerTree tree =
       net::BuildMultiLevelTree(w.publisher, w.broker_locations, 6, tree_rng);
   core::DynamicAssigner dyn(std::move(tree), config, subs);
-  for (const auto& sub : w.subscribers) {
+  Rng shape_rng(seed + 100);
+  for (auto& sub : w.subscribers) {
+    if (d != 2) {
+      sub.subscription = test::ReshapeRectangle(sub.subscription, d, shape_rng);
+    }
     auto r = dyn.Add(sub);
     EXPECT_TRUE(r.ok());
   }
@@ -669,13 +675,13 @@ void ExpectReplayResultsEqual(const sim::FaultReplayResult& a,
 }
 
 // The replay with the production matcher, or (oracle = true) the same
-// loop over brute-force probes of the assigner's live filters.
+// loop over a brute-force scan of the clients' subscriptions.
 Result<sim::FaultReplayResult> ReplayOracleOrIndexed(
     bool oracle, core::DynamicAssigner& dyn, const sim::FaultPlan& plan,
     const std::vector<Point>& events, const sim::FaultReplayOptions& options,
     Rng& rng) {
   if (!oracle) return sim::ReplayWithFaults(dyn, plan, events, options, rng);
-  test::LiveFilterMatcher matcher(&dyn);
+  test::BruteForceMatcher matcher;
   return sim::detail::ReplayWithFaults(dyn, plan, events, options, rng,
                                        &matcher);
 }
@@ -712,55 +718,69 @@ TEST(FaultReplayDifferentialTest, EnginesBitIdenticalUnderFaults) {
   EXPECT_GT(idx.total_orphaned, 0);  // the plan actually failed brokers
 }
 
-// The same differential under a realistic lease, over crashes, slow
-// brokers and flaky clients together: the offline-client skip,
-// stale-delivery diversion and undetected-miss attribution must agree
-// over brute-force and indexed probes on a plan that exercises all three.
-TEST(FaultReplayDifferentialTest, EnginesBitIdenticalUnderLeases) {
+// The replay over a realistic lease, on crashes, slow brokers and flaky
+// clients together, with d-dimensional events and subscriptions: with the
+// production matcher, or (oracle = true) over a brute-force subscription
+// probe.
+sim::FaultReplayResult ReplayUnderLeases(bool oracle, int d) {
   constexpr int kSubs = 400, kBrokers = 24, kEvents = 600;
   constexpr uint64_t kSeed = 43;
 
   std::vector<geo::Point> events;
   Rng ev_rng(kSeed + 1);
   for (int i = 0; i < kEvents; ++i) {
-    events.push_back({ev_rng.Uniform(0, 1), ev_rng.Uniform(0, 1)});
+    geo::Point e(d);
+    for (int a = 0; a < d; ++a) e[a] = ev_rng.Uniform(0, 1);
+    events.push_back(std::move(e));
   }
 
-  sim::FaultReplayResult results[2];
-  for (int e = 0; e < 2; ++e) {
-    core::DynamicAssigner dyn = PopulatedAssigner(kSubs, kBrokers, kSeed);
-    Rng churn_rng(kSeed + 2), slow_rng(kSeed + 3), flaky_rng(kSeed + 4);
-    const sim::FaultPlan churn = sim::SustainedChurn(
-        dyn.tree(), kEvents, 0.15, kEvents / 8, 2, churn_rng);
-    const sim::FaultPlan slow = sim::SlowBrokers(
-        dyn.tree(), kEvents, 0.1, kEvents / 10, 8, slow_rng);
-    const sim::FaultPlan flaky = sim::FlakyClients(
-        kSubs, kEvents, 0.05, kEvents / 16, 2, flaky_rng);
-    std::vector<sim::FaultEvent> merged = churn.events();
-    merged.insert(merged.end(), slow.events().begin(), slow.events().end());
-    const sim::FaultPlan plan =
-        sim::FaultPlan::Scripted(std::move(merged), flaky.client_events());
+  core::DynamicAssigner dyn = PopulatedAssigner(kSubs, kBrokers, kSeed, d);
+  Rng churn_rng(kSeed + 2), slow_rng(kSeed + 3), flaky_rng(kSeed + 4);
+  const sim::FaultPlan churn = sim::SustainedChurn(
+      dyn.tree(), kEvents, 0.15, kEvents / 8, 2, churn_rng);
+  const sim::FaultPlan slow =
+      sim::SlowBrokers(dyn.tree(), kEvents, 0.1, kEvents / 10, 8, slow_rng);
+  const sim::FaultPlan flaky =
+      sim::FlakyClients(kSubs, kEvents, 0.05, kEvents / 16, 2, flaky_rng);
+  std::vector<sim::FaultEvent> merged = churn.events();
+  merged.insert(merged.end(), slow.events().begin(), slow.events().end());
+  const sim::FaultPlan plan =
+      sim::FaultPlan::Scripted(std::move(merged), flaky.client_events());
 
-    sim::FaultReplayOptions options;
-    options.epoch_length = 100;
-    options.lease = liveness::LeaseConfig{};
-    options.lease.heartbeat_interval = 2;
-    options.lease.subscriber_interval = 4;
-    Rng rng(kSeed + 5);
-    auto r = ReplayOracleOrIndexed(e == 0, dyn, plan, events, options, rng);
-    ASSERT_TRUE(r.ok()) << r.status().message();
-    results[e] = std::move(r).value();
+  sim::FaultReplayOptions options;
+  options.epoch_length = 100;
+  options.lease = liveness::LeaseConfig{};
+  options.lease.heartbeat_interval = 2;
+  options.lease.subscriber_interval = 4;
+  Rng rng(kSeed + 5);
+  auto r = ReplayOracleOrIndexed(oracle, dyn, plan, events, options, rng);
+  EXPECT_TRUE(r.ok()) << r.status().message();
+  return r.ok() ? std::move(r).value() : sim::FaultReplayResult{};
+}
+
+// The same differential under a realistic lease, over crashes, slow
+// brokers and flaky clients together: the offline-client skip,
+// stale-delivery diversion and undetected-miss attribution must agree
+// over brute-force and indexed probes on a plan that exercises all three.
+// The replay enters brokers by their live filters and probes
+// subscriptions in any d, so the same tree and plan run with 1-d and 3-d
+// events and subscriptions too.
+TEST(FaultReplayDifferentialTest, EnginesBitIdenticalUnderLeases) {
+  for (const int d : {2, 1, 3}) {
+    SCOPED_TRACE(d);
+    const sim::FaultReplayResult oracle = ReplayUnderLeases(true, d);
+    const sim::FaultReplayResult idx = ReplayUnderLeases(false, d);
+    ExpectReplayResultsEqual(oracle, idx);
+    // The plan reached every ground-truth branch of the walk.
+    EXPECT_GT(idx.stats.deliveries, 0);
+    EXPECT_GT(idx.total_orphaned, 0);
+    EXPECT_GT(idx.missed_undetected, 0);
+    EXPECT_GT(idx.stale_deliveries, 0);
+    EXPECT_GT(idx.lease_expirations, 0);
+    EXPECT_GT(idx.reconnects, 0);
+    EXPECT_FALSE(idx.detection_latency.empty());
+    EXPECT_EQ(idx.missed_live, 0);
   }
-
-  ExpectReplayResultsEqual(results[0], results[1]);
-  // The plan reached every ground-truth branch of the walk.
-  const sim::FaultReplayResult& idx = results[1];
-  EXPECT_GT(idx.missed_undetected, 0);
-  EXPECT_GT(idx.stale_deliveries, 0);
-  EXPECT_GT(idx.lease_expirations, 0);
-  EXPECT_GT(idx.reconnects, 0);
-  EXPECT_FALSE(idx.detection_latency.empty());
-  EXPECT_EQ(idx.missed_live, 0);
 }
 
 }  // namespace

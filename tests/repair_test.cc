@@ -677,8 +677,47 @@ TEST(FaultReplayTest, PreFailedBrokerStaysDownUntilThePlanRecoversIt) {
   }
 }
 
+// A bad plan is rejected before the first tick, so the assigner is left as
+// it was. Here leaf A fails at tick 2 and again at tick 5; a replay that
+// checked each fault only when it reached it would already have declared
+// A dead and moved its three subscribers onto B. A fault at or past the
+// stream's end is never applied, so it is never checked either.
+TEST(FaultReplayTest, BadPlanIsRejectedBeforeTheFirstTick) {
+  DynamicAssigner dyn(TwoBrokerTree(), SaConfig{}, 8);
+  const int leaf_a = 1, leaf_b = 2;
+  for (int i = 0; i < 3; ++i) {
+    const int h = dyn.Add(MakeSub(2, 0, 0.2 * i, 0.1)).value();
+    ASSERT_EQ(dyn.leaf_of(h), leaf_a);
+  }
+  ASSERT_EQ(dyn.leaf_of(dyn.Add(MakeSub(-2, 0, 0.5, 0.1)).value()), leaf_b);
+  const std::vector<int> loads = dyn.loads();
+  const double qt = dyn.CurrentBandwidth();
+
+  const sim::FaultPlan plan = sim::FaultPlan::Scripted(
+      {sim::FaultEvent{2, leaf_a, true}, sim::FaultEvent{5, leaf_a, true}});
+  Rng event_rng(8);
+  const std::vector<Point> events = UniformEvents(10, event_rng);
+  Rng rng(2);
+  const Result<sim::FaultReplayResult> replay =
+      sim::ReplayWithFaults(dyn, plan, events, {}, rng);
+  EXPECT_EQ(replay.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(replay.status().message(), "broker already down");
+  EXPECT_FALSE(dyn.tree().is_failed(leaf_a));
+  EXPECT_FALSE(dyn.tree().is_failed(leaf_b));
+  EXPECT_EQ(dyn.loads(), loads);
+  EXPECT_EQ(dyn.CurrentBandwidth(), qt);
+  EXPECT_TRUE(dyn.orphans().empty());
+
+  // Five events end before the second fault: the same plan is accepted.
+  const std::vector<Point> prefix(events.begin(), events.begin() + 5);
+  const Result<sim::FaultReplayResult> short_replay =
+      sim::ReplayWithFaults(dyn, plan, prefix, {}, rng);
+  ASSERT_TRUE(short_replay.ok()) << short_replay.status().message();
+  EXPECT_TRUE(dyn.tree().is_failed(leaf_a));
+}
+
 // Hand-counted delivery accounting on a scripted replay, with the
-// production matcher and with brute-force probes of the live filters
+// production matcher and with a brute-force subscription probe
 // (tests/route_oracle.h). Leaf A (node 1) holds clients 0 and 3, leaf B
 // (node 2) clients 1 and 2; the default max_delay pins each subscriber to
 // the leaf on its side. Event ec lies inside client c's rectangle and no
@@ -723,7 +762,7 @@ TEST(FaultReplayTest, ScriptedDeliveryAccountingIsExact) {
     ASSERT_EQ(dyn.leaf_of(dyn.Add(MakeSub(-2, 0, 0.8, 0.1)).value()), leaf_b);
     ASSERT_EQ(dyn.leaf_of(dyn.Add(MakeSub(2, 0, 0.2, 0.1)).value()), leaf_a);
     Rng rng(2);
-    test::LiveFilterMatcher matcher(&dyn);
+    test::BruteForceMatcher matcher;
     const Result<sim::FaultReplayResult> replay =
         oracle ? sim::detail::ReplayWithFaults(dyn, plan, events, options,
                                                rng, &matcher)

@@ -7,16 +7,15 @@
 //    subscriber's filter chain for the misses. It shares no code with the
 //    routing kernel (src/sim/route.h), so a kernel bug shows up as a
 //    difference in some DisseminationStats field.
-//  * BruteForceMatcher answers the kernel's two probes by linear scan over
-//    what was indexed; run through sim::detail::Simulate or
-//    sim::detail::ReplayWithFaults it checks the grid indexes inside the
-//    production loops.
-//  * LiveFilterMatcher ignores the broker rectangles the replay indexes
-//    and scans the assigner's current live filters on every probe, so a
-//    placement change the replay forgot to re-index shows up too.
+//  * BruteForceMatcher answers the kernel's probes by linear scan over
+//    what was indexed; run through sim::detail::Simulate (broker filters
+//    and subscriptions) or sim::detail::ReplayWithFaults (subscriptions
+//    only: the replay tests broker filters directly) it checks the grid
+//    indexes inside the production loops.
 //  * RandomDeployment builds a deployment of random d-dimensional
 //    subscriptions on a random tree whose filters are the bounding boxes
 //    of their subtrees' subscriptions, some shrunk so that misses occur.
+//  * ReshapeRectangle carries a rectangle of a 2-d workload to d axes.
 
 #ifndef SLP_TESTS_ROUTE_ORACLE_H_
 #define SLP_TESTS_ROUTE_ORACLE_H_
@@ -28,7 +27,6 @@
 
 #include "src/common/random.h"
 #include "src/core/assignment.h"
-#include "src/core/dynamic.h"
 #include "src/core/problem.h"
 #include "src/geometry/filter.h"
 #include "src/geometry/rectangle.h"
@@ -126,29 +124,6 @@ class BruteForceMatcher : public sim::detail::Matcher {
   std::vector<match::OwnedRect> subscriptions_;
 };
 
-class LiveFilterMatcher : public BruteForceMatcher {
- public:
-  explicit LiveFilterMatcher(const core::DynamicAssigner* dyn) : dyn_(dyn) {}
-
-  void ProbeBrokers(const geo::Point& e, match::BitSet* brokers,
-                    std::vector<int32_t>* hits) const override {
-    const net::BrokerTree& tree = dyn_->tree();
-    for (int v = 1; v < tree.num_nodes(); ++v) {
-      if (tree.is_failed(v)) continue;
-      for (const geo::Rectangle& r : dyn_->filter(v)) {
-        if (r.ContainsPoint(e)) {
-          brokers->Set(v);
-          hits->push_back(v);
-          break;
-        }
-      }
-    }
-  }
-
- private:
-  const core::DynamicAssigner* dyn_;
-};
-
 // sim::Simulate's loop over brute-force probes.
 inline sim::DisseminationStats SimulateWithBruteForceProbes(
     const core::SaProblem& problem, const core::SaSolution& solution,
@@ -235,6 +210,25 @@ inline Deployment RandomDeployment(int d, int m, int num_brokers,
   }
   return {core::SaProblem(std::move(tree), std::move(subs), core::SaConfig{}),
           std::move(solution)};
+}
+
+// `r` on d axes: its first min(d, r.dim()) axes are kept, and each
+// further axis gets an interval of length in [0.2, 0.6] inside [0, 1], so
+// uniform events still match a good share of the reshaped rectangles.
+inline geo::Rectangle ReshapeRectangle(const geo::Rectangle& r, int d,
+                                       Rng& rng) {
+  std::vector<double> lo(d), hi(d);
+  for (int a = 0; a < d; ++a) {
+    if (a < r.dim()) {
+      lo[a] = r.lo(a);
+      hi[a] = r.hi(a);
+    } else {
+      const double width = rng.Uniform(0.2, 0.6);
+      lo[a] = rng.Uniform(0, 1 - width);
+      hi[a] = lo[a] + width;
+    }
+  }
+  return geo::Rectangle(std::move(lo), std::move(hi));
 }
 
 // `count` events uniform over [-0.1, 1.1]^d plus every corner of every
