@@ -54,7 +54,6 @@ struct ModeRow {
   int64_t missed_outage = 0;
   int64_t missed_undetected = 0;
   int total_orphaned = 0;
-  double mean_time_to_repair = 0;
   double qt_final = 0;
   double qt_fresh = 0;
   double qt_inflation = 0;
@@ -224,9 +223,9 @@ int Main(int argc, char** argv) {
   // ---- Experiment 2: Q(T) inflation — lease detection vs crash-stop ----
   std::vector<ModeRow> mode_rows;
   {
-    std::printf("\n%-11s %10s %9s %9s %10s %9s %8s %9s %9s %10s\n", "mode",
+    std::printf("\n%-11s %10s %9s %9s %10s %9s %9s %9s %10s\n", "mode",
                 "delivered", "miss_lv", "miss_out", "undetected", "orphaned",
-                "mean_ttr", "qt_final", "qt_fresh", "inflation");
+                "qt_final", "qt_fresh", "inflation");
     // The crash-stop row keeps the default (oracle) lease.
     for (const bool staleness : {false, true}) {
       core::DynamicAssigner dyn = PopulatedAssigner(w, config, seed);
@@ -254,23 +253,16 @@ int Main(int argc, char** argv) {
       row.missed_outage = r.missed_outage;
       row.missed_undetected = r.missed_undetected;
       row.total_orphaned = r.total_orphaned;
-      double ttr = 0;
-      for (int t : r.time_to_repair) ttr += t;
-      row.mean_time_to_repair =
-          r.time_to_repair.empty()
-              ? 0
-              : ttr / static_cast<double>(r.time_to_repair.size());
       row.qt_final = r.qt_final;
       row.qt_fresh = r.qt_fresh;
       row.qt_inflation = r.qt_inflation;
-      std::printf("%-11s %10lld %9lld %9lld %10lld %9d %8.1f %9.4f %9.4f "
-                  "%10.3f\n",
+      std::printf("%-11s %10lld %9lld %9lld %10lld %9d %9.4f %9.4f %10.3f\n",
                   row.mode.c_str(), static_cast<long long>(row.deliveries),
                   static_cast<long long>(row.missed_live),
                   static_cast<long long>(row.missed_outage),
                   static_cast<long long>(row.missed_undetected),
-                  row.total_orphaned, row.mean_time_to_repair, row.qt_final,
-                  row.qt_fresh, row.qt_inflation);
+                  row.total_orphaned, row.qt_final, row.qt_fresh,
+                  row.qt_inflation);
       if (row.missed_live != 0) {
         std::fprintf(stderr, "missed_live != 0 in %s mode\n",
                      row.mode.c_str());
@@ -317,13 +309,13 @@ int Main(int argc, char** argv) {
         f,
         "    {\"mode\": \"%s\", \"deliveries\": %lld, \"missed_live\": "
         "%lld, \"missed_outage\": %lld, \"missed_undetected\": %lld, "
-        "\"total_orphaned\": %d, \"mean_time_to_repair\": %.2f, "
-        "\"qt_final\": %.6f, \"qt_fresh\": %.6f, \"qt_inflation\": %.4f}%s\n",
+        "\"total_orphaned\": %d, \"qt_final\": %.6f, \"qt_fresh\": %.6f, "
+        "\"qt_inflation\": %.4f}%s\n",
         r.mode.c_str(), static_cast<long long>(r.deliveries),
         static_cast<long long>(r.missed_live),
         static_cast<long long>(r.missed_outage),
         static_cast<long long>(r.missed_undetected), r.total_orphaned,
-        r.mean_time_to_repair, r.qt_final, r.qt_fresh, r.qt_inflation,
+        r.qt_final, r.qt_fresh, r.qt_inflation,
         i + 1 < mode_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -4,11 +4,11 @@
 // Two experiments per failure rate:
 //  * repair throughput — fail that fraction of leaf brokers at once on a
 //    populated DynamicAssigner and drain the orphan backlog with one
-//    funded RepairEngine pass (orphans repaired per second);
+//    RepairEngine pass (orphans repaired per second);
 //  * fault replay — a seeded-random FaultPlan at the same rate interleaved
-//    with an event stream, reporting missed deliveries by cause,
-//    time-to-repair, and the Q(T) inflation of the online-repaired
-//    deployment against a fresh offline Gr* over the surviving topology.
+//    with an event stream, reporting missed deliveries by cause and the
+//    Q(T) inflation of the online-repaired deployment against a fresh
+//    offline Gr* over the surviving topology.
 //
 // Prints a table and writes BENCH_repair.json (path from argv[1] or
 // SLP_BENCH_REPAIR_JSON; default ./BENCH_repair.json).
@@ -43,7 +43,6 @@ struct ReplayRow {
   int total_degraded = 0;
   int64_t missed_live = 0;
   int64_t missed_outage = 0;
-  double mean_time_to_repair = 0;
   double qt_final = 0;
   double qt_fresh = 0;
   double qt_inflation = 0;
@@ -121,7 +120,7 @@ int Main(int argc, char** argv) {
 
     core::RepairEngine engine(&dyn);
     WallTimer timer;
-    const core::RepairReport report = engine.Repair(Deadline::Infinite());
+    const core::RepairReport report = engine.Repair();
     row.seconds = timer.Seconds();
     row.repaired = report.repaired;
     row.degraded = report.degraded;
@@ -134,9 +133,9 @@ int Main(int argc, char** argv) {
   }
 
   // ---- Experiment 2: fault replay with Q(T) inflation ----
-  std::printf("\n%-6s %9s %9s %9s %8s %8s %8s %9s %9s %10s\n", "rate",
+  std::printf("\n%-6s %9s %9s %9s %8s %8s %9s %9s %10s\n", "rate",
               "orphaned", "repaired", "degraded", "miss_lv", "miss_out",
-              "mean_ttr", "qt_final", "qt_fresh", "inflation");
+              "qt_final", "qt_fresh", "inflation");
   for (double rate : rates) {
     core::DynamicAssigner dyn = PopulatedAssigner(w, config, seed);
     Rng plan_rng(seed + 29);
@@ -168,19 +167,14 @@ int Main(int argc, char** argv) {
     row.total_degraded = r.total_degraded_placed;
     row.missed_live = r.missed_live;
     row.missed_outage = r.missed_outage;
-    double ttr = 0;
-    for (int t : r.time_to_repair) ttr += t;
-    row.mean_time_to_repair =
-        r.time_to_repair.empty() ? 0 : ttr / r.time_to_repair.size();
     row.qt_final = r.qt_final;
     row.qt_fresh = r.qt_fresh;
     row.qt_inflation = r.qt_inflation;
-    std::printf("%-6.2f %9d %9d %9d %8lld %8lld %8.1f %9.4f %9.4f %10.3f\n",
-                rate, row.total_orphaned, row.total_repaired,
-                row.total_degraded, static_cast<long long>(row.missed_live),
-                static_cast<long long>(row.missed_outage),
-                row.mean_time_to_repair, row.qt_final, row.qt_fresh,
-                row.qt_inflation);
+    std::printf("%-6.2f %9d %9d %9d %8lld %8lld %9.4f %9.4f %10.3f\n", rate,
+                row.total_orphaned, row.total_repaired, row.total_degraded,
+                static_cast<long long>(row.missed_live),
+                static_cast<long long>(row.missed_outage), row.qt_final,
+                row.qt_fresh, row.qt_inflation);
     replay_rows.push_back(row);
   }
 
@@ -210,12 +204,12 @@ int Main(int argc, char** argv) {
         f,
         "    {\"rate\": %.2f, \"total_orphaned\": %d, \"total_repaired\": "
         "%d, \"total_degraded\": %d, \"missed_live\": %lld, "
-        "\"missed_outage\": %lld, \"mean_time_to_repair\": %.2f, "
-        "\"qt_final\": %.6f, \"qt_fresh\": %.6f, \"qt_inflation\": %.4f}%s\n",
+        "\"missed_outage\": %lld, \"qt_final\": %.6f, \"qt_fresh\": %.6f, "
+        "\"qt_inflation\": %.4f}%s\n",
         r.rate, r.total_orphaned, r.total_repaired, r.total_degraded,
         static_cast<long long>(r.missed_live),
-        static_cast<long long>(r.missed_outage), r.mean_time_to_repair,
-        r.qt_final, r.qt_fresh, r.qt_inflation,
+        static_cast<long long>(r.missed_outage), r.qt_final, r.qt_fresh,
+        r.qt_inflation,
         i + 1 < replay_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -11,6 +11,12 @@ Checks library code under src/ for constructs the project bans:
   * nondeterministic randomness — rand()/srand()/random_device; all
     randomness must flow through the seeded slp::Rng (src/common/random.*),
     which is also the only place allowed to name mt19937;
+  * wall clocks — std::chrono, <chrono>, steady_clock / system_clock /
+    high_resolution_clock, clock_gettime, gettimeofday, and any include of
+    src/common/timer.h: a library result depends only on its inputs, seeds
+    and logical ticks, and a time budget is the caller's business, between
+    calls. src/common/timer.h (the bench and test harness's WallTimer) is
+    the one file allowed to read the clock;
   * unordered-container iteration — range-for over an unordered_map/set
     member feeds hash-order into whatever it computes, which breaks the
     repo's run-to-run determinism contract (see DESIGN.md §7). Ordered or
@@ -161,6 +167,34 @@ def check_randomness(path, code):
                    "slp::Rng& instead")
 
 
+CLOCK_RE = re.compile(
+    r"\bstd::chrono\b|<chrono>|\b(?:steady_clock|system_clock|"
+    r"high_resolution_clock|clock_gettime|gettimeofday)\b")
+
+# The harness's WallTimer: bench/ and tests/ include it, src/ does not.
+CLOCK_ALLOWLIST = ("src/common/timer.h",)
+
+TIMER_INCLUDE_RE = re.compile(r'"src/common/timer\.h"')
+
+
+def check_wall_clock(path, code, raw):
+    if not path.as_posix().endswith(CLOCK_ALLOWLIST):
+        for m in CLOCK_RE.finditer(code):
+            report(path, line_of(code, m.start()), "no-wall-clock",
+                   f"{m.group(0)} reads the wall clock; library results "
+                   "depend only on inputs, seeds and logical ticks")
+    # The include path is a string literal, which the stripper blanks, so
+    # the path is matched on the raw line of each #include that survives
+    # stripping (an include quoted in a comment does not).
+    for number, (code_line, raw_line) in enumerate(
+            zip(code.split("\n"), raw.split("\n")), 1):
+        if (re.match(r"\s*#\s*include\b", code_line)
+                and TIMER_INCLUDE_RE.search(raw_line)):
+            report(path, number, "no-wall-clock",
+                   "src/common/timer.h is the harness's WallTimer; library "
+                   "code must not time itself")
+
+
 def unordered_members(code):
     """Names of fields/variables declared with an unordered container type."""
     names = set()
@@ -256,6 +290,28 @@ SELF_TEST_CASES = [
     ("raw engine allowed in random.h", "src/common/random.h",
      "std::mt19937_64 engine_;",
      set(), set()),
+    # One case per banned clock name, so a regex that loses any of them
+    # fails the self-test.
+    *[(f"wall clock: {snippet}", "src/sim/bad.cc", snippet,
+       {"no-wall-clock"}, set()) for snippet in (
+           "#include <chrono>",
+           "auto d = std::chrono::seconds(1);",
+           "auto t = steady_clock::now();",
+           "auto t = system_clock::now();",
+           "auto t = high_resolution_clock::now();",
+           "timespec ts; clock_gettime(CLOCK_MONOTONIC, &ts);",
+           "timeval tv; gettimeofday(&tv, nullptr);",
+           "#include \"src/common/timer.h\"",
+       )],
+    ("timer.h may read the clock", "src/common/timer.h",
+     "#include <chrono>\n"
+     "class WallTimer { using Clock = std::chrono::steady_clock; };",
+     set(), set()),
+    ("clock names in comments/strings ignored", "src/core/ok.cc",
+     "// #include \"src/common/timer.h\" std::chrono steady_clock\n"
+     "/* clock_gettime gettimeofday <chrono> */\n"
+     "const char* s = \"system_clock\";",
+     set(), set()),
     ("unordered iteration", "src/core/bad.cc",
      "struct S { std::unordered_map<int, int> m_;\n"
      "  int F() { int s = 0; for (auto& kv : m_) s += kv.second;\n"
@@ -296,9 +352,11 @@ SELF_TEST_CASES = [
 ]
 
 
-def run_checks(path, code):
+def run_checks(path, raw):
+    code = strip_comments_and_strings(raw)
     for check in ALL_CHECKS:
         check(path, code)
+    check_wall_clock(path, code, raw)
 
 
 def self_test():
@@ -308,7 +366,7 @@ def self_test():
         FINDINGS.clear()
         WARNINGS.clear()
         path = pathlib.PurePosixPath(fake_path)
-        run_checks(path, strip_comments_and_strings(snippet))
+        run_checks(path, snippet)
         got_findings = {f.split("[", 1)[1].split("]", 1)[0] for f in FINDINGS}
         got_warnings = {w.split("[", 1)[1].split("]", 1)[0] for w in WARNINGS}
         if got_findings != want_findings or got_warnings != want_warnings:
@@ -338,9 +396,7 @@ def main():
     files = sorted(
         p for p in src.rglob("*") if p.suffix in (".h", ".cc", ".cpp"))
     for path in files:
-        code = strip_comments_and_strings(path.read_text())
-        rel = path.relative_to(root)
-        run_checks(rel, code)
+        run_checks(path.relative_to(root), path.read_text())
     if WARNINGS:
         print(f"lint.py: {len(WARNINGS)} warning(s) (non-fatal)")
         for w in WARNINGS:

@@ -9,7 +9,6 @@
 #include "src/common/status.h"
 #include "src/core/audit.h"
 #include "src/core/filter_adjust.h"
-#include "src/core/greedy.h"
 #include "src/geometry/filter.h"
 #include "src/geometry/union_volume.h"
 #include "src/network/audit.h"
@@ -400,51 +399,19 @@ double DynamicAssigner::TightBandwidth(Rng& rng) const {
   return total;
 }
 
-ReoptimizeReport DynamicAssigner::Reoptimize(
+void DynamicAssigner::Reoptimize(
     const std::function<SaSolution(const SaProblem&, Rng&)>& algorithm,
     Rng& rng) {
-  ReoptimizeReport report;
   if (population_ == 0) {
     for (auto& f : filters_) f.clear();
-    return report;
+    return;
   }
   Result<LiveSnapshot> snap = SnapshotLive();
-  if (!snap.ok()) return report;  // no live leaf: nothing to install onto
-  const SaSolution fresh = algorithm(snap.value().problem, rng);
-  report.algorithm = fresh.algorithm;
-  InstallLive(snap.value(), fresh);
+  if (!snap.ok()) return;  // no live leaf: nothing to install onto
+  InstallLive(snap.value(), algorithm(snap.value().problem, rng));
 #if SLP_AUDITS_ENABLED
   AuditLiveFilters(*this);
 #endif
-  return report;
-}
-
-ReoptimizeReport DynamicAssigner::ReoptimizeWithDeadline(
-    const SlpOptions& options, Rng& rng, const Deadline& deadline) {
-  bool used_fallback = false;
-  bool budget_exhausted = false;
-  ReoptimizeReport report = Reoptimize(
-      [&](const SaProblem& problem, Rng& r) -> SaSolution {
-        if (deadline.expired()) {
-          // No budget at all: go straight to the cheap offline greedy.
-          used_fallback = budget_exhausted = true;
-          return RunGrStar(problem, r);
-        }
-        SlpOptions bounded = options;
-        bounded.slp1.filter_assign.deadline = deadline;
-        SlpStats stats;
-        Result<SaSolution> slp = RunSlp(problem, bounded, r, &stats);
-        if (!slp.ok()) {
-          used_fallback = true;
-          return RunGrStar(problem, r);
-        }
-        budget_exhausted = stats.any_budget_exhausted || deadline.expired();
-        return std::move(slp).value();
-      },
-      rng);
-  report.used_fallback = used_fallback;
-  report.budget_exhausted = budget_exhausted;
-  return report;
 }
 
 void DynamicAssigner::InstallLive(const LiveSnapshot& snap,

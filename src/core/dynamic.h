@@ -43,14 +43,12 @@
 #include <string>
 #include <vector>
 
-#include "src/common/deadline.h"
 #include "src/common/invariant.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/core/assignment.h"
 #include "src/core/gr_kernel.h"
 #include "src/core/problem.h"
-#include "src/core/slp.h"
 #include "src/geometry/rectangle.h"
 #include "src/network/broker_tree.h"
 #include "src/workload/workload.h"
@@ -73,17 +71,6 @@ struct DegradedViolation {
   // True when no live leaf existed at all: the subscriber is parked
   // unassigned (leaf -1) and receives no events until repaired.
   bool unplaced = false;
-};
-
-// Result of a deadline-bounded reoptimization.
-struct ReoptimizeReport {
-  // True when the SLP solve was skipped or failed and Gr* produced the
-  // installed deployment.
-  bool used_fallback = false;
-  // True when the deadline expired somewhere inside (the installed result
-  // is feasible but truncated — the budget_exhausted contract).
-  bool budget_exhausted = false;
-  std::string algorithm;
 };
 
 // Cumulative counters of the online-placement work done by Add/AddBatch
@@ -268,18 +255,9 @@ class DynamicAssigner {
   // and degraded included — a global re-solve is their second chance)
   // using the supplied algorithm and installs the fresh assignment and
   // filters over the live topology. Live handles remain valid.
-  ReoptimizeReport Reoptimize(
+  void Reoptimize(
       const std::function<SaSolution(const SaProblem&, Rng&)>& algorithm,
       Rng& rng);
-
-  // Deadline-bounded reoptimization: runs SLP with `deadline` threaded
-  // through FilterAssign (which degrades to its deterministic completion
-  // when the budget expires); an already-expired deadline, or an SLP
-  // failure, falls back to Gr*. Never aborts. With an infinite deadline
-  // and no failed brokers this is bit-identical to
-  // Reoptimize(RunSlp-adapter).
-  ReoptimizeReport ReoptimizeWithDeadline(const SlpOptions& options, Rng& rng,
-                                          const Deadline& deadline);
 
   // Materializes the current state as a (problem, solution) pair for
   // metrics/validation over the *static* tree. Only kLive subscribers are

@@ -114,9 +114,7 @@ Result<FilterAssignResult> FilterAssign(const SaProblem& problem,
 
   std::vector<double> weights;
   auto budget_left = [&]() {
-    return (options.max_lp_calls <= 0 ||
-            result.lp_calls < options.max_lp_calls) &&
-           !options.deadline.expired();
+    return options.max_lp_calls <= 0 || result.lp_calls < options.max_lp_calls;
   };
   // Budget-exhausted exit shared by every degraded path: the best
   // (fewest-violations) filters seen so far, completed to full coverage.

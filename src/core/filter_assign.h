@@ -26,7 +26,6 @@
 
 #include <vector>
 
-#include "src/common/deadline.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/core/candidates.h"
@@ -42,13 +41,6 @@ struct FilterAssignOptions {
   int sb_factor = 5;
   // Total LP budget, counted in LP solves; 0 = unlimited (paper-faithful).
   int max_lp_calls = 40;
-  // Hard wall-clock budget: once expired, no further LP is attempted and
-  // the best filters seen are completed deterministically, exactly like a
-  // spent max_lp_calls budget (budget_exhausted is set). Checking the
-  // deadline consumes no randomness, so a run under an infinite deadline
-  // is bit-identical to one without. Used by the post-failure repair path
-  // (DESIGN.md §9).
-  Deadline deadline;
 };
 
 struct FilterAssignResult {
@@ -65,7 +57,7 @@ struct FilterAssignResult {
   int pivots = 0;
   int degenerate_pivots = 0;
   int bland_pivots = 0;
-  // True if the LP budget (max_lp_calls or the deadline) ran out and
+  // True if the LP budget (max_lp_calls or the pivot cap) ran out and
   // deterministic completion was used.
   bool budget_exhausted = false;
 };

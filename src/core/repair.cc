@@ -114,7 +114,7 @@ void RepairEngine::PruneStaleBackoff() {
   }
 }
 
-RepairReport RepairEngine::Repair(const Deadline& deadline, int64_t now) {
+RepairReport RepairEngine::Repair(int64_t now) {
   RepairReport report;
   // Entries for removed / externally un-degraded / re-orphaned handles are
   // dead weight and — worse — a recycled handle would inherit their clock.
@@ -123,11 +123,6 @@ RepairReport RepairEngine::Repair(const Deadline& deadline, int64_t now) {
   const std::vector<int> orphans = dyn_->orphans();
   report.orphans_seen = static_cast<int>(orphans.size());
   for (int handle : orphans) {
-    if (deadline.expired()) {
-      ++report.still_orphaned;
-      report.deadline_expired = true;
-      continue;
-    }
     const SubscriberState st = PlaceWithLadder(handle, &report);
     if (st == SubscriberState::kLive) {
       ++report.repaired;
@@ -140,10 +135,6 @@ RepairReport RepairEngine::Repair(const Deadline& deadline, int64_t now) {
 
   // Degraded retries (rungs 1–2 only) under per-subscriber backoff.
   for (int handle : dyn_->degraded_handles()) {
-    if (deadline.expired()) {
-      report.deadline_expired = true;
-      break;
-    }
     auto [it, inserted] = backoff_.emplace(
         handle, Backoff{0, now + options_.backoff_base});
     if (inserted || now < it->second.next) continue;

@@ -14,13 +14,12 @@
 //           load (kDegraded, latency and load excess quantified);
 //   park    no live leaf at all: kDegraded/unplaced until one recovers.
 //
-// The engine NEVER aborts: every orphan it examines ends placed (kLive or
-// kDegraded) or parked with its violation quantified. Each Repair() pass
-// runs under a common::Deadline — orphans not reached before expiry simply
-// stay orphaned and are retried on the next pass (the retry half of
-// retry/backoff). Degraded subscribers are retried through rungs 1–2 under
-// per-subscriber exponential backoff, so a recovery or load drain
-// eventually un-degrades them without hammering the ladder every tick.
+// The engine NEVER aborts, and a Repair() pass leaves no orphan behind:
+// every orphan ends placed (kLive or kDegraded) or parked with its
+// violation quantified. Degraded subscribers are retried through rungs 1–2
+// under per-subscriber exponential backoff (counted in the caller's
+// logical ticks), so a recovery or load drain eventually un-degrades them
+// without hammering the ladder every tick.
 //
 // Suspicion-aware mode (DESIGN.md §13): when the owning DynamicAssigner
 // carries a placement veto (the liveness tracker vetoes *suspect* leaves),
@@ -45,7 +44,6 @@
 #include <cstdint>
 #include <map>
 
-#include "src/common/deadline.h"
 #include "src/common/status.h"
 #include "src/core/dynamic.h"
 
@@ -65,13 +63,10 @@ struct RepairReport {
   int repaired = 0;
   // Orphans placed or parked outside constraints (now kDegraded).
   int degraded = 0;
-  // Orphans not reached before the deadline (still kOrphaned).
-  int still_orphaned = 0;
   // Degraded subscribers whose backoff elapsed and were retried / of those,
   // how many came back to kLive.
   int retried = 0;
   int undegraded = 0;
-  bool deadline_expired = false;
   // Largest violations quantified this pass.
   double max_latency_violation = 0;
   double max_load_violation = 0;
@@ -85,8 +80,8 @@ class RepairEngine {
   // replay's event index; callers outside a simulation can pass an
   // incrementing counter). Processes all current orphans through the
   // ladder, then retries degraded subscribers whose backoff elapsed.
-  // Checks `deadline` between subscribers; never aborts.
-  RepairReport Repair(const Deadline& deadline, int64_t now = 0);
+  // Never aborts; leaves no orphan.
+  RepairReport Repair(int64_t now = 0);
 
   // Drops the backoff entry of a handle the caller removed (or otherwise
   // knows left the degraded pool). Safe on handles with no entry. Repair()

@@ -154,17 +154,7 @@ class SlpRunner {
     const Targets targets = BuildChildTargets(
         problem_, subs, node, ShardCount(static_cast<int>(subs.size())));
     std::vector<int> target_of;
-    // A spent deadline degrades every remaining recursion node to the
-    // greedy partition (FilterAssign would only burn time completing
-    // deterministically anyway); checking it consumes no randomness, so an
-    // infinite deadline leaves the run bit-identical.
-    if (static_cast<int>(subs.size()) <= options_.gamma ||
-        options_.slp1.filter_assign.deadline.expired()) {
-      if (static_cast<int>(subs.size()) > options_.gamma &&
-          stats_ != nullptr) {
-        MutexLock lock(mu_);
-        stats_->any_budget_exhausted = true;
-      }
+    if (static_cast<int>(subs.size()) <= options_.gamma) {
       target_of = GreedyPartition(targets);
     } else {
       // One SLP1 stage over the child subtrees.
@@ -181,7 +171,6 @@ class SlpRunner {
         stats_->pivots += fa.value().pivots;
         stats_->degenerate_pivots += fa.value().degenerate_pivots;
         stats_->bland_pivots += fa.value().bland_pivots;
-        stats_->any_budget_exhausted |= fa.value().budget_exhausted;
       }
       if (is_root) {
         solution->fractional_lower_bound = fa.value().fractional_objective;

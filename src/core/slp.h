@@ -64,7 +64,6 @@ struct SlpStats {
   int pivots = 0;
   int degenerate_pivots = 0;
   int bland_pivots = 0;
-  bool any_budget_exhausted = false;
 };
 
 // Runs SLP over the tree of `problem`. fractional_lower_bound of the

@@ -152,23 +152,6 @@ std::vector<int> BrokerTree::LivePathFromRoot(int node) const {
   return path;
 }
 
-double BrokerTree::LiveLatencyVia(int leaf,
-                                  const geo::Point& sub_location) const {
-  SLP_DCHECK(finalized_);
-  SLP_DCHECK(!failed_[leaf]);
-  return live_root_latency_[leaf] +
-         geo::Distance(location_[leaf], sub_location);
-}
-
-double BrokerTree::LiveShortestLatency(const geo::Point& sub_location) const {
-  SLP_DCHECK(finalized_);
-  double best = std::numeric_limits<double>::infinity();
-  for (int leaf : live_leaves_) {
-    best = std::min(best, LiveLatencyVia(leaf, sub_location));
-  }
-  return best;
-}
-
 std::vector<int> BrokerTree::broker_nodes() const {
   std::vector<int> out;
   out.reserve(num_brokers());

@@ -133,15 +133,12 @@ class BrokerTree {
   // overlay. `node` must be live.
   std::vector<int> LivePathFromRoot(int node) const;
 
-  // Overlay analogues of the latency primitives. Splicing shortens paths:
-  // a child's latency contribution becomes the direct distance to its
+  // Overlay analogue of PathLatencyFromRoot. Splicing shortens paths: a
+  // child's latency contribution becomes the direct distance to its
   // nearest live ancestor.
   double LivePathLatencyFromRoot(int node) const {
     return live_root_latency_[node];
   }
-  double LiveLatencyVia(int leaf, const geo::Point& sub_location) const;
-  // Δ over live leaves; +inf when every leaf is down.
-  double LiveShortestLatency(const geo::Point& sub_location) const;
 
  private:
   void RebuildLiveOverlay();

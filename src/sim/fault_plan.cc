@@ -8,6 +8,7 @@
 #include "src/common/invariant.h"
 #include "src/core/greedy.h"
 #include "src/core/metrics.h"
+#include "src/core/repair.h"
 #include "src/liveness/heartbeat.h"
 #include "src/match/match_index.h"
 #include "src/sim/route.h"
@@ -172,7 +173,7 @@ Result<FaultReplayResult> ReplayWithFaults(
   for (int c = 0; c < num_clients; ++c) {
     tracker.TrackSubscriber(c, client_handle[c], /*now=*/-1);
   }
-  core::RepairEngine engine(&dyn, options.repair);
+  core::RepairEngine engine(&dyn);
 
   // Refresh phases: client c attempts a lease refresh at ticks i with
   // i % subscriber_interval == c % subscriber_interval. Only the first
@@ -189,7 +190,6 @@ Result<FaultReplayResult> ReplayWithFaults(
   epoch.first_event = 0;
   int64_t epoch_delivery_base = 0;
 
-  int outage_start = -1;  // event index at which the current backlog began
   size_t next_fault = 0;
   size_t next_client = 0;
   const std::vector<FaultEvent>& faults = plan.events();
@@ -340,26 +340,18 @@ Result<FaultReplayResult> ReplayWithFaults(
       it = expired.erase(it);
     }
 
-    // 5. Repair under the per-tick budget. Orphans only exist once the
-    // tracker declared their leaf dead, so the lease thresholds *are* the
-    // detection delay.
-    if (outage_start < 0 && !dyn.orphans().empty()) outage_start = i;
+    // 5. Repair. Orphans only exist once the tracker declared their leaf
+    // dead, so the lease thresholds *are* the detection delay; the pass
+    // places or parks every one of them before the event is routed.
     if (!dyn.orphans().empty() || !dyn.degraded_handles().empty()) {
-      const Deadline budget =
-          options.repair_budget_seconds < 0
-              ? Deadline::Infinite()
-              : Deadline::After(options.repair_budget_seconds);
-      const core::RepairReport report = engine.Repair(budget, i);
+      const core::RepairReport report = engine.Repair(i);
       result.total_repaired += report.repaired;
       result.total_degraded_placed += report.degraded;
       result.total_undegraded += report.undegraded;
       epoch.repaired += report.repaired + report.undegraded;
       epoch.degraded_placed += report.degraded;
     }
-    if (outage_start >= 0 && dyn.orphans().empty()) {
-      result.time_to_repair.push_back(i - outage_start);
-      outage_start = -1;
-    }
+    SLP_DCHECK(dyn.orphans().empty());
 
     // 6. Route over the believed overlay, attributing every matching
     // client against ground truth. A visited (live) broker is entered iff
@@ -380,7 +372,6 @@ Result<FaultReplayResult> ReplayWithFaults(
     if ((i + 1) % options.epoch_length == 0 || i + 1 == num_events) {
       epoch.deliveries = result.stats.deliveries - epoch_delivery_base;
       epoch_delivery_base = result.stats.deliveries;
-      epoch.orphans_end = static_cast<int>(dyn.orphans().size());
       epoch.degraded_end = static_cast<int>(dyn.degraded_handles().size());
       epoch.suspects_end = tracker.num_suspect();
       epoch.qt_end = dyn.CurrentBandwidth();
@@ -390,22 +381,19 @@ Result<FaultReplayResult> ReplayWithFaults(
     }
   }
 
-  result.unrepaired_at_end = static_cast<int>(dyn.orphans().size());
   result.degraded_at_end = static_cast<int>(dyn.degraded_handles().size());
   result.qt_final = dyn.CurrentBandwidth();
   result.stats.CheckInvariants();
 
   // Fresh-baseline Q(T) over the surviving live topology (consumes rng iff
   // it runs).
-  if (options.compute_fresh_baseline) {
-    Result<core::DynamicAssigner::LiveSnapshot> snap = dyn.SnapshotLive();
-    if (snap.ok()) {
-      const core::SaSolution fresh = core::RunGrStar(snap.value().problem, rng);
-      result.qt_fresh =
-          core::ComputeMetrics(snap.value().problem, fresh).total_bandwidth;
-      if (result.qt_fresh > 0) {
-        result.qt_inflation = result.qt_final / result.qt_fresh;
-      }
+  Result<core::DynamicAssigner::LiveSnapshot> snap = dyn.SnapshotLive();
+  if (snap.ok()) {
+    const core::SaSolution fresh = core::RunGrStar(snap.value().problem, rng);
+    result.qt_fresh =
+        core::ComputeMetrics(snap.value().problem, fresh).total_bandwidth;
+    if (result.qt_fresh > 0) {
+      result.qt_inflation = result.qt_final / result.qt_fresh;
     }
   }
   return result;

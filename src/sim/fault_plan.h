@@ -20,11 +20,11 @@
 //  * missed_live       — a kLive subscriber missed a matching event. This
 //                        is a correctness bug (coverage/nesting broken):
 //                        the repair pipeline must keep it at zero.
-//  * missed_outage     — the subscriber was orphaned or parked unplaced
-//                        when the event fired; the miss is the unavoidable
-//                        price of the outage, and exactly what
-//                        time-to-repair and the per-tick repair deadline
-//                        trade against.
+//  * missed_outage     — the subscriber was parked unplaced (no live leaf
+//                        could host it) when the event fired; the miss is
+//                        the unavoidable price of the outage. Each tick's
+//                        repair pass places or parks every orphan before
+//                        the event is routed, so no event finds one.
 //  * missed_degraded   — a *placed* degraded subscriber missed (expected
 //                        0: placement grows path filters even when latency
 //                        or load constraints are violated).
@@ -57,7 +57,7 @@
 // iff the broker's current filter contains it (no index to go stale); and
 // its matching clients are walked once to count deliveries and misses.
 //
-// Per-epoch recovery metrics (orphan backlog, repairs, per-cause misses,
+// Per-epoch recovery metrics (repairs, degraded backlog, per-cause misses,
 // Q(T) of the live deployment) expose the recovery trajectory, and the
 // final Q(T) is compared against a fresh offline Gr* re-solve of the
 // surviving topology to quantify the inflation the online repairs
@@ -70,11 +70,9 @@
 #include <limits>
 #include <vector>
 
-#include "src/common/deadline.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/core/dynamic.h"
-#include "src/core/repair.h"
 #include "src/liveness/liveness_tracker.h"
 #include "src/sim/dissemination.h"
 
@@ -119,10 +117,11 @@ class FaultPlan {
   //
   // Contract: a victim whose recovery index (start + outage_events) lands
   // at or past the stream end gets NO recover event — it stays down
-  // through the end of the replay and is counted in unrepaired_at_end /
-  // excluded from the fresh-baseline topology. Callers that need every
-  // outage to close must size outage_events against num_events
-  // themselves; ReplayWithFaults never applies events at >= num_events.
+  // through the end of the replay (its subscribers are re-placed
+  // elsewhere) and is excluded from the fresh-baseline topology. Callers
+  // that need every outage to close must size outage_events against
+  // num_events themselves; ReplayWithFaults never applies events at
+  // >= num_events.
   static FaultPlan SeededRandom(const net::BrokerTree& tree, int num_events,
                                 double fail_fraction, int outage_events,
                                 Rng& rng);
@@ -140,17 +139,6 @@ class FaultPlan {
 struct FaultReplayOptions {
   // Epoch length (in events) for the recovery-metrics time series.
   int epoch_length = 100;
-  core::RepairOptions repair;
-  // Wall-clock budget of each per-tick repair pass; < 0 means infinite.
-  // Orphans not reached before expiry stay orphaned into the next tick —
-  // this is what makes time-to-repair exceed zero.
-  double repair_budget_seconds = -1;
-  // Solve a fresh offline Gr* over the final live topology and report the
-  // Q(T) inflation of the online-repaired deployment against it: a
-  // SnapshotLive plus a Gr* over the whole population, about a quarter of
-  // the replay on perfbench churn (9.5 of 35.1 ms per instance, DESIGN.md
-  // §13). Callers that never read qt_fresh or qt_inflation can turn it off.
-  bool compute_fresh_baseline = true;
   // Lease parameters of the LivenessTracker that detects failures (see
   // file comment); detection delay is their outcome, not an input. The
   // default is the oracle lease, under which the replay is crash-stop:
@@ -181,7 +169,6 @@ struct EpochRecoveryStats {
   int64_t missed_undetected = 0;
   int repaired = 0;         // orphan -> kLive transitions this epoch
   int degraded_placed = 0;  // orphan -> kDegraded transitions this epoch
-  int orphans_end = 0;      // backlog at epoch end
   int degraded_end = 0;
   int suspects_end = 0;     // suspect brokers at epoch end
   double qt_end = 0;        // live-deployment Q(T) at epoch end
@@ -200,12 +187,6 @@ struct FaultReplayResult {
   int total_repaired = 0;
   int total_degraded_placed = 0;
   int total_undegraded = 0;  // degraded retries that came back to kLive
-
-  // For each contiguous outage (orphans going 0 -> >0 -> 0), the number of
-  // event ticks the backlog took to clear; 0 = repaired before any event
-  // was routed.
-  std::vector<int> time_to_repair;
-  int unrepaired_at_end = 0;
   int degraded_at_end = 0;
 
   double qt_final = 0;      // live-deployment Q(T) after the last event
@@ -245,9 +226,10 @@ struct FaultReplayResult {
 };
 
 // Replays `events` through `dyn` under `plan`. `rng` is consumed only by
-// the fresh-baseline Gr* solve (a plan with compute_fresh_baseline=false
-// consumes no randomness). Ground truth starts equal to the overlay: a
-// broker already failed in `dyn` is down until the plan recovers it.
+// the fresh-baseline Gr* solve after the last event, which runs unless no
+// subscriber or no live leaf is left. Ground truth starts equal to the
+// overlay: a broker already failed in `dyn` is down until the plan
+// recovers it.
 // kInvalidArgument, with `dyn` untouched: epoch_length <= 0; a lease with
 // a non-positive interval, miss_suspect or subscriber_miss_dead, or
 // miss_dead < miss_suspect; among the plan's events before the stream's

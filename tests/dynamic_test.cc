@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/deadline.h"
 #include "src/core/audit.h"
 #include "src/core/dynamic.h"
 #include "src/core/filter_adjust.h"
@@ -475,7 +474,7 @@ TEST(DynamicTest, LastHopLatencyModeBindsOnlinePlacement) {
   // excess over 0.195, not admit it as live.
   ASSERT_TRUE(dyn.FailBroker(2).ok());
   RepairEngine engine(&dyn);
-  engine.Repair(Deadline::Infinite());
+  engine.Repair();
   EXPECT_EQ(dyn.leaf_of(h), 1);
   EXPECT_EQ(dyn.state(h), SubscriberState::kDegraded);
   EXPECT_NEAR(dyn.violation(h).latency, 0.95 - 0.195, 1e-12);
@@ -614,7 +613,7 @@ TEST(DynamicTest, PlacementsMatchBruteForceGrLadderFuzz) {
         ASSERT_TRUE(BookkeepingConsistent(dyn)) << "seed " << seed;
         DynamicAssigner twin = dyn;
         const std::vector<int> orphans = dyn.orphans();
-        engine.Repair(Deadline::Infinite(), now);
+        engine.Repair(now);
         checked_repairs += CheckRepairPass(dyn, twin, orphans);
         ASSERT_TRUE(BookkeepingConsistent(dyn)) << "seed " << seed;
       } else if (dice < 0.94) {
@@ -627,7 +626,7 @@ TEST(DynamicTest, PlacementsMatchBruteForceGrLadderFuzz) {
         now += 100;
         ASSERT_TRUE(BookkeepingConsistent(dyn)) << "seed " << seed;
         DynamicAssigner twin = dyn;
-        engine.Repair(Deadline::Infinite(), now);
+        engine.Repair(now);
         checked_repairs += CheckRepairPass(dyn, twin, {});
         ASSERT_TRUE(BookkeepingConsistent(dyn)) << "seed " << seed;
       } else if (dyn.has_placement_veto()) {

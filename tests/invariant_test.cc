@@ -15,7 +15,6 @@
 #include "src/core/audit.h"
 #include "src/core/dynamic.h"
 #include "src/core/repair.h"
-#include "src/common/deadline.h"
 #include "src/common/random.h"
 #include "src/core/slp.h"
 #include "src/geometry/audit.h"
@@ -338,7 +337,7 @@ TEST(LiveFilterAuditTest, DynamicDeploymentWithFailuresPasses) {
   core::AuditLiveFilters(dyn);
   net::AuditLiveOverlay(dyn.tree());
   core::RepairEngine engine(&dyn);
-  engine.Repair(Deadline::Infinite(), 0);
+  engine.Repair(0);
   core::AuditLiveFilters(dyn);
   ASSERT_TRUE(dyn.RecoverBroker(3).ok());
   core::AuditLiveFilters(dyn);

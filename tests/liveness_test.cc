@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/deadline.h"
 #include "src/common/invariant.h"
 #include "src/core/dynamic.h"
 #include "src/core/greedy.h"
@@ -658,7 +657,6 @@ sim::FaultReplayResult CrashStopReference(core::DynamicAssigner& dyn,
   core::RepairEngine engine(&dyn);
   sim::EpochRecoveryStats epoch;
   int64_t delivery_base = 0;
-  int outage_start = -1;
   size_t next = 0;
   for (int i = 0; i < num_events; ++i) {
     for (; next < plan.events().size() && plan.events()[next].at_event <= i;
@@ -669,19 +667,15 @@ sim::FaultReplayResult CrashStopReference(core::DynamicAssigner& dyn,
           (f.fail ? dyn.FailBroker(f.node) : dyn.RecoverBroker(f.node)).ok());
       r.total_orphaned += static_cast<int>(dyn.orphans().size() - before);
     }
-    if (outage_start < 0 && !dyn.orphans().empty()) outage_start = i;
     if (!dyn.orphans().empty() || !dyn.degraded_handles().empty()) {
-      const core::RepairReport rep = engine.Repair(Deadline::Infinite(), i);
+      const core::RepairReport rep = engine.Repair(i);
       r.total_repaired += rep.repaired;
       r.total_degraded_placed += rep.degraded;
       r.total_undegraded += rep.undegraded;
       epoch.repaired += rep.repaired + rep.undegraded;
       epoch.degraded_placed += rep.degraded;
     }
-    if (outage_start >= 0 && dyn.orphans().empty()) {
-      r.time_to_repair.push_back(i - outage_start);
-      outage_start = -1;
-    }
+    EXPECT_TRUE(dyn.orphans().empty()) << i;  // crash-stop repairs at once
 
     const Point& e = events[i];
     ++r.stats.events;
@@ -733,7 +727,6 @@ sim::FaultReplayResult CrashStopReference(core::DynamicAssigner& dyn,
     if ((i + 1) % epoch_length == 0 || i + 1 == num_events) {
       epoch.deliveries = r.stats.deliveries - delivery_base;
       delivery_base = r.stats.deliveries;
-      epoch.orphans_end = static_cast<int>(dyn.orphans().size());
       epoch.degraded_end = static_cast<int>(dyn.degraded_handles().size());
       epoch.qt_end = dyn.CurrentBandwidth();
       r.epochs.push_back(epoch);
@@ -741,7 +734,6 @@ sim::FaultReplayResult CrashStopReference(core::DynamicAssigner& dyn,
       epoch.first_event = i + 1;
     }
   }
-  r.unrepaired_at_end = static_cast<int>(dyn.orphans().size());
   r.degraded_at_end = static_cast<int>(dyn.degraded_handles().size());
   r.qt_final = dyn.CurrentBandwidth();
   const auto snap = dyn.SnapshotLive();
@@ -810,8 +802,7 @@ void ExpectDefaultReplayMatchesCrashStop(const sim::FaultPlan& plan,
   EXPECT_EQ(c.total_repaired, s.total_repaired);
   EXPECT_EQ(c.total_degraded_placed, s.total_degraded_placed);
   EXPECT_EQ(c.total_undegraded, s.total_undegraded);
-  EXPECT_EQ(c.time_to_repair, s.time_to_repair);
-  EXPECT_EQ(c.unrepaired_at_end, s.unrepaired_at_end);
+  EXPECT_TRUE(b.dyn.orphans().empty());
   EXPECT_EQ(c.degraded_at_end, s.degraded_at_end);
   EXPECT_EQ(c.qt_final, s.qt_final);
   EXPECT_EQ(c.qt_fresh, s.qt_fresh);
@@ -824,7 +815,6 @@ void ExpectDefaultReplayMatchesCrashStop(const sim::FaultPlan& plan,
     EXPECT_EQ(c.epochs[i].missed_degraded, s.epochs[i].missed_degraded) << i;
     EXPECT_EQ(c.epochs[i].repaired, s.epochs[i].repaired) << i;
     EXPECT_EQ(c.epochs[i].degraded_placed, s.epochs[i].degraded_placed) << i;
-    EXPECT_EQ(c.epochs[i].orphans_end, s.epochs[i].orphans_end) << i;
     EXPECT_EQ(c.epochs[i].degraded_end, s.epochs[i].degraded_end) << i;
     EXPECT_EQ(c.epochs[i].qt_end, s.epochs[i].qt_end) << i;
   }
@@ -1133,7 +1123,7 @@ TEST(LivenessSoakTest, ReconnectStormKeepsTrackerAndAssignerCoherent) {
     }
 
     if (!dyn.orphans().empty() || !dyn.degraded_handles().empty()) {
-      engine.Repair(Deadline::Infinite(), t);
+      engine.Repair(t);
     }
     if (t % 250 == 0) {
       dyn.Reoptimize(

@@ -1,16 +1,14 @@
 // Broker-failure injection and online repair (DESIGN.md §9): the live
 // overlay, the nesting-safety argument for splice-up, the repair ladder,
-// deadline-bounded reoptimization, the fault replay, and a property fuzz
-// over random Add/Remove/fail/recover sequences.
+// reoptimization through SLP, the fault replay, and a property fuzz over
+// random Add/Remove/fail/recover sequences.
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/common/deadline.h"
 #include "src/core/dynamic.h"
 #include "src/core/greedy.h"
 #include "src/core/repair.h"
@@ -82,30 +80,6 @@ bool CoveredOnLivePath(const DynamicAssigner& dyn, int leaf,
 }
 
 // ---------------------------------------------------------------------------
-// Deadline
-
-TEST(DeadlineTest, DefaultAndInfiniteNeverExpire) {
-  Deadline d;
-  EXPECT_TRUE(d.infinite());
-  EXPECT_FALSE(d.expired());
-  EXPECT_TRUE(std::isinf(d.remaining_seconds()));
-  EXPECT_FALSE(Deadline::Infinite().expired());
-}
-
-TEST(DeadlineTest, ZeroBudgetExpiresImmediately) {
-  EXPECT_TRUE(Deadline::After(0).expired());
-  EXPECT_TRUE(Deadline::AfterMillis(0).expired());
-  EXPECT_LE(Deadline::After(0).remaining_seconds(), 0);
-}
-
-TEST(DeadlineTest, GenerousBudgetNotYetExpired) {
-  const Deadline d = Deadline::After(3600);
-  EXPECT_FALSE(d.infinite());
-  EXPECT_FALSE(d.expired());
-  EXPECT_GT(d.remaining_seconds(), 3000);
-}
-
-// ---------------------------------------------------------------------------
 // BrokerTree live overlay
 
 TEST(BrokerTreeFailureTest, LiveAccessorsMatchStaticWithoutFailures) {
@@ -149,7 +123,6 @@ TEST(BrokerTreeFailureTest, LeafFailureShrinksLiveLeaves) {
   EXPECT_EQ(tree.live_leaf_brokers(), std::vector<int>{2});
   ASSERT_TRUE(tree.FailBroker(2).ok());
   EXPECT_TRUE(tree.live_leaf_brokers().empty());
-  EXPECT_TRUE(std::isinf(tree.LiveShortestLatency({0, 0})));
 }
 
 TEST(BrokerTreeFailureTest, RejectsInvalidFailures) {
@@ -256,7 +229,7 @@ TEST(RepairEngineTest, RepairsOrphansToTheSurvivingLeaf) {
   ASSERT_TRUE(dyn.FailBroker(leaf1).ok());
 
   RepairEngine engine(&dyn);
-  const RepairReport report = engine.Repair(Deadline::Infinite());
+  const RepairReport report = engine.Repair();
   EXPECT_EQ(report.orphans_seen, 2);
   EXPECT_EQ(report.repaired, 2);
   EXPECT_EQ(report.degraded, 0);
@@ -280,7 +253,7 @@ TEST(RepairEngineTest, LatencySlackRelaxationQuantifiesViolation) {
   ASSERT_TRUE(dyn.FailBroker(leaf).ok());
 
   RepairEngine engine(&dyn);
-  const RepairReport report = engine.Repair(Deadline::Infinite());
+  const RepairReport report = engine.Repair();
   EXPECT_EQ(report.degraded, 1);
   EXPECT_EQ(dyn.state(h), SubscriberState::kDegraded);
   EXPECT_GE(dyn.leaf_of(h), 0);
@@ -301,18 +274,18 @@ TEST(RepairEngineTest, ParksWhenNoLiveLeafThenUndegradesAfterRecovery) {
   RepairOptions opts;
   opts.backoff_base = 2;
   RepairEngine engine(&dyn, opts);
-  RepairReport report = engine.Repair(Deadline::Infinite(), /*now=*/0);
+  RepairReport report = engine.Repair(/*now=*/0);
   EXPECT_EQ(report.degraded, 1);
   EXPECT_EQ(dyn.state(h), SubscriberState::kDegraded);
   EXPECT_EQ(dyn.leaf_of(h), -1);
   EXPECT_TRUE(dyn.violation(h).unplaced);
 
   // Before the backoff elapses the degraded subscriber is not retried.
-  report = engine.Repair(Deadline::Infinite(), /*now=*/1);
+  report = engine.Repair(/*now=*/1);
   EXPECT_EQ(report.retried, 0);
 
   ASSERT_TRUE(dyn.RecoverBroker(1).ok());
-  report = engine.Repair(Deadline::Infinite(), /*now=*/10);
+  report = engine.Repair(/*now=*/10);
   EXPECT_EQ(report.retried, 1);
   EXPECT_EQ(report.undegraded, 1);
   EXPECT_EQ(dyn.state(h), SubscriberState::kLive);
@@ -334,7 +307,7 @@ TEST(RepairEngineTest, BackoffEntriesAreErasedWithTheirSubscribers) {
   ASSERT_TRUE(dyn.FailBroker(2).ok());
 
   // No live leaf: both orphans park degraded and acquire backoff clocks.
-  engine.Repair(Deadline::Infinite(), /*now=*/0);
+  engine.Repair(/*now=*/0);
   ASSERT_EQ(dyn.state(h0), SubscriberState::kDegraded);
   ASSERT_EQ(dyn.state(h1), SubscriberState::kDegraded);
   EXPECT_EQ(engine.backoff_entries(), 2);
@@ -346,12 +319,12 @@ TEST(RepairEngineTest, BackoffEntriesAreErasedWithTheirSubscribers) {
 
   // Departure without Forget: the next pass prunes the stale entry.
   ASSERT_TRUE(dyn.Remove(h1).ok());
-  engine.Repair(Deadline::Infinite(), /*now=*/1);
+  engine.Repair(/*now=*/1);
   EXPECT_EQ(engine.backoff_entries(), 0);
 
   // Recycled handles start fresh: a new arrival re-uses h0's slot, parks
-  // degraded, and must be retried on the first funded pass even though the
-  // old h0 entry would still have been backing off.
+  // degraded, and must be retried on the next pass even though the old h0
+  // entry would still have been backing off.
   ASSERT_TRUE(dyn.RecoverBroker(1).ok());
   const int h2 = dyn.Add(MakeSub(1, 0, 0.1, 0.1)).value();
   EXPECT_EQ(h2, std::min(h0, h1));
@@ -367,38 +340,19 @@ TEST(RepairEngineTest, UndegradeErasesTheBackoffEntry) {
   const int h = dyn.Add(MakeSub(1, 0, 0.1, 0.1)).value();
   ASSERT_TRUE(dyn.FailBroker(1).ok());
   ASSERT_TRUE(dyn.FailBroker(2).ok());
-  engine.Repair(Deadline::Infinite(), /*now=*/0);
+  engine.Repair(/*now=*/0);
   ASSERT_EQ(dyn.state(h), SubscriberState::kDegraded);
   ASSERT_EQ(engine.backoff_entries(), 1);
 
   ASSERT_TRUE(dyn.RecoverBroker(2).ok());
-  const RepairReport report = engine.Repair(Deadline::Infinite(), /*now=*/10);
+  const RepairReport report = engine.Repair(/*now=*/10);
   EXPECT_EQ(report.undegraded, 1);
   EXPECT_EQ(dyn.state(h), SubscriberState::kLive);
   EXPECT_EQ(engine.backoff_entries(), 0);
 }
 
-TEST(RepairEngineTest, ExpiredDeadlineLeavesOrphansForNextPass) {
-  DynamicAssigner dyn(TwoBrokerTree(), LooseConfig(), 4);
-  dyn.Add(MakeSub(1, 0, 0.1, 0.1)).value();
-  dyn.Add(MakeSub(1, 0.1, 0.2, 0.1)).value();
-  ASSERT_TRUE(dyn.FailBroker(1).ok());
-  const int orphans = static_cast<int>(dyn.orphans().size());
-  ASSERT_GT(orphans, 0);
-
-  RepairEngine engine(&dyn);
-  RepairReport report = engine.Repair(Deadline::After(0));
-  EXPECT_TRUE(report.deadline_expired);
-  EXPECT_EQ(report.still_orphaned, orphans);
-  EXPECT_EQ(static_cast<int>(dyn.orphans().size()), orphans);
-  // The retry half: the next (funded) pass drains the backlog.
-  report = engine.Repair(Deadline::Infinite());
-  EXPECT_EQ(report.repaired + report.degraded, orphans);
-  EXPECT_TRUE(dyn.orphans().empty());
-}
-
 // ---------------------------------------------------------------------------
-// Deadline-bounded reoptimization
+// Reoptimization through SLP
 
 DynamicAssigner PopulatedAssigner(int n, uint64_t seed) {
   Rng rng(seed);
@@ -411,58 +365,47 @@ DynamicAssigner PopulatedAssigner(int n, uint64_t seed) {
   return dyn;
 }
 
-TEST(ReoptimizeDeadlineTest, ZeroDeadlineFallsBackToFeasibleGrStar) {
+// Reoptimize with an SLP adapter on a two-level assigner: γ = 8 makes the
+// root and both interior brokers run LP stages. The installed deployment
+// covers every subscriber on its live path, validates, and puts each
+// subscriber on the leaf RunSlp gives it over the live snapshot with the
+// same seed.
+TEST(ReoptimizeTest, SlpOnTwoLevelAssignerInstallsRunSlpLeaves) {
   DynamicAssigner dyn = PopulatedAssigner(60, 11);
+  SlpOptions options;
+  options.gamma = 8;
+  const Result<DynamicAssigner::LiveSnapshot> snap = dyn.SnapshotLive();
+  ASSERT_TRUE(snap.ok());
+  Rng rng_ref(5);
+  SlpStats stats;
+  const SaSolution reference =
+      RunSlp(snap.value().problem, options, rng_ref, &stats).value();
+  ASSERT_GT(stats.slp1_invocations, 0);  // LP stages ran
+
   Rng rng(5);
-  const ReoptimizeReport report =
-      dyn.ReoptimizeWithDeadline(SlpOptions(), rng, Deadline::After(0));
-  EXPECT_TRUE(report.used_fallback);
-  EXPECT_TRUE(report.budget_exhausted);
-  EXPECT_EQ(report.algorithm, "Gr*");
-  // The installed deployment is complete and feasible.
-  EXPECT_EQ(dyn.live_count(), 60);
+  dyn.Reoptimize(
+      [&options](const SaProblem& p, Rng& r) {
+        return RunSlp(p, options, r).value();
+      },
+      rng);
+
+  ASSERT_EQ(dyn.live_count(), 60);
   for (int h = 0; h < dyn.slot_count(); ++h) {
     ASSERT_TRUE(dyn.is_occupied(h));
     EXPECT_TRUE(CoveredOnLivePath(dyn, dyn.leaf_of(h),
                                   dyn.subscriber(h).subscription));
   }
-}
-
-TEST(ReoptimizeDeadlineTest, GenerousDeadlineBitIdenticalToPlainSlp) {
-  DynamicAssigner bounded = PopulatedAssigner(60, 11);
-  DynamicAssigner plain = PopulatedAssigner(60, 11);
-  SlpOptions options;
-  options.gamma = 8;  // force LP stages so the deadline path is exercised
-
-  Rng rng_a(5);
-  const ReoptimizeReport report = bounded.ReoptimizeWithDeadline(
-      options, rng_a, Deadline::After(3600));
-  EXPECT_FALSE(report.used_fallback);
-  EXPECT_EQ(report.algorithm, "SLP");
-
-  Rng rng_b(5);
-  plain.Reoptimize(
-      [&options](const SaProblem& p, Rng& r) {
-        return RunSlp(p, options, r, nullptr).value();
-      },
-      rng_b);
-
-  for (int h = 0; h < bounded.slot_count(); ++h) {
-    EXPECT_EQ(bounded.leaf_of(h), plain.leaf_of(h));
-    EXPECT_EQ(bounded.state(h), plain.state(h));
+  const auto [problem, solution] = dyn.Snapshot();
+  ValidationOptions validation;
+  validation.check_load = false;
+  EXPECT_TRUE(ValidateSolution(problem, solution, validation).ok());
+  const std::vector<int>& row_handle = snap.value().row_handle;
+  ASSERT_EQ(row_handle.size(), 60u);
+  for (size_t row = 0; row < row_handle.size(); ++row) {
+    EXPECT_EQ(dyn.leaf_of(row_handle[row]),
+              snap.value().to_static[reference.assignment[row]])
+        << "row " << row;
   }
-  for (int v = 0; v < bounded.tree().num_nodes(); ++v) {
-    const auto& fa = bounded.filter(v);
-    const auto& fb = plain.filter(v);
-    ASSERT_EQ(fa.size(), fb.size());
-    for (size_t i = 0; i < fa.size(); ++i) {
-      for (int d = 0; d < fa[i].dim(); ++d) {
-        EXPECT_EQ(fa[i].lo(d), fb[i].lo(d));
-        EXPECT_EQ(fa[i].hi(d), fb[i].hi(d));
-      }
-    }
-  }
-  EXPECT_EQ(bounded.CurrentBandwidth(), plain.CurrentBandwidth());
 }
 
 // ---------------------------------------------------------------------------
@@ -539,14 +482,14 @@ TEST(FaultReplayTest, KillTheLoadedLeafMidReplay) {
   EXPECT_EQ(r.total_orphaned, victim_load);
   // Every orphan ended repaired or degraded (never dropped, never aborted).
   EXPECT_EQ(r.total_repaired + r.total_degraded_placed, r.total_orphaned);
-  EXPECT_EQ(r.unrepaired_at_end, 0);
+  EXPECT_TRUE(dyn.orphans().empty());
   // Repaired (kLive) subscribers missed nothing after repair.
   EXPECT_EQ(r.missed_live, 0);
   EXPECT_EQ(r.stats.missed_deliveries, 0);
   EXPECT_EQ(r.missed_degraded, 0);
-  // Immediate (infinite-budget) repair: the backlog clears the same tick.
-  ASSERT_EQ(r.time_to_repair.size(), 1u);
-  EXPECT_EQ(r.time_to_repair[0], 0);
+  // One crash, declared dead on its tick and repaired before that tick's
+  // event is routed: nobody misses an event for the outage.
+  EXPECT_EQ(r.detection_latency, (std::vector<int>{0}));
   EXPECT_EQ(r.missed_outage, 0);
   ASSERT_EQ(r.epochs.size(), 5u);
   EXPECT_GT(r.stats.deliveries, 0);
@@ -613,7 +556,7 @@ TEST(FaultReplayTest, DetectionDelayCreatesMeasuredOutage) {
   // Once declared, the backlog is repaired.
   EXPECT_EQ(r.total_orphaned, 4);
   EXPECT_EQ(r.total_repaired + r.total_degraded_placed, r.total_orphaned);
-  EXPECT_EQ(r.unrepaired_at_end, 0);
+  EXPECT_TRUE(dyn.orphans().empty());
   ExpectEpochsTileTotals(r);
 }
 
@@ -643,12 +586,11 @@ TEST(FaultReplayTest, BackToBackFaultsEachPayAFullDetectionWindow) {
   // Two windows, two outages: neither crash is detected early or late
   // because the other one is pending.
   EXPECT_EQ(r.detection_latency, (std::vector<int>{25, 25}));
-  EXPECT_EQ(r.time_to_repair, (std::vector<int>{0, 0}));
   EXPECT_GT(r.missed_undetected, 0);
   EXPECT_EQ(r.missed_live, 0);
   EXPECT_EQ(r.total_orphaned, 2);
   EXPECT_EQ(r.total_repaired + r.total_degraded_placed, 2);
-  EXPECT_EQ(r.unrepaired_at_end, 0);
+  EXPECT_TRUE(dyn.orphans().empty());
   ExpectEpochsTileTotals(r);
 }
 
@@ -672,7 +614,7 @@ TEST(FaultReplayTest, PreFailedBrokerStaysDownUntilThePlanRecoversIt) {
     ASSERT_TRUE(replay.ok()) << replay.status().message();
     EXPECT_EQ(replay.value().broker_recoveries, recover ? 1 : 0);
     EXPECT_EQ(dyn.tree().is_failed(victim), !recover);
-    EXPECT_EQ(replay.value().unrepaired_at_end, 0);
+    EXPECT_TRUE(dyn.orphans().empty());
     EXPECT_EQ(replay.value().missed_live, 0);
   }
 }
@@ -734,8 +676,9 @@ TEST(FaultReplayTest, BadPlanIsRejectedBeforeTheFirstTick) {
 //   tick 10     client 1 online but still expired (its phase is 1):
 //               missed_expired, and B is wasted again
 //   tick 11     client 1 reconnects onto B; e1 delivers
-//   tick 12     A crashes and is declared dead; with a zero repair budget
-//               its clients stay orphaned: e3 → client 3 missed_outage
+//   tick 12     A and B crash and are declared dead; with no live leaf
+//               the repair ladder parks all four clients unplaced (their
+//               leases freeze): e3 → client 3 missed_outage
 //   tick 13     e0 → client 0 (online since tick 5) missed_outage
 TEST(FaultReplayTest, ScriptedDeliveryAccountingIsExact) {
   // at[c] is event ec.
@@ -745,13 +688,11 @@ TEST(FaultReplayTest, ScriptedDeliveryAccountingIsExact) {
     events.push_back(at[c]);
   }
   const sim::FaultPlan plan = sim::FaultPlan::Scripted(
-      {sim::FaultEvent{12, 1, true}},
+      {sim::FaultEvent{12, 1, true}, sim::FaultEvent{12, 2, true}},
       {sim::ClientEvent{0, 1, true}, sim::ClientEvent{1, 0, true},
        sim::ClientEvent{5, 0, false}, sim::ClientEvent{10, 1, false}});
   sim::FaultReplayOptions options;
   options.lease.subscriber_interval = 10;
-  options.repair_budget_seconds = 0;
-  options.compute_fresh_baseline = false;
 
   for (const bool oracle : {true, false}) {
     SCOPED_TRACE(oracle ? "brute-force probes" : "indexed");
@@ -783,9 +724,10 @@ TEST(FaultReplayTest, ScriptedDeliveryAccountingIsExact) {
     EXPECT_EQ(r.stats.broker_hits[leaf_b], 7);
     EXPECT_EQ(r.lease_expirations, 1);
     EXPECT_EQ(r.reconnects, 1);
-    EXPECT_EQ(r.total_orphaned, 2);
-    EXPECT_EQ(r.unrepaired_at_end, 2);
-    EXPECT_EQ(r.detection_latency, (std::vector<int>{0}));
+    EXPECT_EQ(r.total_orphaned, 4);
+    EXPECT_EQ(r.total_degraded_placed, 4);
+    EXPECT_EQ(r.degraded_at_end, 4);
+    EXPECT_EQ(r.detection_latency, (std::vector<int>{0, 0}));
   }
 }
 
@@ -912,11 +854,11 @@ TEST(RepairFuzzTest, RandomSequencesPreserveNestingAndDelivery) {
           ASSERT_TRUE(dyn.RecoverBroker(node).ok());
         }
       } else {  // Repair tick
-        engine.Repair(Deadline::Infinite(), op);
+        engine.Repair(op);
       }
     }
     // Drain the backlog, then check the invariants.
-    engine.Repair(Deadline::Infinite(), kOpsPerSequence + 100);
+    engine.Repair(kOpsPerSequence + 100);
     if (!dyn.tree().live_leaf_brokers().empty()) {
       ASSERT_TRUE(dyn.orphans().empty()) << "seq " << seq;
     }
