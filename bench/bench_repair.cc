@@ -1,17 +1,18 @@
-// Crash-tolerance benchmark (DESIGN.md §9): repair throughput and Q(T)
+// Crash-tolerance benchmark (DESIGN.md §9): mass-failure repair and Q(T)
 // inflation at 1% / 5% / 10% broker-failure rates on the grid workload.
 //
 // Two experiments per failure rate:
-//  * repair throughput — fail that fraction of leaf brokers at once on a
+//  * mass failure — fail that fraction of leaf brokers at once on a
 //    populated DynamicAssigner and drain the orphan backlog with one
-//    RepairEngine pass (orphans repaired per second);
+//    DynamicAssigner::Repair pass (orphans repaired and degraded);
 //  * fault replay — a seeded-random FaultPlan at the same rate interleaved
 //    with an event stream, reporting missed deliveries by cause and the
 //    Q(T) inflation of the online-repaired deployment against a fresh
 //    offline Gr* over the surviving topology.
 //
 // Prints a table and writes BENCH_repair.json (path from argv[1] or
-// SLP_BENCH_REPAIR_JSON; default ./BENCH_repair.json).
+// SLP_BENCH_REPAIR_JSON; default ./BENCH_repair.json). The file holds
+// counts and Q(T) only, no timing, so reruns reproduce it byte for byte.
 
 #include <cmath>
 #include <cstdio>
@@ -20,20 +21,17 @@
 
 #include "bench/bench_util.h"
 #include "src/core/dynamic.h"
-#include "src/core/repair.h"
 #include "src/sim/fault_plan.h"
 
 namespace slp::bench {
 namespace {
 
-struct RepairRow {
+struct MassFailureRow {
   double rate = 0;
   int leaves_failed = 0;
   int orphans = 0;
   int repaired = 0;
   int degraded = 0;
-  double seconds = 0;
-  double orphans_per_sec = 0;
 };
 
 struct ReplayRow {
@@ -90,12 +88,12 @@ int Main(int argc, char** argv) {
               std::to_string(brokers) + " brokers)");
 
   const std::vector<double> rates = {0.01, 0.05, 0.10};
-  std::vector<RepairRow> repair_rows;
+  std::vector<MassFailureRow> mass_rows;
   std::vector<ReplayRow> replay_rows;
 
-  // ---- Experiment 1: mass-failure repair throughput ----
-  std::printf("%-6s %8s %8s %9s %9s %10s %14s\n", "rate", "failed",
-              "orphans", "repaired", "degraded", "seconds", "orphans/s");
+  // ---- Experiment 1: mass-failure repair ----
+  std::printf("%-6s %8s %8s %9s %9s\n", "rate", "failed", "orphans",
+              "repaired", "degraded");
   for (double rate : rates) {
     core::DynamicAssigner dyn = PopulatedAssigner(w, config, seed);
     const std::vector<int> leaves = dyn.tree().live_leaf_brokers();
@@ -106,7 +104,7 @@ int Main(int argc, char** argv) {
     const std::vector<int> victims = UniformSampleWithoutReplacement(
         static_cast<int>(leaves.size()), kill, pick_rng);
 
-    RepairRow row;
+    MassFailureRow row;
     row.rate = rate;
     row.leaves_failed = kill;
     for (int v : victims) {
@@ -118,18 +116,12 @@ int Main(int argc, char** argv) {
     }
     row.orphans = static_cast<int>(dyn.orphans().size());
 
-    core::RepairEngine engine(&dyn);
-    WallTimer timer;
-    const core::RepairReport report = engine.Repair();
-    row.seconds = timer.Seconds();
+    const core::RepairReport report = dyn.Repair();
     row.repaired = report.repaired;
     row.degraded = report.degraded;
-    row.orphans_per_sec =
-        row.seconds > 0 ? row.orphans / row.seconds : 0;
-    std::printf("%-6.2f %8d %8d %9d %9d %10.4f %14.0f\n", rate,
-                row.leaves_failed, row.orphans, row.repaired, row.degraded,
-                row.seconds, row.orphans_per_sec);
-    repair_rows.push_back(row);
+    std::printf("%-6.2f %8d %8d %9d %9d\n", rate, row.leaves_failed,
+                row.orphans, row.repaired, row.degraded);
+    mass_rows.push_back(row);
   }
 
   // ---- Experiment 2: fault replay with Q(T) inflation ----
@@ -186,16 +178,14 @@ int Main(int argc, char** argv) {
   std::fprintf(f, "{\n  \"workload\": \"grid\",\n");
   std::fprintf(f, "  \"subscribers\": %d,\n  \"brokers\": %d,\n", subs,
                brokers);
-  std::fprintf(f, "  \"repair_throughput\": [\n");
-  for (size_t i = 0; i < repair_rows.size(); ++i) {
-    const RepairRow& r = repair_rows[i];
+  std::fprintf(f, "  \"mass_failure\": [\n");
+  for (size_t i = 0; i < mass_rows.size(); ++i) {
+    const MassFailureRow& r = mass_rows[i];
     std::fprintf(f,
                  "    {\"rate\": %.2f, \"leaves_failed\": %d, \"orphans\": "
-                 "%d, \"repaired\": %d, \"degraded\": %d, \"seconds\": %.6f, "
-                 "\"orphans_per_sec\": %.1f}%s\n",
+                 "%d, \"repaired\": %d, \"degraded\": %d}%s\n",
                  r.rate, r.leaves_failed, r.orphans, r.repaired, r.degraded,
-                 r.seconds, r.orphans_per_sec,
-                 i + 1 < repair_rows.size() ? "," : "");
+                 i + 1 < mass_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"fault_replay\": [\n");
   for (size_t i = 0; i < replay_rows.size(); ++i) {

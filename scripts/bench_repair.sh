@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Builds (Release) and runs the broker-failure repair benchmark, leaving
-# BENCH_repair.json in the repo root: orphan-repair throughput and Q(T)
+# BENCH_repair.json in the repo root: mass-failure repair counts and Q(T)
 # inflation at 1% / 5% / 10% failure rates on the grid workload.
 #
 # Usage: scripts/bench_repair.sh [build-dir]   (default: build-release)

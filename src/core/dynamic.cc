@@ -1,6 +1,7 @@
 #include "src/core/dynamic.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <utility>
@@ -16,6 +17,14 @@
 namespace slp::core {
 
 namespace {
+
+// A degraded subscriber's retry clock (Repair): the first retry comes
+// kFirstRetryWait ticks after the pass that starts the clock, and each
+// failed retry multiplies the wait by kRetryWaitGrowth, up to
+// kMaxRetryWait ticks.
+constexpr int64_t kFirstRetryWait = 4;
+constexpr double kRetryWaitGrowth = 2.0;
+constexpr double kMaxRetryWait = 1024;
 
 // Deterministically covers `rects` with at most `alpha` rectangles by
 // repeatedly merging the pair whose enclosure wastes the least volume.
@@ -113,6 +122,33 @@ int DynamicAssigner::BestLeafWithin(double cap, bool use_veto) {
   return best;
 }
 
+int DynamicAssigner::BestLeafWithinCaps(bool use_veto) {
+  for (double lbf : {config_.beta, config_.beta_max}) {
+    const int leaf = BestLeafWithin(LoadCap(lbf), use_veto);
+    if (leaf >= 0) return leaf;
+  }
+  return -1;
+}
+
+int DynamicAssigner::LeastExcessLeaf(double cap, bool use_veto) {
+  int best = -1;
+  double best_excess = std::numeric_limits<double>::infinity();
+  double best_cost = std::numeric_limits<double>::infinity();
+  for (int leaf : tree_.live_leaf_brokers()) {
+    if (use_veto && leaf_vetoed(leaf)) continue;
+    if (loads_[leaf_index_[leaf]] + 1 > cap + 1e-9) continue;
+    const double excess = std::max(0.0, gr_.latency(leaf) - gr_.bound());
+    const double cost = gr_.Cost(leaf);
+    if (excess < best_excess - 1e-12 ||
+        (excess < best_excess + 1e-12 && cost < best_cost)) {
+      best_excess = excess;
+      best_cost = cost;
+      best = leaf;
+    }
+  }
+  return best;
+}
+
 Result<int> DynamicAssigner::Add(const wl::Subscriber& subscriber) {
   SLP_RETURN_IF_ERROR(BeginBatch());
   return AdmitOne(subscriber);
@@ -176,19 +212,7 @@ int DynamicAssigner::AdmitOne(const wl::Subscriber& s) {
     // smallest latency excess (ties by enlargement cost), recorded below
     // as a degradation.
     ++add_stats_.escalation_scans;
-    double best_excess = std::numeric_limits<double>::infinity();
-    double best_cost = std::numeric_limits<double>::infinity();
-    for (int candidate : tree_.live_leaf_brokers()) {
-      if (use_veto_ && leaf_vetoed(candidate)) continue;
-      const double excess = gr_.latency(candidate) - gr_.bound();
-      const double cost = gr_.Cost(candidate);
-      if (excess < best_excess - 1e-12 ||
-          (excess < best_excess + 1e-12 && cost < best_cost)) {
-        best_excess = excess;
-        best_cost = cost;
-        leaf = candidate;
-      }
-    }
+    leaf = LeastExcessLeaf(std::numeric_limits<double>::infinity(), use_veto_);
   }
   add_stats_.cost_evals += gr_.leaf_costs() - costs_before;
 
@@ -229,6 +253,7 @@ int DynamicAssigner::CommitSlot(const wl::Subscriber& s, int leaf,
   slot.leaf = leaf;
   slot.occupied = true;
   slot.violation = {};
+  slot.retry = {};
   if (excess > 1e-12) {
     slot.state = SubscriberState::kDegraded;
     slot.violation.latency = excess;
@@ -263,6 +288,7 @@ Status DynamicAssigner::Remove(int handle) {
   slot.occupied = false;
   slot.state = SubscriberState::kLive;
   slot.violation = {};
+  slot.retry = {};
   free_slots_.push(handle);
   // Filters intentionally stay: shrinking online could uncover remaining
   // subscribers. Staleness is reclaimed by Reoptimize().
@@ -283,6 +309,7 @@ Status DynamicAssigner::FailBroker(int node) {
     if (slot.state == SubscriberState::kLive) --live_count_;
     slot.state = SubscriberState::kOrphaned;
     slot.violation = {};
+    slot.retry = {};
     orphans_.push_back(static_cast<int>(h));
   }
   return Status::OK();
@@ -354,6 +381,7 @@ Status DynamicAssigner::PlaceAt(int handle, int leaf,
   slot.state = new_state;
   slot.violation =
       new_state == SubscriberState::kDegraded ? violation : DegradedViolation{};
+  if (new_state == SubscriberState::kLive) slot.retry = {};
   DropOrphan(handle);
   return Status::OK();
 }
@@ -370,6 +398,90 @@ Status DynamicAssigner::Park(int handle, DegradedViolation violation) {
   slot.violation = violation;
   DropOrphan(handle);
   return Status::OK();
+}
+
+SubscriberState DynamicAssigner::PlaceWithLadder(int handle) {
+  if (tree_.live_leaf_brokers().empty()) {
+    // Park: nothing can host the subscriber until a broker recovers.
+    const Status parked = Park(handle, DegradedViolation{});
+    SLP_DCHECK(parked.ok());
+    return SubscriberState::kDegraded;
+  }
+  const bool use_veto = UseVeto();
+  Price(slots_[handle].subscriber);
+  int leaf = BestLeafWithinCaps(use_veto);  // rungs 1–2
+  if (leaf >= 0) {
+    const Status placed = PlaceAt(handle, leaf, SubscriberState::kLive);
+    SLP_DCHECK(placed.ok());
+    return SubscriberState::kLive;
+  }
+  const double cap_max = LoadCap(config_.beta_max);
+  DegradedViolation v;
+  leaf = LeastExcessLeaf(cap_max, use_veto);  // rung 3
+  if (leaf < 0) {
+    // Rung 4: every live leaf is at β_max — overload the latency-best one
+    // (the first on excess ties) and quantify both violations.
+    double best_excess = std::numeric_limits<double>::infinity();
+    for (int candidate : tree_.live_leaf_brokers()) {
+      if (use_veto && leaf_vetoed(candidate)) continue;
+      const double excess = std::max(0.0, gr_.latency(candidate) - gr_.bound());
+      if (excess < best_excess) {
+        best_excess = excess;
+        leaf = candidate;
+      }
+    }
+    v.load = load_of(leaf) + 1 - cap_max;
+  }
+  v.latency = std::max(0.0, gr_.latency(leaf) - gr_.bound());
+  const Status placed = PlaceAt(handle, leaf, SubscriberState::kDegraded, v);
+  SLP_DCHECK(placed.ok());
+  return SubscriberState::kDegraded;
+}
+
+RepairReport DynamicAssigner::Repair(int64_t now) {
+  RepairReport report;
+  // Snapshot the orphan list: placements mutate it.
+  const std::vector<int> orphans = orphans_;
+  bool saw_work = !orphans.empty();
+  for (int handle : orphans) {
+    if (PlaceWithLadder(handle) == SubscriberState::kLive) {
+      ++report.repaired;
+    } else {
+      ++report.degraded;
+    }
+  }
+
+  // Degraded retries (rungs 1–2 only), each on its slot's clock. An orphan
+  // just degraded has no clock (FailBroker dropped it), so this loop
+  // starts one for it like for any other newly degraded subscriber.
+  for (size_t h = 0; h < slots_.size(); ++h) {
+    Slot& slot = slots_[h];
+    if (!slot.occupied || slot.state != SubscriberState::kDegraded) continue;
+    saw_work = true;
+    RetryClock& clock = slot.retry;
+    if (!clock.started) {
+      clock = {true, 0, now + kFirstRetryWait};
+      continue;
+    }
+    if (now < clock.next_retry) continue;
+    const bool use_veto = UseVeto();
+    Price(slot.subscriber);
+    const int leaf = BestLeafWithinCaps(use_veto);
+    if (leaf >= 0) {
+      const Status placed =
+          PlaceAt(static_cast<int>(h), leaf, SubscriberState::kLive);
+      SLP_DCHECK(placed.ok());
+      ++report.undegraded;
+    } else {
+      ++clock.failed_retries;
+      const double wait =
+          kFirstRetryWait * std::pow(kRetryWaitGrowth, clock.failed_retries);
+      clock.next_retry =
+          now + static_cast<int64_t>(std::min(wait, kMaxRetryWait));
+    }
+  }
+  if (SLP_AUDITS_ENABLED && saw_work) AuditLiveFilters(*this);
+  return report;
 }
 
 double DynamicAssigner::CurrentBandwidth() const {
@@ -438,6 +550,7 @@ void DynamicAssigner::InstallLive(const LiveSnapshot& snap,
     } else {
       slot.state = SubscriberState::kLive;
       slot.violation = {};
+      slot.retry = {};
       ++live_count_;
     }
   }

@@ -18,9 +18,10 @@
 // (DESIGN.md §9): FailBroker splices an interior broker out of the routing
 // tree (safe without filter recomputation, by the nesting condition) or
 // orphans a leaf's subscribers; RecoverBroker brings a broker back empty.
-// Orphans are re-placed by core::RepairEngine (src/core/repair.h); a
-// subscriber the ladder cannot place within constraints is parked
-// `degraded` with its violation quantified — no failure path aborts.
+// Repair re-places orphans with the Gr rule under an escalation ladder; a
+// subscriber the ladder cannot place within constraints is placed or
+// parked `degraded` with its violation quantified — no failure path
+// aborts.
 //
 // Concurrency (DESIGN.md §15): the assigner is thread-confined to its
 // owning control thread — it carries no locks on purpose. Everything
@@ -71,6 +72,16 @@ struct DegradedViolation {
   // True when no live leaf existed at all: the subscriber is parked
   // unassigned (leaf -1) and receives no events until repaired.
   bool unplaced = false;
+};
+
+// What one DynamicAssigner::Repair pass did.
+struct RepairReport {
+  // Orphans placed within all constraints (now kLive).
+  int repaired = 0;
+  // Orphans placed or parked outside constraints (now kDegraded).
+  int degraded = 0;
+  // Degraded subscribers whose retry brought them back to kLive.
+  int undegraded = 0;
 };
 
 // Cumulative counters of the online-placement work done by Add/AddBatch
@@ -144,7 +155,28 @@ class DynamicAssigner {
   // growth is propagated up so the nesting condition holds again.
   Status RecoverBroker(int node);
 
-  // ---- Repair/inspection surface (used by core::RepairEngine) ----
+  // One repair pass at logical time `now` (a monotone tick, e.g. the
+  // replay's event index; callers outside a simulation can pass an
+  // incrementing counter). Every orphan, oldest first, goes through the
+  // Gr escalation ladder:
+  //   rung 1  latency-feasible live leaves within the desired cap (β);
+  //   rung 2  the same within the emergency cap (β_max);
+  //   rung 3  any live leaf within β_max, least latency excess first
+  //           (kDegraded, the excess quantified);
+  //   rung 4  the latency-best live leaf regardless of load (kDegraded,
+  //           latency and load excess quantified);
+  //   park    no live leaf at all: kDegraded and unplaced.
+  // Then each degraded subscriber, in handle order, is retried through
+  // rungs 1–2 on its own clock: the first pass that sees it kDegraded
+  // schedules its first retry 4 ticks later, each failed retry doubles
+  // the wait (capped at 1024 ticks), and every path that vacates,
+  // refills or orphans its slot, or takes it out of kDegraded, drops the
+  // clock. Every rung skips vetoed leaves under the advisory veto rule
+  // (UseVeto). Never fails and leaves no orphan; a pass that finds no
+  // orphan and no degraded subscriber changes nothing.
+  RepairReport Repair(int64_t now = 0);
+
+  // ---- Inspection and direct placement ----
 
   const net::BrokerTree& tree() const { return tree_; }
   const SaConfig& config() const { return config_; }
@@ -186,17 +218,6 @@ class DynamicAssigner {
   double LoadCap(double lbf) const;
   // Current load of a live leaf node.
   int load_of(int leaf_node) const;
-  // Starts the assigner's Gr session for `s` and returns it: `s` priced
-  // against the current filters over the live overlay, latency pass
-  // included (config().latency_mode, bound over the designed tree). Valid
-  // until the filters or the topology change, or the next Price, Add or
-  // AddBatch.
-  GrKernel& Price(const wl::Subscriber& s);
-  // One rung of the Gr ladder for the subscriber the session prices: among
-  // live leaves within its latency bound with room for one more under
-  // `cap` (+inf: none checked), skipping vetoed leaves when `use_veto`,
-  // the first of least cost; -1 if none.
-  int BestLeafWithin(double cap, bool use_veto);
 
   // Places an orphaned/degraded/live subscriber at `leaf` (a live leaf):
   // releases any previous placement, grows filters along the live path,
@@ -279,12 +300,19 @@ class DynamicAssigner {
   Result<LiveSnapshot> SnapshotLive() const;
 
  private:
+  // A degraded subscriber's retry clock (see Repair).
+  struct RetryClock {
+    bool started = false;
+    int failed_retries = 0;
+    int64_t next_retry = 0;  // tick of the next retry
+  };
   struct Slot {
     wl::Subscriber subscriber;
     int leaf = -1;  // assigned leaf node; -1 when orphaned/parked/free
     bool occupied = false;
     SubscriberState state = SubscriberState::kLive;
     DegradedViolation violation;
+    RetryClock retry;
   };
 
   // slots_[handle] after the accessors' check. Inline because routing calls
@@ -296,6 +324,27 @@ class DynamicAssigner {
   }
   // `what` followed by `arg`: the context of a failed accessor check.
   [[gnu::cold]] static std::string BadArgument(const char* what, int arg);
+
+  // Starts the assigner's Gr session for `s` and returns it: `s` priced
+  // against the current filters over the live overlay, latency pass
+  // included (config().latency_mode, bound over the designed tree). Valid
+  // until the filters or the topology change, or the next Price.
+  GrKernel& Price(const wl::Subscriber& s);
+  // One rung of the Gr ladder for the subscriber the session prices: among
+  // live leaves within its latency bound with room for one more under
+  // `cap` (+inf: none checked), skipping vetoed leaves when `use_veto`,
+  // the first of least cost; -1 if none.
+  int BestLeafWithin(double cap, bool use_veto);
+  // Rungs 1–2 of the repair ladder: BestLeafWithin at the β cap, then at
+  // the β_max cap; -1 if neither has a leaf.
+  int BestLeafWithinCaps(bool use_veto);
+  // Among live leaves with room for one more under `cap`, skipping vetoed
+  // leaves when `use_veto`, the one of least latency excess over the
+  // session's bound (ties within 1e-12 to the least cost); -1 if none has
+  // room.
+  int LeastExcessLeaf(double cap, bool use_veto);
+  // Runs the repair ladder for one orphan; returns the state it ends in.
+  SubscriberState PlaceWithLadder(int handle);
 
   // Starts a batch: kInfeasible when no live leaf exists or alpha < 1;
   // otherwise sets the veto rule, the β/β_max caps and their headroom.

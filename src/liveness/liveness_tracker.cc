@@ -51,7 +51,6 @@ HeardKind LivenessTracker::HeardBroker(int node, int64_t now) {
              node < static_cast<int>(brokers_.size()));
   BrokerLease& b = brokers_[node];
   b.last_heard = now;
-  ++stats_.broker_heartbeats;
   switch (b.state) {
     case LivenessState::kAlive:
       return HeardKind::kRefresh;
@@ -62,7 +61,6 @@ HeardKind LivenessTracker::HeardBroker(int node, int64_t now) {
       const Status recovered = dyn_->RecoverBroker(node);
       SLP_DCHECK(recovered.ok());
       b.state = LivenessState::kAlive;
-      ++stats_.recoveries;
       return HeardKind::kRecovered;
     }
   }
@@ -72,7 +70,6 @@ HeardKind LivenessTracker::HeardBroker(int node, int64_t now) {
 void LivenessTracker::HeardSubscriber(int client, int64_t now) {
   if (!IsTracked(client)) return;
   clients_[client].last_heard = now;
-  ++stats_.client_refreshes;
 }
 
 void LivenessTracker::TrackSubscriber(int client, int handle, int64_t now) {
@@ -131,11 +128,9 @@ TickReport LivenessTracker::Tick(int64_t now) {
     if (misses >= config_.miss_dead) {
       if (held[v] != 0) {
         ++report.deaths_deferred;
-        ++stats_.deaths_deferred;
         if (b.state == LivenessState::kAlive) {
           b.state = LivenessState::kSuspect;
           report.new_suspects.push_back(v);
-          ++stats_.suspicions;
         }
         continue;
       }
@@ -143,11 +138,9 @@ TickReport LivenessTracker::Tick(int64_t now) {
       const Status failed = dyn_->FailBroker(v);
       SLP_DCHECK(failed.ok());
       report.declared_dead.push_back(v);
-      ++stats_.deaths;
     } else if (b.state == LivenessState::kAlive) {
       b.state = LivenessState::kSuspect;
       report.new_suspects.push_back(v);
-      ++stats_.suspicions;
     }
   }
 
@@ -194,7 +187,6 @@ TickReport LivenessTracker::Tick(int64_t now) {
       report.expired.push_back(ExpiredLease{client, c.handle});
       const Status removed = dyn_->Remove(c.handle);
       SLP_DCHECK(removed.ok());
-      ++stats_.lease_expirations;
       c.handle = -1;
       --num_tracked_;
     }

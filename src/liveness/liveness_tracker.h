@@ -105,9 +105,8 @@ enum class HeardKind {
   kRecovered,    // a believed-dead broker came back (RecoverBroker called)
 };
 
-// A subscriber lease that expired this tick (client id + the assigner
-// handle that was removed — callers holding per-handle state, e.g. the
-// RepairEngine's backoff table, should Forget(handle)).
+// A subscriber lease that expired this tick: the client id and the
+// assigner handle that was removed (and may be recycled by a later Add).
 struct ExpiredLease {
   int client = -1;
   int handle = -1;
@@ -122,17 +121,6 @@ struct TickReport {
   // Death declarations deferred by the held rule this tick (a silent
   // broker at ≥ miss_dead whose believed path is also silent).
   int deaths_deferred = 0;
-};
-
-// Cumulative believed-side counters since construction.
-struct LivenessStats {
-  int64_t broker_heartbeats = 0;
-  int64_t client_refreshes = 0;
-  int64_t suspicions = 0;
-  int64_t deaths = 0;
-  int64_t recoveries = 0;
-  int64_t lease_expirations = 0;
-  int64_t deaths_deferred = 0;
 };
 
 class LivenessTracker {
@@ -188,7 +176,6 @@ class LivenessTracker {
   int handle_of(int client) const {
     return IsTracked(client) ? clients_[client].handle : -1;
   }
-  const LivenessStats& stats() const { return stats_; }
   const LeaseConfig& config() const { return config_; }
   const core::DynamicAssigner& assigner() const { return *dyn_; }
 
@@ -214,7 +201,6 @@ class LivenessTracker {
   // order is part of the determinism contract (DESIGN.md §10).
   std::vector<ClientLease> clients_;
   int num_tracked_ = 0;
-  LivenessStats stats_;
 };
 
 }  // namespace slp::liveness

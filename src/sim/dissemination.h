@@ -63,9 +63,9 @@ struct DisseminationStats {
   // for any solution satisfying coverage + nesting.
   int64_t missed_deliveries = 0;
   // Subscribers with no leaf assignment (assignment[j] < 0 — parked or
-  // orphaned in a DynamicAssigner/RepairEngine snapshot). They receive no
-  // traffic and are excluded from the ground-truth miss walk; counted once
-  // per simulation, not per event.
+  // orphaned in a DynamicAssigner snapshot). They receive no traffic and
+  // are excluded from the ground-truth miss walk; counted once per
+  // simulation, not per event.
   int unplaced_subscribers = 0;
 
   // total_messages / events: average brokers traversed per event.

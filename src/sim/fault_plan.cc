@@ -8,7 +8,6 @@
 #include "src/common/invariant.h"
 #include "src/core/greedy.h"
 #include "src/core/metrics.h"
-#include "src/core/repair.h"
 #include "src/liveness/heartbeat.h"
 #include "src/match/match_index.h"
 #include "src/sim/route.h"
@@ -139,21 +138,21 @@ Result<FaultReplayResult> ReplayWithFaults(
   result.stats.broker_hits.assign(num_nodes, 0);
 
   // Stable client ids: the assigner's initial population in handle order.
-  // client_handle goes to -1 while a client's lease is expired; the
-  // subscription is kept so a reconnect can re-Add it. It never changes,
-  // so one index over the subscriptions (owner = client id) serves the
-  // whole replay.
-  std::vector<int> client_handle;
+  // The tracker holds each client's current handle (-1 while its lease is
+  // expired); the subscription is kept so a reconnect can re-Add it. It
+  // never changes, so one index over the subscriptions (owner = client
+  // id) serves the whole replay.
+  std::vector<int> initial_handle;
   std::vector<wl::Subscriber> client_sub;
   std::vector<match::OwnedRect> client_rects;
   for (int h = 0; h < dyn.slot_count(); ++h) {
     if (!dyn.is_occupied(h)) continue;
-    const int c = static_cast<int>(client_handle.size());
-    client_handle.push_back(h);
+    const int c = static_cast<int>(client_sub.size());
+    initial_handle.push_back(h);
     client_sub.push_back(dyn.subscriber(h));
     client_rects.push_back({c, client_sub[c].subscription});
   }
-  const int num_clients = static_cast<int>(client_handle.size());
+  const int num_clients = static_cast<int>(client_sub.size());
   const int num_events = static_cast<int>(events.size());
   SLP_RETURN_IF_ERROR(ValidatePlan(plan, tree, num_clients, num_events));
   matcher->IndexSubscriptions(client_rects, num_clients);
@@ -171,9 +170,8 @@ Result<FaultReplayResult> ReplayWithFaults(
   // alignment).
   liveness::LivenessTracker tracker(&dyn, lease, /*now=*/-1);
   for (int c = 0; c < num_clients; ++c) {
-    tracker.TrackSubscriber(c, client_handle[c], /*now=*/-1);
+    tracker.TrackSubscriber(c, initial_handle[c], /*now=*/-1);
   }
-  core::RepairEngine engine(&dyn);
 
   // Refresh phases: client c attempts a lease refresh at ticks i with
   // i % subscriber_interval == c % subscriber_interval. Only the first
@@ -214,7 +212,7 @@ Result<FaultReplayResult> ReplayWithFaults(
     return !channel.broker_down(v);
   };
   const auto leaf_of = [&](int32_t c) {
-    const int h = client_handle[c];
+    const int h = tracker.handle_of(c);
     return h < 0 ? -1 : dyn.leaf_of(h);
   };
   const auto on_match = [&](int32_t c, int leaf, bool reached) {
@@ -224,7 +222,7 @@ Result<FaultReplayResult> ReplayWithFaults(
       return;
     }
     if (channel.client_offline(c)) return;  // not listening: no miss
-    const int h = client_handle[c];
+    const int h = tracker.handle_of(c);
     if (h < 0) {
       // Expunged by a premature lease expiry: missed until its reconnect.
       ++result.missed_expired;
@@ -311,8 +309,6 @@ Result<FaultReplayResult> ReplayWithFaults(
       }
     }
     for (const liveness::ExpiredLease& e : tick.expired) {
-      engine.Forget(e.handle);  // the handle is gone; drop its backoff
-      client_handle[e.client] = -1;
       ++result.lease_expirations;
       if (!channel.client_offline(e.client)) {
         ++result.false_lease_expirations;
@@ -334,7 +330,6 @@ Result<FaultReplayResult> ReplayWithFaults(
         ++it;
         continue;
       }
-      client_handle[c] = handle.value();
       tracker.TrackSubscriber(c, handle.value(), i);
       ++result.reconnects;
       it = expired.erase(it);
@@ -342,15 +337,14 @@ Result<FaultReplayResult> ReplayWithFaults(
 
     // 5. Repair. Orphans only exist once the tracker declared their leaf
     // dead, so the lease thresholds *are* the detection delay; the pass
-    // places or parks every one of them before the event is routed.
-    if (!dyn.orphans().empty() || !dyn.degraded_handles().empty()) {
-      const core::RepairReport report = engine.Repair(i);
-      result.total_repaired += report.repaired;
-      result.total_degraded_placed += report.degraded;
-      result.total_undegraded += report.undegraded;
-      epoch.repaired += report.repaired + report.undegraded;
-      epoch.degraded_placed += report.degraded;
-    }
+    // places or parks every one of them before the event is routed, and
+    // retries the degraded subscribers whose clocks ran out.
+    const core::RepairReport report = dyn.Repair(i);
+    result.total_repaired += report.repaired;
+    result.total_degraded_placed += report.degraded;
+    result.total_undegraded += report.undegraded;
+    epoch.repaired += report.repaired + report.undegraded;
+    epoch.degraded_placed += report.degraded;
     SLP_DCHECK(dyn.orphans().empty());
 
     // 6. Route over the believed overlay, attributing every matching

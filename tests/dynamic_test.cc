@@ -8,7 +8,6 @@
 #include "src/core/filter_adjust.h"
 #include "src/core/greedy.h"
 #include "src/core/metrics.h"
-#include "src/core/repair.h"
 #include "src/geometry/filter.h"
 #include "src/network/tree_builder.h"
 #include "src/workload/googlegroups.h"
@@ -473,8 +472,7 @@ TEST(DynamicTest, LastHopLatencyModeBindsOnlinePlacement) {
   // Losing leaf 2 leaves only a last hop of 0.95: repair must quantify the
   // excess over 0.195, not admit it as live.
   ASSERT_TRUE(dyn.FailBroker(2).ok());
-  RepairEngine engine(&dyn);
-  engine.Repair();
+  dyn.Repair();
   EXPECT_EQ(dyn.leaf_of(h), 1);
   EXPECT_EQ(dyn.state(h), SubscriberState::kDegraded);
   EXPECT_NEAR(dyn.violation(h).latency, 0.95 - 0.195, 1e-12);
@@ -550,7 +548,6 @@ TEST(DynamicTest, PlacementsMatchBruteForceGrLadderFuzz) {
     config.max_delay = seed % 2 == 1 ? 0.2 : 3.0;
     config.alpha = 2;
     DynamicAssigner dyn(tree, config, 250);
-    RepairEngine engine(&dyn);
     int64_t oracle_scans = 0;
     std::vector<int> failed;
     Rng rng(seed * 1000 + 7);
@@ -595,7 +592,6 @@ TEST(DynamicTest, PlacementsMatchBruteForceGrLadderFuzz) {
         const int h = occupied[rng.UniformInt(
             0, static_cast<int64_t>(occupied.size()) - 1)];
         ASSERT_TRUE(dyn.Remove(h).ok());
-        engine.Forget(h);
         ASSERT_TRUE(BookkeepingConsistent(dyn)) << "seed " << seed;
       } else if (dice < 0.86) {
         // Fail a broker (interior ones splice, leaves orphan), keeping at
@@ -613,7 +609,7 @@ TEST(DynamicTest, PlacementsMatchBruteForceGrLadderFuzz) {
         ASSERT_TRUE(BookkeepingConsistent(dyn)) << "seed " << seed;
         DynamicAssigner twin = dyn;
         const std::vector<int> orphans = dyn.orphans();
-        engine.Repair(now);
+        dyn.Repair(now);
         checked_repairs += CheckRepairPass(dyn, twin, orphans);
         ASSERT_TRUE(BookkeepingConsistent(dyn)) << "seed " << seed;
       } else if (dice < 0.94) {
@@ -626,7 +622,7 @@ TEST(DynamicTest, PlacementsMatchBruteForceGrLadderFuzz) {
         now += 100;
         ASSERT_TRUE(BookkeepingConsistent(dyn)) << "seed " << seed;
         DynamicAssigner twin = dyn;
-        engine.Repair(now);
+        dyn.Repair(now);
         checked_repairs += CheckRepairPass(dyn, twin, {});
         ASSERT_TRUE(BookkeepingConsistent(dyn)) << "seed " << seed;
       } else if (dyn.has_placement_veto()) {

@@ -14,7 +14,6 @@
 #include "src/core/assignment_flow.h"
 #include "src/core/audit.h"
 #include "src/core/dynamic.h"
-#include "src/core/repair.h"
 #include "src/common/random.h"
 #include "src/core/slp.h"
 #include "src/geometry/audit.h"
@@ -336,8 +335,7 @@ TEST(LiveFilterAuditTest, DynamicDeploymentWithFailuresPasses) {
   ASSERT_TRUE(dyn.FailBroker(3).ok());
   core::AuditLiveFilters(dyn);
   net::AuditLiveOverlay(dyn.tree());
-  core::RepairEngine engine(&dyn);
-  engine.Repair(0);
+  dyn.Repair(0);
   core::AuditLiveFilters(dyn);
   ASSERT_TRUE(dyn.RecoverBroker(3).ok());
   core::AuditLiveFilters(dyn);

@@ -11,7 +11,6 @@
 
 #include "src/core/dynamic.h"
 #include "src/core/greedy.h"
-#include "src/core/repair.h"
 #include "src/core/slp.h"
 #include "src/network/tree_builder.h"
 #include "src/sim/fault_plan.h"
@@ -228,9 +227,8 @@ TEST(RepairEngineTest, RepairsOrphansToTheSurvivingLeaf) {
   const int leaf1 = dyn.leaf_of(h1);
   ASSERT_TRUE(dyn.FailBroker(leaf1).ok());
 
-  RepairEngine engine(&dyn);
-  const RepairReport report = engine.Repair();
-  EXPECT_EQ(report.orphans_seen, 2);
+  EXPECT_EQ(dyn.orphans().size(), 2u);
+  const RepairReport report = dyn.Repair();
   EXPECT_EQ(report.repaired, 2);
   EXPECT_EQ(report.degraded, 0);
   EXPECT_TRUE(dyn.orphans().empty());
@@ -252,14 +250,12 @@ TEST(RepairEngineTest, LatencySlackRelaxationQuantifiesViolation) {
   const int leaf = dyn.leaf_of(h);
   ASSERT_TRUE(dyn.FailBroker(leaf).ok());
 
-  RepairEngine engine(&dyn);
-  const RepairReport report = engine.Repair();
+  const RepairReport report = dyn.Repair();
   EXPECT_EQ(report.degraded, 1);
   EXPECT_EQ(dyn.state(h), SubscriberState::kDegraded);
   EXPECT_GE(dyn.leaf_of(h), 0);
   EXPECT_GT(dyn.violation(h).latency, 0);
   EXPECT_FALSE(dyn.violation(h).unplaced);
-  EXPECT_DOUBLE_EQ(report.max_latency_violation, dyn.violation(h).latency);
   // Degraded-but-placed subscribers still receive events.
   EXPECT_TRUE(CoveredOnLivePath(dyn, dyn.leaf_of(h),
                                 dyn.subscriber(h).subscription));
@@ -271,84 +267,179 @@ TEST(RepairEngineTest, ParksWhenNoLiveLeafThenUndegradesAfterRecovery) {
   ASSERT_TRUE(dyn.FailBroker(1).ok());
   ASSERT_TRUE(dyn.FailBroker(2).ok());
 
-  RepairOptions opts;
-  opts.backoff_base = 2;
-  RepairEngine engine(&dyn, opts);
-  RepairReport report = engine.Repair(/*now=*/0);
+  RepairReport report = dyn.Repair(/*now=*/0);
   EXPECT_EQ(report.degraded, 1);
   EXPECT_EQ(dyn.state(h), SubscriberState::kDegraded);
   EXPECT_EQ(dyn.leaf_of(h), -1);
   EXPECT_TRUE(dyn.violation(h).unplaced);
 
-  // Before the backoff elapses the degraded subscriber is not retried.
-  report = engine.Repair(/*now=*/1);
-  EXPECT_EQ(report.retried, 0);
-
+  // Leaf 1 is back, but the first retry is not due until tick 4: the
+  // tick-1 pass leaves the subscriber parked.
   ASSERT_TRUE(dyn.RecoverBroker(1).ok());
-  report = engine.Repair(/*now=*/10);
-  EXPECT_EQ(report.retried, 1);
+  report = dyn.Repair(/*now=*/1);
+  EXPECT_EQ(report.undegraded, 0);
+  EXPECT_EQ(dyn.state(h), SubscriberState::kDegraded);
+  EXPECT_EQ(dyn.leaf_of(h), -1);
+
+  report = dyn.Repair(/*now=*/10);
   EXPECT_EQ(report.undegraded, 1);
   EXPECT_EQ(dyn.state(h), SubscriberState::kLive);
   EXPECT_EQ(dyn.leaf_of(h), 1);
 }
 
-// Regression: backoff entries used to outlive their subscriber. The map
-// must drain on Forget, on prune (removal without Forget), and on a
-// successful un-degrade — and a recycled handle must never inherit a
-// stale clock.
+// Regression: retry clocks used to outlive their subscribers. A removed
+// subscriber's clock goes with it, so a recycled handle starts its own,
+// while the clocks of the others run on.
 TEST(RepairEngineTest, BackoffEntriesAreErasedWithTheirSubscribers) {
   DynamicAssigner dyn(TwoBrokerTree(), LooseConfig(), 4);
-  RepairOptions opts;
-  opts.backoff_base = 2;
-  RepairEngine engine(&dyn, opts);
   const int h0 = dyn.Add(MakeSub(1, 0, 0.1, 0.1)).value();
   const int h1 = dyn.Add(MakeSub(1, 0.1, 0.4, 0.1)).value();
   ASSERT_TRUE(dyn.FailBroker(1).ok());
   ASSERT_TRUE(dyn.FailBroker(2).ok());
 
-  // No live leaf: both orphans park degraded and acquire backoff clocks.
-  engine.Repair(/*now=*/0);
+  // No live leaf: both orphans park degraded with retries due at tick 4,
+  // and the failed tick-4 retries push the next ones to tick 12.
+  dyn.Repair(/*now=*/0);
   ASSERT_EQ(dyn.state(h0), SubscriberState::kDegraded);
   ASSERT_EQ(dyn.state(h1), SubscriberState::kDegraded);
-  EXPECT_EQ(engine.backoff_entries(), 2);
+  dyn.Repair(/*now=*/4);
 
-  // Voluntary departure with the caller-side hand-off: entry gone at once.
-  ASSERT_TRUE(dyn.Remove(h0).ok());
-  engine.Forget(h0);
-  EXPECT_EQ(engine.backoff_entries(), 1);
-
-  // Departure without Forget: the next pass prunes the stale entry.
+  // h1 departs. A new arrival recycles its handle on the recovered leaf
+  // 2; parked by hand, it starts its own clock at the tick-5 pass.
   ASSERT_TRUE(dyn.Remove(h1).ok());
-  engine.Repair(/*now=*/1);
-  EXPECT_EQ(engine.backoff_entries(), 0);
+  ASSERT_TRUE(dyn.RecoverBroker(2).ok());
+  const int h2 = dyn.Add(MakeSub(1, 0.1, 0.4, 0.1)).value();
+  ASSERT_EQ(h2, h1);
+  ASSERT_EQ(dyn.state(h2), SubscriberState::kLive);
+  ASSERT_TRUE(dyn.Park(h2, DegradedViolation{}).ok());
+  dyn.Repair(/*now=*/5);
 
-  // Recycled handles start fresh: a new arrival re-uses h0's slot, parks
-  // degraded, and must be retried on the next pass even though the old h0
-  // entry would still have been backing off.
-  ASSERT_TRUE(dyn.RecoverBroker(1).ok());
-  const int h2 = dyn.Add(MakeSub(1, 0, 0.1, 0.1)).value();
-  EXPECT_EQ(h2, std::min(h0, h1));
+  // h2 is next retried at tick 9, h0 at tick 12.
+  dyn.Repair(/*now=*/8);
+  EXPECT_EQ(dyn.state(h0), SubscriberState::kDegraded);
+  EXPECT_EQ(dyn.state(h2), SubscriberState::kDegraded);
+  dyn.Repair(/*now=*/9);
   EXPECT_EQ(dyn.state(h2), SubscriberState::kLive);
-  EXPECT_EQ(engine.backoff_entries(), 0);
+  dyn.Repair(/*now=*/11);
+  EXPECT_EQ(dyn.state(h0), SubscriberState::kDegraded);
+  dyn.Repair(/*now=*/12);
+  EXPECT_EQ(dyn.state(h0), SubscriberState::kLive);
 }
 
 TEST(RepairEngineTest, UndegradeErasesTheBackoffEntry) {
   DynamicAssigner dyn(TwoBrokerTree(), LooseConfig(), 4);
-  RepairOptions opts;
-  opts.backoff_base = 2;
-  RepairEngine engine(&dyn, opts);
   const int h = dyn.Add(MakeSub(1, 0, 0.1, 0.1)).value();
   ASSERT_TRUE(dyn.FailBroker(1).ok());
   ASSERT_TRUE(dyn.FailBroker(2).ok());
-  engine.Repair(/*now=*/0);
+  dyn.Repair(/*now=*/0);
   ASSERT_EQ(dyn.state(h), SubscriberState::kDegraded);
-  ASSERT_EQ(engine.backoff_entries(), 1);
 
+  // The parked subscriber is first retried at tick 4.
   ASSERT_TRUE(dyn.RecoverBroker(2).ok());
-  const RepairReport report = engine.Repair(/*now=*/10);
+  dyn.Repair(/*now=*/3);
+  EXPECT_EQ(dyn.state(h), SubscriberState::kDegraded);
+  const RepairReport report = dyn.Repair(/*now=*/4);
   EXPECT_EQ(report.undegraded, 1);
   EXPECT_EQ(dyn.state(h), SubscriberState::kLive);
-  EXPECT_EQ(engine.backoff_entries(), 0);
+  EXPECT_EQ(dyn.leaf_of(h), 2);
+
+  // The un-degrade dropped the clock: parked again by hand, the
+  // subscriber is next retried a full first wait after the tick-5 pass,
+  // not at once on the spent tick-4 clock.
+  ASSERT_TRUE(dyn.Park(h, DegradedViolation{}).ok());
+  dyn.Repair(/*now=*/5);
+  dyn.Repair(/*now=*/8);
+  EXPECT_EQ(dyn.state(h), SubscriberState::kDegraded);
+  dyn.Repair(/*now=*/9);
+  EXPECT_EQ(dyn.state(h), SubscriberState::kLive);
+
+  // So does a reoptimization back to kLive: parked by hand with its clock
+  // due at tick 14, reinstalled live, then parked again, the subscriber
+  // starts a fresh clock at the tick-11 pass and is retried at tick 15.
+  ASSERT_TRUE(dyn.Park(h, DegradedViolation{}).ok());
+  dyn.Repair(/*now=*/10);
+  Rng rng(1);
+  dyn.Reoptimize(
+      [](const SaProblem& p, Rng& r) { return RunGrStar(p, r); }, rng);
+  ASSERT_EQ(dyn.state(h), SubscriberState::kLive);
+  ASSERT_TRUE(dyn.Park(h, DegradedViolation{}).ok());
+  dyn.Repair(/*now=*/11);
+  dyn.Repair(/*now=*/14);
+  EXPECT_EQ(dyn.state(h), SubscriberState::kDegraded);
+  dyn.Repair(/*now=*/15);
+  EXPECT_EQ(dyn.state(h), SubscriberState::kLive);
+}
+
+// Regression: a handle removed while its subscriber was backing off, then
+// recycled by a degraded arrival, used to inherit the old subscriber's
+// retry clock.
+TEST(RepairEngineTest, RecycledHandleStartsAFreshRetryClock) {
+  SaConfig config;
+  config.max_delay = 0.05;
+  config.alpha = 2;
+  DynamicAssigner dyn(TwoBrokerTree(), config, 4);
+  const wl::Subscriber sub = MakeSub(1, 0, 0.1, 0.1);
+  const int h0 = dyn.Add(sub).value();
+  ASSERT_EQ(dyn.leaf_of(h0), 1);
+  ASSERT_TRUE(dyn.FailBroker(1).ok());
+  ASSERT_TRUE(dyn.FailBroker(2).ok());
+
+  // Parked at tick 0 with its retry due at tick 4; that retry fails, so
+  // the next one is due at tick 12.
+  dyn.Repair(/*now=*/0);
+  ASSERT_TRUE(dyn.violation(h0).unplaced);
+  dyn.Repair(/*now=*/4);
+  ASSERT_EQ(dyn.state(h0), SubscriberState::kDegraded);
+  ASSERT_TRUE(dyn.Remove(h0).ok());
+
+  // The same subscriber comes back under the recycled handle, on leaf 2
+  // and above its latency bound.
+  ASSERT_TRUE(dyn.RecoverBroker(2).ok());
+  const int h = dyn.Add(sub).value();
+  ASSERT_EQ(h, h0);
+  ASSERT_EQ(dyn.leaf_of(h), 2);
+  ASSERT_EQ(dyn.state(h), SubscriberState::kDegraded);
+  EXPECT_GT(dyn.violation(h).latency, 0);
+
+  // Its own clock starts at the tick-5 pass, so its first retry, onto the
+  // recovered leaf 1, comes at tick 9 and not at the old clock's tick 12.
+  ASSERT_TRUE(dyn.RecoverBroker(1).ok());
+  dyn.Repair(/*now=*/5);
+  EXPECT_EQ(dyn.state(h), SubscriberState::kDegraded);
+  dyn.Repair(/*now=*/9);
+  EXPECT_EQ(dyn.state(h), SubscriberState::kLive);
+  EXPECT_EQ(dyn.leaf_of(h), 1);
+}
+
+// A degraded subscriber whose leaf fails loses its retry clock with the
+// placement: the pass that parks it starts a fresh one.
+TEST(RepairEngineTest, ReorphanedSubscriberStartsAFreshRetryClock) {
+  SaConfig config;
+  config.max_delay = 0.05;
+  config.alpha = 2;
+  DynamicAssigner dyn(TwoBrokerTree(), config, 4);
+  const int h = dyn.Add(MakeSub(1, 0, 0.1, 0.1)).value();
+  ASSERT_EQ(dyn.leaf_of(h), 1);
+  ASSERT_TRUE(dyn.FailBroker(1).ok());
+
+  // Degraded on leaf 2 at tick 0; the tick-4 retry fails (leaf 1 is
+  // still down), so the next one is due at tick 12.
+  dyn.Repair(/*now=*/0);
+  ASSERT_EQ(dyn.leaf_of(h), 2);
+  ASSERT_EQ(dyn.state(h), SubscriberState::kDegraded);
+  dyn.Repair(/*now=*/4);
+
+  // Leaf 2 fails too, and the tick-5 pass parks the orphan on a clock of
+  // its own: its first retry, onto the recovered leaf 1, comes at tick 9.
+  ASSERT_TRUE(dyn.FailBroker(2).ok());
+  dyn.Repair(/*now=*/5);
+  ASSERT_TRUE(dyn.violation(h).unplaced);
+  ASSERT_TRUE(dyn.RecoverBroker(1).ok());
+  dyn.Repair(/*now=*/8);
+  EXPECT_EQ(dyn.state(h), SubscriberState::kDegraded);
+  dyn.Repair(/*now=*/9);
+  EXPECT_EQ(dyn.state(h), SubscriberState::kLive);
+  EXPECT_EQ(dyn.leaf_of(h), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -816,7 +907,6 @@ TEST(RepairFuzzTest, RandomSequencesPreserveNestingAndDelivery) {
   for (int seq = 0; seq < kSequences; ++seq) {
     Rng rng(1000 + seq);
     DynamicAssigner dyn(TwoLevelTree(), LooseConfig(), 12);
-    RepairEngine engine(&dyn, RepairOptions{/*backoff_base=*/1, 8});
     std::vector<int> handles;
 
     for (int op = 0; op < kOpsPerSequence; ++op) {
@@ -854,11 +944,13 @@ TEST(RepairFuzzTest, RandomSequencesPreserveNestingAndDelivery) {
           ASSERT_TRUE(dyn.RecoverBroker(node).ok());
         }
       } else {  // Repair tick
-        engine.Repair(op);
+        // Four ticks per op: a degraded subscriber's retries come 1, 2, 4
+        // and 8 ops apart.
+        dyn.Repair(4 * op);
       }
     }
     // Drain the backlog, then check the invariants.
-    engine.Repair(kOpsPerSequence + 100);
+    dyn.Repair(4 * (kOpsPerSequence + 100));
     if (!dyn.tree().live_leaf_brokers().empty()) {
       ASSERT_TRUE(dyn.orphans().empty()) << "seq " << seq;
     }
