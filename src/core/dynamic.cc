@@ -440,8 +440,11 @@ SubscriberState DynamicAssigner::PlaceWithLadder(int handle) {
 
 RepairReport DynamicAssigner::Repair(int64_t now) {
   RepairReport report;
-  // Snapshot the orphan list: placements mutate it.
-  const std::vector<int> orphans = orphans_;
+  // Take the orphan list out of orphans_: each placement drops its handle
+  // from orphans_, which then scans nothing. The pass places or parks
+  // every orphan, oldest first, so orphans_ ends empty either way.
+  std::vector<int> orphans;
+  orphans.swap(orphans_);
   bool saw_work = !orphans.empty();
   for (int handle : orphans) {
     if (PlaceWithLadder(handle) == SubscriberState::kLive) {
@@ -453,8 +456,10 @@ RepairReport DynamicAssigner::Repair(int64_t now) {
 
   // Degraded retries (rungs 1–2 only), each on its slot's clock. An orphan
   // just degraded has no clock (FailBroker dropped it), so this loop
-  // starts one for it like for any other newly degraded subscriber.
-  for (size_t h = 0; h < slots_.size(); ++h) {
+  // starts one for it like for any other newly degraded subscriber. The
+  // population is live + orphaned + degraded and no orphan is left, so
+  // once every subscriber is live no degraded slot remains to walk to.
+  for (size_t h = 0; population_ > live_count_ && h < slots_.size(); ++h) {
     Slot& slot = slots_[h];
     if (!slot.occupied || slot.state != SubscriberState::kDegraded) continue;
     saw_work = true;

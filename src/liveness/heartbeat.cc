@@ -53,4 +53,21 @@ bool HeartbeatChannel::ClientRefreshDelivered(int client, int leaf) const {
   return BrokerHeartbeatDelivered(leaf);
 }
 
+void HeartbeatChannel::UplinkVerdicts(std::vector<char>* delivered) const {
+  const int n = tree_->num_nodes();
+  delivered->resize(n);
+  (*delivered)[net::BrokerTree::kPublisher] = 1;
+  for (int v = 1; v < n; ++v) {
+    if (down_[v] != 0 || muted_[v] != 0) {
+      (*delivered)[v] = 0;
+      continue;
+    }
+    // The first believed hop, as in BrokerHeartbeatDelivered; it precedes
+    // v, so its verdict is already written.
+    const int hop = tree_->is_failed(v) ? tree_->NearestLiveAncestor(v)
+                                        : tree_->live_parent(v);
+    (*delivered)[v] = (*delivered)[hop];
+  }
+}
+
 }  // namespace slp::liveness

@@ -26,6 +26,17 @@
 // time: NearestLiveAncestor for the first hop (so a believed-dead broker
 // that recovered can still announce itself to its splice target), then the
 // live_parent chain. The publisher never fails and terminates every walk.
+//
+// UplinkVerdicts answers for every node at once, in one forward pass over
+// node ids: a node's first hop precedes it, and every broker behind a hop
+// shares that hop's verdict (a down or muted node delivers nothing; any
+// other delivers iff its first hop does; the publisher delivers). The
+// replay takes the verdicts once per tick and reads them for every
+// heartbeat and refresh of the tick. A recovery applied between the pass
+// and a read leaves the verdicts exact: the tracker recovers a broker only
+// on its delivered heartbeat, so the broker spliced back into its
+// descendants' paths is up and unmuted, and reaches the publisher over
+// the very path they used before.
 
 #ifndef SLP_LIVENESS_HEARTBEAT_H_
 #define SLP_LIVENESS_HEARTBEAT_H_
@@ -68,6 +79,12 @@ class HeartbeatChannel {
   // has no leaf to refresh through, so the refresh is lost — the tracker
   // holds such leases instead of expiring them (see LivenessTracker).
   bool ClientRefreshDelivered(int client, int leaf) const;
+
+  // Every node's uplink verdict, by node id, into `delivered` (resized to
+  // num_nodes): delivered[v] == BrokerHeartbeatDelivered(v) for every
+  // broker v, and delivered[kPublisher] is true. A placed, online client's
+  // refresh is delivered iff delivered[leaf] is.
+  void UplinkVerdicts(std::vector<char>* delivered) const;
 
  private:
   const net::BrokerTree* tree_;

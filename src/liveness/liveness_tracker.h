@@ -15,7 +15,9 @@
 // outputs of the lease parameters.
 //
 // Per-broker lease state machine (misses = floor((now − last_heard) /
-// heartbeat_interval)):
+// heartbeat_interval), compared as windows: misses ≥ k iff now −
+// last_heard ≥ heartbeat_interval × k, the product saturated at
+// INT64_MAX):
 //
 //        misses ≥ miss_suspect            misses ≥ miss_dead, not held
 //   alive ────────────────────▶ suspect ─────────────────────▶ dead
@@ -39,7 +41,9 @@
 // phase 2 applies transitions in increasing node id. Without the split, a
 // parent's death applied mid-scan would splice the overlay and un-hold its
 // children within the same tick, evacuating an entire subtree on one
-// timeout.
+// timeout. Phase 1 is one forward pass over node ids: held[v] =
+// silent[p] || held[p] for p = live_parent(v), which BrokerTree keeps
+// below v.
 //
 // Subscriber leases are simpler (no hierarchy below a client): a client
 // whose refreshes stop arriving is removed (DynamicAssigner::Remove) after
@@ -47,6 +51,13 @@
 // upstream: while the client's subscription is unplaced (orphaned/parked)
 // or its leaf is suspect/held/silent, the lease is frozen at now. A crowd
 // of orphans never mass-expires just because their leaf crashed.
+//
+// Tick costs O(brokers + tracked leases). Its client phase is two passes:
+// a freeze pass, which reads every tracked client's leaf from the
+// assigner and runs only on ticks where a leaf holding subscribers is on
+// hold or some subscriber is unplaced, then an expiry pass over the lease
+// table alone. They decide what one pass over the clients would: Remove
+// changes no other subscriber's leaf and no hold.
 //
 // Concurrency (DESIGN.md §15): the tracker is deliberately NOT a shared
 // capability — it is thread-confined to the control loop that owns it
@@ -169,6 +180,10 @@ class LivenessTracker {
     return brokers_[node].state;
   }
   int64_t last_heard(int node) const { return brokers_[node].last_heard; }
+  // Logical time of a tracked client's last refresh or freeze.
+  int64_t client_last_heard(int client) const {
+    return clients_[client].last_heard;
+  }
   int num_suspect() const;
   int num_believed_dead() const;
   int num_tracked_clients() const { return num_tracked_; }
@@ -195,8 +210,19 @@ class LivenessTracker {
 
   core::DynamicAssigner* dyn_;
   LeaseConfig config_;
+  // Elapsed logical time at which a lease has missed miss_suspect,
+  // miss_dead and subscriber_miss_dead windows.
+  int64_t suspect_window_ = 0;
+  int64_t dead_window_ = 0;
+  int64_t client_window_ = 0;
   bool veto_installed_ = false;
   std::vector<BrokerLease> brokers_;  // by node id; [0] (publisher) unused
+  // Tick's per-node scratch, by node id: silent and held as of tick start
+  // (phase 1), and hold_[v + 1] — a lease on leaf v is frozen this tick;
+  // hold_[0] stands for an unplaced subscription (leaf -1).
+  std::vector<char> silent_;
+  std::vector<char> held_;
+  std::vector<char> hold_;
   // Leases by client id. Tick scans it in increasing client id, and that
   // order is part of the determinism contract (DESIGN.md §10).
   std::vector<ClientLease> clients_;

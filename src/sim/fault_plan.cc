@@ -193,6 +193,7 @@ Result<FaultReplayResult> ReplayWithFaults(
   const std::vector<FaultEvent>& faults = plan.events();
   const std::vector<ClientEvent>& client_faults = plan.client_events();
   std::vector<int> down_since(num_nodes, -1);  // ground-truth crash tick
+  std::vector<char> uplink;  // this tick's uplink verdicts (step 2)
   // Clients whose lease expired (untracked); they reconnect at their next
   // refresh phase once online. Ordered set: iteration is deterministic.
   std::set<int> expired;
@@ -263,15 +264,22 @@ Result<FaultReplayResult> ReplayWithFaults(
 
     // 2. Heartbeats and lease refreshes, staggered by id so a population
     // does not renew in bursts. Delivery is decided by the channel over
-    // the believed overlay; a delivered heartbeat from a believed-dead
-    // broker recovers it (the tracker calls RecoverBroker).
+    // the believed overlay: one pass takes every node's uplink verdict,
+    // and each heartbeat and refresh of the tick reads its sender's (a
+    // refresh, its leaf's). A delivered heartbeat from a believed-dead
+    // broker recovers it (the tracker calls RecoverBroker); that splices
+    // back a broker whose uplink delivers, so no verdict changes (see
+    // heartbeat.h).
+    channel.UplinkVerdicts(&uplink);
     for (int v = 1; v < num_nodes; ++v) {
       if (i % lease.heartbeat_interval != v % lease.heartbeat_interval) {
         continue;
       }
       if (channel.broker_down(v)) continue;  // a dead broker sends nothing
       ++result.heartbeats_sent;
-      if (!channel.BrokerHeartbeatDelivered(v)) continue;
+      const bool delivered = uplink[v] != 0;
+      SLP_DCHECK(delivered == channel.BrokerHeartbeatDelivered(v));
+      if (!delivered) continue;
       ++result.heartbeats_delivered;
       if (tracker.HeardBroker(v, i) == liveness::HeardKind::kRecovered) {
         ++result.broker_recoveries;
@@ -284,7 +292,9 @@ Result<FaultReplayResult> ReplayWithFaults(
         if (channel.client_offline(c)) continue;  // offline: nothing sent
         ++result.refreshes_sent;
         const int leaf = dyn.leaf_of(tracker.handle_of(c));
-        if (!channel.ClientRefreshDelivered(c, leaf)) continue;
+        const bool delivered = leaf >= 0 && uplink[leaf] != 0;
+        SLP_DCHECK(delivered == channel.ClientRefreshDelivered(c, leaf));
+        if (!delivered) continue;
         ++result.refreshes_delivered;
         tracker.HeardSubscriber(c, i);
       }

@@ -24,6 +24,7 @@
 #include "src/sim/churn_scenarios.h"
 #include "src/sim/fault_plan.h"
 #include "src/workload/grid.h"
+#include "tests/lease_oracle.h"
 #include "tests/route_oracle.h"
 
 namespace slp {
@@ -128,6 +129,32 @@ GridFixture MakeGridFixture(int num_subscribers, int d = 2) {
   return GridFixture{std::move(w), std::move(dyn)};
 }
 
+// A random tree of `num_brokers` brokers over [-1, 1]^2, at least three
+// levels deep: brokers 1-3 form a chain under the publisher, and every
+// later broker hangs under a uniformly drawn earlier node.
+net::BrokerTree RandomDeepTree(int num_brokers, Rng& rng) {
+  net::BrokerTree tree({0, 0});
+  for (int v = 1; v <= num_brokers; ++v) {
+    const int parent =
+        v <= 3 ? v - 1 : static_cast<int>(rng.UniformInt(0, v - 1));
+    tree.AddBroker({rng.Uniform(-1, 1), rng.Uniform(-1, 1)}, parent);
+  }
+  tree.Finalize();
+  return tree;
+}
+
+// A subscriber at a random location with a random square subscription
+// inside [0, 1]^2.
+wl::Subscriber RandomSub(Rng& rng) {
+  const double w = rng.Uniform(0.05, 0.3);
+  wl::Subscriber s;
+  s.location = {rng.Uniform(-1, 1), rng.Uniform(-1, 1)};
+  const double x = rng.Uniform(0, 1 - w);
+  const double y = rng.Uniform(0, 1 - w);
+  s.subscription = Rectangle({x, y}, {x + w, y + w});
+  return s;
+}
+
 // ---------------------------------------------------------------------------
 // HeartbeatChannel: the ground-truth transport
 // ---------------------------------------------------------------------------
@@ -199,6 +226,75 @@ TEST(HeartbeatChannelTest, ClientRefreshFollowsTheLeafUplink) {
   channel.SetBrokerDown(1, true);
   EXPECT_FALSE(channel.ClientRefreshDelivered(1, 3));
   EXPECT_TRUE(channel.ClientRefreshDelivered(1, 5));
+}
+
+// `uplink` (from UplinkVerdicts) states the per-node rules: every broker's
+// heartbeat verdict, and every (client, leaf) refresh verdict — a placed,
+// online client's refresh is its leaf's.
+::testing::AssertionResult VerdictsMatchPerNodeRules(
+    const HeartbeatChannel& channel, const net::BrokerTree& tree,
+    int num_clients, const std::vector<char>& uplink) {
+  if (uplink.size() != static_cast<size_t>(tree.num_nodes()) ||
+      uplink[net::BrokerTree::kPublisher] == 0) {
+    return ::testing::AssertionFailure() << "bad publisher entry or size";
+  }
+  for (int v = 1; v < tree.num_nodes(); ++v) {
+    if ((uplink[v] != 0) != channel.BrokerHeartbeatDelivered(v)) {
+      return ::testing::AssertionFailure() << "broker " << v;
+    }
+  }
+  std::vector<int> leaves = tree.leaf_brokers();
+  leaves.push_back(-1);
+  for (int c = 0; c < num_clients; ++c) {
+    for (const int leaf : leaves) {
+      const bool delivered =
+          !channel.client_offline(c) && leaf >= 0 && uplink[leaf] != 0;
+      if (delivered != channel.ClientRefreshDelivered(c, leaf)) {
+        return ::testing::AssertionFailure()
+               << "client " << c << " at leaf " << leaf;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Seeded overlays with failed interior and leaf brokers (belief) and down
+// and muted brokers (ground truth): the one-pass verdicts equal the
+// per-node walks, and stay equal while brokers whose heartbeats are
+// delivered recover one by one, as they do in the replay's heartbeat loop.
+TEST(HeartbeatChannelTest, UplinkVerdictsMatchThePerNodeWalk) {
+  constexpr int kClients = 5;
+  int recoveries = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    net::BrokerTree tree =
+        RandomDeepTree(static_cast<int>(rng.UniformInt(8, 30)), rng);
+    HeartbeatChannel channel(&tree, kClients);
+    for (int v = 1; v < tree.num_nodes(); ++v) {
+      if (rng.Bernoulli(0.25)) {
+        ASSERT_TRUE(tree.FailBroker(v).ok());
+      }
+      channel.SetBrokerDown(v, rng.Bernoulli(0.15));
+      channel.SetBrokerMuted(v, rng.Bernoulli(0.1));
+    }
+    for (int c = 0; c < kClients; ++c) {
+      channel.SetClientOffline(c, rng.Bernoulli(0.3));
+    }
+    std::vector<char> uplink;
+    channel.UplinkVerdicts(&uplink);
+    ASSERT_TRUE(VerdictsMatchPerNodeRules(channel, tree, kClients, uplink));
+    for (int v = 1; v < tree.num_nodes(); ++v) {
+      if (!tree.is_failed(v) || !channel.BrokerHeartbeatDelivered(v)) {
+        continue;
+      }
+      ASSERT_TRUE(tree.RecoverBroker(v).ok());
+      ++recoveries;
+      ASSERT_TRUE(VerdictsMatchPerNodeRules(channel, tree, kClients, uplink))
+          << "after recovering " << v;
+    }
+  }
+  EXPECT_GT(recoveries, 20);
 }
 
 // ---------------------------------------------------------------------------
@@ -571,6 +667,254 @@ TEST(SubscriberLeaseTest, RefreshFromUntrackedClientIsIgnored) {
       EXPECT_EQ(report.expired[1].client, 2);
     }
   }
+}
+
+// The replay's default oracle lease has a client interval of INT64_MAX;
+// with subscriber_miss_dead raised to 4 the expiry window interval ×
+// misses overflows int64. It saturates instead, and no lease expires, not
+// even at a tick near INT64_MAX.
+TEST(SubscriberLeaseTest, OverflowingExpiryWindowNeverExpires) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  LeaseConfig lease = sim::FaultReplayOptions{}.lease;
+  ASSERT_EQ(lease.subscriber_interval, kMax);
+  lease.subscriber_miss_dead = 4;
+  core::DynamicAssigner dyn(TwoBrokerTree(), LooseConfig(), 4);
+  const int h = dyn.Add(MakeSub(1, 0, 0.1, 0.2)).value();
+  LivenessTracker tracker(&dyn, lease, -1);
+  tracker.TrackSubscriber(0, h, -1);
+  for (const int64_t t : {int64_t{0}, int64_t{1000}, kMax / 2, kMax - 2}) {
+    tracker.HeardBroker(1, t);
+    tracker.HeardBroker(2, t);
+    const TickReport report = tracker.Tick(t);
+    EXPECT_TRUE(report.expired.empty()) << t;
+    EXPECT_TRUE(report.new_suspects.empty()) << t;
+  }
+  EXPECT_TRUE(tracker.IsTracked(0));
+  EXPECT_EQ(tracker.client_last_heard(0), -1);
+}
+
+// A heartbeat interval near INT64_MAX: the suspect and death windows
+// overflow and saturate, so a broker that never heartbeats is never
+// suspected.
+TEST(LivenessTrackerTest, HugeHeartbeatIntervalNeverSuspects) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  LeaseConfig lease = TightLease(2, 4);
+  lease.heartbeat_interval = kMax - 1;
+  core::DynamicAssigner dyn(TwoLevelTree(), LooseConfig(), 4);
+  LivenessTracker tracker(&dyn, lease, -1);
+  for (const int64_t t : {int64_t{0}, int64_t{1000}, kMax / 2, kMax - 2}) {
+    const TickReport report = tracker.Tick(t);
+    EXPECT_TRUE(report.new_suspects.empty()) << t;
+    EXPECT_TRUE(report.declared_dead.empty()) << t;
+  }
+  EXPECT_EQ(tracker.num_suspect(), 0);
+  EXPECT_EQ(tracker.num_believed_dead(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Tick against the reference lease tracker (tests/lease_oracle.h)
+// ---------------------------------------------------------------------------
+
+::testing::AssertionResult SameReport(const TickReport& a,
+                                      const TickReport& b) {
+  if (a.new_suspects != b.new_suspects) {
+    return ::testing::AssertionFailure() << "new_suspects differ";
+  }
+  if (a.declared_dead != b.declared_dead) {
+    return ::testing::AssertionFailure() << "declared_dead differ";
+  }
+  if (a.expired.size() != b.expired.size()) {
+    return ::testing::AssertionFailure()
+           << a.expired.size() << " vs " << b.expired.size() << " expired";
+  }
+  for (size_t k = 0; k < a.expired.size(); ++k) {
+    if (a.expired[k].client != b.expired[k].client ||
+        a.expired[k].handle != b.expired[k].handle) {
+      return ::testing::AssertionFailure() << "expired[" << k << "] differs";
+    }
+  }
+  if (a.deaths_deferred != b.deaths_deferred) {
+    return ::testing::AssertionFailure() << "deaths_deferred differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Every broker lease, every client lease and every placement agree.
+::testing::AssertionResult SameBelief(const LivenessTracker& tracker,
+                                      const liveness::LeaseOracle& oracle,
+                                      const core::DynamicAssigner& dyn,
+                                      const core::DynamicAssigner& ref,
+                                      int num_clients) {
+  for (int v = 1; v < dyn.tree().num_nodes(); ++v) {
+    if (tracker.broker_state(v) != oracle.broker_state(v) ||
+        tracker.last_heard(v) != oracle.last_heard(v)) {
+      return ::testing::AssertionFailure() << "broker " << v << " lease";
+    }
+  }
+  for (int c = 0; c < num_clients; ++c) {
+    if (tracker.handle_of(c) != oracle.handle_of(c)) {
+      return ::testing::AssertionFailure() << "client " << c << " handle";
+    }
+    if (tracker.IsTracked(c) &&
+        tracker.client_last_heard(c) != oracle.client_last_heard(c)) {
+      return ::testing::AssertionFailure() << "client " << c << " lease";
+    }
+  }
+  if (dyn.slot_count() != ref.slot_count() || dyn.loads() != ref.loads() ||
+      dyn.orphans() != ref.orphans()) {
+    return ::testing::AssertionFailure() << "slots, loads or orphans";
+  }
+  for (int h = 0; h < dyn.slot_count(); ++h) {
+    if (dyn.is_occupied(h) != ref.is_occupied(h)) {
+      return ::testing::AssertionFailure() << "occupancy of handle " << h;
+    }
+    if (!dyn.is_occupied(h)) continue;
+    if (dyn.state(h) != ref.state(h) || dyn.leaf_of(h) != ref.leaf_of(h)) {
+      return ::testing::AssertionFailure() << "placement of handle " << h;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Drives a LivenessTracker and the reference tracker through the same
+// seeded ticks on two identical assigners over trees of depth >= 3:
+// crashes, recoveries and mutes, offline clients, heartbeats and refreshes
+// dropped at random, Add/Remove churn, and a stretch of every hundred
+// ticks with every leaf down, in which the subscribers park unplaced. The
+// two must agree after every tick on the report, every lease and every
+// placement.
+TEST(LeaseDifferentialTest, TickMatchesTheReferenceTracker) {
+  constexpr int kInitial = 40;
+  constexpr int kTicks = 400;
+  int expirations = 0, deaths = 0, deferred = 0, parked_ticks = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    LeaseConfig lease;
+    lease.heartbeat_interval = rng.UniformInt(1, 3);
+    lease.miss_suspect = static_cast<int>(rng.UniformInt(1, 2));
+    lease.miss_dead =
+        lease.miss_suspect + static_cast<int>(rng.UniformInt(0, 2));
+    lease.subscriber_interval = rng.UniformInt(1, 3);
+    lease.subscriber_miss_dead = static_cast<int>(rng.UniformInt(1, 3));
+    lease.suspect_blocks_placement = rng.Bernoulli(0.5);
+    net::BrokerTree tree =
+        RandomDeepTree(static_cast<int>(rng.UniformInt(12, 24)), rng);
+    ASSERT_GE(tree.Depth(), 3);
+    const int n = tree.num_nodes();
+    std::vector<wl::Subscriber> subs;
+    for (int k = 0; k < kInitial; ++k) subs.push_back(RandomSub(rng));
+    core::DynamicAssigner dyn(tree, LooseConfig(), kInitial);
+    core::DynamicAssigner ref(std::move(tree), LooseConfig(), kInitial);
+    const std::vector<int> handles = dyn.AddBatch(subs).value();
+    ASSERT_EQ(ref.AddBatch(subs).value(), handles);
+
+    LivenessTracker tracker(&dyn, lease, -1);
+    liveness::LeaseOracle oracle(&ref, lease, -1);
+    for (int c = 0; c < kInitial; ++c) {
+      tracker.TrackSubscriber(c, handles[c], -1);
+      oracle.TrackSubscriber(c, handles[c], -1);
+    }
+    int num_clients = kInitial;
+    // Ground truth, applied alike to each side's channel.
+    HeartbeatChannel channel(&dyn.tree(), kInitial + kTicks);
+    HeartbeatChannel ref_channel(&ref.tree(), kInitial + kTicks);
+
+    for (int64_t i = 0; i < kTicks; ++i) {
+      const bool blackout = i % 100 >= 40 && i % 100 < 60;
+      for (int v = 1; v < n; ++v) {
+        bool down = channel.broker_down(v);
+        if (blackout && dyn.tree().is_leaf(v)) {
+          down = true;
+        } else {
+          down = down ? !rng.Bernoulli(0.15) : rng.Bernoulli(0.03);
+        }
+        const bool muted = channel.broker_muted(v) != rng.Bernoulli(0.04);
+        for (HeartbeatChannel* ch : {&channel, &ref_channel}) {
+          ch->SetBrokerDown(v, down);
+          ch->SetBrokerMuted(v, muted);
+        }
+      }
+      for (int c = 0; c < num_clients; ++c) {
+        const bool offline = channel.client_offline(c) ? !rng.Bernoulli(0.1)
+                                                       : rng.Bernoulli(0.03);
+        channel.SetClientOffline(c, offline);
+        ref_channel.SetClientOffline(c, offline);
+      }
+
+      // Heartbeats and refreshes, staggered as in the replay; a delivered
+      // one is dropped with probability 0.1.
+      for (int v = 1; v < n; ++v) {
+        if (i % lease.heartbeat_interval != v % lease.heartbeat_interval ||
+            channel.broker_down(v)) {
+          continue;
+        }
+        const bool delivered = channel.BrokerHeartbeatDelivered(v);
+        ASSERT_EQ(delivered, ref_channel.BrokerHeartbeatDelivered(v));
+        if (!delivered || rng.Bernoulli(0.1)) continue;
+        ASSERT_EQ(tracker.HeardBroker(v, i), oracle.HeardBroker(v, i));
+      }
+      for (int c = 0; c < num_clients; ++c) {
+        if (i % lease.subscriber_interval != c % lease.subscriber_interval ||
+            !tracker.IsTracked(c) || channel.client_offline(c)) {
+          continue;
+        }
+        const int leaf = dyn.leaf_of(tracker.handle_of(c));
+        if (!channel.ClientRefreshDelivered(c, leaf) || rng.Bernoulli(0.1)) {
+          continue;
+        }
+        tracker.HeardSubscriber(c, i);
+        oracle.HeardSubscriber(c, i);
+      }
+
+      const TickReport report = tracker.Tick(i);
+      ASSERT_TRUE(SameReport(report, oracle.Tick(i))) << "tick " << i;
+      ASSERT_TRUE(SameBelief(tracker, oracle, dyn, ref, num_clients))
+          << "after tick " << i;
+      expirations += static_cast<int>(report.expired.size());
+      deaths += static_cast<int>(report.declared_dead.size());
+      deferred += report.deaths_deferred;
+
+      // Churn: an arrival, a departure, then a repair pass on each side.
+      if (rng.Bernoulli(0.3)) {
+        const wl::Subscriber s = RandomSub(rng);
+        const Result<int> h = dyn.Add(s);
+        const Result<int> ref_h = ref.Add(s);
+        ASSERT_EQ(h.ok(), ref_h.ok());
+        if (h.ok()) {
+          ASSERT_EQ(h.value(), ref_h.value());
+          tracker.TrackSubscriber(num_clients, h.value(), i);
+          oracle.TrackSubscriber(num_clients, h.value(), i);
+          ++num_clients;
+        }
+      }
+      if (rng.Bernoulli(0.2)) {
+        const int c = static_cast<int>(rng.UniformInt(0, num_clients - 1));
+        const int h = tracker.handle_of(c);
+        if (h >= 0) {
+          tracker.ForgetSubscriber(c);
+          oracle.ForgetSubscriber(c);
+          ASSERT_TRUE(dyn.Remove(h).ok());
+          ASSERT_TRUE(ref.Remove(h).ok());
+        }
+      }
+      const core::RepairReport repaired = dyn.Repair(i);
+      const core::RepairReport ref_repaired = ref.Repair(i);
+      ASSERT_EQ(repaired.repaired, ref_repaired.repaired);
+      ASSERT_EQ(repaired.degraded, ref_repaired.degraded);
+      ASSERT_EQ(repaired.undegraded, ref_repaired.undegraded);
+      ASSERT_TRUE(SameBelief(tracker, oracle, dyn, ref, num_clients))
+          << "after repair at tick " << i;
+      if (dyn.tree().live_leaf_brokers().empty() && dyn.population() > 0) {
+        ++parked_ticks;
+      }
+    }
+  }
+  // The run reached what it is meant to cover.
+  EXPECT_GT(expirations, 0);
+  EXPECT_GT(deaths, 0);
+  EXPECT_GT(deferred, 0);
+  EXPECT_GT(parked_ticks, 0);
 }
 
 // ---------------------------------------------------------------------------
